@@ -1,18 +1,17 @@
-"""Frontend shard scaling: cache-hit dispatch throughput and the
+"""Frontend dispatch: cache-hit throughput against tenant count, and the
 10k-tenant socket accountability run.
 
-Why sharding pays on one core: the dispatcher pops work by scanning the
-head of every *active tenant queue* (priority/deadline/FIFO ordering),
-so a cache-served workload's per-request cost is dominated by an
-O(active tenants) Python loop, not the GIL or the solver.  Sharding
-tenants across N brokers divides that scan N ways — each dispatcher
-only ever sees its own shard's tenants — which is why the speedup holds
-on a single CPU where parallel solving could not.
+The broker is one min-heap on ``(priority, deadline, seq)``, so what a
+cache-served request costs the dispatcher must not depend on how many
+tenants are queued — the property that makes one broker enough
+(docs/service.md, "Why there are no shards").
 
 Two gates:
 
-- ``test_cache_hit_shard_scaling`` — the same warmed, cache-served
-  workload drained by 1 shard vs 4; required: >= 2.5x.
+- ``test_cache_hit_dispatch_is_flat`` — the same warmed, cache-served
+  8,192-request drain through one ``PlanningService`` with the backlog
+  spread over 64 and over 4,096 tenants; required: per-request cost at
+  4,096 tenants within 2x of 64.
 - ``test_frontend_10k_tenants`` — a real ``repro serve --listen``
   subprocess driven by the asyncio loadgen with 10,000 concurrent
   tenant connections; required: every request answered (completed or a
@@ -30,12 +29,13 @@ import time
 
 from conftest import once, print_table
 
-from repro.service import PlanRequest, ServiceConfig, problem_for_scenario
-from repro.service.frontend import (
-    ShardedPlanningService,
-    generate_wire_workload,
-    run_loadgen,
+from repro.service import (
+    PlanningService,
+    PlanRequest,
+    ServiceConfig,
+    problem_for_scenario,
 )
+from repro.service.frontend import generate_wire_workload, run_loadgen
 
 #: Distinct problems in the drain workload (tiny grid = cache-heavy,
 #: exactly like real planning traffic).
@@ -45,30 +45,30 @@ PROBLEM_KWARGS = (
     dict(input_gb=16.0, deadline_hours=8.0),
     dict(input_gb=32.0, deadline_hours=8.0),
 )
-TENANTS = 4096
-REQUESTS_PER_TENANT = 2
+REQUESTS = 8192
+TENANT_COUNTS = (64, 4096)
 #: Concurrent submitters modelling the asyncio frontend's connection
 #: storm: many client sessions deliver requests faster than one
 #: dispatcher can serve them, so a real backlog of active tenants
-#: builds — exactly the regime where the head scan is the bottleneck.
+#: builds — the regime in which a per-tenant scan would show.
 SUBMITTERS = 8
 
 
-def drain_elapsed(shards: int) -> tuple[float, int]:
-    """Wall time to push TENANTS x REQUESTS_PER_TENANT cache-served
-    requests through ``shards`` broker shards (ordered admission, so
-    every request rides the dispatch path — the piece sharding scales)."""
+def drain_elapsed(tenants: int) -> tuple[float, int]:
+    """Wall time to push REQUESTS cache-served requests from ``tenants``
+    tenants through one service (ordered admission, so every request
+    rides the dispatch path)."""
+    per_tenant = REQUESTS // tenants
     problems = [problem_for_scenario("quickstart", **kw) for kw in PROBLEM_KWARGS]
     config = ServiceConfig(
         pool_mode="inline",
         max_workers=1,
         ordered_admission=True,
-        max_pending_total=TENANTS * REQUESTS_PER_TENANT * 2,
-        max_pending_per_tenant=REQUESTS_PER_TENANT * 2,
+        max_pending_total=REQUESTS * 2,
+        max_pending_per_tenant=per_tenant * 2,
     )
-    service = ShardedPlanningService(config, shards=shards)
-    with service:
-        # Warm every distinct problem into the shared L2 so the drain
+    with PlanningService(config) as service:
+        # Warm every distinct problem into the plan cache so the drain
         # below is pure cache-hit dispatch.
         for problem in problems:
             assert service.submit(problem, tenant="warmup").result(
@@ -80,9 +80,9 @@ def drain_elapsed(shards: int) -> tuple[float, int]:
 
         def submit_slice(slot: int) -> None:
             try:
-                for index in range(slot, TENANTS, SUBMITTERS):
+                for index in range(slot, tenants, SUBMITTERS):
                     tenant = f"tenant-{index:05d}"
-                    for repeat in range(REQUESTS_PER_TENANT):
+                    for repeat in range(per_tenant):
                         tickets[slot].append(service.submit_request(PlanRequest(
                             tenant=tenant,
                             problem=problems[(index + repeat) % len(problems)],
@@ -109,36 +109,30 @@ def drain_elapsed(shards: int) -> tuple[float, int]:
     return elapsed, hits
 
 
-def measure_scaling():
-    single, single_hits = drain_elapsed(1)
-    quad, quad_hits = drain_elapsed(4)
-    return single, quad, single_hits, quad_hits
-
-
-def test_cache_hit_shard_scaling(benchmark, bench_metrics):
-    single, quad, single_hits, quad_hits = once(benchmark, measure_scaling)
-    total = TENANTS * REQUESTS_PER_TENANT
-    speedup = single / quad if quad > 0 else float("inf")
+def test_cache_hit_dispatch_is_flat(benchmark, bench_metrics):
+    runs = once(
+        benchmark, lambda: [drain_elapsed(tenants) for tenants in TENANT_COUNTS]
+    )
+    (few, few_hits), (many, many_hits) = runs
 
     print_table(
-        f"Cache-hit drain, {TENANTS} tenants x {REQUESTS_PER_TENANT} requests",
+        f"Cache-hit drain, {REQUESTS} requests through one service",
         [
-            ("1 shard", f"{single:.2f} s", f"{total / single:,.0f} req/s"),
-            ("4 shards", f"{quad:.2f} s", f"{total / quad:,.0f} req/s"),
-            ("speedup", f"{speedup:.2f}x", ""),
+            (f"{tenants} tenants", f"{elapsed:.2f} s",
+             f"{REQUESTS / elapsed:,.0f} req/s",
+             f"{elapsed / REQUESTS * 1e6:.0f} us/request")
+            for tenants, (elapsed, _) in zip(TENANT_COUNTS, runs)
         ],
-        ("configuration", "wall", "throughput"),
+        ("backlog spread over", "wall", "throughput", "cost"),
     )
-    bench_metrics("shard_speedup", speedup)
-    bench_metrics("single_shard_rps", total / single)
-    bench_metrics("quad_shard_rps", total / quad)
+    bench_metrics("dispatch_rps", REQUESTS / many)
+    bench_metrics("dispatch_cost_ratio", many / few)
 
     # Every request was served from the plan cache in both runs — the
-    # comparison is dispatch scan cost, not solver luck.
-    assert single_hits == quad_hits == total
-    # The tentpole's bar: 4 shards >= 2.5x one shard on the cache-hit
-    # dispatch path.
-    assert speedup >= 2.5
+    # comparison is dispatch cost, not solver luck.
+    assert few_hits == many_hits == REQUESTS
+    # One heap: 64x the tenants may not cost 2x per request.
+    assert many <= 2.0 * few
 
 
 # -- 10k concurrent tenants over the socket ------------------------------
@@ -157,7 +151,7 @@ def run_10k_tenants():
     )
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--listen", "127.0.0.1:0", "--shards", "4",
+         "--listen", "127.0.0.1:0",
          "--pool", "thread", "--workers", "2",
          "--max-pending-total", "16384",
          "--max-pending-per-tenant", "64"],

@@ -485,7 +485,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                         help="solver pool mode (default: process)")
     parser.add_argument("--workers", type=int, default=2,
                         help="concurrent solver workers")
-    parser.add_argument("--cache-capacity", type=int, default=256,
+    parser.add_argument("--cache-capacity", type=int, default=4096,
                         help="plan cache entries (0 disables the cache)")
     parser.add_argument("--time-limit", type=float, default=180.0,
                         help="solver cut-off ceiling in seconds")
@@ -493,8 +493,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                         help="warm-start structurally repeated solves "
                         "(thread/inline pools; see docs/solver.md)")
     parser.add_argument("--max-pending-total", type=int, default=256,
-                        help="admission bound on queued requests "
-                        "(per shard with --listen)")
+                        help="admission bound on queued requests")
     parser.add_argument("--max-pending-per-tenant", type=int, default=64,
                         help="admission bound on one tenant's queued requests")
     parser.add_argument("--metrics-json", metavar="PATH",
@@ -540,9 +539,9 @@ def cmd_serve(args) -> int:
          "job": {"input_gb": 16, "goal": {"deadline_hours": 6}}}
 
     With ``--listen HOST:PORT`` the same dialect is served over TCP by
-    the asyncio sharded frontend instead (``--shards`` broker shards,
-    strict per-tenant FIFO, deadline-aware shedding); the stream path
-    below is untouched.
+    the asyncio frontend instead (the same service, with strict
+    per-tenant FIFO and deadline-aware shedding turned on); the stream
+    path below is untouched.
     """
     from .api import (
         ErrorV1,
@@ -676,7 +675,7 @@ def cmd_serve(args) -> int:
 
 
 def _cmd_serve_listen(args) -> int:
-    """``repro serve --listen``: the asyncio sharded socket frontend."""
+    """``repro serve --listen``: the asyncio socket frontend."""
     from .service.frontend import FrontendConfig, run_server
     from .service.frontend.client import parse_address
 
@@ -685,11 +684,8 @@ def _cmd_serve_listen(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
     return run_server(
-        FrontendConfig(host=host, port=port, shards=args.shards),
+        FrontendConfig(host=host, port=port),
         # The socket frontend opts into strict per-tenant FIFO (cache
         # hits queue like misses) and deadline-aware shedding.
         _service_config_for(
@@ -974,9 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON-lines request file (default: stdin)")
     serve.add_argument("--listen", metavar="HOST:PORT",
                        help="serve the same dialect over TCP with the "
-                       "asyncio sharded frontend (port 0 = OS-assigned)")
-    serve.add_argument("--shards", type=int, default=4,
-                       help="broker shards behind --listen (default: 4)")
+                       "asyncio frontend (port 0 = OS-assigned)")
     _add_service_arguments(serve)
     serve.set_defaults(handler=cmd_serve)
 
@@ -1004,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="drive running socket frontend(s) with one "
                          "concurrent connection per tenant instead of an "
                          "in-process service; tenants route to addresses "
-                         "by the stable shard hash")
+                         "by a stable tenant hash")
     loadgen.add_argument("--requests-per-tenant", type=int, default=1,
                          help="pipelined requests per tenant connection "
                          "(--connect mode)")

@@ -11,7 +11,7 @@ The public planning API:
   :class:`CurrentPricePredictor`, :class:`WindowMaxPredictor`.
 """
 
-from .accounting import CostCategory, CostLedger, LedgerEntry, combine
+from ..accounting import CostCategory, CostLedger, LedgerEntry, combine
 from .calibration import (
     CalibrationReport,
     RateObservation,

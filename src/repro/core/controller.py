@@ -37,7 +37,7 @@ import numpy as np
 
 from ..cloud.spot import SpotTrace
 from ..units import MB_PER_GB
-from .accounting import CostCategory, CostLedger
+from ..accounting import CostCategory, CostLedger
 from .conditions import ActualConditions
 from .executor import FluidExecutor, IntervalOutcome
 from .model_builder import PlanningError

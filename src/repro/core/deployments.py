@@ -47,7 +47,7 @@ from ..storage.client import StorageClient
 from ..storage.filesystem import ConductorFileSystem
 from ..storage.namenode import Namenode
 from ..units import MB_PER_GB, gb_h_to_mb_s, mbit_s_to_mb_s, seconds_to_hours
-from .accounting import CostCategory, CostLedger
+from ..accounting import CostCategory, CostLedger
 from .plan import ExecutionPlan
 from .planner import Planner
 from .problem import Goal, NetworkConditions, PlannerJob

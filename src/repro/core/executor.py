@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..cloud.services import ServiceDescription
-from .accounting import CostCategory, CostLedger
+from ..accounting import CostCategory, CostLedger
 from .conditions import ActualConditions
 from .plan import PlanInterval
 from .problem import PlannerJob, PlanningProblem, SystemState

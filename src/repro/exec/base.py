@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.accounting import CostLedger
+    from ..accounting import CostLedger
     from ..core.conditions import ActualConditions
     from ..core.executor import IntervalOutcome
     from ..core.plan import PlanInterval

@@ -28,7 +28,7 @@ import abc
 import math
 from dataclasses import dataclass, field
 
-from ..core.accounting import CostLedger
+from ..accounting import CostLedger
 from ..core.conditions import ActualConditions
 from ..core.executor import IntervalOutcome
 from ..core.plan import PlanInterval

@@ -40,7 +40,6 @@ _EXPORTS = {
     "Gauge": "registry",
     "LatencySeries": "registry",
     "MetricsRegistry": "registry",
-    "labeled": "registry",
     "percentile": "registry",
     "DETERMINISTIC_KINDS": "records",
     "RECORD_KINDS": "records",

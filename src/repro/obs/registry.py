@@ -25,19 +25,6 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 
 
-def labeled(name: str, **labels) -> str:
-    """Canonical labeled-instrument name: ``completed{shard=3}``.
-
-    Labels render sorted by key, so every producer of the same label set
-    lands on the same instrument.  Per-shard counters in a merged
-    snapshot use this form; the bare ``name`` stays the aggregate.
-    """
-    if not labels:
-        return name
-    body = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-    return f"{name}{{{body}}}"
-
-
 def percentile(values: list[float], p: float) -> float:
     """Exact percentile (nearest-rank with linear interpolation).
 
@@ -118,11 +105,6 @@ class LatencySeries:
         with self._lock:
             self._samples.append(seconds)
 
-    def extend(self, seconds: list[float]) -> None:
-        """Fold a batch of samples in (the merge path — stays exact)."""
-        with self._lock:
-            self._samples.extend(seconds)
-
     @property
     def samples(self) -> list[float]:
         with self._lock:
@@ -185,40 +167,6 @@ class MetricsRegistry:
     def series(self, name: str) -> LatencySeries:
         with self._lock:
             return self._series.setdefault(name, LatencySeries())
-
-    def merge(self, other: "MetricsRegistry", labels: dict | None = None) -> None:
-        """Fold ``other``'s instruments into this registry.
-
-        Counters add, gauges take ``other``'s value (last write wins),
-        and latency series concatenate their raw samples — so the merged
-        percentiles are *exact*, not an average of shard percentiles.
-        A merged series that was empty on every shard stays empty and
-        therefore reports the defined all-zero summary.
-
-        With ``labels`` (e.g. ``{"shard": 2}``), every instrument is
-        additionally folded under its :func:`labeled` name, so the one
-        merged snapshot keeps per-shard counters (``completed{shard=2}``)
-        next to the aggregates.
-        """
-        with other._lock:
-            counters = dict(other._counters)
-            gauges = dict(other._gauges)
-            series = dict(other._series)
-        for name, counter in counters.items():
-            value = counter.value
-            self.counter(name).increment(value)
-            if labels:
-                self.counter(labeled(name, **labels)).increment(value)
-        for name, gauge in gauges.items():
-            value = gauge.value
-            self.gauge(name).set(value)
-            if labels:
-                self.gauge(labeled(name, **labels)).set(value)
-        for name, entry in series.items():
-            samples = entry.samples
-            self.series(name).extend(samples)
-            if labels:
-                self.series(labeled(name, **labels)).extend(samples)
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:

@@ -5,11 +5,11 @@ problems to; this package makes the reproduction act like one:
 
 - :class:`PlanningService` — submit/solve/cache front-end
   (:mod:`repro.service.service`);
-- :class:`RequestBroker` — per-tenant queues, admission control,
-  priority/deadline ordering (:mod:`repro.service.broker`);
-- :func:`problem_fingerprint` + :class:`LRUCache` — canonical problem
-  identity and the plan cache (:mod:`repro.service.fingerprint`,
-  :mod:`repro.service.cache`);
+- :class:`RequestBroker` — admission control and priority/deadline
+  ordering (:mod:`repro.service.broker`);
+- :func:`problem_fingerprint` + :class:`SharedPlanCache` — canonical
+  problem identity and the single-flight plan cache
+  (:mod:`repro.service.fingerprint`, :mod:`repro.service.cache`);
 - :class:`SolverPool` — bounded parallel LP solving
   (:mod:`repro.service.pool`);
 - :class:`SessionManager` — deploy/monitor/adapt loops with streamed
@@ -18,9 +18,8 @@ problems to; this package makes the reproduction act like one:
   (:mod:`repro.service.metrics`);
 - :func:`generate_workload` — synthetic tenant traffic
   (:mod:`repro.service.workload`);
-- :mod:`repro.service.frontend` — the asyncio socket frontend: tenant-
-  sharded brokers behind one TCP endpoint, the shared
-  :class:`SharedPlanCache` L2, and the concurrent-connection load
+- :mod:`repro.service.frontend` — the asyncio socket frontend: one
+  service behind one TCP endpoint, and the concurrent-connection load
   generator (imported explicitly; it pulls in the api layer).
 """
 

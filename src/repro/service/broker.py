@@ -1,12 +1,13 @@
-"""The request broker: per-tenant queues, admission control, ordering.
+"""The request broker: admission control and dispatch ordering.
 
 The broker is the service's front door (the broker/scheduler/monitor
-split of the orchestration taxonomy).  Each tenant gets its own queue so
-one noisy tenant cannot starve the rest of *queue space*; admission
-control bounds both per-tenant and total backlog.  Dispatch order is
-priority first (0 = most urgent), then earliest turnaround deadline,
-then global FIFO — evaluated over the *heads* of the tenant queues, so
-within a tenant submissions with equal priority stay ordered.
+split of the orchestration taxonomy).  Admission control bounds both
+per-tenant and total backlog, so one noisy tenant cannot starve the rest
+of *queue space*.  Dispatch order is priority first (0 = most urgent),
+then earliest turnaround deadline, then global FIFO: one min-heap on
+``(priority, deadline, seq)``, so ``pop`` is O(log pending) however many
+tenants are queued, and within a tenant submissions with equal priority
+and deadline stay ordered.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from collections import OrderedDict
+import time
 
 from .requests import SubmittedRequest
 
@@ -37,9 +38,10 @@ class RequestBroker:
         self.max_pending_per_tenant = max_pending_per_tenant
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        #: tenant -> min-heap of (priority, deadline, seq, ticket).
-        self._queues: "OrderedDict[str, list]" = OrderedDict()
-        self._pending = 0
+        #: min-heap of (priority, deadline, seq, ticket).
+        self._heap: list[tuple] = []
+        #: tenant -> queued tickets (tenants with none are dropped).
+        self._per_tenant: dict[str, int] = {}
         self._seq = 0
         self._closed = False
 
@@ -51,12 +53,12 @@ class RequestBroker:
         with self._not_empty:
             if self._closed:
                 raise AdmissionError("broker is closed")
-            if self._pending >= self.max_pending_total:
+            if len(self._heap) >= self.max_pending_total:
                 raise AdmissionError(
                     f"service backlog full ({self.max_pending_total} pending)"
                 )
-            queue = self._queues.setdefault(tenant, [])
-            if len(queue) >= self.max_pending_per_tenant:
+            queued = self._per_tenant.get(tenant, 0)
+            if queued >= self.max_pending_per_tenant:
                 raise AdmissionError(
                     f"tenant {tenant!r} backlog full "
                     f"({self.max_pending_per_tenant} pending)"
@@ -68,50 +70,36 @@ class RequestBroker:
                 self._seq,
             )
             self._seq += 1
-            heapq.heappush(queue, (*key, ticket))
-            self._pending += 1
+            ticket.enqueued_at = time.perf_counter()
+            heapq.heappush(self._heap, (*key, ticket))
+            self._per_tenant[tenant] = queued + 1
             self._not_empty.notify()
 
     # -- dispatch ---------------------------------------------------------
 
     def pop(self, timeout: float | None = None) -> SubmittedRequest | None:
-        """The most urgent queued request, or ``None`` on timeout/close.
-
-        Urgency compares the head of every tenant queue by
-        ``(priority, deadline, seq)``; per-tenant order is preserved
-        because only heads compete.
-        """
+        """The most urgent queued request by ``(priority, deadline,
+        seq)``, or ``None`` on timeout/close."""
         with self._not_empty:
-            while self._pending == 0:
+            while not self._heap:
                 if self._closed:
                     return None
                 if not self._not_empty.wait(timeout):
                     return None
-            best_tenant = None
-            best_key = None
-            for tenant, queue in self._queues.items():
-                if not queue:
-                    continue
-                key = queue[0][:3]
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_tenant = tenant
-            assert best_tenant is not None
-            queue = self._queues[best_tenant]
-            *_, ticket = heapq.heappop(queue)
-            if not queue:
-                del self._queues[best_tenant]
-            self._pending -= 1
+            *_, ticket = heapq.heappop(self._heap)
+            queued = self._per_tenant[ticket.tenant] - 1
+            if queued:
+                self._per_tenant[ticket.tenant] = queued
+            else:
+                del self._per_tenant[ticket.tenant]
             return ticket
 
     def drain(self) -> list[SubmittedRequest]:
         """Remove and return everything still queued (shutdown path)."""
         with self._lock:
-            tickets = [
-                entry[-1] for queue in self._queues.values() for entry in queue
-            ]
-            self._queues.clear()
-            self._pending = 0
+            tickets = [entry[-1] for entry in self._heap]
+            self._heap.clear()
+            self._per_tenant.clear()
             return tickets
 
     def close(self) -> None:
@@ -130,12 +118,12 @@ class RequestBroker:
     @property
     def pending(self) -> int:
         with self._lock:
-            return self._pending
+            return len(self._heap)
 
     def pending_for(self, tenant: str) -> int:
         with self._lock:
-            return len(self._queues.get(tenant, ()))
+            return self._per_tenant.get(tenant, 0)
 
     def tenants(self) -> list[str]:
         with self._lock:
-            return [t for t, q in self._queues.items() if q]
+            return list(self._per_tenant)

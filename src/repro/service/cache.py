@@ -1,21 +1,18 @@
-"""Plan-cache machinery: a thread-safe LRU and the shared striped L2.
+"""Plan-cache machinery: a thread-safe LRU and the single-flight plan cache.
 
-:class:`LRUCache` backs the per-shard plan cache (fingerprint ->
-:class:`ExecutionPlan`) and the warm-model cache (fingerprint ->
-:class:`BuiltModel`).  Entries are treated as immutable by convention;
-eviction is strict LRU.
+:class:`LRUCache` backs the warm-model cache (fingerprint ->
+:class:`BuiltModel`) and the fleet's plan cache.  Entries are treated as
+immutable by convention; eviction is strict LRU.
 
-:class:`SharedPlanCache` is the second level behind the sharded
-frontend: one lock-striped cache all broker shards share, so a plan
-solved on any shard is a hit on every other, plus a cross-shard
-single-flight table so concurrent identical cold requests on *different*
-shards coalesce onto one solve instead of thundering the solver pool.
+:class:`SharedPlanCache` is the planning service's one plan cache
+(fingerprint -> :class:`ExecutionPlan`): that LRU plus a single-flight
+table, so concurrent identical cold requests from any number of tenants
+coalesce onto one solve instead of thundering the solver pool.
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, TypeVar
@@ -95,68 +92,44 @@ class LRUCache(Generic[V]):
         return self.stats.hit_rate
 
 
-class SharedPlanCache:
-    """The shared L2 plan cache: lock-striped segments + single-flight.
+class SharedPlanCache(LRUCache):
+    """The service's plan cache: an LRU plus a single-flight table.
 
-    Keys (problem fingerprints) map to one of ``stripes`` independent
-    :class:`LRUCache` segments, so shards hitting disjoint fingerprints
-    never contend on one lock.  Each stripe also carries a *flight
-    table* implementing cross-shard single-flight:
+    All tenants share it, so a plan solved for one is a hit for every
+    other.  The flight table coalesces concurrent identical solves:
 
-    - :meth:`begin` is called by a shard about to start a cold solve.
-      It returns ``("hit", plan)`` when the plan landed since the
-      caller's cache miss, ``("leader", None)`` when the caller should
-      run the solve (a flight is now registered under the key), or
-      ``("joined", None)`` when another shard's solve is already in
-      flight — the caller's ``on_done`` callback fires when that solve
-      finishes.
+    - :meth:`begin` is called for a request about to need a solve.  It
+      returns ``("hit", plan)`` when the plan is cached, ``("leader",
+      None)`` when the caller should run the solve (a flight is now
+      registered under the key), or ``("joined", None)`` when a solve
+      for the key is already in flight — the caller's ``on_done``
+      callback fires when that solve finishes.  Lookup and registration
+      happen under one lock, so a racing :meth:`finish` leaves either
+      the plan or the flight to find, never a gap.
     - :meth:`finish` is the leader's obligation on *every* terminal
-      path: it publishes an optimal plan to the cache (before dropping
-      the flight, so a racing ``begin`` finds one or the other, never a
-      gap) and invokes the joined shards' callbacks outside the stripe
-      lock as ``on_done(plan, error, budgeted)``.
+      path: it publishes the plan (callers pass only plans fit to share)
+      and invokes the joiners' callbacks outside the lock as
+      ``on_done(plan, error, budgeted)``.
 
     ``capacity <= 0`` disables retention (every ``get`` misses) but the
-    single-flight table still coalesces concurrent identical solves.
+    flight table still coalesces concurrent identical solves.
     """
 
-    def __init__(self, capacity: int = 4096, stripes: int = 16) -> None:
-        if stripes <= 0:
-            raise ValueError("stripes must be positive")
-        per_stripe = max(1, capacity // stripes) if capacity > 0 else 0
-        self._segments = [LRUCache(per_stripe) for _ in range(stripes)]
-        self._flight_locks = [threading.Lock() for _ in range(stripes)]
-        self._flights: list[dict[Hashable, list[Callable]]] = [
-            {} for _ in range(stripes)
-        ]
-
-    def _index(self, key: Hashable) -> int:
-        # crc32 over the fingerprint: stable across processes and runs
-        # (``hash(str)`` is salted), cheap, and uniform enough to spread
-        # stripes.
-        return zlib.crc32(str(key).encode("utf-8")) % len(self._segments)
-
-    # -- cache ------------------------------------------------------------
-
-    def get(self, key: Hashable, default=None):
-        return self._segments[self._index(key)].get(key, default)
-
-    def put(self, key: Hashable, value) -> None:
-        self._segments[self._index(key)].put(key, value)
-
-    # -- single-flight ----------------------------------------------------
+    def __init__(self, capacity: int = 4096) -> None:
+        super().__init__(capacity)
+        self._flights: dict[Hashable, list[Callable]] = {}
+        self._flight_lock = threading.Lock()
 
     def begin(self, key: Hashable, on_done: Callable) -> tuple[str, object]:
-        index = self._index(key)
-        with self._flight_locks[index]:
-            plan = self._segments[index].get(key)
+        with self._flight_lock:
+            plan = self.get(key)
             if plan is not None:
                 return ("hit", plan)
-            flight = self._flights[index].get(key)
+            flight = self._flights.get(key)
             if flight is not None:
                 flight.append(on_done)
                 return ("joined", None)
-            self._flights[index][key] = []
+            self._flights[key] = []
             return ("leader", None)
 
     def finish(
@@ -166,35 +139,16 @@ class SharedPlanCache:
         error: BaseException | None = None,
         budgeted: bool = False,
     ) -> None:
-        index = self._index(key)
-        if plan is not None:
-            self._segments[index].put(key, plan)
-        with self._flight_locks[index]:
-            callbacks = self._flights[index].pop(key, [])
-        # Outside the stripe lock: callbacks re-enter shard services
-        # (taking their in-flight locks) and may submit follow-up work.
+        with self._flight_lock:
+            if plan is not None:
+                self.put(key, plan)
+            callbacks = self._flights.pop(key, [])
+        # Outside the lock: callbacks complete or requeue tickets, whose
+        # own done-callbacks may submit follow-up work.
         for on_done in callbacks:
             on_done(plan, error, budgeted)
 
     def inflight(self) -> int:
         """Number of registered flights (introspection/tests)."""
-        total = 0
-        for lock, flights in zip(self._flight_locks, self._flights):
-            with lock:
-                total += len(flights)
-        return total
-
-    def __len__(self) -> int:
-        return sum(len(segment) for segment in self._segments)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._segments[self._index(key)]
-
-    def stats(self) -> CacheStats:
-        """Aggregated segment stats (hits/misses/evictions)."""
-        total = CacheStats()
-        for segment in self._segments:
-            total.hits += segment.stats.hits
-            total.misses += segment.stats.misses
-            total.evictions += segment.stats.evictions
-        return total
+        with self._flight_lock:
+            return len(self._flights)

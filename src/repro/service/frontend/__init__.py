@@ -1,40 +1,29 @@
-"""Async sharded planning frontend.
+"""Async socket frontend of the planning service.
 
-The stock :class:`~repro.service.service.PlanningService` runs one
-dispatcher over one broker: every dispatch scans the heads of *all*
-active tenant queues, so dispatch cost grows with the number of tenants
-— the hot loop of a cache-served wire workload.  This package splits
-that frontier:
-
-- :mod:`repro.service.frontend.sharding` — tenants hash (stable
-  blake2b) onto N independent broker shards, each a full
-  ``PlanningService`` with its own dispatcher; per-tenant FIFO and
-  admission bounds stay shard-local, so each dispatcher scans only its
-  shard's tenants.  A shared lock-striped
-  :class:`~repro.service.cache.SharedPlanCache` (the L2 behind each
-  shard's LRU L1) keeps plans and in-flight solves global: a plan
-  solved on any shard hits on every other, and identical cold requests
-  on different shards coalesce onto one solve.
 - :mod:`repro.service.frontend.server` — the asyncio TCP server
   speaking the existing versioned JSON-lines dialect (``hello``
-  preamble, ``plan_request`` in / ``plan_response`` out), with bounded
+  preamble, ``plan_request`` in / ``plan_response`` out) in front of one
+  :class:`~repro.service.service.PlanningService`, with bounded
   per-connection send queues for slow-client backpressure and
   cooperative cancellation of a disconnected client's queued work.
 - :mod:`repro.service.frontend.client` — the asyncio load generator
   behind ``repro loadgen --connect``: thousands of concurrent tenant
-  connections, client-side shard routing across server addresses, and
-  a latency/shed-rate report.
+  connections, stable tenant routing across server addresses, and a
+  latency/shed-rate report.
 """
 
-from .client import LoadgenReport, generate_wire_workload, run_loadgen
+from .client import (
+    LoadgenReport,
+    generate_wire_workload,
+    run_loadgen,
+    shard_for_tenant,
+)
 from .server import FrontendConfig, FrontendServer, run_server
-from .sharding import ShardedPlanningService, shard_for_tenant
 
 __all__ = [
     "FrontendConfig",
     "FrontendServer",
     "LoadgenReport",
-    "ShardedPlanningService",
     "generate_wire_workload",
     "run_loadgen",
     "run_server",

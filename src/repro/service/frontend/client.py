@@ -5,9 +5,9 @@ frontend with thousands of *concurrent* tenant connections — one TCP
 connection per tenant, pipelined requests, responses correlated by
 ``request_id`` — and reports client-observed latency percentiles, the
 shed rate and the per-address split.  Connections route tenants across
-multiple server addresses with the same stable hash the server uses for
-its internal broker shards, so a multi-process deployment (one frontend
-per address) keeps each tenant pinned to one process.
+multiple server addresses with a stable hash (:func:`shard_for_tenant`),
+so a multi-process deployment (one frontend per address) keeps each
+tenant pinned to one process, and with it the tenant's FIFO order.
 
 Single event loop, single process: at 10k tenants the per-connection
 state is a reader/writer pair and a dict of send timestamps, well
@@ -19,6 +19,7 @@ server answers mostly from its plan cache.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import random
 import time
 from dataclasses import dataclass, field
@@ -26,9 +27,13 @@ from dataclasses import dataclass, field
 from ...api import ErrorV1, PlanRequestV1, PlanResponseV1, decode, encode
 from ...api.adapters import from_workload
 from ...obs.registry import percentile
-from .sharding import shard_for_tenant
 
-__all__ = ["LoadgenReport", "generate_wire_workload", "run_loadgen"]
+__all__ = [
+    "LoadgenReport",
+    "generate_wire_workload",
+    "run_loadgen",
+    "shard_for_tenant",
+]
 
 #: Spec grids mirroring ``repro.service.workload`` — small on purpose
 #: (real planning traffic repeats; the plan cache is the product).
@@ -37,6 +42,18 @@ _SCENARIO_MIX = (("quickstart", 0.4), ("hybrid", 0.25),
 _INPUT_GRID = (8.0, 16.0, 32.0)
 _DEADLINE_GRID = (6.0, 8.0)
 _UPLINK_GRID = (32.0,)
+
+
+def shard_for_tenant(tenant: str, shards: int) -> int:
+    """Stable tenant -> index in ``range(shards)``.
+
+    blake2b (not ``hash``, which is salted per process) so every client
+    process and every run agrees on which address serves a tenant.
+    """
+    if shards <= 0:
+        raise ValueError("shards must be positive")
+    digest = hashlib.blake2b(tenant.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % shards
 
 
 def generate_wire_workload(

@@ -1,7 +1,7 @@
 """The asyncio socket frontend of the planning service.
 
-One event loop, many connections, N broker shards.  The wire dialect is
-*exactly* the one ``repro serve`` speaks over stdin/stdout — a versioned
+One event loop, many connections, one planning service.  The wire
+dialect is *exactly* the one ``repro serve`` speaks over stdin/stdout — a versioned
 ``hello`` line first, then ``plan_request`` JSON lines in and
 ``plan_response`` / ``error`` lines out — so any client of the stream
 protocol works unchanged over TCP.  Responses are per-connection and
@@ -10,12 +10,12 @@ per-tenant processing order is the service's strict per-tenant FIFO.
 
 Flow control, all bounded:
 
-- **admission** — each broker shard's queue bounds apply; a refused
-  request is answered immediately with a structured ``rejected``
-  response (never a dropped line);
+- **admission** — the service's queue bounds apply; a refused request
+  is answered immediately with a structured ``rejected`` response
+  (never a dropped line);
 - **deadline shedding** — requests whose turnaround deadline the
-  shard's rolling queue-wait estimate cannot meet are shed at admission
-  (also ``rejected``) instead of expiring uselessly in queue;
+  service's rolling queue-wait estimate cannot meet are shed at
+  admission (also ``rejected``) instead of expiring uselessly in queue;
 - **slow clients** — responses leave through a bounded per-connection
   send queue drained by a writer task under TCP backpressure
   (``drain()``); a client that stops reading until its queue fills is
@@ -46,10 +46,7 @@ from ...api import (
     encode,
 )
 from ...api.orchestrator import Orchestrator
-from ...obs.registry import MetricsRegistry
-from ..metrics import ServiceMetrics
-from ..service import ServiceConfig
-from .sharding import ShardedPlanningService
+from ..service import PlanningService, ServiceConfig
 
 __all__ = ["FrontendConfig", "FrontendServer", "run_server"]
 
@@ -62,8 +59,6 @@ class FrontendConfig:
     host: str = "127.0.0.1"
     #: 0 lets the OS pick (the bound port is in :attr:`FrontendServer.address`).
     port: int = 0
-    #: Broker shards (each a full PlanningService; see ``sharding``).
-    shards: int = 4
     #: Reader line limit; an overlong line is a ``bad_schema`` error.
     max_line_bytes: int = 1 << 20
     #: Bounded per-connection send queue (responses); a client that lets
@@ -78,23 +73,22 @@ class FrontendConfig:
 class FrontendServer:
     """Serves the JSON-lines planning dialect over TCP.
 
-    Owns nothing it is not given: the caller supplies the service
-    (usually a :class:`ShardedPlanningService`) and remains responsible
-    for stopping it; :func:`run_server` is the assembled entry point the
-    CLI uses.
+    Owns nothing it is not given: the caller supplies the service and
+    remains responsible for stopping it; :func:`run_server` is the
+    assembled entry point the CLI uses.
     """
 
     def __init__(
         self,
-        service: ShardedPlanningService,
+        service: PlanningService,
         config: FrontendConfig | None = None,
     ) -> None:
         self.service = service
         self.config = config or FrontendConfig()
         self.orchestrator = Orchestrator(service=service)
-        #: Socket-layer counters, merged into the service snapshot by
-        #: :meth:`merged_metrics`.
-        self.registry = MetricsRegistry()
+        #: Socket-layer counters live in the service's own registry, so
+        #: one snapshot reports both.
+        self.registry = service.metrics.registry
         for name in (
             "frontend.connections",
             "frontend.disconnects",
@@ -136,14 +130,6 @@ class FrontendServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    # -- metrics ----------------------------------------------------------
-
-    def merged_metrics(self) -> ServiceMetrics:
-        """Cross-shard service metrics with the socket counters folded in."""
-        merged = self.service.metrics
-        merged.registry.merge(self.registry)
-        return merged
 
     # -- connection handling ----------------------------------------------
 
@@ -304,17 +290,17 @@ def run_server(
     metrics_json: str | None = None,
     ready_stream=None,
 ) -> int:
-    """Assemble and run the sharded socket frontend until SIGINT/SIGTERM.
+    """Assemble and run the socket frontend until SIGINT/SIGTERM.
 
     Prints ``listening on HOST:PORT`` to ``ready_stream`` (stderr by
     default) once the socket is bound — the loadgen smoke harness and
-    the tests parse it — and dumps the merged metrics summary (plus the
-    unified JSON snapshot when ``metrics_json`` is given) on shutdown.
+    the tests parse it — and dumps the metrics summary (plus the unified
+    JSON snapshot when ``metrics_json`` is given) on shutdown.
     """
     config = config or FrontendConfig()
     service_config = service_config or ServiceConfig()
     stream = ready_stream if ready_stream is not None else sys.stderr
-    service = ShardedPlanningService(service_config, shards=config.shards)
+    service = PlanningService(service_config)
     frontend = FrontendServer(service, config)
 
     async def _main() -> None:
@@ -325,8 +311,7 @@ def run_server(
                 loop.add_signal_handler(signum, stop.set)
         await frontend.start()
         host, port = frontend.address
-        print(f"listening on {host}:{port} ({config.shards} shards)",
-              file=stream, flush=True)
+        print(f"listening on {host}:{port}", file=stream, flush=True)
         try:
             await stop.wait()
         finally:
@@ -336,10 +321,11 @@ def run_server(
         asyncio.run(_main())
     finally:
         service.stop()
-        metrics = frontend.merged_metrics()
-        print(metrics.describe(), file=sys.stderr)
+        print(service.metrics.describe(), file=sys.stderr)
         if metrics_json:
             from ...cli import _write_metrics_json
 
-            _write_metrics_json(metrics_json, metrics.registry.snapshot())
+            _write_metrics_json(
+                metrics_json, service.metrics.registry.snapshot()
+            )
     return 0

@@ -20,15 +20,13 @@ reads ``cache_hit_rate`` while holding it.
 from __future__ import annotations
 
 import threading
-from typing import Sequence
 
-from ..obs.registry import LatencySeries, MetricsRegistry, labeled, percentile
+from ..obs.registry import LatencySeries, MetricsRegistry, percentile
 
 __all__ = [
     "LatencySeries",
     "MetricsRegistry",
     "ServiceMetrics",
-    "labeled",
     "percentile",
 ]
 
@@ -45,9 +43,6 @@ _COUNTERS = (
     "coalesced",
 )
 
-#: Latency series every service instance maintains.
-_SERIES = ("queue_wait", "solve_latency", "turnaround")
-
 
 class ServiceMetrics:
     """Thread-safe counters and latency series for one service instance.
@@ -59,58 +54,15 @@ class ServiceMetrics:
     throughput benchmarks.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        shard: int | None = None,
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._lock = threading.RLock()
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: Shard index when this instance serves one broker shard of a
-        #: sharded frontend; ``merge`` uses it to label the shard's
-        #: counters (``completed{shard=N}``) in the aggregate snapshot.
-        self.shard = shard
         for name in _COUNTERS:
             self.registry.counter(name)
         self.queue_wait = self.registry.series("queue_wait")
         self.solve_latency = self.registry.series("solve_latency")
         self.turnaround = self.registry.series("turnaround")
         self.per_tenant_completed: dict[str, int] = {}
-
-    @classmethod
-    def merge(cls, parts: Sequence["ServiceMetrics"]) -> "ServiceMetrics":
-        """Aggregate shard metrics into one report.
-
-        Counters add, latency series merge their raw samples (exact
-        percentiles — a shard whose series recorded nothing contributes
-        nothing, and an all-empty merged series keeps the defined
-        all-zero percentile summary).  Each part that carries a ``shard``
-        index also lands as labeled instruments, so the one
-        ``--metrics-json`` snapshot reports both the aggregate
-        (``completed``) and the per-shard split (``completed{shard=1}``).
-        The aggregate's per-shard utilization — each shard's share of
-        completed requests — comes out as ``shard_utilization{shard=N}``
-        gauges.
-        """
-        merged = cls()
-        completions: list[tuple[int, int]] = []
-        for part in parts:
-            labels = None if part.shard is None else {"shard": part.shard}
-            merged.registry.merge(part.registry, labels=labels)
-            with part._lock:
-                per_tenant = dict(part.per_tenant_completed)
-            for tenant, count in per_tenant.items():
-                merged.per_tenant_completed[tenant] = (
-                    merged.per_tenant_completed.get(tenant, 0) + count
-                )
-            if part.shard is not None:
-                completions.append((part.shard, part.completed))
-        total = sum(count for _, count in completions)
-        for shard, count in completions:
-            merged.registry.gauge(labeled("shard_utilization", shard=shard)).set(
-                count / total if total else 0.0
-            )
-        return merged
 
     # -- counter views -----------------------------------------------------
 

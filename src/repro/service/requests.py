@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.plan import ExecutionPlan
 from ..core.problem import PlanningProblem
@@ -145,12 +145,14 @@ class SubmittedRequest:
         self.request_id = request_id
         self.fingerprint = fingerprint
         self.submitted_at = time.perf_counter()
+        #: When a broker last queued this ticket (stamped by
+        #: :meth:`RequestBroker.submit`).  Queue wait is observed from
+        #: here, so a requeued ticket does not count its first pass —
+        #: someone else's whole solve — as time spent queued.
+        self.enqueued_at = self.submitted_at
         self.dispatched_at: float | None = None
         #: Cooperative cancellation flag (see :meth:`cancel`).
         self.cancelled = False
-        #: True while a dispatch of this ticket leads a cross-shard
-        #: single-flight entry in the shared L2 cache (service-internal).
-        self.led_flight = False
         self._done = threading.Event()
         self._result: PlanResult | None = None
         self._lock = threading.Lock()
@@ -176,11 +178,12 @@ class SubmittedRequest:
     def cancel(self) -> None:
         """Ask the service to drop this request if still queued.
 
-        Cooperative: a request already dispatched (solving, or coalesced
-        onto a solve) completes normally; a request still waiting in its
-        broker queue is finished as REJECTED at dispatch without
-        touching the solver.  The socket frontend calls this for every
-        outstanding request of a disconnected client.
+        Cooperative: a request already solving completes normally; one
+        still waiting — in the broker queue, for a solver slot, or on an
+        identical solve in flight — is finished as REJECTED when its
+        turn comes, without touching the solver.  The socket frontend
+        calls this for every outstanding request of a disconnected
+        client.
         """
         self.cancelled = True
 

@@ -4,13 +4,17 @@
 submit :class:`PlanningProblem` objects and get execution plans back,
 with the service deciding *when* and *whether* to run the LP at all:
 
-1. the **broker** (per-tenant queues, admission control) orders the
-   backlog by priority and turnaround deadline;
-2. the **fingerprint + plan cache** short-circuits identical or
-   equivalent requests — a cache hit never touches the solver, and
-   identical requests already *in flight* coalesce onto one solve;
-3. the **solver pool** runs distinct models concurrently under a
-   bounded worker count and per-request time budgets;
+1. the **broker** (admission control) orders the backlog by priority and
+   turnaround deadline;
+2. the **dispatcher** answers everything that needs no solver — a hit in
+   the fingerprint-keyed **plan cache** never touches one, and a request
+   identical to one already *in flight* joins that solve — and never
+   waits for one: a cold request leads a flight and moves to the **solve
+   queue**, a second broker with the same order, counted against the
+   same admission bounds;
+3. the **feeder** drains the solve queue into the **solver pool**, which
+   runs distinct models concurrently under a bounded worker count and
+   per-request time budgets;
 4. **metrics** record queue wait, solve latency percentiles and cache
    effectiveness.
 
@@ -20,6 +24,8 @@ The deploy/monitor/adapt side of accepted plans lives in
 
 from __future__ import annotations
 
+import functools
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -45,6 +51,13 @@ __all__ = ["AdmissionError", "PlanningService", "ServiceConfig"]
 #: admission (one new observation moves the estimate by this fraction).
 _QUEUE_WAIT_EWMA_ALPHA = 0.2
 
+#: How a request that ends without a plan is counted.
+_COUNTED = {
+    RequestStatus.REJECTED: ServiceMetrics.record_rejected,
+    RequestStatus.EXPIRED: ServiceMetrics.record_expired,
+    RequestStatus.FAILED: ServiceMetrics.record_failure,
+}
+
 
 @dataclass
 class ServiceConfig:
@@ -54,10 +67,11 @@ class ServiceConfig:
     max_workers: int = 2
     #: ``"process"`` | ``"thread"`` | ``"inline"`` (see :class:`SolverPool`).
     pool_mode: str = "process"
-    #: Plan-cache entries (fingerprint -> ExecutionPlan).
-    cache_capacity: int = 256
+    #: Plan-cache entries (fingerprint -> ExecutionPlan); 0 retains none.
+    cache_capacity: int = 4096
     #: Warm BuiltModel entries (thread/inline pools only).
     model_cache_capacity: int = 32
+    #: Admission bounds on what waits in the broker and the solve queue.
     max_pending_total: int = 256
     max_pending_per_tenant: int = 64
     #: Ceiling on any request's solver cut-off (paper Section 4.8).
@@ -76,15 +90,15 @@ class ServiceConfig:
     #: hits included.  The default fast path answers cache hits
     #: synchronously at submit time (they "never consume queue space"),
     #: which can reorder a tenant's hit ahead of its own earlier queued
-    #: miss; the sharded socket frontend turns this on so per-tenant
-    #: FIFO holds across hits and misses alike.
+    #: miss; the socket frontend turns this on so per-tenant FIFO holds
+    #: across hits and misses alike.
     ordered_admission: bool = False
-    #: Shed requests at admission when the shard's rolling queue-wait
-    #: estimate says the turnaround deadline cannot be met (code
-    #: ``rejected``, like any other admission refusal).  Conservative:
-    #: only trips once the estimate exceeds twice the deadline, so cold
-    #: shards never shed.  Off by default — the stock service lets such
-    #: requests expire in queue instead.
+    #: Shed requests at admission when the rolling queue-wait estimate
+    #: says the turnaround deadline cannot be met (code ``rejected``,
+    #: like any other admission refusal).  Conservative: only trips once
+    #: the estimate exceeds twice the deadline, so a cold service never
+    #: sheds.  Off by default — the stock service lets such requests
+    #: expire in queue instead.
     deadline_shedding: bool = False
 
 
@@ -95,40 +109,28 @@ class PlanningService:
     ----------
     config:
         Tuning knobs (:class:`ServiceConfig`).
-    shared_cache:
-        Optional :class:`SharedPlanCache` — the L2 behind a sharded
-        frontend.  The per-service LRU stays the L1: lookups promote L2
-        hits into L1, optimal solves publish to both, and cold solves
-        coalesce *across* services through the L2's single-flight table.
-    shard_id:
-        This service's shard index in a sharded frontend; labels its
-        metrics in merged snapshots.
     metrics:
         An existing :class:`ServiceMetrics` to record into (defaults to
-        a fresh one tagged with ``shard_id``).
+        a fresh one).
     """
 
     def __init__(
         self,
         config: ServiceConfig | None = None,
         *,
-        shared_cache: SharedPlanCache | None = None,
-        shard_id: int | None = None,
         metrics: ServiceMetrics | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.shard_id = shard_id
-        self.metrics = (
-            metrics if metrics is not None else ServiceMetrics(shard=shard_id)
-        )
-        self.shared_cache = shared_cache
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.broker = RequestBroker(
             max_pending_total=self.config.max_pending_total,
             max_pending_per_tenant=self.config.max_pending_per_tenant,
         )
-        self.plan_cache: LRUCache[ExecutionPlan] = LRUCache(
-            self.config.cache_capacity
-        )
+        #: Flight leaders waiting for a solver slot, in broker order.
+        #: Unbounded itself: ``_admit`` applies the two bounds to both
+        #: queues together, and a ticket once admitted is never refused.
+        self.solve_queue = RequestBroker(sys.maxsize, sys.maxsize)
+        self.plan_cache = SharedPlanCache(self.config.cache_capacity)
         self.model_cache: LRUCache = LRUCache(self.config.model_cache_capacity)
         self.incremental = None
         if self.config.incremental:
@@ -155,22 +157,19 @@ class PlanningService:
         #: dispatcher thread; read racily by admission — a stale value
         #: just delays the deadline-shedding trip by a few dispatches).
         self._queue_wait_ewma = 0.0
-        self._inflight: dict[str, list[SubmittedRequest]] = {}
-        #: Fingerprints whose running solve is shaped by the primary's own
-        #: time budget / SLO; coalesced duplicates must not inherit it.
-        self._inflight_budgeted: set[str] = set()
-        self._inflight_lock = threading.Lock()
         self._next_id = 0
         self._id_lock = threading.Lock()
         self._running = False
         self._stopped = False
         self._dispatcher: threading.Thread | None = None
+        self._feeder: threading.Thread | None = None
         self._start_lock = threading.Lock()
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> "PlanningService":
-        """Start the dispatcher (idempotent; ``submit`` calls it lazily).
+        """Start the dispatcher and the feeder (idempotent; ``submit``
+        calls it lazily).
 
         A stopped service never restarts: its broker is closed for good,
         so only cache hits are served and new work is refused.
@@ -179,9 +178,19 @@ class PlanningService:
             if not self._running and not self._stopped:
                 self._running = True
                 self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop, name="repro-dispatcher", daemon=True
+                    target=self._serve,
+                    args=(self.broker, self._dispatch),
+                    name="repro-dispatcher",
+                    daemon=True,
+                )
+                self._feeder = threading.Thread(
+                    target=self._serve,
+                    args=(self.solve_queue, self._feed),
+                    name="repro-feeder",
+                    daemon=True,
                 )
                 self._dispatcher.start()
+                self._feeder.start()
         return self
 
     def stop(self, wait: bool = True) -> None:
@@ -190,17 +199,15 @@ class PlanningService:
             self._running = False
             self._stopped = True
         self.broker.close()
+        self.solve_queue.close()
         for ticket in self.broker.drain():
-            self._finish(
-                ticket,
-                RequestStatus.REJECTED,
-                error="service stopped",
-                error_code="rejected",
-            )
-            self.metrics.record_rejected()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=10.0)
-            self._dispatcher = None
+            self._drop(ticket, RequestStatus.REJECTED, "service stopped")
+        for ticket in self.solve_queue.drain():
+            self._abandon(ticket, RequestStatus.REJECTED, "service stopped")
+        for thread in (self._dispatcher, self._feeder):
+            if thread is not None:
+                thread.join(timeout=10.0)
+        self._dispatcher = self._feeder = None
         self.pool.shutdown(wait=wait)
 
     def __enter__(self) -> "PlanningService":
@@ -239,12 +246,12 @@ class PlanningService:
     ) -> SubmittedRequest:
         """Submit a prepared :class:`PlanRequest`.
 
-        Raises :class:`AdmissionError` when the broker refuses the
+        Raises :class:`AdmissionError` when admission refuses the
         request; with ``block=True`` a *full* backlog applies
-        backpressure instead (waiting for the dispatcher to drain) and
-        only a closed broker still raises.  The request is counted and
-        time-stamped once, so an SLO covers time spent blocked.  Cache
-        hits complete synchronously and never consume queue space.
+        backpressure instead (waiting for it to drain) and only a closed
+        broker still raises.  The request is counted and time-stamped
+        once, so an SLO covers time spent blocked.  Cache hits complete
+        synchronously and never consume queue space.
         """
         self.start()
         fingerprint = problem_fingerprint(request.problem)
@@ -252,7 +259,7 @@ class PlanningService:
         self.metrics.record_submitted()
 
         if not self.config.ordered_admission:
-            cached = self._cached_plan(fingerprint)
+            cached = self.plan_cache.get(fingerprint)
             if cached is not None:
                 self._finish(
                     ticket, RequestStatus.COMPLETED, plan=cached, cached=True
@@ -276,7 +283,7 @@ class PlanningService:
 
         while True:
             try:
-                self.broker.submit(ticket)
+                self._admit(ticket)
                 return ticket
             except AdmissionError:
                 if not block or self.broker.closed:
@@ -284,416 +291,273 @@ class PlanningService:
                     raise
                 time.sleep(poll_s)
 
+    def _admit(self, ticket: SubmittedRequest) -> None:
+        """Queue ``ticket`` or raise :class:`AdmissionError`.
+
+        The backlog is what waits in the broker *plus* the cold tickets
+        waiting for a solver in the solve queue, so the two bounds apply
+        to the sum, here — at submit, where a refusal is synchronous and
+        ``block=True`` can turn it into backpressure.
+        """
+        total = self.config.max_pending_total
+        if self.broker.pending + self.solve_queue.pending >= total:
+            raise AdmissionError(f"service backlog full ({total} pending)")
+        tenant, per_tenant = ticket.tenant, self.config.max_pending_per_tenant
+        if (
+            self.broker.pending_for(tenant) + self.solve_queue.pending_for(tenant)
+            >= per_tenant
+        ):
+            raise AdmissionError(
+                f"tenant {tenant!r} backlog full ({per_tenant} pending)"
+            )
+        self.broker.submit(ticket)
+
     def _allocate_id(self) -> int:
         with self._id_lock:
             self._next_id += 1
             return self._next_id
 
-    # -- cache ------------------------------------------------------------
-
-    def _cached_plan(self, fingerprint: str) -> ExecutionPlan | None:
-        """L1 lookup, falling back to (and promoting from) the shared L2."""
-        plan = self.plan_cache.get(fingerprint)
-        if plan is not None or self.shared_cache is None:
-            return plan
-        plan = self.shared_cache.get(fingerprint)
-        if plan is not None:
-            self.plan_cache.put(fingerprint, plan)
-            self.metrics.registry.counter("cache_l2_hits").increment()
-        return plan
-
     # -- dispatch ---------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
+    def _serve(self, queue: RequestBroker, handle) -> None:
+        """Thread body of the dispatcher and the feeder."""
         while self._running:
-            ticket = self.broker.pop(timeout=0.2)
+            ticket = queue.pop(timeout=0.2)
             if ticket is None:
-                if self.broker.closed:
+                if queue.closed:
                     break
                 continue
             try:
-                self._dispatch(ticket)
-            except Exception as exc:  # pragma: no cover - defensive
-                self._finish(
-                    ticket,
-                    RequestStatus.FAILED,
-                    error=str(exc),
-                    error_code=error_code_for_exception(exc),
-                )
-                self.metrics.record_failure()
+                handle(ticket)
+            except Exception as exc:  # defensive
+                # Whether or not ``ticket`` led its flight: settling one
+                # it had only joined costs the joiners a solve of their
+                # own, never an answer.
+                self._abandon(ticket, RequestStatus.FAILED, exc)
 
     def _dispatch(self, ticket: SubmittedRequest) -> None:
+        """Answer ``ticket`` without a solver, or queue it for one."""
         now = time.perf_counter()
-        queue_wait = now - ticket.submitted_at
+        queue_wait = now - ticket.enqueued_at
         self.metrics.record_queue_wait(queue_wait)
         self._queue_wait_ewma += _QUEUE_WAIT_EWMA_ALPHA * (
             queue_wait - self._queue_wait_ewma
         )
-
-        if ticket.cancelled:
-            # The submitter (a disconnected socket client) is gone; the
-            # result would never be read.
-            self._finish(
-                ticket,
-                RequestStatus.REJECTED,
-                error="client disconnected before dispatch",
-                error_code="rejected",
-                queue_wait_s=queue_wait,
-            )
-            self.metrics.record_cancelled()
+        lapsed = self._lapsed(ticket, "in queue")
+        if lapsed is not None:
+            self._drop(ticket, *lapsed, queue_wait_s=now - ticket.submitted_at)
             return
 
-        expires_at = ticket.expires_at
-        if expires_at is not None and now >= expires_at:
-            self._finish(
-                ticket,
-                RequestStatus.EXPIRED,
-                error=f"turnaround deadline of {ticket.request.deadline_s}s "
-                f"expired after {queue_wait:.2f}s in queue",
-                error_code="expired",
-                queue_wait_s=queue_wait,
-            )
-            self.metrics.record_expired()
-            return
+        # One atomic look: the plan is cached (it may have landed while
+        # this request was queued), an identical solve is in flight
+        # (``_on_flight_done`` fires when it settles), or this ticket
+        # leads the solve and owes the cache a ``finish`` on every
+        # terminal path from here.
+        verdict, plan = self.plan_cache.begin(
+            ticket.fingerprint, functools.partial(self._on_flight_done, ticket)
+        )
+        if verdict == "hit":
+            self._complete_cached(ticket, plan)
+        elif verdict == "leader":
+            try:
+                self.solve_queue.submit(ticket)
+            except AdmissionError as exc:
+                self._abandon(ticket, RequestStatus.REJECTED, str(exc))
 
-        # The plan may have landed while this request was queued.
-        plan = self._cached_plan(ticket.fingerprint)
-        if plan is not None:
-            self._complete_cached([ticket], plan)
-            return
-
-        # Identical problem already solving: piggyback on that solve.
-        with self._inflight_lock:
-            waiters = self._inflight.get(ticket.fingerprint)
-            if waiters is not None:
-                waiters.append(ticket)
-                return
-            self._inflight[ticket.fingerprint] = []
-
-        # Second cache look, after registering: _on_solved publishes the
-        # plan *before* popping its in-flight entry, so missing the cache
-        # above and finding no entry can also mean the plan landed in
-        # between.  This look closes that gap (an optimal plan is always
-        # visible here; a failed or cut-off solve legitimately re-runs).
-        plan = self._cached_plan(ticket.fingerprint)
-        if plan is not None:
-            with self._inflight_lock:
-                late_waiters = self._inflight.pop(ticket.fingerprint, [])
-            self._complete_cached([ticket, *late_waiters], plan)
-            return
-
-        # Cross-shard single-flight: either the plan landed in the L2
-        # since the look above (hit), another shard is already solving it
-        # (joined — ``_on_flight_done`` fires when that solve finishes),
-        # or this shard leads the solve and owes the L2 a ``finish`` on
-        # every terminal path below.
-        if self.shared_cache is not None:
-            verdict, l2_plan = self.shared_cache.begin(
-                ticket.fingerprint,
-                lambda plan, error, budgeted, _ticket=ticket: (
-                    self._on_flight_done(_ticket, plan, error, budgeted)
-                ),
-            )
-            if verdict == "hit":
-                with self._inflight_lock:
-                    late_waiters = self._inflight.pop(ticket.fingerprint, [])
-                self.plan_cache.put(ticket.fingerprint, l2_plan)
-                self.metrics.registry.counter("cache_l2_hits").increment()
-                self._complete_cached([ticket, *late_waiters], l2_plan)
-                return
-            if verdict == "joined":
-                # Keep the local in-flight entry: this ticket fronts the
-                # remote flight for its shard, and later identical local
-                # requests coalesce behind it as usual.
-                return
-            ticket.led_flight = True
-
-        # Bounded concurrency: hold dispatch (and therefore ordering)
-        # until a worker slot frees up.
+    def _feed(self, ticket: SubmittedRequest) -> None:
+        """Hand flight leader ``ticket`` to a solver worker."""
+        # Bounded concurrency: hold the solve queue (and therefore its
+        # order) until a worker slot frees up.
         while not self._slots.acquire(timeout=0.2):
             if not self._running:
-                with self._inflight_lock:
-                    self._inflight.pop(ticket.fingerprint, None)
-                if ticket.led_flight:
-                    # Never solved: send joined shards back to their
-                    # queues for their own attempt.
-                    ticket.led_flight = False
-                    self.shared_cache.finish(ticket.fingerprint)
-                self._finish(
-                    ticket,
-                    RequestStatus.REJECTED,
-                    error="service stopped",
-                    error_code="rejected",
-                )
-                self.metrics.record_rejected()
+                self._abandon(ticket, RequestStatus.REJECTED, "service stopped")
                 return
-
-        # The slot wait may have outlived the turnaround deadline.  No
-        # waiters can have coalesced yet — only this (dispatcher) thread
-        # appends them, and it has been blocked here — so expiring the
-        # primary just drops the entry and gives the slot back.
-        expires_at = ticket.expires_at
-        if expires_at is not None and time.perf_counter() >= expires_at:
-            with self._inflight_lock:
-                self._inflight.pop(ticket.fingerprint, None)
-            if ticket.led_flight:
-                ticket.led_flight = False
-                self.shared_cache.finish(ticket.fingerprint)
-            self._finish(
-                ticket,
-                RequestStatus.EXPIRED,
-                error="turnaround deadline expired while waiting for a "
-                "solver slot",
-                error_code="expired",
-            )
-            self.metrics.record_expired()
+        lapsed = self._lapsed(ticket, "waiting for a solver slot")
+        if lapsed is not None:
             self._slots.release()
+            self._abandon(ticket, *lapsed)
             return
 
         budget = ticket.request.time_budget_s
         if ticket.expires_at is not None:
             remaining = max(1e-3, ticket.expires_at - time.perf_counter())
             budget = remaining if budget is None else min(budget, remaining)
-        if budget is not None:
-            with self._inflight_lock:
-                self._inflight_budgeted.add(ticket.fingerprint)
+        # A solve shaped by the leader's own time budget / SLO; joiners
+        # must not inherit its outcome.
+        budgeted = budget is not None
         ticket.dispatched_at = time.perf_counter()
         try:
             future = self.pool.submit(
                 ticket.request.problem, ticket.fingerprint, budget
             )
         except BaseException as exc:
-            # A broken pool must not leak the slot or strand coalesced
-            # waiters on a dead in-flight entry.
+            # A broken pool must not leak the slot or strand the joiners.
             self._slots.release()
-            with self._inflight_lock:
-                waiters = self._inflight.pop(ticket.fingerprint, [])
-                self._inflight_budgeted.discard(ticket.fingerprint)
-            if ticket.led_flight:
-                ticket.led_flight = False
-                self.shared_cache.finish(
-                    ticket.fingerprint, error=exc, budgeted=budget is not None
-                )
-            message = f"{type(exc).__name__}: {exc}"
-            code = error_code_for_exception(exc)
-            for stranded in (ticket, *waiters):
-                self._finish(
-                    stranded, RequestStatus.FAILED,
-                    error=message, error_code=code,
-                )
-                self.metrics.record_failure()
+            self._abandon(
+                ticket, RequestStatus.FAILED, exc,
+                flight_error=exc, budgeted=budgeted,
+            )
             return
-        future.add_done_callback(lambda fut: self._on_solved(ticket, fut))
+        future.add_done_callback(
+            lambda fut: self._on_solved(ticket, budgeted, fut)
+        )
+
+    def _lapsed(
+        self, ticket: SubmittedRequest, where: str
+    ) -> tuple[RequestStatus, str] | None:
+        """Why ``ticket`` should go no further after waiting ``where`` —
+        its client is gone or its SLO ran out — or ``None`` if it should."""
+        if ticket.cancelled:
+            # The submitter (a disconnected socket client) would never
+            # read the result.
+            return (
+                RequestStatus.REJECTED,
+                "client disconnected before its request reached a solver",
+            )
+        expires_at = ticket.expires_at
+        if expires_at is not None and time.perf_counter() >= expires_at:
+            return (
+                RequestStatus.EXPIRED,
+                f"turnaround deadline of {ticket.request.deadline_s}s "
+                f"expired {where}",
+            )
+        return None
 
     def _complete_cached(
-        self, tickets: list[SubmittedRequest], plan: ExecutionPlan
+        self,
+        ticket: SubmittedRequest,
+        plan: ExecutionPlan,
+        coalesced: bool = False,
     ) -> None:
-        """Finish ``tickets`` with a plan served from the cache."""
-        now = time.perf_counter()
-        for hit in tickets:
-            self._finish(
-                hit,
-                RequestStatus.COMPLETED,
-                plan=plan,
-                cached=True,
-                queue_wait_s=now - hit.submitted_at,
-            )
-            self.metrics.record_completion(
-                hit.tenant, cached=True, total_s=now - hit.submitted_at
-            )
+        """Finish ``ticket`` with a plan it did not solve for."""
+        waited = time.perf_counter() - ticket.submitted_at
+        self._finish(
+            ticket,
+            RequestStatus.COMPLETED,
+            plan=plan,
+            cached=True,
+            queue_wait_s=waited,
+        )
+        self.metrics.record_completion(
+            ticket.tenant, cached=True, coalesced=coalesced, total_s=waited
+        )
 
     def _on_flight_done(
         self,
-        primary: SubmittedRequest,
+        ticket: SubmittedRequest,
         plan: ExecutionPlan | None,
         error: BaseException | None,
         budgeted: bool,
     ) -> None:
-        """A cross-shard flight this shard joined has settled.
+        """The flight ``ticket`` joined has settled.
 
-        Runs on the *leader* shard's completing thread.  ``primary`` is
-        the local ticket that joined the flight; any identical local
-        requests dispatched since are coalesced behind it in this
-        shard's in-flight table.  Mirrors the local coalescing rules of
-        :meth:`_on_solved`: a published plan serves everyone (minus
-        tickets whose SLO lapsed during the shared solve); a failure
-        shaped by the leader's own time budget — or a cut-off incumbent,
-        which the leader never publishes — sends the tickets back to the
-        queue for their own solve; any other failure is authoritative
-        and fails them with the same code.
+        Runs on the thread that settled it.  A published plan serves the
+        ticket, unless its SLO lapsed during the shared solve; a failure
+        not shaped by the leader's own time budget is authoritative and
+        fails it with the same code; anything else — a budget-shaped
+        failure, a cut-off incumbent (never published), a leader dropped
+        before it solved — sends the ticket back through the queue for
+        its own full solve.
         """
-        with self._inflight_lock:
-            waiters = self._inflight.pop(primary.fingerprint, [])
-        tickets = [primary, *waiters]
         if plan is not None:
-            self.plan_cache.put(primary.fingerprint, plan)
-            now = time.perf_counter()
-            for ticket in tickets:
-                expires_at = ticket.expires_at
-                if expires_at is not None and now >= expires_at:
-                    self._finish(
-                        ticket,
-                        RequestStatus.EXPIRED,
-                        error="turnaround deadline expired during the "
-                        "coalesced solve",
-                        error_code="expired",
-                    )
-                    self.metrics.record_expired()
-                    continue
-                self._finish(
-                    ticket,
-                    RequestStatus.COMPLETED,
-                    plan=plan,
-                    cached=True,
-                    queue_wait_s=now - ticket.submitted_at,
-                )
-                self.metrics.record_completion(
-                    ticket.tenant,
-                    cached=True,
-                    coalesced=True,
-                    total_s=now - ticket.submitted_at,
-                )
-            return
-        if error is not None and not budgeted:
-            message = f"{type(error).__name__}: {error}"
-            code = error_code_for_exception(error)
-            for ticket in tickets:
-                self._finish(
-                    ticket, RequestStatus.FAILED, error=message, error_code=code
-                )
-                self.metrics.record_failure()
-            return
-        self._requeue(tickets)
-
-    def _requeue(self, tickets: list[SubmittedRequest]) -> None:
-        """Put coalesced waiters back in the queue for their own solve
-        (their primary's outcome was shaped by *its* time budget)."""
-        for ticket in tickets:
+            lapsed = self._lapsed(ticket, "during the coalesced solve")
+            if lapsed is not None:
+                self._drop(ticket, *lapsed)
+            else:
+                self._complete_cached(ticket, plan, coalesced=True)
+        elif error is not None and not budgeted:
+            self._drop(ticket, RequestStatus.FAILED, error)
+        else:
             try:
                 self.broker.submit(ticket)
             except AdmissionError as exc:
-                self._finish(
-                    ticket,
-                    RequestStatus.REJECTED,
-                    error=str(exc),
-                    error_code="rejected",
-                )
-                self.metrics.record_rejected()
+                self._drop(ticket, RequestStatus.REJECTED, str(exc))
 
-    def _on_solved(self, primary: SubmittedRequest, future) -> None:
+    def _on_solved(
+        self, ticket: SubmittedRequest, budgeted: bool, future
+    ) -> None:
         self._slots.release()
         now = time.perf_counter()
-        dispatched = primary.dispatched_at or now
-        solve_s = now - dispatched
-        queue_wait = dispatched - primary.submitted_at
-
+        queue_wait_s = ticket.dispatched_at - ticket.submitted_at
+        solve_s = now - ticket.dispatched_at
         error = future.exception()
-        if error is None:
-            # Publish before dropping the in-flight entry: an identical
-            # request dispatched in between must find one or the other,
-            # never a gap that re-triggers the solve.  Only optimal plans
-            # are published — a cut-off incumbent shaped by one tenant's
-            # tiny time budget must not be served to everyone else.
-            plan = future.result()
-            if plan.solver_status == "optimal":
-                self.plan_cache.put(primary.fingerprint, plan)
-        with self._inflight_lock:
-            waiters = self._inflight.pop(primary.fingerprint, [])
-            budgeted = primary.fingerprint in self._inflight_budgeted
-            self._inflight_budgeted.discard(primary.fingerprint)
-        if primary.led_flight:
-            # Settle the cross-shard flight: publish an optimal plan to
-            # the L2 (before the flight entry drops, so a racing shard
-            # finds one or the other), hand shards that joined the
-            # outcome.  A cut-off incumbent shaped by this primary's
-            # budget is not published — joined shards requeue instead.
-            primary.led_flight = False
-            if error is not None:
-                self.shared_cache.finish(
-                    primary.fingerprint, error=error, budgeted=budgeted
-                )
-            else:
-                solved = future.result()
-                self.shared_cache.finish(
-                    primary.fingerprint,
-                    plan=(
-                        solved if solved.solver_status == "optimal" else None
-                    ),
-                    budgeted=budgeted,
-                )
+        plan = None if error is not None else future.result()
+        # Settle the flight before finishing the leader, so a caller that
+        # reacts to the leader's result by resubmitting finds the plan.
+        # Only optimal plans are published — a cut-off incumbent shaped
+        # by one tenant's tiny time budget must not be served to anyone
+        # else, so its joiners go back for their own solve.
+        optimal = plan is not None and plan.solver_status == "optimal"
+        self.plan_cache.finish(
+            ticket.fingerprint,
+            plan=plan if optimal else None,
+            error=error,
+            budgeted=budgeted,
+        )
         if error is not None:
-            message = f"{type(error).__name__}: {error}"
-            code = error_code_for_exception(error)
-            self._finish(
-                primary,
-                RequestStatus.FAILED,
-                error=message,
-                error_code=code,
-                queue_wait_s=queue_wait,
-                solve_s=solve_s,
+            self._drop(
+                ticket, RequestStatus.FAILED, error,
+                queue_wait_s=queue_wait_s, solve_s=solve_s,
             )
-            self.metrics.record_failure()
-            if budgeted:
-                # The primary's tiny budget shaped this failure; waiters
-                # asked for a full solve — give them one.
-                self._requeue(waiters)
-            else:
-                for ticket in waiters:
-                    self._finish(
-                        ticket, RequestStatus.FAILED,
-                        error=message, error_code=code,
-                    )
-                    self.metrics.record_failure()
             return
-
-        plan = future.result()
-        if budgeted and plan.solver_status != "optimal" and waiters:
-            # Cut-off incumbent under the primary's budget: the primary
-            # accepts it (it asked for the cap), the waiters re-solve.
-            self._requeue(waiters)
-            waiters = []
         self._finish(
-            primary,
-            RequestStatus.COMPLETED,
-            plan=plan,
-            queue_wait_s=queue_wait,
-            solve_s=solve_s,
+            ticket, RequestStatus.COMPLETED, plan=plan,
+            queue_wait_s=queue_wait_s, solve_s=solve_s,
         )
         self.metrics.record_completion(
-            primary.tenant,
+            ticket.tenant,
             cached=False,
             solve_s=solve_s,
-            total_s=now - primary.submitted_at,
+            total_s=now - ticket.submitted_at,
         )
-        for ticket in waiters:
-            # The shared solve may have outlived a waiter's own SLO; the
-            # documented semantics fail it as EXPIRED, not "solved late".
-            expires_at = ticket.expires_at
-            if expires_at is not None and now >= expires_at:
-                self._finish(
-                    ticket,
-                    RequestStatus.EXPIRED,
-                    error="turnaround deadline expired during the "
-                    "coalesced solve",
-                    error_code="expired",
-                )
-                self.metrics.record_expired()
-                continue
-            self._finish(
-                ticket,
-                RequestStatus.COMPLETED,
-                plan=plan,
-                cached=True,
-                queue_wait_s=now - ticket.submitted_at,
-            )
-            self.metrics.record_completion(
-                ticket.tenant,
-                cached=True,
-                coalesced=True,
-                total_s=now - ticket.submitted_at,
-            )
 
     # -- completion -------------------------------------------------------
+
+    def _abandon(
+        self,
+        ticket: SubmittedRequest,
+        status: RequestStatus,
+        error: str | BaseException,
+        *,
+        flight_error: BaseException | None = None,
+        budgeted: bool = False,
+    ) -> None:
+        """Drop a ticket that will not be solved *and* settle its flight.
+
+        Every terminal path of a flight leader other than a solve ends
+        here (stopped, expired or cancelled while waiting for a slot,
+        refused by the solve queue, unexpected exception), so no joiner
+        waits on a flight nobody will finish: joiners requeue for their
+        own solve, or fail with the code of ``flight_error`` (a broken
+        pool).
+        """
+        self._drop(ticket, status, error)
+        self.plan_cache.finish(
+            ticket.fingerprint, error=flight_error, budgeted=budgeted
+        )
+
+    def _drop(
+        self,
+        ticket: SubmittedRequest,
+        status: RequestStatus,
+        error: str | BaseException,
+        **timing: float,
+    ) -> None:
+        """Finish ``ticket`` without a plan and count the outcome.
+
+        ``error`` is the message (the code is then the status's own:
+        ``rejected``, ``expired``) or the exception that failed it.
+        """
+        if isinstance(error, BaseException):
+            message = f"{type(error).__name__}: {error}"
+            code = error_code_for_exception(error)
+        else:
+            message, code = error, status.value
+        self._finish(ticket, status, error=message, error_code=code, **timing)
+        if status is RequestStatus.REJECTED and ticket.cancelled:
+            self.metrics.record_cancelled()
+        else:
+            _COUNTED[status](self.metrics)
 
     def _finish(
         self,

@@ -1,6 +1,10 @@
 """Request broker: admission control and dispatch ordering."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import public_cloud
 from repro.core import Goal, NetworkConditions, PlannerJob, PlanningProblem
@@ -112,3 +116,57 @@ class TestLifecycle:
         assert broker.pending_for("a") == 2
         assert broker.pending_for("missing") == 0
         assert set(broker.tenants()) == {"a", "b"}
+
+
+#: ``None`` pops; a tuple submits (tenant, priority, deadline_s).
+_operations = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.sampled_from(["a", "b", "c", "d"]),
+            st.integers(min_value=0, max_value=2),
+            st.sampled_from([None, 5.0, 60.0]),
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestHeapMatchesTheSortedOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(operations=_operations)
+    def test_pops_in_sorted_order_and_refuses_at_the_bounds(self, operations):
+        """Against a model that sorts: every pop is the minimum of what is
+        queued by ``(priority, deadline, seq)`` — the order the minimum
+        over per-tenant queue heads gave — and a submit is refused exactly
+        when the total or the tenant's count stands at its bound."""
+        broker = RequestBroker(max_pending_total=6, max_pending_per_tenant=3)
+        queued = []  # (priority, deadline, seq, ticket)
+        for seq, operation in enumerate(operations):
+            if operation is None:
+                expected = min(queued, key=lambda entry: entry[:3], default=None)
+                if expected is not None:
+                    queued.remove(expected)
+                    expected = expected[3]
+                assert broker.pop(timeout=0) is expected
+                continue
+            tenant, priority, deadline_s = operation
+            item = ticket(tenant, priority, deadline_s)
+            held = sum(1 for entry in queued if entry[3].tenant == tenant)
+            if len(queued) >= 6:
+                with pytest.raises(AdmissionError, match="backlog full"):
+                    broker.submit(item)
+            elif held >= 3:
+                with pytest.raises(AdmissionError, match=f"tenant '{tenant}'"):
+                    broker.submit(item)
+            else:
+                broker.submit(item)
+                deadline = math.inf if deadline_s is None else item.expires_at
+                queued.append((priority, deadline, seq, item))
+            assert broker.pending == len(queued)
+            assert broker.pending_for(tenant) == sum(
+                1 for entry in queued if entry[3].tenant == tenant
+            )
+        assert sorted(broker.tenants()) == sorted(
+            {entry[3].tenant for entry in queued}
+        )

@@ -1,14 +1,24 @@
-"""Cross-shard caching: shard routing, the shared L2, single-flight
-coalescing across shards, and per-tenant FIFO under ordered admission."""
+"""The one plan cache behind the service: a fingerprint solved for one
+tenant answers every other, identical cold requests single-flight onto
+one solve, every terminal path of a flight leader settles its joiners,
+and per-tenant FIFO holds under ordered admission.
+
+Test ids predate the single-service design; in them "shard" reads
+"tenant" and "L2" reads "the plan cache".
+"""
 
 import concurrent.futures
+import dataclasses
+import threading
 import time
 
 import pytest
 
 from repro.cloud import public_cloud
 from repro.core import Goal, NetworkConditions, Planner, PlannerJob, PlanningProblem
+from repro.lp.model import SolverError
 from repro.service import (
+    AdmissionError,
     PlanningService,
     PlanRequest,
     RequestStatus,
@@ -16,7 +26,7 @@ from repro.service import (
     SharedPlanCache,
     problem_fingerprint,
 )
-from repro.service.frontend import ShardedPlanningService, shard_for_tenant
+from repro.service.frontend import shard_for_tenant
 
 
 def make_problem(input_gb=4.0, deadline=3.0, uplink=16.0) -> PlanningProblem:
@@ -28,20 +38,11 @@ def make_problem(input_gb=4.0, deadline=3.0, uplink=16.0) -> PlanningProblem:
     )
 
 
-def sharded(shards=2, **overrides) -> ShardedPlanningService:
+def ordered_service(**overrides) -> PlanningService:
+    """The socket frontend's service: every request through the queue."""
     config = dict(pool_mode="inline", max_workers=1, ordered_admission=True)
     config.update(overrides)
-    return ShardedPlanningService(ServiceConfig(**config), shards=shards)
-
-
-def tenant_on_shard(shard: int, shards: int) -> str:
-    """A tenant name hashing to ``shard`` (the hash is stable, so the
-    search is deterministic)."""
-    for index in range(10_000):
-        tenant = f"tenant-{index}"
-        if shard_for_tenant(tenant, shards) == shard:
-            return tenant
-    raise AssertionError("no tenant found for shard")
+    return PlanningService(ServiceConfig(**config))
 
 
 class ManualPool:
@@ -63,13 +64,15 @@ class ManualPool:
                 future.set_exception(RuntimeError("pool shut down"))
 
 
+def manual_service(**overrides) -> tuple[PlanningService, ManualPool]:
+    service = ordered_service(**overrides)
+    service.pool = pool = ManualPool()
+    return service, pool
+
+
 def joined_count(cache: SharedPlanCache) -> int:
     """How many callbacks have joined the cache's open flights."""
-    return sum(
-        len(callbacks)
-        for flights in cache._flights
-        for callbacks in flights.values()
-    )
+    return sum(len(callbacks) for callbacks in cache._flights.values())
 
 
 def wait_until(predicate, timeout=5.0):
@@ -79,6 +82,33 @@ def wait_until(predicate, timeout=5.0):
             return True
         time.sleep(0.01)
     return predicate()
+
+
+def record_fed(service: PlanningService) -> list:
+    """Tickets the feeder has taken off the solve queue, in order.  Call
+    before the service starts: a ticket in the list with the only worker
+    busy is provably waiting for the slot."""
+    fed, feed = [], service._feed
+
+    def spy(ticket):
+        fed.append(ticket)
+        feed(ticket)
+
+    service._feed = spy
+    return fed
+
+
+def hold_dispatcher(service: PlanningService) -> threading.Event:
+    """Stall the dispatcher until the returned event is set, so a backlog
+    provably sits in the broker.  Call before the service starts."""
+    gate, dispatch = threading.Event(), service._dispatch
+
+    def held(ticket):
+        gate.wait(10.0)
+        dispatch(ticket)
+
+    service._dispatch = held
+    return gate
 
 
 class TestShardRouting:
@@ -94,51 +124,19 @@ class TestShardRouting:
         hits = {shard_for_tenant(f"tenant-{i}", 4) for i in range(64)}
         assert hits == {0, 1, 2, 3}
 
-    def test_requests_land_on_the_tenants_shard(self):
-        service = sharded(shards=4)
-        with service:
-            tenant = tenant_on_shard(2, 4)
-            result = service.submit(
-                make_problem(), tenant=tenant
-            ).result(timeout=120.0)
-        assert result.ok
-        assert service.shards[2].metrics.completed == 1
-        for index in (0, 1, 3):
-            assert service.shards[index].metrics.completed == 0
-
 
 class TestSharedL2:
-    def test_l2_hit_promotes_into_l1(self):
-        problem = make_problem()
-        fingerprint = problem_fingerprint(problem)
-        plan = Planner().plan(problem)
-        l2 = SharedPlanCache()
-        l2.put(fingerprint, plan)
-        service = PlanningService(
-            ServiceConfig(pool_mode="inline", max_workers=1), shared_cache=l2
-        )
-        assert fingerprint not in service.plan_cache
-        assert service._cached_plan(fingerprint) is plan
-        assert fingerprint in service.plan_cache
-        assert service.metrics.registry.counter("cache_l2_hits").value == 1
-
     def test_plan_solved_on_one_shard_hits_on_another(self):
         problem = make_problem()
-        service = sharded(shards=2)
+        service = ordered_service()
         with service:
-            first = service.submit(
-                problem, tenant=tenant_on_shard(0, 2)
-            ).result(timeout=120.0)
-            second = service.submit(
-                problem, tenant=tenant_on_shard(1, 2)
-            ).result(timeout=120.0)
+            first = service.submit(problem, tenant="acme").result(timeout=120.0)
+            second = service.submit(problem, tenant="zenith").result(timeout=120.0)
         assert first.ok and not first.cached
         assert second.ok and second.cached
         assert second.solve_s == 0.0
-        # One solve total across the fleet of shards.
-        metrics = service.metrics
-        assert metrics.cache_misses == 1
-        assert metrics.cache_hits == 1
+        assert service.metrics.cache_misses == 1
+        assert service.metrics.cache_hits == 1
 
     def test_concurrent_identical_requests_on_two_shards_solve_once(self):
         problem = make_problem()
@@ -146,69 +144,277 @@ class TestSharedL2:
         plan = Planner().plan(problem)
         assert plan.solver_status == "optimal"
 
-        service = sharded(shards=2)
-        pools = [ManualPool(), ManualPool()]
-        for shard, pool in zip(service.shards, pools):
-            shard.pool = pool
+        service, pool = manual_service()
         with service:
-            leader_ticket = service.submit(
-                problem, tenant=tenant_on_shard(0, 2)
-            )
-            assert wait_until(lambda: len(pools[0].submissions) == 1)
-            # Shard 1 sees the same fingerprint while shard 0's solve is
-            # in flight: it must join that flight, not start its own.
-            follower_ticket = service.submit(
-                problem, tenant=tenant_on_shard(1, 2)
-            )
-            assert wait_until(
-                lambda: joined_count(service.shared_cache) == 1
-            )
-            assert service.shared_cache.inflight() == 1
-            assert pools[1].submissions == []
+            leader_ticket = service.submit(problem, tenant="acme")
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            # Another tenant sends the same fingerprint while the solve
+            # is in flight: it must join that flight, not start its own.
+            follower_ticket = service.submit(problem, tenant="zenith")
+            assert wait_until(lambda: joined_count(service.plan_cache) == 1)
+            assert service.plan_cache.inflight() == 1
             assert not follower_ticket.done()
 
-            pools[0].submissions[0][1].set_result(plan)
+            pool.submissions[0][1].set_result(plan)
             leader = leader_ticket.result(timeout=10.0)
             follower = follower_ticket.result(timeout=10.0)
 
         assert leader.ok and not leader.cached
         assert follower.ok and follower.cached
         assert follower.status is RequestStatus.COMPLETED
-        # The flight settled: the plan is in the L2 and promoted into
-        # the follower shard's L1.
-        assert service.shared_cache.get(fingerprint) is plan
-        assert fingerprint in service.shards[1].plan_cache
-        assert service.shared_cache.inflight() == 0
+        assert len(pool.submissions) == 1
+        # The flight settled: the plan is published, the table is empty.
+        assert service.plan_cache.get(fingerprint) is plan
+        assert service.plan_cache.inflight() == 0
         assert service.metrics.coalesced == 1
 
     def test_failed_leader_fails_joined_shards_with_same_code(self):
         problem = make_problem()
-        service = sharded(shards=2)
-        pools = [ManualPool(), ManualPool()]
-        for shard, pool in zip(service.shards, pools):
-            shard.pool = pool
+        service, pool = manual_service()
         with service:
-            leader_ticket = service.submit(
-                problem, tenant=tenant_on_shard(0, 2)
-            )
-            assert wait_until(lambda: len(pools[0].submissions) == 1)
-            follower_ticket = service.submit(
-                problem, tenant=tenant_on_shard(1, 2)
-            )
-            assert wait_until(
-                lambda: joined_count(service.shared_cache) == 1
-            )
+            leader_ticket = service.submit(problem, tenant="acme")
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            follower_ticket = service.submit(problem, tenant="zenith")
+            assert wait_until(lambda: joined_count(service.plan_cache) == 1)
 
-            from repro.lp.model import SolverError
-
-            pools[0].submissions[0][1].set_exception(SolverError("backend died"))
+            pool.submissions[0][1].set_exception(SolverError("backend died"))
             leader = leader_ticket.result(timeout=10.0)
             follower = follower_ticket.result(timeout=10.0)
 
         assert leader.status is RequestStatus.FAILED
         assert follower.status is RequestStatus.FAILED
         assert leader.error_code == follower.error_code == "solver_error"
-        assert pools[1].submissions == []
+        assert len(pool.submissions) == 1
+
+    @pytest.mark.parametrize("outcome", ["failure", "incumbent"])
+    def test_budgeted_leader_sends_joiners_back_for_their_own_solve(self, outcome):
+        problem = make_problem()
+        fingerprint = problem_fingerprint(problem)
+        plan = Planner().plan(problem)
+        service, pool = manual_service()
+        with service:
+            leader_ticket = service.submit(
+                problem, tenant="acme", time_budget_s=0.5
+            )
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            follower_ticket = service.submit(problem, tenant="zenith")
+            assert wait_until(lambda: joined_count(service.plan_cache) == 1)
+
+            if outcome == "incumbent":
+                incumbent = dataclasses.replace(plan, solver_status="time_limit")
+                pool.submissions[0][1].set_result(incumbent)
+                leader = leader_ticket.result(timeout=10.0)
+                # The leader asked for the cap and keeps what it bought...
+                assert leader.ok and leader.plan is incumbent
+            else:
+                pool.submissions[0][1].set_exception(SolverError("cut short"))
+                assert leader_ticket.result(timeout=10.0).status is RequestStatus.FAILED
+            # ...which is never retained and never answers the joiner:
+            # it goes back through the queue and leads its own solve.
+            assert fingerprint not in service.plan_cache
+            assert wait_until(lambda: len(pool.submissions) == 2)
+            assert not follower_ticket.done()
+            pool.submissions[1][1].set_result(plan)
+            follower = follower_ticket.result(timeout=10.0)
+        assert follower.ok and not follower.cached
+        assert follower.plan is plan
+        assert service.plan_cache.get(fingerprint) is plan
+
+    def test_joiner_whose_slo_lapsed_during_the_shared_solve_expires(self):
+        problem = make_problem()
+        plan = Planner().plan(problem)
+        service, pool = manual_service()
+        with service:
+            leader_ticket = service.submit(problem, tenant="acme")
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            follower_ticket = service.submit(
+                problem, tenant="zenith", deadline_s=0.2
+            )
+            assert wait_until(lambda: joined_count(service.plan_cache) == 1)
+            time.sleep(0.25)  # the joiner's deadline lapses mid-solve
+            pool.submissions[0][1].set_result(plan)
+            assert leader_ticket.result(timeout=10.0).ok
+            follower = follower_ticket.result(timeout=10.0)
+        assert follower.status is RequestStatus.EXPIRED
+        assert follower.error_code == "expired"
+        assert "during the coalesced solve" in follower.error
+        assert service.metrics.expired == 1
+
+    def test_cache_hit_is_not_held_up_by_a_busy_solver(self):
+        # The only worker is taken and a second cold ticket waits for
+        # the slot; a third tenant's cache hit must still be answered at
+        # once — the dispatcher never waits for a solver.
+        hot, gated, waiting = (make_problem(input_gb=gb) for gb in (2.0, 4.0, 8.0))
+        service, pool = manual_service()
+        service.plan_cache.put(problem_fingerprint(hot), Planner().plan(hot))
+        fed = record_fed(service)
+        with service:
+            gated_ticket = service.submit(gated, tenant="acme")
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            waiting_ticket = service.submit(waiting, tenant="zenith")
+            assert wait_until(lambda: waiting_ticket in fed)
+            started = time.perf_counter()
+            hit = service.submit(hot, tenant="third").result(timeout=1.0)
+            assert time.perf_counter() - started < 1.0
+            assert hit.ok and hit.cached
+            assert not gated_ticket.done() and not waiting_ticket.done()
+            pool.submissions[0][1].set_result(Planner().plan(gated))
+            assert wait_until(lambda: len(pool.submissions) == 2)
+            pool.submissions[1][1].set_result(Planner().plan(waiting))
+            assert gated_ticket.result(timeout=10.0).ok
+            assert waiting_ticket.result(timeout=10.0).ok
+
+
+class TestFlightLeaderTerminalPaths:
+    """A leader that never reaches a solver still settles its flight, so
+    identical requests behind it get their own solve instead of hanging."""
+
+    def test_dispatch_exception_after_registering_does_not_strand_the_flight(self):
+        problem = make_problem()
+        plan = Planner().plan(problem)
+        service, pool = manual_service()
+        begin = service.plan_cache.begin
+        raised = []
+
+        def begin_then_raise_once(key, on_done):
+            verdict = begin(key, on_done)
+            if not raised:
+                raised.append(verdict)
+                raise RuntimeError("lookup blew up")
+            return verdict
+
+        service.plan_cache.begin = begin_then_raise_once
+        with service:
+            broken = service.submit(problem, tenant="acme").result(timeout=10.0)
+            assert raised == [("leader", None)]
+            assert broken.status is RequestStatus.FAILED
+            assert broken.error_code == "internal"
+            assert "lookup blew up" in broken.error
+            assert service.plan_cache.inflight() == 0
+            # The same fingerprint again: a fresh flight, a real solve.
+            retry = service.submit(problem, tenant="zenith")
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            pool.submissions[0][1].set_result(plan)
+            assert retry.result(timeout=10.0).ok
+        assert service.metrics.failed == 1
+
+    @pytest.mark.parametrize("lapse", ["expired", "cancelled"])
+    def test_leader_lapsing_in_the_slot_wait_requeues_its_joiner(self, lapse):
+        gated, contested = make_problem(input_gb=2.0), make_problem(input_gb=8.0)
+        service, pool = manual_service()
+        fed = record_fed(service)
+        with service:
+            gated_ticket = service.submit(gated, tenant="acme")
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            leader_ticket = service.submit(
+                contested,
+                tenant="zenith",
+                deadline_s=0.2 if lapse == "expired" else None,
+            )
+            assert wait_until(lambda: leader_ticket in fed)
+            joiner_ticket = service.submit(contested, tenant="third")
+            assert wait_until(lambda: joined_count(service.plan_cache) == 1)
+            if lapse == "cancelled":
+                leader_ticket.cancel()
+            time.sleep(0.25)
+            pool.submissions[0][1].set_result(Planner().plan(gated))
+            assert gated_ticket.result(timeout=10.0).ok
+            leader = leader_ticket.result(timeout=10.0)
+            # The joiner asked for a full solve and gets one.
+            assert wait_until(lambda: len(pool.submissions) == 2)
+            assert pool.submissions[1][0] == joiner_ticket.fingerprint
+            pool.submissions[1][1].set_result(Planner().plan(contested))
+            joiner = joiner_ticket.result(timeout=10.0)
+        assert joiner.ok and not joiner.cached
+        if lapse == "expired":
+            assert leader.status is RequestStatus.EXPIRED
+            assert "waiting for a solver slot" in leader.error
+            assert service.metrics.expired == 1
+        else:
+            assert leader.status is RequestStatus.REJECTED
+            assert service.metrics.cancelled == 1
+
+    def test_solve_queue_refusal_rejects_the_leader_and_frees_the_fingerprint(self):
+        problem = make_problem()
+        service, pool = manual_service()
+        submit = service.solve_queue.submit
+        refused = []
+
+        def refuse_once(ticket):
+            if not refused:
+                refused.append(ticket)
+                raise AdmissionError("solve queue full")
+            submit(ticket)
+
+        service.solve_queue.submit = refuse_once
+        with service:
+            shed = service.submit(problem, tenant="acme").result(timeout=10.0)
+            assert shed.status is RequestStatus.REJECTED
+            assert shed.error_code == "rejected"
+            assert service.plan_cache.inflight() == 0
+            retry = service.submit(problem, tenant="acme")
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            pool.submissions[0][1].set_result(Planner().plan(problem))
+            assert retry.result(timeout=10.0).ok
+        assert service.metrics.rejected == 1
+
+    def test_stop_leaves_no_ticket_without_a_terminal_state(self):
+        problems = [make_problem(input_gb=gb) for gb in (2.0, 4.0, 8.0)]
+        service, pool = manual_service()
+        fed = record_fed(service)
+        service.start()
+        solving = service.submit(problems[0], tenant="acme")
+        assert wait_until(lambda: len(pool.submissions) == 1)
+        at_the_slot = service.submit(problems[1], tenant="acme")
+        assert wait_until(lambda: at_the_slot in fed)
+        in_the_solve_queue = service.submit(problems[2], tenant="acme")
+        assert wait_until(lambda: service.solve_queue.pending == 1)
+        joiners = [
+            service.submit(problem, tenant="zenith") for problem in problems
+        ]
+        assert wait_until(lambda: joined_count(service.plan_cache) == 3)
+        service.stop()
+        tickets = [solving, at_the_slot, in_the_solve_queue, *joiners]
+        results = [ticket.result(timeout=10.0) for ticket in tickets]
+        # ManualPool fails the running solve at shutdown; everything else
+        # is refused; nobody hangs and no flight stays registered.
+        assert results[0].status is RequestStatus.FAILED
+        assert results[3].status is RequestStatus.FAILED
+        for result in (results[1], results[2], results[4], results[5]):
+            assert result.status is RequestStatus.REJECTED
+        assert service.plan_cache.inflight() == 0
+
+
+class TestRequeueAccounting:
+    def test_requeued_joiner_does_not_poison_the_shedding_estimate(self):
+        # The joiner spends the leader's whole (budget-shaped) solve on
+        # the flight; its second pass through the queue is short, and
+        # that is all the queue-wait estimate may see of it.
+        problem = make_problem()
+        service, pool = manual_service()
+        with service:
+            leader_ticket = service.submit(
+                problem, tenant="acme", time_budget_s=0.5
+            )
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            joiner_ticket = service.submit(problem, tenant="zenith")
+            assert wait_until(lambda: joined_count(service.plan_cache) == 1)
+            time.sleep(0.5)  # the "solve"
+            pool.submissions[0][1].set_exception(SolverError("cut short"))
+            assert leader_ticket.result(timeout=10.0).status is RequestStatus.FAILED
+            assert wait_until(lambda: len(pool.submissions) == 2)
+            pool.submissions[1][1].set_result(Planner().plan(problem))
+            joiner = joiner_ticket.result(timeout=10.0)
+        assert joiner.ok
+        # Three dispatches (leader, joiner, joiner again), each queued
+        # for milliseconds; with the first pass counted again the last
+        # sample alone would be >= 0.5 s and the estimate >= 0.1 s.
+        waits = service.metrics.queue_wait.samples
+        assert len(waits) == 3
+        assert max(waits) < 0.25
+        assert service._queue_wait_ewma < 0.05
+        # The ticket's own clock still runs from submission.
+        assert joiner.total_s >= 0.5
 
 
 class TestOrderedAdmissionFifo:
@@ -217,35 +423,26 @@ class TestOrderedAdmissionFifo:
         # time — it queues like any miss, so a tenant's hit can never
         # overtake its own earlier queued request.
         problem = make_problem()
-        fingerprint = problem_fingerprint(problem)
-        plan = Planner().plan(problem)
-        service = PlanningService(
-            ServiceConfig(
-                pool_mode="inline", max_workers=1, ordered_admission=True
-            ),
-            shared_cache=SharedPlanCache(),
-        )
-        service.shared_cache.put(fingerprint, plan)
+        service = ordered_service()
+        service.plan_cache.put(problem_fingerprint(problem), Planner().plan(problem))
+        gate = hold_dispatcher(service)
         ticket = service.submit_request(
             PlanRequest(tenant="acme", problem=problem)
         )
         # Not synchronous: the dispatcher serves it in FIFO order.
+        assert not ticket.done()
+        gate.set()
         result = ticket.result(timeout=10.0)
         assert result.ok and result.cached
         service.stop()
 
     def test_same_tenant_hits_complete_in_submission_order(self):
         problems = [make_problem(input_gb=4.0), make_problem(input_gb=8.0)]
-        plans = {problem_fingerprint(p): Planner().plan(p) for p in problems}
-        l2 = SharedPlanCache()
-        for fingerprint, plan in plans.items():
-            l2.put(fingerprint, plan)
-        service = PlanningService(
-            ServiceConfig(
-                pool_mode="inline", max_workers=1, ordered_admission=True
-            ),
-            shared_cache=l2,
-        )
+        service = ordered_service()
+        for problem in problems:
+            service.plan_cache.put(
+                problem_fingerprint(problem), Planner().plan(problem)
+            )
         completions = []
         with service:
             tickets = [
@@ -263,7 +460,7 @@ class TestOrderedAdmissionFifo:
 
 class TestSharedPlanCacheUnit:
     def test_begin_leader_then_hit_after_finish(self):
-        cache = SharedPlanCache(capacity=16, stripes=4)
+        cache = SharedPlanCache(capacity=16)
         verdict, plan = cache.begin("fp", lambda *a: None)
         assert (verdict, plan) == ("leader", None)
         cache.finish("fp", plan="the-plan")

@@ -1,14 +1,18 @@
-"""Overload behavior of the sharded frontend: bounded queues shed with
-``rejected`` (never hang), queued requests expire on deadline, deadline
-shedding trips at admission, and disconnect-cancelled work never solves."""
+"""Overload behavior of the service behind the socket frontend: bounded
+queues shed with ``rejected`` (never hang), queued requests expire on
+deadline, deadline shedding trips at admission, and disconnect-cancelled
+work never solves."""
 
+import threading
 import time
 
 import pytest
 from test_frontend_cache import (
-    ManualPool,
+    hold_dispatcher,
     make_problem,
-    tenant_on_shard,
+    manual_service,
+    ordered_service,
+    record_fed,
     wait_until,
 )
 
@@ -16,80 +20,90 @@ from repro.core import Planner
 from repro.service import (
     AdmissionError,
     PlanningService,
+    PlanRequest,
     RequestStatus,
     ServiceConfig,
 )
-from repro.service.frontend import ShardedPlanningService
 
 
 class TestAdmissionShedding:
     def test_saturated_shard_sheds_instead_of_hanging(self):
-        # Shard 0: one solve gated in the pool, one dispatch blocked on
-        # the single worker slot, two requests filling the queue — the
+        # One solve gated in the pool, one leader held by the feeder for
+        # the single worker slot, two more filling the solve queue — the
         # next submit is refused immediately (AdmissionError -> wire
-        # status "rejected"), while the sibling shard stays open and
-        # everything admitted still completes once the solve lands.
-        service = ShardedPlanningService(
-            ServiceConfig(
-                pool_mode="inline",
-                max_workers=1,
-                ordered_admission=True,
-                max_pending_total=2,
-                max_pending_per_tenant=2,
-            ),
-            shards=2,
+        # status "rejected"), and everything admitted still completes
+        # once the solves land.
+        problems = [make_problem(input_gb=gb) for gb in (2.0, 3.0, 5.0, 8.0)]
+        service, pool = manual_service(
+            max_pending_total=2, max_pending_per_tenant=2
         )
-        pool = ManualPool()
-        service.shards[0].pool = pool
-        broker = service.shards[0].broker
-        tenant = tenant_on_shard(0, 2)
-        other = tenant_on_shard(1, 2)
-        gated_problem = make_problem(input_gb=2.0)
-        queued_problem = make_problem(input_gb=8.0)
+        fed = record_fed(service)
         with service:
-            gated = service.submit(gated_problem, tenant=tenant)
+            tickets = [service.submit(problems[0], tenant="acme")]
             assert wait_until(lambda: len(pool.submissions) == 1)
-            head = service.submit(queued_problem, tenant=tenant)
-            # The dispatcher pops it and blocks waiting for the slot.
-            assert wait_until(lambda: broker.pending == 0)
-            queued = [
-                service.submit(queued_problem, tenant=tenant)
-                for _ in range(2)
+            tickets.append(service.submit(problems[1], tenant="acme"))
+            assert wait_until(lambda: tickets[1] in fed)
+            tickets += [
+                service.submit(problem, tenant="acme") for problem in problems[2:]
             ]
-            assert broker.pending == 2
+            assert wait_until(lambda: service.solve_queue.pending == 2)
             started = time.perf_counter()
             with pytest.raises(AdmissionError):
-                service.submit(queued_problem, tenant=tenant)
+                service.submit(make_problem(input_gb=13.0), tenant="acme")
             # Shedding is immediate, not a timeout.
             assert time.perf_counter() - started < 1.0
-            # The sibling shard is unaffected by this shard's backlog.
-            assert service.submit(
-                make_problem(input_gb=4.0), tenant=other
-            ).result(timeout=120.0).ok
 
-            pool.submissions[0][1].set_result(Planner().plan(gated_problem))
-            assert gated.result(timeout=10.0).ok
-            assert wait_until(lambda: len(pool.submissions) == 2)
-            pool.submissions[1][1].set_result(Planner().plan(queued_problem))
-            assert head.result(timeout=10.0).ok
-            for ticket in queued:
-                result = ticket.result(timeout=10.0)
-                assert result.ok and result.cached
+            for index, problem in enumerate(problems):
+                assert wait_until(lambda: len(pool.submissions) == index + 1)
+                pool.submissions[index][1].set_result(Planner().plan(problem))
+                assert tickets[index].result(timeout=10.0).ok
         assert service.metrics.rejected == 1
+
+    def test_blocking_submit_waits_out_a_cold_backlog(self):
+        # The cold backlog waits in the solve queue, not the broker; a
+        # ``block=True`` submitter (the stdin stream path) must still
+        # see it as backpressure, and lose nothing.
+        problems = [make_problem(input_gb=gb) for gb in (2.0, 3.0, 5.0, 8.0)]
+        service, pool = manual_service(
+            max_pending_total=1, max_pending_per_tenant=1
+        )
+        fed = record_fed(service)
+        with service:
+            tickets = [service.submit(problems[0], tenant="acme")]
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            tickets.append(service.submit(problems[1], tenant="acme"))
+            assert wait_until(lambda: tickets[1] in fed)
+            tickets.append(service.submit(problems[2], tenant="acme"))
+            assert wait_until(lambda: service.solve_queue.pending == 1)
+            blocked = threading.Thread(target=lambda: tickets.append(
+                service.submit_request(
+                    PlanRequest(tenant="acme", problem=problems[3]),
+                    block=True,
+                    poll_s=0.01,
+                )
+            ))
+            blocked.start()
+            time.sleep(0.1)
+            assert len(tickets) == 3  # held back, not refused
+            for index, problem in enumerate(problems):
+                assert wait_until(lambda: len(pool.submissions) == index + 1)
+                pool.submissions[index][1].set_result(Planner().plan(problem))
+                assert wait_until(lambda: len(tickets) > index)
+                assert tickets[index].result(timeout=10.0).ok
+            blocked.join(timeout=10.0)
+        assert service.metrics.rejected == 0
+        assert service.metrics.completed == 4
 
     def test_deadline_shedding_rejects_unmeetable_deadlines(self):
         service = PlanningService(ServiceConfig(
             pool_mode="inline", max_workers=1, deadline_shedding=True
         ))
-        pool = ManualPool()
-        service.pool = pool
+        gate = hold_dispatcher(service)
         problems = [make_problem(input_gb=gb) for gb in (2.0, 4.0, 8.0)]
         try:
-            gated = service.submit(problems[0], tenant="acme")
-            assert wait_until(lambda: len(pool.submissions) == 1)
-            service.submit(problems[1], tenant="acme")
+            held = service.submit(problems[0], tenant="acme")
             assert wait_until(lambda: service.broker.pending == 0)
-            service.submit(problems[2], tenant="acme")
+            service.submit(problems[1], tenant="acme")
             assert service.broker.pending == 1
             # With a backlog and a queue-wait estimate far above the
             # deadline, admission sheds instead of queueing-to-expire...
@@ -100,9 +114,10 @@ class TestAdmissionShedding:
             # ...but a request with no deadline still queues fine.
             service.submit(problems[2], tenant="acme")
             assert service.metrics.rejected == 1
-            pool.submissions[0][1].set_result(Planner().plan(problems[0]))
-            assert gated.result(timeout=10.0).ok
+            gate.set()
+            assert held.result(timeout=120.0).ok
         finally:
+            gate.set()
             service.stop()
 
     def test_cold_service_never_deadline_sheds(self):
@@ -118,48 +133,34 @@ class TestAdmissionShedding:
 
 class TestQueuedExpiry:
     def test_deadline_expired_queued_request_returns_expired(self):
-        # Shard 0's dispatcher is pinned: one solve gated in the pool,
-        # the next dispatch blocked on the worker slot.  A third request
-        # with a tiny deadline therefore provably sits in the broker
-        # queue while its SLO lapses — it must come back EXPIRED, never
-        # solved uselessly late.
-        config = ServiceConfig(
-            pool_mode="inline", max_workers=1, ordered_admission=True
-        )
-        service = ShardedPlanningService(config, shards=2)
-        pool = ManualPool()
-        service.shards[0].pool = pool
-        broker = service.shards[0].broker
-        tenant = tenant_on_shard(0, 2)
-        problems = [make_problem(input_gb=gb) for gb in (2.0, 4.0, 8.0)]
+        # The dispatcher is stalled on the first ticket, so the second —
+        # with a tiny deadline — provably sits in the broker queue while
+        # its SLO lapses: it must come back EXPIRED, never solved
+        # uselessly late.
+        service, pool = manual_service()
+        gate = hold_dispatcher(service)
+        problems = [make_problem(input_gb=gb) for gb in (2.0, 8.0)]
         with service:
-            gated = service.submit(problems[0], tenant=tenant)
-            assert wait_until(lambda: len(pool.submissions) == 1)
-            blocked = service.submit(problems[1], tenant=tenant)
-            assert wait_until(lambda: broker.pending == 0)
-            doomed = service.submit(
-                problems[2], tenant=tenant, deadline_s=1e-3
-            )
-            assert broker.pending == 1
+            head = service.submit(problems[0], tenant="acme")
+            assert wait_until(lambda: service.broker.pending == 0)
+            doomed = service.submit(problems[1], tenant="acme", deadline_s=1e-3)
+            assert service.broker.pending == 1
             time.sleep(0.05)  # the queued deadline lapses
-            pool.submissions[0][1].set_result(Planner().plan(problems[0]))
-            assert gated.result(timeout=10.0).ok
-            assert wait_until(lambda: len(pool.submissions) == 2)
-            pool.submissions[1][1].set_result(Planner().plan(problems[1]))
-            assert blocked.result(timeout=10.0).ok
+            gate.set()
             result = doomed.result(timeout=10.0)
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            pool.submissions[0][1].set_result(Planner().plan(problems[0]))
+            assert head.result(timeout=10.0).ok
         assert result.status is RequestStatus.EXPIRED
         assert result.error_code == "expired"
         assert "in queue" in result.error
+        assert len(pool.submissions) == 1
         assert service.metrics.expired == 1
 
 
 class TestDisconnectCancellation:
     def test_cancel_before_dispatch_skips_the_solver(self):
-        config = ServiceConfig(
-            pool_mode="inline", max_workers=1, ordered_admission=True
-        )
-        with PlanningService(config) as service:
+        with ordered_service() as service:
             head = service.submit(make_problem(input_gb=2.0), tenant="acme")
             doomed = service.submit(make_problem(input_gb=8.0), tenant="acme")
             doomed.cancel()

@@ -15,17 +15,16 @@ from repro.api import (
     encode,
 )
 from repro.api.adapters import from_workload
-from repro.service import ServiceConfig
+from repro.service import PlanningService, ServiceConfig
 from repro.service.frontend import (
     FrontendConfig,
     FrontendServer,
-    ShardedPlanningService,
     generate_wire_workload,
     run_loadgen,
 )
 
 
-def frontend_service(**overrides) -> ShardedPlanningService:
+def frontend_service(**overrides) -> PlanningService:
     config = dict(
         pool_mode="inline",
         max_workers=1,
@@ -33,7 +32,7 @@ def frontend_service(**overrides) -> ShardedPlanningService:
         deadline_shedding=True,
     )
     config.update(overrides)
-    return ShardedPlanningService(ServiceConfig(**config), shards=2)
+    return PlanningService(ServiceConfig(**config))
 
 
 def wire_request(request_id: str, *, input_gb=8.0, tenant="acme") -> bytes:
@@ -162,6 +161,39 @@ class TestWireCompatibility:
                    for r in rejected)
 
 
+class TestCacheCapacity:
+    def test_zero_capacity_resolves_a_repeated_request(self):
+        # ``--cache-capacity 0`` means what it says behind the socket
+        # too: nothing is retained, the same request solves again.
+        service = frontend_service(cache_capacity=0)
+        server = FrontendServer(service, FrontendConfig(port=0))
+
+        async def scenario():
+            await server.start()
+            try:
+                reader, writer = await connect(server)
+                await read_message(reader)
+                responses = []
+                for request_id in ("rq-1", "rq-2"):
+                    writer.write(wire_request(request_id))
+                    await writer.drain()
+                    responses.append(await read_message(reader))
+                writer.close()
+                await writer.wait_closed()
+                return responses
+            finally:
+                await server.close()
+
+        try:
+            first, second = asyncio.run(scenario())
+        finally:
+            service.stop()
+        assert first.status == second.status == "completed"
+        assert not first.cached and not second.cached
+        assert second.solve_s > 0.0
+        assert service.metrics.cache_misses == 2
+
+
 class TestDisconnect:
     def test_disconnect_cancels_queued_work(self):
         service = frontend_service()
@@ -172,7 +204,7 @@ class TestDisconnect:
             try:
                 reader, writer = await connect(server)
                 await read_message(reader)
-                # A cold solve to occupy the shard, then queued work the
+                # A cold solve to occupy the worker, then queued work the
                 # client will never wait for.
                 writer.write(wire_request("rq-cold", input_gb=8.0))
                 writer.write(wire_request("rq-queued-1", input_gb=16.0))
@@ -240,8 +272,9 @@ class TestLoadgenAgainstServer:
         # structured shed/error response.
         assert report.answered == report.sent
         assert report.completed >= report.sent * 0.5
-        merged = service.metrics
-        # Both shards took traffic (the hash spreads 60 tenants).
-        per_shard = [shard.metrics.completed for shard in service.shards]
-        assert all(count > 0 for count in per_shard)
-        assert merged.completed == sum(per_shard)
+        # The socket counters sit next to the service's own, unlabelled,
+        # in the one registry ``--metrics-json`` snapshots.
+        counters = service.metrics.registry.snapshot()["counters"]
+        assert counters["frontend.requests"] == report.sent
+        assert counters["frontend.responses"] == report.answered
+        assert counters["completed"] == report.completed

@@ -66,73 +66,3 @@ class TestServiceMetrics:
         snap = metrics.snapshot()
         assert snap["completed"] == 1
         assert snap["solve_latency"]["p99_s"] == 0.5
-
-
-class TestMergedShardMetrics:
-    @staticmethod
-    def shard_metrics(shard, completions):
-        metrics = ServiceMetrics(shard=shard)
-        for tenant, total_s in completions:
-            metrics.record_submitted()
-            metrics.record_completion(
-                tenant, cached=False, solve_s=total_s / 2, total_s=total_s
-            )
-        return metrics
-
-    def test_counters_add_and_series_concatenate_exactly(self):
-        parts = [
-            self.shard_metrics(0, [("a", 0.2), ("a", 0.4)]),
-            self.shard_metrics(1, [("b", 0.6)]),
-        ]
-        merged = ServiceMetrics.merge(parts)
-        assert merged.submitted == 3
-        assert merged.completed == 3
-        assert merged.per_tenant_completed == {"a": 2, "b": 1}
-        # Percentiles come from the concatenated raw samples — exact,
-        # not an average of per-shard percentiles.
-        summary = merged.turnaround.summary()
-        assert summary["count"] == 3.0
-        assert summary["p50_s"] == pytest.approx(0.4)
-        assert summary["max_s"] == pytest.approx(0.6)
-
-    def test_per_shard_labels_and_utilization_gauges(self):
-        parts = [
-            self.shard_metrics(0, [("a", 0.1), ("a", 0.1), ("a", 0.1)]),
-            self.shard_metrics(1, [("b", 0.1)]),
-        ]
-        merged = ServiceMetrics.merge(parts)
-        snapshot = merged.registry.snapshot()
-        assert snapshot["counters"]["completed"] == 4
-        assert snapshot["counters"]["completed{shard=0}"] == 3
-        assert snapshot["counters"]["completed{shard=1}"] == 1
-        assert snapshot["gauges"]["shard_utilization{shard=0}"] == 0.75
-        assert snapshot["gauges"]["shard_utilization{shard=1}"] == 0.25
-
-    def test_empty_parts_keep_defined_percentiles(self):
-        merged = ServiceMetrics.merge(
-            [ServiceMetrics(shard=0), ServiceMetrics(shard=1)]
-        )
-        assert merged.completed == 0
-        summary = merged.turnaround.summary()
-        assert summary["count"] == 0.0
-        assert summary["p50_s"] == 0.0
-        assert summary["p95_s"] == 0.0
-        assert summary["p99_s"] == 0.0
-        # No completions anywhere: utilization is a defined 0, not NaN.
-        snapshot = merged.registry.snapshot()
-        assert snapshot["gauges"]["shard_utilization{shard=0}"] == 0.0
-
-    def test_merge_of_nothing_is_empty(self):
-        merged = ServiceMetrics.merge([])
-        assert merged.submitted == 0
-        assert merged.describe()  # defined, renders
-
-    def test_unsharded_parts_merge_without_labels(self):
-        parts = [
-            self.shard_metrics(None, [("a", 0.2)]),
-            self.shard_metrics(None, [("b", 0.4)]),
-        ]
-        merged = ServiceMetrics.merge(parts)
-        snapshot = merged.registry.snapshot()
-        assert snapshot["counters"]["completed"] == 2
-        assert not any("{shard=" in name for name in snapshot["counters"])

@@ -20,7 +20,7 @@ problem).
 
 Usage::
 
-    python tools/check_loadgen.py --tenants 1000 --shards 4 \
+    python tools/check_loadgen.py --tenants 1000 \
         --metrics-json loadgen-metrics.json
 """
 
@@ -41,14 +41,14 @@ ROOT = Path(__file__).resolve().parents[1]
 READY = re.compile(r"listening on ([\d.]+):(\d+)")
 
 
-def start_server(shards: int, max_pending_total: int) -> tuple[subprocess.Popen, str]:
+def start_server(max_pending_total: int) -> tuple[subprocess.Popen, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), env.get("PYTHONPATH", "")]
     )
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--listen", "127.0.0.1:0", "--shards", str(shards),
+         "--listen", "127.0.0.1:0",
          "--pool", "thread", "--workers", "2",
          "--max-pending-total", str(max_pending_total),
          "--max-pending-per-tenant", "64"],
@@ -70,7 +70,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tenants", type=int, default=1000)
     parser.add_argument("--requests-per-tenant", type=int, default=1)
-    parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--distinct", type=int, default=6,
                         help="distinct problem specs (small = cache-heavy)")
     parser.add_argument("--max-shed-rate", type=float, default=0.05,
@@ -85,9 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.service.frontend import generate_wire_workload, run_loadgen
 
     total = args.tenants * args.requests_per_tenant
-    server, address = start_server(
-        args.shards, max_pending_total=max(4096, 2 * total)
-    )
+    server, address = start_server(max_pending_total=max(4096, 2 * total))
     try:
         workload = generate_wire_workload(
             args.tenants, args.requests_per_tenant,

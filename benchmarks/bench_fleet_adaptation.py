@@ -192,7 +192,7 @@ def measure_warm_replans():
         warm.append((time.perf_counter() - t0, plan.objective_value))
 
     # The same-step batch: every deployment in one scheduler step whose
-    # replans share a structure solves as one block-diagonal LP.
+    # replans share a structure certifies as consecutive hot starts.
     batch = replan_mix(trace)[:4]
     t0 = time.perf_counter()
     batched = warm_solver.solve_many(batch)

@@ -45,6 +45,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .cloud import hybrid_cloud, load_services, public_cloud, to_xml
@@ -522,6 +524,32 @@ def _orchestrator_for(args):
     return Orchestrator(service_config=_service_config_for(args))
 
 
+@contextlib.contextmanager
+def _own_stdout():
+    """A private duplicate of stdout for ``serve``'s response lines.
+
+    A cold MILP solve points fd 1 at a sink for its duration
+    (``lp.scipy_backend._muted_stdout``), process-wide; with
+    ``--pool inline|thread`` a response printed meanwhile would go down
+    with HiGHS's noise.  A descriptor duplicated before the first solve
+    keeps pointing at the real stdout.  Captured stdouts without a file
+    descriptor (pytest, ``StringIO``) are never muted and used as is.
+    """
+    try:
+        fd = os.dup(sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        yield sys.stdout
+        return
+    out = os.fdopen(fd, "w", encoding=sys.stdout.encoding)
+    try:
+        yield out
+    finally:
+        try:
+            out.close()
+        except OSError:  # the consumer hung up with a line still buffered
+            pass
+
+
 def cmd_serve(args) -> int:
     """Process a JSON-lines request stream through the planning service.
 
@@ -543,6 +571,14 @@ def cmd_serve(args) -> int:
     per-tenant FIFO and deadline-aware shedding turned on); the stream
     path below is untouched.
     """
+    if getattr(args, "listen", None):
+        return _cmd_serve_listen(args)
+    with _own_stdout() as out:
+        return _serve_stream(args, out)
+
+
+def _serve_stream(args, out) -> int:
+    """``repro serve`` over stdin / ``--requests-file``; responses to ``out``."""
     from .api import (
         ErrorV1,
         HelloV1,
@@ -553,9 +589,6 @@ def cmd_serve(args) -> int:
         decode,
         encode,
     )
-
-    if getattr(args, "listen", None):
-        return _cmd_serve_listen(args)
 
     if args.requests_file:
         try:
@@ -584,7 +617,7 @@ def cmd_serve(args) -> int:
                 tenant=request.tenant,
                 request_id=request.request_id,
                 error=ErrorV1(code="timeout", message=str(exc)),
-            )), flush=True)
+            )), file=out, flush=True)
             exit_code = 1
             return
         if not result.ok:
@@ -593,13 +626,13 @@ def cmd_serve(args) -> int:
             exit_code = 1
         print(encode(
             orchestrator.respond(result, request_id=request.request_id)
-        ), flush=True)
+        ), file=out, flush=True)
 
     try:
         # Every response line is flushed as it is printed, so a consumer
         # piping from a live stream sees results as they land instead of
         # at EOF.
-        print(encode(HelloV1(version=package_version())), flush=True)
+        print(encode(HelloV1(version=package_version())), file=out, flush=True)
         with orchestrator:
             try:
                 for lineno, line in enumerate(handle, 1):
@@ -613,7 +646,7 @@ def cmd_serve(args) -> int:
                             code="bad_schema",
                             message=str(exc),
                             details={"line": str(lineno)},
-                        )), flush=True)
+                        )), file=out, flush=True)
                         exit_code = 1
                         continue
                     if not isinstance(request, PlanRequestV1):
@@ -622,7 +655,7 @@ def cmd_serve(args) -> int:
                             message=f"expected kind 'plan_request', "
                             f"got {request.KIND!r}",
                             details={"line": str(lineno)},
-                        )), flush=True)
+                        )), file=out, flush=True)
                         exit_code = 1
                         continue
                     try:
@@ -639,7 +672,7 @@ def cmd_serve(args) -> int:
                             tenant=request.tenant,
                             request_id=request.request_id,
                             error=exc.error,
-                        )), flush=True)
+                        )), file=out, flush=True)
                         exit_code = 1
                         continue
                     # Drain whatever has already finished at the head of

@@ -446,7 +446,7 @@ class ControllerRun:
 
         Lets the fleet scheduler collect every deployment's next solve
         *before* stepping them, so concurrent re-plans triggered by the
-        same substrate event batch into one block-diagonal solve.  A
+        same substrate event certify in one batched call.  A
         pending ``learn`` is folded in eagerly — ``_learn_rates`` is
         idempotent over the same outcome, so the adoption in
         :meth:`step` re-applying it changes nothing and the peeked

@@ -16,7 +16,7 @@ service set — the replan hot path, where only prices, progress and
 bounds moved) restart warm from the previously retained matrix instead
 of running a fresh branch & bound.  :meth:`CachingPlanner.plan_batch`
 additionally lets the scheduler push every re-plan pending in one step
-through a single block-diagonal certification solve.
+through one batched certification call.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class CachingPlanner:
         Deduplicates by exact fingerprint, skips problems whose plan is
         already cached, and pushes the remaining uniques through
         :meth:`IncrementalSolver.solve_many` — concurrent warm
-        candidates certify in one block-diagonal LP.  Optimal plans are
+        candidates certify as consecutive hot starts.  Optimal plans are
         published to the cache so the subsequent per-deployment
         :meth:`plan` calls hit; failures are left uncached and simply
         re-raise on that deployment's own ``plan`` call (preserving its

@@ -138,7 +138,7 @@ class FleetResult:
     #: Warm attempts that fell back cold (structural change or a
     #: candidate that failed certification).
     warm_fallbacks: int = 0
-    #: Re-plans certified through block-diagonal batch solves.
+    #: Re-plans certified in ``solve_many`` batches (>= 2 warm candidates).
     batched_replans: int = 0
     #: Peak concurrent node demand per service across the whole fleet.
     peak_demand: dict[str, int] = field(default_factory=dict)
@@ -513,7 +513,7 @@ class FleetScheduler:
         problem it is about to solve (:meth:`ControllerRun.
         peek_replan_problem`); pushing them through the shared planner's
         :meth:`~repro.fleet.replanner.CachingPlanner.plan_batch` turns N
-        concurrent warm certifications into one block-diagonal LP and
+        concurrent warm certifications into one ``solve_many`` batch and
         pre-publishes the plans, so the subsequent ``step()`` calls
         adopt them from the cache.  A single pending re-plan solves just
         as fast inline, so batching only kicks in at two or more.

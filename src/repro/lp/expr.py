@@ -126,8 +126,9 @@ class Variable:
             return self._as_expr() == other
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return id(self)
+    #: Identity hash, taken at C level: variables key every term dict, so
+    #: a Python-level ``__hash__`` is millions of calls per model build.
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
@@ -163,11 +164,8 @@ class LinExpr:
     # -- algebra ----------------------------------------------------------
 
     def _iadd(self, other: Union["LinExpr", Variable, Number], sign: float) -> "LinExpr":
-        other = LinExpr.from_value(other)
         result = self.copy()
-        for var, coef in other.terms.items():
-            result.terms[var] = result.terms.get(var, 0.0) + sign * coef
-        result.constant += sign * other.constant
+        _accumulate(result, other, sign)
         return result
 
     def __add__(self, other: Union["LinExpr", Variable, Number]) -> "LinExpr":
@@ -212,8 +210,7 @@ class LinExpr:
             return Constraint(self - other, Sense.EQ)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return id(self)
+    __hash__ = object.__hash__
 
     # -- inspection --------------------------------------------------------
 
@@ -237,6 +234,21 @@ class LinExpr:
         return "LinExpr(" + " ".join(parts) + ")"
 
 
+def _accumulate(total: LinExpr, item: Union[LinExpr, Variable, Number], sign: float) -> None:
+    """``total += sign * item`` in place, allocating nothing for ``item``."""
+    terms = total.terms
+    if isinstance(item, Variable):
+        terms[item] = terms.get(item, 0.0) + sign
+    elif isinstance(item, LinExpr):
+        for var, coef in item.terms.items():
+            terms[var] = terms.get(var, 0.0) + sign * coef
+        total.constant += sign * item.constant
+    elif isinstance(item, (int, float)):
+        total.constant += sign * item
+    else:
+        raise TypeError(f"cannot build LinExpr from {type(item).__name__}")
+
+
 def lin_sum(items: Iterable[Union[LinExpr, Variable, Number]]) -> LinExpr:
     """Sum an iterable of expressions/variables/numbers into one LinExpr.
 
@@ -246,10 +258,7 @@ def lin_sum(items: Iterable[Union[LinExpr, Variable, Number]]) -> LinExpr:
     """
     total = LinExpr()
     for item in items:
-        item = LinExpr.from_value(item)
-        for var, coef in item.terms.items():
-            total.terms[var] = total.terms.get(var, 0.0) + coef
-        total.constant += item.constant
+        _accumulate(total, item, 1.0)
     return total
 
 

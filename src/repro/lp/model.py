@@ -13,7 +13,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .expr import Constraint, LinExpr, Number, Sense, Variable, VarType, lin_sum
 

@@ -22,7 +22,7 @@ presolve is reported without invoking a backend at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import CompiledModel
 

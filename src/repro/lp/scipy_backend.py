@@ -3,34 +3,54 @@
 Stands in for the CPLEX 11.2.1 solver used by the paper (Section 4.8).  The
 backend consumes a :class:`repro.lp.model.CompiledModel`, converts it to the
 sparse form HiGHS expects, and maps the result back onto model variables.
+
+:func:`solve` is the cold path (branch & bound through ``milp``).
+:class:`HotLP` is the hot one: a persistent native HiGHS LP that the
+incremental solver patches in place and re-runs from a retained basis.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib
 import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from .incremental import CompiledDelta
 from .model import CompiledModel, Solution, SolveStatus
 
-try:  # pragma: no cover - optional accelerator, absent from the base image
-    import highspy  # type: ignore[import-not-found]
-except ImportError:
-    highspy = None
 
-#: Whether the backend can capture/consume simplex bases.  scipy's
-#: ``milp`` wrapper never exposes one, so basis warm starts need the
-#: native ``highspy`` bindings; without them ``start_basis`` is accepted
-#: but ignored and ``Solution.basis`` stays ``None`` (the incremental
-#: solver then certifies warm candidates with plain LP re-solves, which
-#: HiGHS presolves in milliseconds anyway).
-HAS_BASIS = highspy is not None
+def _resolve_bindings():
+    """The native HiGHS bindings module and its solver class.
+
+    ``highspy`` when importable, else the core scipy vendors (the one
+    ``milp`` itself calls), else ``(None, None)``.
+    """
+    for name in ("highspy", "scipy.optimize._highspy._core"):
+        try:
+            module = importlib.import_module(name)
+        except ImportError:
+            continue
+        highs = getattr(module, "Highs", None) or getattr(module, "_Highs", None)
+        if highs is not None:
+            return module, highs
+    return None, None
+
+
+_hs, _Highs = _resolve_bindings()
+
+#: Whether :class:`HotLP` is usable, i.e. a native binding resolved at
+#: import.  ``milp`` never exposes a basis, so without one the
+#: incremental solver certifies warm candidates with from-scratch
+#: :func:`solve` calls instead.
+HAS_BASIS = _Highs is not None
 
 
 @contextlib.contextmanager
@@ -80,18 +100,12 @@ def solve(
     """Solve a compiled model and return a :class:`Solution`.
 
     The returned solution's ``values`` only cover original model variables;
-    auxiliary lowering columns are dropped.  ``start_basis`` warm-starts
-    pure-LP solves when the native ``highspy`` bindings are importable
-    (see :data:`HAS_BASIS`); it is ignored otherwise and for MILPs.
+    auxiliary lowering columns are dropped.  ``start_basis`` is accepted
+    for signature parity with the simplex backend and ignored: ``milp``
+    takes no basis (hot starts live in :class:`HotLP`).
     """
-    if highspy is not None and not any(compiled.integrality):
-        solution = _solve_lp_highspy(compiled, time_limit, start_basis)
-        if solution is not None:
-            return solution
     n = compiled.num_vars
-    c = np.zeros(n)
-    for col, coef in compiled.objective.items():
-        c[col] = coef
+    c = _dense_cost(compiled.objective, n)
 
     constraints = []
     if compiled.rows:
@@ -140,6 +154,13 @@ def solve(
     return solution
 
 
+def _dense_cost(objective: dict[int, float], n: int) -> np.ndarray:
+    cost = np.zeros(n)
+    for col, coef in objective.items():
+        cost[col] = coef
+    return cost
+
+
 def _clean(value: float, is_integer: bool) -> float:
     """Snap solver noise: integral columns to ints, tiny values to zero."""
     if is_integer:
@@ -149,164 +170,106 @@ def _clean(value: float, is_integer: bool) -> float:
     return float(value)
 
 
-def _solve_lp_highspy(
-    compiled: CompiledModel,
-    time_limit: float | None,
-    start_basis: tuple[int, ...] | None,
-) -> Solution | None:
-    """Pure-LP solve through the native HiGHS bindings with basis I/O.
+@dataclass
+class LPRun:
+    """Outcome of one LP run of a retained structure."""
 
-    Only reached when ``highspy`` is importable (it is not a repo
-    dependency — this is the gated fast path the incremental solver uses
-    on installs that have it).  Any API hiccup falls back to the
-    ``scipy.optimize.milp`` path by returning ``None``.
+    status: SolveStatus
+    #: Minimized-space objective, offset included.
+    objective: float = math.nan
+    #: One value per compiled column (tiny values snapped to zero).
+    x: list[float] | None = None
+    #: Opaque optimal basis; hand it back to ``run`` to restart from it.
+    basis: object = None
+
+
+class HotLP:
+    """One persistent native HiGHS LP: the relaxation of a compiled model.
+
+    Loaded once per retained structure (integrality dropped, presolve
+    off so the basis refers to the model as given), then patched with
+    each :class:`~repro.lp.incremental.CompiledDelta` and re-run from a
+    basis an earlier run returned.  Not thread-safe: the owner serializes
+    patch + run.  Never writes to fd 1 (``output_flag`` off, no MIP code).
     """
-    try:  # pragma: no cover - requires the optional highspy wheel
+
+    def __init__(self, compiled: CompiledModel) -> None:
         n = compiled.num_vars
-        h = highspy.Highs()
-        h.setOptionValue("output_flag", False)
-        if time_limit is not None:
-            h.setOptionValue("time_limit", float(time_limit))
-        lp = highspy.HighsLp()
+        lp = _hs.HighsLp()
         lp.num_col_ = n
         lp.num_row_ = len(compiled.rows)
-        lp.col_cost_ = np.zeros(n)
-        for col, coef in compiled.objective.items():
-            lp.col_cost_[col] = coef
+        lp.col_cost_ = _dense_cost(compiled.objective, n)
+        lp.offset_ = compiled.objective_offset
         lp.col_lower_ = np.asarray(compiled.var_lb, dtype=float)
         lp.col_upper_ = np.asarray(compiled.var_ub, dtype=float)
         lp.row_lower_ = np.asarray(compiled.row_lb, dtype=float)
         lp.row_upper_ = np.asarray(compiled.row_ub, dtype=float)
         starts, index, value = [0], [], []
         for row in compiled.rows:
-            for col, coef in sorted(row.items()):
-                index.append(col)
-                value.append(coef)
+            index.extend(row.keys())
+            value.extend(row.values())
             starts.append(len(index))
-        lp.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
+        lp.a_matrix_.format_ = _hs.MatrixFormat.kRowwise
         lp.a_matrix_.start_ = np.asarray(starts, dtype=np.int32)
         lp.a_matrix_.index_ = np.asarray(index, dtype=np.int32)
         lp.a_matrix_.value_ = np.asarray(value, dtype=float)
+        self._h = h = _Highs()
+        h.setOptionValue("output_flag", False)
+        h.setOptionValue("presolve", "off")
+        # Scaling is recomputed after every bound change, which turns the
+        # retained basis into a ~100-iteration restart; unscaled, an
+        # unchanged LP restarts in zero iterations.
+        h.setOptionValue("simplex_scale_strategy", 0)
         h.passModel(lp)
-        if start_basis is not None and len(start_basis) == n + len(compiled.rows):
-            basis = highspy.HighsBasis()
-            basis.col_status = [
-                highspy.HighsBasisStatus(int(s)) for s in start_basis[:n]
-            ]
-            basis.row_status = [
-                highspy.HighsBasisStatus(int(s)) for s in start_basis[n:]
-            ]
+        self._all_cols = np.arange(n, dtype=np.int32)
+
+    def patch(self, delta: CompiledDelta) -> None:
+        """Apply a pure-data delta to the loaded LP."""
+        h = self._h
+        for col, lo, hi in delta.var_bounds:
+            h.changeColBounds(col, lo, hi)
+        for row, lo, hi in delta.row_bounds:
+            h.changeRowBounds(row, lo, hi)
+        for row, col, coef in delta.matrix:
+            h.changeCoeff(row, col, coef)
+        if delta.objective is not None:
+            n = len(self._all_cols)
+            h.changeColsCost(n, self._all_cols, _dense_cost(delta.objective, n))
+        if delta.objective_offset is not None:
+            h.changeObjectiveOffset(delta.objective_offset)
+
+    def set_col_bounds(self, cols, lower, upper) -> None:
+        """Overwrite the bounds of ``cols`` (pin or release integers)."""
+        self._h.changeColsBounds(
+            len(cols),
+            np.asarray(cols, dtype=np.int32),
+            np.asarray(lower, dtype=float),
+            np.asarray(upper, dtype=float),
+        )
+
+    def run(self, time_limit: float | None = None, basis: object = None) -> LPRun:
+        """Re-run the LP, from ``basis`` when given."""
+        h = self._h
+        # HiGHS's run clock is cumulative per instance, so the limit is
+        # re-based on every run or a long-lived instance would expire.
+        h.setOptionValue(
+            "time_limit",
+            math.inf if time_limit is None else h.getRunTime() + float(time_limit),
+        )
+        if basis is not None:
             h.setBasis(basis)
         h.run()
-        status = h.getModelStatus()
-        if status != highspy.HighsModelStatus.kOptimal:
-            return None  # let the milp path classify non-optimal outcomes
-        values = np.asarray(h.getSolution().col_value, dtype=float)
-        basis_out = h.getBasis()
-        solution = Solution(status=SolveStatus.OPTIMAL, backend="highspy")
-        solution.values = {
-            var: _clean(values[col], False)
-            for col, var in enumerate(compiled.columns)
-            if var is not None
-        }
-        objective = float(h.getObjectiveValue()) + compiled.objective_offset
-        solution.objective = -objective if compiled.negated else objective
-        solution.basis = tuple(
-            int(s) for s in list(basis_out.col_status) + list(basis_out.row_status)
-        )
-        return solution
-    except Exception:  # pragma: no cover - any binding mismatch
-        return None
+        status = _HOT_STATUS.get(h.getModelStatus(), SolveStatus.ERROR)
+        if status is not SolveStatus.OPTIMAL:
+            return LPRun(status)
+        x = np.asarray(h.getSolution().col_value, dtype=float)
+        x[np.abs(x) < 1e-9] = 0.0
+        return LPRun(status, float(h.getObjectiveValue()), x.tolist(), h.getBasis())
 
 
-def solve_blocks(
-    blocks: list[CompiledModel],
-    time_limit: float | None = None,
-    mip_gap: float = 0.01,
-) -> list[Solution]:
-    """Solve independent compiled models as one block-diagonal program.
-
-    The blocks share no columns, so the composite optimum decomposes into
-    per-block optima exactly (the objective is separable); one HiGHS call
-    amortizes presolve/setup over the whole batch.  This is how the fleet
-    scheduler turns N concurrent replan certifications arriving in the
-    same step into a single solve.
-
-    Statuses are per-composite: an infeasible or unbounded *any* block
-    makes the composite so, in which case every block reports that status
-    and callers should retry the blocks individually to isolate it.
-    """
-    if not blocks:
-        return []
-    if len(blocks) == 1:
-        return [solve(blocks[0], time_limit, mip_gap)]
-
-    offsets = []
-    total_cols = 0
-    for block in blocks:
-        offsets.append(total_cols)
-        total_cols += block.num_vars
-
-    c = np.zeros(total_cols)
-    lb = np.empty(total_cols)
-    ub = np.empty(total_cols)
-    integrality = np.zeros(total_cols, dtype=int)
-    data, row_idx, col_idx, row_lb, row_ub = [], [], [], [], []
-    r = 0
-    for block, offset in zip(blocks, offsets):
-        for col, coef in block.objective.items():
-            c[offset + col] = coef
-        lb[offset:offset + block.num_vars] = block.var_lb
-        ub[offset:offset + block.num_vars] = block.var_ub
-        for col, flag in enumerate(block.integrality):
-            if flag:
-                integrality[offset + col] = 1
-        for row, lo, hi in zip(block.rows, block.row_lb, block.row_ub):
-            for col, coef in row.items():
-                row_idx.append(r)
-                col_idx.append(offset + col)
-                data.append(coef)
-            row_lb.append(lo)
-            row_ub.append(hi)
-            r += 1
-
-    constraints = []
-    if r:
-        matrix = sparse.csr_matrix((data, (row_idx, col_idx)), shape=(r, total_cols))
-        constraints.append(
-            LinearConstraint(matrix, np.asarray(row_lb), np.asarray(row_ub))
-        )
-    options: dict[str, float] = {"mip_rel_gap": mip_gap}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    with _muted_stdout():
-        result = milp(
-            c=c,
-            constraints=constraints,
-            bounds=Bounds(lb, ub),
-            integrality=integrality,
-            options=options,
-        )
-
-    status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
-    if status.has_solution and result.x is None:
-        status = SolveStatus.ERROR
-    solutions = []
-    for block, offset in zip(blocks, offsets):
-        solution = Solution(
-            status=status, backend="scipy-highs-block", message=result.message or ""
-        )
-        if status.has_solution:
-            values = np.asarray(result.x)[offset:offset + block.num_vars]
-            solution.values = {
-                var: _clean(values[col], block.integrality[col])
-                for col, var in enumerate(block.columns)
-                if var is not None
-            }
-            objective = (
-                sum(coef * values[col] for col, coef in block.objective.items())
-                + block.objective_offset
-            )
-            solution.objective = -objective if block.negated else objective
-        solutions.append(solution)
-    return solutions
+_HOT_STATUS = {} if _hs is None else {
+    _hs.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+    _hs.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+    _hs.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
+    _hs.HighsModelStatus.kUnboundedOrInfeasible: SolveStatus.UNBOUNDED,
+}

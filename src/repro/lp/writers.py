@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable
 
 from .expr import LinExpr, Sense, Variable, VarType
 from .model import Model, ObjectiveSense

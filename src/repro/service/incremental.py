@@ -10,25 +10,31 @@ sides.
 
 Per structural fingerprint (:func:`~repro.service.fingerprint.
 structural_fingerprint`) the solver retains the previously compiled
-matrix and the previous solution.  A new problem with the same shape is
-diffed against the retained matrix (:func:`repro.lp.incremental.
-diff_compiled`); a pure-data delta is patched into the retained matrix in
-place (keeping it current for the next diff) and the solve restarts warm
-from the previous answer:
+matrix, the previous integer assignment and — from the first re-plan on
+— one persistent HiGHS LP holding that matrix
+(:class:`repro.lp.scipy_backend.HotLP`).  A new problem with the same
+shape is diffed against the retained matrix (:func:`repro.lp.incremental.
+diff_compiled`); a pure-data delta is patched into the matrix and the LP
+in place and the LP re-runs from the basis it last stopped at:
 
-- **pure LP** — re-solve from the previous simplex basis (exact: an LP
-  optimum is an LP optimum, warm or cold);
+- **pure LP** — one hot re-run (exact: an LP optimum is an LP optimum,
+  warm or cold);
 - **MILP** — the previous integer assignment is re-certified under the
-  new data with two cheap LPs solved as one block-diagonal program: the
-  *candidate* (integers pinned to the previous assignment) and the fresh
-  *root relaxation bound*.  The candidate is accepted when its gap to
+  new data with two hot runs of the same LP, flipping the integer
+  columns' bounds in between: the *candidate* (integers pinned to the
+  previous assignment) and the fresh *root relaxation bound*, each from
+  its own retained basis.  The candidate is accepted when its gap to
   the bound is within the solver's own optimality tolerance — the
-  configured ``mip_gap`` widened by the memoized integrality gap
-  observed at the last cold solve (the root bound sits below the MIP
-  optimum by roughly that much even when the candidate is exactly
-  optimal).  Anything else — structural change, infeasible candidate,
-  certification failure — falls back to a cold branch & bound, which
-  also refreshes the memo.
+  configured ``mip_gap`` widened by the integrality gap the last cold
+  optimum left (the root bound sits below the MIP optimum by roughly
+  that much even when the candidate is exactly optimal), measured once,
+  at the structure's first re-plan.  Anything else — structural change,
+  infeasible candidate, certification failure — falls back to a cold
+  branch & bound, which replaces the entry (and with it the LP).
+
+Without a native HiGHS binding (``scipy_backend.HAS_BASIS`` false), and
+for ``backend="simplex"``, the same two LPs are rebuilt from the patched
+matrix and solved from scratch, one after the other.
 
 ``strict=True`` disables the memoized widening so a warm answer is only
 accepted when *proven* optimal against the root bound; the property
@@ -39,14 +45,15 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..core.model_builder import BuiltModel, PlanningError, build_model
 from ..core.plan import ExecutionPlan
 from ..core.problem import PlanningProblem
 from ..lp import scipy_backend, simplex_backend
-from ..lp.incremental import diff_compiled
+from ..lp.incremental import CompiledDelta, diff_compiled
 from ..lp.model import CompiledModel, Solution, SolveStatus
+from ..lp.scipy_backend import LPRun
 from .cache import LRUCache
 from .fingerprint import structural_fingerprint
 
@@ -70,7 +77,8 @@ class IncrementalStats:
     structural_fallbacks: int = 0
     #: Cold fallbacks because the warm candidate failed certification.
     rejected_fallbacks: int = 0
-    #: Block-diagonal batch solves issued, and problems covered by them.
+    #: ``solve_many`` calls that certified two or more warm candidates,
+    #: and the candidates they covered.
     batches: int = 0
     batched_problems: int = 0
 
@@ -90,47 +98,83 @@ class _Entry:
     ``compiled`` is a private deep copy (patching it must not reach the
     model caches) that is delta-patched in place on every
     shape-preserving re-solve, so diffs are always against the latest
-    data and stay small.
+    data and stay small.  ``lp`` holds the same data inside the solver;
+    the two are only ever touched together, under ``lock``.
     """
 
     compiled: CompiledModel
     #: Integer column -> value of the last cold optimum (the warm MILP
-    #: candidate); ``None`` when lowering columns hide integer values.
-    int_values: dict[int, float] | None = None
-    #: Simplex basis of the last pure-LP solve (basis-capable backends).
-    basis: tuple[int, ...] | None = None
-    #: Minimized-space gap ``objective - root_bound`` memoized at the
-    #: last cold MILP solve; widens the warm acceptance window.
+    #: candidate); empty for a pure LP, ``None`` when lowering columns
+    #: hide integer values.
+    int_values: dict[int, float] | None
+    #: Minimized-space objective of that cold optimum.
+    cold_objective: float
+    #: Basis of the last optimal relaxation run (for a pure LP: of the
+    #: LP itself, seeded by a basis-capable cold solve).
+    relax_basis: object = None
+    #: Basis of the last optimal pinned-candidate run.
+    pinned_basis: object = None
+    #: The persistent LP, loaded from ``compiled`` at the first warm use.
+    lp: scipy_backend.HotLP | _RebuiltLP | None = None
+    #: Minimized-space gap ``cold_objective - root_bound`` measured at
+    #: the first warm use; widens the warm acceptance window.
     gap_slack: float = 0.0
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
-@dataclass
-class _Warm:
-    """Snapshot of an entry's warm-start state, taken under its lock.
+class _RebuiltLP:
+    """:class:`~repro.lp.scipy_backend.HotLP`'s interface without a
+    native binding: every run is a from-scratch backend solve of the
+    retained matrix (which the caller has already patched)."""
 
-    Solves run on the snapshot so concurrent problems sharing one entry
-    (a fleet batch) never contend or see each other's patches.
-    """
+    def __init__(self, compiled: CompiledModel, solve) -> None:
+        self._compiled = compiled
+        self._solve = solve
+        self._bounds: tuple = ((), (), ())
 
-    int_values: dict[int, float] | None
-    basis: tuple[int, ...] | None
-    gap_slack: float
+    def patch(self, delta: CompiledDelta) -> None:
+        pass
+
+    def set_col_bounds(self, cols, lower, upper) -> None:
+        self._bounds = (cols, lower, upper)
+
+    def run(self, time_limit: float | None = None, basis=None) -> LPRun:
+        compiled = self._compiled
+        lb, ub = list(compiled.var_lb), list(compiled.var_ub)
+        for col, lo, hi in zip(*self._bounds):
+            lb[col], ub[col] = lo, hi
+        solution = self._solve(
+            replace(
+                compiled,
+                var_lb=lb,
+                var_ub=ub,
+                integrality=[False] * compiled.num_vars,
+            ),
+            time_limit,
+            start_basis=basis,
+        )
+        if solution.status is not SolveStatus.OPTIMAL:
+            return LPRun(solution.status)
+        objective = -solution.objective if compiled.negated else solution.objective
+        x = [
+            0.0 if var is None else solution.values.get(var, 0.0)
+            for var in compiled.columns
+        ]
+        return LPRun(solution.status, objective, x, solution.basis)
 
 
 @dataclass
 class _Prepared:
-    """One problem, built and classified against the retained entry."""
+    """One problem, built and bound to the entry retained for its key."""
 
     problem: PlanningProblem
     built: BuiltModel
     compiled: CompiledModel
     key: str
     entry: _Entry | None
-    warm: _Warm | None  # set only when the diff was patchable
     time_limit: float
-    #: A retained entry existed but the shape diverged — the solve is
-    #: then accounted as a structural fallback, not a plain cold.
+    #: The entry's shape diverged from the problem's — the solve is then
+    #: accounted as a structural fallback, not a plain cold.
     structural_fallback: bool = False
 
 
@@ -141,10 +185,9 @@ def _own_copy(compiled: CompiledModel) -> CompiledModel:
     patching it would corrupt every other holder (the exact-fingerprint
     model cache re-solves the same ``BuiltModel`` on warm hits).
     """
-    return CompiledModel(
-        num_vars=compiled.num_vars,
+    return replace(
+        compiled,
         objective=dict(compiled.objective),
-        objective_offset=compiled.objective_offset,
         rows=[dict(row) for row in compiled.rows],
         row_lb=list(compiled.row_lb),
         row_ub=list(compiled.row_ub),
@@ -152,7 +195,6 @@ def _own_copy(compiled: CompiledModel) -> CompiledModel:
         var_ub=list(compiled.var_ub),
         integrality=list(compiled.integrality),
         columns=list(compiled.columns),
-        negated=compiled.negated,
     )
 
 
@@ -160,10 +202,11 @@ class IncrementalSolver:
     """Delta-aware solver keyed by structural problem fingerprints.
 
     Duck-types ``Planner.plan`` via :meth:`solve` so front-ends can drop
-    it in wherever a cold solve used to happen.  Thread-safe: entry
-    locks are held only across diff/patch/snapshot, never across a
-    solve, so pool threads and batch members sharing a structure do not
-    serialize on each other.
+    it in wherever a cold solve used to happen.  Thread-safe: a warm
+    attempt (diff, patch, both LP runs) is atomic under its entry's
+    lock, so threads re-planning one structure take turns on its LP and
+    each reads the answer for its own data; model builds and cold solves
+    run outside any lock.
 
     ``metrics`` (assignable any time) is an
     :class:`~repro.obs.registry.MetricsRegistry`; the solver bumps
@@ -203,70 +246,39 @@ class IncrementalSolver:
     def solve_many(
         self, problems: list[PlanningProblem], time_limit: float | None = None
     ) -> list[ExecutionPlan | PlanningError]:
-        """Solve a batch, certifying warm MILP candidates in one
-        block-diagonal LP solve.
+        """Solve a batch; two or more warm MILP candidates in one call
+        count as one batch of consecutive hot starts.
 
-        Failures are returned in place (not raised) so one infeasible
-        deployment cannot sink a fleet-wide batch; callers re-raise per
-        problem when they deliver results.
+        Every problem is bound to the entry retained when the call began,
+        so a batch-mate's cold fallback never swaps the candidate under
+        the others.  Failures are returned in place (not raised) so one
+        infeasible deployment cannot sink a fleet-wide batch; callers
+        re-raise per problem when they deliver results.
         """
         prepared = [self._prepare(p, time_limit) for p in problems]
-        results: list[ExecutionPlan | PlanningError | None] = [None] * len(prepared)
-
-        # Gather the warm candidates: each contributes two LP blocks
-        # (candidate with pinned integers, fresh root relaxation bound).
-        batch: list[tuple[int, list[CompiledModel]]] = []
-        if self._use_scipy():
-            for i, prep in enumerate(prepared):
-                blocks = self._certification_blocks(prep)
-                if blocks is not None:
-                    batch.append((i, blocks))
-
-        if len(batch) >= 2:
+        batch = sum(
+            1
+            for prep in prepared
+            if prep.entry is not None
+            and prep.entry.int_values
+            and self._pins_fit(prep.entry.int_values, prep.compiled)
+        )
+        if batch >= 2:
             with self._stats_lock:
                 self.stats.batches += 1
-                self.stats.batched_problems += len(batch)
+                self.stats.batched_problems += batch
             self._bump("incremental.batch")
-            start = time.perf_counter()
-            solutions = scipy_backend.solve_blocks(
-                [block for _, blocks in batch for block in blocks],
-                self._limit(time_limit),
-                self.mip_gap,
-            )
-            per_problem = (time.perf_counter() - start) / len(batch)
-            for slot, (i, _) in enumerate(batch):
-                prep = prepared[i]
-                cand, bound = solutions[2 * slot], solutions[2 * slot + 1]
-                plan = self._accept(prep, cand, bound, per_problem)
-                if plan is not None:
-                    self._count("warm")
-                    results[i] = plan
-                elif (
-                    cand.status is SolveStatus.OPTIMAL
-                    and bound.status is SolveStatus.OPTIMAL
-                ):
-                    # A genuine gap rejection, not batching noise.
-                    self._count("rejected_fallback")
-                    try:
-                        results[i] = self._solve_cold(prep, counted=True)
-                    except PlanningError as exc:
-                        results[i] = exc
-                # else: one infeasible block taints the whole composite's
-                # status — leave unresolved so the solo pass below
-                # re-certifies this problem on its own.
 
-        for i, prep in enumerate(prepared):
-            if results[i] is not None:
-                continue
-            if prep.warm is None and prep.key in self._entries:
-                # A batch-mate with the same structure solved cold after
-                # this problem was prepared; re-prepare against the
-                # entry it seeded so this solve can go warm.
-                prep = self._prepare(prep.problem, time_limit)
+        results: list[ExecutionPlan | PlanningError] = []
+        for prep in prepared:
+            if prep.entry is None:
+                # A batch-mate with the same structure may have solved
+                # cold since; its entry lets this solve go warm.
+                prep.entry = self._entries.get(prep.key)
             try:
-                results[i] = self._solve_prepared(prep)
+                results.append(self._solve_prepared(prep))
             except PlanningError as exc:
-                results[i] = exc
+                results.append(exc)
         return results
 
     # -- preparation ------------------------------------------------------
@@ -280,182 +292,148 @@ class IncrementalSolver:
         self, problem: PlanningProblem, time_limit: float | None
     ) -> _Prepared:
         built = build_model(problem)
-        compiled = built.model.compile()
         key = structural_fingerprint(problem)
-        entry = self._entries.get(key)
-        warm = None
-        structural_fallback = False
-        if entry is not None:
-            with entry.lock:
-                delta = diff_compiled(entry.compiled, compiled)
-                if delta is None:
-                    # Structural fingerprint collision or genuine shape
-                    # change under the same key: retire the stale entry.
-                    self._entries.remove(key)
-                    entry = None
-                    structural_fallback = True
-                else:
-                    delta.apply(entry.compiled)
-                    warm = _Warm(
-                        int_values=dict(entry.int_values)
-                        if entry.int_values is not None
-                        else None,
-                        basis=entry.basis,
-                        gap_slack=entry.gap_slack,
-                    )
         return _Prepared(
             problem=problem,
             built=built,
-            compiled=compiled,
+            compiled=built.model.compile(),
             key=key,
-            entry=entry,
-            warm=warm,
+            entry=self._entries.get(key),
             time_limit=self._limit(time_limit),
-            structural_fallback=structural_fallback,
         )
 
     # -- warm path --------------------------------------------------------
 
-    def _use_scipy(self) -> bool:
-        return self.backend in ("auto", "scipy")
-
     def _solve_prepared(self, prepared: _Prepared) -> ExecutionPlan:
-        if prepared.warm is not None:
+        kind = "cold"
+        if prepared.entry is not None:
             plan = self._try_warm(prepared)
             if plan is not None:
                 self._count("warm")
                 return plan
-            self._count("rejected_fallback")
-            return self._solve_cold(prepared, counted=True)
-        return self._solve_cold(prepared)
+            kind = (
+                "structural_fallback"
+                if prepared.structural_fallback
+                else "rejected_fallback"
+            )
+        return self._solve_cold(prepared, kind)
 
     def _try_warm(self, prepared: _Prepared) -> ExecutionPlan | None:
-        """One-problem warm attempt on the fresh compiled matrix.
-
-        The fresh matrix is numerically identical to the patched
-        retained one (that is what ``diff_compiled`` certifies) and its
-        columns already reference the new model's variables, so solving
-        it directly needs no index remapping afterwards.
-        """
-        compiled = prepared.compiled
+        """One warm attempt; ``None`` means go cold."""
         start = time.perf_counter()
-        if not any(compiled.integrality):
-            basis = prepared.warm.basis
-            if self._use_scipy():
-                solution = scipy_backend.solve(
-                    compiled, prepared.time_limit, self.mip_gap, start_basis=basis
-                )
-            else:
-                solution = simplex_backend.solve(
-                    compiled, prepared.time_limit, start_basis=basis
-                )
-            if solution.status is not SolveStatus.OPTIMAL:
-                return None
-            if prepared.entry is not None:
-                with prepared.entry.lock:
-                    prepared.entry.basis = solution.basis
-            return self._finish(prepared, solution.values, time.perf_counter() - start)
-
-        blocks = self._certification_blocks(prepared)
-        if blocks is None:
+        with prepared.entry.lock:
+            x = self._rerun(prepared)
+        if x is None:
             return None
-        if self._use_scipy():
-            cand, bound = scipy_backend.solve_blocks(
-                blocks, prepared.time_limit, self.mip_gap
-            )
-        else:
-            cand = simplex_backend.solve(blocks[0], prepared.time_limit)
-            bound = simplex_backend.solve(blocks[1], prepared.time_limit)
-        return self._accept(prepared, cand, bound, time.perf_counter() - start)
+        return self._finish(prepared, x, time.perf_counter() - start)
 
-    def _certification_blocks(
-        self, prepared: _Prepared
-    ) -> list[CompiledModel] | None:
-        """The [pinned-candidate, root-relaxation] LP pair, or ``None``
-        when there is nothing warm to certify."""
-        if prepared.warm is None or prepared.warm.int_values is None:
+    def _rerun(self, prepared: _Prepared) -> list[float] | None:
+        """Diff against the retained matrix, patch it and its LP, re-run
+        from the retained bases and certify — atomic under the entry's
+        lock.  Returns the accepted column values."""
+        entry, compiled = prepared.entry, prepared.compiled
+        limit = prepared.time_limit
+        delta = diff_compiled(entry.compiled, compiled)
+        if delta is None:
+            # Structural fingerprint collision or genuine shape change
+            # under the same key: retire the stale entry.
+            self._entries.remove(prepared.key)
+            prepared.structural_fallback = True
             return None
-        compiled = prepared.compiled
-        if not any(compiled.integrality):
-            return None  # pure LPs take the basis path, not certification
-        pinned_lb = list(compiled.var_lb)
-        pinned_ub = list(compiled.var_ub)
-        for col, value in prepared.warm.int_values.items():
-            # The data change may have moved a bound past the previous
-            # assignment (capacity cut below the allocated nodes): the
-            # candidate is infeasible by inspection, go straight cold.
-            if not compiled.var_lb[col] - _EPS <= value <= compiled.var_ub[col] + _EPS:
-                return None
-            pinned_lb[col] = pinned_ub[col] = value
-        relaxed = [False] * compiled.num_vars
-        candidate = CompiledModel(
-            num_vars=compiled.num_vars,
-            objective=compiled.objective,
-            objective_offset=compiled.objective_offset,
-            rows=compiled.rows,
-            row_lb=compiled.row_lb,
-            row_ub=compiled.row_ub,
-            var_lb=pinned_lb,
-            var_ub=pinned_ub,
-            integrality=relaxed,
-            columns=compiled.columns,
-            negated=compiled.negated,
-        )
-        relaxation = CompiledModel(
-            num_vars=compiled.num_vars,
-            objective=compiled.objective,
-            objective_offset=compiled.objective_offset,
-            rows=compiled.rows,
-            row_lb=compiled.row_lb,
-            row_ub=compiled.row_ub,
-            var_lb=compiled.var_lb,
-            var_ub=compiled.var_ub,
-            integrality=relaxed,
-            columns=compiled.columns,
-            negated=compiled.negated,
-        )
-        return [candidate, relaxation]
+        pins = entry.int_values
+        # Lowering columns hid the assignment, or the data change moved a
+        # bound past it (capacity cut below the allocated nodes): the
+        # candidate is infeasible by inspection, go straight cold.
+        if pins is None or not self._pins_fit(pins, compiled):
+            return None
+        lp = entry.lp
+        if lp is None:
+            lp = entry.lp = self._load(entry.compiled)
+            if pins and not self.strict:
+                # The root gap of the cold optimum, measured on the
+                # matrix it was found on; seeds the relaxation basis too.
+                root = lp.run(limit, entry.relax_basis)
+                if root.status is SolveStatus.OPTIMAL:
+                    entry.relax_basis = root.basis
+                    entry.gap_slack = max(
+                        0.0, entry.cold_objective - root.objective
+                    )
+        delta.apply(entry.compiled)
+        lp.patch(delta)
 
-    def _accept(
-        self,
-        prepared: _Prepared,
-        cand: Solution,
-        bound: Solution,
-        seconds: float,
-    ) -> ExecutionPlan | None:
-        """Certify a pinned candidate against the fresh root bound."""
+        if not pins:  # a pure LP: an optimum is an optimum, warm or cold
+            run = lp.run(limit, entry.relax_basis)
+            if run.status is not SolveStatus.OPTIMAL:
+                return None
+            entry.relax_basis = run.basis
+            return run.x
+
+        # The candidate (integers pinned) first: it is the run that
+        # fails, and a failed candidate needs no bound.
+        cols, values = list(pins), list(pins.values())
+        lp.set_col_bounds(cols, values, values)
+        cand = lp.run(limit, entry.pinned_basis)
         if cand.status is not SolveStatus.OPTIMAL:
             return None
+        entry.pinned_basis = cand.basis
+        lp.set_col_bounds(
+            cols,
+            [compiled.var_lb[col] for col in cols],
+            [compiled.var_ub[col] for col in cols],
+        )
+        bound = lp.run(limit, entry.relax_basis)
         if bound.status is not SolveStatus.OPTIMAL:
             return None
-        compiled = prepared.compiled
-        cand_min = self._minimized(compiled, cand.objective)
-        bound_min = self._minimized(compiled, bound.objective)
-        window = 1e-9 * max(1.0, abs(cand_min))
+        entry.relax_basis = bound.basis
+
+        # Accept when the gap to the fresh root bound is within the
+        # solver's own optimality tolerance.
+        window = 1e-9 * max(1.0, abs(cand.objective))
         if not self.strict:
             window = max(
-                self.mip_gap * abs(cand_min),
-                self.gap_margin * prepared.warm.gap_slack,
+                self.mip_gap * abs(cand.objective),
+                self.gap_margin * entry.gap_slack,
                 window,
             )
-        if cand_min - bound_min > window + _EPS:
+        if cand.objective - bound.objective > window + _EPS:
             return None
         # Snap the pinned columns back to exact integers (the LP solver
         # returns them within feasibility tolerance of the pin).
-        values = dict(cand.values)
-        for col, pin in prepared.warm.int_values.items():
-            var = compiled.columns[col]
-            if var is not None:
-                values[var] = pin
-        return self._finish(prepared, values, seconds)
+        for col, pin in pins.items():
+            cand.x[col] = pin
+        return cand.x
 
     @staticmethod
-    def _minimized(compiled: CompiledModel, objective: float) -> float:
-        return -objective if compiled.negated else objective
+    def _pins_fit(pins: dict[int, float], compiled: CompiledModel) -> bool:
+        return all(
+            compiled.var_lb[col] - _EPS <= value <= compiled.var_ub[col] + _EPS
+            for col, value in pins.items()
+        )
 
-    def _finish(self, prepared: _Prepared, values: dict, seconds: float) -> ExecutionPlan:
-        """Assemble a Solution over the new model and extract the plan."""
+    def _load(self, compiled: CompiledModel):
+        """The LP a retained matrix is re-solved through: hot when a
+        native HiGHS binding resolved, else rebuilt on every run."""
+        if self.backend not in ("auto", "scipy"):
+            return _RebuiltLP(compiled, simplex_backend.solve)
+        if scipy_backend.HAS_BASIS:
+            return scipy_backend.HotLP(compiled)
+        return _RebuiltLP(compiled, scipy_backend.solve)
+
+    def _finish(
+        self, prepared: _Prepared, x: list[float], seconds: float
+    ) -> ExecutionPlan:
+        """Assemble a Solution over the new model and extract the plan.
+
+        The fresh matrix has the retained one's columns (that is what
+        ``diff_compiled`` certifies) and its columns reference the new
+        model's variables, so ``x`` maps onto them by position.
+        """
         built = prepared.built
+        values = {
+            var: x[col]
+            for col, var in enumerate(prepared.compiled.columns)
+            if var is not None
+        }
         solution = Solution(status=SolveStatus.OPTIMAL, backend="incremental")
         solution.values = {
             var: values.get(var, 0.0) for var in built.model.variables
@@ -466,19 +444,15 @@ class IncrementalSolver:
 
     # -- cold path --------------------------------------------------------
 
-    def _solve_cold(
-        self, prepared: _Prepared, counted: bool = False
-    ) -> ExecutionPlan:
+    def _solve_cold(self, prepared: _Prepared, kind: str) -> ExecutionPlan:
+        """Branch & bound from scratch, accounted under ``kind``."""
         built = prepared.built
         solution = built.model.solve(
             backend=self.backend,
             time_limit=prepared.time_limit,
             mip_gap=self.mip_gap,
         )
-        if not counted:
-            self._count(
-                "structural_fallback" if prepared.structural_fallback else "cold"
-            )
+        self._count(kind)
         if not solution.status.has_solution:
             raise PlanningError(
                 f"planning failed for {prepared.problem.job.name!r}: "
@@ -504,47 +478,16 @@ class IncrementalSolver:
                 int_values = None
                 break
             int_values[col] = float(round(solution.values.get(var, 0.0)))
-        gap_slack = 0.0
-        if int_values and not self.strict:
-            gap_slack = self._root_gap(compiled, solution, prepared.time_limit)
         self._entries.put(
             prepared.key,
             _Entry(
                 compiled=_own_copy(compiled),
                 int_values=int_values,
-                basis=solution.basis,
-                gap_slack=gap_slack,
+                cold_objective=(
+                    -solution.objective if compiled.negated else solution.objective
+                ),
+                relax_basis=solution.basis,
             ),
-        )
-
-    def _root_gap(
-        self, compiled: CompiledModel, solution: Solution, time_limit: float
-    ) -> float:
-        """Minimized-space slack between the MIP optimum and its root
-        relaxation — the memo that widens warm acceptance."""
-        relaxation = CompiledModel(
-            num_vars=compiled.num_vars,
-            objective=compiled.objective,
-            objective_offset=compiled.objective_offset,
-            rows=compiled.rows,
-            row_lb=compiled.row_lb,
-            row_ub=compiled.row_ub,
-            var_lb=compiled.var_lb,
-            var_ub=compiled.var_ub,
-            integrality=[False] * compiled.num_vars,
-            columns=compiled.columns,
-            negated=compiled.negated,
-        )
-        if self._use_scipy():
-            root = scipy_backend.solve(relaxation, time_limit, self.mip_gap)
-        else:
-            root = simplex_backend.solve(relaxation, time_limit)
-        if root.status is not SolveStatus.OPTIMAL:
-            return 0.0
-        return max(
-            0.0,
-            self._minimized(compiled, solution.objective)
-            - self._minimized(compiled, root.objective),
         )
 
     # -- accounting -------------------------------------------------------

@@ -311,7 +311,7 @@ class TestWarmReplanPath:
         # One shared price event triggers a replan for every deployment
         # in the same scheduler step; distinct input sizes defeat the
         # exact plan cache, so the replans must reach the incremental
-        # layer together as one block-diagonal batch.  The deadline-7
+        # layer together as one batch.  The deadline-7
         # deployment's *initial* solve seeds the 7-hour-horizon
         # structure the others' hour-1 replans (8 - 1 remaining) land on.
         prices = np.full(3 * 24, 0.16)

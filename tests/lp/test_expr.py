@@ -45,6 +45,19 @@ class TestVariable:
         b = model.add_var("b")
         assert hash(a) != hash(b) or a is b
 
+    def test_hash_is_the_c_level_identity_hash(self, xy):
+        x, y = xy
+        # Not a Python ``def``: variables key every term dict, so the hash
+        # slot must be object's own (== overloads would otherwise drop it).
+        assert Variable.__hash__ is object.__hash__
+        assert LinExpr.__hash__ is object.__hash__
+        twin = Variable("x", x.index)
+        assert hash(x) == object.__hash__(x) != hash(twin)
+        terms = {x: 1.0, twin: 2.0, y: 3.0}
+        assert len(terms) == 3 and terms[x] == 1.0 and terms[twin] == 2.0
+        expr = x + y
+        assert {expr: "e"}[expr] == "e"
+
 
 class TestAlgebra:
     def test_addition_of_variables(self, xy):
@@ -132,6 +145,24 @@ class TestLinSum:
         assert expr.coefficient(x) == 2.0
         assert expr.coefficient(y) == 3.0
         assert expr.constant == 5.0
+
+    def test_bare_variables_expressions_and_numbers_mix(self, xy):
+        x, y = xy
+        scaled = 2 * y - 1
+        before = dict(scaled.terms)
+        expr = lin_sum([x, scaled, 5, x, 0.5, y, x - y])
+        assert list(expr.terms) == [x, y]  # first-seen order, as with +
+        assert expr.coefficient(x) == 3.0
+        assert expr.coefficient(y) == 2.0
+        assert expr.constant == 4.5
+        assert isinstance(expr.constant, float)
+        # Items are read, never modified or adopted.
+        assert scaled.terms == before and scaled.constant == -1.0
+        assert expr.terms is not scaled.terms
+
+    def test_rejects_non_numeric_items(self, xy):
+        with pytest.raises(TypeError):
+            lin_sum([xy[0], "3"])
 
     def test_equivalent_to_repeated_addition(self, model):
         xs = model.add_vars("v", 50)

@@ -1,0 +1,159 @@
+"""HotLP: one persistent native HiGHS LP, patched in place and re-run
+from a retained basis — and the import-time choice of its bindings."""
+
+import dataclasses
+import sys
+import types
+
+import pytest
+
+from repro.lp import Model, SolveStatus, VarType, scipy_backend
+from repro.lp.incremental import diff_compiled
+from repro.lp.scipy_backend import HotLP
+
+pytestmark = pytest.mark.skipif(
+    not scipy_backend.HAS_BASIS, reason="no native HiGHS binding"
+)
+
+
+def knapsack(cost=(3.0, 4.0, 1.0), cap=7.0, ub=3.0, weight=2.0, offset=0.0):
+    m = Model()
+    xs = m.add_vars("x", 3, ub=ub, vtype=VarType.INTEGER)
+    y = m.add_var("y", ub=10.0)
+    m.add_constr(weight * xs[0] + 3 * xs[1] + xs[2] + y <= cap)
+    m.add_constr(xs[0] + xs[1] >= 1)
+    m.maximize(cost[0] * xs[0] + cost[1] * xs[1] + cost[2] * xs[2] + 0.5 * y + offset)
+    return m.compile()
+
+
+def relaxed(compiled):
+    return dataclasses.replace(
+        compiled, integrality=[False] * compiled.num_vars
+    )
+
+
+def cold_minimized(compiled):
+    solution = scipy_backend.solve(relaxed(compiled), 30.0)
+    assert solution.status is SolveStatus.OPTIMAL
+    return -solution.objective if compiled.negated else solution.objective
+
+
+class TestLoadAndRun:
+    def test_run_solves_the_relaxation_like_the_cold_backend(self):
+        compiled = knapsack(offset=2.5)
+        run = HotLP(compiled).run(30.0)
+        assert run.status is SolveStatus.OPTIMAL
+        # Minimized space, offset included.
+        assert run.objective == pytest.approx(cold_minimized(compiled), abs=1e-9)
+        assert len(run.x) == compiled.num_vars
+        assert run.basis is not None
+
+    def test_rerun_from_the_returned_basis_reproduces_the_optimum(self):
+        lp = HotLP(knapsack())
+        first = lp.run(30.0)
+        again = lp.run(30.0, first.basis)
+        assert again.status is SolveStatus.OPTIMAL
+        assert again.objective == pytest.approx(first.objective, abs=1e-9)
+        assert again.x == pytest.approx(first.x, abs=1e-9)
+
+    def test_infeasible_lp_reports_infeasible_and_recovers(self):
+        compiled = knapsack()
+        lp = HotLP(compiled)
+        ints = [c for c, flag in enumerate(compiled.integrality) if flag]
+        lp.set_col_bounds(ints, [3.0] * 3, [3.0] * 3)  # weight 18 > cap 7
+        assert lp.run(30.0).status is SolveStatus.INFEASIBLE
+        lp.set_col_bounds(
+            ints,
+            [compiled.var_lb[c] for c in ints],
+            [compiled.var_ub[c] for c in ints],
+        )
+        run = lp.run(30.0)
+        assert run.status is SolveStatus.OPTIMAL
+        assert run.objective == pytest.approx(cold_minimized(compiled), abs=1e-9)
+
+
+class TestPatch:
+    @pytest.mark.parametrize("target", [
+        dict(cost=(1.0, 6.0, 2.0)),           # objective
+        dict(cap=9.5),                        # row bounds
+        dict(ub=2.0),                         # column bounds
+        dict(weight=2.75),                    # matrix coefficient
+        dict(offset=4.0),                     # objective offset
+        dict(cost=(2.0, 2.0, 2.0), cap=5.0, ub=4.0, weight=1.5, offset=-1.0),
+    ])
+    def test_patched_instance_agrees_with_a_cold_solve_of_the_target(self, target):
+        base, new = knapsack(), knapsack(**target)
+        lp = HotLP(base)
+        basis = lp.run(30.0).basis
+        delta = diff_compiled(base, new)
+        assert delta is not None and not delta.empty
+        lp.patch(delta)
+        run = lp.run(30.0, basis)
+        assert run.status is SolveStatus.OPTIMAL
+        assert run.objective == pytest.approx(cold_minimized(new), abs=1e-9)
+
+    def test_pinning_integer_columns_solves_the_candidate_lp(self):
+        compiled = knapsack()
+        lp = HotLP(compiled)
+        ints = [c for c, flag in enumerate(compiled.integrality) if flag]
+        lp.set_col_bounds(ints, [1.0, 1.0, 0.0], [1.0, 1.0, 0.0])
+        run = lp.run(30.0)
+        pinned = dataclasses.replace(
+            compiled,
+            var_lb=[1.0, 1.0, 0.0, compiled.var_lb[3]],
+            var_ub=[1.0, 1.0, 0.0, compiled.var_ub[3]],
+        )
+        assert run.objective == pytest.approx(cold_minimized(pinned), abs=1e-9)
+        assert run.x[:3] == pytest.approx([1.0, 1.0, 0.0], abs=1e-9)
+
+
+class TestTimeLimit:
+    def test_limit_is_rebased_on_the_instances_cumulative_clock(self):
+        # HiGHS's run clock never resets, so a fixed ``time_limit`` option
+        # would expire a long-lived instance; re-solve one well past a
+        # per-run budget that its lifetime total exceeds many times over.
+        base, other = knapsack(), knapsack(cap=9.0, cost=(1.0, 6.0, 2.0))
+        there, back = diff_compiled(base, other), diff_compiled(other, base)
+        lp = HotLP(base)
+        basis = lp.run(30.0).basis
+        budget = 5e-3
+        for step in range(20000):
+            lp.patch(back if step % 2 else there)
+            run = lp.run(budget, basis)
+            assert run.status is SolveStatus.OPTIMAL, step
+            basis = run.basis
+            if lp._h.getRunTime() > 4 * budget:
+                break
+        assert lp._h.getRunTime() > 4 * budget
+
+    def test_a_tripped_limit_does_not_poison_the_instance(self):
+        base, other = knapsack(), knapsack(cap=9.0, cost=(1.0, 6.0, 2.0))
+        lp = HotLP(base)
+        first = lp.run(30.0)
+        lp.patch(diff_compiled(base, other))  # the old basis needs pivots now
+        tripped = lp.run(0.0, first.basis)
+        assert tripped.status is SolveStatus.ERROR
+        assert tripped.x is None and tripped.basis is None
+        run = lp.run(30.0, first.basis)
+        assert run.status is SolveStatus.OPTIMAL
+        assert run.objective == pytest.approx(cold_minimized(other), abs=1e-9)
+
+
+class TestBindingResolution:
+    def test_prefers_highspy_then_the_vendored_core_then_none(self, monkeypatch):
+        fake = types.ModuleType("highspy")
+        fake.Highs = type("Highs", (), {})
+        monkeypatch.setitem(sys.modules, "highspy", fake)
+        assert scipy_backend._resolve_bindings() == (fake, fake.Highs)
+
+        monkeypatch.setitem(sys.modules, "highspy", None)  # import fails
+        module, highs = scipy_backend._resolve_bindings()
+        assert module.__name__ == "scipy.optimize._highspy._core"
+        assert highs is module._Highs
+
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        assert scipy_backend._resolve_bindings() == (None, None)
+
+    def test_has_basis_reports_the_import_time_resolution(self):
+        assert scipy_backend.HAS_BASIS is (scipy_backend._Highs is not None)
+        assert (scipy_backend._hs is None) is (scipy_backend._Highs is None)

@@ -1,6 +1,12 @@
 """IncrementalSolver: warm re-solves, fallback accounting, batching, and
 the isolation of its retained matrices from the shared model caches."""
 
+import gc
+import math
+import sys
+import threading
+import weakref
+
 import pytest
 
 from repro.core import Goal, NetworkConditions, PlannerJob, PlanningProblem
@@ -9,7 +15,9 @@ from repro.core.planner import Planner
 from repro.cloud import public_cloud
 from repro.obs.registry import MetricsRegistry
 from repro.service import IncrementalSolver, LRUCache, structural_fingerprint
-from repro.service.incremental import _own_copy
+from repro.lp import Model, Solution, SolveStatus, VarType, scipy_backend
+from repro.lp.incremental import diff_compiled
+from repro.service.incremental import _own_copy, _RebuiltLP
 from repro.service.pool import SolverPool
 
 
@@ -231,3 +239,311 @@ class TestServiceIntegration:
             assert result.ok
             snapshot = service.metrics.registry.snapshot()
         assert "incremental.cold" not in snapshot["counters"]
+
+
+def kind_of(solver, problem, time_limit=None):
+    """Solve and say which bucket the solve landed in."""
+    before = vars(solver.stats).copy()
+    plan = solver.solve(problem, time_limit)
+    moved = [k for k, v in vars(solver.stats).items() if v != before[k]]
+    assert len(moved) == 1
+    return moved[0], plan
+
+
+def entry_of(solver, problem):
+    return solver._entries.get(structural_fingerprint(problem))
+
+
+#: Same structure throughout.  The 8 GB step outgrows the pinned node
+#: counts (infeasible candidate); the steps after it re-certify against
+#: whatever assignment the last cold fallback retained, and the way back
+#: down to 4 GB fails the gap window rather than feasibility.
+SEQUENCE = [
+    dict(uplink=16.3), dict(uplink=15.8), dict(input_gb=4.2),
+    dict(input_gb=8.0), dict(input_gb=8.0, uplink=16.2),
+    dict(input_gb=7.9, uplink=16.1), dict(input_gb=3.9, uplink=15.9),
+    dict(), dict(uplink=16.05),
+]
+
+
+@pytest.mark.skipif(not scipy_backend.HAS_BASIS, reason="no native HiGHS binding")
+class TestHotAgainstRebuiltFallback:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_same_decisions_and_objectives_without_a_binding(self, strict, monkeypatch):
+        def trace():
+            solver = IncrementalSolver(strict=strict)
+            solver.solve(make_problem())
+            steps = [kind_of(solver, make_problem(**kw)) for kw in SEQUENCE]
+            lp = entry_of(solver, make_problem()).lp
+            return [(k, p.objective_value) for k, p in steps], lp
+
+        hot, hot_lp = trace()
+        monkeypatch.setattr(scipy_backend, "HAS_BASIS", False)
+        rebuilt, rebuilt_lp = trace()
+        assert [k for k, _ in hot] == [k for k, _ in rebuilt]
+        if not strict:
+            # (Strict never accepts here: these MILPs have a root gap.)
+            assert isinstance(hot_lp, scipy_backend.HotLP)
+            assert isinstance(rebuilt_lp, _RebuiltLP)
+            assert [k for k, _ in hot].count("warm") == 5
+            assert [k for k, _ in hot].count("rejected_fallbacks") == 4
+        for (_, a), (_, b) in zip(hot, rebuilt):
+            assert a == pytest.approx(b, rel=1e-7)
+
+    def test_rebuilt_lp_speaks_the_hot_interface_over_the_simplex_backend(self):
+        # (The pure-Python simplex cannot solve a planning model, so its
+        # branch is pinned on a small one, through the solver's own loader.)
+        m = Model()
+        xs = m.add_vars("x", 2, ub=3, vtype=VarType.INTEGER)
+        y = m.add_var("y", ub=10.0)
+        m.add_constr(2 * xs[0] + 3 * xs[1] + y <= 7)
+        m.maximize(3 * xs[0] + 4 * xs[1] + 0.5 * y)
+        compiled = _own_copy(m.compile())
+        rebuilt = IncrementalSolver(backend="simplex")._load(compiled)
+        hot = scipy_backend.HotLP(compiled)
+        assert isinstance(rebuilt, _RebuiltLP)
+
+        def both(basis=None):
+            a, b = rebuilt.run(30.0, basis), hot.run(30.0)
+            assert a.status is b.status
+            if a.x is not None:
+                assert a.objective == pytest.approx(b.objective, abs=1e-9)
+                assert a.x == pytest.approx(b.x, abs=1e-9)
+            return a
+
+        root = both()
+        assert root.basis is not None
+        for lp in (rebuilt, hot):
+            lp.set_col_bounds([0, 1], [1.0, 1.0], [1.0, 1.0])
+        assert both().x[:2] == [1.0, 1.0]
+        for lp in (rebuilt, hot):
+            lp.set_col_bounds([0, 1], [3.0, 3.0], [3.0, 3.0])
+        assert both().status is SolveStatus.INFEASIBLE
+        for lp in (rebuilt, hot):
+            lp.set_col_bounds([0, 1], [0.0, 0.0], [3.0, 3.0])
+        # The caller patches the retained matrix; the rebuilt LP reads it.
+        m.constraints[0].expr.constant = -9.0
+        m._compiled = None
+        delta = diff_compiled(compiled, m.compile())
+        delta.apply(compiled)
+        for lp in (rebuilt, hot):
+            lp.patch(delta)
+        assert both(root.basis).objective < root.objective
+
+
+class TestHotInstanceLifecycle:
+    def test_instance_and_gap_memo_wait_for_the_first_reuse(self):
+        solver = IncrementalSolver()
+        problem = make_problem()
+        cold_plan = solver.solve(problem)
+        entry = entry_of(solver, problem)
+        # A cold solve retains data only: no LP, no relaxation solve.
+        assert entry.lp is None and entry.gap_slack == 0.0
+        assert entry.cold_objective == pytest.approx(cold_plan.objective_value)
+
+        base = _own_copy(entry.compiled)
+        solver.solve(make_problem(uplink=16.2))
+        assert entry_of(solver, problem) is entry and entry.lp is not None
+        # The memo is the cold optimum's gap to the root relaxation of the
+        # matrix it was found on (not of the patched one), as an
+        # independent from-scratch relaxation solve measures it.
+        base.integrality = [False] * base.num_vars
+        root = scipy_backend.solve(base, 30.0)
+        assert entry.gap_slack == pytest.approx(
+            cold_plan.objective_value - root.objective, abs=1e-6
+        )
+        lp = entry.lp
+        solver.solve(make_problem(uplink=15.9))
+        assert entry.lp is lp  # one instance per retained structure
+
+    def test_strict_mode_skips_the_gap_memo_run(self):
+        solver = IncrementalSolver(strict=True)
+        solver.solve(make_problem())
+        solver.solve(make_problem(uplink=16.2))
+        assert entry_of(solver, make_problem()).gap_slack == 0.0
+
+    def test_infeasible_candidate_goes_cold_then_the_structure_is_warm_again(self):
+        solver = IncrementalSolver()
+        solver.solve(make_problem())
+        assert kind_of(solver, make_problem(uplink=16.2))[0] == "warm"
+        old = entry_of(solver, make_problem())
+        old_lp = old.lp
+
+        kind, plan = kind_of(solver, make_problem(input_gb=8.0))
+        assert kind == "rejected_fallbacks"
+        assert plan.objective_value == pytest.approx(
+            Planner().plan(make_problem(input_gb=8.0)).objective_value, rel=0.01
+        )
+        fresh = entry_of(solver, make_problem())
+        assert fresh is not old and fresh.lp is None  # rebuilt on next use
+
+        kind, plan = kind_of(solver, make_problem(input_gb=8.0, uplink=16.2))
+        assert kind == "warm"
+        assert fresh.lp is not None and fresh.lp is not old_lp
+        assert plan.objective_value == pytest.approx(
+            Planner().plan(make_problem(input_gb=8.0, uplink=16.2)).objective_value,
+            rel=0.01,
+        )
+
+    def test_lru_eviction_drops_the_instance(self):
+        solver = IncrementalSolver(capacity=1)
+        solver.solve(make_problem())
+        solver.solve(make_problem(uplink=16.2))
+        dropped = weakref.ref(entry_of(solver, make_problem()).lp)
+        assert dropped() is not None
+        solver.solve(make_problem(deadline=4.0))  # another structure
+        assert entry_of(solver, make_problem()) is None
+        gc.collect()
+        assert dropped() is None
+
+    def test_structural_fallback_drops_the_instance_untouched(self, monkeypatch):
+        solver = IncrementalSolver()
+        problem = make_problem()
+        solver.solve(problem)
+        solver.solve(make_problem(uplink=16.2))
+        entry = entry_of(solver, problem)
+        dropped = weakref.ref(entry.lp)
+        calls = []
+        for name in ("patch", "set_col_bounds", "run"):
+            monkeypatch.setattr(
+                type(entry.lp), name,
+                lambda self, *a, _name=name, **kw: calls.append(_name),
+            )
+        # A bound flipping finite -> infinite is structure (see
+        # lp/incremental.py): diff_compiled says None before the LP is
+        # asked to change anything.
+        col = next(
+            c for c, ub in enumerate(entry.compiled.var_ub) if math.isfinite(ub)
+        )
+        entry.compiled.var_ub[col] = math.inf
+        kind, plan = kind_of(solver, make_problem(uplink=16.1))
+        assert kind == "structural_fallbacks" and plan.solver_status == "optimal"
+        assert calls == []
+        del entry
+        gc.collect()
+        assert dropped() is None
+        assert entry_of(solver, problem).lp is None
+
+    def test_sparsity_change_never_reaches_the_instance(self, monkeypatch):
+        solver = IncrementalSolver()
+        problem = make_problem()
+        solver.solve(problem)
+        solver.solve(make_problem(uplink=16.2))
+        entry = entry_of(solver, problem)
+        calls = []
+        for name in ("patch", "set_col_bounds", "run"):
+            monkeypatch.setattr(
+                type(entry.lp), name,
+                lambda self, *a, _name=name, **kw: calls.append(_name),
+            )
+        row = entry.compiled.rows[0]
+        row[next(c for c in range(entry.compiled.num_vars) if c not in row)] = 1.0
+        assert kind_of(solver, make_problem(uplink=16.1))[0] == "structural_fallbacks"
+        assert calls == []
+
+
+class TestTimeLimits:
+    """``tests/lp/test_hot_lp.py`` shows what a tripped run is (status
+    ``ERROR``, no basis); a planning LP this small re-solves in too few
+    pivots for HiGHS to look at its clock, so here the trip is forced:
+    the run gets a zero budget and is reported as out of time."""
+
+    @staticmethod
+    def trip(monkeypatch, lp):
+        run = type(lp).run
+
+        def tripped(self, time_limit=None, basis=None):
+            run(self, 0.0, basis)
+            return scipy_backend.LPRun(SolveStatus.ERROR)
+
+        monkeypatch.setattr(type(lp), "run", tripped)
+
+    def test_tripped_hot_run_falls_back_to_a_cold_solve(self, monkeypatch):
+        solver = IncrementalSolver()
+        solver.solve(make_problem())
+        solver.solve(make_problem(uplink=16.2))
+        self.trip(monkeypatch, entry_of(solver, make_problem()).lp)
+        kind, plan = kind_of(solver, make_problem(uplink=15.7))
+        assert kind == "rejected_fallbacks"
+        assert plan.solver_status == "optimal"
+        assert plan.objective_value == pytest.approx(
+            Planner().plan(make_problem(uplink=15.7)).objective_value, rel=1e-9
+        )
+
+    def test_request_out_of_time_everywhere_leaves_the_instance_usable(
+        self, monkeypatch
+    ):
+        solver = IncrementalSolver()
+        solver.solve(make_problem())
+        solver.solve(make_problem(uplink=16.2))
+        entry = entry_of(solver, make_problem())
+        lp = entry.lp
+        # The hot run trips and the cold fallback finds nothing either.
+        self.trip(monkeypatch, lp)
+        monkeypatch.setattr(
+            scipy_backend, "solve",
+            lambda *a, **kw: Solution(SolveStatus.ERROR, message="time limit"),
+        )
+        with pytest.raises(PlanningError):
+            solver.solve(make_problem(uplink=15.7))
+        assert solver.stats.rejected_fallbacks == 1
+        monkeypatch.undo()
+        # The entry, its instance and its bases survived; the next request
+        # is warm on the same instance and right.
+        kind, plan = kind_of(solver, make_problem(uplink=16.4))
+        assert kind == "warm"
+        assert entry_of(solver, make_problem()) is entry and entry.lp is lp
+        reference = IncrementalSolver()
+        reference.solve(make_problem())
+        assert plan.objective_value == pytest.approx(
+            reference.solve(make_problem(uplink=16.4)).objective_value, rel=1e-7
+        )
+
+
+class TestConcurrentReplansOfOneStructure:
+    def test_each_thread_gets_the_plan_for_its_own_data(self):
+        # Three threads (more than this box has cores), one structure,
+        # sixty different right answers: a plan read off another
+        # thread's patch would show.
+        sizes = [[4.0 + 0.01 * k for k in range(20)],
+                 [4.205 - 0.01 * k for k in range(20)],
+                 [4.0025 + 0.01 * k for k in range(20)]]
+
+        def reference(series):
+            solver = IncrementalSolver()
+            solver.solve(make_problem())
+            return [solver.solve(make_problem(input_gb=gb)).objective_value
+                    for gb in series]
+
+        expected = [reference(series) for series in sizes]
+        assert len({round(v, 7) for series in expected for v in series}) == 60
+
+        solver = IncrementalSolver()
+        solver.solve(make_problem())
+        barrier = threading.Barrier(len(sizes))
+        got = [[] for _ in sizes]
+
+        def replan(slot):
+            barrier.wait(30.0)
+            for gb in sizes[slot]:
+                got[slot].append(
+                    solver.solve(make_problem(input_gb=gb)).objective_value
+                )
+
+        threads = [
+            threading.Thread(target=replan, args=(slot,))
+            for slot in range(len(sizes))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert solver.stats.warm == 60
+        for slot in range(len(sizes)):
+            assert got[slot] == pytest.approx(expected[slot], rel=2e-8)

@@ -279,6 +279,67 @@ class TestServe:
         assert "cannot read" in capsys.readouterr().err
 
 
+class TestServeKeepsItsStdout:
+    """A cold MILP solve points fd 1 at a sink while HiGHS runs; with a
+    thread/inline pool that is the fd ``serve`` answers on."""
+
+    def test_response_printed_while_a_solve_holds_fd1_muted(
+        self, capfd, monkeypatch
+    ):
+        import sys
+        import threading
+
+        from repro import cli
+        from repro.lp import Model, VarType, scipy_backend
+
+        # pytest's own sys.stdout does not sit on fd 1; a real one does.
+        monkeypatch.setattr(sys, "stdout", open(1, "w", closefd=False))
+        m = Model()
+        x = m.add_var("x", ub=4, vtype=VarType.INTEGER)
+        m.maximize(x)
+        compiled = m.compile()
+
+        inside, release = threading.Event(), threading.Event()
+        milp = scipy_backend.milp
+
+        def held(**kwargs):
+            inside.set()
+            assert release.wait(30.0)
+            return milp(**kwargs)
+
+        monkeypatch.setattr(scipy_backend, "milp", held)
+        with cli._own_stdout() as out:  # taken before the first solve
+            solver = threading.Thread(
+                target=scipy_backend.solve, args=(compiled, 30.0)
+            )
+            solver.start()
+            assert inside.wait(30.0)
+
+            def respond():
+                print("response on the process's fd 1", flush=True)
+                print("response on serve's own fd", file=out, flush=True)
+
+            responder = threading.Thread(target=respond)
+            responder.start()
+            responder.join(30.0)
+            release.set()
+            solver.join(30.0)
+        captured = capfd.readouterr().out
+        assert "response on serve's own fd" in captured
+        # The line the old code printed went down with HiGHS's noise.
+        assert "response on the process's fd 1" not in captured
+
+    def test_stdout_without_a_descriptor_is_used_as_is(self, capsys):
+        import sys
+
+        from repro import cli
+
+        with cli._own_stdout() as out:
+            assert out is sys.stdout
+            print("captured", file=out, flush=True)
+        assert capsys.readouterr().out == "captured\n"
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         import pytest as _pytest

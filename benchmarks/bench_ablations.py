@@ -101,53 +101,3 @@ def test_ablation_interval_granularity(benchmark):
                 ("Δ", "cost", "variables", "solve"))
     # Finer intervals at least double the model size.
     assert plans["0.5 h"].model_stats["variables"] > 1.8 * plans["1.0 h"].model_stats["variables"]
-
-
-def test_ablation_presolve(benchmark):
-    """Presolve reductions on the Section-4 model (fixed columns from the
-    system state, singleton capacity rows, bound-implied rows)."""
-    from repro.core import PlanningProblem, SystemState, build_model
-    from repro.lp.presolve import presolve
-
-    def measure():
-        job = JOB
-        # A mid-flight re-planning state pins many columns: half the
-        # input uploaded, a quarter already mapped (mapped bytes leave
-        # the stored-input pool, which is what conservation requires).
-        state = SystemState(
-            hour=2.0,
-            source_remaining_gb=job.input_gb / 2,
-            stored_input={"ec2.m1.large": job.input_gb / 4},
-            map_done_gb=job.input_gb / 4,
-            stored_output={"ec2.m1.large": job.input_gb / 4 * job.map_output_ratio},
-        )
-        problem = PlanningProblem(
-            job=job,
-            services=public_cloud(),
-            network=NETWORK,
-            goal=Goal.min_cost(deadline_hours=6.0),
-            state=state,
-        )
-        built = build_model(problem)
-        compiled = built.model.compile()
-        result = presolve(compiled)
-        full = built.model.solve(backend="scipy")
-        reduced = built.model.solve(backend="scipy", presolve=True)
-        return compiled, result, full, reduced
-
-    compiled, result, full, reduced = once(benchmark, measure)
-
-    rows = [
-        ("columns", compiled.num_vars, result.reduced.num_vars),
-        ("rows", len(compiled.rows), len(result.reduced.rows)),
-        ("objective", f"${full.objective:.2f}", f"${reduced.objective:.2f}"),
-        ("solve", f"{full.solve_seconds:.2f}s", f"{reduced.solve_seconds:.2f}s"),
-    ]
-    print_table("Ablation: presolve on a re-planning model", rows,
-                ("metric", "full", "presolved"))
-
-    assert not result.infeasible
-    assert result.reduced.num_vars < compiled.num_vars
-    assert len(result.reduced.rows) < len(compiled.rows)
-    # Identical optimum either way.
-    assert reduced.objective == pytest.approx(full.objective, rel=1e-4)

@@ -11,7 +11,7 @@ aggregate the ledger into the paper's stacked-bar categories.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 

@@ -24,7 +24,7 @@ The vocabulary:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Mapping
 
 #: The wire-format version this build speaks.

@@ -492,8 +492,9 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit", type=float, default=180.0,
                         help="solver cut-off ceiling in seconds")
     parser.add_argument("--incremental", action="store_true",
-                        help="warm-start structurally repeated solves "
-                        "(thread/inline pools; see docs/solver.md)")
+                        help="warm-start structurally repeated solves; "
+                        "needs --pool thread|inline, refused with the "
+                        "default process pool (see docs/solver.md)")
     parser.add_argument("--max-pending-total", type=int, default=256,
                         help="admission bound on queued requests")
     parser.add_argument("--max-pending-per-tenant", type=int, default=64,
@@ -1053,7 +1054,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "incremental", False) and args.pool == "process":
+        # Process workers cannot share the retained solver state; the
+        # service would refuse the combination with a ValueError.
+        parser.error("--incremental needs --pool thread|inline "
+                     "(process workers cannot share warm solver state)")
     return args.handler(args)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..units import MB_PER_GB
 

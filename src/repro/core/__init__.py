@@ -173,4 +173,17 @@ __all__ = [
     "plan_pipeline",
     "predictor_suite",
     "run_pipeline_with_failures",
+    "ActualConditions",
+    "DeploymentResult",
+    "DeploymentScenario",
+    "FluidExecutor",
+    "IntervalOutcome",
+    "SpotScenarioResult",
+    "run_conductor",
+    "run_hadoop_direct",
+    "run_hadoop_s3",
+    "run_hadoop_upload_first",
+    "run_regular_baseline",
+    "run_spot_scenario",
+    "spot_services",
 ]

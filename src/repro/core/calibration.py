@@ -20,13 +20,12 @@ methods."  This module is that method, built on the unchanged core:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..cloud.services import ServiceDescription
 from .conditions import ActualConditions
 from .controller import ControllerResult, JobController
-from .executor import IntervalOutcome
 from .problem import Goal, NetworkConditions, PlannerJob
 
 _EPS = 1e-9

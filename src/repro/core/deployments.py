@@ -22,22 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..cloud.catalog import ec2_m1_large, local_cluster, s3
+from ..cloud.catalog import ec2_m1_large, s3
 from ..cloud.services import ServiceDescription
-from ..mapreduce.cluster import (
-    CLIENT_SITE,
-    S3_SITE,
-    Cluster,
-    SimNode,
-    build_topology,
-    wire_node,
-)
+from ..mapreduce.cluster import CLIENT_SITE, Cluster, SimNode, build_topology, wire_node
 from ..mapreduce.engine import MapReduceEngine
-from ..mapreduce.hdfs import (
-    CONDUCTOR_CHUNK_OVERHEAD_S,
-    HDFS_CHUNK_OVERHEAD_S,
-    build_hdfs,
-)
+from ..mapreduce.hdfs import CONDUCTOR_CHUNK_OVERHEAD_S, build_hdfs
 from ..mapreduce.job import MapReduceJob
 from ..mapreduce.scheduler import HadoopScheduler, LocationAwareScheduler
 from ..sim import FluidNetwork, Simulation
@@ -46,7 +35,7 @@ from ..storage.blocks import LocationRecord
 from ..storage.client import StorageClient
 from ..storage.filesystem import ConductorFileSystem
 from ..storage.namenode import Namenode
-from ..units import MB_PER_GB, gb_h_to_mb_s, mbit_s_to_mb_s, seconds_to_hours
+from ..units import MB_PER_GB, mbit_s_to_mb_s, seconds_to_hours
 from ..accounting import CostCategory, CostLedger
 from .plan import ExecutionPlan
 from .planner import Planner
@@ -352,7 +341,7 @@ def run_hadoop_upload_first(
     sim.run_until_idle()
     upload_s = upload_done[0]
 
-    extra = sub.allocate_nodes(scenario.ec2, nodes - 1)
+    sub.allocate_nodes(scenario.ec2, nodes - 1)
     # Processing reads from HDFS: merge its backend into the engine client.
     client = StorageClient(
         sim, sub.network, hdfs.namenode,

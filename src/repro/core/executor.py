@@ -15,14 +15,13 @@ it is never "made up" by off-plan scheduling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..cloud.services import ServiceDescription
 from ..accounting import CostCategory, CostLedger
 from .conditions import ActualConditions
 from .plan import PlanInterval
-from .problem import PlannerJob, PlanningProblem, SystemState
+from .problem import PlanningProblem, SystemState
 
 _EPS = 1e-9
 
@@ -92,7 +91,6 @@ class FluidExecutor:
         Mutates ``state`` in place (stocks, progress counters, the clock)
         and appends every charge to the ledger.
         """
-        problem = self.problem
         job = self.job
         delta = interval.duration_hours
         hour = state.hour

@@ -26,13 +26,12 @@ The formulation follows the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 from ..cloud.services import UNLIMITED, ServiceDescription, validate_catalog
 from ..lp import LinExpr, Model, Solution, VarType, lin_sum
 from .plan import ExecutionPlan, PlanInterval
-from .problem import GoalKind, PlanningProblem, SystemState
+from .problem import GoalKind, PlanningProblem
 
 _EPS = 1e-6
 #: Objective weight that makes one saved interval dominate any cost change
@@ -103,15 +102,20 @@ class BuiltModel:
         return self.model.solve(time_limit=time_limit, mip_gap=mip_gap)
 
     def extract_plan(self, solution: Solution) -> ExecutionPlan:
-        """Convert a feasible solution into a deployable plan."""
+        """Convert a feasible solution into a deployable plan.
+
+        The one place a solve without a solution becomes a
+        :class:`PlanningError`: every cold path is
+        ``built.extract_plan(built.solve(limit, gap))``.
+        """
+        problem = self.problem
         if not solution.status.has_solution:
             raise PlanningError(
-                f"no solution to extract (status={solution.status.value}: "
-                f"{solution.message})",
+                f"planning failed for {problem.job.name!r}: "
+                f"{solution.status.value} ({solution.message})",
                 status=solution.status.value,
-                budgeted=self.problem.goal.budget_usd is not None,
+                budgeted=problem.goal.budget_usd is not None,
             )
-        problem = self.problem
         delta = problem.interval_hours
         start = problem.effective_state.hour
         storage = [s.name for s in problem.storage_services()]
@@ -655,7 +659,6 @@ def _build_cost_terms(problem: PlanningProblem, **tables) -> dict[str, LinExpr]:
     Returns a mapping ``"{service}/{category}" -> LinExpr`` so plans can
     report the same stacked breakdown as the paper's Fig. 5.
     """
-    job = problem.job
     delta = problem.interval_hours
     horizon = problem.horizon_intervals
     storage = problem.storage_services()

@@ -19,8 +19,8 @@ module closes the loop:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .planner import Planner
 from .problem import Goal, GoalKind, NetworkConditions, PlannerJob, PlanningProblem, SystemState
 from .reliability import (
     ExpectedOutcome,
-    PipelineReliabilityModel,
     RetentionPolicy,
     StageProfile,
     StorageTier,

@@ -10,7 +10,6 @@ APIs (Section 5.2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 

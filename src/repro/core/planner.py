@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..cloud.services import ServiceDescription
-from .model_builder import BuiltModel, PlanningError, build_model
+from .model_builder import BuiltModel, build_model
 from .plan import ExecutionPlan
 from .problem import Goal, NetworkConditions, PlannerJob, PlanningProblem, SystemState
 
@@ -27,32 +27,13 @@ class Planner:
 
     time_limit: float = 180.0
     mip_gap: float = 0.01
-    backend: str = "auto"
-    #: Optional delta-aware solver (duck-typed: ``solve(problem,
-    #: time_limit) -> ExecutionPlan`` raising :class:`PlanningError`).
-    #: When set, ``plan`` delegates to it — this is how the service and
-    #: fleet layers drop the
-    #: :class:`~repro.service.incremental.IncrementalSolver` under a
-    #: plain ``Planner`` without the core importing upward.
-    solver: object | None = None
 
     def plan(self, problem: PlanningProblem) -> ExecutionPlan:
-        """Build and solve the model; raise :class:`PlanningError` when no
-        feasible deployment exists within the horizon."""
-        if self.solver is not None:
-            return self.solver.solve(problem, self.time_limit)
+        """Build and solve the model; raise
+        :class:`~repro.core.model_builder.PlanningError` when no feasible
+        deployment exists within the horizon."""
         built = build_model(problem)
-        solution = built.model.solve(
-            backend=self.backend, time_limit=self.time_limit, mip_gap=self.mip_gap
-        )
-        if not solution.status.has_solution:
-            raise PlanningError(
-                f"planning failed for {problem.job.name!r}: "
-                f"{solution.status.value} ({solution.message})",
-                status=solution.status.value,
-                budgeted=problem.goal.budget_usd is not None,
-            )
-        return built.extract_plan(solution)
+        return built.extract_plan(built.solve(self.time_limit, self.mip_gap))
 
     def build(self, problem: PlanningProblem) -> BuiltModel:
         """Expose the raw model (solving-time benchmarks, tests)."""

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 #: Tiers with loss probability below this are treated as durable anchors

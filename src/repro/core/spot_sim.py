@@ -15,7 +15,7 @@ from ..cloud.catalog import ec2_spot_m1_large, s3
 from ..cloud.services import ServiceDescription
 from ..cloud.spot import SpotTrace, summarize_costs
 from .conditions import ActualConditions
-from .controller import ControllerConfig, ControllerResult, JobController
+from .controller import ControllerResult, JobController
 from .predictor import SpotPredictor
 from .problem import Goal, NetworkConditions, PlannerJob
 

@@ -44,9 +44,9 @@ class CachingPlanner:
 
     Cache misses go to the incremental solver when one is active:
     ``incremental=None`` (the default) builds one automatically when
-    ``planner`` is a real :class:`Planner` (mirroring its time limit,
-    gap and backend); pass ``incremental=False`` to force every miss
-    through ``planner.plan`` unchanged, or a ready-made
+    ``planner`` is a real :class:`Planner` (mirroring its time limit and
+    gap); pass ``incremental=False`` to force every miss through
+    ``planner.plan`` unchanged, or a ready-made
     :class:`IncrementalSolver` to share/tune one.  Custom duck-typed
     planners (test stubs) never get a solver implicitly — their
     ``plan`` stays the only solve path.
@@ -73,7 +73,6 @@ class CachingPlanner:
             incremental = IncrementalSolver(
                 time_limit=self.planner.time_limit,
                 mip_gap=self.planner.mip_gap,
-                backend=self.planner.backend,
             )
         self.incremental: IncrementalSolver | None = (
             incremental if isinstance(incremental, IncrementalSolver) else None

@@ -5,9 +5,12 @@ solves it with CPLEX (Sections 4 and 4.8).  This package provides the
 equivalent substrate built from scratch:
 
 - :class:`Variable`, :class:`LinExpr`, :class:`Constraint` — the algebra.
-- :class:`Model` — container, semi-continuous lowering, solve dispatch.
-- scipy/HiGHS backend (production path) and a pure-Python two-phase
-  simplex with branch & bound (portable fallback / cross-check).
+- :class:`Model` — container, semi-continuous lowering, ``solve()``.
+- :mod:`~repro.lp.scipy_backend` — HiGHS, the solver: ``solve`` (cold
+  branch & bound) and ``HotLP`` (persistent LP for warm re-plans).
+- :mod:`~repro.lp.simplex_backend` — a pure-Python two-phase simplex with
+  branch & bound, kept as the reference oracle the tests cross-check
+  HiGHS against; ``Model.solve`` never calls it.
 
 Quick example::
 
@@ -29,7 +32,6 @@ from .model import (
     SolveStatus,
     SolverError,
 )
-from .presolve import PresolveResult, PresolveStats, presolve
 from .writers import save, write_lp, write_mps
 
 __all__ = [
@@ -37,8 +39,6 @@ __all__ = [
     "LinExpr",
     "Model",
     "ObjectiveSense",
-    "PresolveResult",
-    "PresolveStats",
     "Sense",
     "Solution",
     "SolveStatus",
@@ -46,7 +46,6 @@ __all__ = [
     "Variable",
     "VarType",
     "lin_sum",
-    "presolve",
     "save",
     "write_lp",
     "write_mps",

@@ -1,10 +1,9 @@
 """LP/MILP model container and solution objects.
 
 A :class:`Model` owns variables and constraints, lowers semi-continuous
-variables to binary indicators, and dispatches to a solver backend
-(scipy/HiGHS by default, the pure-Python simplex + branch & bound as a
-fallback).  This is the substrate standing in for CPLEX in the paper
-(Section 4.8).
+variables to binary indicators, and solves through scipy/HiGHS
+(:mod:`repro.lp.scipy_backend`).  This is the substrate standing in for
+CPLEX in the paper (Section 4.8).
 """
 
 from __future__ import annotations
@@ -51,11 +50,6 @@ class Solution:
     solve_seconds: float = 0.0
     backend: str = ""
     message: str = ""
-    #: Optimal simplex basis (standard-form column per row) for pure-LP
-    #: solves on basis-capable backends; feed back as ``start_basis`` to
-    #: warm-start a structurally identical re-solve.  ``None`` when the
-    #: backend does not expose one (HiGHS via ``scipy.optimize.milp``).
-    basis: tuple[int, ...] | None = None
 
     def __getitem__(self, var: Variable) -> float:
         return self.values[var]
@@ -118,8 +112,8 @@ class Model:
         self._sense = ObjectiveSense.MINIMIZE
         self._names: set[str] = set()
         #: Compiled matrix form, kept until the model is mutated so that
-        #: re-solving an unchanged model (the planning service's warm
-        #: BuiltModel path) skips the lowering pass.
+        #: solving a model already compiled (the incremental solver diffs
+        #: the matrix before it solves) skips the lowering pass.
         self._compiled: CompiledModel | None = None
         #: Variable bounds/types at compile time, used to detect in-place
         #: mutation (``var.ub = ...``) that bypasses the hooks above.
@@ -219,8 +213,7 @@ class Model:
         Variables mutated *in place* (``var.ub = ...``) bypass the
         explicit invalidation hooks, so the cache is revalidated against
         the live variable bounds on every call — a stale compiled matrix
-        here would silently serve the planning service's warm
-        ``BuiltModel`` path wrong bounds.
+        here would silently solve under the wrong bounds.
         """
         if self._compiled is not None:
             if self._compiled_bounds == self._bounds_signature():
@@ -303,93 +296,26 @@ class Model:
     # -- solving ----------------------------------------------------------
 
     def solve(
-        self,
-        backend: str = "auto",
-        time_limit: float | None = 180.0,
-        mip_gap: float = 0.01,
-        presolve: bool = False,
-        start_basis: tuple[int, ...] | None = None,
+        self, time_limit: float | None = 180.0, mip_gap: float = 0.01
     ) -> Solution:
-        """Solve the model and return a :class:`Solution`.
+        """Solve the model with HiGHS and return a :class:`Solution`.
 
         Parameters
         ----------
-        backend:
-            ``"auto"`` (scipy/HiGHS when importable, else pure Python),
-            ``"scipy"``, or ``"simplex"`` (pure-Python simplex + B&B).
         time_limit:
             Wall-clock cut-off in seconds.  Defaults to 180 s, the paper's
             three-minute bound on CPLEX solving time (Section 4.8).
         mip_gap:
             Relative MIP gap at which to stop; the paper configured CPLEX
             to stop within 1% of optimal (Section 6.6).
-        presolve:
-            Apply :mod:`repro.lp.presolve` reductions before dispatching
-            (fixed columns, singleton/redundant rows).  HiGHS presolves
-            internally, so this mainly helps the pure-Python backend and
-            the re-planning path, where the system state pins many
-            columns.
-        start_basis:
-            Optimal basis of a prior pure-LP solve on an identically
-            shaped model; basis-capable backends warm-start phase 2 from
-            it and fall back to a cold solve when it no longer applies.
-            Incompatible with ``presolve`` (the reduction renumbers
-            columns).
         """
-        if start_basis is not None and presolve:
-            raise ValueError("start_basis cannot be combined with presolve")
+        from . import scipy_backend  # imports this module
+
         compiled = self.compile()
         start = time.perf_counter()
-        reduction = None
-        if presolve:
-            from .presolve import presolve as run_presolve
-
-            reduction = run_presolve(compiled)
-            if reduction.infeasible:
-                return Solution(
-                    status=SolveStatus.INFEASIBLE,
-                    backend="presolve",
-                    message="infeasibility proven during presolve",
-                    solve_seconds=time.perf_counter() - start,
-                )
-            compiled = reduction.reduced
-        if backend == "auto":
-            try:
-                from . import scipy_backend
-
-                solution = scipy_backend.solve(
-                    compiled, time_limit, mip_gap, start_basis=start_basis
-                )
-            except ImportError:  # pragma: no cover - scipy is a hard dep
-                from . import simplex_backend
-
-                solution = simplex_backend.solve(
-                    compiled, time_limit, start_basis=start_basis
-                )
-        elif backend == "scipy":
-            from . import scipy_backend
-
-            solution = scipy_backend.solve(
-                compiled, time_limit, mip_gap, start_basis=start_basis
-            )
-        elif backend == "simplex":
-            from . import simplex_backend
-
-            solution = simplex_backend.solve(
-                compiled, time_limit, start_basis=start_basis
-            )
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-
+        solution = scipy_backend.solve(compiled, time_limit, mip_gap)
         solution.solve_seconds = time.perf_counter() - start
         if solution.status.has_solution:
-            if reduction is not None:
-                # Original compiled columns 0..n-1 are self.variables in
-                # order (lowering binaries come after), so fixed original
-                # columns map straight back to model variables.
-                for col, value in reduction.fixed_values.items():
-                    if col < len(self.variables):
-                        solution.values[self.variables[col]] = value
             solution.values = {
                 var: solution.values.get(var, 0.0) for var in self.variables
             }

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,33 +54,50 @@ _hs, _Highs = _resolve_bindings()
 HAS_BASIS = _Highs is not None
 
 
+#: Overlapping ``_muted_stdout`` entries (solver threads run cold solves
+#: concurrently) and what the first of them set aside: the fd it
+#: redirected and a dup of where that fd really pointed.
+_mute_lock = threading.Lock()
+_mute_depth = 0
+_mute_saved: tuple[int, int] | None = None
+
+
 @contextlib.contextmanager
 def _muted_stdout():
     """Silence HiGHS's C-level printf noise during a solve.
 
     HiGHS 1.x prints internal notes (e.g. ``HighsMipSolverData::...``)
     straight to file descriptor 1, bypassing ``sys.stdout``; redirect
-    the fd itself for the duration of the call.  Pytest's capture can
+    the fd itself for the duration of the call.  The fd is process-wide,
+    so overlapping solves share one redirection: the first entrant points
+    it at a sink, the last leaver restores it.  Pytest's capture can
     replace ``sys.stdout`` with an object without ``fileno``; fall back
     to no-op muting there (the noise only matters on real terminals).
     """
+    global _mute_depth, _mute_saved
     try:
         stdout_fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):
         yield
         return
-    sys.stdout.flush()
-    saved_fd = os.dup(stdout_fd)
+    with _mute_lock:
+        if _mute_depth == 0:
+            sys.stdout.flush()
+            _mute_saved = (stdout_fd, os.dup(stdout_fd))
+            with tempfile.TemporaryFile() as sink:
+                os.dup2(sink.fileno(), stdout_fd)
+        _mute_depth += 1
     try:
-        with tempfile.TemporaryFile() as sink:
-            os.dup2(sink.fileno(), stdout_fd)
-            try:
-                yield
-            finally:
-                sys.stdout.flush()
-                os.dup2(saved_fd, stdout_fd)
+        yield
     finally:
-        os.close(saved_fd)
+        with _mute_lock:
+            _mute_depth -= 1
+            if _mute_depth == 0:
+                muted_fd, saved_fd = _mute_saved
+                sys.stdout.flush()
+                os.dup2(saved_fd, muted_fd)
+                os.close(saved_fd)
+
 
 #: HiGHS status codes (scipy's ``result.status``) mapped to our statuses.
 _STATUS_MAP = {
@@ -95,14 +113,11 @@ def solve(
     compiled: CompiledModel,
     time_limit: float | None = None,
     mip_gap: float = 0.01,
-    start_basis: tuple[int, ...] | None = None,
 ) -> Solution:
     """Solve a compiled model and return a :class:`Solution`.
 
     The returned solution's ``values`` only cover original model variables;
-    auxiliary lowering columns are dropped.  ``start_basis`` is accepted
-    for signature parity with the simplex backend and ignored: ``milp``
-    takes no basis (hot starts live in :class:`HotLP`).
+    auxiliary lowering columns are dropped.
     """
     n = compiled.num_vars
     c = _dense_cost(compiled.objective, n)

@@ -1,11 +1,10 @@
 """Pure-Python two-phase primal simplex on a dense tableau.
 
-This is the portable fallback engine underneath the LP substrate: it solves
+The reference oracle the tests cross-check HiGHS against: it solves
 ``min c x  s.t.  A x = b, x >= 0`` after the caller converts general bounds
 and inequality rows to standard form (see :mod:`repro.lp.simplex_backend`).
-It uses Bland's rule to guarantee termination and is intended for the small
-models exercised by tests and cross-validation against HiGHS — the planner's
-production path uses the scipy backend.
+It uses Bland's rule to guarantee termination and only handles the small
+models those tests build — nothing on the planning path calls it.
 """
 
 from __future__ import annotations
@@ -30,12 +29,6 @@ class SimplexResult:
     objective: float = math.nan
     x: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterations: int = 0
-    #: Optimal basis (standard-form column index per row) when the solve
-    #: ended OPTIMAL — feed it back as ``start_basis`` to warm-start a
-    #: re-solve of the same structure with patched data.
-    basis: tuple[int, ...] | None = None
-    #: True when the solve skipped phase 1 entirely (warm start accepted).
-    warm_started: bool = False
 
 
 _EPS = 1e-9
@@ -46,19 +39,12 @@ def solve_standard_form(
     a_eq: np.ndarray,
     b_eq: np.ndarray,
     max_iterations: int = 20_000,
-    start_basis: tuple[int, ...] | None = None,
 ) -> SimplexResult:
     """Solve ``min c x  s.t.  a_eq x = b_eq, x >= 0``.
 
     Phase 1 drives artificial variables out of the basis; phase 2 optimizes
     the real objective.  Rows with negative right-hand side are flipped so
     artificials start feasible.
-
-    ``start_basis`` (the ``basis`` of a previous result on an identically
-    shaped system) warm-starts phase 2 directly from the old basis.  If the
-    basis is no longer valid under the new data — singular, or primal
-    infeasible after a bound/RHS patch — the solve transparently falls back
-    to the full two-phase method (the phase-1 repair path).
     """
     a = np.array(a_eq, dtype=float, copy=True)
     b = np.array(b_eq, dtype=float, copy=True)
@@ -66,11 +52,6 @@ def solve_standard_form(
     m, n = a.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent simplex dimensions")
-
-    if start_basis is not None:
-        warm = _warm_phase2(c, a, b, start_basis, max_iterations)
-        if warm is not None:
-            return warm
 
     negative = b < 0
     a[negative] *= -1.0
@@ -126,58 +107,6 @@ def solve_standard_form(
         objective=float(c @ x),
         x=x,
         iterations=iterations + int(more),
-        basis=tuple(basis),
-    )
-
-
-def _warm_phase2(
-    c: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    start_basis: tuple[int, ...],
-    max_iterations: int,
-) -> SimplexResult | None:
-    """Phase 2 straight from a prior basis; ``None`` means "repair via
-    phase 1" (cold two-phase restart).
-
-    The basis must name one column per row, the basis matrix must be
-    invertible, and the implied basic solution must be primal feasible
-    under the (possibly patched) right-hand side.  Anything else is left
-    to the cold path — a full phase-1 restart is the repair strategy, and
-    redundant-row systems (whose cold basis is shorter than ``m``) always
-    take it.
-    """
-    m, n = a.shape
-    basis = [int(j) for j in start_basis]
-    if len(basis) != m or len(set(basis)) != m:
-        return None
-    if any(not 0 <= j < n for j in basis):
-        return None
-    try:
-        binv = np.linalg.inv(a[:, basis])
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(binv)):
-        return None
-    rhs = binv @ b
-    if np.any(rhs < -1e-7):
-        return None  # patched bounds broke primal feasibility
-    tableau = np.hstack([binv @ a, np.clip(rhs, 0.0, None).reshape(-1, 1)])
-    more = _optimize(tableau, basis, np.concatenate([c, [0.0]]), max_iterations)
-    if more < 0:
-        return SimplexResult(LpStatus.ITERATION_LIMIT, warm_started=True)
-    if more == math.inf:
-        return SimplexResult(LpStatus.UNBOUNDED, warm_started=True)
-    x = np.zeros(n)
-    for row, bv in enumerate(basis):
-        x[bv] = tableau[row, -1]
-    return SimplexResult(
-        LpStatus.OPTIMAL,
-        objective=float(c @ x),
-        x=x,
-        iterations=int(more),
-        basis=tuple(basis),
-        warm_started=True,
     )
 
 

@@ -3,8 +3,8 @@
 Converts a :class:`repro.lp.model.CompiledModel` (ranged rows, general
 bounds, integrality flags) into the equality standard form consumed by
 :mod:`repro.lp.simplex`, and layers a best-first branch & bound on top for
-integer columns.  Used when scipy is unavailable and for cross-validating
-the HiGHS backend in tests.
+integer columns.  The reference oracle ``tests/lp`` cross-checks the HiGHS
+backend against; :meth:`Model.solve` never dispatches here.
 """
 
 from __future__ import annotations
@@ -34,31 +34,16 @@ class _StandardForm:
     num_original: int
 
 
-def solve(
-    compiled: CompiledModel,
-    time_limit: float | None = None,
-    start_basis: tuple[int, ...] | None = None,
-) -> Solution:
-    """Solve a compiled model with the pure-Python engine.
-
-    For pure LPs the result carries the optimal standard-form basis
-    (``Solution.basis``); passing it back as ``start_basis`` on a
-    structurally identical model (same rows/sparsity/bound finiteness, so
-    the standard-form layout matches) skips phase 1.  Branch & bound only
-    uses the basis for the root relaxation — node relaxations layer extra
-    bounds, which changes the standard-form shape.
-    """
+def solve(compiled: CompiledModel, time_limit: float | None = None) -> Solution:
+    """Solve a compiled model with the pure-Python engine."""
     deadline = None if time_limit is None else time.monotonic() + time_limit
     if any(compiled.integrality):
-        return _branch_and_bound(compiled, deadline, start_basis)
-    status, objective, values, basis = _solve_relaxation(
-        compiled, {}, {}, start_basis
-    )
+        return _branch_and_bound(compiled, deadline)
+    status, objective, values = _solve_relaxation(compiled, {}, {})
     solution = Solution(status=status, backend="simplex")
     if status.has_solution:
         solution.values = _to_variable_map(compiled, values)
         solution.objective = _signed_objective(compiled, objective)
-        solution.basis = basis
     return solution
 
 
@@ -78,23 +63,22 @@ def _solve_relaxation(
     compiled: CompiledModel,
     extra_lb: dict[int, float],
     extra_ub: dict[int, float],
-    start_basis: tuple[int, ...] | None = None,
-) -> tuple[SolveStatus, float, np.ndarray, tuple[int, ...] | None]:
+) -> tuple[SolveStatus, float, np.ndarray]:
     """Solve the LP relaxation with branching bounds layered on top."""
     form = _to_standard_form(compiled, extra_lb, extra_ub)
     if form is None:
-        return SolveStatus.INFEASIBLE, math.nan, np.zeros(0), None
-    result = solve_standard_form(form.c, form.a, form.b, start_basis=start_basis)
+        return SolveStatus.INFEASIBLE, math.nan, np.zeros(0)
+    result = solve_standard_form(form.c, form.a, form.b)
     if result.status is LpStatus.INFEASIBLE:
-        return SolveStatus.INFEASIBLE, math.nan, np.zeros(0), None
+        return SolveStatus.INFEASIBLE, math.nan, np.zeros(0)
     if result.status is LpStatus.UNBOUNDED:
-        return SolveStatus.UNBOUNDED, math.nan, np.zeros(0), None
+        return SolveStatus.UNBOUNDED, math.nan, np.zeros(0)
     if result.status is LpStatus.ITERATION_LIMIT:
         raise SolverError("simplex iteration limit exceeded")
     x = result.x[: form.num_original] + form.shift
     return SolveStatus.OPTIMAL, result.objective + float(
         compiled.objective_offset
-    ) + _shift_cost(compiled, form.shift), x, result.basis
+    ) + _shift_cost(compiled, form.shift), x
 
 
 def _shift_cost(compiled: CompiledModel, shift: np.ndarray) -> float:
@@ -188,14 +172,10 @@ def _to_standard_form(
     return _StandardForm(c=c, a=a, b=b, shift=shift, num_original=n)
 
 
-def _branch_and_bound(
-    compiled: CompiledModel,
-    deadline: float | None,
-    start_basis: tuple[int, ...] | None = None,
-) -> Solution:
+def _branch_and_bound(compiled: CompiledModel, deadline: float | None) -> Solution:
     """Best-first branch & bound over the simplex relaxation."""
     counter = itertools.count()
-    status, bound, x, _ = _solve_relaxation(compiled, {}, {}, start_basis)
+    status, bound, x = _solve_relaxation(compiled, {}, {})
     if not status.has_solution:
         return Solution(status=status, backend="simplex-bb")
 
@@ -212,7 +192,7 @@ def _branch_and_bound(
         node_bound, _, node_lb, node_ub = heapq.heappop(heap)
         if node_bound >= best_objective - 1e-9:
             continue
-        status, objective, x, _ = _solve_relaxation(compiled, node_lb, node_ub)
+        status, objective, x = _solve_relaxation(compiled, node_lb, node_ub)
         if status is not SolveStatus.OPTIMAL or objective >= best_objective - 1e-9:
             continue
         frac_col = _most_fractional(compiled, x)

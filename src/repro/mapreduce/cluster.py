@@ -10,12 +10,12 @@ engine route over: the client uplink, per-node NICs, and the S3 gateway.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..cloud.services import ServiceDescription
 from ..accounting import CostCategory, CostLedger
-from ..sim import FluidNetwork, Simulation, Topology
+from ..sim import Simulation, Topology
 from ..units import seconds_to_hours
 
 CLIENT_SITE = "client"

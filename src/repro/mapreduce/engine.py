@@ -11,8 +11,7 @@ result.  Completion series feed the paper's Fig. 12b.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..sim import Simulation

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..sim import FluidNetwork, Simulation
 from ..storage.backends import LocalDiskBackend
-from ..storage.blocks import Block, BlockId, LocationRecord
+from ..storage.blocks import Block, LocationRecord
 from ..storage.client import StorageClient
 from ..storage.filesystem import ConductorFileSystem
 from ..storage.namenode import Namenode

@@ -9,7 +9,7 @@ split, a fixed set of reduce tasks fed by the shuffle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..storage.blocks import BlockId
 

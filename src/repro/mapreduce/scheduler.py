@@ -16,7 +16,7 @@ from collections import defaultdict
 
 from ..storage.namenode import Namenode
 from .cluster import SimNode
-from .job import Task, TaskKind, TaskState
+from .job import Task, TaskState
 
 
 class Scheduler(abc.ABC):

@@ -15,7 +15,7 @@ MapReduce engine moves synthetic bytes, while these move actual records
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from .expressions import Flatten, as_condition
 from .logical import LogicalPlan

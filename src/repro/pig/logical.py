@@ -13,7 +13,7 @@ planner likewise runs off aggregate GB figures (Section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .operators import Load, Operator, PlanError, Store

@@ -13,7 +13,7 @@ MapReduce (see :mod:`repro.pig.compiler`).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .expressions import (

@@ -16,11 +16,11 @@ planner reason about whole pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Union
 
 from ..core.problem import PlannerJob
-from .logical import LogicalPlan, SizeEstimate
+from .logical import LogicalPlan
 
 
 @dataclass(frozen=True)

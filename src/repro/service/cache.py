@@ -1,8 +1,8 @@
 """Plan-cache machinery: a thread-safe LRU and the single-flight plan cache.
 
-:class:`LRUCache` backs the warm-model cache (fingerprint ->
-:class:`BuiltModel`) and the fleet's plan cache.  Entries are treated as
-immutable by convention; eviction is strict LRU.
+:class:`LRUCache` backs the incremental solver's retained structures
+and the fleet's plan cache.  Cached plans are treated as immutable by
+convention; eviction is strict LRU.
 
 :class:`SharedPlanCache` is the planning service's one plan cache
 (fingerprint -> :class:`ExecutionPlan`): that LRU plus a single-flight

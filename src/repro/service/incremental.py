@@ -32,9 +32,9 @@ in place and the LP re-runs from the basis it last stopped at:
   infeasible candidate, certification failure — falls back to a cold
   branch & bound, which replaces the entry (and with it the LP).
 
-Without a native HiGHS binding (``scipy_backend.HAS_BASIS`` false), and
-for ``backend="simplex"``, the same two LPs are rebuilt from the patched
-matrix and solved from scratch, one after the other.
+Without a native HiGHS binding (``scipy_backend.HAS_BASIS`` false) the
+same two LPs are rebuilt from the patched matrix and solved from
+scratch, one after the other.
 
 ``strict=True`` disables the memoized widening so a warm answer is only
 accepted when *proven* optimal against the root bound; the property
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from ..core.model_builder import BuiltModel, PlanningError, build_model
 from ..core.plan import ExecutionPlan
 from ..core.problem import PlanningProblem
-from ..lp import scipy_backend, simplex_backend
+from ..lp import scipy_backend
 from ..lp.incremental import CompiledDelta, diff_compiled
 from ..lp.model import CompiledModel, Solution, SolveStatus
 from ..lp.scipy_backend import LPRun
@@ -110,7 +110,7 @@ class _Entry:
     #: Minimized-space objective of that cold optimum.
     cold_objective: float
     #: Basis of the last optimal relaxation run (for a pure LP: of the
-    #: LP itself, seeded by a basis-capable cold solve).
+    #: LP itself).
     relax_basis: object = None
     #: Basis of the last optimal pinned-candidate run.
     pinned_basis: object = None
@@ -124,12 +124,12 @@ class _Entry:
 
 class _RebuiltLP:
     """:class:`~repro.lp.scipy_backend.HotLP`'s interface without a
-    native binding: every run is a from-scratch backend solve of the
-    retained matrix (which the caller has already patched)."""
+    native binding: every run is a from-scratch
+    :func:`~repro.lp.scipy_backend.solve` of the retained matrix (which
+    the caller has already patched), so no run yields a basis."""
 
-    def __init__(self, compiled: CompiledModel, solve) -> None:
+    def __init__(self, compiled: CompiledModel) -> None:
         self._compiled = compiled
-        self._solve = solve
         self._bounds: tuple = ((), (), ())
 
     def patch(self, delta: CompiledDelta) -> None:
@@ -143,7 +143,7 @@ class _RebuiltLP:
         lb, ub = list(compiled.var_lb), list(compiled.var_ub)
         for col, lo, hi in zip(*self._bounds):
             lb[col], ub[col] = lo, hi
-        solution = self._solve(
+        solution = scipy_backend.solve(
             replace(
                 compiled,
                 var_lb=lb,
@@ -151,7 +151,6 @@ class _RebuiltLP:
                 integrality=[False] * compiled.num_vars,
             ),
             time_limit,
-            start_basis=basis,
         )
         if solution.status is not SolveStatus.OPTIMAL:
             return LPRun(solution.status)
@@ -160,14 +159,13 @@ class _RebuiltLP:
             0.0 if var is None else solution.values.get(var, 0.0)
             for var in compiled.columns
         ]
-        return LPRun(solution.status, objective, x, solution.basis)
+        return LPRun(solution.status, objective, x)
 
 
 @dataclass
 class _Prepared:
     """One problem, built and bound to the entry retained for its key."""
 
-    problem: PlanningProblem
     built: BuiltModel
     compiled: CompiledModel
     key: str
@@ -182,8 +180,7 @@ def _own_copy(compiled: CompiledModel) -> CompiledModel:
     """A privately owned copy safe to patch in place.
 
     ``Model.compile()`` hands out its cached object; retaining that and
-    patching it would corrupt every other holder (the exact-fingerprint
-    model cache re-solves the same ``BuiltModel`` on warm hits).
+    patching it would corrupt the model it belongs to.
     """
     return replace(
         compiled,
@@ -219,7 +216,6 @@ class IncrementalSolver:
         self,
         time_limit: float = 180.0,
         mip_gap: float = 0.01,
-        backend: str = "auto",
         capacity: int = 32,
         gap_margin: float = 1.25,
         strict: bool = False,
@@ -227,7 +223,6 @@ class IncrementalSolver:
     ) -> None:
         self.time_limit = time_limit
         self.mip_gap = mip_gap
-        self.backend = backend
         self.gap_margin = gap_margin
         self.strict = strict
         self.metrics = metrics
@@ -294,7 +289,6 @@ class IncrementalSolver:
         built = build_model(problem)
         key = structural_fingerprint(problem)
         return _Prepared(
-            problem=problem,
             built=built,
             compiled=built.model.compile(),
             key=key,
@@ -410,14 +404,13 @@ class IncrementalSolver:
             for col, value in pins.items()
         )
 
-    def _load(self, compiled: CompiledModel):
+    @staticmethod
+    def _load(compiled: CompiledModel):
         """The LP a retained matrix is re-solved through: hot when a
         native HiGHS binding resolved, else rebuilt on every run."""
-        if self.backend not in ("auto", "scipy"):
-            return _RebuiltLP(compiled, simplex_backend.solve)
         if scipy_backend.HAS_BASIS:
             return scipy_backend.HotLP(compiled)
-        return _RebuiltLP(compiled, scipy_backend.solve)
+        return _RebuiltLP(compiled)
 
     def _finish(
         self, prepared: _Prepared, x: list[float], seconds: float
@@ -447,19 +440,8 @@ class IncrementalSolver:
     def _solve_cold(self, prepared: _Prepared, kind: str) -> ExecutionPlan:
         """Branch & bound from scratch, accounted under ``kind``."""
         built = prepared.built
-        solution = built.model.solve(
-            backend=self.backend,
-            time_limit=prepared.time_limit,
-            mip_gap=self.mip_gap,
-        )
+        solution = built.solve(prepared.time_limit, self.mip_gap)
         self._count(kind)
-        if not solution.status.has_solution:
-            raise PlanningError(
-                f"planning failed for {prepared.problem.job.name!r}: "
-                f"{solution.status.value} ({solution.message})",
-                status=solution.status.value,
-                budgeted=prepared.problem.goal.budget_usd is not None,
-            )
         if solution.status is SolveStatus.OPTIMAL:
             self._retain(prepared, solution)
         return built.extract_plan(solution)
@@ -486,7 +468,6 @@ class IncrementalSolver:
                 cold_objective=(
                     -solution.objective if compiled.negated else solution.objective
                 ),
-                relax_basis=solution.basis,
             ),
         )
 

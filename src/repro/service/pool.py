@@ -6,12 +6,9 @@ in threads / inline for tests and small deployments.  Each request
 carries a time budget that caps the solver's own cut-off (the paper's
 three-minute CPLEX bound is the default ceiling).
 
-Thread and inline modes additionally reuse warm :class:`BuiltModel`
-objects through a fingerprint-keyed cache: a request whose plan was
-evicted but whose model is still around skips the model-generation pass,
-and the LP layer's compiled-matrix cache then makes the re-solve start
-immediately.  (Process workers rebuild — shipping a model across a
-process boundary costs more than generating it.)
+Thread and inline workers can instead route their solves through an
+:class:`~repro.service.incremental.IncrementalSolver`, which restarts
+structurally repeated problems warm.
 """
 
 from __future__ import annotations
@@ -20,47 +17,24 @@ import concurrent.futures
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 
-from ..core.model_builder import BuiltModel, PlanningError, build_model
+from ..core.model_builder import build_model
 from ..core.plan import ExecutionPlan
 from ..core.problem import PlanningProblem
-from .cache import LRUCache
 
 #: Supported execution modes.
 MODES = ("process", "thread", "inline")
 
 
 def solve_problem(
-    problem: PlanningProblem,
-    time_limit: float = 180.0,
-    mip_gap: float = 0.01,
-    backend: str = "auto",
+    problem: PlanningProblem, time_limit: float = 180.0, mip_gap: float = 0.01
 ) -> ExecutionPlan:
-    """Cold solve: build the model and solve it (process-worker entry).
+    """The cold path: build the model, solve it, extract the plan (or
+    raise :class:`~repro.core.model_builder.PlanningError`).
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it.
     """
     built = build_model(problem)
-    return _solve_built(built, problem, time_limit, mip_gap, backend)
-
-
-def _solve_built(
-    built: BuiltModel,
-    problem: PlanningProblem,
-    time_limit: float,
-    mip_gap: float,
-    backend: str,
-) -> ExecutionPlan:
-    solution = built.model.solve(
-        backend=backend, time_limit=time_limit, mip_gap=mip_gap
-    )
-    if not solution.status.has_solution:
-        raise PlanningError(
-            f"planning failed for {problem.job.name!r}: "
-            f"{solution.status.value} ({solution.message})",
-            status=solution.status.value,
-            budgeted=problem.goal.budget_usd is not None,
-        )
-    return built.extract_plan(solution)
+    return built.extract_plan(built.solve(time_limit, mip_gap))
 
 
 class SolverPool:
@@ -75,20 +49,14 @@ class SolverPool:
         the calling thread; concurrency 1 — deterministic, for tests).
     time_limit:
         Ceiling on any request's solver cut-off, seconds.
-    mip_gap, backend:
+    mip_gap:
         Passed through to :meth:`Model.solve`.
-    model_cache:
-        Optional :class:`LRUCache` of warm ``BuiltModel`` objects, used
-        by thread/inline workers when the submit carries a fingerprint.
     incremental:
         Optional :class:`~repro.service.incremental.IncrementalSolver`.
         Thread/inline workers route their solves through it, so
         structurally repeated problems restart warm from the retained
-        matrix.  (Process workers cannot share its in-memory state and
-        always solve cold.)
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` receiving
-        ``model_cache.hit`` / ``model_cache.miss`` counters.
+        matrix.  Process workers cannot share its in-memory state, so
+        the combination is refused.
     """
 
     def __init__(
@@ -97,23 +65,22 @@ class SolverPool:
         mode: str = "process",
         time_limit: float = 180.0,
         mip_gap: float = 0.01,
-        backend: str = "auto",
-        model_cache: LRUCache | None = None,
         incremental=None,
-        metrics=None,
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown pool mode {mode!r}; pick one of {MODES}")
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
+        if incremental is not None and mode == "process":
+            raise ValueError(
+                "an incremental solver needs a thread or inline pool: "
+                "process workers cannot share its retained state"
+            )
         self.mode = mode
         self.max_workers = 1 if mode == "inline" else max_workers
         self.time_limit = time_limit
         self.mip_gap = mip_gap
-        self.backend = backend
-        self.model_cache = model_cache
         self.incremental = incremental
-        self.metrics = metrics
         self._lock = threading.Lock()
         self._executor: concurrent.futures.Executor | None = None
 
@@ -145,53 +112,21 @@ class SolverPool:
         return max(1e-3, min(self.time_limit, time_budget_s))
 
     def submit(
-        self,
-        problem: PlanningProblem,
-        fingerprint: str | None = None,
-        time_budget_s: float | None = None,
+        self, problem: PlanningProblem, time_budget_s: float | None = None
     ) -> "Future[ExecutionPlan]":
         """Schedule a solve; the future resolves to an ExecutionPlan or
         raises the solver's :class:`PlanningError`."""
         limit = self.effective_time_limit(time_budget_s)
-        if self.mode == "process":
-            executor = self._ensure_executor()
-            assert executor is not None
-            return executor.submit(
-                solve_problem, problem, limit, self.mip_gap, self.backend
-            )
-        if self.mode == "thread":
-            executor = self._ensure_executor()
-            assert executor is not None
-            return executor.submit(self._solve_warm, problem, fingerprint, limit)
+        if self.incremental is not None:
+            solve, args = self.incremental.solve, (problem, limit)
+        else:
+            solve, args = solve_problem, (problem, limit, self.mip_gap)
+        executor = self._ensure_executor()
+        if executor is not None:
+            return executor.submit(solve, *args)
         future: "Future[ExecutionPlan]" = Future()
         try:
-            future.set_result(self._solve_warm(problem, fingerprint, limit))
+            future.set_result(solve(*args))
         except BaseException as exc:  # noqa: BLE001 - forwarded to caller
             future.set_exception(exc)
         return future
-
-    def _solve_warm(
-        self,
-        problem: PlanningProblem,
-        fingerprint: str | None,
-        time_limit: float,
-    ) -> ExecutionPlan:
-        """Thread/inline worker: reuse warm solver state when available."""
-        if self.incremental is not None:
-            # The incremental solver subsumes the BuiltModel cache: it
-            # retains compiled matrices per structure and re-certifies
-            # the previous answer under the new data.
-            return self.incremental.solve(problem, time_limit)
-        built: BuiltModel | None = None
-        if self.model_cache is not None and fingerprint:
-            built = self.model_cache.get(fingerprint)
-            self._bump("model_cache.miss" if built is None else "model_cache.hit")
-        if built is None:
-            built = build_model(problem)
-            if self.model_cache is not None and fingerprint:
-                self.model_cache.put(fingerprint, built)
-        return _solve_built(built, problem, time_limit, self.mip_gap, self.backend)
-
-    def _bump(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).increment()

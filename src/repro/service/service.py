@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from ..core.plan import ExecutionPlan
 from ..core.problem import PlanningProblem
 from .broker import AdmissionError, RequestBroker
-from .cache import LRUCache, SharedPlanCache
+from .cache import SharedPlanCache
 from .fingerprint import problem_fingerprint
 from .metrics import ServiceMetrics
 from .pool import SolverPool
@@ -69,22 +69,21 @@ class ServiceConfig:
     pool_mode: str = "process"
     #: Plan-cache entries (fingerprint -> ExecutionPlan); 0 retains none.
     cache_capacity: int = 4096
-    #: Warm BuiltModel entries (thread/inline pools only).
-    model_cache_capacity: int = 32
     #: Admission bounds on what waits in the broker and the solve queue.
     max_pending_total: int = 256
     max_pending_per_tenant: int = 64
     #: Ceiling on any request's solver cut-off (paper Section 4.8).
     solver_time_limit_s: float = 180.0
     mip_gap: float = 0.01
-    backend: str = "auto"
     #: Route thread/inline solves through the delta-aware
     #: :class:`~repro.service.incremental.IncrementalSolver`: requests
     #: that are structurally identical to an earlier solve (same
     #: horizon/services, different numbers) restart warm and may be
     #: answered by re-certifying the previous plan within ``mip_gap``.
     #: Off by default — the stock service answers every distinct request
-    #: with its own cold solve.
+    #: with its own cold solve.  Needs ``pool_mode`` ``"thread"`` or
+    #: ``"inline"``: process workers cannot share the retained state, so
+    #: the service refuses to start with ``"process"``.
     incremental: bool = False
     #: Route *every* admitted request through the broker queue, cache
     #: hits included.  The default fast path answers cache hits
@@ -131,7 +130,6 @@ class PlanningService:
         #: queues together, and a ticket once admitted is never refused.
         self.solve_queue = RequestBroker(sys.maxsize, sys.maxsize)
         self.plan_cache = SharedPlanCache(self.config.cache_capacity)
-        self.model_cache: LRUCache = LRUCache(self.config.model_cache_capacity)
         self.incremental = None
         if self.config.incremental:
             from .incremental import IncrementalSolver
@@ -139,7 +137,6 @@ class PlanningService:
             self.incremental = IncrementalSolver(
                 time_limit=self.config.solver_time_limit_s,
                 mip_gap=self.config.mip_gap,
-                backend=self.config.backend,
                 metrics=self.metrics.registry,
             )
         self.pool = SolverPool(
@@ -147,10 +144,7 @@ class PlanningService:
             mode=self.config.pool_mode,
             time_limit=self.config.solver_time_limit_s,
             mip_gap=self.config.mip_gap,
-            backend=self.config.backend,
-            model_cache=self.model_cache,
             incremental=self.incremental,
-            metrics=self.metrics.registry,
         )
         self._slots = threading.Semaphore(self.pool.max_workers)
         #: Rolling estimate of broker queue wait (written only by the
@@ -387,9 +381,7 @@ class PlanningService:
         budgeted = budget is not None
         ticket.dispatched_at = time.perf_counter()
         try:
-            future = self.pool.submit(
-                ticket.request.problem, ticket.fingerprint, budget
-            )
+            future = self.pool.submit(ticket.request.problem, budget)
         except BaseException as exc:
             # A broken pool must not leak the slot or strand the joiners.
             self._slots.release()

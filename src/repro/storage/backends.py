@@ -15,7 +15,6 @@ chunk operation.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 
 from .blocks import Block, BlockId
 

@@ -9,9 +9,7 @@ replication bookkeeping the replication manager acts on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .backends import StorageBackend, StorageError
+from .backends import StorageError
 from .blocks import Block, BlockId, LocationRecord
 
 

@@ -20,11 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..mapreduce.hdfs import (
-    CONDUCTOR_CHUNK_OVERHEAD_S,
-    HDFS_CHUNK_OVERHEAD_S,
-    build_hdfs,
-)
+from ..mapreduce.hdfs import CONDUCTOR_CHUNK_OVERHEAD_S, build_hdfs
 from ..sim import FluidNetwork, Simulation, Topology
 from ..units import MB_PER_GB
 from .backends import LocalDiskBackend, ObjectStoreBackend
@@ -32,7 +28,6 @@ from .blocks import LocationRecord
 from .client import StorageClient
 from .filesystem import ConductorFileSystem
 from .namenode import Namenode
-from .replication import ReplicationManager
 
 #: 2011-era component characteristics (MB/s).
 EBS_READ_MB_S = 25.0
@@ -114,7 +109,6 @@ def measure_conductor(total_gb: float = 32.0, chunk_mb: float = 64.0, nodes: int
         backend.add_node(f"node-{i}")
     client = StorageClient(sim, network, namenode, {"local-disk": backend})
     fs = ConductorFileSystem(namenode, client, chunk_mb=chunk_mb)
-    manager = ReplicationManager(namenode, client, replication_factor=3)
     inode = fs.create("/bench/data", total_gb * MB_PER_GB)
 
     done = []

@@ -14,7 +14,6 @@ throughput calibration (0.44 GB/h per m1.large with 10 k references;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

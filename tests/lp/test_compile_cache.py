@@ -45,6 +45,23 @@ class TestCompileCache:
         assert second is not first
         assert second.negated != first.negated
 
+    def test_bound_mutated_in_place_forces_a_recompile(self):
+        # ``var.ub = ...`` bypasses every invalidation hook; the cache is
+        # revalidated against the live bounds, so the next compile (and
+        # solve) must see the tightened bound, not the stale matrix.
+        m = toy_model()
+        x = m.variables[0]
+        first = m.compile()
+        assert m.solve().objective == pytest.approx(14.0)
+        x.ub = 1.0
+        second = m.compile()
+        assert second is not first
+        assert second.var_ub[x.index] == 1.0
+        solution = m.solve()
+        assert solution.value(x) <= 1.0 + 1e-9
+        assert solution.objective == pytest.approx(3 * 1 + 2 * 2.5)
+        assert m.compile() is second
+
     def test_resolve_after_mutation_sees_new_model(self):
         m = toy_model()
         x, y = m.variables

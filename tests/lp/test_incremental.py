@@ -1,5 +1,5 @@
 """The diffing layer: classify model changes as patchable data deltas or
-structural breaks, and warm-start the simplex from a retained basis."""
+structural breaks, and solve a patched matrix like a freshly compiled one."""
 
 import copy
 
@@ -145,56 +145,6 @@ class TestApply:
         assert structural_signature(base) != structural_signature(extra.compile())
 
 
-class TestWarmSimplex:
-    def test_solution_carries_a_basis(self):
-        solution = simplex_backend.solve(small_lp().compile())
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.basis is not None and len(solution.basis) > 0
-
-    def test_warm_restart_reproduces_the_optimum(self):
-        compiled = small_lp().compile()
-        cold = simplex_backend.solve(compiled)
-        warm = simplex_backend.solve(compiled, start_basis=cold.basis)
-        assert warm.status is SolveStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-
-    def test_warm_start_on_patched_data_matches_cold(self):
-        base = copy.deepcopy(small_lp().compile())
-        seed = simplex_backend.solve(base)
-        for mutate in (dict(cost=(4.0, 1.5)), dict(rhs=12.0), dict(ub=6.0)):
-            target = small_lp(**mutate).compile()
-            delta = diff_compiled(base, target)
-            delta.apply(base)
-            warm = simplex_backend.solve(base, start_basis=seed.basis)
-            cold = simplex_backend.solve(target)
-            assert warm.status is cold.status is SolveStatus.OPTIMAL
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-
-    def test_stale_basis_repairs_through_phase_one(self):
-        # Tighten the bounds until the seed basis is primal-infeasible:
-        # the warm path must repair (or restart) and still find the optimum.
-        seed = simplex_backend.solve(small_lp().compile())
-        tight = small_lp(rhs=6.0, ub=2.5).compile()
-        warm = simplex_backend.solve(tight, start_basis=seed.basis)
-        cold = simplex_backend.solve(tight)
-        assert warm.status is cold.status is SolveStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-
-    def test_milp_accepts_a_root_basis(self):
-        m = Model()
-        xs = m.add_vars("x", 3, ub=3, vtype=VarType.INTEGER)
-        m.add_constr(2 * xs[0] + 3 * xs[1] + xs[2] <= 7)
-        m.maximize(3 * xs[0] + 4 * xs[1] + xs[2])
-        compiled = m.compile()
-        relaxed = copy.deepcopy(compiled)
-        relaxed.integrality = [False] * len(relaxed.integrality)
-        root = simplex_backend.solve(relaxed)
-        warm = simplex_backend.solve(compiled, start_basis=root.basis)
-        cold = simplex_backend.solve(compiled)
-        assert warm.status is SolveStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-
-
 def feasible(compiled, values_by_col, tol=1e-7):
     for col in range(compiled.num_vars):
         x = values_by_col.get(col, 0.0)
@@ -225,29 +175,35 @@ class TestWarmColdAgreementProperties:
         assume(base[2] <= 2.0 * base[3])
         assume(perturbed[2] <= 2.0 * perturbed[3])
         old = copy.deepcopy(small_lp(cost=base[:2], rhs=base[2], ub=base[3]).compile())
-        seed = simplex_backend.solve(old)
-        assert seed.status is SolveStatus.OPTIMAL
 
-        target_model = small_lp(
+        target = small_lp(
             cost=perturbed[:2], rhs=perturbed[2], ub=perturbed[3]
-        )
-        target = target_model.compile()
+        ).compile()
         delta = diff_compiled(old, target)
         assert delta is not None  # same family -> always a pure-data patch
         delta.apply(old)
 
-        warm = simplex_backend.solve(old, start_basis=seed.basis)
-        cold_simplex = simplex_backend.solve(target)
-        cold_scipy = scipy_backend.solve(target, 30.0)
+        # Both solvers, cold, on the patched matrix and on the fresh one.
+        patched_simplex = simplex_backend.solve(old)
+        patched_scipy = scipy_backend.solve(old, 30.0)
+        fresh_simplex = simplex_backend.solve(target)
+        fresh_scipy = scipy_backend.solve(target, 30.0)
 
-        assert warm.status is cold_simplex.status is cold_scipy.status
-        if warm.status is SolveStatus.OPTIMAL:
-            scale = max(1.0, abs(cold_simplex.objective))
-            assert abs(warm.objective - cold_simplex.objective) <= 1e-9 * scale
-            assert abs(warm.objective - cold_scipy.objective) <= 1e-7 * scale
-            by_col = {
-                col: warm.values[var]
-                for col, var in enumerate(old.columns)
-                if var is not None and var in warm.values
-            }
-            assert feasible(old, by_col)
+        assert (
+            patched_simplex.status
+            is patched_scipy.status
+            is fresh_simplex.status
+            is fresh_scipy.status
+        )
+        if patched_simplex.status is SolveStatus.OPTIMAL:
+            scale = max(1.0, abs(fresh_simplex.objective))
+            assert abs(patched_simplex.objective - fresh_simplex.objective) <= 1e-9 * scale
+            assert abs(patched_scipy.objective - fresh_scipy.objective) <= 1e-9 * scale
+            assert abs(patched_simplex.objective - fresh_scipy.objective) <= 1e-7 * scale
+            for patched in (patched_simplex, patched_scipy):
+                by_col = {
+                    col: patched.values[var]
+                    for col, var in enumerate(old.columns)
+                    if var is not None and var in patched.values
+                }
+                assert feasible(old, by_col)

@@ -143,12 +143,6 @@ class TestSolveBasics:
         m.maximize(z)
         assert m.solve().value(z) == pytest.approx(7.0)
 
-    def test_unknown_backend(self):
-        m = Model()
-        m.add_var("x", ub=1)
-        with pytest.raises(ValueError):
-            m.solve(backend="cplex")
-
     def test_solution_bool(self):
         m = Model()
         x = m.add_var("x", ub=1)

@@ -53,9 +53,9 @@ class ManualPool:
     def __init__(self):
         self.submissions = []
 
-    def submit(self, problem, fingerprint, budget):
+    def submit(self, problem, budget):
         future = concurrent.futures.Future()
-        self.submissions.append((fingerprint, future))
+        self.submissions.append((problem_fingerprint(problem), future))
         return future
 
     def shutdown(self, wait=True):

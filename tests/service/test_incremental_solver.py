@@ -1,5 +1,5 @@
 """IncrementalSolver: warm re-solves, fallback accounting, batching, and
-the isolation of its retained matrices from the shared model caches."""
+the isolation of its retained matrices from the models' compile caches."""
 
 import gc
 import math
@@ -14,9 +14,8 @@ from repro.core.model_builder import PlanningError, build_model
 from repro.core.planner import Planner
 from repro.cloud import public_cloud
 from repro.obs.registry import MetricsRegistry
-from repro.service import IncrementalSolver, LRUCache, structural_fingerprint
-from repro.lp import Model, Solution, SolveStatus, VarType, scipy_backend
-from repro.lp.incremental import diff_compiled
+from repro.service import IncrementalSolver, structural_fingerprint
+from repro.lp import Solution, SolveStatus, scipy_backend
 from repro.service.incremental import _own_copy, _RebuiltLP
 from repro.service.pool import SolverPool
 
@@ -174,41 +173,12 @@ class TestRetainedMatrixIsolation:
 
 
 class TestPoolWarmPathConsistency:
-    """Satellite regression: a cached BuiltModel mutated in place must be
-    recompiled before the warm path re-solves it."""
-
-    def test_mutated_cached_model_is_revalidated_on_warm_solve(self):
-        cache = LRUCache(8)
-        pool = SolverPool(mode="inline", model_cache=cache)
-        problem = make_problem()
-        plan1 = pool.submit(problem, fingerprint="fp").result(timeout=120.0)
-        built = cache.get("fp")
-        assert built is not None
-
-        # Mutate the cached model the way deviation learning does: tighten
-        # a node-count bound below what the first plan used, in place.
-        compute, peak = max(
-            ((s.name, plan1.peak_nodes(s.name))
-             for s in problem.services if s.can_compute),
-            key=lambda pair: pair[1],
-        )
-        assert peak >= 1
-        capped = peak - 1
-        for var in built.model.variables:
-            if var.name.startswith(f"nodes[{compute},"):
-                var.ub = float(capped)
-
-        plan2 = pool.submit(problem, fingerprint="fp").result(timeout=120.0)
-        # The warm path must honor the tightened bound (stale compiled
-        # matrices used to leak the old capacity through).
-        assert plan2.peak_nodes(compute) <= capped
-
     def test_incremental_pool_routes_through_the_solver(self):
         solver = IncrementalSolver()
         pool = SolverPool(mode="inline", incremental=solver)
         problem = make_problem()
-        pool.submit(problem, fingerprint="fp").result(timeout=120.0)
-        pool.submit(problem, fingerprint="fp").result(timeout=120.0)
+        pool.submit(problem).result(timeout=120.0)
+        pool.submit(problem).result(timeout=120.0)
         assert solver.stats.solves == 2
         assert solver.stats.warm == 1
 
@@ -289,46 +259,6 @@ class TestHotAgainstRebuiltFallback:
             assert [k for k, _ in hot].count("rejected_fallbacks") == 4
         for (_, a), (_, b) in zip(hot, rebuilt):
             assert a == pytest.approx(b, rel=1e-7)
-
-    def test_rebuilt_lp_speaks_the_hot_interface_over_the_simplex_backend(self):
-        # (The pure-Python simplex cannot solve a planning model, so its
-        # branch is pinned on a small one, through the solver's own loader.)
-        m = Model()
-        xs = m.add_vars("x", 2, ub=3, vtype=VarType.INTEGER)
-        y = m.add_var("y", ub=10.0)
-        m.add_constr(2 * xs[0] + 3 * xs[1] + y <= 7)
-        m.maximize(3 * xs[0] + 4 * xs[1] + 0.5 * y)
-        compiled = _own_copy(m.compile())
-        rebuilt = IncrementalSolver(backend="simplex")._load(compiled)
-        hot = scipy_backend.HotLP(compiled)
-        assert isinstance(rebuilt, _RebuiltLP)
-
-        def both(basis=None):
-            a, b = rebuilt.run(30.0, basis), hot.run(30.0)
-            assert a.status is b.status
-            if a.x is not None:
-                assert a.objective == pytest.approx(b.objective, abs=1e-9)
-                assert a.x == pytest.approx(b.x, abs=1e-9)
-            return a
-
-        root = both()
-        assert root.basis is not None
-        for lp in (rebuilt, hot):
-            lp.set_col_bounds([0, 1], [1.0, 1.0], [1.0, 1.0])
-        assert both().x[:2] == [1.0, 1.0]
-        for lp in (rebuilt, hot):
-            lp.set_col_bounds([0, 1], [3.0, 3.0], [3.0, 3.0])
-        assert both().status is SolveStatus.INFEASIBLE
-        for lp in (rebuilt, hot):
-            lp.set_col_bounds([0, 1], [0.0, 0.0], [3.0, 3.0])
-        # The caller patches the retained matrix; the rebuilt LP reads it.
-        m.constraints[0].expr.constant = -9.0
-        m._compiled = None
-        delta = diff_compiled(compiled, m.compile())
-        delta.apply(compiled)
-        for lp in (rebuilt, hot):
-            lp.patch(delta)
-        assert both(root.basis).objective < root.objective
 
 
 class TestHotInstanceLifecycle:

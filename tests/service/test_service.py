@@ -216,25 +216,21 @@ class TestConcurrency:
         )
 
 
-class TestModelReuse:
-    def test_thread_pool_populates_model_cache(self):
-        problem = make_problem(input_gb=3.0)
-        fingerprint = problem_fingerprint(problem)
-        with inline_service() as service:
-            service.submit(problem).result(timeout=120.0)
-            assert fingerprint in service.model_cache
-            # Drop the plan but keep the model: the next identical request
-            # re-solves the warm BuiltModel instead of rebuilding.
-            service.plan_cache.clear()
-            result = service.submit(problem).result(timeout=120.0)
-        assert result.ok and not result.cached
-        assert service.model_cache.stats.hits >= 1
-
-
 class TestConfigValidation:
     def test_unknown_pool_mode_rejected(self):
         with pytest.raises(ValueError, match="pool mode"):
             PlanningService(ServiceConfig(pool_mode="fiber"))
+
+    def test_incremental_with_a_process_pool_is_refused(self):
+        # Process workers cannot share the solver's retained state; the
+        # combination used to start and silently solve everything cold.
+        with pytest.raises(ValueError, match="thread or inline"):
+            PlanningService(ServiceConfig(pool_mode="process", incremental=True))
+        for mode in ("thread", "inline"):
+            service = PlanningService(
+                ServiceConfig(pool_mode=mode, incremental=True)
+            )
+            assert service.pool.incremental is service.incremental is not None
 
     def test_bad_request_arguments_rejected(self):
         with inline_service() as service:

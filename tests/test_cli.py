@@ -279,6 +279,41 @@ class TestServe:
         assert "cannot read" in capsys.readouterr().err
 
 
+class TestIncrementalNeedsASharedPool:
+    @pytest.mark.parametrize("command", [
+        ["serve"],
+        ["serve", "--pool", "process"],
+        ["submit", "--input-gb", "4", "--deadline", "3"],
+        ["loadgen"],
+    ])
+    def test_incremental_with_the_process_pool_is_a_usage_error(
+        self, command, capsys
+    ):
+        # It used to start, build a solver and never call it.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--incremental"])
+        assert exit_info.value.code == 2
+        assert "--pool thread|inline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pool", ["thread", "inline"])
+    def test_serve_incremental_still_starts_on_a_shared_pool(
+        self, pool, tmp_path, capsys
+    ):
+        import json
+
+        path = tmp_path / "requests.jsonl"
+        path.write_text(
+            _request_line(input_gb=4, goal={"deadline_hours": 3}) + "\n"
+            + _request_line(input_gb=4.1, goal={"deadline_hours": 3}) + "\n"
+        )
+        assert main(["serve", "--requests-file", str(path),
+                     "--pool", pool, "--workers", "1", "--incremental"]) == 0
+        captured = capsys.readouterr()
+        responses = [json.loads(l) for l in captured.out.splitlines()
+                     if '"plan_response"' in l]
+        assert [r["status"] for r in responses] == ["completed", "completed"]
+
+
 class TestServeKeepsItsStdout:
     """A cold MILP solve points fd 1 at a sink while HiGHS runs; with a
     thread/inline pool that is the fd ``serve`` answers on."""

@@ -21,15 +21,36 @@ The formulation follows the paper:
   ``E[b(i,t)]`` (eq. 6).
 - The objective is total monetary cost (eq. 5) for min-cost goals, or a
   lexicographic completion-then-cost objective for min-time goals.
+
+The model is built in two steps, **layout** and **fill**.  Everything the
+formulation *branches* on — horizon, which services exist and what kind
+they are, whether a reduce phase exists, the goal kind, the model flags —
+is one hashable :class:`ModelStructure` (:func:`structure_key`).  A
+:class:`_Layout` is what follows from that key alone: the columns and
+rows with their names, the CSR sparsity pattern with every constant
+coefficient in place, and index arrays saying where each family of
+data-dependent numbers goes.  Layouts are immutable and cached per key;
+:func:`build_model` looks the problem's layout up and *fills* fresh
+arrays with the problem's numbers (prices, rates, bandwidths, state) in
+a few dozen vectorized stores.  A re-plan, whose shape has not changed,
+therefore never re-derives the model — and every build, first or
+thousandth, goes through the same fill, so there is no separate refresh
+path to keep in step.  ``tests/core/reference_model.py`` holds the same
+formulation written constraint by constraint over the expression
+front-end; the two are tested to produce equal matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
-from ..cloud.services import UNLIMITED, ServiceDescription, validate_catalog
-from ..lp import LinExpr, Model, Solution, VarType, lin_sum
+import numpy as np
+
+from ..cloud.services import UNLIMITED, validate_catalog
+from ..lp.model import CompiledModel, MatrixModel, Solution
 from .plan import ExecutionPlan, PlanInterval
 from .problem import GoalKind, PlanningProblem
 
@@ -42,6 +63,11 @@ _TIME_WEIGHT_MARGIN = 10.0
 _NODE_TIEBREAK = 1e-6
 _EARLY_WORK_TIEBREAK = 1e-9
 _FLOW_TIEBREAK = 1e-9
+
+#: Layouts kept, least recently used out first.  One is a few hundred KB
+#: (mostly the column and row names); a fleet re-plans a handful of
+#: catalogs over a shrinking horizon, the service a few dozen shapes.
+LAYOUT_CACHE_SIZE = 64
 
 
 class PlanningError(RuntimeError):
@@ -67,33 +93,592 @@ class PlanningError(RuntimeError):
         return (type(self), (message, self.status, self.budgeted))
 
 
-@dataclass
-class BuiltModel:
-    """The LP plus handles to its decision variables.
+# ------------------------------------------------------------------ structure
 
-    Variable dictionaries are keyed by service name (and pair tuples) and
-    1-based interval index ``t``; stock variables additionally have a
-    ``t = 0`` entry fixed to the initial state.
+
+class ModelStructure(NamedTuple):
+    """Every input the builder branches on: the model's shape, no data.
+
+    Two problems with equal structures get the same columns, rows and
+    sparsity pattern (short of a coefficient that is exactly zero, which
+    is dropped per build); everything else about them — prices, rates,
+    bandwidths, budget, system state — only lands in numbers.
     """
 
+    horizon: int
+    #: Per storage service, in catalog order: ``(name, is local, has a
+    #: finite capacity, capacity grows with its own nodes)``.
+    storage: tuple[tuple[str, bool, bool, bool], ...]
+    #: Per compute service, in catalog order: ``(name, is local, is
+    #: spot, has a finite node cap)``.
+    compute: tuple[tuple[str, bool, bool, bool], ...]
+    has_reduce: bool
+    goal: str
+    budgeted: bool
+    constant_nodes: bool
+    allow_migration: bool
+    #: ``upload_read_lag == 0``: data is processable in the interval it
+    #: arrives in.
+    stream_uploads: bool
+    strict_phase_gap: bool
+    #: Services with an upload-fraction constraint, in mapping order.
+    fractions: tuple[str, ...]
+
+
+def structure_key(problem: PlanningProblem) -> ModelStructure:
+    """The problem's :class:`ModelStructure` (the layout cache key, and
+    what :func:`repro.service.fingerprint.structural_fingerprint` hashes)."""
+    local = problem.local_provider
+    return ModelStructure(
+        horizon=problem.horizon_intervals,
+        storage=tuple(
+            (
+                s.name,
+                s.provider == local,
+                s.storage_capacity_gb != UNLIMITED,
+                bool(s.can_compute and s.storage_gb_per_node > 0),
+            )
+            for s in problem.storage_services()
+        ),
+        compute=tuple(
+            (c.name, c.provider == local, bool(c.is_spot), c.max_nodes != UNLIMITED)
+            for c in problem.compute_services()
+        ),
+        has_reduce=problem.job.map_output_gb > _EPS,
+        goal=problem.goal.kind.value,
+        budgeted=problem.goal.budget_usd is not None,
+        constant_nodes=bool(problem.constant_nodes),
+        allow_migration=bool(problem.allow_migration),
+        stream_uploads=problem.upload_read_lag == 0,
+        strict_phase_gap=bool(problem.strict_phase_gap),
+        fractions=tuple(problem.upload_fractions),
+    )
+
+
+# --------------------------------------------------------------------- layout
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """What a :class:`ModelStructure` determines, shared by every build
+    of that shape.  All arrays are read-only.
+
+    Column blocks are index arrays into the column vector, shaped by
+    service and interval (interval ``k`` is the paper's ``t = k + 1``;
+    stock blocks have one more entry, index 0 being the initial stock).
+    ``data``/``row_lb``/``row_ub``/``var_ub`` are templates: constants in
+    place, ``NaN`` wherever a build must store a number.
+    """
+
+    key: ModelStructure
+    # -- columns
+    col_names: tuple[str, ...]
+    integrality: np.ndarray
+    var_lb: np.ndarray
+    var_ub: np.ndarray
+    #: Objective tie-breakers (pure structure: which column, which interval).
+    tiebreak: np.ndarray
+    up: np.ndarray  # (S, T)
+    down: np.ndarray  # (S, T)
+    st_in: np.ndarray  # (S, T + 1)
+    st_out: np.ndarray  # (S, T + 1)
+    st_res: np.ndarray  # (S, T + 1)
+    nodes: np.ndarray  # (C, T)
+    read: np.ndarray  # (S, C, T): storage -> compute
+    write: np.ndarray  # (S, C, T): compute -> storage
+    red_read: np.ndarray  # (S, C, T), empty without a reduce phase
+    red_write: np.ndarray  # (S, C, T), empty without a reduce phase
+    #: Ordered ``(from, to)`` storage index pairs data may migrate along.
+    mig_pairs: tuple[tuple[int, int], ...]
+    mig_in: np.ndarray  # (pairs, T)
+    mig_out: np.ndarray  # (pairs, T)
+    done: np.ndarray  # (T,), empty for min-cost goals
+    # -- rows
+    row_names: tuple[str, ...]
+    row_lb: np.ndarray
+    row_ub: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    #: Coefficient family -> positions in ``data``.
+    slots: dict[object, np.ndarray]
+    #: Right-hand-side family -> row indices.
+    rhs: dict[object, np.ndarray]
+    # -- cost structure
+    #: Per storage service: its end-of-interval stock columns.
+    stocks: tuple[np.ndarray, ...]
+    #: Per storage service: flows billed as PUT / GET requests on it.
+    puts: tuple[np.ndarray, ...]
+    gets: tuple[np.ndarray, ...]
+    #: Every flow as ``(source, destination, columns)``; ``None`` is the
+    #: customer's site.  Ordered the way cost labels are first met.
+    flows: tuple[tuple[str | None, str | None, np.ndarray], ...]
+    #: Columns of the budget row (every column that can carry a price).
+    budget_cols: np.ndarray
+
+    @property
+    def num_cols(self) -> int:
+        return len(self.col_names)
+
+
+class _Rows:
+    """The rows of a layout under construction, as COO triplets.
+
+    A coefficient or right-hand side that is not a number names a data
+    family: the template gets ``NaN`` there and the family remembers the
+    spot, for the fill to store into.
+    """
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.lb: list[float] = []
+        self.ub: list[float] = []
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.coefs: list[float] = []
+        self.slots: dict[object, list[int]] = {}
+        self.rhs: dict[object, list[int]] = {}
+
+    def add(self, name: str, sense: str, terms, rhs=0.0) -> None:
+        """``sum(coef * column for each (columns, coef) term) <sense> rhs``."""
+        row = len(self.names)
+        self.names.append(name)
+        for cols, coef in terms:
+            cols = np.atleast_1d(cols).tolist()
+            if not isinstance(coef, float):
+                first = len(self.cols)
+                self.slots.setdefault(coef, []).extend(range(first, first + len(cols)))
+                coef = math.nan
+            self.rows.extend([row] * len(cols))
+            self.cols.extend(cols)
+            self.coefs.extend([coef] * len(cols))
+        if not isinstance(rhs, float):
+            self.rhs.setdefault(rhs, []).append(row)
+            rhs = math.nan
+        self.lb.append(-math.inf if sense == "<=" else rhs)
+        self.ub.append(math.inf if sense == ">=" else rhs)
+
+
+def _freeze(value) -> None:
+    """Make every array reachable from ``value`` read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _freeze(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+
+
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _layout(key: ModelStructure) -> _Layout:
+    """Lay the model of shape ``key`` out: Section 4, minus the numbers."""
+    horizon = key.horizon
+    storage = [name for name, *_ in key.storage]
+    compute = [name for name, *_ in key.compute]
+    local_s = [local for _, local, *_ in key.storage]
+    local_c = [local for _, local, *_ in key.compute]
+    n_s, n_c = len(storage), len(compute)
+    reduce = key.has_reduce
+    timed = key.goal == GoalKind.MINIMIZE_TIME.value
+    intervals = range(horizon)
+
+    # ---------------------------------------------------------------- vars
+    names: list[str] = []
+
+    def new(name: str) -> int:
+        names.append(name)
+        return len(names) - 1
+
+    up = np.empty((n_s, horizon), dtype=np.int64)
+    down = np.empty_like(up)
+    st_in = np.empty((n_s, horizon + 1), dtype=np.int64)
+    st_out, st_res = np.empty_like(st_in), np.empty_like(st_in)
+    for i, s in enumerate(storage):
+        for k in intervals:
+            up[i, k] = new(f"up[{s},{k + 1}]")
+            down[i, k] = new(f"down[{s},{k + 1}]")
+        for t in range(horizon + 1):
+            st_in[i, t] = new(f"stIn[{s},{t}]")
+            st_out[i, t] = new(f"stOut[{s},{t}]")
+            st_res[i, t] = new(f"stRes[{s},{t}]")
+    nodes = np.empty((n_c, horizon), dtype=np.int64)
+    for j, c in enumerate(compute):
+        for k in intervals:
+            nodes[j, k] = new(f"nodes[{c},{k + 1}]")
+    read = np.empty((n_s, n_c, horizon), dtype=np.int64)
+    write = np.empty_like(read)
+    red_read = np.empty((n_s, n_c, horizon if reduce else 0), dtype=np.int64)
+    red_write = np.empty_like(red_read)
+    for i, s in enumerate(storage):
+        for j, c in enumerate(compute):
+            for k in intervals:
+                read[i, j, k] = new(f"read[{s},{c},{k + 1}]")
+                write[i, j, k] = new(f"write[{c},{s},{k + 1}]")
+                if reduce:
+                    red_read[i, j, k] = new(f"redRead[{s},{c},{k + 1}]")
+                    red_write[i, j, k] = new(f"redWrite[{c},{s},{k + 1}]")
+    mig_pairs = tuple(
+        (i, i2)
+        for i in range(n_s)
+        for i2 in range(n_s)
+        if i != i2 and key.allow_migration
+    )
+    mig_in = np.empty((len(mig_pairs), horizon), dtype=np.int64)
+    mig_out = np.empty_like(mig_in)
+    for p, (i, i2) in enumerate(mig_pairs):
+        for k in intervals:
+            mig_in[p, k] = new(f"migIn[{storage[i]},{storage[i2]},{k + 1}]")
+            mig_out[p, k] = new(f"migOut[{storage[i]},{storage[i2]},{k + 1}]")
+    phase = np.array([new(f"phase[{k + 1}]") for k in intervals if reduce], dtype=np.int64)
+    done = np.array([new(f"done[{k + 1}]") for k in intervals if timed], dtype=np.int64)
+
+    num_cols = len(names)
+    integrality = np.zeros(num_cols, dtype=bool)
+    var_ub = np.full(num_cols, math.inf)
+    integrality[nodes] = True
+    # A finite node cap is the build's to store.
+    for j, (_, _, _, capped) in enumerate(key.compute):
+        if capped:
+            var_ub[nodes[j]] = math.nan
+    for binary in (phase, done):
+        integrality[binary] = True
+        var_ub[binary] = 1.0
+
+    def arrivals(table: np.ndarray, i: int, k: int) -> list[int]:
+        """Migrations launched in k-1 arrive at the start of k (Section 4.5)."""
+        if k == 0:
+            return []
+        return [table[p, k - 1] for p, (_, to) in enumerate(mig_pairs) if to == i]
+
+    def departures(table: np.ndarray, i: int, k: int) -> list[int]:
+        return [table[p, k] for p, (frm, _) in enumerate(mig_pairs) if frm == i]
+
+    # ---------------------------------------------------------------- rows
+    rows = _Rows()
+    if key.constant_nodes:
+        for j, c in enumerate(compute):
+            for k in intervals[1:]:
+                rows.add(
+                    f"constant_nodes[{c},{k + 1}]", "==",
+                    [(nodes[j, k], 1.0), (nodes[j, 0], -1.0)],
+                )
+
+    # Initial stocks.
+    for i, s in enumerate(storage):
+        rows.add(f"init_stIn[{s}]", "==", [(st_in[i, 0], 1.0)], rhs="init")
+        rows.add(f"init_stOut[{s}]", "==", [(st_out[i, 0], 1.0)], rhs="init")
+        rows.add(f"init_stRes[{s}]", "==", [(st_res[i, 0], 1.0)], rhs="init")
+
+    # Flow preservation.
+    for i, s in enumerate(storage):
+        for k in intervals:
+            t = k + 1
+            reads = read[i, :, k]
+            arr, dep = arrivals(mig_in, i, k), departures(mig_in, i, k)
+            # Eq. (2) analog with consumption: stocks evolve by upload,
+            # migration and processing.
+            rows.add(
+                f"flow_in[{s},{t}]", "==",
+                [(st_in[i, t], 1.0), (st_in[i, k], -1.0), (up[i, k], -1.0),
+                 (arr, -1.0), (dep, 1.0), (reads, 1.0)],
+            )
+            # Eq. (4) analog (per storage service): reads and departures
+            # during t are limited to data present at the start of t —
+            # plus same-interval uploads when streaming is allowed.
+            avail = [(reads, 1.0), (dep, 1.0), (st_in[i, k], -1.0), (arr, -1.0)]
+            if key.stream_uploads:
+                avail.append((up[i, k], -1.0))
+            rows.add(f"avail_in[{s},{t}]", "<=", avail)
+
+            writes = write[i, :, k]
+            if reduce:
+                red_reads, red_writes = red_read[i, :, k], red_write[i, :, k]
+                arr_o, dep_o = arrivals(mig_out, i, k), departures(mig_out, i, k)
+                rows.add(
+                    f"flow_out[{s},{t}]", "==",
+                    [(st_out[i, t], 1.0), (st_out[i, k], -1.0), (writes, -1.0),
+                     (arr_o, -1.0), (dep_o, 1.0), (red_reads, 1.0)],
+                )
+                # Reduce may stream output produced in the same interval
+                # (sub-interval sequencing, gated by phase[t]).
+                rows.add(
+                    f"avail_out[{s},{t}]", "<=",
+                    [(red_reads, 1.0), (dep_o, 1.0), (st_out[i, k], -1.0),
+                     (arr_o, -1.0), (writes, -1.0)],
+                )
+                rows.add(
+                    f"flow_res[{s},{t}]", "==",
+                    [(st_res[i, t], 1.0), (st_res[i, k], -1.0),
+                     (red_writes, -1.0), (down[i, k], 1.0)],
+                )
+                rows.add(
+                    f"avail_res[{s},{t}]", "<=",
+                    [(down[i, k], 1.0), (st_res[i, k], -1.0), (red_writes, -1.0)],
+                )
+            else:
+                rows.add(
+                    f"flow_out[{s},{t}]", "==",
+                    [(st_out[i, t], 1.0), (st_out[i, k], -1.0), (writes, -1.0)],
+                )
+                rows.add(
+                    f"flow_res[{s},{t}]", "==",
+                    [(st_res[i, t], 1.0), (st_res[i, k], -1.0)],
+                )
+                rows.add(f"no_down[{s},{t}]", "==", [(down[i, k], 1.0)])
+
+    # Phase coupling: map output is written as input is processed
+    # (writes == ratio * reads; the ratio is the build's to store).
+    for j, c in enumerate(compute):
+        for k in intervals:
+            rows.add(
+                f"map_io[{c},{k + 1}]", "==",
+                [(write[:, j, k], 1.0), (read[:, j, k], "map_io")],
+            )
+            if reduce:
+                rows.add(
+                    f"red_io[{c},{k + 1}]", "==",
+                    [(red_write[:, j, k], 1.0), (red_read[:, j, k], "red_io")],
+                )
+
+    if reduce:
+        gap = 1 if key.strict_phase_gap else 0
+        for k in intervals:
+            # The paper's semi-continuous barrier: reduce input flows only
+            # once the *full* map output exists
+            # (input_gb * phase <= map_done + cumulative reads).
+            rows.add(
+                f"phase_def[{k + 1}]", "<=",
+                [(phase[k], "phase_def"), (read[:, :, : k + 1 - gap].ravel(), -1.0)],
+                rhs="phase_def",
+            )
+            rows.add(
+                f"phase_gate[{k + 1}]", "<=",
+                [(red_read[:, :, k].ravel(), 1.0), (phase[k], "phase_gate")],
+            )
+            if k:
+                rows.add(
+                    f"phase_mono[{k + 1}]", ">=",
+                    [(phase[k], 1.0), (phase[k - 1], -1.0)],
+                )
+
+    # Capacity (eq. 3): work / (rate * delta) <= nodes.
+    for j, c in enumerate(compute):
+        for k in intervals:
+            usage = [(read[:, j, k], ("capacity_map", j))]
+            if reduce:
+                usage.append((red_read[:, j, k], ("capacity_reduce", j)))
+            rows.add(f"capacity[{c},{k + 1}]", "<=", usage + [(nodes[j, k], -1.0)])
+
+    # Storage capacity / coupling.  Resource overlap (Section 4.6): bytes
+    # on a node-backed service need live nodes *during* the interval.
+    # End-of-interval stocks alone would let data flow through within one
+    # interval with zero nodes, so same-interval outflows count against
+    # the capacity as well.
+    for i, (s, _, finite, per_node) in enumerate(key.storage):
+        if not finite:
+            continue
+        for k in intervals:
+            t = k + 1
+            held = [
+                (st_in[i, t], 1.0), (st_out[i, t], 1.0), (st_res[i, t], 1.0),
+                (down[i, k], 1.0), (read[i, :, k], 1.0),
+            ]
+            if reduce:
+                held.append((red_read[i, :, k], 1.0))
+            held.append((departures(mig_in, i, k), 1.0))
+            held.append((departures(mig_out, i, k), 1.0))
+            if per_node:
+                held.append((nodes[compute.index(s), k], ("storage_cap", i)))
+            rows.add(f"storage_cap[{s},{t}]", "<=", held, rhs=("storage_cap", i))
+
+    # WAN bandwidth.
+    for k in intervals:
+        wan_up: list[int] = []
+        wan_down: list[int] = []
+        lan: list[int] = []
+        for i in range(n_s):
+            if local_s[i]:
+                lan.append(up[i, k])
+            else:
+                wan_up.append(up[i, k])
+                wan_down.append(down[i, k])
+        for i in range(n_s):
+            for j in range(n_c):
+                if local_s[i] == local_c[j]:
+                    continue
+                # Reads leave the storage side, writes return to it.
+                outbound, inbound = (
+                    (wan_up, wan_down) if local_s[i] else (wan_down, wan_up)
+                )
+                outbound.append(read[i, j, k])
+                inbound.append(write[i, j, k])
+                if reduce:
+                    outbound.append(red_read[i, j, k])
+                    inbound.append(red_write[i, j, k])
+        for table in (mig_in, mig_out):
+            for p, (i, i2) in enumerate(mig_pairs):
+                if local_s[i] and not local_s[i2]:
+                    wan_up.append(table[p, k])
+                elif not local_s[i] and local_s[i2]:
+                    wan_down.append(table[p, k])
+        rows.add(f"uplink[{k + 1}]", "<=", [(wan_up, 1.0)], rhs="uplink")
+        rows.add(f"downlink[{k + 1}]", "<=", [(wan_down, 1.0)], rhs="downlink")
+        if lan:
+            rows.add(f"lan[{k + 1}]", "<=", [(lan, 1.0)], rhs="lan")
+        # Intra-cloud cross-service flows (S3 <-> EC2) share provider
+        # backbone bandwidth.
+        cross = [
+            table[i, j, k]
+            for table in (read, write)
+            for i in range(n_s)
+            for j in range(n_c)
+            if storage[i] != compute[j] and not local_s[i] and not local_c[j]
+        ]
+        if cross:
+            rows.add(f"backbone[{k + 1}]", "<=", [(cross, 1.0)], rhs="backbone")
+
+    # Completion.
+    rows.add("upload_all", "==", [(up.ravel(), 1.0)], rhs="completion")
+    rows.add("map_all", "==", [(read.ravel(), 1.0)], rhs="completion")
+    if reduce:
+        rows.add("reduce_all", "==", [(red_read.ravel(), 1.0)], rhs="completion")
+        rows.add("download_all", "==", [(down.ravel(), 1.0)], rhs="completion")
+
+    # Fraction sweeps.
+    for name in key.fractions:
+        rows.add(
+            f"fraction[{name}]", "==", [(up[storage.index(name)], 1.0)], rhs="fraction"
+        )
+
+    # Every column that can carry a price, in column order.
+    budget_cols = np.sort(np.concatenate([
+        block.ravel()
+        for block in (nodes, st_in[:, 1:], st_out[:, 1:], st_res[:, 1:], up, down,
+                      read, write, red_read, red_write, mig_in, mig_out)
+    ]))
+    if timed:
+        rows.add("budget", "<=", [(budget_cols, "budget")], rhs="budget")
+        for k in intervals:
+            # done[t] may only rise once the remaining work is through:
+            # remaining * done <= cumulative downloads (or reads).
+            finished = down[:, : k + 1] if reduce else read[:, :, : k + 1]
+            rows.add(
+                f"done_def[{k + 1}]", "<=",
+                [(done[k], "done_def"), (finished.ravel(), -1.0)],
+            )
+            if k:
+                rows.add(
+                    f"done_mono[{k + 1}]", ">=", [(done[k], 1.0), (done[k - 1], -1.0)]
+                )
+
+    # COO -> CSR, columns ascending within a row; remember where each
+    # entry went so families can name their positions.
+    entry_rows = np.asarray(rows.rows, dtype=np.int64)
+    entry_cols = np.asarray(rows.cols, dtype=np.int64)
+    order = np.lexsort((entry_cols, entry_rows))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    indptr = np.zeros(len(rows.names) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(entry_rows, minlength=len(rows.names)), out=indptr[1:])
+
+    # ------------------------------------------------------------ objective
+    tiebreak = np.zeros(num_cols)
+    early = np.arange(1, horizon + 1) * _EARLY_WORK_TIEBREAK
+    tiebreak[nodes] = _NODE_TIEBREAK
+    tiebreak[read] = early
+    # Front-load uploads among cost-equal schedules: the WAN should never
+    # idle early only to be saturated against the deadline.
+    tiebreak[up] = early
+    tiebreak[mig_in] = _FLOW_TIEBREAK
+    tiebreak[mig_out] = _FLOW_TIEBREAK
+
+    # Per-request I/O is billed per storage service; co-located access
+    # (compute on the same service's virtual disks) bypasses the service
+    # API and is free.
+    def billed(i: int, direct: np.ndarray, via_compute, arriving: bool) -> np.ndarray:
+        blocks = [direct[i]]
+        for j in range(n_c):
+            if compute[j] != storage[i]:
+                blocks.extend(table[i, j] for table in via_compute)
+        for table in (mig_in, mig_out):
+            for p, pair in enumerate(mig_pairs):
+                if pair[1 if arriving else 0] == i:
+                    blocks.append(table[p])
+        return np.concatenate(blocks)
+
+    flows: list[tuple[str | None, str | None, np.ndarray]] = []
+    flows += [(None, s, up[i]) for i, s in enumerate(storage)]
+    flows += [(s, None, down[i]) for i, s in enumerate(storage)]
+    for table, outbound in ((read, True), (write, False),
+                            (red_read, True), (red_write, False)):
+        for i, s in enumerate(storage):
+            for j, c in enumerate(compute):
+                flows.append((s, c, table[i, j]) if outbound else (c, s, table[i, j]))
+    for table in (mig_in, mig_out):
+        flows += [
+            (storage[i], storage[i2], table[p]) for p, (i, i2) in enumerate(mig_pairs)
+        ]
+
+    layout = _Layout(
+        key=key,
+        col_names=tuple(names),
+        integrality=integrality,
+        var_lb=np.zeros(num_cols),
+        var_ub=var_ub,
+        tiebreak=tiebreak,
+        up=up, down=down, st_in=st_in, st_out=st_out, st_res=st_res,
+        nodes=nodes, read=read, write=write, red_read=red_read, red_write=red_write,
+        mig_pairs=mig_pairs, mig_in=mig_in, mig_out=mig_out, done=done,
+        row_names=tuple(rows.names),
+        row_lb=np.asarray(rows.lb),
+        row_ub=np.asarray(rows.ub),
+        indptr=indptr,
+        indices=entry_cols[order].astype(np.int32),
+        data=np.asarray(rows.coefs)[order],
+        slots={
+            family: position[np.asarray(entries, dtype=np.int64)]
+            for family, entries in rows.slots.items()
+        },
+        rhs={
+            family: np.asarray(members, dtype=np.int64)
+            for family, members in rows.rhs.items()
+        },
+        stocks=tuple(
+            np.concatenate([st_in[i, 1:], st_out[i, 1:], st_res[i, 1:]])
+            for i in range(n_s)
+        ),
+        puts=tuple(
+            billed(i, up, (write, red_write), arriving=True) for i in range(n_s)
+        ),
+        gets=tuple(
+            billed(i, down, (read, red_read), arriving=False) for i in range(n_s)
+        ),
+        flows=tuple(flows),
+        budget_cols=budget_cols,
+    )
+    _freeze(vars(layout))
+    return layout
+
+
+# ----------------------------------------------------------------------- fill
+
+
+@dataclass
+class BuiltModel:
+    """One problem's model: its layout, filled with its numbers."""
+
     problem: PlanningProblem
-    model: Model
-    up: dict[tuple[str, int], object]
-    store_in: dict[tuple[str, int], object]
-    store_out: dict[tuple[str, int], object]
-    store_res: dict[tuple[str, int], object]
-    read: dict[tuple[str, str, int], object]
-    write: dict[tuple[str, str, int], object]
-    red_read: dict[tuple[str, str, int], object]
-    red_write: dict[tuple[str, str, int], object]
-    migrate_in: dict[tuple[str, str, int], object]
-    migrate_out: dict[tuple[str, str, int], object]
-    download: dict[tuple[str, int], object]
-    nodes: dict[tuple[str, int], object]
-    phase: dict[int, object]
-    done: dict[int, object]
-    cost_terms: dict[str, LinExpr]
-    total_cost: LinExpr
+    model: MatrixModel
+    layout: _Layout
+    #: Monetary cost ($ per unit of each column): the objective without
+    #: tie-breakers and completion weights.
+    cost: np.ndarray
+    #: ``"{service}/{category}"`` -> the ``(columns, price)`` parts of
+    #: ``cost`` it accounts for, so plans can report the same stacked
+    #: breakdown as the paper's Fig. 5.
+    cost_terms: dict[str, list[tuple[np.ndarray, object]]]
 
     # -- solving / extraction ------------------------------------------------
 
@@ -116,65 +701,61 @@ class BuiltModel:
                 status=solution.status.value,
                 budgeted=problem.goal.budget_usd is not None,
             )
+        layout = self.layout
         delta = problem.interval_hours
         start = problem.effective_state.hour
-        storage = [s.name for s in problem.storage_services()]
-        compute = [c.name for c in problem.compute_services()]
-        horizon = problem.horizon_intervals
+        storage = [name for name, *_ in layout.key.storage]
+        compute = [name for name, *_ in layout.key.compute]
+        x = solution.x
+        snapped = np.where(np.abs(x) < _EPS, 0.0, x)
 
-        def val(var) -> float:
-            value = solution.value(var)
-            return 0.0 if abs(value) < _EPS else value
-
-        intervals = []
-        for t in range(1, horizon + 1):
-            interval = PlanInterval(
-                index=t,
-                start_hour=start + (t - 1) * delta,
-                duration_hours=delta,
+        intervals = [
+            PlanInterval(
+                index=k + 1, start_hour=start + k * delta, duration_hours=delta
             )
-            for c in compute:
-                count = int(round(val(self.nodes[c, t])))
-                if count:
-                    interval.nodes[c] = count
-            for s in storage:
-                if (gb := val(self.up[s, t])) > 0:
-                    interval.upload_gb[s] = gb
-                if (gb := val(self.download[s, t])) > 0:
-                    interval.download_gb[s] = gb
-                if (gb := val(self.store_in[s, t]) + val(self.store_out[s, t])
-                        + val(self.store_res[s, t])) > 0:
-                    interval.stored_gb[s] = gb
-            for s in storage:
-                for c in compute:
-                    if (gb := val(self.read[s, c, t])) > 0:
-                        interval.map_read_gb[s, c] = gb
-                    if (gb := val(self.write[c, s, t])) > 0:
-                        interval.map_write_gb[c, s] = gb
-                    if (s, c, t) in self.red_read and (gb := val(self.red_read[s, c, t])) > 0:
-                        interval.reduce_read_gb[s, c] = gb
-                    if (c, s, t) in self.red_write and (gb := val(self.red_write[c, s, t])) > 0:
-                        interval.reduce_write_gb[c, s] = gb
-            for s in storage:
-                for s2 in storage:
-                    if s == s2:
-                        continue
-                    moved = 0.0
-                    if (s, s2, t) in self.migrate_in:
-                        moved += val(self.migrate_in[s, s2, t])
-                    if (s, s2, t) in self.migrate_out:
-                        moved += val(self.migrate_out[s, s2, t])
-                    if moved > 0:
-                        interval.migrate_gb[s, s2] = moved
-            intervals.append(interval)
+            for k in range(layout.key.horizon)
+        ]
+
+        def positive(values: np.ndarray):
+            """``(*index, value)`` for each positive entry, in index order."""
+            where = np.nonzero(values > 0)
+            return zip(*(axis.tolist() for axis in where), values[where].tolist())
+
+        counts = np.rint(snapped[layout.nodes]).astype(np.int64)
+        for j, k in zip(*(axis.tolist() for axis in np.nonzero(counts))):
+            intervals[k].nodes[compute[j]] = int(counts[j, k])
+        for i, k, gb in positive(snapped[layout.up]):
+            intervals[k].upload_gb[storage[i]] = gb
+        for i, k, gb in positive(snapped[layout.down]):
+            intervals[k].download_gb[storage[i]] = gb
+        held = (
+            snapped[layout.st_in[:, 1:]]
+            + snapped[layout.st_out[:, 1:]]
+            + snapped[layout.st_res[:, 1:]]
+        )
+        for i, k, gb in positive(held):
+            intervals[k].stored_gb[storage[i]] = gb
+        for i, j, k, gb in positive(snapped[layout.read]):
+            intervals[k].map_read_gb[storage[i], compute[j]] = gb
+        for i, j, k, gb in positive(snapped[layout.write]):
+            intervals[k].map_write_gb[compute[j], storage[i]] = gb
+        for i, j, k, gb in positive(snapped[layout.red_read]):
+            intervals[k].reduce_read_gb[storage[i], compute[j]] = gb
+        for i, j, k, gb in positive(snapped[layout.red_write]):
+            intervals[k].reduce_write_gb[compute[j], storage[i]] = gb
+        moved = snapped[layout.mig_in] + snapped[layout.mig_out]
+        for p, k, gb in positive(moved):
+            i, i2 = layout.mig_pairs[p]
+            intervals[k].migrate_gb[storage[i], storage[i2]] = gb
 
         breakdown = {
-            label: solution.value(expr) for label, expr in self.cost_terms.items()
+            label: sum(float((x[cols] * price).sum()) for cols, price in parts)
+            for label, parts in self.cost_terms.items()
         }
         completion = self._predicted_completion(intervals, start, delta)
         return ExecutionPlan(
             intervals=intervals,
-            predicted_cost=solution.value(self.total_cost),
+            predicted_cost=float(self.cost @ x),
             predicted_cost_breakdown=breakdown,
             predicted_completion_hours=completion,
             objective_value=solution.objective,
@@ -194,577 +775,198 @@ class BuiltModel:
 
 
 def build_model(problem: PlanningProblem) -> BuiltModel:
-    """Generate the time-expanded MILP for ``problem``."""
+    """Generate the time-expanded MILP for ``problem``: look its layout
+    up, fill fresh arrays with its numbers."""
     services = list(problem.services)
     validate_catalog(services)
     state = problem.effective_state
     state.validate_against(problem.job)
+    key = structure_key(problem)
+    layout = _layout(key)
     job = problem.job
     delta = problem.interval_hours
-    horizon = problem.horizon_intervals
     storage = problem.storage_services()
     compute = problem.compute_services()
-    s_names = [s.name for s in storage]
-    by_name = {s.name: s for s in services}
+    reduce = key.has_reduce
 
     map_total_gb = job.input_gb
     map_remaining_gb = max(0.0, map_total_gb - state.map_done_gb)
     out_total_gb = job.map_output_gb
     reduce_remaining_gb = max(0.0, out_total_gb - state.reduce_done_gb)
     result_remaining_gb = max(0.0, job.result_gb - state.downloaded_gb)
-    has_reduce = out_total_gb > _EPS
 
-    model = Model(f"conductor-{job.name}")
-    local = problem.local_provider
+    data = layout.data.copy()
+    row_lb, row_ub = layout.row_lb.copy(), layout.row_ub.copy()
+    var_lb, var_ub = layout.var_lb.copy(), layout.var_ub.copy()
+    slots, rhs = layout.slots, layout.rhs
 
-    def is_local(service: ServiceDescription) -> bool:
-        return service.provider == local
+    def equal(family, value) -> None:
+        members = rhs[family]
+        row_lb[members] = value
+        row_ub[members] = value
 
-    # ---------------------------------------------------------------- vars
-    up: dict[tuple[str, int], object] = {}
-    store_in: dict[tuple[str, int], object] = {}
-    store_out: dict[tuple[str, int], object] = {}
-    store_res: dict[tuple[str, int], object] = {}
-    read: dict[tuple[str, str, int], object] = {}
-    write: dict[tuple[str, str, int], object] = {}
-    red_read: dict[tuple[str, str, int], object] = {}
-    red_write: dict[tuple[str, str, int], object] = {}
-    mig_in: dict[tuple[str, str, int], object] = {}
-    mig_out: dict[tuple[str, str, int], object] = {}
-    download: dict[tuple[str, int], object] = {}
-    nodes: dict[tuple[str, int], object] = {}
-    phase: dict[int, object] = {}
-    done: dict[int, object] = {}
-
-    for s in storage:
-        for t in range(1, horizon + 1):
-            up[s.name, t] = model.add_var(f"up[{s.name},{t}]")
-            download[s.name, t] = model.add_var(f"down[{s.name},{t}]")
-        for t in range(0, horizon + 1):
-            store_in[s.name, t] = model.add_var(f"stIn[{s.name},{t}]")
-            store_out[s.name, t] = model.add_var(f"stOut[{s.name},{t}]")
-            store_res[s.name, t] = model.add_var(f"stRes[{s.name},{t}]")
-    for c in compute:
-        cap = math.inf if c.max_nodes == UNLIMITED else c.max_nodes
-        for t in range(1, horizon + 1):
-            nodes[c.name, t] = model.add_var(
-                f"nodes[{c.name},{t}]", ub=cap, vtype=VarType.INTEGER
-            )
-    if problem.constant_nodes:
-        for c in compute:
-            for t in range(2, horizon + 1):
-                model.add_constr(
-                    nodes[c.name, t] == nodes[c.name, 1],
-                    f"constant_nodes[{c.name},{t}]",
-                )
-    for s in storage:
-        for c in compute:
-            for t in range(1, horizon + 1):
-                read[s.name, c.name, t] = model.add_var(f"read[{s.name},{c.name},{t}]")
-                write[c.name, s.name, t] = model.add_var(f"write[{c.name},{s.name},{t}]")
-                if has_reduce:
-                    red_read[s.name, c.name, t] = model.add_var(
-                        f"redRead[{s.name},{c.name},{t}]"
-                    )
-                    red_write[c.name, s.name, t] = model.add_var(
-                        f"redWrite[{c.name},{s.name},{t}]"
-                    )
-    if problem.allow_migration:
-        for s in storage:
-            for s2 in storage:
-                if s.name == s2.name:
-                    continue
-                for t in range(1, horizon + 1):
-                    mig_in[s.name, s2.name, t] = model.add_var(
-                        f"migIn[{s.name},{s2.name},{t}]"
-                    )
-                    mig_out[s.name, s2.name, t] = model.add_var(
-                        f"migOut[{s.name},{s2.name},{t}]"
-                    )
-    if has_reduce:
-        for t in range(1, horizon + 1):
-            phase[t] = model.add_var(f"phase[{t}]", vtype=VarType.BINARY)
-    if problem.goal.kind is GoalKind.MINIMIZE_TIME:
-        for t in range(1, horizon + 1):
-            done[t] = model.add_var(f"done[{t}]", vtype=VarType.BINARY)
-
-    # ------------------------------------------------------- initial stocks
-    for s in storage:
-        model.add_constr(
-            store_in[s.name, 0] == state.stored_input.get(s.name, 0.0),
-            f"init_stIn[{s.name}]",
-        )
-        model.add_constr(
-            store_out[s.name, 0] == state.stored_output.get(s.name, 0.0),
-            f"init_stOut[{s.name}]",
-        )
-        model.add_constr(
-            store_res[s.name, 0] == state.stored_result.get(s.name, 0.0),
-            f"init_stRes[{s.name}]",
-        )
-
-    # ------------------------------------------------- flow preservation
-    def mig_arrivals(table, s_name: str, t: int) -> LinExpr:
-        """Migrations launched in t-1 arrive at the start of t (Section 4.5)."""
-        return lin_sum(
-            table[s2, s_name, t - 1]
-            for s2 in s_names
-            if s2 != s_name and (s2, s_name, t - 1) in table
-        )
-
-    def mig_departures(table, s_name: str, t: int) -> LinExpr:
-        return lin_sum(
-            table[s_name, s2, t]
-            for s2 in s_names
-            if s2 != s_name and (s_name, s2, t) in table
-        )
-
-    for s in storage:
-        for t in range(1, horizon + 1):
-            reads_from_s = lin_sum(read[s.name, c.name, t] for c in compute)
-            arr = mig_arrivals(mig_in, s.name, t)
-            dep = mig_departures(mig_in, s.name, t)
-            # Eq. (2) analog with consumption: stocks evolve by upload,
-            # migration and processing.
-            model.add_constr(
-                store_in[s.name, t]
-                == store_in[s.name, t - 1] + up[s.name, t] + arr - dep - reads_from_s,
-                f"flow_in[{s.name},{t}]",
-            )
-            # Eq. (4) analog (per storage service): reads and departures
-            # during t are limited to data present at the start of t —
-            # plus same-interval uploads when streaming is allowed.
-            avail = store_in[s.name, t - 1] + arr
-            if problem.upload_read_lag == 0:
-                avail = avail + up[s.name, t]
-            model.add_constr(
-                reads_from_s + dep <= avail, f"avail_in[{s.name},{t}]"
-            )
-
-            writes_to_s = lin_sum(write[c.name, s.name, t] for c in compute)
-            if has_reduce:
-                red_reads_from_s = lin_sum(
-                    red_read[s.name, c.name, t] for c in compute
-                )
-                arr_o = mig_arrivals(mig_out, s.name, t)
-                dep_o = mig_departures(mig_out, s.name, t)
-                model.add_constr(
-                    store_out[s.name, t]
-                    == store_out[s.name, t - 1]
-                    + writes_to_s
-                    + arr_o
-                    - dep_o
-                    - red_reads_from_s,
-                    f"flow_out[{s.name},{t}]",
-                )
-                # Reduce may stream output produced in the same interval
-                # (sub-interval sequencing, gated by phase[t]).
-                model.add_constr(
-                    red_reads_from_s + dep_o
-                    <= store_out[s.name, t - 1] + arr_o + writes_to_s,
-                    f"avail_out[{s.name},{t}]",
-                )
-                red_writes_to_s = lin_sum(
-                    red_write[c.name, s.name, t] for c in compute
-                )
-                model.add_constr(
-                    store_res[s.name, t]
-                    == store_res[s.name, t - 1]
-                    + red_writes_to_s
-                    - download[s.name, t],
-                    f"flow_res[{s.name},{t}]",
-                )
-                model.add_constr(
-                    download[s.name, t]
-                    <= store_res[s.name, t - 1] + red_writes_to_s,
-                    f"avail_res[{s.name},{t}]",
-                )
-            else:
-                model.add_constr(
-                    store_out[s.name, t] == store_out[s.name, t - 1] + writes_to_s,
-                    f"flow_out[{s.name},{t}]",
-                )
-                model.add_constr(
-                    store_res[s.name, t] == store_res[s.name, t - 1],
-                    f"flow_res[{s.name},{t}]",
-                )
-                model.add_constr(download[s.name, t] == 0, f"no_down[{s.name},{t}]")
-
-    # --------------------------------------------------- phase coupling
-    for c in compute:
-        for t in range(1, horizon + 1):
-            # Map output is written as input is processed.
-            model.add_constr(
-                lin_sum(write[c.name, s, t] for s in s_names)
-                == job.map_output_ratio
-                * lin_sum(read[s, c.name, t] for s in s_names),
-                f"map_io[{c.name},{t}]",
-            )
-            if has_reduce:
-                model.add_constr(
-                    lin_sum(red_write[c.name, s, t] for s in s_names)
-                    == job.reduce_output_ratio
-                    * lin_sum(red_read[s, c.name, t] for s in s_names),
-                    f"red_io[{c.name},{t}]",
-                )
-
-    if has_reduce:
-        gap = 1 if problem.strict_phase_gap else 0
-        for t in range(1, horizon + 1):
-            cum_reads = lin_sum(
-                read[s, c.name, t2]
-                for s in s_names
-                for c in compute
-                for t2 in range(1, t + 1 - gap)
-            )
-            # The paper's semi-continuous barrier: reduce input flows only
-            # once the *full* map output exists.
-            model.add_constr(
-                map_total_gb * phase[t] <= state.map_done_gb + cum_reads,
-                f"phase_def[{t}]",
-            )
-            model.add_constr(
-                lin_sum(red_read[s, c.name, t] for s in s_names for c in compute)
-                <= out_total_gb * phase[t],
-                f"phase_gate[{t}]",
-            )
-            if t > 1:
-                model.add_constr(phase[t] >= phase[t - 1], f"phase_mono[{t}]")
-
-    # ------------------------------------------------- capacity (eq. 3)
-    for c in compute:
-        map_rate = job.map_rate(c)
-        red_rate = job.reduce_rate(c)
-        for t in range(1, horizon + 1):
-            usage = lin_sum(read[s, c.name, t] for s in s_names) * (
-                1.0 / (map_rate * delta)
-            )
-            if has_reduce:
-                usage = usage + lin_sum(
-                    red_read[s, c.name, t] for s in s_names
-                ) * (1.0 / (red_rate * delta))
-            model.add_constr(usage <= nodes[c.name, t], f"capacity[{c.name},{t}]")
-
-    # ------------------------------------- storage capacity / coupling
-    # Resource overlap (Section 4.6): bytes on a node-backed service need
-    # live nodes *during* the interval.  End-of-interval stocks alone would
-    # let data flow through within one interval with zero nodes, so
-    # same-interval outflows count against the capacity as well.
-    for s in storage:
+    # -------------------------------------------------------- coefficients
+    data[slots["map_io"]] = -job.map_output_ratio
+    if reduce:
+        data[slots["red_io"]] = -job.reduce_output_ratio
+        data[slots["phase_def"]] = map_total_gb
+        data[slots["phase_gate"]] = -out_total_gb
+        row_ub[rhs["phase_def"]] = state.map_done_gb
+    for j, c in enumerate(compute):
+        data[slots["capacity_map", j]] = 1.0 / (job.map_rate(c) * delta)
+        if reduce:
+            data[slots["capacity_reduce", j]] = 1.0 / (job.reduce_rate(c) * delta)
+        if c.max_nodes != UNLIMITED:
+            var_ub[layout.nodes[j]] = c.max_nodes
+    for i, s in enumerate(storage):
         if s.storage_capacity_gb == UNLIMITED:
             continue
-        for t in range(1, horizon + 1):
-            held = store_in[s.name, t] + store_out[s.name, t] + store_res[s.name, t]
-            held = held + download[s.name, t]
-            held = held + lin_sum(read[s.name, c.name, t] for c in compute)
-            if has_reduce:
-                held = held + lin_sum(red_read[s.name, c.name, t] for c in compute)
-            held = held + mig_departures(mig_in, s.name, t)
-            held = held + mig_departures(mig_out, s.name, t)
-            limit = LinExpr(constant=float(s.storage_capacity_gb))
-            if s.can_compute and s.storage_gb_per_node > 0:
-                limit = limit + s.storage_gb_per_node * nodes[s.name, t]
-            model.add_constr(held <= limit, f"storage_cap[{s.name},{t}]")
+        row_ub[rhs["storage_cap", i]] = float(s.storage_capacity_gb)
+        if s.can_compute and s.storage_gb_per_node > 0:
+            data[slots["storage_cap", i]] = -s.storage_gb_per_node
 
-    # --------------------------------------------------- WAN bandwidth
-    for t in range(1, horizon + 1):
-        wan_up_flows: list = []
-        wan_down_flows: list = []
-        lan_flows: list = []
-        for s in storage:
-            if is_local(s):
-                lan_flows.append(up[s.name, t])
-            else:
-                wan_up_flows.append(up[s.name, t])
-                wan_down_flows.append(download[s.name, t])
-        for s in storage:
-            for c in compute:
-                if is_local(s) and not is_local(c):
-                    wan_up_flows.append(read[s.name, c.name, t])
-                    if has_reduce:
-                        wan_up_flows.append(red_read[s.name, c.name, t])
-                    wan_down_flows.append(write[c.name, s.name, t])
-                    if has_reduce:
-                        wan_down_flows.append(red_write[c.name, s.name, t])
-                elif not is_local(s) and is_local(c):
-                    wan_down_flows.append(read[s.name, c.name, t])
-                    if has_reduce:
-                        wan_down_flows.append(red_read[s.name, c.name, t])
-                    wan_up_flows.append(write[c.name, s.name, t])
-                    if has_reduce:
-                        wan_up_flows.append(red_write[c.name, s.name, t])
-        for table in (mig_in, mig_out):
-            for (a, b, tt), var in table.items():
-                if tt != t:
-                    continue
-                a_local, b_local = is_local(by_name[a]), is_local(by_name[b])
-                if a_local and not b_local:
-                    wan_up_flows.append(var)
-                elif not a_local and b_local:
-                    wan_down_flows.append(var)
-        model.add_constr(
-            lin_sum(wan_up_flows) <= problem.network.uplink_gb_per_hour * delta,
-            f"uplink[{t}]",
-        )
-        model.add_constr(
-            lin_sum(wan_down_flows) <= problem.network.downlink_gb_per_hour * delta,
-            f"downlink[{t}]",
-        )
-        if lan_flows:
-            model.add_constr(
-                lin_sum(lan_flows) <= problem.network.local_gb_per_hour * delta,
-                f"lan[{t}]",
-            )
-        # Intra-cloud cross-service flows (S3 <-> EC2) share provider
-        # backbone bandwidth.
-        cross = [
-            read[s.name, c.name, t]
-            for s in storage
-            for c in compute
-            if s.name != c.name and not is_local(s) and not is_local(c)
-        ]
-        cross += [
-            write[c.name, s.name, t]
-            for s in storage
-            for c in compute
-            if s.name != c.name and not is_local(s) and not is_local(c)
-        ]
-        if cross:
-            model.add_constr(
-                lin_sum(cross) <= problem.network.interservice_gb_per_hour * delta,
-                f"backbone[{t}]",
-            )
+    # ---------------------------------------------------- right-hand sides
+    equal("init", [
+        stock.get(s.name, 0.0)
+        for s in storage
+        for stock in (state.stored_input, state.stored_output, state.stored_result)
+    ])
+    network = problem.network
+    row_ub[rhs["uplink"]] = network.uplink_gb_per_hour * delta
+    row_ub[rhs["downlink"]] = network.downlink_gb_per_hour * delta
+    if "lan" in rhs:
+        row_ub[rhs["lan"]] = network.local_gb_per_hour * delta
+    if "backbone" in rhs:
+        row_ub[rhs["backbone"]] = network.interservice_gb_per_hour * delta
+    remaining = [state.source_remaining_gb, map_remaining_gb]
+    if reduce:
+        remaining += [reduce_remaining_gb, result_remaining_gb]
+    equal("completion", remaining)
+    if problem.upload_fractions:
+        equal("fraction", [
+            fraction * state.source_remaining_gb
+            for fraction in problem.upload_fractions.values()
+        ])
 
-    # ------------------------------------------------------- completion
-    total_upload = lin_sum(up[s.name, t] for s in storage for t in range(1, horizon + 1))
-    model.add_constr(total_upload == state.source_remaining_gb, "upload_all")
-    total_reads = lin_sum(
-        read[s, c.name, t]
-        for s in s_names
-        for c in compute
-        for t in range(1, horizon + 1)
-    )
-    model.add_constr(total_reads == map_remaining_gb, "map_all")
-    if has_reduce:
-        total_red = lin_sum(
-            red_read[s, c.name, t]
-            for s in s_names
-            for c in compute
-            for t in range(1, horizon + 1)
-        )
-        model.add_constr(total_red == reduce_remaining_gb, "reduce_all")
-        total_down = lin_sum(
-            download[s.name, t] for s in storage for t in range(1, horizon + 1)
-        )
-        model.add_constr(total_down == result_remaining_gb, "download_all")
+    # ---------------------------------------------------------------- cost
+    cost_terms = _cost_terms(problem, layout)
+    cost = np.zeros(layout.num_cols)
+    # Label by label, so a column priced under several labels sums them
+    # in label order (as ``sum(cost_terms.values())`` would).
+    for parts in cost_terms.values():
+        for cols, price in parts:
+            cost[cols] += price
+    objective = cost + layout.tiebreak
+    offset = 0.0
+    nonzeros = len(layout.data)
 
-    # ------------------------------------------------ fraction sweeps
-    for name, fraction in problem.upload_fractions.items():
-        model.add_constr(
-            lin_sum(up[name, t] for t in range(1, horizon + 1))
-            == fraction * state.source_remaining_gb,
-            f"fraction[{name}]",
-        )
-
-    # ------------------------------------------------------------ cost
-    cost_terms = _build_cost_terms(
-        problem,
-        up=up,
-        store_in=store_in,
-        store_out=store_out,
-        store_res=store_res,
-        read=read,
-        write=write,
-        red_read=red_read,
-        red_write=red_write,
-        mig_in=mig_in,
-        mig_out=mig_out,
-        download=download,
-        nodes=nodes,
-    )
-    total_cost = lin_sum(cost_terms.values())
-
-    tie_break = _NODE_TIEBREAK * lin_sum(nodes.values())
-    tie_break = tie_break + _EARLY_WORK_TIEBREAK * lin_sum(
-        t * var for (s, c, t), var in read.items()
-    )
-    # Front-load uploads among cost-equal schedules: the WAN should never
-    # idle early only to be saturated against the deadline.
-    tie_break = tie_break + _EARLY_WORK_TIEBREAK * lin_sum(
-        t * var for (s, t), var in up.items()
-    )
-    if mig_in or mig_out:
-        tie_break = tie_break + _FLOW_TIEBREAK * lin_sum(
-            list(mig_in.values()) + list(mig_out.values())
-        )
-
-    if problem.goal.kind is GoalKind.MINIMIZE_COST:
-        model.minimize(total_cost + tie_break)
-    else:
+    if problem.goal.kind is GoalKind.MINIMIZE_TIME:
         budget = problem.goal.budget_usd
-        assert budget is not None
-        model.add_constr(total_cost <= budget, "budget")
-        result_total = result_remaining_gb if has_reduce else 0.0
-        for t in range(1, horizon + 1):
-            if has_reduce:
-                cum_down = lin_sum(
-                    download[s.name, t2]
-                    for s in storage
-                    for t2 in range(1, t + 1)
-                )
-                model.add_constr(
-                    result_total * done[t] <= cum_down, f"done_def[{t}]"
-                )
-            else:
-                cum_reads_t = lin_sum(
-                    read[s, c.name, t2]
-                    for s in s_names
-                    for c in compute
-                    for t2 in range(1, t + 1)
-                )
-                model.add_constr(
-                    map_remaining_gb * done[t] <= cum_reads_t, f"done_def[{t}]"
-                )
-            if t > 1:
-                model.add_constr(done[t] >= done[t - 1], f"done_mono[{t}]")
+        if budget is None:
+            raise ValueError("a minimize-time goal needs a budget")
+        data[slots["budget"]] = cost[layout.budget_cols]
+        row_ub[rhs["budget"]] = budget
+        data[slots["done_def"]] = result_remaining_gb if reduce else map_remaining_gb
+        # One saved interval outweighs any cost difference.
         interval_weight = budget + _TIME_WEIGHT_MARGIN
-        pending = lin_sum((1 - done[t]) for t in range(1, horizon + 1))
-        model.minimize(interval_weight * pending + total_cost + tie_break)
+        objective[layout.done] = -interval_weight
+        offset = key.horizon * interval_weight
+        # The budget row spans the columns some label prices (a zero
+        # price included); the pattern held every column that could be.
+        priced = np.zeros(layout.num_cols, dtype=bool)
+        for parts in cost_terms.values():
+            for cols, _ in parts:
+                priced[cols] = True
+        nonzeros -= len(layout.budget_cols) - int(priced.sum())
 
-    return BuiltModel(
-        problem=problem,
-        model=model,
-        up=up,
-        store_in=store_in,
-        store_out=store_out,
-        store_res=store_res,
-        read=read,
-        write=write,
-        red_read=red_read,
-        red_write=red_write,
-        migrate_in=mig_in,
-        migrate_out=mig_out,
-        download=download,
-        nodes=nodes,
-        phase=phase,
-        done=done,
-        cost_terms=cost_terms,
-        total_cost=total_cost,
+    # Exact zeros are no entries (a ratio or a price of 0): this build's
+    # sparsity is then its own, and differs from the layout's.
+    indptr, indices = layout.indptr, layout.indices
+    keep = data != 0.0
+    if not keep.all():
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        indptr = kept_before[indptr].astype(np.int32)
+        indices, data = indices[keep], data[keep]
+
+    compiled = CompiledModel(
+        num_vars=layout.num_cols,
+        objective=objective,
+        objective_offset=offset,
+        indptr=indptr,
+        indices=indices,
+        data=data,
+        row_lb=row_lb,
+        row_ub=row_ub,
+        var_lb=var_lb,
+        var_ub=var_ub,
+        integrality=layout.integrality,
+        col_names=layout.col_names,
+        negated=False,
     )
+    stats = {
+        "variables": layout.num_cols,
+        "integers": int(layout.integrality.sum()),
+        "constraints": len(layout.row_names),
+        "nonzeros": nonzeros,
+    }
+    model = MatrixModel(f"conductor-{job.name}", compiled, layout.row_names, stats)
+    return BuiltModel(problem, model, layout, cost, cost_terms)
 
 
-def _build_cost_terms(problem: PlanningProblem, **tables) -> dict[str, LinExpr]:
-    """Assemble the monetary cost (eqs. 5-6) as labeled expressions.
+def _cost_terms(
+    problem: PlanningProblem, layout: _Layout
+) -> dict[str, list[tuple[np.ndarray, object]]]:
+    """The monetary cost (eqs. 5-6) as labeled ``(columns, price)`` parts.
 
-    Returns a mapping ``"{service}/{category}" -> LinExpr`` so plans can
-    report the same stacked breakdown as the paper's Fig. 5.
+    A label exists only where something is charged; label order (compute,
+    storage, requests, then transfers as flows first meet them) is the
+    order their prices are summed in.
     """
     delta = problem.interval_hours
-    horizon = problem.horizon_intervals
-    storage = problem.storage_services()
-    compute = problem.compute_services()
     by_name = {s.name: s for s in problem.services}
     local = problem.local_provider
+    terms: dict[str, list[tuple[np.ndarray, object]]] = {}
 
-    terms: dict[str, LinExpr] = {}
-
-    def accumulate(service: str, category: str, expr) -> None:
-        key = f"{service}/{category}"
-        terms[key] = terms.get(key, LinExpr()) + expr
+    def charge(service: str, category: str, cols: np.ndarray, price) -> None:
+        terms.setdefault(f"{service}/{category}", []).append((cols, price))
 
     # Compute rental: on-demand price or spot estimate per interval.
-    for c in compute:
+    for j, c in enumerate(problem.compute_services()):
         estimates = problem.spot_price_estimates.get(c.name)
-        expr = LinExpr()
-        for t in range(1, horizon + 1):
-            if c.is_spot and estimates is not None:
-                index = min(t - 1, len(estimates) - 1)
-                price = float(estimates[index]) * delta
-            else:
-                price = c.price_per_node_hour * delta
-            expr = expr + price * tables["nodes"][c.name, t]
-        if expr.terms:
-            accumulate(c.name, "compute", expr)
+        if c.is_spot and estimates is not None:
+            series = np.asarray(estimates, dtype=float)
+            # Past the end of the series, its last estimate holds.
+            at = np.minimum(np.arange(layout.key.horizon), len(series) - 1)
+            price = series[at] * delta
+        else:
+            price = c.price_per_node_hour * delta
+        charge(c.name, "compute", layout.nodes[j], price)
 
+    storage = problem.storage_services()
     # Time-based storage.
-    for s in storage:
-        if s.cost_tstore_gb_hour <= 0:
-            continue
-        held = lin_sum(
-            tables["store_in"][s.name, t]
-            + tables["store_out"][s.name, t]
-            + tables["store_res"][s.name, t]
-            for t in range(1, horizon + 1)
-        )
-        accumulate(s.name, "storage", s.cost_tstore_gb_hour * delta * held)
+    for i, s in enumerate(storage):
+        if s.cost_tstore_gb_hour > 0:
+            charge(s.name, "storage", layout.stocks[i], s.cost_tstore_gb_hour * delta)
 
-    # Per-request I/O, translated to per-GB (Section 4.2).  Co-located
-    # access (compute on the same service's virtual disks) bypasses the
-    # service API and is free.
-    for s in storage:
-        put_gb = s.put_cost_per_gb()
-        get_gb = s.get_cost_per_gb()
-        if put_gb <= 0 and get_gb <= 0:
-            continue
-        puts: list = []
-        gets: list = []
-        for t in range(1, horizon + 1):
-            puts.append(tables["up"][s.name, t])
-            gets.append(tables["download"][s.name, t])
-            for c in compute:
-                if c.name == s.name:
-                    continue
-                puts.append(tables["write"][c.name, s.name, t])
-                gets.append(tables["read"][s.name, c.name, t])
-                if (s.name, c.name, t) in tables["red_read"]:
-                    gets.append(tables["red_read"][s.name, c.name, t])
-                    puts.append(tables["red_write"][c.name, s.name, t])
-        for table in (tables["mig_in"], tables["mig_out"]):
-            for (a, b, t), var in table.items():
-                if b == s.name:
-                    puts.append(var)
-                if a == s.name:
-                    gets.append(var)
+    # Per-request I/O, translated to per-GB (Section 4.2).
+    for i, s in enumerate(storage):
+        put_gb, get_gb = s.put_cost_per_gb(), s.get_cost_per_gb()
         if put_gb > 0:
-            accumulate(s.name, "requests", put_gb * lin_sum(puts))
+            charge(s.name, "requests", layout.puts[i], put_gb)
         if get_gb > 0:
-            accumulate(s.name, "requests", get_gb * lin_sum(gets))
+            charge(s.name, "requests", layout.gets[i], get_gb)
 
     # Transfer charges for data crossing provider boundaries.
-    def crossing_cost(src: str | None, dst: str | None) -> list[tuple[str, float]]:
-        """(service, $/GB) charges for a flow from src to dst service
-        (None = the customer's site)."""
+    for src, dst, cols in layout.flows:
         src_svc = by_name.get(src) if src else None
         dst_svc = by_name.get(dst) if dst else None
         src_provider = src_svc.provider if src_svc else local
         dst_provider = dst_svc.provider if dst_svc else local
         if src_provider == dst_provider:
-            return []
-        charges = []
+            continue
         if src_svc is not None and src_svc.transfer_out_cost_gb > 0:
-            charges.append((src_svc.name, src_svc.transfer_out_cost_gb))
+            charge(src_svc.name, "transfer", cols, src_svc.transfer_out_cost_gb)
         if dst_svc is not None and dst_svc.transfer_in_cost_gb > 0:
-            charges.append((dst_svc.name, dst_svc.transfer_in_cost_gb))
-        return charges
-
-    transfer_flows: list[tuple[str | None, str | None, object]] = []
-    for (s, t), var in tables["up"].items():
-        transfer_flows.append((None, s, var))
-    for (s, t), var in tables["download"].items():
-        transfer_flows.append((s, None, var))
-    for (s, c, t), var in tables["read"].items():
-        transfer_flows.append((s, c, var))
-    for (c, s, t), var in tables["write"].items():
-        transfer_flows.append((c, s, var))
-    for (s, c, t), var in tables["red_read"].items():
-        transfer_flows.append((s, c, var))
-    for (c, s, t), var in tables["red_write"].items():
-        transfer_flows.append((c, s, var))
-    for table in (tables["mig_in"], tables["mig_out"]):
-        for (a, b, t), var in table.items():
-            transfer_flows.append((a, b, var))
-    for src, dst, var in transfer_flows:
-        for service, price in crossing_cost(src, dst):
-            accumulate(service, "transfer", price * var)
+            charge(dst_svc.name, "transfer", cols, dst_svc.transfer_in_cost_gb)
 
     return terms

@@ -5,7 +5,15 @@ solves it with CPLEX (Sections 4 and 4.8).  This package provides the
 equivalent substrate built from scratch:
 
 - :class:`Variable`, :class:`LinExpr`, :class:`Constraint` — the algebra.
-- :class:`Model` — container, semi-continuous lowering, ``solve()``.
+- :class:`Model` — the modelling front-end: container, semi-continuous
+  lowering, ``compile()`` to the matrix form, ``solve()``.
+- :class:`~repro.lp.model.CompiledModel` — the one matrix form: dense
+  cost/bound vectors and a CSR constraint matrix.  :class:`MatrixModel`
+  is a model built in it directly — the planner's hot path
+  (:mod:`repro.core.model_builder`) never builds an expression.
+- :mod:`~repro.lp.incremental` — vectorized ``diff_compiled`` between
+  two matrices of one structure, and the ``CompiledDelta`` that patches
+  a retained one in place.
 - :mod:`~repro.lp.scipy_backend` — HiGHS, the solver: ``solve`` (cold
   branch & bound) and ``HotLP`` (persistent LP for warm re-plans).
 - :mod:`~repro.lp.simplex_backend` — a pure-Python two-phase simplex with
@@ -26,6 +34,7 @@ Quick example::
 
 from .expr import Constraint, LinExpr, Sense, Variable, VarType, lin_sum
 from .model import (
+    MatrixModel,
     Model,
     ObjectiveSense,
     Solution,
@@ -37,6 +46,7 @@ from .writers import save, write_lp, write_mps
 __all__ = [
     "Constraint",
     "LinExpr",
+    "MatrixModel",
     "Model",
     "ObjectiveSense",
     "Sense",

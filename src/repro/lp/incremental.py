@@ -15,85 +15,106 @@ that came from the *same model structure* and classifies the change:
   :func:`diff_compiled` returns ``None`` and the caller must fall back
   to a cold compile + solve.
 
-Bound *finiteness* counts as structure because the pure-simplex standard
-form emits one slack column per finite bound side — a bound flipping
-between finite and infinite relays to a different standard-form layout
-and would invalidate any retained basis.
+Bound *finiteness* counts as structure because a bound flipping between
+finite and infinite changes which side of a row or column can be active
+at all — a retained basis may name a bound that no longer exists.
+
+Both sides are arrays, so the diff is a handful of vectorized
+comparisons; structure arrays two matrices share by identity (builds of
+one cached layout do) are not compared at all.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .model import CompiledModel
 
 __all__ = ["CompiledDelta", "diff_compiled", "structural_signature"]
 
 
+def _no_index() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+def _no_value() -> np.ndarray:
+    return np.empty(0, dtype=float)
+
+
 @dataclass
 class CompiledDelta:
-    """A pure-data patch between two structurally identical matrices."""
+    """A pure-data patch between two structurally identical matrices.
 
-    #: ``(column, new_lb, new_ub)`` for every variable whose bounds moved.
-    var_bounds: list[tuple[int, float, float]] = field(default_factory=list)
-    #: ``(row, new_lb, new_ub)`` for every constraint whose sides moved.
-    row_bounds: list[tuple[int, float, float]] = field(default_factory=list)
-    #: ``(row, column, new_coef)`` value changes on unchanged sparsity.
-    matrix: list[tuple[int, int, float]] = field(default_factory=list)
-    #: Full replacement objective mapping, or ``None`` if unchanged.
-    #: (Objective sparsity is not structure: a price decaying to zero
-    #: drops the key without touching the constraint matrix.)
-    objective: dict[int, float] | None = None
+    Index arrays with their parallel new-value arrays; ``entries`` are
+    positions in the CSR ``data`` array, ``entry_rows``/``entry_cols``
+    the matrix coordinates of the same coefficients (what a solver's
+    ``changeCoeff`` wants).
+    """
+
+    #: Columns whose bounds moved, and their new bounds.
+    cols: np.ndarray = field(default_factory=_no_index)
+    col_lb: np.ndarray = field(default_factory=_no_value)
+    col_ub: np.ndarray = field(default_factory=_no_value)
+    #: Rows whose sides moved, and their new sides.
+    rows: np.ndarray = field(default_factory=_no_index)
+    row_lb: np.ndarray = field(default_factory=_no_value)
+    row_ub: np.ndarray = field(default_factory=_no_value)
+    #: Coefficient value changes on unchanged sparsity.
+    entries: np.ndarray = field(default_factory=_no_index)
+    entry_rows: np.ndarray = field(default_factory=_no_index)
+    entry_cols: np.ndarray = field(default_factory=_no_index)
+    coefs: np.ndarray = field(default_factory=_no_value)
+    #: Full replacement cost vector (the new matrix's own, not a copy), or
+    #: ``None`` if unchanged.
+    objective: np.ndarray | None = None
     objective_offset: float | None = None
 
     @property
     def empty(self) -> bool:
         return not (
-            self.var_bounds
-            or self.row_bounds
-            or self.matrix
+            len(self.cols)
+            or len(self.rows)
+            or len(self.entries)
             or self.objective is not None
             or self.objective_offset is not None
         )
 
-    @property
-    def size(self) -> int:
-        """Number of individual patches (for logging/metrics)."""
-        return (
-            len(self.var_bounds)
-            + len(self.row_bounds)
-            + len(self.matrix)
-            + (len(self.objective) if self.objective is not None else 0)
-            + (1 if self.objective_offset is not None else 0)
-        )
-
     def apply(self, compiled: CompiledModel) -> None:
         """Write the patch into ``compiled`` in place."""
-        for col, lo, hi in self.var_bounds:
-            compiled.var_lb[col] = lo
-            compiled.var_ub[col] = hi
-        for row, lo, hi in self.row_bounds:
-            compiled.row_lb[row] = lo
-            compiled.row_ub[row] = hi
-        for row, col, coef in self.matrix:
-            compiled.rows[row][col] = coef
+        compiled.var_lb[self.cols] = self.col_lb
+        compiled.var_ub[self.cols] = self.col_ub
+        compiled.row_lb[self.rows] = self.row_lb
+        compiled.row_ub[self.rows] = self.row_ub
+        compiled.data[self.entries] = self.coefs
         if self.objective is not None:
-            compiled.objective = dict(self.objective)
+            compiled.objective[:] = self.objective
         if self.objective_offset is not None:
             compiled.objective_offset = self.objective_offset
 
 
-def _same_finiteness(a: float, b: float) -> bool:
-    return math.isfinite(a) == math.isfinite(b) and (
-        math.isfinite(a) or (a > 0) == (b > 0)
-    )
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or np.array_equal(a, b)
 
 
-def _column_name(compiled: CompiledModel, col: int) -> str | None:
-    var = compiled.columns[col]
-    return None if var is None else var.name
+def _moved_bounds(
+    old_lo: np.ndarray, old_hi: np.ndarray, new_lo: np.ndarray, new_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(indices, new lo, new hi)`` of the bounds that changed; ``None``
+    if a side changed between finite and infinite (or between the
+    infinities) — that is, changed at all while infinite before or after."""
+    moved = np.flatnonzero((old_lo != new_lo) | (old_hi != new_hi))
+    lo, hi = new_lo[moved], new_hi[moved]
+    if len(moved):
+        was_lo, was_hi = old_lo[moved], old_hi[moved]
+        flipped = ((was_lo != lo) & (np.isinf(was_lo) | np.isinf(lo))) | (
+            (was_hi != hi) & (np.isinf(was_hi) | np.isinf(hi))
+        )
+        if flipped.any():
+            return None
+    return moved, lo, hi
 
 
 def diff_compiled(old: CompiledModel, new: CompiledModel) -> CompiledDelta | None:
@@ -107,40 +128,39 @@ def diff_compiled(old: CompiledModel, new: CompiledModel) -> CompiledDelta | Non
     :class:`CompiledDelta`, and applying it to ``old`` makes it
     numerically identical to ``new``.
     """
-    if old.num_vars != new.num_vars or len(old.rows) != len(new.rows):
+    if old.num_vars != new.num_vars or old.num_rows != new.num_rows:
         return None
     if old.negated != new.negated:
         return None
-    if old.integrality != new.integrality:
+    if old.col_names is not new.col_names and old.col_names != new.col_names:
         return None
-    for col in range(old.num_vars):
-        if _column_name(old, col) != _column_name(new, col):
-            return None
+    if not (
+        _same(old.integrality, new.integrality)
+        and _same(old.indptr, new.indptr)
+        and _same(old.indices, new.indices)
+    ):
+        return None
 
-    delta = CompiledDelta()
-    for col in range(new.num_vars):
-        old_lo, old_hi = old.var_lb[col], old.var_ub[col]
-        new_lo, new_hi = new.var_lb[col], new.var_ub[col]
-        if not (_same_finiteness(old_lo, new_lo) and _same_finiteness(old_hi, new_hi)):
-            return None
-        if old_lo != new_lo or old_hi != new_hi:
-            delta.var_bounds.append((col, new_lo, new_hi))
-
-    for r, (old_row, new_row) in enumerate(zip(old.rows, new.rows)):
-        old_lo, old_hi = old.row_lb[r], old.row_ub[r]
-        new_lo, new_hi = new.row_lb[r], new.row_ub[r]
-        if not (_same_finiteness(old_lo, new_lo) and _same_finiteness(old_hi, new_hi)):
-            return None
-        if old_lo != new_lo or old_hi != new_hi:
-            delta.row_bounds.append((r, new_lo, new_hi))
-        if old_row.keys() != new_row.keys():
-            return None
-        for col, coef in new_row.items():
-            if old_row[col] != coef:
-                delta.matrix.append((r, col, coef))
-
-    if old.objective != new.objective:
-        delta.objective = dict(new.objective)
+    moved_cols = _moved_bounds(old.var_lb, old.var_ub, new.var_lb, new.var_ub)
+    if moved_cols is None:
+        return None
+    moved_rows = _moved_bounds(old.row_lb, old.row_ub, new.row_lb, new.row_ub)
+    if moved_rows is None:
+        return None
+    cols, col_lb, col_ub = moved_cols
+    rows, row_lb, row_ub = moved_rows
+    delta = CompiledDelta(
+        cols=cols, col_lb=col_lb, col_ub=col_ub,
+        rows=rows, row_lb=row_lb, row_ub=row_ub,
+    )
+    entries = np.flatnonzero(old.data != new.data)
+    if len(entries):
+        delta.entries = entries
+        delta.entry_rows = np.searchsorted(new.indptr, entries, side="right") - 1
+        delta.entry_cols = new.indices[entries]
+        delta.coefs = new.data[entries]
+    if (old.objective != new.objective).any():
+        delta.objective = new.objective
     if old.objective_offset != new.objective_offset:
         delta.objective_offset = new.objective_offset
     return delta
@@ -150,32 +170,23 @@ def structural_signature(compiled: CompiledModel) -> str:
     """Shape-only digest of a compiled matrix.
 
     Two matrices share a signature exactly when :func:`diff_compiled`
-    would classify their difference as patchable (pure data).  Used by
-    tests and as a collision re-check in the incremental solver — the
-    problem-level structural fingerprint is a cheaper upper bound, and
-    this is the matrix-level ground truth.
+    would classify their difference as patchable (pure data).  The
+    problem-level structural fingerprint is a cheaper upper bound; this
+    is the matrix-level ground truth the tests hold it to.
     """
-    def shape(bound: float) -> int:
-        # 0 = finite, +/-1 = the two infinities (finiteness is structure;
-        # which infinity matters for the standard-form slack layout too).
-        if math.isfinite(bound):
-            return 0
-        return 1 if bound > 0 else -1
+    def shape(bounds: np.ndarray) -> bytes:
+        # 0 = finite, +/-1 = the two infinities.
+        return np.where(np.isinf(bounds), np.sign(bounds), 0.0).astype(np.int8).tobytes()
 
     hasher = hashlib.sha256()
-    hasher.update(repr((
-        compiled.num_vars,
-        compiled.negated,
-        tuple(compiled.integrality),
-        tuple(_column_name(compiled, col) for col in range(compiled.num_vars)),
-        tuple(
-            (shape(lo), shape(hi))
-            for lo, hi in zip(compiled.var_lb, compiled.var_ub)
-        ),
-        tuple(tuple(sorted(row)) for row in compiled.rows),
-        tuple(
-            (shape(lo), shape(hi))
-            for lo, hi in zip(compiled.row_lb, compiled.row_ub)
-        ),
-    )).encode("utf-8"))
+    hasher.update(repr((compiled.num_vars, compiled.negated, compiled.col_names)).encode("utf-8"))
+    for part in (
+        compiled.integrality.tobytes(),
+        compiled.indptr.astype(np.int64).tobytes(),
+        compiled.indices.astype(np.int64).tobytes(),
+        shape(compiled.var_lb), shape(compiled.var_ub),
+        shape(compiled.row_lb), shape(compiled.row_ub),
+    ):
+        hasher.update(len(part).to_bytes(8, "little"))
+        hasher.update(part)
     return hasher.hexdigest()

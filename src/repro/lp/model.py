@@ -1,9 +1,14 @@
-"""LP/MILP model container and solution objects.
+"""LP/MILP model containers, the matrix form, and solution objects.
 
-A :class:`Model` owns variables and constraints, lowers semi-continuous
-variables to binary indicators, and solves through scipy/HiGHS
-(:mod:`repro.lp.scipy_backend`).  This is the substrate standing in for
-CPLEX in the paper (Section 4.8).
+A :class:`Model` owns variables and constraints — the modelling
+front-end — lowers semi-continuous variables to binary indicators, and
+compiles to a :class:`CompiledModel`: dense bound/cost vectors and a CSR
+constraint matrix, the one form every backend, the differ and the
+incremental solver read and write.  A :class:`MatrixModel` is a model
+that was *built* in that form (the planner's builder fills the arrays
+directly and never touches the expression graph).  Both solve through
+scipy/HiGHS (:mod:`repro.lp.scipy_backend`), the substrate standing in
+for CPLEX in the paper (Section 4.8).
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 from .expr import Constraint, LinExpr, Number, Sense, Variable, VarType, lin_sum
 
@@ -46,7 +53,11 @@ class Solution:
 
     status: SolveStatus
     objective: float = math.nan
+    #: Per-:class:`Variable` assignment; filled by :meth:`Model.solve`
+    #: only (a :class:`MatrixModel` has no variable objects).
     values: dict[Variable, float] = field(default_factory=dict)
+    #: One value per compiled column, lowering columns included.
+    x: np.ndarray | None = None
     solve_seconds: float = 0.0
     backend: str = ""
     message: str = ""
@@ -70,23 +81,38 @@ class Solution:
 class CompiledModel:
     """Matrix form of a model after lowering, consumed by backends.
 
-    All constraints are expressed as ``row_lb <= A x <= row_ub`` where ``A``
-    is a list of sparse rows ``{column: coef}``.  The objective is always a
-    minimization of ``c x`` (maximization is negated during compilation).
+    All constraints are expressed as ``row_lb <= A x <= row_ub`` with
+    ``A`` in CSR form (``indptr``/``indices``/``data``; column indices
+    ascending within a row, exact-zero coefficients dropped).  The
+    objective is always a minimization of ``objective @ x`` (maximization
+    is negated during compilation).  Backends treat every array as
+    read-only; whoever patches one in place owns a private copy.
     """
 
     num_vars: int
-    objective: dict[int, float]
+    objective: np.ndarray
     objective_offset: float
-    rows: list[dict[int, float]]
-    row_lb: list[float]
-    row_ub: list[float]
-    var_lb: list[float]
-    var_ub: list[float]
-    integrality: list[bool]
-    #: Map column -> originating Variable (lowering binaries have none).
-    columns: list[Variable | None]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row_lb: np.ndarray
+    row_ub: np.ndarray
+    var_lb: np.ndarray
+    var_ub: np.ndarray
+    integrality: np.ndarray
+    #: Column identity: the originating variable's name (``None`` for a
+    #: lowering binary).
+    col_names: tuple[str | None, ...]
     negated: bool
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.row_lb)
+
+    def solution_objective(self, x: np.ndarray) -> float:
+        """The model's own objective (sense restored) at ``x``."""
+        minimized = float(self.objective @ x) + self.objective_offset
+        return -minimized if self.negated else minimized
 
 
 class Model:
@@ -219,19 +245,24 @@ class Model:
             if self._compiled_bounds == self._bounds_signature():
                 return self._compiled
             self._compiled = None
-        columns: list[Variable | None] = list(self.variables)
+        col_names: list[str | None] = [v.name for v in self.variables]
         var_lb = [v.lb for v in self.variables]
         var_ub = [v.ub for v in self.variables]
         integrality = [
             v.vtype in (VarType.INTEGER, VarType.BINARY) for v in self.variables
         ]
 
-        rows: list[dict[int, float]] = []
+        indptr: list[int] = [0]
+        indices: list[int] = []
+        data: list[float] = []
         row_lb: list[float] = []
         row_ub: list[float] = []
 
         def add_row(coefs: dict[int, float], lo: float, hi: float) -> None:
-            rows.append(coefs)
+            for col in sorted(coefs):
+                indices.append(col)
+                data.append(coefs[col])
+            indptr.append(len(indices))
             row_lb.append(lo)
             row_ub.append(hi)
 
@@ -240,8 +271,8 @@ class Model:
         for var in self.variables:
             if var.vtype is not VarType.SEMI_CONTINUOUS:
                 continue
-            z_index = len(columns)
-            columns.append(None)
+            z_index = len(col_names)
+            col_names.append(None)
             var_lb.append(0.0)
             var_ub.append(1.0)
             integrality.append(True)
@@ -268,22 +299,22 @@ class Model:
 
         negated = self._sense is ObjectiveSense.MAXIMIZE
         sign = -1.0 if negated else 1.0
-        objective = {
-            var.index: sign * coef
-            for var, coef in self._objective.terms.items()
-            if coef != 0.0
-        }
+        objective = np.zeros(len(col_names))
+        for var, coef in self._objective.terms.items():
+            objective[var.index] = sign * coef
         self._compiled = CompiledModel(
-            num_vars=len(columns),
+            num_vars=len(col_names),
             objective=objective,
             objective_offset=sign * self._objective.constant,
-            rows=rows,
-            row_lb=row_lb,
-            row_ub=row_ub,
-            var_lb=var_lb,
-            var_ub=var_ub,
-            integrality=integrality,
-            columns=columns,
+            indptr=np.asarray(indptr, dtype=np.int32),
+            indices=np.asarray(indices, dtype=np.int32),
+            data=np.asarray(data, dtype=float),
+            row_lb=np.asarray(row_lb, dtype=float),
+            row_ub=np.asarray(row_ub, dtype=float),
+            var_lb=np.asarray(var_lb, dtype=float),
+            var_ub=np.asarray(var_ub, dtype=float),
+            integrality=np.asarray(integrality, dtype=bool),
+            col_names=tuple(col_names),
             negated=negated,
         )
         self._compiled_bounds = self._bounds_signature()
@@ -317,7 +348,7 @@ class Model:
         solution.solve_seconds = time.perf_counter() - start
         if solution.status.has_solution:
             solution.values = {
-                var: solution.values.get(var, 0.0) for var in self.variables
+                var: float(solution.x[var.index]) for var in self.variables
             }
             solution.objective = self._objective.evaluate(solution.values)
         return solution
@@ -363,8 +394,104 @@ class Model:
         )
 
 
+class MatrixModel:
+    """A model built directly in matrix form — no expression graph.
+
+    What :func:`repro.core.model_builder.build_model` hands out: the
+    :class:`CompiledModel` it filled plus the row names.  Offers the part
+    of :class:`Model`'s interface a finished model needs (``compile``,
+    ``solve``, ``stats``); :meth:`to_model` rebuilds the expression
+    front-end for the ``.lp``/``.mps`` writers.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        compiled: CompiledModel,
+        row_names: tuple[str, ...],
+        stats: dict[str, int],
+    ) -> None:
+        self.name = name
+        self.row_names = row_names
+        self._compiled = compiled
+        self._stats = stats
+
+    def compile(self) -> CompiledModel:
+        """The matrix form (already there: the model was built in it)."""
+        return self._compiled
+
+    def solve(
+        self, time_limit: float | None = 180.0, mip_gap: float = 0.01
+    ) -> Solution:
+        """Solve with HiGHS; see :meth:`Model.solve` for the parameters.
+
+        The solution carries the column vector ``x`` (no per-variable
+        ``values``) and the objective evaluated from it.
+        """
+        from . import scipy_backend  # imports this module
+
+        start = time.perf_counter()
+        solution = scipy_backend.solve(self._compiled, time_limit, mip_gap)
+        solution.solve_seconds = time.perf_counter() - start
+        if solution.status.has_solution:
+            solution.objective = self._compiled.solution_objective(solution.x)
+        return solution
+
+    def stats(self) -> dict[str, int]:
+        """Model size summary, same keys as :meth:`Model.stats`."""
+        return dict(self._stats)
+
+    def to_model(self) -> Model:
+        """The same model as a :class:`Model` (named variables, one
+        named constraint per row)."""
+        compiled = self._compiled
+        model = Model(self.name)
+        for col, name in enumerate(compiled.col_names):
+            lb, ub = float(compiled.var_lb[col]), float(compiled.var_ub[col])
+            if not compiled.integrality[col]:
+                vtype = VarType.CONTINUOUS
+            elif (lb, ub) == (0.0, 1.0):
+                vtype = VarType.BINARY
+            else:
+                vtype = VarType.INTEGER
+            model.add_var(name, lb=lb, ub=ub, vtype=vtype)
+        variables = model.variables
+        for row, name in enumerate(self.row_names):
+            span = slice(compiled.indptr[row], compiled.indptr[row + 1])
+            terms = {
+                variables[col]: coef
+                for col, coef in zip(
+                    compiled.indices[span].tolist(), compiled.data[span].tolist()
+                )
+            }
+            lo, hi = float(compiled.row_lb[row]), float(compiled.row_ub[row])
+            if lo == hi:
+                sense, bound = Sense.EQ, hi
+            elif math.isinf(lo):
+                sense, bound = Sense.LE, hi
+            elif math.isinf(hi):
+                sense, bound = Sense.GE, lo
+            else:
+                raise ValueError(f"row {name!r} is ranged; a Model has no such constraint")
+            model.add_constr(Constraint(LinExpr(terms, -bound), sense), name)
+        sign = -1.0 if compiled.negated else 1.0
+        objective = LinExpr(
+            {
+                variables[col]: sign * coef
+                for col, coef in enumerate(compiled.objective.tolist())
+                if coef != 0.0
+            },
+            sign * compiled.objective_offset,
+        )
+        if compiled.negated:
+            model.maximize(objective)
+        else:
+            model.minimize(objective)
+        return model
+
 __all__ = [
     "Model",
+    "MatrixModel",
     "Solution",
     "SolveStatus",
     "ObjectiveSense",

@@ -116,29 +116,18 @@ def solve(
 ) -> Solution:
     """Solve a compiled model and return a :class:`Solution`.
 
-    The returned solution's ``values`` only cover original model variables;
-    auxiliary lowering columns are dropped.
+    The returned solution carries ``x``, one cleaned value per compiled
+    column (lowering columns included); mapping it back onto variables
+    is the model's business.
     """
     n = compiled.num_vars
-    c = _dense_cost(compiled.objective, n)
-
     constraints = []
-    if compiled.rows:
-        data, row_idx, col_idx = [], [], []
-        for r, row in enumerate(compiled.rows):
-            for col, coef in row.items():
-                row_idx.append(r)
-                col_idx.append(col)
-                data.append(coef)
+    if compiled.num_rows:
         matrix = sparse.csr_matrix(
-            (data, (row_idx, col_idx)), shape=(len(compiled.rows), n)
+            (compiled.data, compiled.indices, compiled.indptr),
+            shape=(compiled.num_rows, n),
         )
-        constraints.append(
-            LinearConstraint(matrix, np.asarray(compiled.row_lb), np.asarray(compiled.row_ub))
-        )
-
-    bounds = Bounds(np.asarray(compiled.var_lb), np.asarray(compiled.var_ub))
-    integrality = np.asarray([1 if flag else 0 for flag in compiled.integrality])
+        constraints.append(LinearConstraint(matrix, compiled.row_lb, compiled.row_ub))
 
     options: dict[str, float] = {"mip_rel_gap": mip_gap}
     if time_limit is not None:
@@ -146,10 +135,10 @@ def solve(
 
     with _muted_stdout():
         result = milp(
-            c=c,
+            c=compiled.objective,
             constraints=constraints,
-            bounds=bounds,
-            integrality=integrality,
+            bounds=Bounds(compiled.var_lb, compiled.var_ub),
+            integrality=compiled.integrality.astype(np.int8),
             options=options,
         )
 
@@ -158,31 +147,15 @@ def solve(
         status = SolveStatus.ERROR
     solution = Solution(status=status, backend="scipy-highs", message=result.message or "")
     if status.has_solution:
-        values = np.asarray(result.x)
-        solution.values = {
-            var: _clean(values[col], compiled.integrality[col])
-            for col, var in enumerate(compiled.columns)
-            if var is not None
-        }
+        solution.x = _clean(np.asarray(result.x, dtype=float), compiled.integrality)
         objective = float(result.fun) + compiled.objective_offset
         solution.objective = -objective if compiled.negated else objective
     return solution
 
 
-def _dense_cost(objective: dict[int, float], n: int) -> np.ndarray:
-    cost = np.zeros(n)
-    for col, coef in objective.items():
-        cost[col] = coef
-    return cost
-
-
-def _clean(value: float, is_integer: bool) -> float:
+def _clean(x: np.ndarray, integrality: np.ndarray) -> np.ndarray:
     """Snap solver noise: integral columns to ints, tiny values to zero."""
-    if is_integer:
-        return float(round(value))
-    if abs(value) < 1e-9:
-        return 0.0
-    return float(value)
+    return np.where(integrality, np.rint(x), np.where(np.abs(x) < 1e-9, 0.0, x))
 
 
 @dataclass
@@ -193,7 +166,7 @@ class LPRun:
     #: Minimized-space objective, offset included.
     objective: float = math.nan
     #: One value per compiled column (tiny values snapped to zero).
-    x: list[float] | None = None
+    x: np.ndarray | None = None
     #: Opaque optimal basis; hand it back to ``run`` to restart from it.
     basis: object = None
 
@@ -212,22 +185,17 @@ class HotLP:
         n = compiled.num_vars
         lp = _hs.HighsLp()
         lp.num_col_ = n
-        lp.num_row_ = len(compiled.rows)
-        lp.col_cost_ = _dense_cost(compiled.objective, n)
+        lp.num_row_ = compiled.num_rows
+        lp.col_cost_ = compiled.objective
         lp.offset_ = compiled.objective_offset
-        lp.col_lower_ = np.asarray(compiled.var_lb, dtype=float)
-        lp.col_upper_ = np.asarray(compiled.var_ub, dtype=float)
-        lp.row_lower_ = np.asarray(compiled.row_lb, dtype=float)
-        lp.row_upper_ = np.asarray(compiled.row_ub, dtype=float)
-        starts, index, value = [0], [], []
-        for row in compiled.rows:
-            index.extend(row.keys())
-            value.extend(row.values())
-            starts.append(len(index))
+        lp.col_lower_ = compiled.var_lb
+        lp.col_upper_ = compiled.var_ub
+        lp.row_lower_ = compiled.row_lb
+        lp.row_upper_ = compiled.row_ub
         lp.a_matrix_.format_ = _hs.MatrixFormat.kRowwise
-        lp.a_matrix_.start_ = np.asarray(starts, dtype=np.int32)
-        lp.a_matrix_.index_ = np.asarray(index, dtype=np.int32)
-        lp.a_matrix_.value_ = np.asarray(value, dtype=float)
+        lp.a_matrix_.start_ = compiled.indptr
+        lp.a_matrix_.index_ = compiled.indices
+        lp.a_matrix_.value_ = compiled.data
         self._h = h = _Highs()
         h.setOptionValue("output_flag", False)
         h.setOptionValue("presolve", "off")
@@ -241,15 +209,18 @@ class HotLP:
     def patch(self, delta: CompiledDelta) -> None:
         """Apply a pure-data delta to the loaded LP."""
         h = self._h
-        for col, lo, hi in delta.var_bounds:
-            h.changeColBounds(col, lo, hi)
-        for row, lo, hi in delta.row_bounds:
+        if len(delta.cols):
+            self.set_col_bounds(delta.cols, delta.col_lb, delta.col_ub)
+        for row, lo, hi in zip(
+            delta.rows.tolist(), delta.row_lb.tolist(), delta.row_ub.tolist()
+        ):
             h.changeRowBounds(row, lo, hi)
-        for row, col, coef in delta.matrix:
+        for row, col, coef in zip(
+            delta.entry_rows.tolist(), delta.entry_cols.tolist(), delta.coefs.tolist()
+        ):
             h.changeCoeff(row, col, coef)
         if delta.objective is not None:
-            n = len(self._all_cols)
-            h.changeColsCost(n, self._all_cols, _dense_cost(delta.objective, n))
+            h.changeColsCost(len(self._all_cols), self._all_cols, delta.objective)
         if delta.objective_offset is not None:
             h.changeObjectiveOffset(delta.objective_offset)
 
@@ -279,7 +250,7 @@ class HotLP:
             return LPRun(status)
         x = np.asarray(h.getSolution().col_value, dtype=float)
         x[np.abs(x) < 1e-9] = 0.0
-        return LPRun(status, float(h.getObjectiveValue()), x.tolist(), h.getBasis())
+        return LPRun(status, float(h.getObjectiveValue()), x, h.getBasis())
 
 
 _HOT_STATUS = {} if _hs is None else {

@@ -37,26 +37,18 @@ class _StandardForm:
 def solve(compiled: CompiledModel, time_limit: float | None = None) -> Solution:
     """Solve a compiled model with the pure-Python engine."""
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    if any(compiled.integrality):
+    if compiled.integrality.any():
         return _branch_and_bound(compiled, deadline)
     status, objective, values = _solve_relaxation(compiled, {}, {})
     solution = Solution(status=status, backend="simplex")
     if status.has_solution:
-        solution.values = _to_variable_map(compiled, values)
+        solution.x = values
         solution.objective = _signed_objective(compiled, objective)
     return solution
 
 
 def _signed_objective(compiled: CompiledModel, minimized: float) -> float:
     return -minimized if compiled.negated else minimized
-
-
-def _to_variable_map(compiled: CompiledModel, values: np.ndarray) -> dict:
-    return {
-        var: float(values[col])
-        for col, var in enumerate(compiled.columns)
-        if var is not None
-    }
 
 
 def _solve_relaxation(
@@ -78,11 +70,7 @@ def _solve_relaxation(
     x = result.x[: form.num_original] + form.shift
     return SolveStatus.OPTIMAL, result.objective + float(
         compiled.objective_offset
-    ) + _shift_cost(compiled, form.shift), x
-
-
-def _shift_cost(compiled: CompiledModel, shift: np.ndarray) -> float:
-    return sum(coef * shift[col] for col, coef in compiled.objective.items())
+    ) + float(compiled.objective @ form.shift), x
 
 
 def _to_standard_form(
@@ -97,8 +85,8 @@ def _to_standard_form(
     become extra rows with slack columns.
     """
     n = compiled.num_vars
-    lb = np.asarray(compiled.var_lb, dtype=float).copy()
-    ub = np.asarray(compiled.var_ub, dtype=float).copy()
+    lb = compiled.var_lb.copy()
+    ub = compiled.var_ub.copy()
     for col, bound in extra_lb.items():
         lb[col] = max(lb[col], bound)
     for col, bound in extra_ub.items():
@@ -110,9 +98,11 @@ def _to_standard_form(
 
     shift = lb
     rows: list[tuple[dict[int, float], float, float]] = []
-    for row, lo, hi in zip(compiled.rows, compiled.row_lb, compiled.row_ub):
+    for r in range(compiled.num_rows):
+        span = slice(compiled.indptr[r], compiled.indptr[r + 1])
+        row = dict(zip(compiled.indices[span].tolist(), compiled.data[span].tolist()))
         base = sum(coef * shift[col] for col, coef in row.items())
-        rows.append((row, lo - base, hi - base))
+        rows.append((row, compiled.row_lb[r] - base, compiled.row_ub[r] - base))
     for col in range(n):
         if math.isfinite(ub[col]):
             rows.append(({col: 1.0}, -math.inf, ub[col] - shift[col]))
@@ -167,8 +157,7 @@ def _to_standard_form(
             s_out += 2
 
     c = np.zeros(n + num_slack)
-    for col, coef in compiled.objective.items():
-        c[col] = coef
+    c[:n] = compiled.objective
     return _StandardForm(c=c, a=a, b=b, shift=shift, num_original=n)
 
 
@@ -222,7 +211,7 @@ def _branch_and_bound(compiled: CompiledModel, deadline: float | None) -> Soluti
         status=SolveStatus.FEASIBLE if timed_out else SolveStatus.OPTIMAL,
         backend="simplex-bb",
     )
-    solution.values = _to_variable_map(compiled, rounded)
+    solution.x = rounded
     solution.objective = _signed_objective(compiled, best_objective)
     return solution
 

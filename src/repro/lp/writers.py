@@ -17,7 +17,7 @@ import math
 import re
 
 from .expr import LinExpr, Sense, Variable, VarType
-from .model import Model, ObjectiveSense
+from .model import MatrixModel, Model, ObjectiveSense
 
 _NAME_RE = re.compile(r"[^A-Za-z0-9_.#\[\]]")
 
@@ -77,8 +77,15 @@ def _constraint_names(model: Model) -> list[str]:
     return names
 
 
-def write_lp(model: Model) -> str:
+def _front_end(model: Model | MatrixModel) -> Model:
+    """The writers walk named variables and constraints; a model built
+    in matrix form is given them back first."""
+    return model.to_model() if isinstance(model, MatrixModel) else model
+
+
+def write_lp(model: Model | MatrixModel) -> str:
     """Render the model in CPLEX LP format."""
+    model = _front_end(model)
     names = _variable_names(model)
     constraint_names = _constraint_names(model)
     lines: list[str] = [f"\\ Problem: {model.name}"]
@@ -146,12 +153,13 @@ def write_lp(model: Model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_mps(model: Model) -> str:
+def write_mps(model: Model | MatrixModel) -> str:
     """Render the model in (free-form) MPS format.
 
     Semi-continuous columns use the ``SC`` bound type; maximization uses
     the ``OBJSENSE`` extension both CPLEX and HiGHS accept.
     """
+    model = _front_end(model)
     names = _variable_names(model)
     constraint_names = _constraint_names(model)
     lines = [f"NAME          {_safe_name(model.name, 0, 'MODEL')}"]
@@ -232,7 +240,7 @@ def write_mps(model: Model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save(model: Model, path: str) -> None:
+def save(model: Model | MatrixModel, path: str) -> None:
     """Write the model to ``path``; format chosen by extension."""
     if path.endswith(".lp"):
         text = write_lp(model)

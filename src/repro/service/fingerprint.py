@@ -10,21 +10,23 @@ estimates, upload fractions, model flags — changes the digest.
 
 The **structural** fingerprint hashes only what determines the *shape*
 of the generated model — horizon length, the service set and its
-capability/limit pattern, goal kind, model flags — and deliberately
-ignores all numeric data (prices, rates, state, spot estimates).  Two
-problems sharing a structural fingerprint compile to matrices of the
-same sparsity, which is what lets the incremental solver patch the
-retained matrix of one and re-solve it warm for the other.  The mapping
-is a cheap upper bound, not a guarantee: the solver re-checks at the
-matrix level (:func:`repro.lp.incremental.diff_compiled`) and falls back
-cold on a collision.
+capability/limit pattern, goal kind, model flags: the model builder's
+own layout key — and deliberately ignores all numeric data (prices,
+rates, state, spot estimates).  Two problems sharing a structural
+fingerprint are built from one layout, into matrices of the same
+sparsity, which is what lets the incremental solver patch the retained
+matrix of one and re-solve it warm for the other.  The mapping is a
+cheap upper bound, not a guarantee (a coefficient that is exactly zero
+is dropped from the one build it occurs in): the solver re-checks at
+the matrix level (:func:`repro.lp.incremental.diff_compiled`) and falls
+back cold on a collision.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from ..cloud.services import UNLIMITED
+from ..core.model_builder import ModelStructure, structure_key
 from ..core.problem import PlanningProblem
 
 
@@ -49,43 +51,19 @@ def problem_fingerprint(problem: PlanningProblem) -> str:
     return cached
 
 
-def structural_payload(problem: PlanningProblem) -> tuple:
+def structural_payload(problem: PlanningProblem) -> ModelStructure:
     """Shape-only canonical encoding (exposed for tests/debugging).
 
-    Includes every input the model builder branches on when deciding
-    *which* variables and constraints exist: the interval count, each
-    service's capabilities and limit finiteness, the goal kind and
-    budget presence, phase structure (does a reduce phase exist), and
-    the model flags.  Excludes everything that only lands in bounds,
-    right-hand sides, or objective coefficients: prices, rates, network
+    This *is* the model builder's own account of what it branches on
+    (:func:`repro.core.model_builder.structure_key`, the key of its
+    layout cache) — the interval count, each service's capabilities and
+    limit finiteness, the goal kind and budget presence, whether a
+    reduce phase exists, and the model flags — so the fingerprint cannot
+    drift from the builder.  It excludes everything that only lands in
+    bounds, right-hand sides, or coefficients: prices, rates, network
     capacities, spot estimates, and the system state.
     """
-    return (
-        "PlanningProblemStructure",
-        problem.horizon_intervals,
-        tuple(
-            (
-                s.name,
-                s.can_compute,
-                s.can_store,
-                s.is_spot,
-                s.max_nodes == UNLIMITED,
-                s.storage_capacity_gb == UNLIMITED,
-                s.storage_gb_per_node > 0,
-                s.provider == problem.local_provider,
-            )
-            for s in sorted(problem.services, key=lambda s: s.name)
-        ),
-        problem.goal.kind.value,
-        problem.goal.budget_usd is not None,
-        problem.job.map_output_ratio > 0,
-        problem.job.reduce_output_ratio > 0,
-        tuple(sorted(problem.upload_fractions)),
-        int(problem.upload_read_lag),
-        bool(problem.allow_migration),
-        bool(problem.constant_nodes),
-        bool(problem.strict_phase_gap),
-    )
+    return structure_key(problem)
 
 
 def structural_fingerprint(problem: PlanningProblem) -> str:

@@ -47,6 +47,8 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from ..core.model_builder import BuiltModel, PlanningError, build_model
 from ..core.plan import ExecutionPlan
 from ..core.problem import PlanningProblem
@@ -95,18 +97,19 @@ class IncrementalStats:
 class _Entry:
     """Everything retained per structural fingerprint.
 
-    ``compiled`` is a private deep copy (patching it must not reach the
-    model caches) that is delta-patched in place on every
-    shape-preserving re-solve, so diffs are always against the latest
-    data and stay small.  ``lp`` holds the same data inside the solver;
-    the two are only ever touched together, under ``lock``.
+    ``compiled`` owns its data arrays (patching it must not reach the
+    build it was copied from, let alone the cached layout) and is
+    delta-patched in place on every shape-preserving re-solve, so diffs
+    are always against the latest data and stay small.  ``lp`` holds the
+    same data inside the solver; the two are only ever touched together,
+    under ``lock``.
     """
 
     compiled: CompiledModel
-    #: Integer column -> value of the last cold optimum (the warm MILP
-    #: candidate); empty for a pure LP, ``None`` when lowering columns
-    #: hide integer values.
-    int_values: dict[int, float] | None
+    #: The integer columns and their values at the last cold optimum
+    #: (the warm MILP candidate); empty for a pure LP.
+    int_cols: np.ndarray
+    int_values: np.ndarray
     #: Minimized-space objective of that cold optimum.
     cold_objective: float
     #: Basis of the last optimal relaxation run (for a pure LP: of the
@@ -130,7 +133,7 @@ class _RebuiltLP:
 
     def __init__(self, compiled: CompiledModel) -> None:
         self._compiled = compiled
-        self._bounds: tuple = ((), (), ())
+        self._bounds: tuple = ([], [], [])
 
     def patch(self, delta: CompiledDelta) -> None:
         pass
@@ -140,26 +143,22 @@ class _RebuiltLP:
 
     def run(self, time_limit: float | None = None, basis=None) -> LPRun:
         compiled = self._compiled
-        lb, ub = list(compiled.var_lb), list(compiled.var_ub)
-        for col, lo, hi in zip(*self._bounds):
-            lb[col], ub[col] = lo, hi
+        lb, ub = compiled.var_lb.copy(), compiled.var_ub.copy()
+        cols, lower, upper = self._bounds
+        lb[cols], ub[cols] = lower, upper
         solution = scipy_backend.solve(
             replace(
                 compiled,
                 var_lb=lb,
                 var_ub=ub,
-                integrality=[False] * compiled.num_vars,
+                integrality=np.zeros(compiled.num_vars, dtype=bool),
             ),
             time_limit,
         )
         if solution.status is not SolveStatus.OPTIMAL:
             return LPRun(solution.status)
         objective = -solution.objective if compiled.negated else solution.objective
-        x = [
-            0.0 if var is None else solution.values.get(var, 0.0)
-            for var in compiled.columns
-        ]
-        return LPRun(solution.status, objective, x)
+        return LPRun(solution.status, objective, solution.x)
 
 
 @dataclass
@@ -177,21 +176,21 @@ class _Prepared:
 
 
 def _own_copy(compiled: CompiledModel) -> CompiledModel:
-    """A privately owned copy safe to patch in place.
+    """A copy safe to patch in place: its own data arrays (everything
+    :meth:`~repro.lp.incremental.CompiledDelta.apply` writes), the
+    structure arrays — sparsity pattern, integrality, names — shared.
 
-    ``Model.compile()`` hands out its cached object; retaining that and
+    ``compile()`` hands out the model's own matrix; retaining that and
     patching it would corrupt the model it belongs to.
     """
     return replace(
         compiled,
-        objective=dict(compiled.objective),
-        rows=[dict(row) for row in compiled.rows],
-        row_lb=list(compiled.row_lb),
-        row_ub=list(compiled.row_ub),
-        var_lb=list(compiled.var_lb),
-        var_ub=list(compiled.var_ub),
-        integrality=list(compiled.integrality),
-        columns=list(compiled.columns),
+        objective=compiled.objective.copy(),
+        data=compiled.data.copy(),
+        row_lb=compiled.row_lb.copy(),
+        row_ub=compiled.row_ub.copy(),
+        var_lb=compiled.var_lb.copy(),
+        var_ub=compiled.var_ub.copy(),
     )
 
 
@@ -255,8 +254,8 @@ class IncrementalSolver:
             1
             for prep in prepared
             if prep.entry is not None
-            and prep.entry.int_values
-            and self._pins_fit(prep.entry.int_values, prep.compiled)
+            and len(prep.entry.int_cols)
+            and self._pins_fit(prep.entry, prep.compiled)
         )
         if batch >= 2:
             with self._stats_lock:
@@ -321,7 +320,7 @@ class IncrementalSolver:
             return None
         return self._finish(prepared, x, time.perf_counter() - start)
 
-    def _rerun(self, prepared: _Prepared) -> list[float] | None:
+    def _rerun(self, prepared: _Prepared) -> np.ndarray | None:
         """Diff against the retained matrix, patch it and its LP, re-run
         from the retained bases and certify — atomic under the entry's
         lock.  Returns the accepted column values."""
@@ -334,16 +333,16 @@ class IncrementalSolver:
             self._entries.remove(prepared.key)
             prepared.structural_fallback = True
             return None
-        pins = entry.int_values
-        # Lowering columns hid the assignment, or the data change moved a
-        # bound past it (capacity cut below the allocated nodes): the
-        # candidate is infeasible by inspection, go straight cold.
-        if pins is None or not self._pins_fit(pins, compiled):
+        cols, pins = entry.int_cols, entry.int_values
+        # The data change moved a bound past the assignment (capacity cut
+        # below the allocated nodes): the candidate is infeasible by
+        # inspection, go straight cold.
+        if not self._pins_fit(entry, compiled):
             return None
         lp = entry.lp
         if lp is None:
             lp = entry.lp = self._load(entry.compiled)
-            if pins and not self.strict:
+            if len(cols) and not self.strict:
                 # The root gap of the cold optimum, measured on the
                 # matrix it was found on; seeds the relaxation basis too.
                 root = lp.run(limit, entry.relax_basis)
@@ -355,7 +354,7 @@ class IncrementalSolver:
         delta.apply(entry.compiled)
         lp.patch(delta)
 
-        if not pins:  # a pure LP: an optimum is an optimum, warm or cold
+        if not len(cols):  # a pure LP: an optimum is an optimum, warm or cold
             run = lp.run(limit, entry.relax_basis)
             if run.status is not SolveStatus.OPTIMAL:
                 return None
@@ -364,17 +363,12 @@ class IncrementalSolver:
 
         # The candidate (integers pinned) first: it is the run that
         # fails, and a failed candidate needs no bound.
-        cols, values = list(pins), list(pins.values())
-        lp.set_col_bounds(cols, values, values)
+        lp.set_col_bounds(cols, pins, pins)
         cand = lp.run(limit, entry.pinned_basis)
         if cand.status is not SolveStatus.OPTIMAL:
             return None
         entry.pinned_basis = cand.basis
-        lp.set_col_bounds(
-            cols,
-            [compiled.var_lb[col] for col in cols],
-            [compiled.var_ub[col] for col in cols],
-        )
+        lp.set_col_bounds(cols, compiled.var_lb[cols], compiled.var_ub[cols])
         bound = lp.run(limit, entry.relax_basis)
         if bound.status is not SolveStatus.OPTIMAL:
             return None
@@ -393,15 +387,17 @@ class IncrementalSolver:
             return None
         # Snap the pinned columns back to exact integers (the LP solver
         # returns them within feasibility tolerance of the pin).
-        for col, pin in pins.items():
-            cand.x[col] = pin
+        cand.x[cols] = pins
         return cand.x
 
     @staticmethod
-    def _pins_fit(pins: dict[int, float], compiled: CompiledModel) -> bool:
-        return all(
-            compiled.var_lb[col] - _EPS <= value <= compiled.var_ub[col] + _EPS
-            for col, value in pins.items()
+    def _pins_fit(entry: _Entry, compiled: CompiledModel) -> bool:
+        """Whether the retained integer assignment is within the new
+        column bounds."""
+        cols, pins = entry.int_cols, entry.int_values
+        return bool(
+            np.all(compiled.var_lb[cols] - _EPS <= pins)
+            and np.all(pins <= compiled.var_ub[cols] + _EPS)
         )
 
     @staticmethod
@@ -413,27 +409,22 @@ class IncrementalSolver:
         return _RebuiltLP(compiled)
 
     def _finish(
-        self, prepared: _Prepared, x: list[float], seconds: float
+        self, prepared: _Prepared, x: np.ndarray, seconds: float
     ) -> ExecutionPlan:
         """Assemble a Solution over the new model and extract the plan.
 
         The fresh matrix has the retained one's columns (that is what
-        ``diff_compiled`` certifies) and its columns reference the new
-        model's variables, so ``x`` maps onto them by position.
+        ``diff_compiled`` certifies), so ``x`` is a column vector of the
+        new model as it stands.
         """
-        built = prepared.built
-        values = {
-            var: x[col]
-            for col, var in enumerate(prepared.compiled.columns)
-            if var is not None
-        }
-        solution = Solution(status=SolveStatus.OPTIMAL, backend="incremental")
-        solution.values = {
-            var: values.get(var, 0.0) for var in built.model.variables
-        }
-        solution.objective = built.model.objective.evaluate(solution.values)
-        solution.solve_seconds = seconds
-        return built.extract_plan(solution)
+        solution = Solution(
+            status=SolveStatus.OPTIMAL,
+            objective=prepared.compiled.solution_objective(x),
+            x=x,
+            solve_seconds=seconds,
+            backend="incremental",
+        )
+        return prepared.built.extract_plan(solution)
 
     # -- cold path --------------------------------------------------------
 
@@ -449,22 +440,13 @@ class IncrementalSolver:
     def _retain(self, prepared: _Prepared, solution: Solution) -> None:
         """Memoize a fresh cold optimum as the next warm starting point."""
         compiled = prepared.compiled
-        int_values: dict[int, float] | None = {}
-        for col, flag in enumerate(compiled.integrality):
-            if not flag:
-                continue
-            var = compiled.columns[col]
-            if var is None:
-                # A lowering column's value never reaches the Solution;
-                # without it the assignment cannot be pinned next time.
-                int_values = None
-                break
-            int_values[col] = float(round(solution.values.get(var, 0.0)))
+        int_cols = np.flatnonzero(compiled.integrality)
         self._entries.put(
             prepared.key,
             _Entry(
                 compiled=_own_copy(compiled),
-                int_values=int_values,
+                int_cols=int_cols,
+                int_values=np.rint(solution.x[int_cols]),
                 cold_objective=(
                     -solution.objective if compiled.negated else solution.objective
                 ),

@@ -1,9 +1,11 @@
 """Tests for the LP model builder: plan invariants across scenarios."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_model
 from repro.cloud import hybrid_cloud, public_cloud, s3, ec2_m1_large
 from repro.core import (
     Goal,
@@ -22,6 +24,15 @@ def plan_for(problem):
     solution = built.solve()
     assert solution.status.has_solution, solution.message
     return built.extract_plan(solution), built
+
+
+def violated(problem, solution):
+    """The constraints of the (expression-form) model that the solution
+    vector breaks; ``test_model_equivalence`` shows the two builders lay
+    out the same columns, so the vector indexes both."""
+    model = reference_model.build_model(problem).model
+    values = {var: float(solution.x[var.index]) for var in model.variables}
+    return model.check_feasible(values)
 
 
 def default_problem(**kwargs):
@@ -69,7 +80,7 @@ class TestPlanInvariants:
         problem = default_problem()
         built = build_model(problem)
         solution = built.solve()
-        assert built.model.check_feasible(solution.values) == []
+        assert violated(problem, solution) == []
 
     def test_infeasible_deadline_detected(self):
         # 32 GB over a 16 Mbit/s uplink cannot finish in 2 hours.
@@ -180,6 +191,117 @@ class TestScenarioShapes:
         assert plan.intervals[0].start_hour == pytest.approx(2.0)
 
 
+DATA_ARRAYS = ("objective", "data", "row_lb", "row_ub", "var_lb", "var_ub")
+
+
+def snapshot(built):
+    compiled = built.model.compile()
+    return {name: getattr(compiled, name).copy() for name in DATA_ARRAYS}
+
+
+def layout_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from layout_arrays(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from layout_arrays(item)
+
+
+class TestSharedLayout:
+    """Builds of one shape share an immutable layout and nothing else."""
+
+    A = dict(goal=Goal.min_time(budget_usd=40.0, horizon_hours=6))
+    B = dict(
+        goal=Goal.min_time(budget_usd=25.0, horizon_hours=6),
+        job=PlannerJob(name="b", input_gb=20.0, map_output_ratio=0.01),
+        network=NetworkConditions.from_mbit_s(11.0),
+    )
+
+    def test_a_build_in_between_leaves_no_trace(self):
+        first = build_model(default_problem(**self.A))
+        other = build_model(default_problem(**self.B))
+        again = build_model(default_problem(**self.A))
+        assert first.layout is other.layout is again.layout
+        before, between, after = snapshot(first), snapshot(other), snapshot(again)
+        for name in DATA_ARRAYS:
+            assert np.array_equal(before[name], after[name]), name
+        assert not np.array_equal(before["data"], between["data"])
+        assert not np.array_equal(before["row_ub"], between["row_ub"])
+
+    def test_builds_share_no_data_memory_and_cannot_write_the_layout(self):
+        one = build_model(default_problem(**self.A))
+        two = build_model(default_problem(**self.A))
+        a, b = one.model.compile(), two.model.compile()
+        for name in DATA_ARRAYS:
+            assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+            assert getattr(a, name).flags.writeable, name
+        shared = list(layout_arrays(vars(one.layout)))
+        assert len(shared) > 20
+        for array in shared:
+            assert not array.flags.writeable
+            for name in DATA_ARRAYS:
+                assert not np.shares_memory(array, getattr(a, name)), name
+        # With no zero coefficient to drop (this min-time pair has some in
+        # its budget row), the structure a build hands out *is* the
+        # layout's, read-only.
+        plain = build_model(default_problem())
+        pattern = plain.model.compile()
+        assert pattern.indices is plain.layout.indices
+        assert pattern.indptr is plain.layout.indptr
+        with pytest.raises(ValueError, match="read-only"):
+            pattern.indices[0] = 0
+
+    def test_concurrent_builds_of_one_shape_do_not_mix(self):
+        import sys
+        import threading
+
+        problems = [default_problem(**self.A), default_problem(**self.B)]
+        expected = [snapshot(build_model(p)) for p in problems]
+        barrier = threading.Barrier(3)
+        wrong: list[str] = []
+
+        def builder(slot):
+            barrier.wait(30.0)
+            for _ in range(150):
+                got = snapshot(build_model(problems[slot % 2]))
+                for name in DATA_ARRAYS:
+                    if not np.array_equal(got[name], expected[slot % 2][name]):
+                        wrong.append(f"slot {slot}: {name}")
+
+        threads = [threading.Thread(target=builder, args=(slot,)) for slot in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_patching_a_retained_copy_leaves_fresh_builds_alone(self):
+        from repro.lp.incremental import diff_compiled
+        from repro.service.incremental import _own_copy
+
+        fresh = snapshot(build_model(default_problem(**self.A)))
+        retained = _own_copy(build_model(default_problem(**self.A)).model.compile())
+        target = build_model(default_problem(**self.B)).model.compile()
+        delta = diff_compiled(retained, target)
+        assert delta is not None and len(delta.rows) and len(delta.entries)
+        assert delta.objective is not None
+        delta.apply(retained)
+        for name in DATA_ARRAYS:
+            assert np.array_equal(getattr(retained, name), getattr(target, name)), name
+        after = snapshot(build_model(default_problem(**self.A)))
+        for name in DATA_ARRAYS:
+            assert np.array_equal(fresh[name], after[name]), name
+
+
 class TestStateValidation:
     def test_overfull_state_rejected(self):
         from repro.core import SystemState
@@ -213,4 +335,4 @@ def test_property_conservation_across_random_jobs(input_gb, deadline):
     plan = built.extract_plan(solution)
     assert plan.total_uploaded_gb() == pytest.approx(input_gb, rel=1e-4)
     assert plan.total_map_gb() == pytest.approx(input_gb, rel=1e-4)
-    assert built.model.check_feasible(solution.values) == []
+    assert violated(problem, solution) == []

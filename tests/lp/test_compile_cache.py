@@ -34,7 +34,7 @@ class TestCompileCache:
         m.add_constr(x <= 2, "tighter")
         second = m.compile()
         assert second is not first
-        assert len(second.rows) == len(first.rows) + 1
+        assert second.num_rows == first.num_rows + 1
 
     def test_objective_change_invalidates(self):
         m = toy_model()

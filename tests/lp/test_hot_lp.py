@@ -5,6 +5,7 @@ import dataclasses
 import sys
 import types
 
+import numpy as np
 import pytest
 
 from repro.lp import Model, SolveStatus, VarType, scipy_backend
@@ -28,7 +29,7 @@ def knapsack(cost=(3.0, 4.0, 1.0), cap=7.0, ub=3.0, weight=2.0, offset=0.0):
 
 def relaxed(compiled):
     return dataclasses.replace(
-        compiled, integrality=[False] * compiled.num_vars
+        compiled, integrality=np.zeros(compiled.num_vars, dtype=bool)
     )
 
 
@@ -59,14 +60,10 @@ class TestLoadAndRun:
     def test_infeasible_lp_reports_infeasible_and_recovers(self):
         compiled = knapsack()
         lp = HotLP(compiled)
-        ints = [c for c, flag in enumerate(compiled.integrality) if flag]
+        ints = np.flatnonzero(compiled.integrality)
         lp.set_col_bounds(ints, [3.0] * 3, [3.0] * 3)  # weight 18 > cap 7
         assert lp.run(30.0).status is SolveStatus.INFEASIBLE
-        lp.set_col_bounds(
-            ints,
-            [compiled.var_lb[c] for c in ints],
-            [compiled.var_ub[c] for c in ints],
-        )
+        lp.set_col_bounds(ints, compiled.var_lb[ints], compiled.var_ub[ints])
         run = lp.run(30.0)
         assert run.status is SolveStatus.OPTIMAL
         assert run.objective == pytest.approx(cold_minimized(compiled), abs=1e-9)
@@ -95,13 +92,13 @@ class TestPatch:
     def test_pinning_integer_columns_solves_the_candidate_lp(self):
         compiled = knapsack()
         lp = HotLP(compiled)
-        ints = [c for c, flag in enumerate(compiled.integrality) if flag]
+        ints = np.flatnonzero(compiled.integrality)
         lp.set_col_bounds(ints, [1.0, 1.0, 0.0], [1.0, 1.0, 0.0])
         run = lp.run(30.0)
         pinned = dataclasses.replace(
             compiled,
-            var_lb=[1.0, 1.0, 0.0, compiled.var_lb[3]],
-            var_ub=[1.0, 1.0, 0.0, compiled.var_ub[3]],
+            var_lb=np.array([1.0, 1.0, 0.0, compiled.var_lb[3]]),
+            var_ub=np.array([1.0, 1.0, 0.0, compiled.var_ub[3]]),
         )
         assert run.objective == pytest.approx(cold_minimized(pinned), abs=1e-9)
         assert run.x[:3] == pytest.approx([1.0, 1.0, 0.0], abs=1e-9)

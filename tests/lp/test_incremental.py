@@ -3,6 +3,7 @@ structural breaks, and solve a patched matrix like a freshly compiled one."""
 
 import copy
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,18 +35,21 @@ class TestDiffClassification:
         )
         assert delta is not None and not delta.empty
         assert delta.objective is not None
-        assert not delta.var_bounds and not delta.row_bounds and not delta.matrix
+        assert not len(delta.cols) and not len(delta.rows) and not len(delta.entries)
 
     def test_rhs_change_is_a_patch(self):
         delta = diff_compiled(small_lp().compile(), small_lp(rhs=12.0).compile())
         assert delta is not None
-        assert delta.row_bounds
+        assert delta.rows.tolist() == [0, 1]
+        assert delta.row_lb.tolist() == [6.0, -np.inf]
+        assert delta.row_ub.tolist() == [np.inf, 12.0]
         assert delta.objective is None
 
     def test_bound_change_is_a_patch(self):
         delta = diff_compiled(small_lp().compile(), small_lp(ub=6.0).compile())
         assert delta is not None
-        assert delta.var_bounds
+        assert delta.cols.tolist() == [0, 1]
+        assert delta.col_ub.tolist() == [6.0, 6.0]
 
     def test_coefficient_change_on_same_sparsity_is_a_patch(self):
         def build(coef):
@@ -58,7 +62,9 @@ class TestDiffClassification:
 
         delta = diff_compiled(build(2.0), build(2.5))
         assert delta is not None
-        assert delta.matrix == [(0, 0, 2.5)]
+        assert delta.entries.tolist() == [0]
+        assert (delta.entry_rows.tolist(), delta.entry_cols.tolist()) == ([0], [0])
+        assert delta.coefs.tolist() == [2.5]
 
     def test_new_constraint_is_structural(self):
         a = small_lp()
@@ -128,11 +134,10 @@ class TestApply:
         delta = diff_compiled(old, new)
         assert delta is not None
         delta.apply(old)
-        assert old.objective == new.objective
         assert old.objective_offset == new.objective_offset
-        assert old.rows == new.rows
-        assert old.row_lb == new.row_lb and old.row_ub == new.row_ub
-        assert old.var_lb == new.var_lb and old.var_ub == new.var_ub
+        for name in ("objective", "indptr", "indices", "data",
+                     "row_lb", "row_ub", "var_lb", "var_ub"):
+            assert np.array_equal(getattr(old, name), getattr(new, name)), name
 
     def test_signature_shared_iff_patchable(self):
         base = small_lp().compile()
@@ -145,16 +150,13 @@ class TestApply:
         assert structural_signature(base) != structural_signature(extra.compile())
 
 
-def feasible(compiled, values_by_col, tol=1e-7):
-    for col in range(compiled.num_vars):
-        x = values_by_col.get(col, 0.0)
-        if not compiled.var_lb[col] - tol <= x <= compiled.var_ub[col] + tol:
-            return False
-    for r, row in enumerate(compiled.rows):
-        ax = sum(coef * values_by_col.get(col, 0.0) for col, coef in row.items())
-        if not compiled.row_lb[r] - tol <= ax <= compiled.row_ub[r] + tol:
-            return False
-    return True
+def feasible(compiled, x, tol=1e-7):
+    if np.any(x < compiled.var_lb - tol) or np.any(x > compiled.var_ub + tol):
+        return False
+    ax = np.zeros(compiled.num_rows)
+    row_of = np.repeat(np.arange(compiled.num_rows), np.diff(compiled.indptr))
+    np.add.at(ax, row_of, compiled.data * x[compiled.indices])
+    return bool(np.all(ax >= compiled.row_lb - tol) and np.all(ax <= compiled.row_ub + tol))
 
 
 data = st.tuples(
@@ -201,9 +203,4 @@ class TestWarmColdAgreementProperties:
             assert abs(patched_scipy.objective - fresh_scipy.objective) <= 1e-9 * scale
             assert abs(patched_simplex.objective - fresh_scipy.objective) <= 1e-7 * scale
             for patched in (patched_simplex, patched_scipy):
-                by_col = {
-                    col: patched.values[var]
-                    for col, var in enumerate(old.columns)
-                    if var is not None and var in patched.values
-                }
-                assert feasible(old, by_col)
+                assert feasible(old, patched.x)

@@ -76,8 +76,9 @@ class TestCompilation:
         z = m.add_var("z", ub=10, vtype=VarType.SEMI_CONTINUOUS, sc_lb=2)
         compiled = m.compile()
         assert compiled.num_vars == 2
-        assert compiled.integrality[1] is True
-        assert len(compiled.rows) == 2  # x <= Uz and x >= Lz
+        assert bool(compiled.integrality[1]) is True
+        assert compiled.col_names == ("z", None)  # the indicator has no variable
+        assert compiled.num_rows == 2  # x <= Uz and x >= Lz
 
     def test_objective_offset(self):
         m = Model()

@@ -20,7 +20,7 @@ def oracle(model):
     solution = simplex_backend.solve(model.compile())
     if solution.status.has_solution:
         solution.values = {
-            var: solution.values.get(var, 0.0) for var in model.variables
+            var: float(solution.x[var.index]) for var in model.variables
         }
         solution.objective = model.objective.evaluate(solution.values)
     return solution

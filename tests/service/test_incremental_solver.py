@@ -7,14 +7,19 @@ import sys
 import threading
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.core import Goal, NetworkConditions, PlannerJob, PlanningProblem
-from repro.core.model_builder import PlanningError, build_model
+from repro.core.model_builder import PlanningError, build_model, structure_key
 from repro.core.planner import Planner
 from repro.cloud import public_cloud
 from repro.obs.registry import MetricsRegistry
-from repro.service import IncrementalSolver, structural_fingerprint
+from repro.service import (
+    IncrementalSolver,
+    structural_fingerprint,
+    structural_payload,
+)
 from repro.lp import Solution, SolveStatus, scipy_backend
 from repro.service.incremental import _own_copy, _RebuiltLP
 from repro.service.pool import SolverPool
@@ -90,9 +95,11 @@ class TestAccounting:
         # same key cannot classify the change as pure data.
         key = structural_fingerprint(problem)
         entry = solver._entries.get(key)
-        entry.compiled.rows.append({0: 1.0})
-        entry.compiled.row_lb.append(0.0)
-        entry.compiled.row_ub.append(1.0)
+        entry.compiled.indptr = np.append(entry.compiled.indptr, len(entry.compiled.data) + 1)
+        entry.compiled.indices = np.append(entry.compiled.indices, 0)
+        entry.compiled.data = np.append(entry.compiled.data, 1.0)
+        entry.compiled.row_lb = np.append(entry.compiled.row_lb, 0.0)
+        entry.compiled.row_ub = np.append(entry.compiled.row_ub, 1.0)
         plan = solver.solve(make_problem())
         assert plan.solver_status == "optimal"
         assert solver.stats.structural_fallbacks == 1
@@ -109,6 +116,45 @@ class TestAccounting:
         counters = snapshot["counters"]
         assert counters["incremental.cold"] == 1
         assert counters["incremental.warm"] == 1
+
+
+class TestShapeHasOneSource:
+    """The structural fingerprint hashes the builder's own layout key,
+    so "same fingerprint" cannot mean "different model" again (it once
+    keyed on ``map_output_ratio > 0`` where the builder branches on
+    ``map_output_gb > 1e-6``)."""
+
+    @staticmethod
+    def pair():
+        from repro.api import GoalSpec, JobSpec, NetworkSpec
+        from repro.api.compiler import compile_spec
+
+        def spec(input_gb, uplink=16.0):
+            return compile_spec(JobSpec(
+                input_gb=input_gb, goal=GoalSpec(deadline_hours=6.0),
+                network=NetworkSpec(uplink_mbit_s=uplink),
+            ))
+
+        return spec(32.0), spec(1e-6), spec(32.0, uplink=16.2)
+
+    def test_a_job_too_small_to_reduce_is_another_shape(self):
+        full, tiny, _ = self.pair()
+        assert full.job.map_output_ratio == tiny.job.map_output_ratio > 0
+        sizes = [build_model(p).model.stats() for p in (full, tiny)]
+        assert sizes[0]["variables"] > sizes[1]["variables"]
+        assert sizes[0]["constraints"] > sizes[1]["constraints"]
+        assert structural_fingerprint(full) != structural_fingerprint(tiny)
+        assert structural_payload(full) == structure_key(full)
+        assert structural_payload(full).has_reduce
+        assert not structural_payload(tiny).has_reduce
+
+    def test_it_neither_collides_with_nor_evicts_the_full_jobs_entry(self):
+        full, tiny, drifted = self.pair()
+        solver = IncrementalSolver()
+        assert kind_of(solver, full)[0] == "cold"
+        assert kind_of(solver, tiny)[0] == "cold"  # not a structural fallback
+        assert kind_of(solver, drifted)[0] == "warm"
+        assert solver.stats.structural_fallbacks == 0
 
 
 class TestBatching:
@@ -147,11 +193,11 @@ class TestRetainedMatrixIsolation:
         compiled = build_model(make_problem()).model.compile()
         copied = _own_copy(compiled)
         copied.objective[0] = 123.0
-        copied.rows[0][0] = 456.0
+        copied.data[0] = 456.0
         copied.row_lb[0] = -789.0
         copied.var_ub[0] = 0.5
-        assert compiled.objective.get(0) != 123.0
-        assert compiled.rows[0].get(0) != 456.0
+        assert compiled.objective[0] != 123.0
+        assert compiled.data[0] != 456.0
         assert compiled.row_lb[0] != -789.0
         assert compiled.var_ub[0] != 0.5
 
@@ -164,12 +210,13 @@ class TestRetainedMatrixIsolation:
         # A drifted re-solve patches the retained matrix in place ...
         solver.solve(make_problem(uplink=17.0))
         after = solver._entries.get(key).compiled
-        assert after.rows == before.rows  # sparsity untouched
+        assert after.indices is before.indices  # sparsity untouched
+        assert not np.array_equal(after.row_ub, before.row_ub)  # data moved
         # ... and a fresh compile of the original problem still carries
         # the original data, proving the retained copy was private.
         fresh = build_model(make_problem()).model.compile()
-        assert fresh.row_lb == before.row_lb
-        assert fresh.row_ub == before.row_ub
+        assert np.array_equal(fresh.row_lb, before.row_lb)
+        assert np.array_equal(fresh.row_ub, before.row_ub)
 
 
 class TestPoolWarmPathConsistency:
@@ -277,7 +324,7 @@ class TestHotInstanceLifecycle:
         # The memo is the cold optimum's gap to the root relaxation of the
         # matrix it was found on (not of the patched one), as an
         # independent from-scratch relaxation solve measures it.
-        base.integrality = [False] * base.num_vars
+        base.integrality = np.zeros(base.num_vars, dtype=bool)
         root = scipy_backend.solve(base, 30.0)
         assert entry.gap_slack == pytest.approx(
             cold_plan.objective_value - root.objective, abs=1e-6
@@ -342,9 +389,7 @@ class TestHotInstanceLifecycle:
         # A bound flipping finite -> infinite is structure (see
         # lp/incremental.py): diff_compiled says None before the LP is
         # asked to change anything.
-        col = next(
-            c for c, ub in enumerate(entry.compiled.var_ub) if math.isfinite(ub)
-        )
+        col = np.flatnonzero(np.isfinite(entry.compiled.var_ub))[0]
         entry.compiled.var_ub[col] = math.inf
         kind, plan = kind_of(solver, make_problem(uplink=16.1))
         assert kind == "structural_fallbacks" and plan.solver_status == "optimal"
@@ -366,8 +411,12 @@ class TestHotInstanceLifecycle:
                 type(entry.lp), name,
                 lambda self, *a, _name=name, **kw: calls.append(_name),
             )
-        row = entry.compiled.rows[0]
-        row[next(c for c in range(entry.compiled.num_vars) if c not in row)] = 1.0
+        # One more entry in the last row: a sparsity pattern of its own.
+        compiled = entry.compiled
+        compiled.indptr = compiled.indptr.copy()
+        compiled.indptr[-1] += 1
+        compiled.indices = np.append(compiled.indices, compiled.num_vars - 1)
+        compiled.data = np.append(compiled.data, 1.0)
         assert kind_of(solver, make_problem(uplink=16.1))[0] == "structural_fallbacks"
         assert calls == []
 

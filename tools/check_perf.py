@@ -12,6 +12,11 @@ This script is the CI side of that contract: it fails when
 3. no ``warm_speedup`` metric exists at all (the gate silently
    checking nothing is itself a failure).
 
+Where a bench reported them, the model-build layer is printed beside
+the speedups — ``build_ms`` (first builds of each shape, summed over
+the Fig. 16 grid) and ``rebuild_ms`` (second builds of the same shapes)
+— as information: no floor applies to them.
+
 Usage::
 
     python tools/check_perf.py bench.json --min-warm-speedup 3
@@ -45,9 +50,13 @@ def main(argv: list[str] | None = None) -> int:
         outcome = bench.get("outcome")
         if outcome not in (None, "passed"):
             problems.append(f"{name}: outcome {outcome!r}")
-        speedup = bench.get("metrics", {}).get("warm_speedup")
+        metrics = bench.get("metrics", {})
+        speedup = metrics.get("warm_speedup")
         if speedup is not None:
             speedups.append((name, float(speedup)))
+        if "build_ms" in metrics and "rebuild_ms" in metrics:
+            print(f"{name}: build_ms {metrics['build_ms']:.1f}, "
+                  f"rebuild_ms {metrics['rebuild_ms']:.2f}")
 
     if not speedups:
         problems.append("no benchmark reported a warm_speedup metric")

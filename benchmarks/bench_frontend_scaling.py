@@ -1,9 +1,10 @@
 """Frontend dispatch: cache-hit throughput against tenant count, and the
 10k-tenant socket accountability run.
 
-The broker is one min-heap on ``(priority, deadline, seq)``, so what a
-cache-served request costs the dispatcher must not depend on how many
-tenants are queued — the property that makes one broker enough
+The broker is one min-heap on ``(priority, deadline, seq)`` and a hit is
+answered at submit unless its tenant has something queued ahead of it,
+so what a cache-served request costs the service must not depend on how
+many tenants there are — the property that makes one broker enough
 (docs/service.md, "Why there are no shards").
 
 Two gates:
@@ -56,8 +57,8 @@ SUBMITTERS = 8
 
 def drain_elapsed(tenants: int) -> tuple[float, int]:
     """Wall time to push REQUESTS cache-served requests from ``tenants``
-    tenants through one service (ordered admission, so every request
-    rides the dispatch path)."""
+    tenants through one service (ordered admission, the socket
+    frontend's setting: per-tenant FIFO across hits and misses)."""
     per_tenant = REQUESTS // tenants
     problems = [problem_for_scenario("quickstart", **kw) for kw in PROBLEM_KWARGS]
     config = ServiceConfig(

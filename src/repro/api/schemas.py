@@ -24,8 +24,11 @@ The vocabulary:
 from __future__ import annotations
 
 import json
+import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Mapping
+from types import MappingProxyType
+from typing import Any, ClassVar
 
 #: The wire-format version this build speaks.
 SCHEMA_VERSION = 1
@@ -58,7 +61,10 @@ _REQUIRED = object()
 
 
 def _mapping(data: Any, kind: str) -> dict:
-    if not isinstance(data, Mapping):
+    # Exact ``dict`` first: that is what ``json.loads`` hands every wire
+    # payload, and the ABC's ``__instancecheck__`` is the slow way to
+    # learn it.
+    if type(data) is not dict and not isinstance(data, Mapping):
         raise SchemaError(f"{kind}: payload must be a JSON object, "
                           f"got {type(data).__name__}")
     return dict(data)
@@ -350,7 +356,10 @@ class JobSpec:
     constant_nodes: bool = False
     allow_migration: bool = True
     #: Optional Fig. 8/9 constraint: service name -> input fraction.
-    upload_fractions: dict[str, float] = field(default_factory=dict)
+    #: Read-only once constructed: decoded specs are shared between
+    #: requests and memoize their :meth:`cache_key`, so the one mutable
+    #: field of a frozen spec would poison every holder at once.
+    upload_fractions: Mapping[str, float] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
@@ -377,8 +386,9 @@ class JobSpec:
              None if self.spot_price is None else float(self.spot_price))
         _require(self.spot_price is None or self.spot_price > 0,
                  "spot_price must be positive when given")
-        _set(self, "upload_fractions",
-             {str(k): float(v) for k, v in dict(self.upload_fractions).items()})
+        _set(self, "upload_fractions", MappingProxyType(
+            {str(k): float(v) for k, v in dict(self.upload_fractions).items()}
+        ))
 
     def to_dict(self) -> dict:
         return {
@@ -429,6 +439,11 @@ class JobSpec:
         _finish(data, cls.KIND)
         return spec
 
+    def __reduce__(self):
+        # The read-only mapping does not pickle; the wire form does, and
+        # ``copy``/``pickle`` of a spec keep working through it.
+        return (JobSpec.from_dict, (self.to_dict(),))
+
     def cache_key(self) -> tuple:
         """A hashable identity for compiled-problem caching.
 
@@ -474,6 +489,39 @@ class JobSpec:
             throughput_scale=self.throughput_scale,
             reduce_speed_factor=self.reduce_speed_factor,
         )
+
+
+#: Decoded job payloads remembered by :func:`_decoded_job` (the same
+#: constant as ``Orchestrator``'s compile memo, which the shared
+#: instances feed).
+_JOB_MEMO_SIZE = 512
+#: ``repr`` of a ``job`` payload -> the spec ``JobSpec.from_dict`` made of it.
+_JOB_MEMO: dict[str, JobSpec] = {}
+_JOB_MEMO_LOCK = threading.Lock()
+
+
+def _decoded_job(payload: Any) -> JobSpec:
+    """``JobSpec.from_dict(payload)``, validated once per distinct text.
+
+    A service sees the same few jobs under thousands of tenants and ids;
+    re-validating a spec it validated a millisecond ago tells it nothing.
+    The key is the payload's ``repr`` — one C-level pass, and exact: it
+    keeps ``1``, ``1.0`` and ``true`` apart, and a payload with its keys
+    in another order is simply a different key (a miss, then an equal
+    spec).  Only what ``from_dict`` returned is stored, so a payload it
+    rejects is never remembered and fails the same way every time.  One
+    frozen instance per job also lets its ``cache_key()`` memo — and the
+    compile and fingerprint memos behind it — hit.
+    """
+    key = repr(payload)
+    spec = _JOB_MEMO.get(key)
+    if spec is None:
+        spec = JobSpec.from_dict(payload)
+        with _JOB_MEMO_LOCK:
+            while len(_JOB_MEMO) >= _JOB_MEMO_SIZE:
+                _JOB_MEMO.pop(next(iter(_JOB_MEMO)))
+            _JOB_MEMO[key] = spec
+    return spec
 
 
 @dataclass(frozen=True)
@@ -564,7 +612,7 @@ class PlanRequestV1:
         if "job" not in data:
             raise SchemaError("missing required field 'job'")
         request = cls(
-            job=JobSpec.from_dict(data.pop("job")),
+            job=_decoded_job(data.pop("job")),
             tenant=_take(data, "tenant", _str, "default"),
             priority=_take(data, "priority", _int, 1),
             deadline_s=_take(data, "deadline_s", _opt_float, None),

@@ -720,8 +720,9 @@ def _cmd_serve_listen(args) -> int:
         return 2
     return run_server(
         FrontendConfig(host=host, port=port),
-        # The socket frontend opts into strict per-tenant FIFO (cache
-        # hits queue like misses) and deadline-aware shedding.
+        # The socket frontend opts into strict per-tenant FIFO (a cache
+        # hit queues behind its tenant's own queued request) and
+        # deadline-aware shedding.
         _service_config_for(
             args, ordered_admission=True, deadline_shedding=True
         ),

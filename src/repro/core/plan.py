@@ -166,13 +166,19 @@ class ExecutionPlan:
         return dict(self.interval_at(hour).nodes)
 
     def peak_nodes(self, service: str | None = None) -> int:
-        """Max concurrent nodes (optionally for one service)."""
-        def count(interval: PlanInterval) -> int:
-            if service is None:
-                return interval.total_nodes
-            return interval.nodes.get(service, 0)
+        """Max concurrent nodes (optionally for one service).
 
-        return max(count(i) for i in self.intervals)
+        The all-services peak is memoized on the instance: a plan is not
+        mutated once extracted, the plan cache hands one object to every
+        tenant, and every response summarizes it.
+        """
+        if service is not None:
+            return max(i.nodes.get(service, 0) for i in self.intervals)
+        peak = self.__dict__.get("_peak_nodes")
+        if peak is None:
+            peak = max(i.total_nodes for i in self.intervals)
+            self.__dict__["_peak_nodes"] = peak
+        return peak
 
     def total_node_hours(self, service: str | None = None) -> float:
         total = 0.0

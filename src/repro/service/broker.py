@@ -42,6 +42,9 @@ class RequestBroker:
         self._heap: list[tuple] = []
         #: tenant -> queued tickets (tenants with none are dropped).
         self._per_tenant: dict[str, int] = {}
+        #: Tenant of the ticket the consumer is handling: set when ``pop``
+        #: hands it out, cleared when the consumer comes back for more.
+        self._handling: str | None = None
         self._seq = 0
         self._closed = False
 
@@ -81,12 +84,14 @@ class RequestBroker:
         """The most urgent queued request by ``(priority, deadline,
         seq)``, or ``None`` on timeout/close."""
         with self._not_empty:
+            self._handling = None
             while not self._heap:
                 if self._closed:
                     return None
                 if not self._not_empty.wait(timeout):
                     return None
             *_, ticket = heapq.heappop(self._heap)
+            self._handling = ticket.tenant
             queued = self._per_tenant[ticket.tenant] - 1
             if queued:
                 self._per_tenant[ticket.tenant] = queued
@@ -123,6 +128,14 @@ class RequestBroker:
     def pending_for(self, tenant: str) -> int:
         with self._lock:
             return self._per_tenant.get(tenant, 0)
+
+    def holds(self, tenant: str) -> bool:
+        """Whether a request of ``tenant`` has yet to leave this broker:
+        one is queued, or the single consumer popped one and has not come
+        back for the next.  While false, nothing of the tenant's can be
+        overtaken by answering it elsewhere."""
+        with self._lock:
+            return tenant in self._per_tenant or tenant == self._handling
 
     def tenants(self) -> list[str]:
         with self._lock:

@@ -18,13 +18,18 @@ Flow control, all bounded:
   admission (also ``rejected``) instead of expiring uselessly in queue;
 - **slow clients** — responses leave through a bounded per-connection
   send queue drained by a writer task under TCP backpressure
-  (``drain()``); a client that stops reading until its queue fills is
-  disconnected rather than buffered without bound;
+  (``drain()``).  When it is full, the read loop — which answers bad
+  lines, refusals and cache hits itself — waits for space, so a client
+  that is not draining stops being read; a completion arriving from a
+  service thread cannot wait, and disconnects the client rather than
+  buffer without bound;
 - **disconnects** — a closed connection cooperatively cancels its
   still-queued requests, so abandoned work never reaches the solver.
 
-Completions happen on service worker threads; they hop onto the event
-loop via ``call_soon_threadsafe`` and are encoded/enqueued there.
+A request the service finished at submit (a cache hit with nothing of
+its tenant's queued ahead of it) is answered where its line was read.
+Every other completion happens on a service thread, hops onto the event
+loop via ``call_soon_threadsafe`` and is encoded/enqueued there.
 """
 
 from __future__ import annotations
@@ -89,17 +94,19 @@ class FrontendServer:
         #: Socket-layer counters live in the service's own registry, so
         #: one snapshot reports both.
         self.registry = service.metrics.registry
-        for name in (
-            "frontend.connections",
-            "frontend.disconnects",
-            "frontend.requests",
-            "frontend.responses",
-            "frontend.bad_lines",
-            "frontend.shed",
-            "frontend.slow_client_disconnects",
-            "frontend.cancelled_on_disconnect",
-        ):
-            self.registry.counter(name)
+        counter = self.registry.counter
+        self._connections = counter("frontend.connections")
+        self._disconnects = counter("frontend.disconnects")
+        self._requests = counter("frontend.requests")
+        self._responses = counter("frontend.responses")
+        self._bad_lines = counter("frontend.bad_lines")
+        self._shed = counter("frontend.shed")
+        self._slow_client_disconnects = counter(
+            "frontend.slow_client_disconnects"
+        )
+        self._cancelled_on_disconnect = counter(
+            "frontend.cancelled_on_disconnect"
+        )
         self._server: asyncio.base_events.Server | None = None
 
     # -- lifecycle --------------------------------------------------------
@@ -136,7 +143,7 @@ class FrontendServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.registry.counter("frontend.connections").increment()
+        self._connections.increment()
         loop = asyncio.get_running_loop()
         send_queue: asyncio.Queue[str | None] = asyncio.Queue(
             maxsize=self.config.send_queue_limit
@@ -146,8 +153,9 @@ class FrontendServer:
         closing = False
 
         def enqueue(line: str) -> bool:
-            """Queue one response line; False means the client is too slow
-            (its bounded send queue is full) and the connection must go."""
+            """Queue a response that completed on a service thread, which
+            cannot wait: False means the client is too slow (its bounded
+            send queue is full) and the connection must go."""
             nonlocal closing
             if closing:
                 return False
@@ -155,9 +163,7 @@ class FrontendServer:
                 send_queue.put_nowait(line)
                 return True
             except asyncio.QueueFull:
-                self.registry.counter(
-                    "frontend.slow_client_disconnects"
-                ).increment()
+                self._slow_client_disconnects.increment()
                 closing = True
                 writer.transport.abort()
                 return False
@@ -169,19 +175,24 @@ class FrontendServer:
             result = ticket.result(timeout=0)
             response = self.orchestrator.respond(result, request_id=request_id)
             if enqueue(encode(response)):
-                self.registry.counter("frontend.responses").increment()
+                self._responses.increment()
 
         sender = asyncio.create_task(self._send_loop(writer, send_queue))
-        enqueue(encode(self._hello()))
+        # The read loop's own answers wait for queue space (``put``): they
+        # can arrive without the loop ever yielding to the sender, and a
+        # full queue then says nothing about whether the client reads.
+        reply = send_queue.put
+        await reply(encode(self._hello()))
         try:
             ticket_key = 0
-            while not closing:
+            # A dead sender has emptied the queue and nobody will again.
+            while not closing and not sender.done():
                 try:
                     raw = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
                     # Overlong line: the stream position is unreliable,
                     # answer structurally and hang up.
-                    enqueue(encode(ErrorV1(
+                    await reply(encode(ErrorV1(
                         code="bad_schema",
                         message="request line exceeds "
                         f"{self.config.max_line_bytes} bytes",
@@ -197,31 +208,42 @@ class FrontendServer:
                 try:
                     request = decode(line)
                 except SchemaError as exc:
-                    self.registry.counter("frontend.bad_lines").increment()
-                    enqueue(encode(ErrorV1(code="bad_schema", message=str(exc))))
+                    self._bad_lines.increment()
+                    await reply(
+                        encode(ErrorV1(code="bad_schema", message=str(exc)))
+                    )
                     continue
                 if not isinstance(request, PlanRequestV1):
-                    self.registry.counter("frontend.bad_lines").increment()
-                    enqueue(encode(ErrorV1(
+                    self._bad_lines.increment()
+                    await reply(encode(ErrorV1(
                         code="bad_schema",
                         message=f"expected kind 'plan_request', "
                         f"got {request.KIND!r}",
                     )))
                     continue
-                self.registry.counter("frontend.requests").increment()
+                self._requests.increment()
                 try:
                     ticket = self.orchestrator.submit(request)
                 except OrchestratorError as exc:
                     # Admission refusal / deadline shed: a structured
                     # response on the existing vocabulary, immediately.
-                    self.registry.counter("frontend.shed").increment()
-                    if enqueue(encode(PlanResponseV1(
+                    self._shed.increment()
+                    await reply(encode(PlanResponseV1(
                         status="rejected",
                         tenant=request.tenant,
                         request_id=request.request_id,
                         error=exc.error,
-                    ))):
-                        self.registry.counter("frontend.responses").increment()
+                    )))
+                    self._responses.increment()
+                    continue
+                if ticket.done():
+                    # Finished at submit: answered here, with nothing to
+                    # cancel and no hop through a service thread and back.
+                    await reply(encode(self.orchestrator.respond(
+                        ticket.result(timeout=0),
+                        request_id=request.request_id,
+                    )))
+                    self._responses.increment()
                     continue
                 ticket_key += 1
                 key, request_id = ticket_key, request.request_id
@@ -235,15 +257,13 @@ class FrontendServer:
                 )
         finally:
             closing = True
-            self.registry.counter("frontend.disconnects").increment()
+            self._disconnects.increment()
             abandoned = list(outstanding.values())
             outstanding.clear()
             for ticket in abandoned:
                 ticket.cancel()
             if abandoned:
-                self.registry.counter(
-                    "frontend.cancelled_on_disconnect"
-                ).increment(len(abandoned))
+                self._cancelled_on_disconnect.increment(len(abandoned))
             try:
                 send_queue.put_nowait(None)
             except asyncio.QueueFull:
@@ -266,16 +286,28 @@ class FrontendServer:
         self, writer: asyncio.StreamWriter, queue: asyncio.Queue
     ) -> None:
         """Single writer per connection: drains the bounded send queue
-        under TCP backpressure, preserving enqueue order."""
-        while True:
-            line = await queue.get()
-            if line is None:
-                return
-            try:
-                writer.write(line.encode("utf-8") + b"\n")
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                return
+        under TCP backpressure, preserving enqueue order.  Everything
+        queued when it wakes leaves in one ``write``."""
+        try:
+            while True:
+                lines = [await queue.get()]
+                while not queue.empty():
+                    lines.append(queue.get_nowait())
+                last = lines[-1] is None
+                if last:
+                    lines.pop()
+                if lines:
+                    writer.write(("\n".join(lines) + "\n").encode("utf-8"))
+                    await writer.drain()
+                if last:
+                    return
+        except (ConnectionResetError, BrokenPipeError, RuntimeError):
+            return
+        finally:
+            # Nothing still queued will be sent; taking it out is also
+            # what wakes a read loop waiting for space.
+            while not queue.empty():
+                queue.get_nowait()
 
     def _hello(self) -> HelloV1:
         from ...cli import package_version

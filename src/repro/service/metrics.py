@@ -57,8 +57,9 @@ class ServiceMetrics:
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._lock = threading.RLock()
         self.registry = registry if registry is not None else MetricsRegistry()
-        for name in _COUNTERS:
-            self.registry.counter(name)
+        #: The instruments themselves, looked up once: recording is on
+        #: every request's path and the registry's lookup is locked.
+        self._counters = {name: self.registry.counter(name) for name in _COUNTERS}
         self.queue_wait = self.registry.series("queue_wait")
         self.solve_latency = self.registry.series("solve_latency")
         self.turnaround = self.registry.series("turnaround")
@@ -68,7 +69,7 @@ class ServiceMetrics:
 
     def _count(self, name: str) -> int:
         with self._lock:
-            return self.registry.counter(name).value
+            return self._counters[name].value
 
     @property
     def submitted(self) -> int:
@@ -108,25 +109,23 @@ class ServiceMetrics:
 
     # -- recording --------------------------------------------------------
 
+    # One counter is one instrument with its own lock; ``self._lock`` is
+    # for the updates and reads that touch several.
+
     def record_submitted(self) -> None:
-        with self._lock:
-            self.registry.counter("submitted").increment()
+        self._counters["submitted"].increment()
 
     def record_rejected(self) -> None:
-        with self._lock:
-            self.registry.counter("rejected").increment()
+        self._counters["rejected"].increment()
 
     def record_expired(self) -> None:
-        with self._lock:
-            self.registry.counter("expired").increment()
+        self._counters["expired"].increment()
 
     def record_cancelled(self) -> None:
-        with self._lock:
-            self.registry.counter("cancelled").increment()
+        self._counters["cancelled"].increment()
 
     def record_queue_wait(self, seconds: float) -> None:
-        with self._lock:
-            self.queue_wait.record(seconds)
+        self.queue_wait.record(seconds)
 
     def record_completion(
         self,
@@ -137,37 +136,37 @@ class ServiceMetrics:
         solve_s: float = 0.0,
         total_s: float = 0.0,
     ) -> None:
+        counters = self._counters
         with self._lock:
-            self.registry.counter("completed").increment()
+            counters["completed"].increment()
             self.per_tenant_completed[tenant] = (
                 self.per_tenant_completed.get(tenant, 0) + 1
             )
             if cached:
-                self.registry.counter("cache_hits").increment()
+                counters["cache_hits"].increment()
             else:
-                self.registry.counter("cache_misses").increment()
+                counters["cache_misses"].increment()
                 self.solve_latency.record(solve_s)
             if coalesced:
-                self.registry.counter("coalesced").increment()
+                counters["coalesced"].increment()
             self.turnaround.record(total_s)
 
     def record_failure(self) -> None:
-        with self._lock:
-            self.registry.counter("failed").increment()
+        self._counters["failed"].increment()
 
     # -- reporting --------------------------------------------------------
 
     @property
     def cache_hit_rate(self) -> float:
         with self._lock:
-            hits = self.registry.counter("cache_hits").value
-            lookups = hits + self.registry.counter("cache_misses").value
+            hits = self._counters["cache_hits"].value
+            lookups = hits + self._counters["cache_misses"].value
             return hits / lookups if lookups else 0.0
 
     def snapshot(self) -> dict:
         with self._lock:
-            snap = {name: self.registry.counter(name).value
-                    for name in _COUNTERS}
+            snap = {name: counter.value
+                    for name, counter in self._counters.items()}
             snap["cache_hit_rate"] = self.cache_hit_rate
             snap["queue_wait"] = self.queue_wait.summary()
             snap["solve_latency"] = self.solve_latency.summary()

@@ -5,7 +5,8 @@ submit :class:`PlanningProblem` objects and get execution plans back,
 with the service deciding *when* and *whether* to run the LP at all:
 
 1. the **broker** (admission control) orders the backlog by priority and
-   turnaround deadline;
+   turnaround deadline — a plan-cache hit with nothing of its tenant's
+   ahead of it there is answered at submit and never enters it;
 2. the **dispatcher** answers everything that needs no solver — a hit in
    the fingerprint-keyed **plan cache** never touches one, and a request
    identical to one already *in flight* joins that solve — and never
@@ -25,6 +26,7 @@ The deploy/monitor/adapt side of accepted plans lives in
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 import threading
 import time
@@ -85,12 +87,14 @@ class ServiceConfig:
     #: ``"inline"``: process workers cannot share the retained state, so
     #: the service refuses to start with ``"process"``.
     incremental: bool = False
-    #: Route *every* admitted request through the broker queue, cache
-    #: hits included.  The default fast path answers cache hits
-    #: synchronously at submit time (they "never consume queue space"),
-    #: which can reorder a tenant's hit ahead of its own earlier queued
-    #: miss; the socket frontend turns this on so per-tenant FIFO holds
-    #: across hits and misses alike.
+    #: Keep per-tenant FIFO across hits and misses alike.  The default
+    #: fast path answers every cache hit synchronously at submit time
+    #: (hits "never consume queue space"), which can put a tenant's hit
+    #: ahead of its own earlier request still waiting in the broker.
+    #: With this on (the socket frontend's setting) a hit is answered at
+    #: submit only while the broker holds nothing of its tenant's —
+    #: nothing it could overtake; otherwise it queues behind that
+    #: request and the dispatcher answers it in turn.
     ordered_admission: bool = False
     #: Shed requests at admission when the rolling queue-wait estimate
     #: says the turnaround deadline cannot be met (code ``rejected``,
@@ -151,8 +155,8 @@ class PlanningService:
         #: dispatcher thread; read racily by admission — a stale value
         #: just delays the deadline-shedding trip by a few dispatches).
         self._queue_wait_ewma = 0.0
-        self._next_id = 0
-        self._id_lock = threading.Lock()
+        #: Request ids, from 1 (``next`` on a count is atomic).
+        self._ids = itertools.count(1)
         self._running = False
         self._stopped = False
         self._dispatcher: threading.Thread | None = None
@@ -244,22 +248,27 @@ class PlanningService:
         request; with ``block=True`` a *full* backlog applies
         backpressure instead (waiting for it to drain) and only a closed
         broker still raises.  The request is counted and time-stamped
-        once, so an SLO covers time spent blocked.  Cache hits complete
-        synchronously and never consume queue space.
+        once, so an SLO covers time spent blocked.  A cache hit completes
+        synchronously and never consumes queue space — unless
+        ``ordered_admission`` is on and the broker still holds a request
+        of the same tenant, which it then queues behind.
         """
-        self.start()
+        if not self._running:
+            self.start()
         fingerprint = problem_fingerprint(request.problem)
-        ticket = SubmittedRequest(request, self._allocate_id(), fingerprint)
+        ticket = SubmittedRequest(request, next(self._ids), fingerprint)
         self.metrics.record_submitted()
 
-        if not self.config.ordered_admission:
+        if not (
+            self.config.ordered_admission and self.broker.holds(request.tenant)
+        ):
             cached = self.plan_cache.get(fingerprint)
             if cached is not None:
-                self._finish(
+                result = self._finish(
                     ticket, RequestStatus.COMPLETED, plan=cached, cached=True
                 )
                 self.metrics.record_completion(
-                    request.tenant, cached=True, total_s=0.0
+                    request.tenant, cached=True, total_s=result.total_s
                 )
                 return ticket
 
@@ -305,11 +314,6 @@ class PlanningService:
                 f"tenant {tenant!r} backlog full ({per_tenant} pending)"
             )
         self.broker.submit(ticket)
-
-    def _allocate_id(self) -> int:
-        with self._id_lock:
-            self._next_id += 1
-            return self._next_id
 
     # -- dispatch ---------------------------------------------------------
 
@@ -561,19 +565,19 @@ class PlanningService:
         cached: bool = False,
         queue_wait_s: float = 0.0,
         solve_s: float = 0.0,
-    ) -> None:
-        ticket._complete(
-            PlanResult(
-                request_id=ticket.request_id,
-                tenant=ticket.tenant,
-                status=status,
-                plan=plan,
-                error=error,
-                error_code=error_code,
-                cached=cached,
-                fingerprint=ticket.fingerprint,
-                queue_wait_s=queue_wait_s,
-                solve_s=solve_s,
-                total_s=time.perf_counter() - ticket.submitted_at,
-            )
+    ) -> PlanResult:
+        result = PlanResult(
+            request_id=ticket.request_id,
+            tenant=ticket.tenant,
+            status=status,
+            plan=plan,
+            error=error,
+            error_code=error_code,
+            cached=cached,
+            fingerprint=ticket.fingerprint,
+            queue_wait_s=queue_wait_s,
+            solve_s=solve_s,
+            total_s=time.perf_counter() - ticket.submitted_at,
         )
+        ticket._complete(result)
+        return result

@@ -268,3 +268,162 @@ class TestDeployEventKinds:
         assert event.duration_hours == 0.0
         assert event.index == 4
         assert decode(encode(event)) == event
+
+
+class TestSharedSpecsAreReadOnly:
+    """Decoded specs are shared between requests and memoize their
+    ``cache_key()``: the one mapping field of a frozen spec must not be
+    a way to change it under every holder at once."""
+
+    SPEC = JobSpec(input_gb=8.0, upload_fractions={"s3": 0.5})
+
+    def test_mutating_upload_fractions_raises(self):
+        with pytest.raises(TypeError):
+            self.SPEC.upload_fractions["s3"] = 1.0
+        with pytest.raises(TypeError):
+            del self.SPEC.upload_fractions["s3"]
+        with pytest.raises(AttributeError):
+            self.SPEC.upload_fractions.clear()
+        assert dict(self.SPEC.upload_fractions) == {"s3": 0.5}
+
+    def test_the_callers_dict_is_copied_not_wrapped(self):
+        fractions = {"s3": 0.5}
+        spec = JobSpec(upload_fractions=fractions)
+        key = spec.cache_key()
+        fractions["s3"] = 1.0
+        assert spec.upload_fractions["s3"] == 0.5
+        assert spec.cache_key() == key
+
+    def test_value_semantics_are_unchanged(self):
+        twin = JobSpec(input_gb=8, upload_fractions={"s3": 0.5})
+        assert twin == self.SPEC
+        assert twin.cache_key() == self.SPEC.cache_key()
+        assert twin != JobSpec(input_gb=8.0, upload_fractions={"s3": 0.25})
+        payload = self.SPEC.to_dict()
+        assert payload["upload_fractions"] == {"s3": 0.5}
+        assert type(payload["upload_fractions"]) is dict
+        assert JobSpec.from_dict(payload) == self.SPEC
+        assert decode(encode(self.SPEC)) == self.SPEC
+
+    def test_specs_still_copy_and_pickle(self):
+        import copy
+        import pickle
+
+        assert copy.deepcopy(self.SPEC) == self.SPEC
+        assert pickle.loads(pickle.dumps(self.SPEC)) == self.SPEC
+
+    def test_compiled_problem_is_unchanged(self):
+        from repro.api.compiler import compile_spec
+        from repro.service import problem_fingerprint
+
+        problem = compile_spec(self.SPEC)
+        assert problem.upload_fractions == {"s3": 0.5}
+        assert type(problem.upload_fractions) is dict
+        via_wire = compile_spec(decode(encode(self.SPEC)))
+        assert problem_fingerprint(via_wire) == problem_fingerprint(problem)
+
+
+def request_payload(**job) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "plan_request",
+        "tenant": "acme",
+        "job": job,
+    }
+
+
+class TestDecodeMemo:
+    """``PlanRequestV1.from_dict`` validates a ``job`` payload once per
+    distinct text; what it remembers never changes an answer."""
+
+    def test_repeated_job_decodes_to_one_shared_spec(self):
+        line = encode(PlanRequestV1(job=JobSpec(input_gb=12.5), tenant="a"))
+        other = encode(PlanRequestV1(job=JobSpec(input_gb=12.5), tenant="b",
+                                     request_id="r-2", priority=0))
+        first, second = decode(line), decode(other)
+        assert first.job is second.job
+        assert (second.tenant, second.request_id, second.priority) == ("b", "r-2", 0)
+        assert first.job == JobSpec(input_gb=12.5)
+
+    def test_invalid_job_is_rejected_on_every_sight(self):
+        payloads = [
+            request_payload(input_gb=8, warp_factor=9),
+            request_payload(input_gb=-1.0),
+            request_payload(input_gb=8, goal={"deadline_hours": 4, "warp": 1}),
+            request_payload(catalog="hybrid"),
+        ]
+        for payload in payloads:
+            messages = []
+            for _ in range(3):
+                with pytest.raises(SchemaError) as caught:
+                    PlanRequestV1.from_dict(payload)
+                messages.append(str(caught.value))
+            assert len(set(messages)) == 1
+        with pytest.raises(SchemaError, match="unknown fields"):
+            decode(json.dumps(payloads[0]))
+        # A valid neighbour seen in between does not launder it.
+        assert decode(json.dumps(request_payload(input_gb=8))).job.input_gb == 8.0
+        with pytest.raises(SchemaError, match="unknown fields"):
+            decode(json.dumps(payloads[0]))
+
+    def test_payloads_differing_in_one_value_stay_apart(self):
+        for _ in range(2):  # cold, then warm
+            a = PlanRequestV1.from_dict(request_payload(input_gb=8.0))
+            b = PlanRequestV1.from_dict(request_payload(input_gb=8.5))
+            c = PlanRequestV1.from_dict(
+                request_payload(input_gb=8.0, goal={"deadline_hours": 5})
+            )
+            assert (a.job.input_gb, b.job.input_gb) == (8.0, 8.5)
+            assert a.job.goal.deadline_hours == 6.0
+            assert c.job.goal.deadline_hours == 5.0
+
+    def test_one_and_one_point_zero_and_true_never_stand_in_for_each_other(self):
+        def job(**fields):
+            return PlanRequestV1.from_dict(request_payload(**fields)).job
+
+        for _ in range(2):  # whichever is seen first, warm or cold
+            # A float field takes 1 and 1.0 (equal specs), never true.
+            assert job(input_gb=1) == job(input_gb=1.0) == JobSpec(input_gb=1.0)
+            with pytest.raises(SchemaError, match="input_gb"):
+                job(input_gb=True)
+            # An integer field takes 1, neither 1.0 nor true.
+            assert job(catalog="hybrid", local_nodes=1).local_nodes == 1
+            with pytest.raises(SchemaError, match="local_nodes"):
+                job(catalog="hybrid", local_nodes=1.0)
+            with pytest.raises(SchemaError, match="local_nodes"):
+                job(catalog="hybrid", local_nodes=True)
+            # A boolean field takes true, neither 1 nor 1.0.
+            assert job(constant_nodes=True).constant_nodes is True
+            with pytest.raises(SchemaError, match="constant_nodes"):
+                job(constant_nodes=1)
+            with pytest.raises(SchemaError, match="constant_nodes"):
+                job(constant_nodes=1.0)
+
+    def test_key_order_only_costs_a_miss(self):
+        forward = {"input_gb": 9.0, "name": "sort", "catalog": "public"}
+        backward = dict(reversed(list(forward.items())))
+        a = PlanRequestV1.from_dict(request_payload(**forward)).job
+        b = PlanRequestV1.from_dict(request_payload(**backward)).job
+        assert a == b == JobSpec(name="sort", input_gb=9.0)
+
+    def test_memo_is_bounded(self):
+        from repro.api import schemas
+
+        for index in range(schemas._JOB_MEMO_SIZE + 40):
+            PlanRequestV1.from_dict(request_payload(input_gb=100.0 + index))
+        assert len(schemas._JOB_MEMO) <= schemas._JOB_MEMO_SIZE
+        # The oldest entries went; a returning job is simply validated again.
+        again = PlanRequestV1.from_dict(request_payload(input_gb=100.0))
+        assert again.job == JobSpec(input_gb=100.0)
+
+    @pytest.mark.parametrize(
+        "message",
+        [m for m in SAMPLES if isinstance(m, PlanRequestV1)],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_round_trips_hold_with_the_memo_warm(self, message):
+        line = encode(message)
+        for _ in range(3):
+            assert decode(line) == message
+            assert PlanRequestV1.from_dict(message.to_dict()) == message
+            assert encode(decode(line)) == line

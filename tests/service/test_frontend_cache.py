@@ -13,6 +13,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import public_cloud
 from repro.core import Goal, NetworkConditions, Planner, PlannerJob, PlanningProblem
@@ -20,7 +22,6 @@ from repro.lp.model import SolverError
 from repro.service import (
     AdmissionError,
     PlanningService,
-    PlanRequest,
     RequestStatus,
     ServiceConfig,
     SharedPlanCache,
@@ -39,7 +40,8 @@ def make_problem(input_gb=4.0, deadline=3.0, uplink=16.0) -> PlanningProblem:
 
 
 def ordered_service(**overrides) -> PlanningService:
-    """The socket frontend's service: every request through the queue."""
+    """The socket frontend's service: per-tenant FIFO across hits and
+    misses."""
     config = dict(pool_mode="inline", max_workers=1, ordered_admission=True)
     config.update(overrides)
     return PlanningService(ServiceConfig(**config))
@@ -417,24 +419,103 @@ class TestRequeueAccounting:
         assert joiner.total_s >= 0.5
 
 
+def record_dispatched(service: PlanningService) -> list:
+    """Tickets in the order the dispatcher took them up.  Call before
+    ``hold_dispatcher`` (so the record is of released tickets) and before
+    the service starts."""
+    dispatched, dispatch = [], service._dispatch
+
+    def spy(ticket):
+        dispatched.append(ticket)
+        dispatch(ticket)
+
+    service._dispatch = spy
+    return dispatched
+
+
+def cache_plan(service: PlanningService, problem: PlanningProblem) -> None:
+    service.plan_cache.put(problem_fingerprint(problem), Planner().plan(problem))
+
+
 class TestOrderedAdmissionFifo:
     def test_l2_hit_waits_its_queue_turn(self):
-        # Under ordered admission a cache hit is NOT answered at submit
-        # time — it queues like any miss, so a tenant's hit can never
-        # overtake its own earlier queued request.
-        problem = make_problem()
-        service = ordered_service()
-        service.plan_cache.put(problem_fingerprint(problem), Planner().plan(problem))
+        # Under ordered admission a cache hit is answered at submit time
+        # only when that cannot overtake anything: with the tenant's own
+        # earlier miss still waiting in the broker it queues behind it.
+        hot, cold = make_problem(input_gb=4.0), make_problem(input_gb=8.0)
+        service, pool = manual_service()
+        cache_plan(service, hot)
+        dispatched = record_dispatched(service)
         gate = hold_dispatcher(service)
-        ticket = service.submit_request(
-            PlanRequest(tenant="acme", problem=problem)
-        )
-        # Not synchronous: the dispatcher serves it in FIFO order.
-        assert not ticket.done()
+        with service:
+            # Another tenant's ticket occupies the held dispatcher, so
+            # acme's miss provably sits in the broker queue.
+            service.submit(make_problem(input_gb=2.0), tenant="zenith")
+            assert wait_until(lambda: service.broker.pending == 0)
+            miss = service.submit(cold, tenant="acme")
+            assert service.broker.pending_for("acme") == 1
+            hit = service.submit(hot, tenant="acme")
+            # Not synchronous: the dispatcher serves it in FIFO order.
+            assert not hit.done()
+            assert service.broker.pending_for("acme") == 2
+            gate.set()
+            result = hit.result(timeout=10.0)
+            assert result.ok and result.cached
+            assert result.queue_wait_s > 0.0
+            assert dispatched.index(miss) < dispatched.index(hit)
+            assert not miss.done()  # its solve is still the test's to finish
+
+    def test_hit_behind_only_other_tenants_is_answered_at_submit(self):
+        # The converse: what waits in the broker belongs to other
+        # tenants, so there is nothing of acme's to overtake.
+        hot = make_problem(input_gb=4.0)
+        service, pool = manual_service()
+        cache_plan(service, hot)
+        gate = hold_dispatcher(service)
+        with service:
+            service.submit(make_problem(input_gb=2.0), tenant="zenith")
+            assert wait_until(lambda: service.broker.pending == 0)
+            service.submit(make_problem(input_gb=8.0), tenant="third")
+            assert service.broker.pending == 1
+            hit = service.submit(hot, tenant="acme")
+            assert hit.done()
+            result = hit.result(timeout=0)
+            assert result.ok and result.cached
+            assert result.queue_wait_s == 0.0
+            # The held ticket's tenant is not in the heap any more, but
+            # it has not been dispatched either: its hit still queues.
+            assert not service.submit(hot, tenant="zenith").done()
+            gate.set()
+
+    def test_hit_queues_behind_its_tenants_requeued_joiner(self):
+        # A joiner sent back for its own solve is in the broker again;
+        # its tenant's next hit must not be answered ahead of it.
+        hot, contested = make_problem(input_gb=4.0), make_problem(input_gb=8.0)
+        service, pool = manual_service()
+        cache_plan(service, hot)
+        dispatched = record_dispatched(service)
+        gate = hold_dispatcher(service)
         gate.set()
-        result = ticket.result(timeout=10.0)
-        assert result.ok and result.cached
-        service.stop()
+        with service:
+            leader = service.submit(contested, tenant="acme", time_budget_s=0.5)
+            assert wait_until(lambda: len(pool.submissions) == 1)
+            joiner = service.submit(contested, tenant="zenith")
+            assert wait_until(lambda: joined_count(service.plan_cache) == 1)
+            # On the flight the joiner is not in the broker: a hit of its
+            # tenant's is answered at once, as a queued one would be.
+            assert service.submit(hot, tenant="zenith").done()
+            gate.clear()
+            pool.submissions[0][1].set_exception(SolverError("cut short"))
+            assert leader.result(timeout=10.0).status is RequestStatus.FAILED
+            assert wait_until(lambda: service.broker.holds("zenith"))
+            hit = service.submit(hot, tenant="zenith")
+            assert not hit.done()
+            gate.set()
+            assert hit.result(timeout=10.0).cached
+            assert dispatched.index(joiner, 2) < dispatched.index(hit)
+            assert wait_until(lambda: len(pool.submissions) == 2)
+            pool.submissions[1][1].set_result(Planner().plan(contested))
+            assert joiner.result(timeout=10.0).ok
 
     def test_same_tenant_hits_complete_in_submission_order(self):
         problems = [make_problem(input_gb=4.0), make_problem(input_gb=8.0)]
@@ -456,6 +537,71 @@ class TestOrderedAdmissionFifo:
                 assert ticket.result(timeout=10.0).ok
         assert completions == [0, 1]
         assert service.metrics.cache_hits == 2
+
+
+#: Plans for the property's hits, solved once (a hit of tenant ``t`` asks
+#: for ``_HOT[t]``, so a tenant's hits share one fingerprint and its
+#: misses, never solved, each have their own).
+_HOT: dict[str, tuple[PlanningProblem, object]] = {}
+
+
+def hot_problem(tenant: str) -> PlanningProblem:
+    if tenant not in _HOT:
+        problem = make_problem(input_gb=3.0 + len(_HOT))
+        _HOT[tenant] = (problem, Planner().plan(problem))
+    return _HOT[tenant][0]
+
+
+class TestPerTenantFifoProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c"]), st.booleans()),
+        min_size=1, max_size=12,
+    ))
+    def test_queued_tickets_keep_their_tenants_submission_order(self, steps):
+        """Interleaved hits and misses of up to three tenants against a
+        held dispatcher: a hit is answered at submit exactly while the
+        broker holds nothing of its tenant's, and what did queue is
+        dispatched — and, for hits, completed — per tenant in the order
+        it was submitted."""
+        service, pool = manual_service(max_pending_per_tenant=64)
+        for tenant in "abc":
+            problem = hot_problem(tenant)
+            service.plan_cache.put(problem_fingerprint(problem), _HOT[tenant][1])
+        dispatched = record_dispatched(service)
+        gate = hold_dispatcher(service)
+        completed: list = []
+        with service:
+            service.submit(make_problem(input_gb=2.0), tenant="holder")
+            assert wait_until(lambda: service.broker.pending == 0)
+            queued: dict[str, list] = {"a": [], "b": [], "c": []}
+            queued_hits = []
+            for index, (tenant, hit) in enumerate(steps):
+                problem = (
+                    hot_problem(tenant) if hit
+                    else make_problem(input_gb=20.0 + index)
+                )
+                ticket = service.submit(problem, tenant=tenant)
+                if ticket.done():
+                    # Answered at submit: a hit with nothing to overtake.
+                    assert hit and not queued[tenant]
+                    assert ticket.result(timeout=0).queue_wait_s == 0.0
+                else:
+                    assert not hit or queued[tenant]
+                    queued[tenant].append(ticket)
+                    if hit:
+                        queued_hits.append(ticket)
+                        ticket.add_done_callback(completed.append)
+            gate.set()
+            in_queue = sum(len(tickets) for tickets in queued.values())
+            assert wait_until(lambda: len(dispatched) == 1 + in_queue)
+            for ticket in queued_hits:
+                assert ticket.result(timeout=10.0).cached
+        for tenant, tickets in queued.items():
+            assert [t for t in dispatched if t.tenant == tenant] == tickets
+            assert [t for t in completed if t.tenant == tenant] == [
+                t for t in tickets if t in queued_hits
+            ]
 
 
 class TestSharedPlanCacheUnit:

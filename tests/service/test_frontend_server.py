@@ -55,6 +55,14 @@ async def read_message(reader: asyncio.StreamReader, timeout=60.0):
     return decode(raw.decode("utf-8"))
 
 
+async def eventually(predicate, timeout=10.0) -> bool:
+    """Let the server loop run until ``predicate()`` holds (or time out)."""
+    deadline = time.perf_counter() + timeout
+    while not predicate() and time.perf_counter() < deadline:
+        await asyncio.sleep(0.02)
+    return predicate()
+
+
 class TestWireCompatibility:
     def test_hello_then_request_response_round_trip(self):
         service = frontend_service()
@@ -213,13 +221,9 @@ class TestDisconnect:
                 writer.close()
                 await writer.wait_closed()
                 # Give the server loop a moment to tear the session down.
-                deadline = time.perf_counter() + 10.0
-                while time.perf_counter() < deadline:
-                    if server.registry.counter(
-                        "frontend.cancelled_on_disconnect"
-                    ).value:
-                        break
-                    await asyncio.sleep(0.02)
+                await eventually(lambda: server.registry.counter(
+                    "frontend.cancelled_on_disconnect"
+                ).value)
             finally:
                 await server.close()
 
@@ -278,3 +282,187 @@ class TestLoadgenAgainstServer:
         assert counters["frontend.requests"] == report.sent
         assert counters["frontend.responses"] == report.answered
         assert counters["completed"] == report.completed
+
+
+def warm(service: PlanningService, *input_gbs: float) -> None:
+    """Solve the wire requests' problems once, so they are cache hits."""
+    from repro.api import Orchestrator
+
+    orchestrator = Orchestrator(service=service)
+    for input_gb in input_gbs:
+        spec = from_workload("quickstart", input_gb=input_gb)
+        assert orchestrator.submit(spec, tenant="warm").result(timeout=120.0).ok
+
+
+class TestInlineHits:
+    """A hit finished at submit is answered by the read loop itself."""
+
+    def test_pipelined_hits_beyond_every_buffer_all_arrive_in_order(self):
+        # 5,000 hits on one connection: more than ``send_queue_limit``
+        # and than one reader buffer, written while the answers are
+        # read.  The read loop produces answers without yielding, so it
+        # must wait for queue space rather than take a full queue for a
+        # slow client.
+        total, tenants = 5000, ("acme", "zenith", "third")
+        service = frontend_service()
+        server = FrontendServer(service, FrontendConfig(port=0))
+        assert total > server.config.send_queue_limit
+
+        async def scenario():
+            await server.start()
+            try:
+                warm(service, 8.0)
+                reader, writer = await connect(server)
+                await read_message(reader)
+
+                async def send():
+                    for index in range(total):
+                        writer.write(wire_request(
+                            f"rq-{index:05d}", tenant=tenants[index % 3]
+                        ))
+                        if index % 500 == 0:
+                            await writer.drain()
+                    await writer.drain()
+
+                sending = asyncio.create_task(send())
+                responses = [await read_message(reader) for _ in range(total)]
+                await sending
+                writer.close()
+                await writer.wait_closed()
+                return responses
+            finally:
+                await server.close()
+
+        try:
+            responses = asyncio.run(scenario())
+        finally:
+            service.stop()
+        assert all(r.status == "completed" and r.cached for r in responses)
+        for tenant in tenants:
+            ids = [r.request_id for r in responses if r.tenant == tenant]
+            assert ids == sorted(ids) and len(ids) == len(set(ids))
+        assert len(responses) == total
+        counters = service.metrics.registry.snapshot()["counters"]
+        assert counters["frontend.slow_client_disconnects"] == 0
+        assert counters["frontend.responses"] == total
+        assert counters["cache_hits"] == total
+
+    def test_client_that_never_reads_is_stalled_not_buffered(self):
+        # Nothing is read from the socket.  Once the kernel's buffers and
+        # the bounded send queue are full the read loop stops taking
+        # requests: what the server holds for this client stays flat.
+        service = frontend_service()
+        server = FrontendServer(
+            service, FrontendConfig(port=0, send_queue_limit=32)
+        )
+        requests = server.registry.counter("frontend.requests")
+
+        async def scenario():
+            await server.start()
+            try:
+                warm(service, 8.0)
+                _reader, writer = await connect(server)
+                line, sent, stalled = wire_request("rq"), 0, False
+                while sent < 200_000 and not stalled:
+                    writer.write(line * 500)
+                    sent += 500
+                    try:
+                        await asyncio.wait_for(writer.drain(), 0.5)
+                    except asyncio.TimeoutError:
+                        stalled = True
+                    except ConnectionError:
+                        break  # aborted as a slow consumer: also bounded
+                before = requests.value
+                await asyncio.sleep(0.3)
+                after = requests.value
+                writer.transport.abort()
+                disconnects = server.registry.counter("frontend.disconnects")
+                await eventually(lambda: disconnects.value)
+                return sent, stalled, before, after, disconnects.value
+            finally:
+                await server.close()
+
+        try:
+            sent, stalled, before, after, disconnects = asyncio.run(scenario())
+        finally:
+            service.stop()
+        counters = service.metrics.registry.snapshot()["counters"]
+        if not counters["frontend.slow_client_disconnects"]:
+            assert stalled, "200,000 unread answers were taken without a bound"
+            assert before == after < sent
+        # The stalled read loop notices the dead connection and ends.
+        assert disconnects == 1
+
+    def test_disconnect_after_only_inline_answers_cancels_nothing(self):
+        service = frontend_service()
+        server = FrontendServer(service, FrontendConfig(port=0))
+
+        async def scenario():
+            await server.start()
+            try:
+                warm(service, 8.0)
+                reader, writer = await connect(server)
+                await read_message(reader)
+                for index in range(20):
+                    writer.write(wire_request(f"rq-{index}"))
+                await writer.drain()
+                responses = [await read_message(reader) for _ in range(20)]
+                writer.close()
+                await writer.wait_closed()
+                await eventually(lambda: server.registry.counter(
+                    "frontend.disconnects"
+                ).value)
+                return responses
+            finally:
+                await server.close()
+
+        try:
+            responses = asyncio.run(scenario())
+        finally:
+            service.stop()
+        assert all(r.cached and r.queue_wait_s == 0.0 for r in responses)
+        counters = service.metrics.registry.snapshot()["counters"]
+        assert counters["frontend.disconnects"] == 1
+        # No ticket was outstanding, so none was cancelled...
+        assert counters["frontend.cancelled_on_disconnect"] == 0
+        assert counters["cancelled"] == 0
+        # ...and none ever went near the dispatcher.
+        assert service.metrics.queue_wait.count == 1  # the warm-up's solve
+
+
+class _RecordingWriter:
+    """The two calls ``_send_loop`` makes, recorded."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(data)
+
+    async def drain(self) -> None:
+        await asyncio.sleep(0)
+
+
+class TestSendLoop:
+    def test_a_queued_burst_leaves_in_fewer_writes_than_lines(self):
+        server = FrontendServer(frontend_service(), FrontendConfig(port=0))
+        lines = [f"line-{index}" for index in range(100)]
+        writer = _RecordingWriter()
+
+        async def scenario():
+            queue: asyncio.Queue = asyncio.Queue(maxsize=1024)
+            sender = asyncio.create_task(server._send_loop(writer, queue))
+            for line in lines[:60]:
+                queue.put_nowait(line)
+            await asyncio.sleep(0.01)  # the sender drains the first burst
+            for line in lines[60:]:
+                queue.put_nowait(line)
+            queue.put_nowait(None)
+            await asyncio.wait_for(sender, 5.0)
+
+        asyncio.run(scenario())
+        # Same bytes, same order, one newline per line — in two writes.
+        assert b"".join(writer.writes) == "".join(
+            line + "\n" for line in lines
+        ).encode("utf-8")
+        assert len(writer.writes) == 2 < len(lines)

@@ -56,6 +56,19 @@ class TestSolvePath:
         )
         assert service.metrics.cache_hit_rate == pytest.approx(0.5)
 
+    def test_submit_time_hits_record_the_turnaround_they_measured(self):
+        # The fast path used to log a literal 0.0 per hit, collapsing the
+        # reported turnaround percentiles once most completions took it.
+        problem = make_problem()
+        with inline_service() as service:
+            service.submit(problem).result(timeout=120.0)
+            hits = [service.submit(problem).result(timeout=0) for _ in range(20)]
+        assert all(hit.cached for hit in hits)
+        samples = service.metrics.turnaround.samples[1:]
+        assert samples == [hit.total_s for hit in hits]
+        assert min(samples) > 0.0
+        assert service.metrics.snapshot()["turnaround"]["p50_s"] > 0.0
+
     def test_equivalent_problem_hits_cache(self):
         # Different job name, same planning problem -> same fingerprint.
         renamed = PlanningProblem(

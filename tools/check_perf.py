@@ -15,7 +15,9 @@ This script is the CI side of that contract: it fails when
 Where a bench reported them, the model-build layer is printed beside
 the speedups — ``build_ms`` (first builds of each shape, summed over
 the Fig. 16 grid) and ``rebuild_ms`` (second builds of the same shapes)
-— as information: no floor applies to them.
+— and so are the three warm-cache request paths of
+``bench_api_overhead`` (``direct_us`` / ``facade_us`` / ``wire_us``,
+under ``ordered_admission``), as information: no floor applies to them.
 
 Usage::
 
@@ -57,6 +59,10 @@ def main(argv: list[str] | None = None) -> int:
         if "build_ms" in metrics and "rebuild_ms" in metrics:
             print(f"{name}: build_ms {metrics['build_ms']:.1f}, "
                   f"rebuild_ms {metrics['rebuild_ms']:.2f}")
+        if all(key in metrics for key in ("direct_us", "facade_us", "wire_us")):
+            print(f"{name}: direct_us {metrics['direct_us']:.1f}, "
+                  f"facade_us {metrics['facade_us']:.1f}, "
+                  f"wire_us {metrics['wire_us']:.1f}")
 
     if not speedups:
         problems.append("no benchmark reported a warm_speedup metric")

@@ -5,8 +5,9 @@ solves it with CPLEX (Sections 4 and 4.8).  This package provides the
 equivalent substrate built from scratch:
 
 - :class:`Variable`, :class:`LinExpr`, :class:`Constraint` — the algebra.
-- :class:`Model` — the modelling front-end: container, semi-continuous
-  lowering, ``compile()`` to the matrix form, ``solve()``.
+- :class:`Model` — the modelling front-end the tests write models in:
+  container, semi-continuous lowering, ``compile()`` to the matrix form,
+  ``solve()``.
 - :class:`~repro.lp.model.CompiledModel` — the one matrix form: dense
   cost/bound vectors and a CSR constraint matrix.  :class:`MatrixModel`
   is a model built in it directly — the planner's hot path
@@ -14,8 +15,12 @@ equivalent substrate built from scratch:
 - :mod:`~repro.lp.incremental` — vectorized ``diff_compiled`` between
   two matrices of one structure, and the ``CompiledDelta`` that patches
   a retained one in place.
-- :mod:`~repro.lp.scipy_backend` — HiGHS, the solver: ``solve`` (cold
-  branch & bound) and ``HotLP`` (persistent LP for warm re-plans).
+- :mod:`~repro.lp.scipy_backend` — HiGHS, the solver, through the one
+  native binding scipy vendors: ``solve`` (cold branch & bound) and
+  ``HotLP`` (persistent LP for warm re-plans), both loaded from
+  ``CompiledModel`` arrays.
+- :mod:`~repro.lp.writers` — ``.lp``/``.mps`` export of a
+  :class:`MatrixModel`, straight from its arrays.
 - :mod:`~repro.lp.simplex_backend` — a pure-Python two-phase simplex with
   branch & bound, kept as the reference oracle the tests cross-check
   HiGHS against; ``Model.solve`` never calls it.

@@ -61,6 +61,8 @@ class Solution:
     solve_seconds: float = 0.0
     backend: str = ""
     message: str = ""
+    #: Branch & bound nodes HiGHS explored (0 for a pure LP).
+    mip_node_count: int = 0
 
     def __getitem__(self, var: Variable) -> float:
         return self.values[var]
@@ -400,8 +402,7 @@ class MatrixModel:
     What :func:`repro.core.model_builder.build_model` hands out: the
     :class:`CompiledModel` it filled plus the row names.  Offers the part
     of :class:`Model`'s interface a finished model needs (``compile``,
-    ``solve``, ``stats``); :meth:`to_model` rebuilds the expression
-    front-end for the ``.lp``/``.mps`` writers.
+    ``solve``, ``stats``); the ``.lp``/``.mps`` writers read its arrays.
     """
 
     def __init__(
@@ -441,53 +442,6 @@ class MatrixModel:
         """Model size summary, same keys as :meth:`Model.stats`."""
         return dict(self._stats)
 
-    def to_model(self) -> Model:
-        """The same model as a :class:`Model` (named variables, one
-        named constraint per row)."""
-        compiled = self._compiled
-        model = Model(self.name)
-        for col, name in enumerate(compiled.col_names):
-            lb, ub = float(compiled.var_lb[col]), float(compiled.var_ub[col])
-            if not compiled.integrality[col]:
-                vtype = VarType.CONTINUOUS
-            elif (lb, ub) == (0.0, 1.0):
-                vtype = VarType.BINARY
-            else:
-                vtype = VarType.INTEGER
-            model.add_var(name, lb=lb, ub=ub, vtype=vtype)
-        variables = model.variables
-        for row, name in enumerate(self.row_names):
-            span = slice(compiled.indptr[row], compiled.indptr[row + 1])
-            terms = {
-                variables[col]: coef
-                for col, coef in zip(
-                    compiled.indices[span].tolist(), compiled.data[span].tolist()
-                )
-            }
-            lo, hi = float(compiled.row_lb[row]), float(compiled.row_ub[row])
-            if lo == hi:
-                sense, bound = Sense.EQ, hi
-            elif math.isinf(lo):
-                sense, bound = Sense.LE, hi
-            elif math.isinf(hi):
-                sense, bound = Sense.GE, lo
-            else:
-                raise ValueError(f"row {name!r} is ranged; a Model has no such constraint")
-            model.add_constr(Constraint(LinExpr(terms, -bound), sense), name)
-        sign = -1.0 if compiled.negated else 1.0
-        objective = LinExpr(
-            {
-                variables[col]: sign * coef
-                for col, coef in enumerate(compiled.objective.tolist())
-                if coef != 0.0
-            },
-            sign * compiled.objective_offset,
-        )
-        if compiled.negated:
-            model.maximize(objective)
-        else:
-            model.minimize(objective)
-        return model
 
 __all__ = [
     "Model",

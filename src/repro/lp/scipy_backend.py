@@ -1,18 +1,18 @@
-"""Solver backend built on ``scipy.optimize.milp`` (HiGHS).
+"""Solver backend: HiGHS through the native binding scipy vendors.
 
 Stands in for the CPLEX 11.2.1 solver used by the paper (Section 4.8).  The
-backend consumes a :class:`repro.lp.model.CompiledModel`, converts it to the
-sparse form HiGHS expects, and maps the result back onto model variables.
+backend loads a :class:`repro.lp.model.CompiledModel`'s arrays into one
+HiGHS instance (:func:`_load`), runs it and maps the result back onto
+compiled columns.
 
-:func:`solve` is the cold path (branch & bound through ``milp``).
-:class:`HotLP` is the hot one: a persistent native HiGHS LP that the
-incremental solver patches in place and re-runs from a retained basis.
+:func:`solve` is the cold path (branch & bound).  :class:`HotLP` is the
+hot one: a persistent LP that the incremental solver patches in place and
+re-runs from a retained basis.
 """
 
 from __future__ import annotations
 
 import contextlib
-import importlib
 import math
 import os
 import sys
@@ -21,37 +21,17 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+
+try:
+    import scipy.optimize._highspy._core as _hs
+except ImportError as exc:  # the scipy pin provides it
+    raise ImportError(
+        "repro.lp needs the HiGHS binding scipy vendors "
+        "(scipy.optimize._highspy._core); install scipy>=1.15"
+    ) from exc
 
 from .incremental import CompiledDelta
 from .model import CompiledModel, Solution, SolveStatus
-
-
-def _resolve_bindings():
-    """The native HiGHS bindings module and its solver class.
-
-    ``highspy`` when importable, else the core scipy vendors (the one
-    ``milp`` itself calls), else ``(None, None)``.
-    """
-    for name in ("highspy", "scipy.optimize._highspy._core"):
-        try:
-            module = importlib.import_module(name)
-        except ImportError:
-            continue
-        highs = getattr(module, "Highs", None) or getattr(module, "_Highs", None)
-        if highs is not None:
-            return module, highs
-    return None, None
-
-
-_hs, _Highs = _resolve_bindings()
-
-#: Whether :class:`HotLP` is usable, i.e. a native binding resolved at
-#: import.  ``milp`` never exposes a basis, so without one the
-#: incremental solver certifies warm candidates with from-scratch
-#: :func:`solve` calls instead.
-HAS_BASIS = _Highs is not None
 
 
 #: Overlapping ``_muted_stdout`` entries (solver threads run cold solves
@@ -66,13 +46,15 @@ _mute_saved: tuple[int, int] | None = None
 def _muted_stdout():
     """Silence HiGHS's C-level printf noise during a solve.
 
-    HiGHS 1.x prints internal notes (e.g. ``HighsMipSolverData::...``)
-    straight to file descriptor 1, bypassing ``sys.stdout``; redirect
-    the fd itself for the duration of the call.  The fd is process-wide,
-    so overlapping solves share one redirection: the first entrant points
-    it at a sink, the last leaver restores it.  Pytest's capture can
-    replace ``sys.stdout`` with an object without ``fileno``; fall back
-    to no-op muting there (the noise only matters on real terminals).
+    HiGHS's MIP solver prints internal notes straight to file descriptor
+    1 even with ``output_flag`` off (measured: the cold_grid cell
+    public/8gb/4h prints a ``HighsMipSolverData::
+    transformNewIntegerFeasibleSolution`` line), bypassing
+    ``sys.stdout``; redirect the fd itself for the duration of the call.  The fd is process-wide, so
+    overlapping solves share one redirection: the first entrant points it
+    at a sink, the last leaver restores it.  Pytest's capture can replace
+    ``sys.stdout`` with an object without ``fileno``; fall back to no-op
+    muting there (the noise only matters on real terminals).
     """
     global _mute_depth, _mute_saved
     try:
@@ -99,14 +81,66 @@ def _muted_stdout():
                 os.close(saved_fd)
 
 
-#: HiGHS status codes (scipy's ``result.status``) mapped to our statuses.
-_STATUS_MAP = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.FEASIBLE,  # iteration/time limit with incumbent
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.ERROR,
+_INTEGER, _CONTINUOUS = _hs.HighsVarType.kInteger, _hs.HighsVarType.kContinuous
+
+
+def _load(compiled: CompiledModel, integral: bool):
+    """A fresh HiGHS instance holding ``compiled`` with its output off;
+    its LP relaxation unless ``integral``.
+
+    A MIP is loaded without the objective offset: HiGHS measures
+    ``mip_rel_gap`` on the objective it holds, so a constant (min-time
+    goals carry one) would move where branch & bound stops.
+    """
+    lp = _hs.HighsLp()
+    lp.num_col_ = compiled.num_vars
+    lp.num_row_ = compiled.num_rows
+    lp.col_cost_ = compiled.objective
+    if not integral:
+        lp.offset_ = compiled.objective_offset
+    lp.col_lower_ = compiled.var_lb
+    lp.col_upper_ = compiled.var_ub
+    lp.row_lower_ = compiled.row_lb
+    lp.row_upper_ = compiled.row_ub
+    lp.a_matrix_.format_ = _hs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = compiled.indptr
+    lp.a_matrix_.index_ = compiled.indices
+    lp.a_matrix_.value_ = compiled.data
+    if integral and compiled.integrality.any():
+        lp.integrality_ = [
+            _INTEGER if flag else _CONTINUOUS
+            for flag in compiled.integrality.tolist()
+        ]
+    h = _hs._Highs()
+    h.setOptionValue("output_flag", False)
+    h.passModel(lp)
+    return h
+
+
+#: HiGHS model statuses mapped to ours; anything else is an ``ERROR``.
+#: A limit counts as ``FEASIBLE`` only with an incumbent (:func:`_status`).
+#: One table for the cold and the hot path.
+_STATUS = {
+    _hs.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+    _hs.HighsModelStatus.kTimeLimit: SolveStatus.FEASIBLE,
+    _hs.HighsModelStatus.kIterationLimit: SolveStatus.FEASIBLE,
+    _hs.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+    _hs.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
 }
+
+
+def _status(h, mip: bool) -> SolveStatus:
+    """What a finished run of ``h`` means.
+
+    Only branch & bound (``mip``) keeps an incumbent: an LP stopped at a
+    limit holds a point nothing has certified, which is an ``ERROR``.
+    """
+    status = _STATUS.get(h.getModelStatus(), SolveStatus.ERROR)
+    if status is SolveStatus.FEASIBLE and not (
+        mip and h.getInfo().primal_solution_status == _hs.kSolutionStatusFeasible
+    ):
+        return SolveStatus.ERROR  # limit hit with no incumbent
+    return status
 
 
 def solve(
@@ -120,35 +154,26 @@ def solve(
     column (lowering columns included); mapping it back onto variables
     is the model's business.
     """
-    n = compiled.num_vars
-    constraints = []
-    if compiled.num_rows:
-        matrix = sparse.csr_matrix(
-            (compiled.data, compiled.indices, compiled.indptr),
-            shape=(compiled.num_rows, n),
-        )
-        constraints.append(LinearConstraint(matrix, compiled.row_lb, compiled.row_ub))
-
-    options: dict[str, float] = {"mip_rel_gap": mip_gap}
+    h = _load(compiled, integral=True)
+    h.setOptionValue("mip_rel_gap", mip_gap)
     if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-
+        h.setOptionValue("time_limit", float(time_limit))
     with _muted_stdout():
-        result = milp(
-            c=compiled.objective,
-            constraints=constraints,
-            bounds=Bounds(compiled.var_lb, compiled.var_ub),
-            integrality=compiled.integrality.astype(np.int8),
-            options=options,
-        )
+        h.run()
 
-    status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
-    if status.has_solution and result.x is None:  # limit hit with no incumbent
-        status = SolveStatus.ERROR
-    solution = Solution(status=status, backend="scipy-highs", message=result.message or "")
+    status = _status(h, mip=bool(compiled.integrality.any()))
+    info = h.getInfo()
+    solution = Solution(
+        status=status,
+        backend="scipy-highs",
+        message=h.modelStatusToString(h.getModelStatus()),
+        mip_node_count=max(0, info.mip_node_count),
+    )
     if status.has_solution:
-        solution.x = _clean(np.asarray(result.x, dtype=float), compiled.integrality)
-        objective = float(result.fun) + compiled.objective_offset
+        solution.x = _clean(
+            np.asarray(h.getSolution().col_value, dtype=float), compiled.integrality
+        )
+        objective = info.objective_function_value + compiled.objective_offset
         solution.objective = -objective if compiled.negated else objective
     return solution
 
@@ -182,29 +207,13 @@ class HotLP:
     """
 
     def __init__(self, compiled: CompiledModel) -> None:
-        n = compiled.num_vars
-        lp = _hs.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = compiled.num_rows
-        lp.col_cost_ = compiled.objective
-        lp.offset_ = compiled.objective_offset
-        lp.col_lower_ = compiled.var_lb
-        lp.col_upper_ = compiled.var_ub
-        lp.row_lower_ = compiled.row_lb
-        lp.row_upper_ = compiled.row_ub
-        lp.a_matrix_.format_ = _hs.MatrixFormat.kRowwise
-        lp.a_matrix_.start_ = compiled.indptr
-        lp.a_matrix_.index_ = compiled.indices
-        lp.a_matrix_.value_ = compiled.data
-        self._h = h = _Highs()
-        h.setOptionValue("output_flag", False)
+        self._h = h = _load(compiled, integral=False)
         h.setOptionValue("presolve", "off")
         # Scaling is recomputed after every bound change, which turns the
         # retained basis into a ~100-iteration restart; unscaled, an
         # unchanged LP restarts in zero iterations.
         h.setOptionValue("simplex_scale_strategy", 0)
-        h.passModel(lp)
-        self._all_cols = np.arange(n, dtype=np.int32)
+        self._all_cols = np.arange(compiled.num_vars, dtype=np.int32)
 
     def patch(self, delta: CompiledDelta) -> None:
         """Apply a pure-data delta to the loaded LP."""
@@ -245,17 +254,9 @@ class HotLP:
         if basis is not None:
             h.setBasis(basis)
         h.run()
-        status = _HOT_STATUS.get(h.getModelStatus(), SolveStatus.ERROR)
+        status = _status(h, mip=False)
         if status is not SolveStatus.OPTIMAL:
             return LPRun(status)
         x = np.asarray(h.getSolution().col_value, dtype=float)
         x[np.abs(x) < 1e-9] = 0.0
         return LPRun(status, float(h.getObjectiveValue()), x, h.getBasis())
-
-
-_HOT_STATUS = {} if _hs is None else {
-    _hs.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
-    _hs.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
-    _hs.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
-    _hs.HighsModelStatus.kUnboundedOrInfeasible: SolveStatus.UNBOUNDED,
-}

@@ -2,13 +2,14 @@
 
 The paper "dispatch[es] the generated linear program to the CPLEX
 solver" (Section 4.8).  These writers produce the artifacts that
-dispatch would ship: the human-readable CPLEX LP format (including its
-``Semi-Continuous`` section, which the paper's phase-barrier variables
-use) and the interchange MPS format (free-form, integer markers).
+dispatch would ship: the human-readable CPLEX LP format and the
+interchange MPS format (free-form, integer markers).
 
-Both emit deterministic text — same model, same bytes — so golden tests
-can diff them, and a real CPLEX/HiGHS/Gurobi binary could consume the
-files unchanged.
+Both walk a :class:`~repro.lp.model.MatrixModel`'s arrays — the CSR
+rows, bounds, integrality, column and row names — and emit
+deterministic text: same model, same bytes, so golden tests can diff
+them, and a real CPLEX/HiGHS/Gurobi binary could consume the files
+unchanged.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import math
 import re
 
-from .expr import LinExpr, Sense, Variable, VarType
-from .model import MatrixModel, Model, ObjectiveSense
+import numpy as np
+
+from .model import MatrixModel
 
 _NAME_RE = re.compile(r"[^A-Za-z0-9_.#\[\]]")
 
@@ -30,6 +32,19 @@ def _safe_name(name: str, index: int, prefix: str) -> str:
     return cleaned
 
 
+def _unique_names(names, prefix: str) -> list[str]:
+    """One safe, distinct identifier per entry of ``names``."""
+    used: set[str] = set()
+    out = []
+    for index, name in enumerate(names):
+        safe = _safe_name(name or "", index, prefix)
+        while safe in used:
+            safe = f"{safe}_{index}"
+        used.add(safe)
+        out.append(safe)
+    return out
+
+
 def _format_coef(value: float) -> str:
     """Human-stable coefficient formatting (no trailing noise)."""
     if value == int(value) and abs(value) < 1e15:
@@ -37,89 +52,80 @@ def _format_coef(value: float) -> str:
     return repr(value)
 
 
-def _expr_terms(expr: LinExpr, names: dict[Variable, str]) -> str:
-    """``3 x + 2 y - z`` rendering of an expression's linear part."""
+def _terms(pairs) -> str:
+    """``3 x + 2 y - z`` rendering of ``(name, coef)`` pairs."""
     parts: list[str] = []
-    for var, coef in expr.terms.items():
+    for name, coef in pairs:
         if coef == 0.0:
             continue
-        sign = "-" if coef < 0 else "+"
         magnitude = abs(coef)
-        term = names[var] if magnitude == 1.0 else f"{_format_coef(magnitude)} {names[var]}"
+        term = name if magnitude == 1.0 else f"{_format_coef(magnitude)} {name}"
         if not parts:
             parts.append(term if coef > 0 else f"- {term}")
         else:
-            parts.append(f"{sign} {term}")
+            parts.append(f"{'-' if coef < 0 else '+'} {term}")
     return " ".join(parts) if parts else "0 __zero"
 
 
-def _variable_names(model: Model) -> dict[Variable, str]:
-    names: dict[Variable, str] = {}
-    used: set[str] = set()
-    for var in model.variables:
-        name = _safe_name(var.name, var.index, "x")
-        while name in used:
-            name = f"{name}_{var.index}"
-        used.add(name)
-        names[var] = name
-    return names
+class _Export:
+    """What both formats read off a :class:`MatrixModel`, in the model's
+    own sense (a maximization's negated costs restored)."""
+
+    def __init__(self, model: MatrixModel) -> None:
+        self.compiled = compiled = model.compile()
+        self.name = model.name
+        self.maximize = compiled.negated
+        sign = -1.0 if compiled.negated else 1.0
+        self.objective = (sign * compiled.objective).tolist()
+        self.constant = float(sign * compiled.objective_offset)
+        self.cols = _unique_names(compiled.col_names, "x")
+        self.rows = _unique_names(model.row_names, "c")
+        self.lb = compiled.var_lb.tolist()
+        self.ub = compiled.var_ub.tolist()
+        integral = compiled.integrality
+        binary = integral & (compiled.var_lb == 0.0) & (compiled.var_ub == 1.0)
+        self.integer = integral.tolist()
+        self.binary = binary.tolist()
+        #: Per row: ``"<="``/``">="``/``"="`` and the right-hand side.
+        self.senses: list[tuple[str, float]] = []
+        for name, lo, hi in zip(
+            self.rows, compiled.row_lb.tolist(), compiled.row_ub.tolist()
+        ):
+            if lo == hi:
+                self.senses.append(("=", hi))
+            elif math.isinf(lo):
+                self.senses.append(("<=", hi))
+            elif math.isinf(hi):
+                self.senses.append((">=", lo))
+            else:
+                raise ValueError(f"row {name!r} is ranged; LP/MPS rows have one side")
 
 
-def _constraint_names(model: Model) -> list[str]:
-    used: set[str] = set()
-    names = []
-    for index, constraint in enumerate(model.constraints):
-        name = _safe_name(getattr(constraint, "name", "") or "", index, "c")
-        while name in used:
-            name = f"{name}_{index}"
-        used.add(name)
-        names.append(name)
-    return names
-
-
-def _front_end(model: Model | MatrixModel) -> Model:
-    """The writers walk named variables and constraints; a model built
-    in matrix form is given them back first."""
-    return model.to_model() if isinstance(model, MatrixModel) else model
-
-
-def write_lp(model: Model | MatrixModel) -> str:
+def write_lp(model: MatrixModel) -> str:
     """Render the model in CPLEX LP format."""
-    model = _front_end(model)
-    names = _variable_names(model)
-    constraint_names = _constraint_names(model)
-    lines: list[str] = [f"\\ Problem: {model.name}"]
-    sense = (
-        "Minimize" if model.sense is ObjectiveSense.MINIMIZE else "Maximize"
-    )
-    lines.append(sense)
-    objective = _expr_terms(model.objective, names)
-    if model.objective.constant:
-        objective += f" + {_format_coef(model.objective.constant)} __const"
+    m = _Export(model)
+    lines: list[str] = [f"\\ Problem: {m.name}"]
+    lines.append("Maximize" if m.maximize else "Minimize")
+    objective = _terms(zip(m.cols, m.objective))
+    if m.constant:
+        objective += f" + {_format_coef(m.constant)} __const"
     lines.append(f" obj: {objective}")
 
     lines.append("Subject To")
-    for constraint, cname in zip(model.constraints, constraint_names):
-        expr = constraint.expr
-        rhs = -expr.constant
-        op = {Sense.LE: "<=", Sense.GE: ">=", Sense.EQ: "="}[constraint.sense]
-        lines.append(
-            f" {cname}: {_expr_terms(expr, names)} {op} {_format_coef(rhs)}"
-        )
-    if model.objective.constant:
+    indptr = m.compiled.indptr.tolist()
+    names = [m.cols[col] for col in m.compiled.indices.tolist()]
+    data = m.compiled.data.tolist()
+    for row, (cname, (op, rhs)) in enumerate(zip(m.rows, m.senses)):
+        span = slice(indptr[row], indptr[row + 1])
+        terms = _terms(zip(names[span], data[span]))
+        lines.append(f" {cname}: {terms} {op} {_format_coef(rhs)}")
+    if m.constant:
         # LP format has no objective constant; encode it with a fixed
         # dummy column (the CPLEX-documented workaround).
         lines.append(" __fix_const: __const = 1")
 
     lines.append("Bounds")
-    for var in model.variables:
-        name = names[var]
-        lb, ub = var.lb, var.ub
-        if var.vtype is VarType.SEMI_CONTINUOUS:
-            # Bounds give the [L, U] band; the section below adds the
-            # "or zero" semantics.
-            lines.append(f" {_format_coef(var.sc_lb)} <= {name} <= {_format_coef(ub)}")
-            continue
+    for name, lb, ub in zip(m.cols, m.lb, m.ub):
         if lb == 0.0 and math.isinf(ub):
             continue  # the LP-format default
         if math.isinf(ub) and not math.isinf(lb):
@@ -132,100 +138,85 @@ def write_lp(model: Model | MatrixModel) -> str:
             lines.append(f" {lo} <= {name} <= {hi}")
 
     generals = [
-        names[v] for v in model.variables if v.vtype is VarType.INTEGER
+        name
+        for name, integer, binary in zip(m.cols, m.integer, m.binary)
+        if integer and not binary
     ]
-    binaries = [names[v] for v in model.variables if v.vtype is VarType.BINARY]
-    semis = [
-        names[v]
-        for v in model.variables
-        if v.vtype is VarType.SEMI_CONTINUOUS
-    ]
+    binaries = [name for name, binary in zip(m.cols, m.binary) if binary]
     if generals:
         lines.append("Generals")
         lines.extend(f" {name}" for name in generals)
     if binaries:
         lines.append("Binaries")
         lines.extend(f" {name}" for name in binaries)
-    if semis:
-        lines.append("Semi-Continuous")
-        lines.extend(f" {name}" for name in semis)
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
-def write_mps(model: Model | MatrixModel) -> str:
+def write_mps(model: MatrixModel) -> str:
     """Render the model in (free-form) MPS format.
 
-    Semi-continuous columns use the ``SC`` bound type; maximization uses
-    the ``OBJSENSE`` extension both CPLEX and HiGHS accept.
+    Maximization uses the ``OBJSENSE`` extension both CPLEX and HiGHS
+    accept.
     """
-    model = _front_end(model)
-    names = _variable_names(model)
-    constraint_names = _constraint_names(model)
-    lines = [f"NAME          {_safe_name(model.name, 0, 'MODEL')}"]
-    if model.sense is ObjectiveSense.MAXIMIZE:
+    m = _Export(model)
+    lines = [f"NAME          {_safe_name(m.name, 0, 'MODEL')}"]
+    if m.maximize:
         lines.append("OBJSENSE")
         lines.append("    MAX")
 
     lines.append("ROWS")
     lines.append(" N  OBJ")
-    row_types = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
-    for constraint, cname in zip(model.constraints, constraint_names):
-        lines.append(f" {row_types[constraint.sense]}  {cname}")
+    row_types = {"<=": "L", ">=": "G", "=": "E"}
+    for cname, (op, _) in zip(m.rows, m.senses):
+        lines.append(f" {row_types[op]}  {cname}")
 
-    # COLUMNS: gather per-variable entries (objective + each row).
-    entries: dict[Variable, list[tuple[str, float]]] = {
-        var: [] for var in model.variables
-    }
-    for var, coef in model.objective.terms.items():
+    # COLUMNS: gather per-column entries (objective + each row).
+    entries: list[list[tuple[str, float]]] = [
+        [("OBJ", coef)] if coef != 0.0 else [] for coef in m.objective
+    ]
+    # The CSR entries column by column, rows ascending within a column.
+    compiled = m.compiled
+    order = np.argsort(compiled.indices, kind="stable")
+    row_of = np.repeat(np.arange(compiled.num_rows), np.diff(compiled.indptr))
+    for col, row, coef in zip(
+        compiled.indices[order].tolist(),
+        row_of[order].tolist(),
+        compiled.data[order].tolist(),
+    ):
         if coef != 0.0:
-            entries[var].append(("OBJ", coef))
-    for constraint, cname in zip(model.constraints, constraint_names):
-        for var, coef in constraint.expr.terms.items():
-            if coef != 0.0:
-                entries[var].append((cname, coef))
+            entries[col].append((m.rows[row], coef))
 
     lines.append("COLUMNS")
     integer_open = False
     marker = 0
-    for var in model.variables:
-        needs_marker = var.vtype in (VarType.INTEGER, VarType.BINARY)
-        if needs_marker and not integer_open:
+    for name, integer, column in zip(m.cols, m.integer, entries):
+        if integer and not integer_open:
             lines.append(f"    MARKER{marker}  'MARKER'  'INTORG'")
             marker += 1
             integer_open = True
-        elif not needs_marker and integer_open:
+        elif not integer and integer_open:
             lines.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
             marker += 1
             integer_open = False
-        row_entries = entries[var] or [("OBJ", 0.0)]
-        for row_name, coef in row_entries:
-            lines.append(f"    {names[var]}  {row_name}  {_format_coef(coef)}")
+        for row_name, coef in column or [("OBJ", 0.0)]:
+            lines.append(f"    {name}  {row_name}  {_format_coef(coef)}")
     if integer_open:
         lines.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
 
     lines.append("RHS")
-    for constraint, cname in zip(model.constraints, constraint_names):
-        rhs = -constraint.expr.constant
+    for cname, (_, rhs) in zip(m.rows, m.senses):
         if rhs != 0.0:
             lines.append(f"    RHS  {cname}  {_format_coef(rhs)}")
-    if model.objective.constant:
+    if m.constant:
         # MPS encodes an objective constant as a negated OBJ RHS.
-        lines.append(
-            f"    RHS  OBJ  {_format_coef(-model.objective.constant)}"
-        )
+        lines.append(f"    RHS  OBJ  {_format_coef(-m.constant)}")
 
     lines.append("BOUNDS")
-    for var in model.variables:
-        name = names[var]
-        if var.vtype is VarType.SEMI_CONTINUOUS:
-            lines.append(f" LO BND  {name}  {_format_coef(var.sc_lb)}")
-            lines.append(f" SC BND  {name}  {_format_coef(var.ub)}")
-            continue
-        if var.vtype is VarType.BINARY:
+    for name, lb, ub, binary in zip(m.cols, m.lb, m.ub, m.binary):
+        if binary:
             lines.append(f" BV BND  {name}")
             continue
-        lb, ub = var.lb, var.ub
         if lb == ub:
             lines.append(f" FX BND  {name}  {_format_coef(lb)}")
             continue
@@ -240,7 +231,7 @@ def write_mps(model: Model | MatrixModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save(model: Model | MatrixModel, path: str) -> None:
+def save(model: MatrixModel, path: str) -> None:
     """Write the model to ``path``; format chosen by extension."""
     if path.endswith(".lp"):
         text = write_lp(model)

@@ -32,10 +32,6 @@ in place and the LP re-runs from the basis it last stopped at:
   infeasible candidate, certification failure — falls back to a cold
   branch & bound, which replaces the entry (and with it the LP).
 
-Without a native HiGHS binding (``scipy_backend.HAS_BASIS`` false) the
-same two LPs are rebuilt from the patched matrix and solved from
-scratch, one after the other.
-
 ``strict=True`` disables the memoized widening so a warm answer is only
 accepted when *proven* optimal against the root bound; the property
 tests run in this mode to pin exact warm/cold equality.
@@ -53,9 +49,8 @@ from ..core.model_builder import BuiltModel, PlanningError, build_model
 from ..core.plan import ExecutionPlan
 from ..core.problem import PlanningProblem
 from ..lp import scipy_backend
-from ..lp.incremental import CompiledDelta, diff_compiled
+from ..lp.incremental import diff_compiled
 from ..lp.model import CompiledModel, Solution, SolveStatus
-from ..lp.scipy_backend import LPRun
 from .cache import LRUCache
 from .fingerprint import structural_fingerprint
 
@@ -118,47 +113,11 @@ class _Entry:
     #: Basis of the last optimal pinned-candidate run.
     pinned_basis: object = None
     #: The persistent LP, loaded from ``compiled`` at the first warm use.
-    lp: scipy_backend.HotLP | _RebuiltLP | None = None
+    lp: scipy_backend.HotLP | None = None
     #: Minimized-space gap ``cold_objective - root_bound`` measured at
     #: the first warm use; widens the warm acceptance window.
     gap_slack: float = 0.0
     lock: threading.Lock = field(default_factory=threading.Lock)
-
-
-class _RebuiltLP:
-    """:class:`~repro.lp.scipy_backend.HotLP`'s interface without a
-    native binding: every run is a from-scratch
-    :func:`~repro.lp.scipy_backend.solve` of the retained matrix (which
-    the caller has already patched), so no run yields a basis."""
-
-    def __init__(self, compiled: CompiledModel) -> None:
-        self._compiled = compiled
-        self._bounds: tuple = ([], [], [])
-
-    def patch(self, delta: CompiledDelta) -> None:
-        pass
-
-    def set_col_bounds(self, cols, lower, upper) -> None:
-        self._bounds = (cols, lower, upper)
-
-    def run(self, time_limit: float | None = None, basis=None) -> LPRun:
-        compiled = self._compiled
-        lb, ub = compiled.var_lb.copy(), compiled.var_ub.copy()
-        cols, lower, upper = self._bounds
-        lb[cols], ub[cols] = lower, upper
-        solution = scipy_backend.solve(
-            replace(
-                compiled,
-                var_lb=lb,
-                var_ub=ub,
-                integrality=np.zeros(compiled.num_vars, dtype=bool),
-            ),
-            time_limit,
-        )
-        if solution.status is not SolveStatus.OPTIMAL:
-            return LPRun(solution.status)
-        objective = -solution.objective if compiled.negated else solution.objective
-        return LPRun(solution.status, objective, solution.x)
 
 
 @dataclass
@@ -341,7 +300,7 @@ class IncrementalSolver:
             return None
         lp = entry.lp
         if lp is None:
-            lp = entry.lp = self._load(entry.compiled)
+            lp = entry.lp = scipy_backend.HotLP(entry.compiled)
             if len(cols) and not self.strict:
                 # The root gap of the cold optimum, measured on the
                 # matrix it was found on; seeds the relaxation basis too.
@@ -399,14 +358,6 @@ class IncrementalSolver:
             np.all(compiled.var_lb[cols] - _EPS <= pins)
             and np.all(pins <= compiled.var_ub[cols] + _EPS)
         )
-
-    @staticmethod
-    def _load(compiled: CompiledModel):
-        """The LP a retained matrix is re-solved through: hot when a
-        native HiGHS binding resolved, else rebuilt on every run."""
-        if scipy_backend.HAS_BASIS:
-            return scipy_backend.HotLP(compiled)
-        return _RebuiltLP(compiled)
 
     def _finish(
         self, prepared: _Prepared, x: np.ndarray, seconds: float

@@ -1,9 +1,9 @@
 """HotLP: one persistent native HiGHS LP, patched in place and re-run
-from a retained basis — and the import-time choice of its bindings."""
+from a retained basis — and the one binding it and the cold path load."""
 
 import dataclasses
+import importlib
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -11,10 +11,6 @@ import pytest
 from repro.lp import Model, SolveStatus, VarType, scipy_backend
 from repro.lp.incremental import diff_compiled
 from repro.lp.scipy_backend import HotLP
-
-pytestmark = pytest.mark.skipif(
-    not scipy_backend.HAS_BASIS, reason="no native HiGHS binding"
-)
 
 
 def knapsack(cost=(3.0, 4.0, 1.0), cap=7.0, ub=3.0, weight=2.0, offset=0.0):
@@ -136,21 +132,11 @@ class TestTimeLimit:
         assert run.objective == pytest.approx(cold_minimized(other), abs=1e-9)
 
 
-class TestBindingResolution:
-    def test_prefers_highspy_then_the_vendored_core_then_none(self, monkeypatch):
-        fake = types.ModuleType("highspy")
-        fake.Highs = type("Highs", (), {})
-        monkeypatch.setitem(sys.modules, "highspy", fake)
-        assert scipy_backend._resolve_bindings() == (fake, fake.Highs)
-
-        monkeypatch.setitem(sys.modules, "highspy", None)  # import fails
-        module, highs = scipy_backend._resolve_bindings()
-        assert module.__name__ == "scipy.optimize._highspy._core"
-        assert highs is module._Highs
-
+class TestBinding:
+    def test_a_missing_binding_fails_the_import_naming_the_scipy_pin(
+        self, monkeypatch
+    ):
         monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-        assert scipy_backend._resolve_bindings() == (None, None)
-
-    def test_has_basis_reports_the_import_time_resolution(self):
-        assert scipy_backend.HAS_BASIS is (scipy_backend._Highs is not None)
-        assert (scipy_backend._hs is None) is (scipy_backend._Highs is None)
+        monkeypatch.delitem(sys.modules, "repro.lp.scipy_backend")
+        with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+            importlib.import_module("repro.lp.scipy_backend")

@@ -86,3 +86,25 @@ def test_a_solve_leaves_stdout_where_it_was(monkeypatch):
         m.maximize(x)
         assert m.solve().objective == 4.0
         assert identity(1) == real
+
+
+def test_a_cold_grid_solve_writes_nothing_to_fd1(monkeypatch, capfd):
+    # HiGHS's MIP solver writes a note straight to fd 1 on this cell even
+    # with output_flag off; the mute is what keeps it off stdout.
+    from repro.api import GoalSpec, JobSpec, NetworkSpec
+    from repro.api.compiler import compile_spec
+    from repro.core import build_model
+
+    spec = JobSpec(
+        name="job",
+        input_gb=8.0,
+        goal=GoalSpec(deadline_hours=4.0),
+        network=NetworkSpec(uplink_mbit_s=16.0),
+        catalog="public",
+    )
+    compiled = build_model(compile_spec(spec)).model.compile()
+    with open(1, "w", closefd=False) as stdout:
+        monkeypatch.setattr("sys.stdout", stdout)
+        solution = scipy_backend.solve(compiled, 30.0)
+    assert solution.status.has_solution
+    assert capfd.readouterr().out == ""

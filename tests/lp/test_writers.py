@@ -1,9 +1,19 @@
-"""Tests for the LP/MPS model writers."""
+"""Tests for the LP/MPS model writers, which read a MatrixModel's arrays."""
+
+from pathlib import Path
 
 import pytest
 
-from repro.lp import Model, VarType
+from repro.lp import MatrixModel, Model, VarType
 from repro.lp.writers import save, write_lp, write_mps
+
+GOLDEN = Path(__file__).parent / "golden_public_1gb_1h"
+
+
+def matrix(model: Model) -> MatrixModel:
+    """The expression-built ``model`` in the form the writers read."""
+    names = tuple(constraint.name for constraint in model.constraints)
+    return MatrixModel(model.name, model.compile(), names, model.stats())
 
 
 def toy_model():
@@ -15,7 +25,15 @@ def toy_model():
     model.add_constr(x - y >= -1.0, "gap")
     model.add_constr(x + b == 2.0, "link")
     model.maximize(3 * x + 2 * y + b)
-    return model
+    return matrix(model)
+
+
+def single(name="x", **bounds):
+    """One column, a zero objective, minimized."""
+    model = Model("m")
+    model.add_var(name, **bounds)
+    model.minimize(0)
+    return matrix(model)
 
 
 class TestLpFormat:
@@ -32,33 +50,19 @@ class TestLpFormat:
         assert "link: x + b = 2" in text
 
     def test_minimize_section(self):
-        model = Model("m")
-        x = model.add_var("x", ub=1.0)
-        model.minimize(x)
-        assert "Minimize" in write_lp(model)
+        assert "Minimize" in write_lp(single(ub=1.0))
 
     def test_default_bounds_omitted(self):
         model = Model("m")
         model.add_var("free_up", lb=0.0)  # the LP default
         model.add_var("capped", ub=9.0)
         model.minimize(0)
-        text = write_lp(model)
+        text = write_lp(matrix(model))
         assert "free_up" not in text.split("Bounds")[1]
         assert "capped <= 9" in text.split("Bounds")[1]
 
-    def test_semicontinuous_section(self):
-        model = Model("m")
-        model.add_var("s", ub=10.0, vtype=VarType.SEMI_CONTINUOUS, sc_lb=2.0)
-        model.minimize(0)
-        text = write_lp(model)
-        assert "Semi-Continuous" in text
-        assert "2 <= s <= 10" in text
-
     def test_bad_names_sanitized(self):
-        model = Model("m")
-        model.add_var("weird name!", ub=1.0)
-        model.minimize(0)
-        text = write_lp(model)
+        text = write_lp(single("weird name!", ub=1.0))
         assert "weird name!" not in text
         assert "weird_name_" in text
 
@@ -69,7 +73,7 @@ class TestLpFormat:
         model = Model("m")
         x = model.add_var("x", ub=1.0)
         model.minimize(x + 5.0)
-        text = write_lp(model)
+        text = write_lp(matrix(model))
         assert "__const" in text
         assert "__fix_const: __const = 1" in text
 
@@ -82,10 +86,7 @@ class TestMpsFormat:
 
     def test_objsense_for_maximization(self):
         assert "OBJSENSE" in write_mps(toy_model())
-        model = Model("m")
-        model.add_var("x", ub=1.0)
-        model.minimize(0)
-        assert "OBJSENSE" not in write_mps(model)
+        assert "OBJSENSE" not in write_mps(single(ub=1.0))
 
     def test_row_types(self):
         text = write_mps(toy_model())
@@ -102,22 +103,30 @@ class TestMpsFormat:
         text = write_mps(toy_model())
         assert " BV BND  b" in text
 
-    def test_semicontinuous_bound(self):
-        model = Model("m")
-        model.add_var("s", ub=10.0, vtype=VarType.SEMI_CONTINUOUS, sc_lb=2.0)
-        model.minimize(0)
-        text = write_mps(model)
-        assert " SC BND  s  10" in text
-        assert " LO BND  s  2" in text
-
     def test_fixed_bound(self):
-        model = Model("m")
-        model.add_var("f", lb=3.0, ub=3.0)
-        model.minimize(0)
-        assert " FX BND  f  3" in write_mps(model)
+        assert " FX BND  f  3" in write_mps(single("f", lb=3.0, ub=3.0))
 
     def test_deterministic(self):
         assert write_mps(toy_model()) == write_mps(toy_model())
+
+
+def planner_model(input_gb, deadline_hours):
+    from repro.cloud import public_cloud
+    from repro.core import (
+        Goal,
+        NetworkConditions,
+        PlannerJob,
+        PlanningProblem,
+        build_model,
+    )
+
+    problem = PlanningProblem(
+        job=PlannerJob(name="golden", input_gb=input_gb),
+        services=public_cloud(),
+        network=NetworkConditions.from_mbit_s(16.0),
+        goal=Goal.min_cost(deadline_hours=deadline_hours),
+    )
+    return build_model(problem).model
 
 
 class TestSave:
@@ -135,24 +144,20 @@ class TestSave:
             save(toy_model(), str(tmp_path / "model.txt"))
 
     def test_planner_model_exports(self, tmp_path):
-        # The real Section-4 model must export without errors and carry
-        # its semi-continuous phase barrier in the LP file.
-        from repro.cloud import public_cloud
-        from repro.core import (
-            Goal,
-            NetworkConditions,
-            PlannerJob,
-            PlanningProblem,
-            build_model,
-        )
-
-        problem = PlanningProblem(
-            job=PlannerJob(input_gb=8.0),
-            services=public_cloud(),
-            network=NetworkConditions.from_mbit_s(16.0),
-            goal=Goal.min_cost(deadline_hours=6.0),
-        )
-        model = build_model(problem).model
+        # The real Section-4 model must export without errors.
+        model = planner_model(8.0, 6.0)
         text = write_lp(model)
         assert "Subject To" in text
         save(model, str(tmp_path / "conductor.mps"))
+
+
+class TestGolden:
+    """A planner model's export, byte for byte as the files committed
+    beside this test (written when the writers still walked an
+    expression graph)."""
+
+    @pytest.mark.parametrize("suffix", [".lp", ".mps"])
+    def test_export_matches_the_committed_file(self, suffix, tmp_path):
+        path = tmp_path / f"model{suffix}"
+        save(planner_model(1.0, 1.0), str(path))
+        assert path.read_bytes() == GOLDEN.with_suffix(suffix).read_bytes()

@@ -12,8 +12,9 @@ import pytest
 
 from repro.cloud import public_cloud
 from repro.core import Goal, NetworkConditions, PlannerJob, PlanningProblem
-from repro.core.model_builder import PlanningError
+from repro.core.model_builder import PlanningError, build_model
 from repro.core.planner import Planner
+from repro.lp import SolveStatus
 from repro.service import IncrementalSolver, SolverPool, solve_problem
 
 
@@ -76,10 +77,23 @@ def reference():
 
 def test_the_reference_route_covers_all_three_outcomes(reference):
     assert reference["feasible"][:2] == ("plan", "optimal")
-    kind, status, budgeted, message = reference["infeasible"]
-    assert (kind, status, budgeted) == ("error", "infeasible", False)
-    assert "'route-table'" in message and "infeasible" in message
-    assert reference["budget_infeasible"][:3] == ("error", "infeasible", True)
+    # The message ends in HiGHS's own name for the model status.
+    message = "planning failed for 'route-table': infeasible (Infeasible)"
+    assert reference["infeasible"] == ("error", "infeasible", False, message)
+    assert reference["budget_infeasible"] == ("error", "infeasible", True, message)
+
+
+def test_a_solve_out_of_time_has_no_solution():
+    built = build_model(PROBLEMS["feasible"])
+    solution = built.solve(time_limit=0.0)
+    assert solution.status is SolveStatus.ERROR
+    assert solution.x is None
+    with pytest.raises(PlanningError) as raised:
+        built.extract_plan(solution)
+    assert raised.value.status == "error"
+    assert str(raised.value) == (
+        "planning failed for 'route-table': error (Time limit reached)"
+    )
 
 
 @pytest.mark.parametrize("route", ROUTES)

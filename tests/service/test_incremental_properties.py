@@ -7,8 +7,6 @@ must reproduce the cold objective to 1e-9 relative — or fall back to
 the cold path outright (structural changes, failed certification).
 """
 
-from unittest import mock
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,6 @@ from hypothesis import strategies as st
 from repro.core import Goal, NetworkConditions, PlannerJob, PlanningProblem
 from repro.core.planner import Planner
 from repro.cloud import public_cloud
-from repro.lp import scipy_backend
 from repro.service import IncrementalSolver
 
 DEADLINES = (2.0, 3.0)  # two horizons -> two structural fingerprints
@@ -90,36 +87,6 @@ class TestPlanningLevelAgreement:
         # capacity for both shapes): no structural fallbacks, some reuse.
         assert solver.stats.structural_fallbacks == 0
         assert solver.stats.solves == 3
-
-
-@pytest.mark.skipif(not scipy_backend.HAS_BASIS, reason="no native HiGHS binding")
-class TestHotAgreesWithRebuiltFallback:
-    """The persistent LP and the binding-less fallback (the same two LPs
-    rebuilt and solved from scratch) take every decision alike."""
-
-    @staticmethod
-    def trace(series, strict):
-        solver = IncrementalSolver(strict=strict)
-        solver.solve(make_problem(16.0, 2.0, DEADLINES[0], 1.0))  # seed
-        steps = []
-        for uplink, input_gb, deadline, price in series:
-            before = vars(solver.stats).copy()
-            plan = solver.solve(make_problem(uplink, input_gb, deadline, price))
-            moved = [k for k, v in vars(solver.stats).items() if v != before[k]]
-            steps.append((moved, plan.objective_value))
-        return steps
-
-    @pytest.mark.parametrize("strict", [False, True])
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(series=st.lists(perturbations, min_size=2, max_size=5))
-    def test_same_decisions_same_objectives(self, strict, series):
-        hot = self.trace(series, strict)
-        with mock.patch.object(scipy_backend, "HAS_BASIS", False):
-            rebuilt = self.trace(series, strict)
-        assert [kinds for kinds, _ in hot] == [kinds for kinds, _ in rebuilt]
-        for (_, a), (_, b) in zip(hot, rebuilt):
-            assert abs(a - b) <= 1e-7 * max(1.0, abs(b))
 
 
 class TestBatchAgreement:

@@ -21,7 +21,7 @@ from repro.service import (
     structural_payload,
 )
 from repro.lp import Solution, SolveStatus, scipy_backend
-from repro.service.incremental import _own_copy, _RebuiltLP
+from repro.service.incremental import _own_copy
 from repro.service.pool import SolverPool
 
 
@@ -283,29 +283,26 @@ SEQUENCE = [
 ]
 
 
-@pytest.mark.skipif(not scipy_backend.HAS_BASIS, reason="no native HiGHS binding")
-class TestHotAgainstRebuiltFallback:
+class TestDriftSequence:
     @pytest.mark.parametrize("strict", [False, True])
-    def test_same_decisions_and_objectives_without_a_binding(self, strict, monkeypatch):
-        def trace():
-            solver = IncrementalSolver(strict=strict)
-            solver.solve(make_problem())
-            steps = [kind_of(solver, make_problem(**kw)) for kw in SEQUENCE]
-            lp = entry_of(solver, make_problem()).lp
-            return [(k, p.objective_value) for k, p in steps], lp
-
-        hot, hot_lp = trace()
-        monkeypatch.setattr(scipy_backend, "HAS_BASIS", False)
-        rebuilt, rebuilt_lp = trace()
-        assert [k for k, _ in hot] == [k for k, _ in rebuilt]
-        if not strict:
-            # (Strict never accepts here: these MILPs have a root gap.)
-            assert isinstance(hot_lp, scipy_backend.HotLP)
-            assert isinstance(rebuilt_lp, _RebuiltLP)
-            assert [k for k, _ in hot].count("warm") == 5
-            assert [k for k, _ in hot].count("rejected_fallbacks") == 4
-        for (_, a), (_, b) in zip(hot, rebuilt):
-            assert a == pytest.approx(b, rel=1e-7)
+    def test_each_step_takes_its_decision_and_a_cold_equal_plan(self, strict):
+        solver = IncrementalSolver(strict=strict)
+        cold = Planner()
+        solver.solve(make_problem())
+        kinds = []
+        for kw in SEQUENCE:
+            kind, plan = kind_of(solver, make_problem(**kw))
+            kinds.append(kind)
+            assert plan.objective_value == pytest.approx(
+                cold.plan(make_problem(**kw)).objective_value, rel=0.01
+            )
+        if strict:
+            # These MILPs have a root gap: strict mode never accepts.
+            assert "warm" not in kinds
+        else:
+            assert isinstance(entry_of(solver, make_problem()).lp, scipy_backend.HotLP)
+            assert kinds.count("warm") == 5
+            assert kinds.count("rejected_fallbacks") == 4
 
 
 class TestHotInstanceLifecycle:

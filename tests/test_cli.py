@@ -335,14 +335,14 @@ class TestServeKeepsItsStdout:
         compiled = m.compile()
 
         inside, release = threading.Event(), threading.Event()
-        milp = scipy_backend.milp
 
-        def held(**kwargs):
-            inside.set()
-            assert release.wait(30.0)
-            return milp(**kwargs)
+        class Held(scipy_backend._hs._Highs):
+            def run(self):
+                inside.set()
+                assert release.wait(30.0)
+                return super().run()
 
-        monkeypatch.setattr(scipy_backend, "milp", held)
+        monkeypatch.setattr(scipy_backend._hs, "_Highs", Held)
         with cli._own_stdout() as out:  # taken before the first solve
             solver = threading.Thread(
                 target=scipy_backend.solve, args=(compiled, 30.0)

@@ -123,7 +123,13 @@ def test_fleet_adaptation(benchmark):
     assert saving > 0.10
 
 
-# -- the replan hot path: warm re-solves on the Fig. 13 spot mix -----------
+# -- the incremental solver on the Fig. 13 spot replan mix -----------------
+#
+# This measures ``IncrementalSolver`` -- the service's ``--incremental``
+# path (``repro serve --pool thread --incremental``) -- on a same-shape
+# replan burst over the Fig. 13 spot trace.  It is not a path the fleet
+# runs: the fleet re-plans cold through ``Planner.plan`` (docs/solver.md,
+# "The fleet re-plans cold").
 
 REPLAN_STEPS = 16
 
@@ -135,11 +141,11 @@ RATE_DRIFT = (1.0, 1.01, 0.99, 1.005, 0.995, 1.008,
 
 
 def replan_mix(trace) -> list:
-    """The Fig. 13 spot-trace replan mix: the burst of deviation-
-    triggered replans a fleet step produces.  Every deployment sees the
-    same rolled-forward price forecast off the trace, but each carries a
-    slightly different *learned* node rate — so the problems share one
-    structure and differ only in data (matrix coefficients and costs)."""
+    """The Fig. 13 spot-trace replan mix: a burst of deviation-triggered
+    replans over one horizon.  Every problem sees the same rolled-forward
+    price forecast off the trace, but each carries a slightly different
+    *learned* node rate — so the problems share one structure and differ
+    only in data (matrix coefficients and costs)."""
     from repro.core import NetworkConditions, PlanningProblem
 
     spot = spot_services()[0]
@@ -191,20 +197,11 @@ def measure_warm_replans():
         plan = warm_solver.solve(problem)
         warm.append((time.perf_counter() - t0, plan.objective_value))
 
-    # The same-step batch: every deployment in one scheduler step whose
-    # replans share a structure certifies as consecutive hot starts.
-    batch = replan_mix(trace)[:4]
-    t0 = time.perf_counter()
-    batched = warm_solver.solve_many(batch)
-    batch_seconds = time.perf_counter() - t0
-
-    return cold, warm, (batch_seconds, batched), warm_solver.stats
+    return cold, warm, warm_solver.stats
 
 
 def test_fleet_warm_replan_speedup(benchmark, bench_metrics):
-    cold, warm, (batch_seconds, batched), stats = once(
-        benchmark, measure_warm_replans
-    )
+    cold, warm, stats = once(benchmark, measure_warm_replans)
 
     cold_mean = sum(t for t, _ in cold) / len(cold)
     warm_mean = sum(t for t, _ in warm) / len(warm)
@@ -215,30 +212,23 @@ def test_fleet_warm_replan_speedup(benchmark, bench_metrics):
         for k, ((ct, co), (wt, wo)) in enumerate(zip(cold, warm))
     ]
     print_table(
-        "Replan hot path: warm vs cold on the Fig. 13 spot replan mix",
+        "IncrementalSolver: warm vs cold on the Fig. 13 spot replan mix",
         rows,
         ("hour", "cold", "warm", "speedup", "rel obj diff"),
     )
     print(f"\nmean cold {cold_mean*1e3:.1f} ms, mean warm {warm_mean*1e3:.1f} ms "
           f"({speedup:.1f}x); warm={stats.warm} cold={stats.cold} "
-          f"fallbacks={stats.structural_fallbacks + stats.rejected_fallbacks}; "
-          f"batch of {len(batched)} in {batch_seconds*1e3:.1f} ms")
+          f"fallbacks={stats.structural_fallbacks + stats.rejected_fallbacks}")
 
     bench_metrics("warm_speedup", speedup)
     bench_metrics("cold_mean_s", cold_mean)
     bench_metrics("warm_mean_s", warm_mean)
     bench_metrics("warm_solves", stats.warm)
-    bench_metrics("batched_problems", stats.batched_problems)
 
     # The replan hot path must be >= 5x faster than solving cold ...
     assert speedup >= 5.0, f"warm re-solve only {speedup:.1f}x faster than cold"
     # ... with the same answers (objective within the 1 % solver gap) ...
     for (_, cold_obj), (_, warm_obj) in zip(cold, warm):
         assert abs(warm_obj - cold_obj) <= 0.01 * max(1.0, abs(cold_obj))
-    # ... mostly via genuine warm re-certification, not cache luck ...
+    # ... via genuine warm re-certification, not cache luck.
     assert stats.warm >= REPLAN_STEPS - 2
-    # ... and concurrent same-structure replans batched into one block
-    # solve that answers each cheaper than a mean cold solve.
-    assert stats.batched_problems >= 4
-    assert all(not isinstance(p, Exception) for p in batched)
-    assert batch_seconds / len(batched) < cold_mean

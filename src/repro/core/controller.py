@@ -441,26 +441,6 @@ class ControllerRun:
         self._pending = (kind, reason, learn)
         return True
 
-    def peek_replan_problem(self) -> PlanningProblem | None:
-        """The exact problem a pending re-plan will solve, or ``None``.
-
-        Lets the fleet scheduler collect every deployment's next solve
-        *before* stepping them, so concurrent re-plans triggered by the
-        same substrate event certify in one batched call.  A
-        pending ``learn`` is folded in eagerly — ``_learn_rates`` is
-        idempotent over the same outcome, so the adoption in
-        :meth:`step` re-applying it changes nothing and the peeked
-        problem is byte-identical to the one the re-plan solves.
-        """
-        if self._pending is None or self.done:
-            return None
-        if self.replans >= self.controller.config.max_replans:
-            return None
-        _kind, _reason, learn = self._pending
-        if learn and self.outcomes:
-            self.controller._learn_rates(self.outcomes[-1])
-        return self.controller._problem(self.state)
-
     def step(self) -> IntervalOutcome | None:
         """Execute the next planned interval; ``None`` once done.
 

@@ -19,10 +19,10 @@ per-job one:
   targeted re-plan requests for exactly the deployments it concerns,
   under per-deployment re-plan budgets
   (:class:`~repro.fleet.scheduler.FleetConfig`).
-- :class:`~repro.fleet.replanner.CachingPlanner` — one warm plan cache
-  (the planning service's fingerprint + LRU machinery) in front of one
-  solver, so N identical re-plans provoked by one shared event coalesce
-  into a single solve.
+- :class:`~repro.fleet.replanner.CachingPlanner` — one plan cache (the
+  planning service's fingerprint + LRU machinery) in front of the cold
+  ``Planner.plan``, so N identical re-plans provoked by one shared event
+  coalesce into a single solve.
 
 Quickstart::
 

@@ -19,9 +19,9 @@ re-plan — immediately, not at the next polling interval:
 
 Re-plans triggered by one shared event coalesce: every controller in
 the fleet plans through one :class:`~repro.fleet.replanner.CachingPlanner`,
-so deployments in identical states solve once and the rest hit the warm
-plan cache (the same fingerprint + LRU machinery the planning service
-uses for tenant requests).
+so deployments in identical states solve once and the rest hit the plan
+cache (the same fingerprint + LRU machinery the planning service uses
+for tenant requests).  A miss is ``Planner.plan``, the cold solve.
 
 A replan budget of zero disables the event-driven path entirely, so a
 zero-budget ``"event"`` fleet behaves exactly like an ``"interval"``
@@ -133,12 +133,8 @@ class FleetResult:
     events: list[SubstrateEvent] = field(default_factory=list)
     solves: int = 0
     cache_hits: int = 0
-    #: Solves answered warm by the incremental solver (subset of solves).
+    #: Always 0 (the fleet solves cold); benchmarks/perf/fleet_run.py reads them.
     warm_solves: int = 0
-    #: Warm attempts that fell back cold (structural change or a
-    #: candidate that failed certification).
-    warm_fallbacks: int = 0
-    #: Re-plans certified in ``solve_many`` batches (>= 2 warm candidates).
     batched_replans: int = 0
     #: Peak concurrent node demand per service across the whole fleet.
     peak_demand: dict[str, int] = field(default_factory=dict)
@@ -203,9 +199,6 @@ def fleet_summary(result: FleetResult) -> dict:
         "makespan_hours": result.makespan_hours,
         "solves": result.solves,
         "cache_hits": result.cache_hits,
-        "warm_solves": result.warm_solves,
-        "warm_fallbacks": result.warm_fallbacks,
-        "batched_replans": result.batched_replans,
         "substrate_events": len(result.events),
         "deployments": [
             {
@@ -247,14 +240,10 @@ class FleetScheduler:
         config: FleetConfig | None = None,
         *,
         planner: Planner | None = None,
-        cache_capacity: int = 512,
-        metrics=None,
     ) -> None:
         self.substrate = substrate
         self.config = config or FleetConfig()
-        self.replanner = CachingPlanner(
-            planner, capacity=cache_capacity, metrics=metrics
-        )
+        self.replanner = CachingPlanner(planner)
         self.deployments: list[FleetDeployment] = []
 
     # -- building ----------------------------------------------------------
@@ -446,7 +435,6 @@ class FleetScheduler:
             self._restore_failures(elapsed)
             for event in events:
                 self._apply_event(event, active, elapsed)
-            self._prefetch_replans(active)
             demand: dict[str, int] = {}
             for deployment in active:
                 outcome = deployment.run.step()
@@ -468,11 +456,6 @@ class FleetScheduler:
                 peak_demand[service] = max(peak_demand.get(service, 0), nodes)
             elapsed += config.step_hours
 
-        warm_stats = (
-            self.replanner.incremental.stats
-            if self.replanner.incremental is not None
-            else None
-        )
         result = FleetResult(
             mode=config.mode,
             deployments=[
@@ -487,13 +470,6 @@ class FleetScheduler:
             events=all_events,
             solves=self.replanner.solves,
             cache_hits=self.replanner.hits,
-            warm_solves=warm_stats.warm if warm_stats else 0,
-            warm_fallbacks=(
-                warm_stats.structural_fallbacks + warm_stats.rejected_fallbacks
-                if warm_stats
-                else 0
-            ),
-            batched_replans=warm_stats.batched_problems if warm_stats else 0,
             peak_demand=peak_demand,
         )
         if tracer is not None:
@@ -505,28 +481,6 @@ class FleetScheduler:
             if deployment.run is not None:
                 deployment.run.close()
         return result
-
-    def _prefetch_replans(self, active: list[FleetDeployment]) -> None:
-        """Batch the step's pending re-plans into one prefetch solve.
-
-        Every deployment with a re-plan pending exposes the exact
-        problem it is about to solve (:meth:`ControllerRun.
-        peek_replan_problem`); pushing them through the shared planner's
-        :meth:`~repro.fleet.replanner.CachingPlanner.plan_batch` turns N
-        concurrent warm certifications into one ``solve_many`` batch and
-        pre-publishes the plans, so the subsequent ``step()`` calls
-        adopt them from the cache.  A single pending re-plan solves just
-        as fast inline, so batching only kicks in at two or more.
-        """
-        if self.replanner.incremental is None:
-            return  # plan_batch would no-op; skip the peeks entirely
-        pending = [
-            problem
-            for deployment in active
-            if (problem := deployment.run.peek_replan_problem()) is not None
-        ]
-        if len(pending) >= 2:
-            self.replanner.plan_batch(pending)
 
     # -- event routing -----------------------------------------------------
 

@@ -1,9 +1,9 @@
 """The incremental solver: warm-started, delta-patched re-solves.
 
-Sits between the planning front-ends (the fleet's
-:class:`~repro.fleet.replanner.CachingPlanner`, the service's
-:class:`~repro.service.pool.SolverPool`) and the LP substrate.  The exact
-plan cache only helps when a problem is byte-identical; this layer helps
+Sits between the service's :class:`~repro.service.pool.SolverPool` (its
+one front end: ``repro serve --incremental``) and the LP substrate.  The
+fleet re-plans cold through ``Planner.plan``.  The exact plan cache only
+helps when a problem is byte-identical; this layer helps
 when it is merely *shaped* the same — the replan hot path, where every
 re-solve differs from the last only in prices, bounds and right-hand
 sides.
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core.model_builder import BuiltModel, PlanningError, build_model
+from ..core.model_builder import BuiltModel, build_model
 from ..core.plan import ExecutionPlan
 from ..core.problem import PlanningProblem
 from ..lp import scipy_backend
@@ -74,10 +74,6 @@ class IncrementalStats:
     structural_fallbacks: int = 0
     #: Cold fallbacks because the warm candidate failed certification.
     rejected_fallbacks: int = 0
-    #: ``solve_many`` calls that certified two or more warm candidates,
-    #: and the candidates they covered.
-    batches: int = 0
-    batched_problems: int = 0
 
     @property
     def solves(self) -> int:
@@ -122,7 +118,7 @@ class _Entry:
 
 @dataclass
 class _Prepared:
-    """One problem, built and bound to the entry retained for its key."""
+    """One problem, built, with the entry retained for its key."""
 
     built: BuiltModel
     compiled: CompiledModel
@@ -167,7 +163,7 @@ class IncrementalSolver:
     :class:`~repro.obs.registry.MetricsRegistry`; the solver bumps
     ``incremental.warm`` / ``incremental.cold`` /
     ``incremental.structural_fallback`` / ``incremental.rejected_fallback``
-    / ``incremental.batch`` counters on it.
+    counters on it.
     """
 
     def __init__(
@@ -194,69 +190,19 @@ class IncrementalSolver:
         self, problem: PlanningProblem, time_limit: float | None = None
     ) -> ExecutionPlan:
         """Solve one problem, warm when the retained structure allows."""
-        return self._solve_prepared(self._prepare(problem, time_limit))
-
-    def solve_many(
-        self, problems: list[PlanningProblem], time_limit: float | None = None
-    ) -> list[ExecutionPlan | PlanningError]:
-        """Solve a batch; two or more warm MILP candidates in one call
-        count as one batch of consecutive hot starts.
-
-        Every problem is bound to the entry retained when the call began,
-        so a batch-mate's cold fallback never swaps the candidate under
-        the others.  Failures are returned in place (not raised) so one
-        infeasible deployment cannot sink a fleet-wide batch; callers
-        re-raise per problem when they deliver results.
-        """
-        prepared = [self._prepare(p, time_limit) for p in problems]
-        batch = sum(
-            1
-            for prep in prepared
-            if prep.entry is not None
-            and len(prep.entry.int_cols)
-            and self._pins_fit(prep.entry, prep.compiled)
-        )
-        if batch >= 2:
-            with self._stats_lock:
-                self.stats.batches += 1
-                self.stats.batched_problems += batch
-            self._bump("incremental.batch")
-
-        results: list[ExecutionPlan | PlanningError] = []
-        for prep in prepared:
-            if prep.entry is None:
-                # A batch-mate with the same structure may have solved
-                # cold since; its entry lets this solve go warm.
-                prep.entry = self._entries.get(prep.key)
-            try:
-                results.append(self._solve_prepared(prep))
-            except PlanningError as exc:
-                results.append(exc)
-        return results
-
-    # -- preparation ------------------------------------------------------
-
-    def _limit(self, time_limit: float | None) -> float:
-        if time_limit is None:
-            return self.time_limit
-        return max(1e-3, min(self.time_limit, time_limit))
-
-    def _prepare(
-        self, problem: PlanningProblem, time_limit: float | None
-    ) -> _Prepared:
         built = build_model(problem)
         key = structural_fingerprint(problem)
-        return _Prepared(
+        prepared = _Prepared(
             built=built,
             compiled=built.model.compile(),
             key=key,
             entry=self._entries.get(key),
-            time_limit=self._limit(time_limit),
+            time_limit=(
+                self.time_limit
+                if time_limit is None
+                else max(1e-3, min(self.time_limit, time_limit))
+            ),
         )
-
-    # -- warm path --------------------------------------------------------
-
-    def _solve_prepared(self, prepared: _Prepared) -> ExecutionPlan:
         kind = "cold"
         if prepared.entry is not None:
             plan = self._try_warm(prepared)
@@ -269,6 +215,8 @@ class IncrementalSolver:
                 else "rejected_fallback"
             )
         return self._solve_cold(prepared, kind)
+
+    # -- warm path --------------------------------------------------------
 
     def _try_warm(self, prepared: _Prepared) -> ExecutionPlan | None:
         """One warm attempt; ``None`` means go cold."""

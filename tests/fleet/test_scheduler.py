@@ -246,104 +246,3 @@ class TestCapacity:
             if outcome.start_hour >= 3.0:
                 assert outcome.nodes.get(SPOT, 0) <= 2
 
-
-class TestWarmReplanPath:
-    """The incremental hot path: peeked replans, prefetch batching, and
-    the warm counters surfaced on FleetResult."""
-
-    def controller(self, **kwargs):
-        from repro.cloud import public_cloud
-        from repro.core.controller import JobController
-
-        return JobController(
-            PlannerJob(name="kmeans", input_gb=8.0),
-            public_cloud(),
-            Goal.min_cost(deadline_hours=4.0),
-            network=NetworkConditions.from_mbit_s(16.0),
-            **kwargs,
-        )
-
-    def test_peek_is_none_without_a_pending_replan(self):
-        run = self.controller().start()
-        assert run.peek_replan_problem() is None
-        run.close()
-
-    def test_peek_matches_the_problem_the_replan_solves(self):
-        solved = []
-        run = self.controller().start()
-        original_plan = run.controller.planner.plan
-        run.controller.planner.plan = (
-            lambda problem: (solved.append(problem), original_plan(problem))[1]
-        )
-        assert run.step() is not None
-        assert run.request_replan("price moved", kind="price")
-        peeked = run.peek_replan_problem()
-        assert peeked is not None
-        solved.clear()
-        run.step()  # adopts the pending replan
-        assert len(solved) == 1
-        from repro.service import problem_fingerprint
-
-        assert problem_fingerprint(solved[0]) == problem_fingerprint(peeked)
-        run.close()
-
-    def test_peek_is_none_once_done_or_capped(self):
-        from repro.core.controller import ControllerConfig
-
-        run = self.controller(config=ControllerConfig(max_replans=0)).start()
-        run.step()
-        assert not run.request_replan("capped")
-        assert run.peek_replan_problem() is None
-        run.close()
-
-    def test_fleet_result_carries_warm_counters(self):
-        result = build_fleet(n=2).run()
-        assert result.warm_solves >= 0
-        assert result.warm_fallbacks >= 0
-        assert result.batched_replans >= 0
-        from repro.fleet import fleet_summary
-
-        summary = fleet_summary(result)
-        for key in ("warm_solves", "warm_fallbacks", "batched_replans"):
-            assert key in summary
-
-    def test_same_step_replans_prefetch_as_one_batch(self):
-        # One shared price event triggers a replan for every deployment
-        # in the same scheduler step; distinct input sizes defeat the
-        # exact plan cache, so the replans must reach the incremental
-        # layer together as one batch.  The deadline-7
-        # deployment's *initial* solve seeds the 7-hour-horizon
-        # structure the others' hour-1 replans (8 - 1 remaining) land on.
-        prices = np.full(3 * 24, 0.16)
-        prices[1:] = 0.24  # a price jump once everyone is mid-flight
-        trace = SpotTrace(prices, label="jump")
-        substrate = Substrate({SPOT: trace}, eviction_bids={SPOT: CEILING})
-        fleet = FleetScheduler(
-            substrate, FleetConfig(mode="event", interval_cadence_hours=6.0)
-        )
-        fleet.add(
-            "seeder",
-            PlannerJob(name="kmeans", input_gb=10.0),
-            spot_services(),
-            Goal.min_cost(deadline_hours=7.0),
-            network=NetworkConditions.from_mbit_s(16.0),
-            predictor=CurrentPricePredictor(),
-        )
-        for i in range(3):
-            fleet.add(
-                f"tenant-{i + 1}",
-                PlannerJob(name="kmeans", input_gb=10.0 + 0.2 * i),
-                spot_services(),
-                Goal.min_cost(deadline_hours=8.0),
-                network=NetworkConditions.from_mbit_s(16.0),
-                predictor=CurrentPricePredictor(),
-            )
-        assert fleet.replanner.incremental is not None
-        result = fleet.run()
-        assert result.completed == 4
-        assert result.batched_replans >= 2, (
-            result.solves, result.warm_solves, result.warm_fallbacks,
-        )
-        stats = fleet.replanner.incremental.stats
-        assert stats.batches >= 1
-        assert stats.batched_problems == result.batched_replans

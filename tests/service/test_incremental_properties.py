@@ -7,7 +7,6 @@ must reproduce the cold objective to 1e-9 relative — or fall back to
 the cold path outright (structural changes, failed certification).
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -88,21 +87,3 @@ class TestPlanningLevelAgreement:
         assert solver.stats.structural_fallbacks == 0
         assert solver.stats.solves == 3
 
-
-class TestBatchAgreement:
-    @settings(max_examples=4, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(uplinks=st.lists(
-        st.floats(min_value=15.5, max_value=16.5), min_size=2, max_size=4
-    ))
-    def test_solve_many_matches_solo_cold_solves(self, uplinks):
-        solver = IncrementalSolver(strict=True, mip_gap=1e-9)
-        cold = Planner(mip_gap=1e-9)
-        solver.solve(make_problem(16.0, 2.0, DEADLINES[0], 1.0))  # seed
-        problems = [make_problem(u, 2.0, DEADLINES[0], 1.0) for u in uplinks]
-        results = solver.solve_many(problems)
-        for problem, result in zip(problems, results):
-            cold_plan = cold.plan(problem)
-            assert result.objective_value == pytest.approx(
-                cold_plan.objective_value, rel=1e-9, abs=1e-9
-            )

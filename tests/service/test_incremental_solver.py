@@ -1,5 +1,5 @@
-"""IncrementalSolver: warm re-solves, fallback accounting, batching, and
-the isolation of its retained matrices from the models' compile caches."""
+"""IncrementalSolver: warm re-solves, fallback accounting, and the
+isolation of its retained matrices from the models' compile caches."""
 
 import gc
 import math
@@ -155,37 +155,6 @@ class TestShapeHasOneSource:
         assert kind_of(solver, tiny)[0] == "cold"  # not a structural fallback
         assert kind_of(solver, drifted)[0] == "warm"
         assert solver.stats.structural_fallbacks == 0
-
-
-class TestBatching:
-    def test_solve_many_batches_same_structure_problems(self):
-        solver = IncrementalSolver()
-        solver.solve(make_problem())  # seed the structure
-        results = solver.solve_many(drift_series(4))
-        assert all(not isinstance(r, PlanningError) for r in results)
-        assert solver.stats.batches == 1
-        assert solver.stats.batched_problems == 4
-        cold = Planner()
-        for problem, result in zip(drift_series(4), results):
-            assert result.objective_value == pytest.approx(
-                cold.plan(problem).objective_value, rel=0.01, abs=1e-6
-            )
-
-    def test_unseeded_batch_seeds_itself_then_goes_warm(self):
-        solver = IncrementalSolver()
-        results = solver.solve_many(drift_series(3))
-        assert all(not isinstance(r, PlanningError) for r in results)
-        # The first member solved cold and seeded the structure; the
-        # re-prepare pass lets its batch-mates restart warm off it.
-        assert solver.stats.cold == 1
-        assert solver.stats.warm >= 1
-
-    def test_batch_returns_errors_in_place(self):
-        solver = IncrementalSolver()
-        bad = make_problem(input_gb=500.0, deadline=1.0, uplink=1.0)
-        results = solver.solve_many([make_problem(), bad])
-        assert not isinstance(results[0], PlanningError)
-        assert isinstance(results[1], PlanningError)
 
 
 class TestRetainedMatrixIsolation:

@@ -42,6 +42,22 @@ def test_checker_flags_broken_references(tmp_path):
     assert any("missing benchmark" in p for p in problems)
 
 
+def test_checker_resolves_backticked_python_paths(tmp_path):
+    checker = load_checker()
+    doc = tmp_path / "paths.md"
+    doc.write_text(
+        "`lp/scipy_backend.py`, `check_perf.py`, `lp/simplex*.py`,\n"
+        "`tests/test_docs.py` and `quickstart.py` all resolve;\n"
+        "`fleet/prefetch.py` and `tools/gone*.py` do not.\n",
+        encoding="utf-8",
+    )
+    problems = checker.check_file(doc)
+    assert sorted(problems) == [
+        f"{doc}: missing module -> fleet/prefetch.py",
+        f"{doc}: missing module -> tools/gone*.py",
+    ]
+
+
 def test_checker_cli_exit_status():
     result = subprocess.run(
         [sys.executable, str(CHECKER)], capture_output=True, text=True

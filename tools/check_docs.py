@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Docs consistency check: every internal link and referenced benchmark
-script must exist.
+"""Docs consistency check: every internal link, referenced benchmark
+script and backticked Python path must exist.
 
-Scanned files: ``README.md`` and everything under ``docs/``.  Two kinds
+Scanned files: ``README.md`` and everything under ``docs/``.  Three kinds
 of references are verified:
 
 1. Markdown links ``[text](target)`` whose target is a relative path
    (external ``scheme://`` URLs, ``mailto:`` and pure ``#anchor`` links
    are skipped) — the target must exist relative to the linking file;
 2. Any mention of ``benchmarks/bench_*.py`` anywhere in the text (tables
-   and prose included) — the script must exist in the repository.
+   and prose included) — the script must exist in the repository;
+3. Any backticked ``*.py`` path (``lp/scipy_backend.py``,
+   ``tools/check_perf.py``, ``lp/simplex*.py``) — it must match a file
+   under one of :data:`PY_ROOTS`, so a deleted module cannot stay
+   referenced.
 
 Exit status 0 when everything resolves, 1 otherwise (one line per
 problem) — cheap enough for a CI job that builds nothing.
@@ -27,6 +31,10 @@ ROOT = Path(__file__).resolve().parents[1]
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: Any benchmark-script mention, linked or not.
 BENCH = re.compile(r"benchmarks/bench_[A-Za-z0-9_]+\.py")
+#: A backticked Python path (a ``*`` glob allowed).
+PY_PATH = re.compile(r"`([\w*-][\w./*-]*\.py)`")
+#: Where a backticked path may be rooted, tried in order.
+PY_ROOTS = ("", "src/repro", "tests", "benchmarks", "tools", "examples")
 
 
 def doc_files() -> list[Path]:
@@ -58,6 +66,10 @@ def check_file(path: Path) -> list[str]:
     for mention in sorted(set(BENCH.findall(text))):
         if not (ROOT / mention).exists():
             problems.append(f"{rel}: missing benchmark -> {mention}")
+
+    for mention in sorted(set(PY_PATH.findall(text))):
+        if not any(next((ROOT / base).glob(mention), None) for base in PY_ROOTS):
+            problems.append(f"{rel}: missing module -> {mention}")
 
     return problems
 

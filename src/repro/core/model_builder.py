@@ -21,6 +21,13 @@ The formulation follows the paper:
   ``E[b(i,t)]`` (eq. 6).
 - The objective is total monetary cost (eq. 5) for min-cost goals, or a
   lexicographic completion-then-cost objective for min-time goals.
+- A model with exactly one compute service ``c`` carries one implied
+  row, ``node_hours``: ``Σ_t nodes[c,t] >= ⌈map_left / (map_rate·Δ) +
+  reduce_left / (reduce_rate·Δ) − 1e-6⌉`` — the capacity rows summed
+  over ``t`` with the completion rows substituted, rounded up because
+  node counts are integers.  It cuts off no integer point, so the
+  optimum stays; it lifts the LP bound branch & bound starts from by up
+  to one node-hour (docs/solver.md, "The node-hours row").
 
 The model is built in two steps, **layout** and **fill**.  Everything the
 formulation *branches* on — horizon, which services exist and what kind
@@ -545,6 +552,10 @@ def _layout(key: ModelStructure) -> _Layout:
     if reduce:
         rows.add("reduce_all", "==", [(red_read.ravel(), 1.0)], rhs="completion")
         rows.add("download_all", "==", [(down.ravel(), 1.0)], rhs="completion")
+    if n_c == 1:
+        # Implied by the capacity and completion rows (module docstring):
+        # tightens the root bound, keeps the optimum.
+        rows.add("node_hours", ">=", [(nodes[0], 1.0)], rhs="node_hours")
 
     # Fraction sweeps.
     for name in key.fractions:
@@ -842,6 +853,14 @@ def build_model(problem: PlanningProblem) -> BuiltModel:
     if reduce:
         remaining += [reduce_remaining_gb, result_remaining_gb]
     equal("completion", remaining)
+    if "node_hours" in rhs:
+        (c,) = compute
+        work = map_remaining_gb / (job.map_rate(c) * delta)
+        if reduce:
+            work += reduce_remaining_gb / (job.reduce_rate(c) * delta)
+        # Rounded up because node counts are integers; the epsilon keeps a
+        # point that meets the capacity rows within tolerance feasible.
+        row_lb[rhs["node_hours"]] = math.ceil(work - _EPS)
     if problem.upload_fractions:
         equal("fraction", [
             fraction * state.source_remaining_gb

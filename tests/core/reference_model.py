@@ -520,6 +520,18 @@ def build_model(problem: PlanningProblem) -> BuiltModel:
             download[s.name, t] for s in storage for t in range(1, horizon + 1)
         )
         model.add_constr(total_down == result_remaining_gb, "download_all")
+    if len(compute) == 1:
+        # Node-hours: the capacity rows summed over t, completion rows
+        # substituted, rounded up (node counts are integers).
+        (c,) = compute
+        work = map_remaining_gb / (job.map_rate(c) * delta)
+        if has_reduce:
+            work += reduce_remaining_gb / (job.reduce_rate(c) * delta)
+        model.add_constr(
+            lin_sum(nodes[c.name, t] for t in range(1, horizon + 1))
+            >= math.ceil(work - _EPS),
+            "node_hours",
+        )
 
     # ------------------------------------------------ fraction sweeps
     for name, fraction in problem.upload_fractions.items():

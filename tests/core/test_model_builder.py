@@ -1,11 +1,15 @@
 """Tests for the LP model builder: plan invariants across scenarios."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_model
+from repro.api import GoalSpec, JobSpec
+from repro.api.compiler import compile_spec
 from repro.cloud import hybrid_cloud, public_cloud, s3, ec2_m1_large
 from repro.core import (
     Goal,
@@ -13,8 +17,11 @@ from repro.core import (
     PlannerJob,
     PlanningError,
     PlanningProblem,
+    SystemState,
     build_model,
 )
+from repro.core.spot_sim import spot_services
+from repro.lp import scipy_backend
 
 NET = NetworkConditions.from_mbit_s(16.0)
 
@@ -300,6 +307,124 @@ class TestSharedLayout:
         after = snapshot(build_model(default_problem(**self.A)))
         for name in DATA_ARRAYS:
             assert np.array_equal(fresh[name], after[name]), name
+
+
+def without_row(compiled, row: int):
+    """``compiled`` with one row sliced out of its CSR arrays."""
+    lo, hi = compiled.indptr[row], compiled.indptr[row + 1]
+    keep = np.arange(compiled.num_rows) != row
+    indptr = np.concatenate(
+        (compiled.indptr[: row + 1], compiled.indptr[row + 2:] - (hi - lo)))
+    return dataclasses.replace(
+        compiled,
+        indptr=indptr.astype(compiled.indptr.dtype),
+        indices=np.delete(compiled.indices, np.s_[lo:hi]),
+        data=np.delete(compiled.data, np.s_[lo:hi]),
+        row_lb=compiled.row_lb[keep],
+        row_ub=compiled.row_ub[keep],
+    )
+
+
+def proven_optimum(compiled):
+    """``(objective, x)`` of a HiGHS run with no relative and no absolute
+    gap (``scipy_backend.solve`` keeps HiGHS's default absolute one), or
+    ``None`` without an optimum."""
+    h = scipy_backend._load(compiled, integral=True)
+    h.setOptionValue("mip_rel_gap", 0.0)
+    h.setOptionValue("mip_abs_gap", 0.0)
+    h.setOptionValue("time_limit", 60.0)
+    with scipy_backend._muted_stdout():
+        h.run()
+    if scipy_backend._status(h, mip=True).value != "optimal":
+        return None
+    objective = h.getInfo().objective_function_value + compiled.objective_offset
+    return objective, np.asarray(h.getSolution().col_value)
+
+
+@st.composite
+def one_compute_service_problems(draw):
+    """Spot or S3+EC2 m1.large, fresh or mid-run, min-cost or budgeted
+    min-time, with or without constant nodes; at most 6 intervals."""
+    spot = draw(st.booleans())
+    services = spot_services() if spot else [ec2_m1_large(), s3()]
+    horizon = draw(st.integers(2, 6))
+    # 16 Mbit/s moves 7.2 GB an hour.  Sizes and progress move in steps:
+    # a sliver of state (1e-8 GB) only measures HiGHS's tolerances.
+    job = PlannerJob(name="p", input_gb=draw(st.integers(1, 14 * horizon)) / 2)
+    state = None
+    if draw(st.booleans()):
+        quarters = st.integers(0, 4)
+        uploaded = job.input_gb * draw(quarters) / 4
+        mapped = uploaded * draw(quarters) / 4
+        state = SystemState(
+            hour=1.0,
+            source_remaining_gb=job.input_gb - uploaded,
+            stored_input={"s3": uploaded - mapped},
+            map_done_gb=mapped,
+            stored_output={"s3": mapped * job.map_output_ratio},
+        )
+    if draw(st.booleans()):
+        goal = Goal.min_cost(deadline_hours=float(horizon))
+    else:
+        goal = Goal.min_time(budget_usd=draw(st.floats(0.5, 20.0)),
+                             horizon_hours=horizon)
+    estimates = {}
+    if spot:
+        estimates = {services[0].name: draw(
+            st.lists(st.floats(0.05, 0.4), min_size=1, max_size=horizon))}
+    return PlanningProblem(
+        job=job,
+        services=services,
+        network=NetworkConditions.from_mbit_s(16.0),
+        goal=goal,
+        state=state,
+        constant_nodes=draw(st.booleans()),
+        spot_price_estimates=estimates,
+    )
+
+
+class TestNodeHoursRow:
+    """One compute service: Σ_t nodes[c,t] >= ⌈node-hours of the work left⌉.
+
+    The row is the capacity rows summed over t with the completion rows
+    substituted, rounded up: every integer-feasible point satisfies it,
+    so it may tighten the root bound but never move the optimum.
+    """
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=one_compute_service_problems())
+    def test_the_row_keeps_the_proven_optimum(self, problem):
+        built = build_model(problem)
+        row = built.model.row_names.index("node_hours")
+        tight = built.model.compile()
+        with_row = proven_optimum(tight)
+        without = proven_optimum(without_row(tight, row))
+        assert (with_row is None) == (without is None)
+        if without is None:
+            return
+        # The untightened optimum already satisfies the row, so it is
+        # feasible for the tightened model: the row cut nothing off.
+        node_hours = without[1][built.layout.nodes[0]].sum()
+        assert node_hours >= tight.row_lb[row] - 1e-6
+        # Even at zero gaps HiGHS prunes a node whose bound is within
+        # ~1e-6 of the incumbent, so two proven optima agree to 1e-9
+        # relative or to that, whichever is looser.
+        assert with_row[0] == pytest.approx(without[0], rel=1e-9, abs=1e-6)
+
+    def test_spot_8gb_12h_closes_near_the_root(self):
+        # 1,122 branch & bound nodes without the row.
+        problem = compile_spec(JobSpec(input_gb=8.0, catalog="spot",
+                                       goal=GoalSpec(deadline_hours=12.0)))
+        solution = build_model(problem).solve()
+        assert solution.status.value == "optimal"
+        assert solution.mip_node_count <= 10
+
+    def test_two_compute_services_get_no_row(self):
+        built = build_model(default_problem())
+        assert len(built.layout.key.compute) == 2
+        assert "node_hours" not in built.model.row_names
+        assert "node_hours" not in built.layout.rhs
 
 
 class TestStateValidation:

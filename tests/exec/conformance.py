@@ -155,11 +155,13 @@ class ExecutorConformance:
 
     def test_outbid_services_surface_and_are_never_charged(self):
         prices = np.full(72, 0.16)
-        prices[2:5] = 10.0  # spike above any sane bid in hours 2-4
+        prices[1:3] = 10.0  # spike above any sane bid in hours 1-2
         trace = SpotTrace(prices)
+        # 8 GB cannot all be uploaded in hour 0 (7.2 GB/h), so every plan
+        # that meets the 3 h deadline rents nodes inside the spike.
         result = self.controller(
             input_gb=8.0,
-            deadline=12.0,
+            deadline=3.0,
             services=spot_services(),
             predictor=CurrentPricePredictor(),
             trace=trace,

@@ -216,15 +216,17 @@ class TestCapacity:
             substrate, FleetConfig(mode="event", interval_cadence_hours=6.0)
         )
         # 12 GB against a 5 h deadline needs well over 2 concurrent
-        # nodes and is still mid-upload at hour 2 when the cap lands;
-        # with the cap the job runs long (horizon extension) but every
-        # subsequent plan respects the limit.
+        # nodes.  At 10 Mbit/s (4.5 GB/h) at most 9 GB is up by hour 2,
+        # so every plan still has >= 3 GB to map in hours 2-4 — more
+        # than 2 nodes can — when the cap lands; with the cap the job
+        # runs long (horizon extension) but every subsequent plan
+        # respects the limit.
         fleet.add(
             "capped",
             PlannerJob(name="kmeans", input_gb=12.0),
             spot_services(),
             Goal.min_cost(deadline_hours=5.0),
-            network=NetworkConditions.from_mbit_s(16.0),
+            network=NetworkConditions.from_mbit_s(10.0),
             predictor=CurrentPricePredictor(),
         )
         result = fleet.run()

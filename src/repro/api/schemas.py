@@ -19,16 +19,23 @@ The vocabulary:
 - :class:`DeployEventV1` — one executed interval of a deployment stream;
 - :class:`ErrorV1` — machine-readable failure with a stable code;
 - :class:`HelloV1` — the service's greeting (build + schema version).
+
+A field is declared once, as its dataclass line: its wire type check,
+its default and its encoding are read off the annotation through one
+table (``_CODECS``), and one ``to_dict``/``from_dict`` serves every type
+here and every trace record in :mod:`repro.obs.records`.  A class writes
+only its domain rules (``_check``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
+from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
-from typing import Any, ClassVar
+from typing import Any, ClassVar, NamedTuple
 
 #: The wire-format version this build speaks.
 SCHEMA_VERSION = 1
@@ -54,10 +61,7 @@ class SchemaError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# decoding helpers
-
-
-_REQUIRED = object()
+# field coercers: one wire value -> one field value, or a SchemaError
 
 
 def _mapping(data: Any, kind: str) -> dict:
@@ -88,37 +92,25 @@ def _envelope(data: dict, kind: str) -> dict:
     return data
 
 
-def _finish(data: dict, kind: str) -> None:
-    if data:
-        raise SchemaError(f"{kind}: unknown fields {sorted(data)}")
-
-
-def _take(data: dict, name: str, coerce, default=_REQUIRED):
-    if name not in data:
-        if default is _REQUIRED:
-            raise SchemaError(f"missing required field {name!r}")
-        return default
-    return coerce(data.pop(name), name)
-
-
 def _float(value: Any, name: str) -> float:
+    # ``json.loads`` accepts ``NaN``/``Infinity``; no field means either.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"field {name!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _opt_float(value: Any, name: str) -> float | None:
-    return None if value is None else _float(value, name)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(
+            f"field {name!r} must be a finite number, got {number!r}"
+        )
+    return number
 
 
 def _int(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"field {name!r} must be an integer, got {value!r}")
     return value
-
-
-def _opt_int(value: Any, name: str) -> int | None:
-    return None if value is None else _int(value, name)
 
 
 def _bool(value: Any, name: str) -> bool:
@@ -133,26 +125,18 @@ def _str(value: Any, name: str) -> str:
     return value
 
 
-def _opt_str(value: Any, name: str) -> str | None:
-    return None if value is None else _str(value, name)
-
-
-def _float_map(value: Any, name: str) -> dict[str, float]:
+def _dict(value: Any, name: str) -> dict:
     if not isinstance(value, Mapping):
         raise SchemaError(f"field {name!r} must be an object, got {value!r}")
-    return {_str(k, name): _float(v, name) for k, v in value.items()}
+    return dict(value)
 
 
-def _int_map(value: Any, name: str) -> dict[str, int]:
-    if not isinstance(value, Mapping):
-        raise SchemaError(f"field {name!r} must be an object, got {value!r}")
-    return {_str(k, name): _int(v, name) for k, v in value.items()}
-
-
-def _str_map(value: Any, name: str) -> dict[str, str]:
-    if not isinstance(value, Mapping):
-        raise SchemaError(f"field {name!r} must be an object, got {value!r}")
-    return {_str(k, name): _str(v, name) for k, v in value.items()}
+def _map(coerce):
+    """Decoder for a string-keyed object whose values ``coerce`` checks."""
+    def decode(value: Any, name: str) -> dict:
+        return {_str(k, name): coerce(v, name)
+                for k, v in _dict(value, name).items()}
+    return decode
 
 
 def _str_tuple(value: Any, name: str) -> tuple[str, ...]:
@@ -161,22 +145,176 @@ def _str_tuple(value: Any, name: str) -> tuple[str, ...]:
     return tuple(_str(v, name) for v in value)
 
 
-def _set(obj: Any, name: str, value: Any) -> None:
-    """Normalize a field on a frozen dataclass during __post_init__."""
-    object.__setattr__(obj, name, value)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
 
 
 # ---------------------------------------------------------------------------
+# the field table: every schema below is its dataclass fields, nothing more
+
+
+class _Codec(NamedTuple):
+    """How one annotation travels: decoded, normalised, encoded."""
+
+    #: ``(wire value, field name) -> field value``; raises SchemaError.
+    decode: Callable[[Any, str], Any]
+    #: Applied in ``__post_init__``, so constructed values match decoded.
+    normalise: Callable[[Any], Any] | None = None
+    #: ``field value -> wire value`` (``None``: sent as is).
+    encode: Callable[[Any], Any] | None = None
+
+
+def _optional(codec: _Codec) -> _Codec:
+    """``codec`` for a field that may also be ``None`` (``null``)."""
+    decode, normalise, encode = codec
+    return _Codec(
+        lambda value, name: None if value is None else decode(value, name),
+        normalise and (lambda value: None if value is None else normalise(value)),
+        encode and (lambda value: None if value is None else encode(value)),
+    )
+
+
+def _nested(cls) -> _Codec:
+    """A nested schema; ``null`` on the wire means its defaults."""
+    return _Codec(
+        lambda value, name: cls() if value is None else cls.from_dict(value),
+        None,
+        cls.to_dict,
+    )
+
+
+#: Annotation text -> codec.  A field whose annotation is missing here
+#: fails at import, when its class is declared.
+_CODECS: dict[str, _Codec] = {
+    "int": _Codec(_int),
+    "str": _Codec(_str),
+    "bool": _Codec(_bool),
+    "float": _Codec(_float, float),
+    "dict": _Codec(_dict, dict, dict),
+    "dict[str, int]": _Codec(
+        _map(_int), lambda m: {str(k): int(v) for k, v in dict(m).items()}, dict
+    ),
+    "dict[str, str]": _Codec(_map(_str), dict, dict),
+    # Read-only once constructed (see ``JobSpec.upload_fractions``).
+    "Mapping[str, float]": _Codec(
+        _map(_float),
+        lambda m: MappingProxyType({str(k): float(v) for k, v in dict(m).items()}),
+        dict,
+    ),
+    "tuple[str, ...]": _Codec(_str_tuple, tuple, list),
+    "int | None": _optional(_Codec(_int)),
+    "str | None": _optional(_Codec(_str)),
+    "float | None": _optional(_Codec(_float, float)),
+}
+
+
+class _Schema:
+    """Strict decode/encode for a frozen dataclass, read off its fields.
+
+    A class carrying a ``schema_version`` field travels inside the
+    ``schema_version``/``kind`` envelope; the others (trace payloads) are
+    bare objects.  Decoding runs envelope -> each field in declaration
+    order (absent: the dataclass default, or ``missing required field``)
+    -> construct -> unknown-field check, so the first error a payload
+    hits is the same wherever it is decoded.  Classes add their domain
+    rules in :meth:`_check`.
+    """
+
+    KIND: ClassVar[str]
+    #: Whether the class has a ``schema_version`` field.
+    _ENVELOPED: ClassVar[bool]
+    #: ``(name, decode, required)`` per decoded field, in order.
+    _DECODE: ClassVar[tuple]
+    #: ``(name, normalise)`` per field whose annotation normalises.
+    _NORMALISE: ClassVar[tuple]
+    #: The wire keys in order, the envelope's values, and ``(key,
+    #: encode)`` per field whose annotation encodes.
+    _KEYS: ClassVar[tuple[str, ...]]
+    _HEAD: ClassVar[dict]
+    _ENCODE: ClassVar[tuple]
+
+    def __post_init__(self) -> None:
+        if self._ENVELOPED and self.schema_version != SCHEMA_VERSION:
+            raise SchemaError(
+                f"unsupported schema_version {self.schema_version!r}"
+            )
+        for name, normalise in self._NORMALISE:
+            object.__setattr__(self, name, normalise(getattr(self, name)))
+        self._check()
+
+    def _check(self) -> None:
+        """Domain rules beyond the field types (none by default)."""
+
+    def to_dict(self) -> dict:
+        # The frozen ``__init__`` sets the fields in declaration order, so
+        # ``vars`` is the field list (a third of the cost of reading them
+        # one by one); a memo an instance keeps is all it may add.
+        payload = {**self._HEAD, **vars(self)}
+        if len(payload) > len(self._KEYS):
+            payload = {key: payload[key] for key in self._KEYS}
+        for name, encode in self._ENCODE:
+            payload[name] = encode(payload[name])
+        return payload
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        data = _mapping(data, cls.KIND)
+        if cls._ENVELOPED:
+            data = _envelope(data, cls.KIND)
+        return cls._decode(data)
+
+    @classmethod
+    def _decode(cls, data: dict):
+        """Take every field from ``data`` (a private copy), then build."""
+        values = {}
+        for name, decode, required in cls._DECODE:
+            if name in data:
+                values[name] = decode(data.pop(name), name)
+            elif required:
+                raise SchemaError(f"missing required field {name!r}")
+        message = cls(**values)
+        if data:
+            raise SchemaError(f"{cls.KIND}: unknown fields {sorted(data)}")
+        return message
+
+
+def _schema(cls):
+    """Freeze ``cls`` and derive its field table from the annotations."""
+    cls = dataclass(frozen=True)(cls)
+    table = []
+    for spec in fields(cls):
+        if spec.type not in _CODECS:
+            raise TypeError(f"{cls.__name__}.{spec.name}: no codec for "
+                            f"annotation {spec.type!r}")
+        table.append((spec, _CODECS[spec.type]))
+    body = [(spec, codec) for spec, codec in table
+            if spec.name != "schema_version"]
+    cls._DECODE = tuple(
+        (spec.name, codec.decode,
+         spec.default is MISSING and spec.default_factory is MISSING)
+        for spec, codec in body
+    )
+    cls._NORMALISE = tuple((spec.name, codec.normalise)
+                           for spec, codec in table if codec.normalise)
+    names = tuple(spec.name for spec, _ in body)
+    cls._ENVELOPED = len(body) < len(table)
+    cls._HEAD = {}
+    if cls._ENVELOPED:  # the envelope leads the wire form
+        cls._HEAD = {"schema_version": SCHEMA_VERSION, "kind": cls.KIND}
+        names = ("schema_version", "kind", *names)
+    cls._KEYS = names
+    cls._ENCODE = tuple((spec.name, codec.encode)
+                        for spec, codec in body if codec.encode)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # schema types
 
 
-@dataclass(frozen=True)
-class GoalSpec:
+@_schema
+class GoalSpec(_Schema):
     """The customer's optimization objective (paper Sections 1-3).
 
     ``minimize-cost`` needs a ``deadline_hours``; ``minimize-time`` needs
@@ -191,15 +329,9 @@ class GoalSpec:
     budget_usd: float | None = None
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
-        _require(self.schema_version == SCHEMA_VERSION,
-                 f"unsupported schema_version {self.schema_version!r}")
+    def _check(self) -> None:
         _require(self.objective in ("minimize-cost", "minimize-time"),
                  f"unknown objective {self.objective!r}")
-        _set(self, "deadline_hours",
-             None if self.deadline_hours is None else float(self.deadline_hours))
-        _set(self, "budget_usd",
-             None if self.budget_usd is None else float(self.budget_usd))
         if self.objective == "minimize-cost":
             _require(self.deadline_hours is not None and self.deadline_hours > 0,
                      "minimize-cost requires a positive deadline_hours")
@@ -208,26 +340,6 @@ class GoalSpec:
                      "minimize-time requires a positive budget_usd")
             _require(self.deadline_hours is None or self.deadline_hours > 0,
                      "deadline_hours must be positive when given")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.KIND,
-            "objective": self.objective,
-            "deadline_hours": self.deadline_hours,
-            "budget_usd": self.budget_usd,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "GoalSpec":
-        data = _envelope(_mapping(data, cls.KIND), cls.KIND)
-        spec = cls(
-            objective=_take(data, "objective", _str, "minimize-cost"),
-            deadline_hours=_take(data, "deadline_hours", _opt_float, 6.0),
-            budget_usd=_take(data, "budget_usd", _opt_float, None),
-        )
-        _finish(data, cls.KIND)
-        return spec
 
     def to_goal(self):
         """Compile to the core :class:`~repro.core.problem.Goal`."""
@@ -249,8 +361,11 @@ class GoalSpec:
         )
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+_CODECS["GoalSpec"] = _nested(GoalSpec)
+
+
+@_schema
+class NetworkSpec(_Schema):
     """WAN/LAN capacities, in the units a customer quotes them.
 
     Defaults mirror the paper's setup (16 Mbit/s uplink, Section 6.1)
@@ -266,40 +381,11 @@ class NetworkSpec:
     interservice_mb_s: float = 400.0
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
-        _require(self.schema_version == SCHEMA_VERSION,
-                 f"unsupported schema_version {self.schema_version!r}")
-        _set(self, "uplink_mbit_s", float(self.uplink_mbit_s))
-        _set(self, "downlink_mbit_s",
-             None if self.downlink_mbit_s is None else float(self.downlink_mbit_s))
-        _set(self, "local_mb_s", float(self.local_mb_s))
-        _set(self, "interservice_mb_s", float(self.interservice_mb_s))
+    def _check(self) -> None:
         for name in ("uplink_mbit_s", "local_mb_s", "interservice_mb_s"):
             _require(getattr(self, name) > 0, f"{name} must be positive")
         _require(self.downlink_mbit_s is None or self.downlink_mbit_s > 0,
                  "downlink_mbit_s must be positive when given")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.KIND,
-            "uplink_mbit_s": self.uplink_mbit_s,
-            "downlink_mbit_s": self.downlink_mbit_s,
-            "local_mb_s": self.local_mb_s,
-            "interservice_mb_s": self.interservice_mb_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "NetworkSpec":
-        data = _envelope(_mapping(data, cls.KIND), cls.KIND)
-        spec = cls(
-            uplink_mbit_s=_take(data, "uplink_mbit_s", _float, 16.0),
-            downlink_mbit_s=_take(data, "downlink_mbit_s", _opt_float, None),
-            local_mb_s=_take(data, "local_mb_s", _float, 100.0),
-            interservice_mb_s=_take(data, "interservice_mb_s", _float, 400.0),
-        )
-        _finish(data, cls.KIND)
-        return spec
 
     def to_conditions(self):
         """Compile to :class:`~repro.core.problem.NetworkConditions`."""
@@ -318,12 +404,14 @@ class NetworkSpec:
         )
 
 
+_CODECS["NetworkSpec"] = _nested(NetworkSpec)
+
 #: Service-catalog selectors a JobSpec may name.
 CATALOGS = ("public", "hybrid", "spot", "xml")
 
 
-@dataclass(frozen=True)
-class JobSpec:
+@_schema
+class JobSpec(_Schema):
     """A declared computation: what to run, toward which goal, over what.
 
     This is the *only* way work enters the system — the CLI, the planning
@@ -362,16 +450,12 @@ class JobSpec:
     upload_fractions: Mapping[str, float] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
-        _require(self.schema_version == SCHEMA_VERSION,
-                 f"unsupported schema_version {self.schema_version!r}")
+    def _check(self) -> None:
         _require(bool(self.name), "name must be non-empty")
         for name in ("input_gb", "throughput_scale", "reduce_speed_factor",
                      "interval_hours"):
-            _set(self, name, float(getattr(self, name)))
             _require(getattr(self, name) > 0, f"{name} must be positive")
         for name in ("map_output_ratio", "reduce_output_ratio"):
-            _set(self, name, float(getattr(self, name)))
             _require(getattr(self, name) >= 0, f"{name} must be non-negative")
         _require(self.catalog in CATALOGS,
                  f"unknown catalog {self.catalog!r}; pick one of {CATALOGS}")
@@ -382,62 +466,8 @@ class JobSpec:
         if self.catalog == "xml":
             _require(bool(self.services_xml),
                      "catalog 'xml' requires services_xml")
-        _set(self, "spot_price",
-             None if self.spot_price is None else float(self.spot_price))
         _require(self.spot_price is None or self.spot_price > 0,
                  "spot_price must be positive when given")
-        _set(self, "upload_fractions", MappingProxyType(
-            {str(k): float(v) for k, v in dict(self.upload_fractions).items()}
-        ))
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.KIND,
-            "name": self.name,
-            "input_gb": self.input_gb,
-            "map_output_ratio": self.map_output_ratio,
-            "reduce_output_ratio": self.reduce_output_ratio,
-            "throughput_scale": self.throughput_scale,
-            "reduce_speed_factor": self.reduce_speed_factor,
-            "goal": self.goal.to_dict(),
-            "network": self.network.to_dict(),
-            "catalog": self.catalog,
-            "local_nodes": self.local_nodes,
-            "spot_price": self.spot_price,
-            "services_xml": self.services_xml,
-            "interval_hours": self.interval_hours,
-            "constant_nodes": self.constant_nodes,
-            "allow_migration": self.allow_migration,
-            "upload_fractions": dict(self.upload_fractions),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "JobSpec":
-        data = _envelope(_mapping(data, cls.KIND), cls.KIND)
-        goal = data.pop("goal", None)
-        network = data.pop("network", None)
-        spec = cls(
-            name=_take(data, "name", _str, "job"),
-            input_gb=_take(data, "input_gb", _float, 16.0),
-            map_output_ratio=_take(data, "map_output_ratio", _float, 0.002),
-            reduce_output_ratio=_take(data, "reduce_output_ratio", _float, 1.0),
-            throughput_scale=_take(data, "throughput_scale", _float, 1.0),
-            reduce_speed_factor=_take(data, "reduce_speed_factor", _float, 4.0),
-            goal=GoalSpec() if goal is None else GoalSpec.from_dict(goal),
-            network=(NetworkSpec() if network is None
-                     else NetworkSpec.from_dict(network)),
-            catalog=_take(data, "catalog", _str, "public"),
-            local_nodes=_take(data, "local_nodes", _int, 0),
-            spot_price=_take(data, "spot_price", _opt_float, None),
-            services_xml=_take(data, "services_xml", _opt_str, None),
-            interval_hours=_take(data, "interval_hours", _float, 1.0),
-            constant_nodes=_take(data, "constant_nodes", _bool, False),
-            allow_migration=_take(data, "allow_migration", _bool, True),
-            upload_fractions=_take(data, "upload_fractions", _float_map, {}),
-        )
-        _finish(data, cls.KIND)
-        return spec
 
     def __reduce__(self):
         # The read-only mapping does not pickle; the wire form does, and
@@ -447,34 +477,23 @@ class JobSpec:
     def cache_key(self) -> tuple:
         """A hashable identity for compiled-problem caching.
 
-        Specs are frozen value objects; the only unhashable field is the
-        ``upload_fractions`` mapping, flattened here.  Two equal specs
-        always produce equal keys.  Memoized per instance (immutability
-        makes that safe): resubmitting one spec is the service's hottest
-        path and must not rebuild the key every time.
+        Every field but ``schema_version``, in declaration order; the one
+        unhashable field, the ``upload_fractions`` mapping, is flattened.
+        Two equal specs always produce equal keys.  Memoized per instance
+        (immutability makes that safe): resubmitting one spec is the
+        service's hottest path and must not rebuild the key every time.
         """
         cached = getattr(self, "_cache_key", None)
         if cached is not None:
             return cached
-        key = (
-            self.name,
-            self.input_gb,
-            self.map_output_ratio,
-            self.reduce_output_ratio,
-            self.throughput_scale,
-            self.reduce_speed_factor,
-            self.goal,
-            self.network,
-            self.catalog,
-            self.local_nodes,
-            self.spot_price,
-            self.services_xml,
-            self.interval_hours,
-            self.constant_nodes,
-            self.allow_migration,
-            tuple(sorted(self.upload_fractions.items())),
+        fields_ = self._KEYS[2:]  # past the schema_version/kind envelope
+        values = (getattr(self, name) for name in fields_)
+        key = tuple(
+            tuple(sorted(value.items())) if isinstance(value, Mapping)
+            else value
+            for value in values
         )
-        _set(self, "_cache_key", key)
+        object.__setattr__(self, "_cache_key", key)
         return key
 
     def to_planner_job(self):
@@ -524,8 +543,13 @@ def _decoded_job(payload: Any) -> JobSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class ErrorV1:
+_CODECS["JobSpec"] = _Codec(
+    lambda value, name: _decoded_job(value), None, JobSpec.to_dict
+)
+
+
+@_schema
+class ErrorV1(_Schema):
     """A machine-readable failure with a stable :data:`ERROR_CODES` code."""
 
     KIND: ClassVar[str] = "error"
@@ -535,36 +559,18 @@ class ErrorV1:
     details: dict[str, str] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
-        _require(self.schema_version == SCHEMA_VERSION,
-                 f"unsupported schema_version {self.schema_version!r}")
+    def _check(self) -> None:
         _require(self.code in ERROR_CODES,
                  f"unknown error code {self.code!r}")
-        _set(self, "details", dict(self.details))
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.KIND,
-            "code": self.code,
-            "message": self.message,
-            "details": dict(self.details),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ErrorV1":
-        data = _envelope(_mapping(data, cls.KIND), cls.KIND)
-        error = cls(
-            code=_take(data, "code", _str),
-            message=_take(data, "message", _str, ""),
-            details=_take(data, "details", _str_map, {}),
-        )
-        _finish(data, cls.KIND)
-        return error
 
 
-@dataclass(frozen=True)
-class PlanRequestV1:
+_CODECS["ErrorV1 | None"] = _optional(
+    _Codec(lambda value, name: ErrorV1.from_dict(value), None, ErrorV1.to_dict)
+)
+
+
+@_schema
+class PlanRequestV1(_Schema):
     """One tenant's planning request, as it travels on the wire."""
 
     KIND: ClassVar[str] = "plan_request"
@@ -580,55 +586,21 @@ class PlanRequestV1:
     request_id: str = ""
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
-        _require(self.schema_version == SCHEMA_VERSION,
-                 f"unsupported schema_version {self.schema_version!r}")
+    def _check(self) -> None:
         _require(isinstance(self.job, JobSpec), "job must be a JobSpec")
         _require(bool(self.tenant), "tenant must be non-empty")
-        _set(self, "deadline_s",
-             None if self.deadline_s is None else float(self.deadline_s))
-        _set(self, "time_budget_s",
-             None if self.time_budget_s is None else float(self.time_budget_s))
         _require(self.deadline_s is None or self.deadline_s > 0,
                  "deadline_s must be positive when given")
         _require(self.time_budget_s is None or self.time_budget_s > 0,
                  "time_budget_s must be positive when given")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.KIND,
-            "job": self.job.to_dict(),
-            "tenant": self.tenant,
-            "priority": self.priority,
-            "deadline_s": self.deadline_s,
-            "time_budget_s": self.time_budget_s,
-            "request_id": self.request_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PlanRequestV1":
-        data = _envelope(_mapping(data, cls.KIND), cls.KIND)
-        if "job" not in data:
-            raise SchemaError("missing required field 'job'")
-        request = cls(
-            job=_decoded_job(data.pop("job")),
-            tenant=_take(data, "tenant", _str, "default"),
-            priority=_take(data, "priority", _int, 1),
-            deadline_s=_take(data, "deadline_s", _opt_float, None),
-            time_budget_s=_take(data, "time_budget_s", _opt_float, None),
-            request_id=_take(data, "request_id", _str, ""),
-        )
-        _finish(data, cls.KIND)
-        return request
 
 
 #: Statuses a response may carry (the service's terminal lifecycle states).
 RESPONSE_STATUSES = ("completed", "failed", "rejected", "expired")
 
 
-@dataclass(frozen=True)
-class PlanResponseV1:
+@_schema
+class PlanResponseV1(_Schema):
     """The service's answer to a :class:`PlanRequestV1`."""
 
     KIND: ClassVar[str] = "plan_response"
@@ -648,67 +620,15 @@ class PlanResponseV1:
     error: ErrorV1 | None = None
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
-        _require(self.schema_version == SCHEMA_VERSION,
-                 f"unsupported schema_version {self.schema_version!r}")
+    def _check(self) -> None:
         _require(self.status in RESPONSE_STATUSES,
                  f"unknown status {self.status!r}")
         _require(self.error is None or isinstance(self.error, ErrorV1),
                  "error must be an ErrorV1")
-        for name in ("queue_wait_s", "solve_s", "total_s"):
-            _set(self, name, float(getattr(self, name)))
-        _set(self, "predicted_cost",
-             None if self.predicted_cost is None else float(self.predicted_cost))
-        _set(self, "predicted_completion_hours",
-             None if self.predicted_completion_hours is None
-             else float(self.predicted_completion_hours))
 
     @property
     def ok(self) -> bool:
         return self.status == "completed" and self.error is None
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.KIND,
-            "status": self.status,
-            "tenant": self.tenant,
-            "request_id": self.request_id,
-            "cached": self.cached,
-            "fingerprint": self.fingerprint,
-            "predicted_cost": self.predicted_cost,
-            "predicted_completion_hours": self.predicted_completion_hours,
-            "peak_nodes": self.peak_nodes,
-            "solver_status": self.solver_status,
-            "queue_wait_s": self.queue_wait_s,
-            "solve_s": self.solve_s,
-            "total_s": self.total_s,
-            "error": None if self.error is None else self.error.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PlanResponseV1":
-        data = _envelope(_mapping(data, cls.KIND), cls.KIND)
-        error = data.pop("error", None)
-        response = cls(
-            status=_take(data, "status", _str),
-            tenant=_take(data, "tenant", _str, "default"),
-            request_id=_take(data, "request_id", _str, ""),
-            cached=_take(data, "cached", _bool, False),
-            fingerprint=_take(data, "fingerprint", _str, ""),
-            predicted_cost=_take(data, "predicted_cost", _opt_float, None),
-            predicted_completion_hours=_take(
-                data, "predicted_completion_hours", _opt_float, None
-            ),
-            peak_nodes=_take(data, "peak_nodes", _opt_int, None),
-            solver_status=_take(data, "solver_status", _str, ""),
-            queue_wait_s=_take(data, "queue_wait_s", _float, 0.0),
-            solve_s=_take(data, "solve_s", _float, 0.0),
-            total_s=_take(data, "total_s", _float, 0.0),
-            error=None if error is None else ErrorV1.from_dict(error),
-        )
-        _finish(data, cls.KIND)
-        return response
 
 
 #: Kinds of deploy events a v1 stream may carry.  ``interval`` is one
@@ -719,8 +639,8 @@ class PlanResponseV1:
 DEPLOY_EVENT_KINDS = ("interval", "replan")
 
 
-@dataclass(frozen=True)
-class DeployEventV1:
+@_schema
+class DeployEventV1(_Schema):
     """One event of a streaming deployment.
 
     The wire form of :class:`~repro.core.executor.IntervalOutcome` — what
@@ -763,73 +683,22 @@ class DeployEventV1:
     reason: str = ""
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
-        _require(self.schema_version == SCHEMA_VERSION,
-                 f"unsupported schema_version {self.schema_version!r}")
+    def _check(self) -> None:
         _require(self.event in DEPLOY_EVENT_KINDS,
                  f"unknown deploy event kind {self.event!r}")
         _require(self.event != "interval" or not (self.trigger or self.reason),
                  "interval events carry no trigger/reason")
-        for name in ("start_hour", "duration_hours", "uploaded_gb", "map_gb",
-                     "reduce_gb", "downloaded_gb", "cost", "spot_data_lost_gb"):
-            _set(self, name, float(getattr(self, name)))
-        _set(self, "nodes", {str(k): int(v) for k, v in dict(self.nodes).items()})
-        _set(self, "outbid_services", tuple(self.outbid_services))
-        _set(self, "failed_services", tuple(self.failed_services))
 
     def to_dict(self) -> dict:
-        payload = {
-            "schema_version": self.schema_version,
-            "kind": self.KIND,
-            "index": self.index,
-            "start_hour": self.start_hour,
-            "duration_hours": self.duration_hours,
-            "nodes": dict(self.nodes),
-            "uploaded_gb": self.uploaded_gb,
-            "map_gb": self.map_gb,
-            "reduce_gb": self.reduce_gb,
-            "downloaded_gb": self.downloaded_gb,
-            "cost": self.cost,
-            "outbid_services": list(self.outbid_services),
-            "spot_data_lost_gb": self.spot_data_lost_gb,
-            "tenant": self.tenant,
-            "session_id": self.session_id,
-        }
-        if self.failed_services:
-            payload["failed_services"] = list(self.failed_services)
-        if self.event != "interval":
+        payload = super().to_dict()
+        if not self.failed_services:
+            del payload["failed_services"]
+        if self.event == "interval":
             # The additive fields appear only on the new event kinds, so
             # interval payloads stay byte-identical to what pre-fleet v1
             # readers (which reject unknown fields) already accept.
-            payload["event"] = self.event
-            payload["trigger"] = self.trigger
-            payload["reason"] = self.reason
+            del payload["event"], payload["trigger"], payload["reason"]
         return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DeployEventV1":
-        data = _envelope(_mapping(data, cls.KIND), cls.KIND)
-        event = cls(
-            index=_take(data, "index", _int),
-            start_hour=_take(data, "start_hour", _float),
-            duration_hours=_take(data, "duration_hours", _float),
-            nodes=_take(data, "nodes", _int_map, {}),
-            uploaded_gb=_take(data, "uploaded_gb", _float, 0.0),
-            map_gb=_take(data, "map_gb", _float, 0.0),
-            reduce_gb=_take(data, "reduce_gb", _float, 0.0),
-            downloaded_gb=_take(data, "downloaded_gb", _float, 0.0),
-            cost=_take(data, "cost", _float, 0.0),
-            outbid_services=_take(data, "outbid_services", _str_tuple, ()),
-            spot_data_lost_gb=_take(data, "spot_data_lost_gb", _float, 0.0),
-            failed_services=_take(data, "failed_services", _str_tuple, ()),
-            tenant=_take(data, "tenant", _str, "default"),
-            session_id=_take(data, "session_id", _int, 0),
-            event=_take(data, "event", _str, "interval"),
-            trigger=_take(data, "trigger", _str, ""),
-            reason=_take(data, "reason", _str, ""),
-        )
-        _finish(data, cls.KIND)
-        return event
 
     @classmethod
     def from_outcome(
@@ -883,8 +752,8 @@ class DeployEventV1:
         )
 
 
-@dataclass(frozen=True)
-class HelloV1:
+@_schema
+class HelloV1(_Schema):
     """The service's greeting: build version + spoken schema version."""
 
     KIND: ClassVar[str] = "hello"
@@ -892,28 +761,6 @@ class HelloV1:
     service: str = "conductor-repro"
     version: str = ""
     schema_version: int = SCHEMA_VERSION
-
-    def __post_init__(self) -> None:
-        _require(self.schema_version == SCHEMA_VERSION,
-                 f"unsupported schema_version {self.schema_version!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.KIND,
-            "service": self.service,
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "HelloV1":
-        data = _envelope(_mapping(data, cls.KIND), cls.KIND)
-        hello = cls(
-            service=_take(data, "service", _str, "conductor-repro"),
-            version=_take(data, "version", _str, ""),
-        )
-        _finish(data, cls.KIND)
-        return hello
 
 
 # ---------------------------------------------------------------------------
@@ -961,7 +808,7 @@ def decode(payload):
         raise SchemaError(
             f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}"
         )
-    return _KINDS[kind].from_dict(data)
+    return _KINDS[kind]._decode(_envelope(data, kind))
 
 
 def encode(message) -> str:

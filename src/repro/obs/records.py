@@ -29,19 +29,29 @@ identically, so verify mode diffs exactly these.  ``trace_hello``
 (build version), ``span`` (wall-clock seconds) and ``snapshot``
 (contains solver wall-clock) are excluded by construction.
 
-Schema evolution follows the wire format's rules: every envelope carries
-``trace_version``; unknown versions, kinds and fields are rejected with
-:class:`~repro.api.schemas.SchemaError`, never skipped.
+Schema evolution follows the wire format's rules, through the same
+field table (:mod:`repro.api.schemas`): every envelope carries
+``trace_version``; unknown versions, kinds and fields, missing fields
+that have no default and non-finite numbers are rejected with
+:class:`~repro.api.schemas.SchemaError`, never skipped or blanked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, ClassVar, Mapping
+from collections.abc import Mapping
+from dataclasses import field
+from typing import ClassVar
 
-from ..api.schemas import DeployEventV1, SchemaError
+from ..api.schemas import (
+    DeployEventV1,
+    SchemaError,
+    _mapping,
+    _require,
+    _schema,
+    _Schema,
+)
 
 #: The trace-log format version this build writes and reads.
 TRACE_SCHEMA_VERSION = 1
@@ -80,63 +90,19 @@ def run_id_for(scenario: Mapping) -> str:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers (the envelope discipline of repro.api.schemas,
-# restated locally so the low-level log format has no private imports)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
-
-
-def _mapping(data: Any, kind: str) -> dict:
-    if not isinstance(data, Mapping):
-        raise SchemaError(f"{kind}: payload must be a JSON object, "
-                          f"got {type(data).__name__}")
-    return dict(data)
-
-
-def _finish(data: dict, kind: str) -> None:
-    if data:
-        raise SchemaError(f"{kind}: unknown fields {sorted(data)}")
-
-
-def _num(value: Any, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"field {name!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _int(value: Any, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"field {name!r} must be an integer, got {value!r}")
-    return value
-
-
-def _str(value: Any, name: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"field {name!r} must be a string, got {value!r}")
-    return value
-
-
-def _dict(value: Any, name: str) -> dict:
-    if not isinstance(value, Mapping):
-        raise SchemaError(f"field {name!r} must be an object, got {value!r}")
-    return dict(value)
-
-
-# ---------------------------------------------------------------------------
 # the envelope
 
 
-@dataclass(frozen=True)
-class TraceRecordV1:
+@_schema
+class TraceRecordV1(_Schema):
     """One line of a trace log: bookkeeping envelope + typed payload.
 
     ``seq`` is the writer-assigned monotonic position (0-based, gapless
     within one log); ``hour`` is the *simulated* clock at emission — the
     deterministic time axis replay aligns on — not wall clock.
     """
+
+    KIND: ClassVar[str] = "trace_record"
 
     run_id: str
     seq: int
@@ -145,7 +111,7 @@ class TraceRecordV1:
     payload: dict
     trace_version: int = TRACE_SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require(self.trace_version == TRACE_SCHEMA_VERSION,
                  f"unsupported trace_version {self.trace_version!r}")
         _require(bool(self.run_id), "run_id must be non-empty")
@@ -153,37 +119,18 @@ class TraceRecordV1:
         _require(self.kind in RECORD_KINDS,
                  f"unknown record kind {self.kind!r}; "
                  f"expected one of {list(RECORD_KINDS)}")
-        object.__setattr__(self, "hour", float(self.hour))
-        object.__setattr__(self, "payload", dict(self.payload))
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_version": self.trace_version,
-            "run_id": self.run_id,
-            "seq": self.seq,
-            "hour": self.hour,
-            "kind": self.kind,
-            "payload": dict(self.payload),
-        }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TraceRecordV1":
-        data = _mapping(data, "trace_record")
+        # Unlike the wire envelope, a log line must state its version.
+        data = _mapping(data, cls.KIND)
         version = data.pop("trace_version", None)
         if version != TRACE_SCHEMA_VERSION:
             raise SchemaError(
                 f"unsupported trace_version {version!r} "
                 f"(this build speaks version {TRACE_SCHEMA_VERSION})"
             )
-        record = cls(
-            run_id=_str(data.pop("run_id", ""), "run_id"),
-            seq=_int(data.pop("seq", -1), "seq"),
-            hour=_num(data.pop("hour", 0.0), "hour"),
-            kind=_str(data.pop("kind", ""), "kind"),
-            payload=_dict(data.pop("payload", {}), "payload"),
-        )
-        _finish(data, "trace_record")
-        return record
+        return cls._decode(data)
 
     def encode(self) -> str:
         """One JSON line, keys sorted — the log format."""
@@ -202,8 +149,8 @@ class TraceRecordV1:
 # payload schemas
 
 
-@dataclass(frozen=True)
-class TraceHelloV1:
+@_schema
+class TraceHelloV1(_Schema):
     """First record of every log: who wrote it, speaking which versions."""
 
     KIND: ClassVar[str] = "trace_hello"
@@ -211,22 +158,9 @@ class TraceHelloV1:
     service: str = "conductor-repro"
     version: str = ""
 
-    def to_dict(self) -> dict:
-        return {"service": self.service, "version": self.version}
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TraceHelloV1":
-        data = _mapping(data, cls.KIND)
-        hello = cls(
-            service=_str(data.pop("service", "conductor-repro"), "service"),
-            version=_str(data.pop("version", ""), "version"),
-        )
-        _finish(data, cls.KIND)
-        return hello
-
-
-@dataclass(frozen=True)
-class RunStartV1:
+@_schema
+class RunStartV1(_Schema):
     """The scenario this run executes — everything replay needs.
 
     ``run_kind`` is ``"deploy"`` (one session) or ``"fleet"`` (many
@@ -241,27 +175,13 @@ class RunStartV1:
     run_kind: str
     scenario: dict
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require(self.run_kind in ("deploy", "fleet"),
                  f"unknown run_kind {self.run_kind!r}")
-        object.__setattr__(self, "scenario", dict(self.scenario))
-
-    def to_dict(self) -> dict:
-        return {"run_kind": self.run_kind, "scenario": dict(self.scenario)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RunStartV1":
-        data = _mapping(data, cls.KIND)
-        start = cls(
-            run_kind=_str(data.pop("run_kind", ""), "run_kind"),
-            scenario=_dict(data.pop("scenario", {}), "scenario"),
-        )
-        _finish(data, cls.KIND)
-        return start
 
 
-@dataclass(frozen=True)
-class LifecycleV1:
+@_schema
+class LifecycleV1(_Schema):
     """A deployment crossed a lifecycle boundary."""
 
     KIND: ClassVar[str] = "lifecycle"
@@ -279,48 +199,19 @@ class LifecycleV1:
     #: byte-identically.
     backend: str = ""
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require(self.phase in LIFECYCLE_PHASES,
                  f"unknown lifecycle phase {self.phase!r}")
-        object.__setattr__(self, "cost", float(self.cost))
-        object.__setattr__(self, "completion_hours",
-                           float(self.completion_hours))
 
     def to_dict(self) -> dict:
-        payload = {
-            "tenant": self.tenant,
-            "phase": self.phase,
-            "session_id": self.session_id,
-            "detail": self.detail,
-            "cost": self.cost,
-            "replans": self.replans,
-            "completion_hours": self.completion_hours,
-        }
-        if self.backend:
-            payload["backend"] = self.backend
+        payload = super().to_dict()
+        if not self.backend:
+            del payload["backend"]
         return payload
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LifecycleV1":
-        data = _mapping(data, cls.KIND)
-        lifecycle = cls(
-            tenant=_str(data.pop("tenant", ""), "tenant"),
-            phase=_str(data.pop("phase", ""), "phase"),
-            session_id=_int(data.pop("session_id", 0), "session_id"),
-            detail=_str(data.pop("detail", ""), "detail"),
-            cost=_num(data.pop("cost", 0.0), "cost"),
-            replans=_int(data.pop("replans", 0), "replans"),
-            completion_hours=_num(
-                data.pop("completion_hours", 0.0), "completion_hours"
-            ),
-            backend=_str(data.pop("backend", ""), "backend"),
-        )
-        _finish(data, cls.KIND)
-        return lifecycle
 
-
-@dataclass(frozen=True)
-class SubstrateEventV1:
+@_schema
+class SubstrateEventV1(_Schema):
     """The trace form of a typed substrate event.
 
     ``event_kind`` is the replan-trigger taxonomy tag the fleet event
@@ -336,32 +227,6 @@ class SubstrateEventV1:
     hour: float
     attrs: dict = field(default_factory=dict)
     description: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hour", float(self.hour))
-        object.__setattr__(self, "attrs", dict(self.attrs))
-
-    def to_dict(self) -> dict:
-        return {
-            "event_kind": self.event_kind,
-            "service": self.service,
-            "hour": self.hour,
-            "attrs": dict(self.attrs),
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SubstrateEventV1":
-        data = _mapping(data, cls.KIND)
-        event = cls(
-            event_kind=_str(data.pop("event_kind", ""), "event_kind"),
-            service=_str(data.pop("service", ""), "service"),
-            hour=_num(data.pop("hour", 0.0), "hour"),
-            attrs=_dict(data.pop("attrs", {}), "attrs"),
-            description=_str(data.pop("description", ""), "description"),
-        )
-        _finish(data, cls.KIND)
-        return event
 
     @classmethod
     def from_event(cls, event) -> "SubstrateEventV1":
@@ -380,8 +245,8 @@ class SubstrateEventV1:
         )
 
 
-@dataclass(frozen=True)
-class SpanV1:
+@_schema
+class SpanV1(_Schema):
     """Wall-clock timing of one hot-path section (nondeterministic)."""
 
     KIND: ClassVar[str] = "span"
@@ -389,25 +254,9 @@ class SpanV1:
     name: str
     seconds: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seconds", float(self.seconds))
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "seconds": self.seconds}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SpanV1":
-        data = _mapping(data, cls.KIND)
-        span = cls(
-            name=_str(data.pop("name", ""), "name"),
-            seconds=_num(data.pop("seconds", 0.0), "seconds"),
-        )
-        _finish(data, cls.KIND)
-        return span
-
-
-@dataclass(frozen=True)
-class SnapshotV1:
+@_schema
+class SnapshotV1(_Schema):
     """A :meth:`ControllerRun.snapshot` — the crash-resume anchor.
 
     The ``state`` dict is the controller's own serialization (it carries
@@ -422,50 +271,14 @@ class SnapshotV1:
     state: dict
     session_id: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "state", dict(self.state))
 
-    def to_dict(self) -> dict:
-        return {
-            "tenant": self.tenant,
-            "step": self.step,
-            "state": dict(self.state),
-            "session_id": self.session_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SnapshotV1":
-        data = _mapping(data, cls.KIND)
-        snapshot = cls(
-            tenant=_str(data.pop("tenant", ""), "tenant"),
-            step=_int(data.pop("step", 0), "step"),
-            state=_dict(data.pop("state", {}), "state"),
-            session_id=_int(data.pop("session_id", 0), "session_id"),
-        )
-        _finish(data, cls.KIND)
-        return snapshot
-
-
-@dataclass(frozen=True)
-class RunEndV1:
+@_schema
+class RunEndV1(_Schema):
     """The run's deterministic summary — the last record of a whole log."""
 
     KIND: ClassVar[str] = "run_end"
 
     summary: dict
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "summary", dict(self.summary))
-
-    def to_dict(self) -> dict:
-        return {"summary": dict(self.summary)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RunEndV1":
-        data = _mapping(data, cls.KIND)
-        end = cls(summary=_dict(data.pop("summary", {}), "summary"))
-        _finish(data, cls.KIND)
-        return end
 
 
 # ---------------------------------------------------------------------------

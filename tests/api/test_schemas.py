@@ -1,5 +1,6 @@
 """Schema round-trips, malformed-input and version-rejection paths."""
 
+import dataclasses
 import json
 
 import pytest
@@ -427,3 +428,85 @@ class TestDecodeMemo:
             assert decode(line) == message
             assert PlanRequestV1.from_dict(message.to_dict()) == message
             assert encode(decode(line)) == line
+
+
+class TestNonFiniteNumbers:
+    """``json.loads`` reads ``NaN``/``Infinity``; decode rejects them."""
+
+    @pytest.mark.parametrize(
+        "line,field",
+        [
+            ('{"job": {"input_gb": Infinity}}', "input_gb"),
+            ('{"job": {"goal": {"deadline_hours": Infinity}}}',
+             "deadline_hours"),
+            ('{"job": {"network": {"uplink_mbit_s": NaN}}}', "uplink_mbit_s"),
+            ('{"job": {"upload_fractions": {"s3": -Infinity}}}',
+             "upload_fractions"),
+            ('{"job": {}, "deadline_s": Infinity}', "deadline_s"),
+            ('{"job": {}, "time_budget_s": Infinity}', "time_budget_s"),
+            ('{"job": {"input_gb": 1' + "0" * 400 + "}}", "input_gb"),
+        ],
+    )
+    def test_decode_rejects_them(self, line, field):
+        text = '{"schema_version": 1, "kind": "plan_request", ' + line[1:]
+        with pytest.raises(SchemaError,
+                           match=f"field '{field}' must be a finite number"):
+            decode(text)
+
+    def test_a_finite_number_still_decodes(self):
+        text = ('{"schema_version": 1, "kind": "plan_request", '
+                '"job": {"input_gb": 1e300}, "deadline_s": 0.5}')
+        assert decode(text).job.input_gb == 1e300
+
+
+#: Replacement values for fields a plain bump would make invalid.
+_CHANGED = {
+    "objective": "minimize-time",  # valid: the base goal carries a budget
+    "catalog": "spot",
+    "spot_price": 0.5,
+    "services_xml": "<services/>",
+    "downlink_mbit_s": 8.0,
+    "upload_fractions": {"s3": 0.5},
+}
+
+
+def _one_field_changed(spec):
+    """``(path, copy)`` for every field of ``spec``, nested ones included,
+    with that one field given another valid value."""
+    for spec_field in dataclasses.fields(spec):
+        name = spec_field.name
+        value = getattr(spec, name)
+        if name == "schema_version":
+            continue
+        if isinstance(value, (GoalSpec, NetworkSpec)):
+            for path, nested in _one_field_changed(value):
+                yield f"{name}.{path}", dataclasses.replace(spec, **{name: nested})
+            continue
+        if name in _CHANGED:
+            other = _CHANGED[name]
+        elif isinstance(value, bool):
+            other = not value
+        elif isinstance(value, str):
+            other = value + "-2"
+        elif isinstance(value, (int, float)):
+            other = value + 1
+        else:
+            raise AssertionError(f"no changed value for field {name!r}")
+        yield name, dataclasses.replace(spec, **{name: other})
+
+
+class TestCacheKey:
+    BASE = JobSpec(goal=GoalSpec(budget_usd=20.0))
+
+    def test_every_field_changes_the_key(self):
+        changed = dict(_one_field_changed(self.BASE))
+        # 14 own fields, 3 of the goal, 4 of the network.
+        assert len(changed) == 21
+        for path, spec in changed.items():
+            assert spec != self.BASE, path
+            assert spec.cache_key() != self.BASE.cache_key(), path
+
+    def test_equal_specs_share_a_key(self):
+        rebuilt = JobSpec.from_dict(json.loads(json.dumps(self.BASE.to_dict())))
+        assert rebuilt.cache_key() == self.BASE.cache_key()
+        assert hash(rebuilt.cache_key()) == hash(self.BASE.cache_key())

@@ -8,6 +8,7 @@ from repro.obs.records import (
     RECORD_KINDS,
     LifecycleV1,
     RunStartV1,
+    SpanV1,
     SubstrateEventV1,
     TraceRecordV1,
     decode_payload,
@@ -110,3 +111,37 @@ class TestPayloads:
         assert "span" not in DETERMINISTIC_KINDS
         assert "snapshot" not in DETERMINISTIC_KINDS
         assert "trace_hello" not in DETERMINISTIC_KINDS
+
+
+class TestMissingFields:
+    """A field without a default must be on the line; it is never blanked."""
+
+    def test_bare_payload_is_rejected(self):
+        with pytest.raises(SchemaError, match="missing required field 'name'"):
+            SpanV1.from_dict({})
+        with pytest.raises(SchemaError,
+                           match="missing required field 'seconds'"):
+            SpanV1.from_dict({"name": "solve"})
+
+    def test_lifecycle_record_without_a_tenant_is_rejected(self):
+        line = TraceRecordV1(
+            run_id="r", seq=0, hour=0.0, kind="lifecycle",
+            payload={"phase": "started"},
+        ).encode()
+        with pytest.raises(SchemaError,
+                           match="missing required field 'tenant'"):
+            decode_payload(TraceRecordV1.decode(line))
+
+    def test_envelope_without_an_hour_is_rejected(self):
+        data = TraceRecordV1(
+            run_id="r", seq=0, hour=2.0, kind="run_end",
+            payload={"summary": {}},
+        ).to_dict()
+        del data["hour"]
+        with pytest.raises(SchemaError, match="missing required field 'hour'"):
+            TraceRecordV1.from_dict(data)
+
+    def test_defaulted_fields_may_be_absent(self):
+        assert LifecycleV1.from_dict({"tenant": "t", "phase": "started"}) == (
+            LifecycleV1(tenant="t", phase="started")
+        )

@@ -589,3 +589,20 @@ class TestTraceLogging:
              "--trace-log", "x.jsonl"]
         ) == 2
         assert "--trace-log requires --stream" in capsys.readouterr().err
+
+
+def test_serve_non_finite_number_yields_bad_schema(tmp_path, capsys):
+    """``Infinity`` parses as JSON but is no input size: bad_schema, not
+    a solver error."""
+    import json
+
+    path = tmp_path / "requests.jsonl"
+    path.write_text(
+        '{"schema_version": 1, "kind": "plan_request", '
+        '"job": {"input_gb": Infinity}}\n'
+    )
+    assert main(["serve", "--requests-file", str(path), *SERVICE_ARGS]) == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    error = next(l for l in lines if l["kind"] == "error")
+    assert error["code"] == "bad_schema"
+    assert "finite number" in error["message"]

@@ -11,7 +11,7 @@ pins the wall-clock overhead.
 Required: tracing adds < 5% wall-clock to the adaptation run.  The LP
 solves dominate by orders of magnitude; a regression here means the
 tracer grew a hot spot (per-record re-open, quadratic encode, a lock
-convoy on the session thread).
+contended on the deploy loop).
 """
 
 import os

@@ -20,9 +20,10 @@ Failures surface as :class:`OrchestratorError` carrying a structured
 
 from __future__ import annotations
 
+import itertools
 import threading
 
-from ..core.controller import ReplanRecord
+from ..core.controller import JobController
 from ..core.model_builder import PlanningError
 from ..core.plan import ExecutionPlan
 from ..core.planner import Planner
@@ -30,7 +31,6 @@ from ..core.problem import PlanningProblem
 from ..service.broker import AdmissionError
 from ..service.requests import PlanRequest, PlanResult, SubmittedRequest
 from ..service.service import PlanningService, ServiceConfig
-from ..service.session import SessionManager
 from .compiler import compile_spec, resolve_services
 from .errors import error_v1_for_result, error_v1_from_exception
 from .schemas import (
@@ -52,7 +52,7 @@ class OrchestratorError(RuntimeError):
 
 
 class Orchestrator:
-    """Wraps planner, planning service and deploy sessions behind specs.
+    """Wraps planner, planning service and deploy loops behind specs.
 
     Parameters
     ----------
@@ -65,8 +65,6 @@ class Orchestrator:
         first :meth:`submit` and stopped by :meth:`close` / ``with``.
     service_config:
         Configuration for the lazily-created service.
-    sessions:
-        The :class:`SessionManager` tracking :meth:`deploy` runs.
     """
 
     def __init__(
@@ -75,10 +73,10 @@ class Orchestrator:
         planner: Planner | None = None,
         service: PlanningService | None = None,
         service_config: ServiceConfig | None = None,
-        sessions: SessionManager | None = None,
     ) -> None:
         self.planner = planner or Planner()
-        self.sessions = sessions or SessionManager()
+        #: Hands each :meth:`deploy` its ``session_id``: 1, 2, ...
+        self._session_ids = itertools.count(1)
         self._service = service
         self._service_config = service_config
         self._owns_service = service is None
@@ -286,6 +284,46 @@ class Orchestrator:
             problem_kwargs["upload_fractions"] = dict(spec.upload_fractions)
         return services, goal, network, problem_kwargs
 
+    def _controller(
+        self,
+        spec: JobSpec,
+        *,
+        controller_config=None,
+        predictor=None,
+        trace=None,
+        trace_offset_hours: float = 0.0,
+        backend: str = "sim",
+        backend_options: dict | None = None,
+    ) -> JobController:
+        """The controller a deploy of ``spec`` runs — and a resume rebuilds.
+
+        :func:`repro.obs.replay.resume` builds its controller here too,
+        so a resumed run is configured exactly like the run that wrote
+        the snapshot.  Raises :class:`OrchestratorError` (``bad_request``)
+        for inputs the controller rejects, e.g. a spot catalog without a
+        predictor.
+        """
+        services, goal, network, problem_kwargs = self._controller_inputs(spec)
+        try:
+            return JobController(
+                spec.to_planner_job(),
+                services,
+                goal,
+                network=network,
+                planner=self.planner,
+                config=controller_config,
+                predictor=predictor,
+                trace=trace,
+                trace_offset_hours=trace_offset_hours,
+                problem_kwargs=problem_kwargs,
+                backend=backend,
+                backend_options=backend_options,
+            )
+        except ValueError as exc:
+            raise OrchestratorError(
+                ErrorV1(code="bad_request", message=str(exc))
+            ) from exc
+
     def deploy(
         self,
         spec: JobSpec,
@@ -297,12 +335,23 @@ class Orchestrator:
         predictor=None,
         trace=None,
         trace_offset_hours: float = 0.0,
-        event_timeout: float | None = None,
         tracer=None,
         backend: str = "sim",
         backend_options: dict | None = None,
     ):
         """Run the deploy/monitor/adapt loop for one spec to completion.
+
+        The loop runs on the calling thread, one interval per
+        :meth:`~repro.core.controller.ControllerRun.step`, and returns
+        the full :class:`~repro.core.controller.ControllerResult`.  Each
+        executed interval — and each adopted re-plan, as an
+        ``event="replan"`` record carrying its trigger and reason — is
+        built once as a :class:`DeployEventV1` and handed to the tracer
+        (if any) and then to ``on_event``.  If ``on_event`` raises, the
+        deployment stops there: its backend is closed and the exception
+        propagates.  ``actual`` injects real-world conditions (the
+        Fig. 12 deviation experiments); ``predictor``/``trace`` are
+        required for ``spot``-catalog specs.
 
         ``backend`` selects the execution substrate (see
         :data:`repro.exec.BACKENDS`): the deterministic fluid simulator
@@ -311,34 +360,40 @@ class Orchestrator:
         ``backend_options`` tunes the real backends (task sizing,
         timeouts, worker count — :data:`repro.exec.DEFAULT_OPTIONS`).
 
-        Streams each executed interval — and each adopted re-plan, as an
-        ``event="replan"`` record carrying its trigger and reason — to
-        ``on_event`` as a :class:`DeployEventV1`, and returns the full
-        :class:`~repro.core.controller.ControllerResult`.  ``actual``
-        injects real-world conditions (the Fig. 12 deviation experiments);
-        ``predictor``/``trace`` are required for ``spot``-catalog specs.
-
         ``tracer`` (a :class:`~repro.obs.trace.RunTracer`) captures the
-        run as a durable event-sourced trace.  If ``begin`` has not been
-        called yet, the orchestrator opens it here — on the calling
-        thread, before the session thread exists — with the canonical
-        deploy scenario (``tenant``, ``spec.to_dict()``, plus the
-        serializable conditions/config knobs), so identical deployments
-        trace under identical run ids and replay can rebuild the run.
-        A spot-catalog deploy (price ``trace``/``spot_traces``) is not
-        replayable from a deploy scenario — trace those under the fleet
-        runtime, whose scenario names its synthetic trace — so auto-begin
-        rejects it; a caller that begins the tracer itself takes over
-        that responsibility.
+        run as a durable event-sourced trace: ``lifecycle`` records
+        around the run, every interval/replan event, a ``snapshot``
+        after each interval (what crash-resume rehydrates from) and
+        ``run_end``.  If ``begin`` has not been called yet, the
+        orchestrator opens it here with the canonical deploy scenario
+        (``tenant``, ``spec.to_dict()``, plus the serializable
+        conditions/config knobs), so identical deployments trace under
+        identical run ids and replay can rebuild the run.  A spot-catalog
+        deploy (price ``trace``/``spot_traces``) is not replayable from a
+        deploy scenario — trace those under the fleet runtime, whose
+        scenario names its synthetic trace — so auto-begin rejects it; a
+        caller that begins the tracer itself takes over that
+        responsibility.
         """
-        services, goal, network, problem_kwargs = self._controller_inputs(spec)
-        if tracer is not None and not tracer.run_id:
-            if trace is not None or (actual is not None and actual.spot_traces):
-                raise OrchestratorError(ErrorV1(
-                    code="bad_request",
-                    message="a spot-trace deploy cannot be traced "
-                    "replayably; run it under the fleet runtime",
-                ))
+        auto_begin = tracer is not None and not tracer.run_id
+        if auto_begin and (
+            trace is not None or (actual is not None and actual.spot_traces)
+        ):
+            raise OrchestratorError(ErrorV1(
+                code="bad_request",
+                message="a spot-trace deploy cannot be traced "
+                "replayably; run it under the fleet runtime",
+            ))
+        controller = self._controller(
+            spec,
+            controller_config=controller_config,
+            predictor=predictor,
+            trace=trace,
+            trace_offset_hours=trace_offset_hours,
+            backend=backend,
+            backend_options=backend_options,
+        )
+        if auto_begin:
             from dataclasses import asdict
 
             from .. import __version__
@@ -363,52 +418,69 @@ class Orchestrator:
                 # ids) are unchanged.
                 scenario["backend"] = backend
             tracer.begin("deploy", scenario, version=__version__)
+        session_id = next(self._session_ids)
+
+        def emit(event: DeployEventV1) -> None:
+            if tracer is not None:
+                tracer.deploy_event(event)
+            if on_event is not None:
+                on_event(event)
+
+        def on_replan(record) -> None:
+            emit(DeployEventV1.from_replan(
+                record, tenant=tenant, session_id=session_id,
+                index=len(run.outcomes),
+            ))
+
         try:
-            session = self.sessions.start(
-                tenant,
-                spec.to_planner_job(),
-                services,
-                goal,
-                network=network,
-                actual=actual,
-                planner=self.planner,
-                config=controller_config,
-                predictor=predictor,
-                trace=trace,
-                trace_offset_hours=trace_offset_hours,
-                problem_kwargs=problem_kwargs,
-                tracer=tracer,
-                backend=backend,
-                backend_options=backend_options,
-            )
-        except ValueError as exc:
-            raise OrchestratorError(
-                ErrorV1(code="bad_request", message=str(exc))
-            ) from exc
-        intervals = 0
-        try:
-            for event in session.events(
-                timeout=event_timeout, include_replans=True
-            ):
-                if isinstance(event, ReplanRecord):
-                    wire = DeployEventV1.from_replan(
-                        event,
-                        tenant=tenant,
-                        session_id=session.session_id,
-                        index=intervals,
+            run = controller.start(actual, on_replan=on_replan)
+            try:
+                if tracer is not None:
+                    tracer.lifecycle(
+                        tenant, "started", hour=run.state.hour,
+                        session_id=session_id,
+                        # Recorded only off the sim default, so pre-backend
+                        # sim logs stay byte-identical.
+                        backend=backend if backend != "sim" else "",
                     )
-                else:
-                    intervals += 1
-                    wire = DeployEventV1.from_outcome(
-                        event,
-                        tenant=tenant,
-                        session_id=session.session_id,
-                    )
-                if on_event is not None:
-                    on_event(wire)
+                step = 0
+                while (outcome := run.step()) is not None:
+                    step += 1
+                    emit(DeployEventV1.from_outcome(
+                        outcome, tenant=tenant, session_id=session_id,
+                    ))
+                    if tracer is not None:
+                        tracer.snapshot(
+                            tenant, step, run.snapshot(),
+                            hour=run.state.hour, session_id=session_id,
+                        )
+                result = run.result()
+            finally:
+                run.close()
         except PlanningError as exc:
             raise OrchestratorError(error_v1_from_exception(exc)) from exc
-        return session.wait(timeout=30.0)
+        if tracer is not None:
+            tracer.lifecycle(
+                tenant,
+                "completed" if result.completed else "failed",
+                hour=run.state.hour,
+                session_id=session_id,
+                cost=result.total_cost,
+                replans=result.replans,
+                completion_hours=result.completion_hours,
+            )
+            tracer.end(
+                {
+                    "completed": result.completed,
+                    "completion_hours": result.completion_hours,
+                    "total_cost": result.total_cost,
+                    "replans": result.replans,
+                    "intervals": len(result.outcomes),
+                    "deadline_met": result.deadline_met,
+                },
+                hour=run.state.hour,
+            )
+        return result
 
     # -- fleet ------------------------------------------------------------
 

@@ -15,13 +15,15 @@ throughput misprediction.
 Two ways to drive it:
 
 - :meth:`JobController.run` owns the whole loop (submission to
-  completion) — the standalone and :class:`DeploySession` path;
+  completion) and returns only the result — the benches' and the
+  spot-market simulator's path;
 - :meth:`JobController.start` returns a resumable
   :class:`ControllerRun` that executes **one interval per** ``step()``
-  call, so an external scheduler — the fleet runtime of
-  :mod:`repro.fleet` — can interleave many deployments over one
-  simulated substrate and inject event-driven re-plans between steps
-  via :meth:`ControllerRun.request_replan`.
+  call.  Its caller owns the loop: :meth:`repro.api.Orchestrator.deploy`
+  steps one deployment on the calling thread and streams each interval
+  as it happens, and the fleet runtime of :mod:`repro.fleet` interleaves
+  many deployments over one simulated substrate, injecting event-driven
+  re-plans between steps via :meth:`ControllerRun.request_replan`.
 
 *When* to re-plan is delegated to a pluggable
 :class:`~repro.core.triggers.TriggerPolicy`; the default reproduces the
@@ -166,39 +168,22 @@ class JobController:
 
     # -- public ------------------------------------------------------------
 
-    def run(
-        self,
-        actual: ActualConditions | None = None,
-        on_interval=None,
-        on_replan=None,
-    ) -> ControllerResult:
+    def run(self, actual: ActualConditions | None = None) -> ControllerResult:
         """Deploy the job against ``actual`` conditions until completion.
 
-        Parameters
-        ----------
-        actual:
-            Ground-truth runtime conditions the executor simulates
-            against (node rates, WAN factors, realized spot prices).
-            Defaults to "the world behaves exactly as modeled".
-        on_interval:
-            Called with each :class:`IntervalOutcome` as it happens —
-            the hook :class:`~repro.service.session.DeploySession` uses
-            to stream deployment progress.
-        on_replan:
-            Called with each :class:`ReplanRecord` at the moment a
-            re-plan is adopted, *before* the next interval executes —
-            the hook behind the ``replan`` deploy events on the wire.
+        ``actual`` holds the ground-truth runtime conditions the executor
+        simulates against (node rates, WAN factors, realized spot
+        prices); it defaults to "the world behaves exactly as modeled".
 
         Returns the full :class:`ControllerResult`: cost ledger, plan
         history, every interval outcome, and one :class:`ReplanRecord`
         per adaptation round.  Equivalent to driving
         :meth:`start`/:meth:`ControllerRun.step` to completion.
         """
-        run = self.start(actual, on_replan=on_replan)
+        run = self.start(actual)
         try:
-            while (outcome := run.step()) is not None:
-                if on_interval is not None:
-                    on_interval(outcome)
+            while run.step() is not None:
+                pass
             return run.result()
         finally:
             run.close()
@@ -412,8 +397,8 @@ class ControllerRun:
         """Release backend resources (worker pools, subprocesses).
 
         Idempotent; a no-op for the sim backend.  Owners that drive a
-        run to completion (``JobController.run``, the deploy session,
-        the fleet scheduler) call this when the run ends.
+        run (``JobController.run``, ``Orchestrator.deploy``, the fleet
+        scheduler) call this when the run ends or its loop raises.
         """
         self._executor.close()
 

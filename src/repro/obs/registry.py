@@ -3,7 +3,7 @@ and span timers, with one snapshot format.
 
 This is the generalization of the service-level metrics: the primitives
 here carry their own locks so they can be mutated from pool callback
-threads, session threads and the main loop concurrently, and every
+threads, deploy callers and the main loop concurrently, and every
 consumer (``serve``, ``loadgen``, ``fleet``, ``repro trace summarize``)
 reports through the same ``snapshot()`` shape::
 

@@ -358,7 +358,7 @@ def resume(records: list[TraceRecordV1]):
         raise TraceError(f"cannot resume run kind {run_kind!r}")
 
     from ..api import JobSpec, Orchestrator
-    from ..core.controller import ControllerRun, JobController
+    from ..core.controller import ControllerRun
 
     snapshots = [r for r in records if r.kind == "snapshot"]
     if not snapshots:
@@ -366,26 +366,14 @@ def resume(records: list[TraceRecordV1]):
         # rehydrate, so re-execution *is* the resume.
         _replayed, result = reexecute(records)
         return result
-    spec = JobSpec.from_dict(scenario["spec"])
-    orchestrator = Orchestrator()
-    services, goal, network, problem_kwargs = (
-        orchestrator._controller_inputs(spec)
-    )
     knobs = _deploy_kwargs(scenario)
-    controller = JobController(
-        spec.to_planner_job(),
-        services,
-        goal,
-        network=network,
-        planner=orchestrator.planner,
-        config=knobs.get("controller_config"),
-        trace_offset_hours=knobs.get("trace_offset_hours", 0.0),
-        problem_kwargs=problem_kwargs,
-        backend=knobs.get("backend", "sim"),
+    actual = knobs.pop("actual", None)
+    # Built exactly as Orchestrator.deploy builds it, from the same knobs.
+    controller = Orchestrator()._controller(
+        JobSpec.from_dict(scenario["spec"]), **knobs
     )
     run = ControllerRun.restore(
-        controller, snapshots[-1].payload["state"],
-        actual=knobs.get("actual"),
+        controller, snapshots[-1].payload["state"], actual=actual
     )
     try:
         while run.step() is not None:

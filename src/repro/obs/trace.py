@@ -14,11 +14,11 @@ Three pieces, layered:
   point feeds both the durable log and the live telemetry snapshot.
 - :func:`read_trace` — parse + validate a log back into records.
 
-The tracer is locked: deploy sessions emit from their worker thread
-while the registry may be polled from the main thread.  Record *order*
-is nevertheless deterministic because each run's records are emitted by
-exactly one thread (the session thread for ``deploy``, the lockstep
-scheduler loop for ``fleet``).
+The tracer is locked: a run emits from one thread while the registry
+it mirrors into may be polled from another.  Record *order* is
+nevertheless deterministic because each run's records are emitted by
+exactly one thread (the thread that called ``Orchestrator.deploy`` for
+``deploy``, the lockstep scheduler loop for ``fleet``).
 """
 
 from __future__ import annotations

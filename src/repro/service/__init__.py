@@ -12,8 +12,6 @@ problems to; this package makes the reproduction act like one:
   (:mod:`repro.service.fingerprint`, :mod:`repro.service.cache`);
 - :class:`SolverPool` — bounded parallel LP solving
   (:mod:`repro.service.pool`);
-- :class:`SessionManager` — deploy/monitor/adapt loops with streamed
-  progress (:mod:`repro.service.session`);
 - :class:`ServiceMetrics` — request counters and latency percentiles
   (:mod:`repro.service.metrics`);
 - :func:`generate_workload` — synthetic tenant traffic
@@ -21,6 +19,11 @@ problems to; this package makes the reproduction act like one:
 - :mod:`repro.service.frontend` — the asyncio socket frontend: one
   service behind one TCP endpoint, and the concurrent-connection load
   generator (imported explicitly; it pulls in the api layer).
+
+Deploying an accepted plan is not a service concern:
+:meth:`repro.api.Orchestrator.deploy` steps the controller loop on its
+caller's thread, and :mod:`repro.fleet` runs many deployments over one
+shared substrate.
 """
 
 from .broker import AdmissionError, RequestBroker
@@ -42,7 +45,6 @@ from .requests import (
     error_code_for_exception,
 )
 from .service import PlanningService, ServiceConfig
-from .session import DeploySession, SessionManager
 from .workload import (
     DEFAULT_MIX,
     SCENARIOS,
@@ -55,7 +57,6 @@ __all__ = [
     "AdmissionError",
     "CacheStats",
     "DEFAULT_MIX",
-    "DeploySession",
     "IncrementalSolver",
     "IncrementalStats",
     "LatencySeries",
@@ -68,7 +69,6 @@ __all__ = [
     "SCENARIOS",
     "ServiceConfig",
     "ServiceMetrics",
-    "SessionManager",
     "SharedPlanCache",
     "SolverPool",
     "SubmittedRequest",

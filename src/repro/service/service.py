@@ -19,8 +19,9 @@ with the service deciding *when* and *whether* to run the LP at all:
 4. **metrics** record queue wait, solve latency percentiles and cache
    effectiveness.
 
-The deploy/monitor/adapt side of accepted plans lives in
-:mod:`repro.service.session`.
+The deploy/monitor/adapt side of accepted plans is
+:meth:`repro.api.Orchestrator.deploy`, which steps the controller loop
+on its caller's thread.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """The Orchestrator facade: plan / submit / deploy / structured errors."""
 
+import multiprocessing
+import threading
+import time
+
 import pytest
 
 from repro.api import (
@@ -7,6 +11,7 @@ from repro.api import (
     ErrorV1,
     GoalSpec,
     JobSpec,
+    NetworkSpec,
     Orchestrator,
     OrchestratorError,
     PlanRequestV1,
@@ -14,6 +19,8 @@ from repro.api import (
     encode,
     error_v1_from_exception,
 )
+from repro.core.conditions import ActualConditions
+from repro.obs.trace import RunTracer, TraceCollector
 from repro.service import ServiceConfig
 
 INLINE = ServiceConfig(pool_mode="inline", max_workers=1)
@@ -133,10 +140,14 @@ class TestDeploy:
         assert [e.index for e in events] == sorted(e.index for e in events)
         assert sum(e.cost for e in events) == pytest.approx(result.total_cost)
 
-    def test_deploy_session_is_tracked(self):
-        orchestrator = Orchestrator()
-        orchestrator.deploy(SPEC, tenant="acme")
-        assert orchestrator.sessions.sessions("acme")
+    def test_deploy_returns_controller_result(self):
+        """deploy runs the controller to the end and hands back its result."""
+        from repro.core.controller import ControllerResult
+
+        result = Orchestrator().deploy(SPEC, tenant="acme")
+        assert isinstance(result, ControllerResult)
+        assert result.completed and result.deadline_met
+        assert result.total_cost > 0
 
     def test_spot_without_predictor_is_bad_request(self):
         spec = JobSpec(input_gb=4.0, goal=GoalSpec(deadline_hours=3.0),
@@ -144,6 +155,141 @@ class TestDeploy:
         with pytest.raises(OrchestratorError) as excinfo:
             Orchestrator().deploy(spec)
         assert excinfo.value.error.code == "bad_request"
+
+
+#: The chaos deploy of ``tests/obs/test_replay.py``: nodes run at about
+#: half their modeled rate, so the run re-plans at least twice.
+CHAOS_SPEC = JobSpec(
+    name="chaos",
+    input_gb=32.0,
+    goal=GoalSpec(deadline_hours=6.0),
+    network=NetworkSpec(uplink_mbit_s=16.0),
+)
+CHAOS_RATES = {"ec2.m1.large": 0.25, "ec2.m1.xlarge": 0.5}
+
+
+def chaos_deploy(orchestrator=None, **kwargs):
+    return (orchestrator or Orchestrator()).deploy(
+        CHAOS_SPEC,
+        tenant="acme",
+        actual=ActualConditions(throughput_gb_per_hour=dict(CHAOS_RATES)),
+        **kwargs,
+    )
+
+
+class TestDeployStream:
+    """What ``on_event`` sees is the deployment, as the tracer logs it."""
+
+    @pytest.fixture(scope="class")
+    def streamed(self):
+        events, threads = [], []
+
+        def on_event(event):
+            events.append(event)
+            threads.append(threading.current_thread())
+
+        collector = TraceCollector()
+        result = chaos_deploy(
+            on_event=on_event, tracer=RunTracer(collector)
+        )
+        return events, threads, collector.records, result
+
+    def test_deviation_still_completes(self, streamed):
+        result = streamed[3]
+        assert result.completed
+        assert result.replans >= 2
+
+    def test_streams_every_interval(self, streamed):
+        events, _, _, result = streamed
+        intervals = [e for e in events if e.event == "interval"]
+        assert len(intervals) == len(result.outcomes)
+        assert [e.cost for e in intervals] == [
+            pytest.approx(o.cost) for o in result.outcomes
+        ]
+
+    def test_streams_every_replan(self, streamed):
+        events, _, _, result = streamed
+        replans = [e for e in events if e.event == "replan"]
+        assert len(replans) == result.replans
+        assert [e.trigger for e in replans] == [
+            r.kind for r in result.replan_records
+        ]
+        assert len(events) == len(replans) + len(result.outcomes)
+
+    def test_replan_index_counts_the_intervals_before_it(self, streamed):
+        events = streamed[0]
+        for position, event in enumerate(events):
+            if event.event == "replan":
+                before = sum(e.event == "interval" for e in events[:position])
+                assert event.index == before
+
+    def test_events_equal_the_traced_payloads_in_order(self, streamed):
+        events, _, records, _ = streamed
+        traced = [
+            DeployEventV1.from_dict(r.payload)
+            for r in records if r.kind in ("interval", "replan")
+        ]
+        assert traced == events
+
+    def test_on_event_runs_on_the_calling_thread(self, streamed):
+        threads = streamed[1]
+        assert threads
+        assert all(t is threading.current_thread() for t in threads)
+
+    def test_concurrent_deploys_get_distinct_session_ids(self):
+        alone = chaos_deploy()
+        orchestrator = Orchestrator()
+        ids, results = [], []
+
+        def deploy():
+            events = []
+            results.append(chaos_deploy(orchestrator, on_event=events.append))
+            ids.append(events[0].session_id)
+
+        threads = [threading.Thread(target=deploy) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300.0)
+        assert sorted(ids) == [1, 2]
+        assert len(results) == 2
+
+        def executed(result):
+            # Everything but the plans' solver timings and the ledger object.
+            return (result.completed, result.completion_hours,
+                    result.total_cost, result.outcomes, result.replan_records,
+                    result.node_series, result.task_series)
+
+        for result in results:
+            assert executed(result) == executed(alone)
+
+
+class Disconnected(Exception):
+    """The consumer of a deploy stream went away."""
+
+
+class TestDeployStops:
+    @pytest.mark.parametrize("backend", ["sim", "pool"])
+    def test_raising_on_event_stops_the_deployment(self, backend):
+        """A consumer that fails (``repro deploy --stream | head -1``)
+        ends the deployment: nothing keeps running or writing after
+        ``deploy`` has re-raised."""
+        def on_event(event):
+            raise Disconnected(event.event)
+
+        collector = TraceCollector()
+        threads_before = threading.active_count()
+        with pytest.raises(Disconnected):
+            chaos_deploy(
+                on_event=on_event,
+                tracer=RunTracer(collector),
+                backend=backend,
+            )
+        count = collector.count
+        time.sleep(0.3)
+        assert collector.count == count
+        assert threading.active_count() == threads_before
+        assert multiprocessing.active_children() == []
 
 
 class TestErrorMapping:

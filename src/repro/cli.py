@@ -224,8 +224,10 @@ def cmd_services(args) -> int:
 
 
 def cmd_spot(args) -> int:
-    trace = _trace_for(args.trace, args.days, args.seed)
-    predictor = _predictor_for(args.predictor)
+    from .obs.replay import predictor_for, trace_for
+
+    trace = trace_for(args.trace, args.days, args.seed)
+    predictor = predictor_for(args.predictor)
     if predictor is None:
         print(f"unknown predictor {args.predictor!r}", file=sys.stderr)
         return 2
@@ -241,20 +243,6 @@ def cmd_spot(args) -> int:
           f"stddev {summary['stddev']:.2f}")
     print(f"  re-plans per run: {result.replans}")
     return 0
-
-
-def _trace_for(name: str, days: int, seed: int):
-    """Shared synthetic-trace selector for ``spot`` and ``fleet``."""
-    from .obs.replay import trace_for
-
-    return trace_for(name, days, seed)
-
-
-def _predictor_for(name: str):
-    """Shared predictor selector for the ``spot`` and ``fleet`` commands."""
-    from .obs.replay import predictor_for
-
-    return predictor_for(name)
 
 
 def _write_metrics_json(path: str, snapshot: dict) -> None:
@@ -731,14 +719,7 @@ def _cmd_serve_listen(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    from .api import (
-        Orchestrator,
-        OrchestratorError,
-        PlanRequestV1,
-        SchemaError,
-        encode,
-    )
-    from .service import ServiceConfig
+    from .api import OrchestratorError, PlanRequestV1, SchemaError, encode
 
     try:
         request = PlanRequestV1(
@@ -748,13 +729,7 @@ def cmd_submit(args) -> int:
         print(f"bad job spec: {exc}", file=sys.stderr)
         return 1
     responses = []
-    with Orchestrator(service_config=ServiceConfig(
-        max_workers=args.workers,
-        pool_mode=args.pool,
-        cache_capacity=args.cache_capacity,
-        solver_time_limit_s=args.time_limit,
-        incremental=getattr(args, "incremental", False),
-    )) as orchestrator:
+    with _orchestrator_for(args) as orchestrator:
         first_plan = None
         for _ in range(max(1, args.repeat)):
             try:
@@ -770,6 +745,10 @@ def cmd_submit(args) -> int:
             if first_plan is None:
                 first_plan = result.plan
             responses.append(orchestrator.respond(result))
+        if args.metrics_json:
+            _write_metrics_json(
+                args.metrics_json, orchestrator.service.metrics.registry.snapshot()
+            )
     if args.json:
         for response in responses:
             print(encode(response))

@@ -1,10 +1,12 @@
-"""Cloud service substrate: descriptions, catalog, pricing, spot markets.
+"""Cloud service substrate: descriptions, catalog, pricing, spot price traces.
 
 The planner consumes :class:`ServiceDescription` objects — either built
 programmatically, loaded from the paper's XML format
 (:mod:`repro.cloud.descriptions`), or taken from the July-2011 AWS catalog
-(:mod:`repro.cloud.catalog`).  Spot-market dynamics live in
-:mod:`repro.cloud.spot` and :mod:`repro.cloud.traces`.
+(:mod:`repro.cloud.catalog`).  Spot price traces live in
+:mod:`repro.cloud.spot` (the trace type) and :mod:`repro.cloud.traces`
+(the synthetic generators); the predictors that read them are in
+:mod:`repro.core.predictor`.
 """
 
 from .catalog import (
@@ -43,7 +45,7 @@ from .descriptions import (
     to_xml,
 )
 from .services import UNLIMITED, ResourceKind, ServiceDescription, validate_catalog
-from .spot import SpotChargeRecord, SpotMarket, SpotTrace, summarize_costs
+from .spot import SpotTrace, summarize_costs
 from .traces import aws_like_trace, constant_trace, electricity_like_trace
 
 __all__ = [
@@ -59,8 +61,6 @@ __all__ = [
     "ResourceKind",
     "TransferTiers",
     "ServiceDescription",
-    "SpotChargeRecord",
-    "SpotMarket",
     "SpotTrace",
     "UNLIMITED",
     "aws_like_trace",

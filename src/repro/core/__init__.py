@@ -7,8 +7,12 @@ The public planning API:
   :class:`SystemState`, :class:`PlanningProblem` — the planning vocabulary.
 - :class:`ExecutionPlan` — the solver's answer, deployable per interval.
 - :class:`CostLedger` — fine-grained internal accounting (Section 6.1).
-- Spot predictors (Section 6.5): :class:`OptimalPredictor`,
-  :class:`CurrentPricePredictor`, :class:`WindowMaxPredictor`.
+- Spot predictors (Sections 4.7, 6.5), all in :mod:`repro.core.predictor`:
+  the paper's :class:`OptimalPredictor`, :class:`CurrentPricePredictor`
+  and :class:`WindowMaxPredictor`, plus the ablation's
+  :class:`EwmaPredictor`, :class:`SeasonalNaivePredictor`,
+  :class:`Ar1Predictor`, :class:`QuantilePredictor` and
+  :class:`MarginBidder`.
 """
 
 from ..accounting import CostCategory, CostLedger, LedgerEntry, combine
@@ -66,20 +70,18 @@ from .spot_sim import (
     spot_services,
 )
 from .predictor import (
-    CurrentPricePredictor,
-    OptimalPredictor,
-    SpotPredictor,
-    WindowMaxPredictor,
-    predictor_suite,
-)
-from .predictors_ext import (
     Ar1Predictor,
+    CurrentPricePredictor,
     EwmaPredictor,
     MarginBidder,
+    OptimalPredictor,
     QuantilePredictor,
     SeasonalNaivePredictor,
+    SpotPredictor,
+    WindowMaxPredictor,
     extended_predictor_suite,
     forecast_errors,
+    predictor_suite,
 )
 from .problem import (
     Goal,

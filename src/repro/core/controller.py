@@ -204,14 +204,14 @@ class JobController:
         """
         return ControllerRun(self, actual, on_replan=on_replan)
 
-    def _executor(self, state, actual, ledger):
+    def _executor(self, problem: PlanningProblem, actual, ledger):
         # Imported lazily: repro.exec sits above core in the layering
         # (it subclasses FluidExecutor), so a module-level import would
         # be a cycle.
         from ..exec import make_executor
 
         return make_executor(
-            self.backend, self._problem(state), actual, ledger,
+            self.backend, problem, actual, ledger,
             hour_offset=self.trace_offset_hours,
             options=self.backend_options or None,
         )
@@ -260,14 +260,13 @@ class JobController:
             **self.problem_kwargs,
         )
 
-    def _plan(self, state: SystemState) -> tuple[ExecutionPlan, dict[str, np.ndarray]]:
+    def _plan(self, state: SystemState) -> tuple[ExecutionPlan, PlanningProblem]:
         problem = self._problem(state)
-        plan = self.planner.plan(problem)
-        return plan, dict(problem.spot_price_estimates)
+        return self.planner.plan(problem), problem
 
     def _plan_with_extension(
         self, state: SystemState
-    ) -> tuple[ExecutionPlan, dict[str, np.ndarray]]:
+    ) -> tuple[ExecutionPlan, PlanningProblem]:
         """Remaining deadline infeasible: extend the horizon until a plan
         exists (the deployment will miss the deadline but finish)."""
         deadline = float(self.goal.deadline_hours or 0.0)
@@ -277,7 +276,7 @@ class JobController:
             horizon = math.ceil(horizon * self.config.horizon_extension)
             try:
                 problem = self._problem(state, deadline_override=float(horizon))
-                return self.planner.plan(problem), dict(problem.spot_price_estimates)
+                return self.planner.plan(problem), problem
             except PlanningError as exc:
                 last_error = exc
         raise PlanningError(
@@ -377,10 +376,10 @@ class ControllerRun:
         #: Plans dropped by a crash-resume restore: ``plan_index`` values
         #: stay continuous with the original run's plan history.
         self._plan_base = 0
-        plan, estimates = controller._plan(self.state)
+        plan, problem = controller._plan(self.state)
         self.plans: list[ExecutionPlan] = [plan]
-        self._estimates = estimates
-        self._executor = controller._executor(self.state, self.actual, self.ledger)
+        self._estimates = dict(problem.spot_price_estimates)
+        self._executor = controller._executor(problem, self.actual, self.ledger)
 
     # -- driving -----------------------------------------------------------
 
@@ -701,7 +700,9 @@ class ControllerRun:
             str(k): np.asarray(v, dtype=float)
             for k, v in snapshot["estimates"].items()
         }
-        run._executor = controller._executor(run.state, run.actual, run.ledger)
+        run._executor = controller._executor(
+            controller._problem(run.state), run.actual, run.ledger
+        )
         return run
 
     # -- internals ---------------------------------------------------------
@@ -709,11 +710,11 @@ class ControllerRun:
     def _replan(self, kind: str, reason: str) -> None:
         controller = self.controller
         try:
-            plan, estimates = controller._plan(self.state)
+            plan, problem = controller._plan(self.state)
         except PlanningError:
-            plan, estimates = controller._plan_with_extension(self.state)
+            plan, problem = controller._plan_with_extension(self.state)
         self.plans.append(plan)
-        self._estimates = estimates
+        self._estimates = dict(problem.spot_price_estimates)
         self.replans += 1
         record = ReplanRecord(
             hour=self.state.hour,
@@ -726,5 +727,6 @@ class ControllerRun:
             self.on_replan(record)
         # Rebind instead of recreating: the executor's runtime state
         # (worker pools, task counters, collected partials) survives the
-        # re-plan — only the believed problem changes.
-        self._executor.rebind(controller._problem(self.state))
+        # re-plan — only the believed problem changes.  An extended
+        # horizon changes only the goal, which executors do not read.
+        self._executor.rebind(problem)

@@ -162,9 +162,6 @@ class ExecutionPlan:
                 return interval
         return self.intervals[-1]
 
-    def nodes_at(self, hour: float) -> dict[str, int]:
-        return dict(self.interval_at(hour).nodes)
-
     def peak_nodes(self, service: str | None = None) -> int:
         """Max concurrent nodes (optionally for one service).
 

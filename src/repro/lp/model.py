@@ -17,7 +17,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -197,10 +197,6 @@ class Model:
         self.constraints.append(constraint)
         self._compiled = None
         return constraint
-
-    def add_constrs(self, constraints: Iterable[Constraint], prefix: str = "") -> None:
-        for i, constraint in enumerate(constraints):
-            self.add_constr(constraint, f"{prefix}[{i}]" if prefix else "")
 
     def minimize(self, expr: Union[LinExpr, Variable, Number]) -> None:
         self._objective = LinExpr.from_value(expr)

@@ -150,9 +150,6 @@ class Cluster:
             if n.is_up and (service is None or n.service.name == service)
         ]
 
-    def total_slots(self) -> int:
-        return sum(n.slots for n in self.up_nodes())
-
 
 def build_topology(
     uplink_mb_s: float = 2.0,

@@ -43,9 +43,6 @@ class HdfsDeployment:
     fs: ConductorFileSystem
     replication: int
 
-    def add_datanode(self, site: str) -> None:
-        self.backend.add_node(site)
-
     def datanodes(self) -> list[str]:
         return self.backend.nodes
 

@@ -96,9 +96,6 @@ class LocationAwareScheduler(Scheduler):
         self.allowed_sources[compute_service].add(storage_backend)
         self.refresh()
 
-    def revoke(self, compute_service: str, storage_backend: str) -> None:
-        self.allowed_sources[compute_service].discard(storage_backend)
-
     def refresh(self) -> None:
         for task in self.tasks:
             if task.state is not TaskState.PENDING:

@@ -20,7 +20,6 @@ from .expressions import (
     Expression,
     ExpressionError,
     Flatten,
-    FunctionCall,
     selectivity_estimate,
 )
 from .schema import Field, PigType, Schema
@@ -142,13 +141,6 @@ class ForEach(Operator):
     @property
     def has_flatten(self) -> bool:
         return any(isinstance(i.expression, Flatten) for i in self.items)
-
-    @property
-    def has_aggregate(self) -> bool:
-        return any(
-            isinstance(i.expression, FunctionCall) and i.expression.is_aggregate
-            for i in self.items
-        )
 
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas

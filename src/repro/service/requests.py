@@ -59,10 +59,6 @@ class RequestStatus(enum.Enum):
     REJECTED = "rejected"      # refused by admission control or shutdown
     EXPIRED = "expired"        # turnaround deadline passed while queued
 
-    @property
-    def is_terminal(self) -> bool:
-        return self is not RequestStatus.PENDING and self is not RequestStatus.RUNNING
-
 
 @dataclass
 class PlanRequest:

@@ -82,9 +82,6 @@ class Topology:
             return []  # node-local, no explicit self-route: instantaneous
         raise RoutingError(f"no route {src!r} -> {dst!r}")
 
-    def has_route(self, src: str, dst: str) -> bool:
-        return src == dst or (src, dst) in self._routes
-
 
 @dataclass
 class Flow:
@@ -177,10 +174,6 @@ class FluidNetwork:
         self._last_update = sim.now
         self._completion_event: Event | None = None
         self.completed_flows: int = 0
-
-    @property
-    def active_flows(self) -> list[Flow]:
-        return [f for f in self._flows if f.active]
 
     # -- public API ---------------------------------------------------------
 

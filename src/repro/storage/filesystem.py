@@ -123,28 +123,6 @@ class ConductorFileSystem:
             block = self.namenode.block(block_id)
             self.client.write(block, from_site, target_for_chunk(index), chunk_done)
 
-    def read_file(
-        self,
-        path: str,
-        at_site: str,
-        on_complete: Callable[[], None] | None = None,
-    ) -> None:
-        """Fetch all chunks of a file to one site."""
-        inode = self.inode(path)
-        pending = len(inode.chunks)
-        if pending == 0 and on_complete is not None:
-            self.client.sim.schedule(0.0, on_complete)
-            return
-
-        def chunk_done(_block: Block) -> None:
-            nonlocal pending
-            pending -= 1
-            if pending == 0 and on_complete is not None:
-                on_complete()
-
-        for block_id in inode.chunks:
-            self.client.read(block_id, at_site, chunk_done)
-
     # -- locality (for the scheduler) ----------------------------------------------
 
     def chunk_locations(self, path: str) -> dict[BlockId, list[LocationRecord]]:

@@ -108,14 +108,3 @@ class ReplicationManager:
                 on_complete(written)
 
         self.client.write(block, source.site, destination, landed)
-
-    def migrate_file(
-        self,
-        chunks: list[BlockId],
-        destination_for: Callable[[BlockId], LocationRecord],
-        drop_source: bool = True,
-    ) -> int:
-        """Migrate many chunks; returns the number of migrations started."""
-        for block_id in chunks:
-            self.migrate(block_id, destination_for(block_id), drop_source)
-        return len(chunks)

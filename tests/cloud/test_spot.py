@@ -1,4 +1,4 @@
-"""Tests for spot market mechanics and price traces."""
+"""Tests for spot price traces and their generators."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import (
-    SpotMarket,
     SpotTrace,
     aws_like_trace,
     constant_trace,
@@ -39,53 +38,10 @@ class TestSpotTrace:
         assert trace.price_at(-5.0) == pytest.approx(0.10)
         assert trace.price_at(99.0) == pytest.approx(0.15)
 
-    def test_window(self, trace):
-        window = trace.window(end_hour=3.0, duration_hours=2.0)
-        assert list(window) == pytest.approx([0.20, 0.30])
-
-    def test_window_clips_at_start(self, trace):
-        window = trace.window(end_hour=1.0, duration_hours=10.0)
-        assert list(window) == pytest.approx([0.10])
-
-    def test_slice_from(self, trace):
-        rest = trace.slice_from(2.0)
-        assert rest.price_at(2.0) == pytest.approx(0.30)
-        assert len(rest) == 2
-
-    def test_csv_round_trip(self, trace, tmp_path):
-        path = tmp_path / "trace.csv"
-        trace.save_csv(str(path))
-        loaded = SpotTrace.load_csv(str(path))
-        assert np.allclose(loaded.prices, trace.prices)
-
     def test_start_hour_offset(self):
         shifted = SpotTrace(np.array([1.0, 2.0]), start_hour=10.0)
         assert shifted.price_at(10.5) == pytest.approx(1.0)
         assert shifted.price_at(11.5) == pytest.approx(2.0)
-
-
-class TestSpotMarket:
-    def test_charged_market_price_not_bid(self, trace):
-        market = SpotMarket(trace)
-        record = market.evaluate(hour=0.0, bid=0.50)
-        assert record.running
-        assert record.charged == pytest.approx(0.10)
-
-    def test_outbid_terminates_and_charges_nothing(self, trace):
-        market = SpotMarket(trace)
-        record = market.evaluate(hour=2.0, bid=0.25)
-        assert not record.running
-        assert record.charged == 0.0
-
-    def test_bid_equal_to_price_runs(self, trace):
-        record = SpotMarket(trace).evaluate(hour=1.0, bid=0.20)
-        assert record.running
-
-    def test_run_fixed_bid(self, trace):
-        records = SpotMarket(trace).run_fixed_bid(0.0, 4, bid=0.20)
-        assert [r.running for r in records] == [True, True, False, True]
-        total = sum(r.charged for r in records)
-        assert total == pytest.approx(0.10 + 0.20 + 0.15)
 
 
 class TestSummaries:

@@ -75,6 +75,22 @@ class TestAdaptation:
         assert result.completed
         assert result.deadline_met  # the paper's Fig. 12 outcome
 
+    def test_each_plan_builds_its_problem_once(self, monkeypatch):
+        calls = []
+        problem = JobController._problem
+
+        def counted(self, state, deadline_override=None):
+            calls.append(deadline_override)
+            return problem(self, state, deadline_override)
+
+        monkeypatch.setattr(JobController, "_problem", counted)
+        actual = ActualConditions(
+            throughput_gb_per_hour={"ec2.m1.large": 0.1, "ec2.m1.xlarge": 0.1}
+        )
+        result = run_controller(actual=actual)
+        assert result.replans >= 1
+        assert calls == [None] * (1 + result.replans)  # no horizon extension
+
     def test_underestimated_rate_detected(self):
         # Derate every instance type so the planner cannot dodge the
         # misprediction by switching types.

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.accounting import CostCategory
-from repro.cloud import public_cloud
+from repro.cloud import SpotTrace, public_cloud
 from repro.core import Goal, NetworkConditions, Planner, PlannerJob, PlanningProblem
 from repro.core.conditions import ActualConditions
 from repro.core.executor import FluidExecutor
+from repro.core.plan import PlanInterval
 from repro.core.problem import SystemState
+from repro.core.spot_sim import spot_services
 
 NET = NetworkConditions.from_mbit_s(16.0)
 
@@ -98,3 +100,46 @@ class TestExecution:
             ):
                 assert gb >= -1e-9
             assert state.source_remaining_gb >= -1e-9
+
+
+class TestSpotMarketRule:
+    """EC2 spot semantics (Section 4.7): a held bid at or above the
+    market price runs and is charged the market price, not the bid."""
+
+    PRICES = [0.10, 0.20, 0.30, 0.15]
+
+    def run_hour(self, hour, bid):
+        services = spot_services()
+        spot = services[0].name
+        job = PlannerJob(name="x", input_gb=1.0)
+        problem = PlanningProblem(
+            job=job, services=services, network=NET,
+            goal=Goal.min_cost(deadline_hours=4.0),
+        )
+        actual = ActualConditions(spot_traces={spot: SpotTrace(self.PRICES)})
+        executor = FluidExecutor(problem, actual, hour_offset=hour)
+        executor.bids[spot] = bid
+        interval = PlanInterval(
+            index=0, start_hour=0.0, duration_hours=1.0, nodes={spot: 2}
+        )
+        outcome = executor.execute_interval(interval, SystemState.initial(job))
+        compute = [e for e in executor.ledger if e.category is CostCategory.COMPUTE]
+        return spot, outcome, compute
+
+    def test_charged_market_price_not_bid(self):
+        spot, outcome, compute = self.run_hour(hour=0.0, bid=0.50)
+        assert outcome.nodes == {spot: 2}
+        assert [e.unit_price for e in compute] == [0.10]
+        assert sum(e.amount for e in compute) == pytest.approx(2 * 0.10)
+
+    def test_bid_equal_to_price_runs(self):
+        spot, outcome, compute = self.run_hour(hour=1.0, bid=0.20)
+        assert outcome.nodes == {spot: 2}
+        assert outcome.outbid_services == []
+        assert [e.unit_price for e in compute] == [0.20]
+
+    def test_outbid_terminates_and_charges_nothing(self):
+        spot, outcome, compute = self.run_hour(hour=2.0, bid=0.25)
+        assert spot not in outcome.nodes
+        assert outcome.outbid_services == [spot]
+        assert compute == []

@@ -1,7 +1,9 @@
-"""Tests for the extended spot predictors and bidding strategies."""
+"""Tests for the spot predictors beyond the paper's, and bidding strategies."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.spot import SpotTrace
 from repro.cloud.traces import aws_like_trace, constant_trace, electricity_like_trace
@@ -105,7 +107,7 @@ class TestQuantile:
         q100 = QuantilePredictor(window_days=5, quantile=1.0)
         wmax = WindowMaxPredictor(window_days=5)
         now = 24.0 * 7
-        assert np.allclose(
+        assert np.array_equal(
             q100.estimate(diurnal, now, 24), wmax.estimate(diurnal, now, 24)
         )
 
@@ -120,6 +122,48 @@ class TestQuantile:
             QuantilePredictor(0, 0.5)
         with pytest.raises(ValueError):
             QuantilePredictor(5, 0.0)
+
+
+def same_hour_reference(trace, now, horizon, days, reduce):
+    """Each future hour reduced over the same hour on the last ``days``
+    days, one ``price_at`` per sample; no history -> the current price."""
+    estimates = []
+    for h in range(horizon):
+        samples = [
+            trace.price_at(now + h - 24.0 * day)
+            for day in range(1, days + 1)
+            if now + h - 24.0 * day >= trace.start_hour
+        ]
+        estimates.append(reduce(samples) if samples else trace.price_at(now))
+    return np.asarray(estimates)
+
+
+class TestSameHourWindow:
+    @given(
+        prices=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=120),
+        start=st.sampled_from([0.0, 0.5, 7.0, 30.25]),
+        now=st.one_of(st.integers(-30, 200).map(float), st.floats(-30.0, 200.0)),
+        horizon=st.integers(1, 30),
+        days=st.integers(1, 14),
+        quantile=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_predictors_match_per_hour_reference(
+        self, prices, start, now, horizon, days, quantile
+    ):
+        # ``now`` spans hours before the first full day and past the end.
+        trace = SpotTrace(np.asarray(prices), start_hour=start)
+        cases = [
+            (WindowMaxPredictor(days), max),
+            (SeasonalNaivePredictor(days), lambda xs: float(np.mean(xs))),
+            (QuantilePredictor(days, quantile),
+             lambda xs: float(np.quantile(xs, quantile))),
+        ]
+        for predictor, reduce in cases:
+            assert np.array_equal(
+                predictor.estimate(trace, now, horizon),
+                same_hour_reference(trace, now, horizon, days, reduce),
+            ), predictor.name
 
 
 class TestMarginBidder:

@@ -146,6 +146,17 @@ class TestSubmit:
         assert "via cache" in out
         assert "predicted cost" in out
 
+    def test_submit_writes_metrics_json(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "metrics.json"
+        assert main(
+            ["submit", "--input-gb", "4", "--deadline", "3", "--repeat", "3",
+             "--metrics-json", str(path), *SERVICE_ARGS]
+        ) == 0
+        snapshot = json.loads(path.read_text())
+        assert snapshot["counters"]["submitted"] == 3
+
     def test_submit_infeasible_fails(self, capsys):
         assert main(
             ["submit", "--input-gb", "64", "--deadline", "2", *SERVICE_ARGS]

@@ -288,7 +288,6 @@ class Orchestrator:
         self,
         spec: JobSpec,
         *,
-        controller_config=None,
         predictor=None,
         trace=None,
         trace_offset_hours: float = 0.0,
@@ -301,7 +300,7 @@ class Orchestrator:
         so a resumed run is configured exactly like the run that wrote
         the snapshot.  Raises :class:`OrchestratorError` (``bad_request``)
         for inputs the controller rejects, e.g. a spot catalog without a
-        predictor.
+        predictor or an unknown ``backend`` — before any solve.
         """
         services, goal, network, problem_kwargs = self._controller_inputs(spec)
         try:
@@ -311,7 +310,6 @@ class Orchestrator:
                 goal,
                 network=network,
                 planner=self.planner,
-                config=controller_config,
                 predictor=predictor,
                 trace=trace,
                 trace_offset_hours=trace_offset_hours,
@@ -331,7 +329,6 @@ class Orchestrator:
         tenant: str = "default",
         actual=None,
         on_event=None,
-        controller_config=None,
         predictor=None,
         trace=None,
         trace_offset_hours: float = 0.0,
@@ -367,13 +364,13 @@ class Orchestrator:
         ``run_end``.  If ``begin`` has not been called yet, the
         orchestrator opens it here with the canonical deploy scenario
         (``tenant``, ``spec.to_dict()``, plus the serializable
-        conditions/config knobs), so identical deployments trace under
-        identical run ids and replay can rebuild the run.  A spot-catalog
-        deploy (price ``trace``/``spot_traces``) is not replayable from a
-        deploy scenario — trace those under the fleet runtime, whose
-        scenario names its synthetic trace — so auto-begin rejects it; a
-        caller that begins the tracer itself takes over that
-        responsibility.
+        conditions, trace offset and backend), so identical deployments
+        trace under identical run ids and replay can rebuild the run.  A
+        spot-catalog deploy (price ``trace``/``spot_traces``) is not
+        replayable from a deploy scenario — trace those under the fleet
+        runtime, whose scenario names its synthetic trace — so auto-begin
+        rejects it; a caller that begins the tracer itself takes over
+        that responsibility.
         """
         auto_begin = tracer is not None and not tracer.run_id
         if auto_begin and (
@@ -386,7 +383,6 @@ class Orchestrator:
             ))
         controller = self._controller(
             spec,
-            controller_config=controller_config,
             predictor=predictor,
             trace=trace,
             trace_offset_hours=trace_offset_hours,
@@ -394,8 +390,6 @@ class Orchestrator:
             backend_options=backend_options,
         )
         if auto_begin:
-            from dataclasses import asdict
-
             from .. import __version__
 
             scenario = {"tenant": tenant, "spec": spec.to_dict()}
@@ -408,8 +402,6 @@ class Orchestrator:
                     "downlink_factor": actual.downlink_factor,
                     "spot_storage_volatile": actual.spot_storage_volatile,
                 }
-            if controller_config is not None:
-                scenario["controller_config"] = asdict(controller_config)
             if trace_offset_hours:
                 scenario["trace_offset_hours"] = trace_offset_hours
             if backend != "sim":
@@ -490,7 +482,6 @@ class Orchestrator:
         substrate,
         *,
         fleet_config=None,
-        controller_config=None,
         predictor=None,
         on_event=None,
         actual_rates=None,
@@ -537,7 +528,6 @@ class Orchestrator:
                     goal,
                     network=network,
                     predictor=predictor,
-                    controller_config=controller_config,
                     actual_rates=(actual_rates or {}).get(tenant),
                     problem_kwargs=problem_kwargs,
                 )

@@ -634,8 +634,8 @@ class PlanResponseV1(_Schema):
 #: Kinds of deploy events a v1 stream may carry.  ``interval`` is one
 #: executed plan interval; ``replan`` (additive in the fleet runtime
 #: work) announces an adopted re-plan, with ``trigger`` naming the
-#: taxonomy entry (see :data:`repro.core.triggers.TRIGGER_KINDS`) and
-#: ``reason`` the human-readable cause.
+#: taxonomy entry (see ``docs/adaptation.md``) and ``reason`` the
+#: human-readable cause.
 DEPLOY_EVENT_KINDS = ("interval", "replan")
 
 

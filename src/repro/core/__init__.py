@@ -91,20 +91,6 @@ from .problem import (
     PlanningProblem,
     SystemState,
 )
-from .triggers import (
-    TRIGGER_KINDS,
-    DeviationTrigger,
-    EvictionTrigger,
-    FailureTrigger,
-    IntervalTrigger,
-    PriceTrigger,
-    ReplanDecision,
-    Trigger,
-    TriggerContext,
-    TriggerPolicy,
-    default_trigger_policy,
-    interval_trigger_policy,
-)
 
 __all__ = [
     "Ar1Predictor",
@@ -113,20 +99,8 @@ __all__ = [
     "ControllerConfig",
     "ControllerResult",
     "ControllerRun",
-    "DeviationTrigger",
-    "EvictionTrigger",
-    "FailureTrigger",
-    "IntervalTrigger",
     "JobController",
-    "PriceTrigger",
-    "ReplanDecision",
     "ReplanRecord",
-    "TRIGGER_KINDS",
-    "Trigger",
-    "TriggerContext",
-    "TriggerPolicy",
-    "default_trigger_policy",
-    "interval_trigger_policy",
     "CostCategory",
     "RateObservation",
     "RecurringRunResult",

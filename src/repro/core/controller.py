@@ -25,9 +25,9 @@ Two ways to drive it:
   many deployments over one simulated substrate, injecting event-driven
   re-plans between steps via :meth:`ControllerRun.request_replan`.
 
-*When* to re-plan is delegated to a pluggable
-:class:`~repro.core.triggers.TriggerPolicy`; the default reproduces the
-paper's monitor (eviction, failure, deviation, price).
+*When* to re-plan is decided by :meth:`ControllerRun.monitor`, the
+paper's monitor (eviction, failure, deviation, price), or — for a
+controller built with ``cadence_hours`` — by a fixed cadence alone.
 """
 
 from __future__ import annotations
@@ -53,28 +53,29 @@ from .problem import (
     PlanningProblem,
     SystemState,
 )
-from .triggers import TriggerContext, TriggerPolicy, default_trigger_policy
 
 _EPS = 1e-9
+
+#: Relative progress shortfall (vs. plan) that triggers re-planning.
+DEVIATION_THRESHOLD = 0.15
+#: Relative node-rate misestimate that updates beliefs and re-plans.
+RATE_DEVIATION_THRESHOLD = 0.15
+#: Relative spot price misestimate that triggers re-planning.
+PRICE_DEVIATION_THRESHOLD = 0.25
+#: When the remaining deadline is infeasible, extend the horizon by this
+#: factor per attempt, up to ``MAX_HORIZON_FACTOR`` times the deadline
+#: (the job then *misses* the deadline but still completes, as a real
+#: deployment would).
+HORIZON_EXTENSION = 1.5
+MAX_HORIZON_FACTOR = 4.0
 
 
 @dataclass
 class ControllerConfig:
-    """Monitoring and adaptation policy knobs."""
+    """Adaptation knobs a caller may set."""
 
-    #: Relative progress shortfall (vs. plan) that triggers re-planning.
-    deviation_threshold: float = 0.15
-    #: Relative spot price misestimate that triggers re-planning.
-    price_deviation_threshold: float = 0.25
-    #: Relative node-rate misestimate that updates beliefs and re-plans.
-    rate_deviation_threshold: float = 0.15
     #: Hard cap on re-planning rounds (runaway guard).
     max_replans: int = 64
-    #: When the remaining deadline is infeasible, extend the horizon by
-    #: this factor per attempt (the job then *misses* the deadline but
-    #: still completes, as a real deployment would).
-    horizon_extension: float = 1.5
-    max_horizon_factor: float = 4.0
     #: Map task size used for the completed-task series (Fig. 12b).
     split_mb: float = 64.0
 
@@ -83,7 +84,7 @@ class ControllerConfig:
 class ReplanRecord:
     """One re-planning round: when, why, and which plan it produced.
 
-    ``kind`` is the trigger taxonomy of :mod:`repro.core.triggers`
+    ``kind`` is the trigger taxonomy of ``docs/adaptation.md``
     (``interval`` / ``deviation`` / ``price`` / ``eviction`` /
     ``failure`` / ``capacity``), plus ``exhausted`` for the controller's
     forced re-plan when the plan ran out with work remaining, and
@@ -140,10 +141,20 @@ class JobController:
         trace: SpotTrace | None = None,
         trace_offset_hours: float = 0.0,
         problem_kwargs: dict | None = None,
-        triggers: TriggerPolicy | None = None,
+        cadence_hours: float | None = None,
         backend: str = "sim",
         backend_options: dict | None = None,
     ) -> None:
+        # Imported lazily, as in ``_executor``: repro.exec sits above core.
+        from ..exec import BACKENDS
+
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown execution backend {backend!r}; "
+                f"expected one of {list(BACKENDS)}"
+            )
+        if cadence_hours is not None and cadence_hours <= 0:
+            raise ValueError("cadence_hours must be positive")
         self.job = job
         self.services = list(services)
         self.goal = goal
@@ -154,7 +165,10 @@ class JobController:
         self.trace = trace
         self.trace_offset_hours = trace_offset_hours
         self.problem_kwargs = dict(problem_kwargs or {})
-        self.triggers = triggers or default_trigger_policy()
+        #: ``None``: re-plan when :meth:`ControllerRun.monitor` says so.
+        #: A number: re-plan only when a multiple of it is crossed (the
+        #: fleet's cadence; the fleet runs the monitor itself).
+        self.cadence_hours = cadence_hours
         #: Execution backend selector (see :mod:`repro.exec.base`).
         self.backend = backend
         self.backend_options = dict(backend_options or {})
@@ -272,15 +286,15 @@ class JobController:
         deadline = float(self.goal.deadline_hours or 0.0)
         horizon = max(deadline, state.hour + 1.0)
         last_error: PlanningError | None = None
-        while horizon <= deadline * self.config.max_horizon_factor:
-            horizon = math.ceil(horizon * self.config.horizon_extension)
+        while horizon <= deadline * MAX_HORIZON_FACTOR:
+            horizon = math.ceil(horizon * HORIZON_EXTENSION)
             try:
                 problem = self._problem(state, deadline_override=float(horizon))
                 return self.planner.plan(problem), problem
             except PlanningError as exc:
                 last_error = exc
         raise PlanningError(
-            f"no feasible plan within {self.config.max_horizon_factor}x deadline",
+            f"no feasible plan within {MAX_HORIZON_FACTOR}x deadline",
             status="infeasible",
             budgeted=self.goal.budget_usd is not None,
         ) from last_error
@@ -361,9 +375,8 @@ class ControllerRun:
         self.controller = controller
         self.actual = actual or ActualConditions.as_predicted()
         self.on_replan = on_replan
-        config = controller.config
         self.deadline = float(controller.goal.deadline_hours or 0.0)
-        self.max_hours = self.deadline * config.max_horizon_factor
+        self.max_hours = self.deadline * MAX_HORIZON_FACTOR
         self.state = SystemState.initial(controller.job)
         self.ledger = CostLedger()
         self.outcomes: list[IntervalOutcome] = []
@@ -409,9 +422,9 @@ class ControllerRun:
         The event-driven entry point: the fleet scheduler calls this
         when a substrate event (price spike, eviction, node failure,
         capacity change) concerns this deployment, instead of waiting
-        for the controller's own trigger policy.  With ``learn=True``
-        the last interval's observed node rates are folded into the
-        model first (the deviation-trigger semantics).  Returns
+        for the controller's own cadence.  With ``learn=True`` the last
+        interval's observed node rates are folded into the model first
+        (the monitor's semantics).  Returns
         ``False`` — and schedules nothing — when the run is already
         done, the ``max_replans`` cap is reached, or a re-plan is
         already pending: one re-plan serves every cause that arrived in
@@ -430,8 +443,9 @@ class ControllerRun:
 
         Order of business: adopt any re-plan requested since the last
         step, refresh spot bids, execute one interval against the actual
-        conditions, then consult the trigger policy (and the
-        plan-exhausted fallback) for a reactive re-plan.
+        conditions, then consult :meth:`monitor` — or, with
+        ``cadence_hours``, the cadence alone — and the plan-exhausted
+        fallback for a reactive re-plan.
         """
         if self.done:
             return None
@@ -461,9 +475,20 @@ class ControllerRun:
         # of the next step, so streamed events stay in causal order:
         # the triggering interval first, then its re-plan, then the
         # first interval the new plan executes.
-        decision = controller.triggers.check(self.trigger_context(outcome))
+        cadence = controller.cadence_hours
+        if cadence is None:
+            decision = self.monitor(outcome)
+        else:
+            # A cadence mark in (start, end] schedules a re-plan before
+            # the next interval; nothing else does.
+            start = outcome.start_hour
+            mark = int((start + outcome.duration_hours + _EPS) / cadence)
+            decision = (
+                ("interval", f"scheduled re-plan at t={mark * cadence:g} h")
+                if mark > int((start + _EPS) / cadence) else None
+            )
         if decision is not None and self.replans < config.max_replans:
-            self._pending = (decision.kind, decision.reason, True)
+            self._pending = (*decision, True)
         elif state.hour >= plan.intervals[-1].end_hour - _EPS:
             # Plan exhausted but work remains (e.g. persistent out-bid):
             # force a re-plan to keep making progress.
@@ -475,22 +500,52 @@ class ControllerRun:
             )
         return outcome
 
-    def trigger_context(self, outcome: IntervalOutcome) -> TriggerContext:
-        """The :class:`TriggerContext` for one executed interval — also
-        used by the fleet scheduler to run its own policies over a
-        deployment it is stepping."""
+    def monitor(self, outcome: IntervalOutcome) -> tuple[str, str] | None:
+        """The paper's monitor: ``(kind, reason)`` if ``outcome`` shows the
+        world has left the model, else ``None``.
+
+        Hard evidence first — out-bid spot instances (``eviction``),
+        destroyed spot storage then failed workers (``failure``) — then
+        a progress shortfall or a node rate off belief (``deviation``),
+        then a realized spot price off the plan's estimate (``price``).
+        The fleet scheduler calls this itself for the deployments it
+        steps.
+        """
+        if outcome.outbid_services:
+            return "eviction", f"out-bid on {','.join(outcome.outbid_services)}"
+        if outcome.spot_data_lost_gb > 1e-6:
+            return "failure", (
+                f"spot storage loss of {outcome.spot_data_lost_gb:.1f} GB"
+            )
+        if outcome.failed_services:
+            return "failure", (
+                f"worker failure on {','.join(sorted(outcome.failed_services))}"
+            )
+        if outcome.map_shortfall > DEVIATION_THRESHOLD:
+            return "deviation", f"progress shortfall {outcome.map_shortfall:.0%}"
         controller = self.controller
-        return TriggerContext(
-            outcome=outcome,
-            config=controller.config,
-            job=controller.job,
-            believed=dict(controller._believed),
-            estimates=self._estimates,
-            spot_names=tuple(controller._spot_names),
-            trace=controller.trace,
-            trace_offset_hours=controller.trace_offset_hours,
-            replans=self.replans,
-        )
+        scale = controller.job.throughput_scale
+        for name, observed in outcome.observed_rates.items():
+            believed = controller._believed.get(name, 0.0) * scale
+            if believed <= 0:
+                continue
+            rel = abs(observed - believed) / believed
+            if rel > RATE_DEVIATION_THRESHOLD:
+                return "deviation", f"rate deviation on {name}: {rel:.0%}"
+        trace = controller.trace
+        if trace is None or not controller._spot_names or not self._estimates:
+            return None
+        realized = trace.price_at(controller.trace_offset_hours + outcome.start_hour)
+        for name in controller._spot_names:
+            series = self._estimates.get(name)
+            if series is None or len(series) == 0:
+                continue
+            expected = float(series[min(max(outcome.index - 1, 0), len(series) - 1)])
+            if expected > 0 and (
+                abs(realized - expected) / expected > PRICE_DEVIATION_THRESHOLD
+            ):
+                return "price", f"spot price deviation on {name}"
+        return None
 
     def result(self) -> ControllerResult:
         """The :class:`ControllerResult` for the run so far.

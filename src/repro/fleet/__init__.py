@@ -46,8 +46,8 @@ The same run is available as ``python -m repro fleet`` (streaming each
 interval and re-plan as versioned ``deploy_event`` JSON lines) and is
 benchmarked against fixed-interval re-planning in
 ``benchmarks/bench_fleet_adaptation.py``.  The trigger taxonomy the
-events map onto lives in :mod:`repro.core.triggers`; the narrative
-documentation is ``docs/adaptation.md``.
+events map onto, and the narrative documentation, are in
+``docs/adaptation.md``.
 """
 
 from .events import (

@@ -10,8 +10,8 @@ re-plans for the deployments it concerns.
 
 Every event carries the absolute substrate ``hour`` it happened and the
 ``service`` it concerns, plus a ``kind`` from the replan-trigger
-taxonomy (:data:`repro.core.triggers.TRIGGER_KINDS`) so events map 1:1
-onto the ``replan`` records they cause.
+taxonomy (``docs/adaptation.md``) so events map 1:1 onto the ``replan``
+records they cause.
 """
 
 from __future__ import annotations

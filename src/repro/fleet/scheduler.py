@@ -33,11 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.conditions import ActualConditions
-from ..core.controller import ControllerConfig, ControllerResult, JobController
+from ..core.controller import ControllerResult, JobController
 from ..core.planner import Planner
 from ..core.problem import Goal, NetworkConditions, PlannerJob
 from ..core.predictor import SpotPredictor
-from ..core.triggers import default_trigger_policy, interval_trigger_policy
 from .events import CapacityChange, NodeFailure, SubstrateEvent
 from .replanner import CachingPlanner
 from .substrate import Substrate
@@ -70,8 +69,15 @@ class FleetConfig:
     backend_options: dict | None = None
 
     def __post_init__(self) -> None:
+        # Imported lazily: importing repro.fleet does not load the backends.
+        from ..exec import BACKENDS
+
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; pick one of {MODES}")
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; pick one of {BACKENDS}"
+            )
         if self.interval_cadence_hours <= 0:
             raise ValueError("interval_cadence_hours must be positive")
         if self.replan_budget < 0:
@@ -257,17 +263,17 @@ class FleetScheduler:
         *,
         network: NetworkConditions | None = None,
         predictor: SpotPredictor | None = None,
-        controller_config: ControllerConfig | None = None,
         actual_rates: dict[str, float] | None = None,
         problem_kwargs: dict | None = None,
     ) -> FleetDeployment:
         """Register one deployment with the fleet.
 
         The controller is wired for fleet control: it plans through the
-        shared :class:`CachingPlanner`, runs the fixed-cadence
-        :func:`interval_trigger_policy` internally (event reactions are
-        the *scheduler's* job), executes against the substrate's spot
-        traces, and starts at the substrate's ``start_hour``.
+        shared :class:`CachingPlanner`, re-plans on the fleet's fixed
+        cadence internally (event reactions are the *scheduler's* job,
+        via :meth:`ControllerRun.monitor`), executes against the
+        substrate's spot traces, and starts at the substrate's
+        ``start_hour``.
         ``actual_rates`` injects ground-truth per-node throughputs (the
         Fig. 12 misprediction experiments); substrate node failures
         degrade these live.
@@ -294,12 +300,11 @@ class FleetScheduler:
             goal,
             network=network,
             planner=self.replanner,
-            config=controller_config,
             predictor=predictor,
             trace=trace,
             trace_offset_hours=self.config.start_hour,
             problem_kwargs=problem_kwargs,
-            triggers=interval_trigger_policy(self.config.interval_cadence_hours),
+            cadence_hours=self.config.interval_cadence_hours,
             backend=self.config.backend,
             backend_options=self.config.backend_options,
         )
@@ -359,7 +364,6 @@ class FleetScheduler:
         from ..api.schemas import DeployEventV1
 
         config = self.config
-        event_policy = default_trigger_policy()
         all_events: list[SubstrateEvent] = []
         peak_demand: dict[str, int] = {}
         finished: set[int] = set()
@@ -451,7 +455,7 @@ class FleetScheduler:
                 if deployment.run.done:
                     finish(deployment, now + config.step_hours)
                 elif config.mode == "event":
-                    self._react_to_outcome(deployment, outcome, event_policy)
+                    self._react_to_outcome(deployment, outcome)
             for service, nodes in demand.items():
                 peak_demand[service] = max(peak_demand.get(service, 0), nodes)
             elapsed += config.step_hours
@@ -522,13 +526,17 @@ class FleetScheduler:
             # catalog (``max_nodes``), so the next re-plan — whoever
             # triggers it — solves within it; an immediate re-plan is
             # only worth a budget unit for deployments whose active plan
-            # violates the limit.
+            # violates the limit in an interval still to run.
             for deployment in concerned:
                 self._apply_capacity(deployment, event.service, capacity)
             concerned = [
                 d for d in concerned
                 if capacity is not None
-                and d.run.plans[-1].peak_nodes(event.service) > capacity
+                and any(
+                    interval.nodes.get(event.service, 0) > capacity
+                    for interval in d.run.plans[-1].intervals
+                    if interval.end_hour > d.run.state.hour + _EPS
+                )
             ]
         if self.config.mode != "event":
             return
@@ -546,16 +554,13 @@ class FleetScheduler:
             for s in controller.services
         ]
 
-    def _react_to_outcome(
-        self, deployment: FleetDeployment, outcome, policy
-    ) -> None:
-        """Deviation/price/eviction reactions the controller's interval
-        policy no longer performs — in fleet mode they belong here."""
-        decision = policy.check(deployment.run.trigger_context(outcome))
+    def _react_to_outcome(self, deployment: FleetDeployment, outcome) -> None:
+        """Deviation/price/eviction reactions the controller's cadence
+        does not perform — in fleet mode they belong here."""
+        decision = deployment.run.monitor(outcome)
         if decision is not None:
-            self._request(
-                deployment, decision.kind, decision.reason, learn=True
-            )
+            kind, reason = decision
+            self._request(deployment, kind, reason, learn=True)
 
     def _request(
         self,

@@ -163,11 +163,6 @@ def _deploy_kwargs(scenario: dict) -> dict:
                 data.get("spot_storage_volatile", True)
             ),
         )
-    config = scenario.get("controller_config")
-    if config:
-        from ..core.controller import ControllerConfig
-
-        kwargs["controller_config"] = ControllerConfig(**config)
     offset = scenario.get("trace_offset_hours")
     if offset:
         kwargs["trace_offset_hours"] = float(offset)

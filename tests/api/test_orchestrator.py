@@ -20,6 +20,7 @@ from repro.api import (
     error_v1_from_exception,
 )
 from repro.core.conditions import ActualConditions
+from repro.core.planner import Planner
 from repro.obs.trace import RunTracer, TraceCollector
 from repro.service import ServiceConfig
 
@@ -27,6 +28,13 @@ INLINE = ServiceConfig(pool_mode="inline", max_workers=1)
 
 SPEC = JobSpec(input_gb=4.0, goal=GoalSpec(deadline_hours=3.0))
 INFEASIBLE = JobSpec(input_gb=64.0, goal=GoalSpec(deadline_hours=2.0))
+
+
+class NoSolve(Planner):
+    """A planner that fails the test if anything reaches the solver."""
+
+    def plan(self, problem):
+        raise AssertionError("solved before the request was validated")
 
 
 class TestPlan:
@@ -155,6 +163,24 @@ class TestDeploy:
         with pytest.raises(OrchestratorError) as excinfo:
             Orchestrator().deploy(spec)
         assert excinfo.value.error.code == "bad_request"
+
+    def test_unknown_backend_is_bad_request_before_any_solve(self):
+        with pytest.raises(OrchestratorError) as excinfo:
+            Orchestrator(planner=NoSolve()).deploy(SPEC, backend="nope")
+        assert excinfo.value.error.code == "bad_request"
+        assert "unknown execution backend 'nope'" in str(excinfo.value)
+
+    def test_fleet_with_unknown_backend_is_bad_request_before_any_solve(self):
+        from repro.fleet import FleetConfig, Substrate
+
+        config = FleetConfig()
+        config.backend = "nope"  # past FleetConfig's own check
+        with pytest.raises(OrchestratorError) as excinfo:
+            Orchestrator(planner=NoSolve()).fleet(
+                [SPEC], Substrate({}), fleet_config=config,
+            )
+        assert excinfo.value.error.code == "bad_request"
+        assert "unknown execution backend 'nope'" in str(excinfo.value)
 
 
 #: The chaos deploy of ``tests/obs/test_replay.py``: nodes run at about

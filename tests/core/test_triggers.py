@@ -1,24 +1,27 @@
-"""Replan trigger policies: taxonomy, precedence, edge cases."""
+"""When a deployment re-plans: the monitor's taxonomy and precedence, the
+fixed cadence, and stepping a run."""
 
 import numpy as np
 import pytest
 
 from repro.cloud import SpotTrace, public_cloud
 from repro.core import (
+    CurrentPricePredictor,
     Goal,
-    IntervalTrigger,
     NetworkConditions,
     PlannerJob,
-    TriggerContext,
-    default_trigger_policy,
-    interval_trigger_policy,
 )
 from repro.core.conditions import ActualConditions
 from repro.core.controller import ControllerConfig, JobController
 from repro.core.executor import IntervalOutcome
+from repro.core.spot_sim import spot_services
 
 NET = NetworkConditions.from_mbit_s(16.0)
 JOB = PlannerJob(name="kmeans", input_gb=8.0)
+#: The believed per-node rate of ec2.m1.large, as the monitor scales it.
+LARGE_RATE = {s.name: s.throughput_gb_per_hour for s in public_cloud()}[
+    "ec2.m1.large"
+] * JOB.throughput_scale
 
 
 def outcome(index=2, start_hour=1.0, duration=1.0, **kwargs):
@@ -38,110 +41,118 @@ def outcome(index=2, start_hour=1.0, duration=1.0, **kwargs):
     )
 
 
-def context(out, **kwargs):
-    defaults = dict(
-        config=ControllerConfig(),
-        job=JOB,
-        believed={"ec2.m1.large": 1.0},
-    )
-    defaults.update(kwargs)
-    return TriggerContext(outcome=out, **defaults)
+@pytest.fixture(scope="module")
+def run():
+    """A planned, never-stepped run: its beliefs stay the catalog's."""
+    run = JobController(
+        JOB, public_cloud(), Goal.min_cost(deadline_hours=4.0), network=NET
+    ).start()
+    yield run
+    run.close()
 
 
 class TestDefaultPolicy:
-    def test_quiet_interval_fires_nothing(self):
-        ctx = context(outcome(observed_rates={"ec2.m1.large": 1.0}))
-        assert default_trigger_policy().check(ctx) is None
+    def test_quiet_interval_fires_nothing(self, run):
+        assert run.monitor(
+            outcome(observed_rates={"ec2.m1.large": LARGE_RATE})
+        ) is None
 
-    def test_eviction_has_highest_precedence(self):
+    def test_eviction_has_highest_precedence(self, run):
         out = outcome(
             outbid_services=["ec2.m1.large.spot"],
             spot_data_lost_gb=2.0,
             map_gb=0.0,  # also a 100% shortfall
         )
-        decision = default_trigger_policy().check(context(out))
-        assert decision.kind == "eviction"
-        assert "out-bid on ec2.m1.large.spot" in decision.reason
+        kind, reason = run.monitor(out)
+        assert kind == "eviction"
+        assert "out-bid on ec2.m1.large.spot" in reason
 
-    def test_storage_loss_is_a_failure(self):
-        decision = default_trigger_policy().check(
-            context(outcome(spot_data_lost_gb=1.5))
-        )
-        assert decision.kind == "failure"
-        assert "1.5 GB" in decision.reason
+    def test_storage_loss_is_a_failure(self, run):
+        kind, reason = run.monitor(outcome(spot_data_lost_gb=1.5))
+        assert kind == "failure"
+        assert "1.5 GB" in reason
+        kind, reason = run.monitor(outcome(failed_services=["ec2.m1.large"]))
+        assert (kind, reason) == ("failure", "worker failure on ec2.m1.large")
 
-    def test_progress_shortfall_is_a_deviation(self):
-        decision = default_trigger_policy().check(
-            context(outcome(map_gb=2.0, planned_map_gb=4.0))
-        )
-        assert decision.kind == "deviation"
-        assert "shortfall" in decision.reason
+    def test_progress_shortfall_is_a_deviation(self, run):
+        kind, reason = run.monitor(outcome(map_gb=2.0, planned_map_gb=4.0))
+        assert kind == "deviation"
+        assert "shortfall" in reason
 
-    def test_rate_deviation_uses_believed_rates(self):
-        out = outcome(observed_rates={"ec2.m1.large": 2.0})
-        decision = default_trigger_policy().check(
-            context(out, believed={"ec2.m1.large": 1.0})
+    def test_rate_deviation_uses_believed_rates(self, run):
+        kind, reason = run.monitor(
+            outcome(observed_rates={"ec2.m1.large": 2.0 * LARGE_RATE})
         )
-        assert decision.kind == "deviation"
-        assert "rate deviation" in decision.reason
+        assert kind == "deviation"
+        assert "rate deviation" in reason
         # Within threshold: quiet.
-        ok = outcome(observed_rates={"ec2.m1.large": 1.05})
-        assert default_trigger_policy().check(
-            context(ok, believed={"ec2.m1.large": 1.0})
+        assert run.monitor(
+            outcome(observed_rates={"ec2.m1.large": 1.05 * LARGE_RATE})
         ) is None
 
     def test_price_deviation_compares_estimate_to_trace(self):
-        trace = SpotTrace(np.full(48, 0.40), label="spiked")
-        out = outcome(index=1, observed_rates={})
-        ctx = context(
-            out,
+        # The plan is made at hour 0 from a 0.16 market; the market then
+        # spikes to 0.40 from hour 24.
+        trace = SpotTrace(np.r_[np.full(24, 0.16), np.full(24, 0.40)])
+        spot_run = JobController(
+            JOB,
+            spot_services(),
+            Goal.min_cost(deadline_hours=4.0),
+            network=NET,
+            predictor=CurrentPricePredictor(),
             trace=trace,
-            spot_names=("ec2.m1.large.spot",),
-            estimates={"ec2.m1.large.spot": np.full(6, 0.16)},
-        )
-        decision = default_trigger_policy().check(ctx)
-        assert decision.kind == "price"
-        # Estimates that match the market stay quiet.
-        ctx_ok = context(
-            out,
-            trace=trace,
-            spot_names=("ec2.m1.large.spot",),
-            estimates={"ec2.m1.large.spot": np.full(6, 0.40)},
-        )
-        assert default_trigger_policy().check(ctx_ok) is None
+        ).start()
+        try:
+            name = spot_services()[0].name
+            kind, reason = spot_run.monitor(outcome(index=1, start_hour=30.0))
+            assert (kind, reason) == ("price", f"spot price deviation on {name}")
+            # Estimates that match the market stay quiet.
+            assert spot_run.monitor(outcome(index=1, start_hour=1.0)) is None
+        finally:
+            spot_run.close()
+
+
+def replan_hours(cadence_hours, actual=None, input_gb=32.0, deadline=14.0,
+                 mbit_s=8.0):
+    result = JobController(
+        PlannerJob(name="kmeans", input_gb=input_gb),
+        public_cloud(),
+        Goal.min_cost(deadline_hours=deadline),
+        network=NetworkConditions.from_mbit_s(mbit_s),
+        cadence_hours=cadence_hours,
+    ).run(actual)
+    return [(r.hour, r.kind) for r in result.replan_records]
 
 
 class TestIntervalTrigger:
     def test_fires_exactly_on_cadence_crossings(self):
-        trigger = IntervalTrigger(6.0)
-        fired = [
-            bool(trigger.check(context(outcome(start_hour=float(h)))))
-            for h in range(12)
+        # Interval [1, 2) ends on the mark at 2 and re-plans at hour 2,
+        # not an interval later; the job completes at hour 10.
+        assert replan_hours(2.0) == [
+            (2.0, "interval"), (4.0, "interval"), (6.0, "interval"),
+            (8.0, "interval"),
         ]
-        # Interval [5, 6) ends on the mark at 6; [11, 12) on the one at 12.
-        assert fired == [False] * 5 + [True] + [False] * 5 + [True]
 
     def test_cadence_longer_than_interval(self):
-        trigger = IntervalTrigger(2.5)
-        hours = [h for h in range(10)
-                 if trigger.check(context(outcome(start_hour=float(h))))]
-        # Marks at 2.5, 5, 7.5, 10 land inside intervals [2,3), [4,5), ...
-        assert hours == [2, 4, 7, 9]
+        # Marks at 2.5, 5, 7.5 land inside intervals [2,3), [4,5), [7,8).
+        assert [h for h, _ in replan_hours(2.5)] == [3.0, 5.0, 8.0]
 
     def test_interval_policy_ignores_everything_else(self):
-        policy = interval_trigger_policy(6.0)
-        noisy = outcome(
-            start_hour=1.0,
-            outbid_services=["ec2.m1.large.spot"],
-            spot_data_lost_gb=3.0,
-            map_gb=0.0,
-            observed_rates={"ec2.m1.large": 9.0},
+        # Nodes twice as fast as believed: the monitor re-plans at once,
+        # a cadence controller only on its mark.
+        fast = ActualConditions(
+            throughput_gb_per_hour={"ec2.m1.large": 0.88, "ec2.m1.xlarge": 1.7}
         )
-        assert policy.check(context(noisy)) is None
+        small = dict(input_gb=8.0, deadline=6.0, mbit_s=16.0)
+        assert "deviation" in {k for _, k in replan_hours(None, fast, **small)}
+        assert replan_hours(2.0, fast, **small) == [(2.0, "interval")]
 
     def test_rejects_nonpositive_cadence(self):
-        with pytest.raises(ValueError):
-            IntervalTrigger(0.0)
+        with pytest.raises(ValueError, match="cadence_hours"):
+            JobController(
+                JOB, public_cloud(), Goal.min_cost(deadline_hours=4.0),
+                cadence_hours=0,
+            )
 
 
 class TestControllerRunStepping:

@@ -203,6 +203,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             FleetConfig(interval_cadence_hours=0.0)
 
+    def test_unknown_backend_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend 'nope'"):
+            FleetConfig(backend="nope")
+
 
 class TestCapacity:
     def test_capacity_drop_caps_subsequent_plans(self):
@@ -248,3 +252,31 @@ class TestCapacity:
             if outcome.start_hour >= 3.0:
                 assert outcome.nodes.get(SPOT, 0) <= 2
 
+
+    def test_capacity_drop_ignores_intervals_already_run(self):
+        # The plan's 8-node peak is in hour 5; the drop to 1 node lands at
+        # hour 6, and the one interval left needs 1 node.  Nothing still
+        # to run violates the limit, so no re-plan and no budget spent.
+        substrate = Substrate(
+            {SPOT: constant_trace(0.16, days=3)},
+            eviction_bids={SPOT: CEILING},
+            capacity={SPOT: 64},
+            capacity_schedule=[(6.0, SPOT, 1)],
+        )
+        fleet = FleetScheduler(
+            substrate, FleetConfig(mode="event", interval_cadence_hours=24.0)
+        )
+        fleet.add(
+            "late-drop",
+            PlannerJob(name="kmeans", input_gb=4.0),
+            spot_services(),
+            Goal.min_cost(deadline_hours=8.0),
+            network=NetworkConditions.from_mbit_s(8.0),
+            predictor=CurrentPricePredictor(),
+        )
+        summary = fleet.run().deployments[0]
+        executed = [o.nodes.get(SPOT, 0) for o in summary.result.outcomes]
+        assert max(executed[:6]) > 1
+        assert executed[6:] and max(executed[6:]) <= 1
+        assert "capacity" not in [r.kind for r in summary.result.replan_records]
+        assert summary.budget_remaining == 16

@@ -300,7 +300,8 @@ class Orchestrator:
         so a resumed run is configured exactly like the run that wrote
         the snapshot.  Raises :class:`OrchestratorError` (``bad_request``)
         for inputs the controller rejects, e.g. a spot catalog without a
-        predictor or an unknown ``backend`` — before any solve.
+        predictor, an unknown ``backend`` or backend option — before any
+        solve.
         """
         services, goal, network, problem_kwargs = self._controller_inputs(spec)
         try:

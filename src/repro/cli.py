@@ -275,6 +275,10 @@ def cmd_fleet(args) -> int:
     if not 0.0 <= args.failure_rate < 1.0:
         print("--failure-rate must be in [0, 1)", file=sys.stderr)
         return 2
+    if args.metrics_json and not args.trace_log:
+        print("--metrics-json requires --trace-log (the traced run is what "
+              "gets measured)", file=sys.stderr)
+        return 2
     scenario = {
         "deployments": args.deployments,
         "mode": args.mode,
@@ -323,7 +327,7 @@ def cmd_fleet(args) -> int:
         if writer is not None:
             writer.close()
     print(result.describe(), file=sys.stderr)
-    if args.metrics_json and registry is not None:
+    if args.metrics_json:
         _write_metrics_json(args.metrics_json, registry.snapshot())
     return 0 if result.completed == len(specs) else 1
 

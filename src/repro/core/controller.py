@@ -3,7 +3,9 @@
 The controller closes the loop the paper describes:
 
 1. generate a model and solve it for an execution plan;
-2. deploy the plan interval by interval (through the fluid executor);
+2. deploy the plan interval by interval (through the fluid executor,
+   which is the ``sim`` backend; ``pool``/``stub`` add a task runner
+   underneath it, see :mod:`repro.exec`);
 3. monitor execution progress and spot prices;
 4. on significant deviation — slower/faster nodes than modeled, out-bid
    spot instances, mispredicted prices — rebuild the model *from the
@@ -146,12 +148,18 @@ class JobController:
         backend_options: dict | None = None,
     ) -> None:
         # Imported lazily, as in ``_executor``: repro.exec sits above core.
-        from ..exec import BACKENDS
+        from ..exec import BACKENDS, DEFAULT_OPTIONS
 
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown execution backend {backend!r}; "
                 f"expected one of {list(BACKENDS)}"
+            )
+        unknown = set(backend_options or {}) - set(DEFAULT_OPTIONS)
+        if unknown:
+            raise ValueError(
+                f"unknown backend options {sorted(unknown)}; "
+                f"expected a subset of {sorted(DEFAULT_OPTIONS)}"
             )
         if cadence_hours is not None and cadence_hours <= 0:
             raise ValueError("cadence_hours must be positive")
@@ -169,7 +177,7 @@ class JobController:
         #: A number: re-plan only when a multiple of it is crossed (the
         #: fleet's cadence; the fleet runs the monitor itself).
         self.cadence_hours = cadence_hours
-        #: Execution backend selector (see :mod:`repro.exec.base`).
+        #: Execution backend selector (see :data:`repro.exec.BACKENDS`).
         self.backend = backend
         self.backend_options = dict(backend_options or {})
         self._spot_names = [s.name for s in self.services if s.is_spot]
@@ -220,8 +228,8 @@ class JobController:
 
     def _executor(self, problem: PlanningProblem, actual, ledger):
         # Imported lazily: repro.exec sits above core in the layering
-        # (it subclasses FluidExecutor), so a module-level import would
-        # be a cycle.
+        # (its WorkExecutor subclasses FluidExecutor), so a module-level
+        # import would be a cycle.
         from ..exec import make_executor
 
         return make_executor(
@@ -464,7 +472,7 @@ class ControllerRun:
         plan = self.plans[-1]
         interval = plan.interval_at(state.hour)
         controller._update_bids(self._executor, state)
-        outcome = self._executor.run_interval(interval, state)
+        outcome = self._executor.execute_interval(interval, state)
         self.outcomes.append(outcome)
         self.node_series.append((outcome.start_hour, sum(outcome.nodes.values())))
         self.task_series.append((state.hour, controller._completed_tasks(state)))

@@ -61,7 +61,15 @@ class IntervalOutcome:
 
 
 class FluidExecutor:
-    """Executes plan intervals, mutating a :class:`SystemState`."""
+    """Executes plan intervals, mutating a :class:`SystemState`.
+
+    This is the ``sim`` execution backend.  The real-work backends of
+    :mod:`repro.exec` subclass it and differ only in how a node batch
+    runs (a :class:`~repro.exec.work.TaskRunner`).
+    """
+
+    #: The backend selector this executor answers to.
+    name = "sim"
 
     def __init__(
         self,
@@ -146,6 +154,21 @@ class FluidExecutor:
         state.hour = hour + delta
         outcome.cost = self.ledger.total() - before
         return outcome
+
+    def rebind(self, problem: PlanningProblem) -> None:
+        """Adopt a re-planned problem in place.
+
+        ``actual``, the ledger, the hour offset and a subclass's runtime
+        state (worker pools, task counters) are run-scoped and survive;
+        stale spot bids do not matter, as the controller refreshes every
+        bid before each interval.
+        """
+        self.problem = problem
+        self.job = problem.job
+        self._services = {s.name: s for s in problem.services}
+
+    def close(self) -> None:
+        """Release backend resources; the simulator holds none."""
 
     def is_complete(self, state: SystemState) -> bool:
         job = self.job

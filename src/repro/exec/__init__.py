@@ -1,12 +1,20 @@
-"""Pluggable execution backends behind one :class:`Executor` protocol.
+"""Execution backends: the fluid executor, alone or on a task runner.
 
-See :mod:`repro.exec.base` for the protocol and the backend matrix, and
-``docs/executors.md`` for the narrative guide (including how to add a
-backend).
+``sim`` is :class:`~repro.core.executor.FluidExecutor` itself — the only
+deterministic backend (``repro replay --verify`` accepts only sim logs).
+``pool`` and ``stub`` are one :class:`WorkExecutor` that really executes
+each interval's planned map/reduce work as a task batch, on a local
+process pool (:class:`~repro.exec.pool.ProcessPoolRunner`) or in a
+subprocess speaking the container's JSON stdin/stdout contract
+(:class:`~repro.exec.stub.SubprocessRunner`).  All three share the fluid
+bookkeeping, so plan-only execution, shortfall reporting and ledger
+accounting hold identically; ``tests/exec`` asserts that over
+:data:`BACKENDS`, and ``docs/executors.md`` is the narrative guide.
 """
 
-from .base import BACKENDS, Executor, make_executor
-from .sim import SimExecutor
+from __future__ import annotations
+
+from ..core.executor import FluidExecutor
 from .tasks import (
     DEFAULT_TIMEOUT_S,
     TASK_KINDS,
@@ -20,17 +28,57 @@ from .tasks import (
     execute_task,
     execute_task_wire,
 )
-from .work import DEFAULT_OPTIONS, TaskReport, TaskRunner, WorkExecutor
+from .work import DEFAULT_OPTIONS, TaskRunner, WorkExecutor
+
+#: Execution backends :func:`make_executor` can build, in maturity order.
+BACKENDS = ("sim", "pool", "stub")
+
+
+def make_executor(
+    backend: str,
+    problem,
+    actual,
+    ledger=None,
+    *,
+    hour_offset: float = 0.0,
+    options: dict | None = None,
+) -> FluidExecutor:
+    """Build the named backend's executor.
+
+    ``options`` overrides :data:`DEFAULT_OPTIONS` (ignored by ``sim``).
+    Raises :class:`ValueError` for an unknown backend, listing
+    :data:`BACKENDS`.
+    """
+    if backend == "sim":
+        return FluidExecutor(problem, actual, ledger, hour_offset=hour_offset)
+    options = {**DEFAULT_OPTIONS, **(options or {})}
+    # The runners load concurrent.futures/subprocess machinery; import
+    # them on demand so ``import repro.exec`` stays light.
+    if backend == "pool":
+        from .pool import ProcessPoolRunner
+
+        runner = ProcessPoolRunner(max_workers=options["max_workers"])
+    elif backend == "stub":
+        from .stub import SubprocessRunner
+
+        runner = SubprocessRunner()
+    else:
+        raise ValueError(
+            f"unknown execution backend {backend!r}; "
+            f"expected one of {list(BACKENDS)}"
+        )
+    return WorkExecutor(
+        problem, actual, ledger, hour_offset=hour_offset,
+        name=backend, runner=runner, options=options,
+    )
+
 
 __all__ = [
     "BACKENDS",
     "DEFAULT_OPTIONS",
     "DEFAULT_TIMEOUT_S",
-    "Executor",
-    "SimExecutor",
     "TASK_KINDS",
     "TASK_STATUSES",
-    "TaskReport",
     "TaskResult",
     "TaskRunner",
     "TaskSpec",
@@ -43,17 +91,3 @@ __all__ = [
     "execute_task_wire",
     "make_executor",
 ]
-
-
-def __getattr__(name: str):
-    # Pool/stub classes import concurrent.futures/subprocess machinery;
-    # load them on demand so ``import repro.exec`` stays light.
-    if name == "PoolExecutor":
-        from .pool import PoolExecutor
-
-        return PoolExecutor
-    if name == "StubContainerExecutor":
-        from .stub import StubContainerExecutor
-
-        return StubContainerExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

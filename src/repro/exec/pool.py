@@ -1,4 +1,4 @@
-"""``backend="pool"``: local process-pool MapReduce execution.
+"""The ``pool`` runner: local process-pool MapReduce execution.
 
 Each interval's task batch runs on a
 :class:`concurrent.futures.ProcessPoolExecutor`, one worker process per
@@ -14,7 +14,7 @@ import concurrent.futures as futures
 from concurrent.futures.process import BrokenProcessPool
 
 from .tasks import TaskResult, TaskSpec, execute_task_wire
-from .work import TaskRunner, WorkExecutor
+from .work import TaskRunner
 
 
 class ProcessPoolRunner(TaskRunner):
@@ -91,13 +91,4 @@ class ProcessPoolRunner(TaskRunner):
             self._pool = None
 
 
-class PoolExecutor(WorkExecutor):
-    """See module docstring."""
-
-    name = "pool"
-
-    def _make_runner(self) -> TaskRunner:
-        return ProcessPoolRunner(max_workers=self.options["max_workers"])
-
-
-__all__ = ["PoolExecutor", "ProcessPoolRunner"]
+__all__ = ["ProcessPoolRunner"]

@@ -1,4 +1,4 @@
-"""``backend="stub"``: the container contract, minus the container.
+"""The ``stub`` runner: the container contract, minus the container.
 
 Each interval's task batch is shelled into a fresh subprocess running
 :mod:`repro.exec.handler` — the batch JSON goes in on stdin, the result
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .tasks import TaskResult, TaskSpec, decode_results, encode_batch
-from .work import TaskRunner, WorkExecutor
+from .work import TaskRunner
 
 #: Extra wall-clock (seconds) allowed for interpreter startup + imports.
 _STARTUP_SLACK_S = 15.0
@@ -97,13 +97,4 @@ class SubprocessRunner(TaskRunner):
         ]
 
 
-class StubContainerExecutor(WorkExecutor):
-    """See module docstring."""
-
-    name = "stub"
-
-    def _make_runner(self) -> TaskRunner:
-        return SubprocessRunner()
-
-
-__all__ = ["StubContainerExecutor", "SubprocessRunner"]
+__all__ = ["SubprocessRunner"]

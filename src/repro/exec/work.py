@@ -1,7 +1,8 @@
 """Real-work execution: planned intervals materialized as task batches.
 
-:class:`WorkExecutor` is the shared base of the process-pool and
-stub-container backends.  Per interval it
+:class:`WorkExecutor` is the ``pool`` and ``stub`` backends; the two
+differ only in the :class:`TaskRunner` :func:`repro.exec.make_executor`
+hands it.  Per interval it
 
 1. derives a batch of :class:`~repro.exec.tasks.TaskSpec` from the
    plan's map/reduce flows (one node schema for every backend),
@@ -18,8 +19,8 @@ can only *lower* the fluid capacity, never raise it above the plan.
 
 Runtime state (the worker pool, the task counter, collected reduce
 output) lives on the executor and survives re-planning via
-:meth:`~repro.exec.sim.SimExecutor.rebind` — a re-plan changes the
-believed world, not the substrate.
+:meth:`~repro.core.executor.FluidExecutor.rebind` — a re-plan changes
+the believed world, not the substrate.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from dataclasses import dataclass, field
 
 from ..accounting import CostLedger
 from ..core.conditions import ActualConditions
-from ..core.executor import IntervalOutcome
+from ..core.executor import FluidExecutor, IntervalOutcome
 from ..core.plan import PlanInterval
 from ..core.problem import PlanningProblem, SystemState
 from ..mapreduce.functions import resolve_reduce
-from .sim import SimExecutor
 from .tasks import DEFAULT_TIMEOUT_S, TaskResult, TaskSpec
 
 _EPS = 1e-9
@@ -81,15 +81,10 @@ class TaskReport:
     #: Services with at least one non-ok task this interval.
     failed_services: list[str] = field(default_factory=list)
 
-    @property
-    def failures(self) -> int:
-        return sum(1 for result in self.results if not result.ok)
 
-
-class WorkExecutor(SimExecutor):
-    """Fluid accounting capped by real task execution (see module doc)."""
-
-    name = "work"
+class WorkExecutor(FluidExecutor):
+    """Fluid accounting capped by real task execution (see module doc);
+    built by :func:`repro.exec.make_executor` with the full option dict."""
 
     def __init__(
         self,
@@ -97,19 +92,15 @@ class WorkExecutor(SimExecutor):
         actual: ActualConditions,
         ledger: CostLedger | None = None,
         hour_offset: float = 0.0,
-        options: dict | None = None,
+        *,
+        name: str,
+        runner: TaskRunner,
+        options: dict,
     ) -> None:
         super().__init__(problem, actual, ledger, hour_offset=hour_offset)
-        merged = dict(DEFAULT_OPTIONS)
-        unknown = set(options or {}) - set(merged)
-        if unknown:
-            raise ValueError(
-                f"unknown backend options {sorted(unknown)}; "
-                f"expected a subset of {sorted(merged)}"
-            )
-        merged.update(options or {})
-        self.options = merged
-        self._runner = self._make_runner()
+        self.name = name
+        self.options = options
+        self._runner = runner
         self._task_seq = 0
         self._report: TaskReport | None = None
         #: Map-task outputs awaiting a reduce task.
@@ -118,20 +109,14 @@ class WorkExecutor(SimExecutor):
         self.tasks_run = 0
         self.tasks_failed = 0
 
-    @abc.abstractmethod
-    def _make_runner(self) -> TaskRunner:
-        """The substrate this backend runs task batches on."""
-
-    # -- protocol ----------------------------------------------------------
-
-    def run_interval(
+    def execute_interval(
         self, interval: PlanInterval, state: SystemState
     ) -> IntervalOutcome:
         specs = self._plan_tasks(interval, state)
         report = self._execute_tasks(specs) if specs else None
         self._report = report
         try:
-            outcome = self.execute_interval(interval, state)
+            outcome = super().execute_interval(interval, state)
         finally:
             self._report = None
         if report is not None:

@@ -45,6 +45,9 @@ _EPS = 1e-9
 
 #: Fleet scheduling modes.
 MODES = ("event", "interval")
+#: Simulated step size (hours): the substrate's events are hourly, and
+#: every deployment's plan interval must match it.
+STEP_HOURS = 1.0
 
 
 @dataclass
@@ -58,32 +61,16 @@ class FleetConfig:
     interval_cadence_hours: float = 6.0
     #: Event-driven re-plans allowed per deployment (0 = interval-only).
     replan_budget: int = 16
-    #: Simulated step size; must match the deployments' interval length.
-    step_hours: float = 1.0
     #: Absolute substrate hour at which the fleet starts (trace offset).
     start_hour: float = 0.0
-    #: Execution backend every fleet deployment runs on
-    #: (see :data:`repro.exec.BACKENDS`).
-    backend: str = "sim"
-    #: Backend knobs for the real-execution backends (``None`` = defaults).
-    backend_options: dict | None = None
 
     def __post_init__(self) -> None:
-        # Imported lazily: importing repro.fleet does not load the backends.
-        from ..exec import BACKENDS
-
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; pick one of {MODES}")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; pick one of {BACKENDS}"
-            )
         if self.interval_cadence_hours <= 0:
             raise ValueError("interval_cadence_hours must be positive")
         if self.replan_budget < 0:
             raise ValueError("replan_budget must be non-negative")
-        if self.step_hours <= 0:
-            raise ValueError("step_hours must be positive")
 
 
 class FleetDeployment:
@@ -281,10 +268,10 @@ class FleetScheduler:
         services = list(services)
         problem_kwargs = dict(problem_kwargs or {})
         interval = float(problem_kwargs.get("interval_hours", 1.0))
-        if abs(interval - self.config.step_hours) > _EPS:
+        if abs(interval - STEP_HOURS) > _EPS:
             raise ValueError(
                 f"deployment interval of {interval} h does not match the "
-                f"fleet step of {self.config.step_hours} h"
+                f"fleet step of {STEP_HOURS} h"
             )
         spot_names = [s.name for s in services if s.is_spot]
         trace = None
@@ -305,8 +292,6 @@ class FleetScheduler:
             trace_offset_hours=self.config.start_hour,
             problem_kwargs=problem_kwargs,
             cadence_hours=self.config.interval_cadence_hours,
-            backend=self.config.backend,
-            backend_options=self.config.backend_options,
         )
         base_rates = {
             s.name: (actual_rates or {}).get(s.name, s.throughput_gb_per_hour)
@@ -419,7 +404,6 @@ class FleetScheduler:
                     "started",
                     hour=config.start_hour,
                     session_id=deployment.index,
-                    backend=config.backend if config.backend != "sim" else "",
                 )
 
         elapsed = 0.0
@@ -431,7 +415,7 @@ class FleetScheduler:
             if not active:
                 break
             now = config.start_hour + elapsed
-            events = self.substrate.advance(now, now + config.step_hours)
+            events = self.substrate.advance(now, now + STEP_HOURS)
             all_events.extend(events)
             if tracer is not None:
                 for event in events:
@@ -453,12 +437,12 @@ class FleetScheduler:
                         session_id=deployment.index,
                     ))
                 if deployment.run.done:
-                    finish(deployment, now + config.step_hours)
+                    finish(deployment, now + STEP_HOURS)
                 elif config.mode == "event":
                     self._react_to_outcome(deployment, outcome)
             for service, nodes in demand.items():
                 peak_demand[service] = max(peak_demand.get(service, 0), nodes)
-            elapsed += config.step_hours
+            elapsed += STEP_HOURS
 
         result = FleetResult(
             mode=config.mode,

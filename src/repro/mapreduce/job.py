@@ -89,8 +89,6 @@ class MapReduceJob:
 
     def make_map_tasks(self, chunks: list[BlockId]) -> list[Task]:
         """One map task per input chunk."""
-        import math
-
         tasks = []
         remaining = self.input_mb
         for index, block in enumerate(chunks):

@@ -21,6 +21,7 @@ from repro.api import (
 )
 from repro.core.conditions import ActualConditions
 from repro.core.planner import Planner
+from repro.exec import BACKENDS
 from repro.obs.trace import RunTracer, TraceCollector
 from repro.service import ServiceConfig
 
@@ -170,17 +171,16 @@ class TestDeploy:
         assert excinfo.value.error.code == "bad_request"
         assert "unknown execution backend 'nope'" in str(excinfo.value)
 
-    def test_fleet_with_unknown_backend_is_bad_request_before_any_solve(self):
-        from repro.fleet import FleetConfig, Substrate
-
-        config = FleetConfig()
-        config.backend = "nope"  # past FleetConfig's own check
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unknown_backend_option_is_bad_request_before_any_solve(
+        self, backend
+    ):
         with pytest.raises(OrchestratorError) as excinfo:
-            Orchestrator(planner=NoSolve()).fleet(
-                [SPEC], Substrate({}), fleet_config=config,
+            Orchestrator(planner=NoSolve()).deploy(
+                SPEC, backend=backend, backend_options={"task_gbb": 1},
             )
         assert excinfo.value.error.code == "bad_request"
-        assert "unknown execution backend 'nope'" in str(excinfo.value)
+        assert "unknown backend options ['task_gbb']" in str(excinfo.value)
 
 
 #: The chaos deploy of ``tests/obs/test_replay.py``: nodes run at about

@@ -4,7 +4,7 @@ One behavioural contract, three substrates: every test on
 :class:`ExecutorConformance` runs identically against each entry in
 :data:`repro.exec.BACKENDS` — ``tests/exec/test_conformance.py``
 instantiates one subclass per backend.  The suite pins the paper's
-deployment invariants at the protocol seam:
+deployment invariants at the backend seam:
 
 - **plan-only execution** — no outcome ever exceeds its interval's
   planned work, whatever actually ran underneath;
@@ -32,7 +32,8 @@ from repro.core import (
 from repro.core.conditions import ActualConditions
 from repro.core.controller import JobController
 from repro.core.spot_sim import spot_services
-from repro.exec import Executor, make_executor
+from repro.core.executor import FluidExecutor
+from repro.exec import make_executor
 
 NET = NetworkConditions.from_mbit_s(16.0)
 
@@ -73,7 +74,7 @@ class ExecutorConformance:
             actual or ActualConditions.as_predicted()
         )
 
-    # -- the protocol seam -------------------------------------------------
+    # -- the backend seam --------------------------------------------------
 
     def test_make_executor_builds_a_protocol_instance(self):
         controller = self.controller()
@@ -86,7 +87,7 @@ class ExecutorConformance:
             options=self.options(),
         )
         try:
-            assert isinstance(executor, Executor)
+            assert isinstance(executor, FluidExecutor)
             assert executor.name == self.backend
             assert executor.bids == {}
         finally:

@@ -203,10 +203,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             FleetConfig(interval_cadence_hours=0.0)
 
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend 'nope'"):
-            FleetConfig(backend="nope")
-
 
 class TestCapacity:
     def test_capacity_drop_caps_subsequent_plans(self):

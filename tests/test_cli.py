@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.exec import BACKENDS
 
 
 class TestPlan:
@@ -412,6 +413,17 @@ class TestDeployStream:
         assert all(e["schema_version"] == 1 for e in events)
         assert "deployed:" in lines[-1]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stream_prints_the_same_run_on_every_backend(
+        self, backend, capsys
+    ):
+        args = ["deploy", "--stream", "--input-gb", "4", "--deadline", "3"]
+        assert main(args) == 0
+        reference = capsys.readouterr().out
+        assert main(args + ["--backend", backend]) == 0
+        assert capsys.readouterr().out == reference
+        assert "(met the deadline)" in reference.splitlines()[-1]
+
     def test_stream_rejects_baseline_strategy(self, capsys):
         assert main(
             ["deploy", "--stream", "--strategy", "hadoop-s3",
@@ -486,6 +498,16 @@ class TestFleet:
         assert "--failure-rate" in capsys.readouterr().err
         assert main(["fleet", "--failure-rate", "-0.1"]) == 2
         assert "--failure-rate" in capsys.readouterr().err
+
+    def test_fleet_metrics_json_requires_trace_log(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        assert main(
+            ["fleet", "--deployments", "1", "--input-gb", "2",
+             "--deadline", "8", "--days", "5", "--predictor", "p0",
+             "--metrics-json", str(path)]
+        ) == 2
+        assert "--metrics-json requires --trace-log" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestTraceLogging:

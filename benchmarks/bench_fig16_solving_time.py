@@ -11,7 +11,8 @@ the cached layout (``rebuild_ms``), which is all a re-plan pays.
 Our substrate solves with HiGHS instead of CPLEX, so absolute times are
 not comparable — the shape (growth in input size, ordering across
 resource sets) is what this bench checks.  Each cell also reports the
-branch & bound nodes its solve explored; the grid's total is the
+branch & bound nodes its solve explored (0: the root relaxation was
+integral, so no branch & bound ran); the grid's total is the
 ``cold_nodes`` metric.
 """
 
@@ -94,7 +95,7 @@ def test_fig16_solving_time(benchmark, bench_metrics):
     print_table(
         "Fig. 16: model build/solve time vs input size and resources",
         rows,
-        ("resources", "input", "build", "rebuild", "solve", "B&B nodes",
+        ("resources", "input", "build", "rebuild", "solve", "B&B nodes (0: integral root)",
          "variables"),
     )
     build_ms = sum(m[2] for m in measurements) * 1e3

@@ -61,7 +61,8 @@ class Solution:
     solve_seconds: float = 0.0
     backend: str = ""
     message: str = ""
-    #: Branch & bound nodes HiGHS explored (0 for a pure LP).
+    #: Branch & bound nodes HiGHS explored: 0 for a pure LP, and for a
+    #: MILP whose root relaxation was integral (no branch & bound ran).
     mip_node_count: int = 0
 
     def __getitem__(self, var: Variable) -> float:

@@ -5,9 +5,10 @@ backend loads a :class:`repro.lp.model.CompiledModel`'s arrays into one
 HiGHS instance (:func:`_load`), runs it and maps the result back onto
 compiled columns.
 
-:func:`solve` is the cold path (branch & bound).  :class:`HotLP` is the
-hot one: a persistent LP that the incremental solver patches in place and
-re-runs from a retained basis.
+:func:`solve` is the cold path: the LP relaxation, then branch & bound
+unless the relaxation's optimum already is integral.  :class:`HotLP` is
+the hot one: a persistent LP that the incremental solver patches in
+place and re-runs from a retained basis.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,18 +152,31 @@ def solve(
 ) -> Solution:
     """Solve a compiled model and return a :class:`Solution`.
 
+    A model with integer columns first runs its LP relaxation; when that
+    optimum is integral (:func:`_integral_root`) it is the answer, with
+    ``mip_node_count`` 0.  Otherwise branch & bound runs on what is left
+    of ``time_limit``.
+
     The returned solution carries ``x``, one cleaned value per compiled
     column (lowering columns included); mapping it back onto variables
     is the model's business.
     """
-    h = _load(compiled, integral=True)
-    h.setOptionValue("mip_rel_gap", mip_gap)
-    if time_limit is not None:
-        h.setOptionValue("time_limit", float(time_limit))
+    mip = bool(compiled.integrality.any())
     with _muted_stdout():
+        if mip:
+            start = time.perf_counter()
+            root = _integral_root(compiled, time_limit)
+            if root is not None:
+                return root
+            if time_limit is not None:
+                time_limit = max(0.0, time_limit - (time.perf_counter() - start))
+        h = _load(compiled, integral=True)
+        h.setOptionValue("mip_rel_gap", mip_gap)
+        if time_limit is not None:
+            h.setOptionValue("time_limit", float(time_limit))
         h.run()
 
-    status = _status(h, mip=bool(compiled.integrality.any()))
+    status = _status(h, mip=mip)
     info = h.getInfo()
     solution = Solution(
         status=status,
@@ -176,6 +191,56 @@ def solve(
         objective = info.objective_function_value + compiled.objective_offset
         solution.objective = -objective if compiled.negated else objective
     return solution
+
+
+#: How far a relaxation's point may sit from integral and outside its
+#: column and row bounds and still certify (HiGHS's MIP feasibility
+#: tolerance).
+_ROOT_TOL = 1e-6
+
+
+def _integral_root(
+    compiled: CompiledModel, time_limit: float | None
+) -> Solution | None:
+    """The LP relaxation's optimum, if it already is a MIP optimum.
+
+    The relaxation's optimum bounds every integer point from below.  If
+    its integer columns are integral and the snapped point still meets
+    the column and row bounds, no integer point is cheaper: branch &
+    bound would only re-prove it, at zero gap.  ``None`` otherwise.
+    """
+    h = _load(compiled, integral=False)
+    if time_limit is not None:
+        h.setOptionValue("time_limit", float(time_limit))
+    h.run()
+    if _status(h, mip=False) is not SolveStatus.OPTIMAL:
+        return None
+    raw = np.asarray(h.getSolution().col_value, dtype=float)
+    x = _clean(raw, compiled.integrality)
+    rows = np.repeat(np.arange(compiled.num_rows), np.diff(compiled.indptr))
+    activity = np.bincount(
+        rows, weights=compiled.data * x[compiled.indices], minlength=compiled.num_rows
+    )
+    certified = (
+        np.abs(x - raw).max(initial=0.0) <= _ROOT_TOL
+        and _within(x, compiled.var_lb, compiled.var_ub)
+        and _within(activity, compiled.row_lb, compiled.row_ub)
+    )
+    if not certified:
+        return None
+    return Solution(
+        status=SolveStatus.OPTIMAL,
+        objective=compiled.solution_objective(x),
+        x=x,
+        backend="scipy-highs",
+        message=h.modelStatusToString(h.getModelStatus()),
+        mip_node_count=0,
+    )
+
+
+def _within(values: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
+    """``lower <= values <= upper`` elementwise, to :data:`_ROOT_TOL`."""
+    return bool(((values >= lower - _ROOT_TOL) & (values <= upper + _ROOT_TOL)).all())
 
 
 def _clean(x: np.ndarray, integrality: np.ndarray) -> np.ndarray:

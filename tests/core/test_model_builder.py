@@ -1,10 +1,11 @@
 """Tests for the LP model builder: plan invariants across scenarios."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_model
@@ -425,6 +426,53 @@ class TestNodeHoursRow:
         assert len(built.layout.key.compute) == 2
         assert "node_hours" not in built.model.row_names
         assert "node_hours" not in built.layout.rhs
+
+
+def row_activity(compiled, x):
+    """``A x`` from the compiled CSR arrays."""
+    rows = np.repeat(np.arange(compiled.num_rows), np.diff(compiled.indptr))
+    return np.bincount(rows, weights=compiled.data * x[compiled.indices],
+                       minlength=compiled.num_rows)
+
+
+class TestIntegralRoot:
+    """``scipy_backend.solve`` answers from the LP relaxation only when
+    its optimum is integral and feasible, which makes it a MIP optimum
+    at zero gap; anything else is branch & bound's, inside ``mip_gap``."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=one_compute_service_problems())
+    # Few draws close at the root; this one does.
+    @example(problem=PlanningProblem(
+        job=PlannerJob(name="p", input_gb=0.5), services=[ec2_m1_large(), s3()],
+        network=NET, goal=Goal.min_cost(deadline_hours=2.0), constant_nodes=True))
+    def test_a_relaxation_answer_is_the_proven_optimum(self, problem):
+        compiled = build_model(problem).model.compile()
+        with mock.patch.object(scipy_backend, "_load",
+                               wraps=scipy_backend._load) as load:
+            solution = scipy_backend.solve(compiled, mip_gap=0.01)
+        from_root = [call.kwargs["integral"] for call in load.call_args_list] == [False]
+        proven = proven_optimum(compiled)
+        assert (proven is None) == (not solution.status.has_solution)
+        if proven is None:
+            return
+        x = solution.x
+        # Both sides in the objective HiGHS minimizes (no offset).
+        found = float(compiled.objective @ x)
+        best = proven[0] - compiled.objective_offset
+        if from_root:
+            assert solution.mip_node_count == 0
+            assert found == pytest.approx(best, rel=1e-9, abs=1e-6)
+            assert np.array_equal(x[compiled.integrality],
+                                  np.rint(x[compiled.integrality]))
+            assert (x >= compiled.var_lb - 1e-6).all()
+            assert (x <= compiled.var_ub + 1e-6).all()
+            activity = row_activity(compiled, x)
+            assert (activity >= compiled.row_lb - 1e-6).all()
+            assert (activity <= compiled.row_ub + 1e-6).all()
+        else:
+            assert found - best <= 0.01 * abs(found) + 1e-6
 
 
 class TestStateValidation:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lp import Model, SolveStatus, VarType, simplex_backend
+from repro.lp import Model, SolveStatus, VarType, scipy_backend, simplex_backend
 from repro.lp.simplex import LpStatus, solve_standard_form
 
 
@@ -89,6 +89,97 @@ class TestAgreementHandPicked:
         m.minimize(2 * n + f)
         a, b = both_backends(m)
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
+
+
+def spy_loads(monkeypatch):
+    """The ``integral`` flag of every HiGHS instance a solve loads."""
+    loads = []
+    real = scipy_backend._load
+
+    def load(compiled, integral):
+        loads.append(integral)
+        return real(compiled, integral)
+
+    monkeypatch.setattr(scipy_backend, "_load", load)
+    return loads
+
+
+def fractional_root():
+    """max 5x + 4y s.t. 6x + 4y <= 24, x + 2y <= 6: the relaxation stops
+    at (3, 1.5) worth 21, the integer optimum is (4, 0) worth 20."""
+    m = Model()
+    x = m.add_var("x", vtype=VarType.INTEGER)
+    y = m.add_var("y", vtype=VarType.INTEGER)
+    m.add_constr(6 * x + 4 * y <= 24)
+    m.add_constr(x + 2 * y <= 6)
+    m.maximize(5 * x + 4 * y)
+    return m, x, y
+
+
+class TestIntegralRoot:
+    """A MILP whose LP relaxation is integral at its optimum is answered
+    by that LP; every other one goes on to branch & bound."""
+
+    def test_fractional_relaxation_reaches_branch_and_bound(self, monkeypatch):
+        loads = spy_loads(monkeypatch)
+        m, x, y = fractional_root()
+        solution = m.solve()
+        assert loads == [False, True]
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == pytest.approx(20.0)
+        assert (solution.value(x), solution.value(y)) == (4.0, 0.0)
+
+    def test_integral_relaxation_is_the_answer(self, monkeypatch):
+        loads = spy_loads(monkeypatch)
+        m = Model()
+        x = m.add_var("x", ub=3, vtype=VarType.INTEGER)
+        y = m.add_var("y", vtype=VarType.INTEGER)
+        m.add_constr(x + y <= 4)
+        m.maximize(2 * x + y)
+        solution = m.solve()
+        assert loads == [False]
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.mip_node_count == 0
+        assert solution.message == "Optimal"
+        assert (solution.value(x), solution.value(y)) == (3.0, 1.0)
+        assert solution.objective == pytest.approx(7.0)
+
+    def test_a_point_that_snapping_pushes_off_a_row_is_not_certified(
+        self, monkeypatch
+    ):
+        loads = spy_loads(monkeypatch)
+        m = Model()
+        x = m.add_var("x", ub=10, vtype=VarType.INTEGER)
+        m.add_constr(1000 * x >= 2000.0005)  # the relaxation: x = 2.0000005
+        m.minimize(x)
+        solution = m.solve()
+        assert loads == [False, True]
+        assert solution.value(x) == 3.0
+
+    def test_branch_and_bound_gets_the_time_the_relaxation_left(
+        self, monkeypatch
+    ):
+        import time
+
+        limits = []
+
+        class Slow(scipy_backend._hs._Highs):
+            def setOptionValue(self, name, value):
+                if name == "time_limit":
+                    limits.append(value)
+                return super().setOptionValue(name, value)
+
+            def run(self):
+                if len(limits) == 1:  # the relaxation
+                    time.sleep(0.2)
+                return super().run()
+
+        monkeypatch.setattr(scipy_backend._hs, "_Highs", Slow)
+        m, _, _ = fractional_root()
+        solution = m.solve(time_limit=10.0)
+        assert solution.objective == pytest.approx(20.0)
+        assert limits[0] == 10.0
+        assert 0.0 < limits[1] <= 9.8
 
 
 class TestSimplexStandardForm:

@@ -17,7 +17,7 @@ Subpackages
     markets and trace generators.
 ``repro.storage``
     Conductor's storage abstraction layer (namenode, backends, client,
-    chunked filesystem driver).
+    chunked filesystem driver, failure injection, Fig. 15 throughput).
 ``repro.mapreduce``
     Hadoop-like MapReduce engine with stock and location-aware schedulers.
 ``repro.pig``
@@ -29,8 +29,7 @@ Subpackages
     reliability-aware storage tiers, accounting, baseline deployment
     strategies.
 ``repro.workloads``
-    Synthetic workloads (k-means, wordcount, sort) and the instance
-    micro-benchmark.
+    The Fig. 1 instance micro-benchmark.
 """
 
 __version__ = "0.5.0"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 
 class CostCategory(enum.Enum):
@@ -68,9 +68,6 @@ class CostLedger:
         entry = LedgerEntry(hour, service, category, detail, quantity, unit, unit_price)
         self._entries.append(entry)
         return entry
-
-    def merge(self, other: "CostLedger") -> None:
-        self._entries.extend(other._entries)
 
     # -- aggregation ----------------------------------------------------------
 
@@ -129,9 +126,3 @@ class CostLedger:
             for e in self._entries
         ]
 
-
-def combine(ledgers: Iterable[CostLedger]) -> CostLedger:
-    merged = CostLedger()
-    for ledger in ledgers:
-        merged.merge(ledger)
-    return merged

@@ -10,9 +10,9 @@ Three layers:
 - **facade** (:mod:`repro.api.orchestrator`): the :class:`Orchestrator`
   with ``plan(spec)`` / ``submit(spec)`` / ``deploy(spec)``, shared by
   library users, the CLI and the planning service;
-- **adapters** (:mod:`repro.api.adapters`): :func:`from_pig`,
-  :func:`from_mapreduce_job` and :func:`from_workload` compile the
-  existing front-ends into ``JobSpec``.
+- **adapters** (:mod:`repro.api.adapters`): :func:`from_pig` and
+  :func:`from_workload` compile the existing front-ends into
+  ``JobSpec``.
 
 Quickstart::
 
@@ -45,7 +45,6 @@ from .errors import error_v1_for_result, error_v1_from_exception
 from .adapters import (
     PIG_SCRIPT,
     SCENARIOS,
-    from_mapreduce_job,
     from_pig,
     from_workload,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "encode",
     "error_v1_for_result",
     "error_v1_from_exception",
-    "from_mapreduce_job",
     "from_pig",
     "from_workload",
     "resolve_services",

@@ -1,9 +1,9 @@
 """Front-end adapters: compile existing entry points into ``JobSpec``.
 
-The Pig compiler, the MapReduce engine and the service's scenario
-shorthand all predate the public API; these adapters turn each of them
-into the one declarative vocabulary so that *every* way into the system
-funnels through :func:`repro.api.compiler.compile_spec`.
+The Pig compiler and the service's scenario shorthand both predate the
+public API; these adapters turn each of them into the one declarative
+vocabulary so that *every* way into the system funnels through
+:func:`repro.api.compiler.compile_spec`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-from ..units import MB_PER_GB
 from .schemas import GoalSpec, JobSpec, NetworkSpec, SchemaError
 
 #: Scenario names the planning-service shorthand understands.
@@ -86,31 +85,6 @@ def from_pig(
     )
 
 
-def from_mapreduce_job(
-    job,
-    *,
-    goal: GoalSpec | None = None,
-    network: NetworkSpec | None = None,
-    catalog: str = "public",
-    local_nodes: int = 0,
-    throughput_scale: float = 1.0,
-) -> JobSpec:
-    """Lift a task-level :class:`~repro.mapreduce.job.MapReduceJob` to the
-    planner's aggregate view (GB in, output ratios, relative speeds)."""
-    return JobSpec(
-        name=job.name,
-        input_gb=job.input_mb / MB_PER_GB,
-        map_output_ratio=job.map_output_ratio,
-        reduce_output_ratio=job.reduce_output_ratio,
-        throughput_scale=throughput_scale,
-        reduce_speed_factor=job.reduce_speed_factor,
-        goal=goal or GoalSpec(),
-        network=network or NetworkSpec(),
-        catalog=catalog,
-        local_nodes=local_nodes,
-    )
-
-
 @lru_cache(maxsize=64)
 def _pig_stage_specs(
     input_gb: float, deadline_hours: float, uplink_mbit: float
@@ -169,7 +143,6 @@ def from_workload(
 __all__ = [
     "PIG_SCRIPT",
     "SCENARIOS",
-    "from_mapreduce_job",
     "from_pig",
     "from_workload",
 ]

@@ -29,13 +29,11 @@ from .catalog_full import (
     RESERVED_M1_LARGE,
     InstanceSpec,
     ReservedOffer,
-    TransferTiers,
     ecu_efficiency,
     full_instance_catalog,
     measured_throughput,
     projected_throughput,
     spec_by_name,
-    with_tiered_transfer,
 )
 from .descriptions import (
     DescriptionError,
@@ -59,7 +57,6 @@ __all__ = [
     "RESERVED_M1_LARGE",
     "ReservedOffer",
     "ResourceKind",
-    "TransferTiers",
     "ServiceDescription",
     "SpotTrace",
     "UNLIMITED",
@@ -86,5 +83,4 @@ __all__ = [
     "summarize_costs",
     "to_xml",
     "validate_catalog",
-    "with_tiered_transfer",
 ]

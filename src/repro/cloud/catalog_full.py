@@ -1,5 +1,5 @@
-"""The full July-2011 EC2 price book: all eleven instance types,
-tiered data-transfer pricing, and reserved-instance offers.
+"""The full July-2011 EC2 price book: all eleven instance types and
+reserved-instance offers.
 
 The paper motivates Conductor with exactly this breadth: "for its EC2
 service alone, Amazon offers eleven different types of VM instances"
@@ -19,7 +19,6 @@ Prices are US$ (us-east, Linux, July 2011).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -138,72 +137,6 @@ def spec_by_name(name: str) -> InstanceSpec:
     raise KeyError(
         f"no 2011 instance type {name!r}; "
         f"known: {[s.name for s in INSTANCE_SPECS]}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Tiered data-transfer pricing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransferTiers:
-    """AWS's 2011 tiered transfer-out schedule.
-
-    ``breaks`` are cumulative GB thresholds; ``rates`` has one more
-    entry than ``breaks`` ($/GB within each band).  The first GB of a
-    month was free; the evaluation's flat $0.10 is the bulk rate the
-    paper's volumes land in.
-    """
-
-    breaks: tuple[float, ...] = (1.0, 10_240.0, 51_200.0, 153_600.0)
-    rates: tuple[float, ...] = (0.0, 0.12, 0.09, 0.07, 0.05)
-
-    def __post_init__(self) -> None:
-        if len(self.rates) != len(self.breaks) + 1:
-            raise ValueError("need exactly one more rate than break")
-        if list(self.breaks) != sorted(self.breaks):
-            raise ValueError("breaks must be increasing")
-
-    def cost(self, gb: float) -> float:
-        """Total transfer-out charge for ``gb`` in one billing month."""
-        if gb < 0:
-            raise ValueError("transferred volume cannot be negative")
-        total = 0.0
-        previous = 0.0
-        for threshold, rate in zip(self.breaks, self.rates):
-            band = min(gb, threshold) - previous
-            if band <= 0:
-                break
-            total += band * rate
-            previous = threshold
-        if gb > self.breaks[-1]:
-            total += (gb - self.breaks[-1]) * self.rates[-1]
-        return total
-
-    def marginal_rate(self, gb: float) -> float:
-        """$/GB for the next byte after ``gb`` have been transferred."""
-        index = bisect.bisect_right(self.breaks, gb)
-        return self.rates[index]
-
-    def effective_rate(self, gb: float) -> float:
-        """Average $/GB over a volume — the linear coefficient a planner
-        should use when it expects to move ``gb`` this month."""
-        if gb <= 0:
-            return self.rates[0]
-        return self.cost(gb) / gb
-
-
-def with_tiered_transfer(
-    service: ServiceDescription,
-    expected_monthly_gb: float,
-    tiers: TransferTiers | None = None,
-) -> ServiceDescription:
-    """A copy of ``service`` whose flat transfer rate matches the tier
-    schedule at the expected monthly volume (LPs need linear prices)."""
-    tiers = tiers or TransferTiers()
-    return service.replace(
-        transfer_out_cost_gb=tiers.effective_rate(expected_monthly_gb)
     )
 
 

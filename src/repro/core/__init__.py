@@ -15,14 +15,7 @@ The public planning API:
   :class:`MarginBidder`.
 """
 
-from ..accounting import CostCategory, CostLedger, LedgerEntry, combine
-from .calibration import (
-    CalibrationReport,
-    RateObservation,
-    RecurringRunResult,
-    calibrate,
-    run_recurring,
-)
+from ..accounting import CostCategory, CostLedger, LedgerEntry
 from .conditions import ActualConditions
 from .controller import (
     ControllerConfig,
@@ -50,7 +43,7 @@ from .pipeline_planner import (
     plan_pipeline,
     run_pipeline_with_failures,
 )
-from .plan import ExecutionPlan, PlanInterval, merge_plans
+from .plan import ExecutionPlan, PlanInterval
 from .planner import Planner, plan_job
 from .reliability import (
     ExpectedOutcome,
@@ -95,17 +88,12 @@ from .problem import (
 __all__ = [
     "Ar1Predictor",
     "BuiltModel",
-    "CalibrationReport",
     "ControllerConfig",
     "ControllerResult",
     "ControllerRun",
     "JobController",
     "ReplanRecord",
     "CostCategory",
-    "RateObservation",
-    "RecurringRunResult",
-    "calibrate",
-    "run_recurring",
     "EwmaPredictor",
     "MarginBidder",
     "QuantilePredictor",
@@ -141,10 +129,8 @@ __all__ = [
     "WindowMaxPredictor",
     "build_model",
     "choose_tiers",
-    "combine",
     "durable_premium_break_even",
     "estimate_run_distribution",
-    "merge_plans",
     "plan_job",
     "plan_pipeline",
     "predictor_suite",

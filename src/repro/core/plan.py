@@ -284,20 +284,3 @@ class ExecutionPlan:
                          for k, v in data.get("model_stats", {}).items()},
         )
 
-
-def merge_plans(prefix: ExecutionPlan, suffix: ExecutionPlan) -> ExecutionPlan:
-    """Concatenate an executed prefix with a re-planned suffix (Fig. 12a's
-    "updated plan" is the old prefix followed by the new intervals)."""
-    cut = suffix.intervals[0].start_hour
-    kept = [i for i in prefix.intervals if i.start_hour < cut - _EPS]
-    intervals = kept + suffix.intervals
-    return ExecutionPlan(
-        intervals=intervals,
-        predicted_cost=suffix.predicted_cost,
-        predicted_cost_breakdown=dict(suffix.predicted_cost_breakdown),
-        predicted_completion_hours=suffix.predicted_completion_hours,
-        objective_value=suffix.objective_value,
-        solver_status=suffix.solver_status,
-        solve_seconds=prefix.solve_seconds + suffix.solve_seconds,
-        model_stats=dict(suffix.model_stats),
-    )

@@ -26,14 +26,13 @@ one cached layout do) are not compared at all.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import CompiledModel
 
-__all__ = ["CompiledDelta", "diff_compiled", "structural_signature"]
+__all__ = ["CompiledDelta", "diff_compiled"]
 
 
 def _no_index() -> np.ndarray:
@@ -165,28 +164,3 @@ def diff_compiled(old: CompiledModel, new: CompiledModel) -> CompiledDelta | Non
         delta.objective_offset = new.objective_offset
     return delta
 
-
-def structural_signature(compiled: CompiledModel) -> str:
-    """Shape-only digest of a compiled matrix.
-
-    Two matrices share a signature exactly when :func:`diff_compiled`
-    would classify their difference as patchable (pure data).  The
-    problem-level structural fingerprint is a cheaper upper bound; this
-    is the matrix-level ground truth the tests hold it to.
-    """
-    def shape(bounds: np.ndarray) -> bytes:
-        # 0 = finite, +/-1 = the two infinities.
-        return np.where(np.isinf(bounds), np.sign(bounds), 0.0).astype(np.int8).tobytes()
-
-    hasher = hashlib.sha256()
-    hasher.update(repr((compiled.num_vars, compiled.negated, compiled.col_names)).encode("utf-8"))
-    for part in (
-        compiled.integrality.tobytes(),
-        compiled.indptr.astype(np.int64).tobytes(),
-        compiled.indices.astype(np.int64).tobytes(),
-        shape(compiled.var_lb), shape(compiled.var_ub),
-        shape(compiled.row_lb), shape(compiled.row_ub),
-    ):
-        hasher.update(len(part).to_bytes(8, "little"))
-        hasher.update(part)
-    return hasher.hexdigest()

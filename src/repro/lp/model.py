@@ -141,8 +141,10 @@ class Model:
         self._sense = ObjectiveSense.MINIMIZE
         self._names: set[str] = set()
         #: Compiled matrix form, kept until the model is mutated so that
-        #: solving a model already compiled (the incremental solver diffs
-        #: the matrix before it solves) skips the lowering pass.
+        #: solving a model already compiled (tests compare the matrix
+        #: before they solve) skips the lowering pass.  The incremental
+        #: solver never sees a ``Model``: it diffs the builder's
+        #: ``MatrixModel`` arrays.
         self._compiled: CompiledModel | None = None
         #: Variable bounds/types at compile time, used to detect in-place
         #: mutation (``var.ub = ...``) that bypasses the hooks above.

@@ -70,7 +70,7 @@ from .pipeline import (
     StageSizes,
     StageSpec,
 )
-from .schema import Field, PigType, Schema, check_tuple, rows_of
+from .schema import Field, PigType, Schema
 
 __all__ = [
     "BagProject",
@@ -112,13 +112,11 @@ __all__ = [
     "Store",
     "Union",
     "canonical",
-    "check_tuple",
     "compile_plan",
     "compile_script",
     "evaluate_logical",
     "parse",
     "parse_expression",
-    "rows_of",
     "run_pipeline_local",
     "tokenize",
 ]

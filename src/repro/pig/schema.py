@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 class PigType(enum.Enum):
@@ -191,52 +191,3 @@ class Schema:
     def concat(self, other: "Schema") -> "Schema":
         return Schema(self.fields + other.fields)
 
-
-def check_tuple(value: tuple, schema: Schema) -> None:
-    """Validate a value tuple against a schema (arity + scalar types).
-
-    Used by the local engines under test; the cost is only paid in tests.
-    """
-    if not isinstance(value, tuple):
-        raise TypeError(f"expected a tuple, got {type(value).__name__}")
-    if len(value) != len(schema):
-        raise ValueError(
-            f"tuple arity {len(value)} does not match schema arity {len(schema)}"
-        )
-    for item, f in zip(value, schema):
-        if item is None:
-            continue
-        expected: type | tuple[type, ...]
-        if f.type in (PigType.INT, PigType.LONG):
-            expected = int
-        elif f.type in (PigType.FLOAT, PigType.DOUBLE):
-            expected = (int, float)
-        elif f.type is PigType.CHARARRAY:
-            expected = str
-        elif f.type is PigType.BOOLEAN:
-            expected = bool
-        elif f.type is PigType.TUPLE:
-            check_tuple(item, f.element)  # type: ignore[arg-type]
-            continue
-        elif f.type is PigType.BAG:
-            if not isinstance(item, list):
-                raise TypeError(f"field {f.name!r}: bags are Python lists")
-            for row in item:
-                check_tuple(row, f.element)  # type: ignore[arg-type]
-            continue
-        else:  # BYTEARRAY accepts anything
-            continue
-        if not isinstance(item, expected):
-            raise TypeError(
-                f"field {f.name!r}: {item!r} is not a {f.type.value}"
-            )
-
-
-def rows_of(schema: Schema, raw_rows: Iterable[Sequence]) -> list[tuple]:
-    """Coerce an iterable of sequences into checked tuples."""
-    rows = []
-    for raw in raw_rows:
-        row = tuple(raw)
-        check_tuple(row, schema)
-        rows.append(row)
-    return rows

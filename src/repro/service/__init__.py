@@ -35,7 +35,7 @@ from .fingerprint import (
     structural_payload,
 )
 from .incremental import IncrementalSolver, IncrementalStats
-from .metrics import LatencySeries, ServiceMetrics, percentile
+from .metrics import ServiceMetrics
 from .pool import SolverPool, solve_problem
 from .requests import (
     PlanRequest,
@@ -59,7 +59,6 @@ __all__ = [
     "DEFAULT_MIX",
     "IncrementalSolver",
     "IncrementalStats",
-    "LatencySeries",
     "LRUCache",
     "PlanRequest",
     "PlanResult",
@@ -75,7 +74,6 @@ __all__ = [
     "canonical_payload",
     "error_code_for_exception",
     "generate_workload",
-    "percentile",
     "problem_fingerprint",
     "problem_for_scenario",
     "run_workload",

@@ -55,6 +55,13 @@ from ..service import PlanningService, ServiceConfig
 
 __all__ = ["FrontendConfig", "FrontendServer", "run_server"]
 
+#: Reader line limit; an overlong line is a ``bad_schema`` error.
+MAX_LINE_BYTES = 1 << 20
+#: Listen backlog.  Connection storms (the loadgen opens thousands of
+#: sockets at once) overflow the kernel's default SYN queue, leaving
+#: clients stuck in multi-second TCP retransmit.
+LISTEN_BACKLOG = 4096
+
 
 @dataclass
 class FrontendConfig:
@@ -64,15 +71,9 @@ class FrontendConfig:
     host: str = "127.0.0.1"
     #: 0 lets the OS pick (the bound port is in :attr:`FrontendServer.address`).
     port: int = 0
-    #: Reader line limit; an overlong line is a ``bad_schema`` error.
-    max_line_bytes: int = 1 << 20
     #: Bounded per-connection send queue (responses); a client that lets
     #: it fill is disconnected as a slow consumer.
     send_queue_limit: int = 1024
-    #: Listen backlog.  Connection storms (the loadgen opens thousands
-    #: of sockets at once) overflow the kernel's default SYN queue,
-    #: leaving clients stuck in multi-second TCP retransmit.
-    backlog: int = 4096
 
 
 class FrontendServer:
@@ -117,8 +118,8 @@ class FrontendServer:
             self._handle_connection,
             host=self.config.host,
             port=self.config.port,
-            limit=self.config.max_line_bytes,
-            backlog=self.config.backlog,
+            limit=MAX_LINE_BYTES,
+            backlog=LISTEN_BACKLOG,
         )
         return self
 
@@ -195,7 +196,7 @@ class FrontendServer:
                     await reply(encode(ErrorV1(
                         code="bad_schema",
                         message="request line exceeds "
-                        f"{self.config.max_line_bytes} bytes",
+                        f"{MAX_LINE_BYTES} bytes",
                     )))
                     break
                 except (ConnectionResetError, BrokenPipeError):

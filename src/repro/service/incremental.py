@@ -149,6 +149,11 @@ def _own_copy(compiled: CompiledModel) -> CompiledModel:
     )
 
 
+#: Headroom on the cold solve's own memoized gap (``gap_slack``) in the
+#: warm acceptance window; see ``docs/solver.md``.
+GAP_MARGIN = 1.25
+
+
 class IncrementalSolver:
     """Delta-aware solver keyed by structural problem fingerprints.
 
@@ -171,13 +176,11 @@ class IncrementalSolver:
         time_limit: float = 180.0,
         mip_gap: float = 0.01,
         capacity: int = 32,
-        gap_margin: float = 1.25,
         strict: bool = False,
         metrics=None,
     ) -> None:
         self.time_limit = time_limit
         self.mip_gap = mip_gap
-        self.gap_margin = gap_margin
         self.strict = strict
         self.metrics = metrics
         self.stats = IncrementalStats()
@@ -287,7 +290,7 @@ class IncrementalSolver:
         if not self.strict:
             window = max(
                 self.mip_gap * abs(cand.objective),
-                self.gap_margin * entry.gap_slack,
+                GAP_MARGIN * entry.gap_slack,
                 window,
             )
         if cand.objective - bound.objective > window + _EPS:

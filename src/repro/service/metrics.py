@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import threading
 
-from ..obs.registry import LatencySeries, MetricsRegistry, percentile
+from ..obs.registry import MetricsRegistry
 
 __all__ = [
-    "LatencySeries",
     "MetricsRegistry",
     "ServiceMetrics",
-    "percentile",
 ]
 
 #: Monotonic request counters every service instance maintains.

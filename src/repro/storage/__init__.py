@@ -3,8 +3,10 @@
 A distributed key-value store with a namenode directory, pluggable
 backends (node-local disk daemons, an S3-like object store), a client
 with closest-replica reads and local-write-then-replicate semantics, a
-chunked filesystem driver for Hadoop-style access, and a replication /
-migration manager that enacts the execution plan.
+chunked filesystem driver for Hadoop-style access, failure injection,
+and the Fig. 15 throughput model.  The deployment layer
+(:mod:`repro.core.deployments`) enacts an execution plan's uploads and
+migrations itself.
 """
 
 from .backends import LocalDiskBackend, ObjectStoreBackend, StorageBackend, StorageError
@@ -13,7 +15,6 @@ from .client import StorageClient, TransferStats
 from .failures import FailureEvent, FailureInjector, unavailable_files
 from .filesystem import DEFAULT_CHUNK_MB, ConductorFileSystem, FileSystemError, Inode
 from .namenode import Namenode
-from .replication import ReplicationManager
 
 __all__ = [
     "Block",
@@ -28,7 +29,6 @@ __all__ = [
     "LocationRecord",
     "Namenode",
     "ObjectStoreBackend",
-    "ReplicationManager",
     "StorageBackend",
     "StorageClient",
     "StorageError",

@@ -3,8 +3,8 @@
 "The central component in Conductor's storage system is the namenode,
 which provides a directory service for data, and manages upload,
 replication and migration of the data as per the execution plan"
-(paper Section 5.1).  It maps block ids to location records and keeps the
-replication bookkeeping the replication manager acts on.
+(paper Section 5.1).  It maps block ids to location records and counts
+each block's replicas.
 """
 
 from __future__ import annotations
@@ -87,14 +87,6 @@ class Namenode:
     def replication_of(self, block_id: BlockId) -> int:
         return len(self._locations_of(block_id))
 
-    def under_replicated(self, factor: int) -> list[BlockId]:
-        """Blocks with fewer than ``factor`` replicas but at least one."""
-        return [
-            block_id
-            for block_id, records in self._locations.items()
-            if 0 < len(records) < factor
-        ]
-
     def unavailable(self) -> list[BlockId]:
         """Registered blocks with zero replicas — data loss (Section 2.1:
         lost intermediate results must be recomputed)."""
@@ -107,10 +99,6 @@ class Namenode:
 
     def priority_of(self, block_id: BlockId) -> int:
         return self._priorities.get(block_id, 0)
-
-    def by_priority(self, block_ids: list[BlockId]) -> list[BlockId]:
-        """Sort candidate blocks by descending priority (stable)."""
-        return sorted(block_ids, key=lambda b: -self._priorities.get(b, 0))
 
     # -- internals ------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 MB_PER_GB = 1024.0
 SECONDS_PER_HOUR = 3600.0
-HOURS_PER_MONTH = 720.0  # AWS billing convention (30-day month)
 
 
 def mbit_s_to_mb_s(mbit_per_second: float) -> float:
@@ -33,26 +32,5 @@ def gb_h_to_mb_s(gb_per_hour: float) -> float:
     return gb_per_hour * MB_PER_GB / SECONDS_PER_HOUR
 
 
-def gb_to_mb(gb: float) -> float:
-    return gb * MB_PER_GB
-
-
-def mb_to_gb(mb: float) -> float:
-    return mb / MB_PER_GB
-
-
-def hours_to_seconds(hours: float) -> float:
-    return hours * SECONDS_PER_HOUR
-
-
 def seconds_to_hours(seconds: float) -> float:
     return seconds / SECONDS_PER_HOUR
-
-
-def per_gb_month_to_per_gb_hour(price: float) -> float:
-    """Storage price from $/GB-month (S3 price sheet) to $/GB-hour.
-
-    The paper's S3 description (Fig. 3) lists ``cost_tstore`` =
-    2.08333332e-4, which is exactly $0.15/GB-month / 720 h.
-    """
-    return price / HOURS_PER_MONTH

@@ -1,35 +1,13 @@
-"""Synthetic workloads and calibration benchmarks.
+"""The Fig. 1 instance micro-benchmark.
 
-The paper's k-means evaluation workload plus wordcount/sort variants and
-the Fig. 1 instance micro-benchmark.
+The k-means workload's calibrated throughputs (0.44 GB/h, and 6.2 GB/h
+for the small reference set) live in :mod:`repro.cloud.catalog` as
+``KMEANS_THROUGHPUT_GB_H`` and ``KMEANS_FAST_THROUGHPUT_GB_H``.
 """
 
 from .instance_bench import InstanceMeasurement, run_instance_benchmark
-from .kmeans import (
-    BYTES_PER_POINT,
-    CALIBRATION_GB_PER_HOUR,
-    CALIBRATION_REFERENCES,
-    FAST_REFERENCES,
-    KMeansDataset,
-    assign_points,
-    generate_points,
-    generate_references,
-    recompute_centroids,
-)
-from .textjobs import SortWorkload, WordCountWorkload
 
 __all__ = [
-    "BYTES_PER_POINT",
-    "CALIBRATION_GB_PER_HOUR",
-    "CALIBRATION_REFERENCES",
-    "FAST_REFERENCES",
     "InstanceMeasurement",
-    "KMeansDataset",
-    "SortWorkload",
-    "WordCountWorkload",
-    "assign_points",
-    "generate_points",
-    "generate_references",
-    "recompute_centroids",
     "run_instance_benchmark",
 ]

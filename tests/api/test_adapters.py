@@ -1,4 +1,4 @@
-"""Front-end adapters: pig / mapreduce / scenario shorthand -> JobSpec."""
+"""Front-end adapters: pig / scenario shorthand -> JobSpec."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.api import (
     NetworkSpec,
     SchemaError,
     compile_spec,
-    from_mapreduce_job,
     from_pig,
     from_workload,
 )
@@ -41,28 +40,6 @@ class TestFromPig:
         for spec in from_pig(PIG_SCRIPT, input_gb=8.0):
             problem = compile_spec(spec)
             assert problem.job.input_gb > 0
-
-
-class TestFromMapReduceJob:
-    def test_lifts_task_level_job(self):
-        from repro.mapreduce.job import MapReduceJob
-
-        job = MapReduceJob(
-            name="wc",
-            input_path="/data/in",
-            input_mb=8192.0,
-            map_output_ratio=0.1,
-            reduce_output_ratio=0.5,
-            reduce_speed_factor=2.0,
-        )
-        spec = from_mapreduce_job(job, goal=GoalSpec(deadline_hours=6.0))
-        assert spec.name == "wc"
-        assert spec.input_gb == pytest.approx(8.0)
-        assert spec.map_output_ratio == 0.1
-        assert spec.reduce_output_ratio == 0.5
-        assert spec.reduce_speed_factor == 2.0
-        problem = compile_spec(spec)
-        assert problem.job.input_gb == pytest.approx(8.0)
 
 
 class TestFromWorkload:

@@ -1,4 +1,4 @@
-"""Tests for the full 2011 EC2 catalog, transfer tiers, reserved offers."""
+"""Tests for the full 2011 EC2 catalog and reserved offers."""
 
 import math
 
@@ -11,14 +11,12 @@ from repro.cloud import (
     RESERVED_M1_LARGE,
     KMEANS_THROUGHPUT_GB_H,
     ReservedOffer,
-    TransferTiers,
     ecu_efficiency,
     full_instance_catalog,
     measured_throughput,
     projected_throughput,
     spec_by_name,
     validate_catalog,
-    with_tiered_transfer,
 )
 from repro.cloud.catalog import ec2_m1_large, s3
 
@@ -99,57 +97,6 @@ class TestEfficiencyCurve:
     @settings(max_examples=60, deadline=None)
     def test_measured_never_exceeds_projection(self, ecu):
         assert measured_throughput(ecu) <= projected_throughput(ecu) + 1e-12
-
-
-class TestTransferTiers:
-    def test_first_gb_free(self):
-        tiers = TransferTiers()
-        assert tiers.cost(1.0) == pytest.approx(0.0)
-
-    def test_band_accumulation(self):
-        tiers = TransferTiers()
-        # 1 GB free + 99 GB at $0.12.
-        assert tiers.cost(100.0) == pytest.approx(99.0 * 0.12)
-
-    def test_beyond_last_break(self):
-        tiers = TransferTiers()
-        base = tiers.cost(153_600.0)
-        assert tiers.cost(153_700.0) == pytest.approx(base + 100.0 * 0.05)
-
-    def test_marginal_rates(self):
-        tiers = TransferTiers()
-        assert tiers.marginal_rate(0.5) == pytest.approx(0.0)
-        assert tiers.marginal_rate(5.0) == pytest.approx(0.12)
-        assert tiers.marginal_rate(20_000.0) == pytest.approx(0.09)
-        assert tiers.marginal_rate(200_000.0) == pytest.approx(0.05)
-
-    def test_effective_rate_below_marginal_cap(self):
-        tiers = TransferTiers()
-        assert tiers.effective_rate(100.0) < 0.12
-        assert tiers.effective_rate(100.0) > 0.10
-
-    def test_negative_volume_rejected(self):
-        with pytest.raises(ValueError):
-            TransferTiers().cost(-1.0)
-
-    def test_malformed_tiers_rejected(self):
-        with pytest.raises(ValueError):
-            TransferTiers(breaks=(1.0,), rates=(0.0,))
-        with pytest.raises(ValueError):
-            TransferTiers(breaks=(10.0, 1.0), rates=(0.1, 0.2, 0.3))
-
-    def test_with_tiered_transfer_patches_service(self):
-        service = with_tiered_transfer(ec2_m1_large(), 100.0)
-        assert service.transfer_out_cost_gb == pytest.approx(
-            TransferTiers().effective_rate(100.0)
-        )
-
-    @given(gb=st.floats(0.0, 1e6))
-    @settings(max_examples=60, deadline=None)
-    def test_cost_monotone_and_concave_rates(self, gb):
-        tiers = TransferTiers()
-        assert tiers.cost(gb + 1.0) >= tiers.cost(gb) - 1e-9
-        assert 0.0 <= tiers.effective_rate(gb) <= max(tiers.rates)
 
 
 class TestReservedOffers:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accounting import CostCategory, CostLedger, combine
+from repro.accounting import CostCategory, CostLedger
 from repro.cloud import SpotTrace, aws_like_trace, electricity_like_trace
 from repro.core import (
     CurrentPricePredictor,
@@ -11,7 +11,7 @@ from repro.core import (
     WindowMaxPredictor,
     predictor_suite,
 )
-from repro.core.plan import ExecutionPlan, PlanInterval, merge_plans
+from repro.core.plan import ExecutionPlan, PlanInterval
 
 
 @pytest.fixture
@@ -102,13 +102,12 @@ class TestCostLedger:
         assert breakdown["network transfer"] == pytest.approx(0.1)
         assert sum(breakdown.values()) == pytest.approx(ledger.total())
 
-    def test_filter_and_combine(self):
-        a, b = CostLedger(), CostLedger()
-        a.add(0.0, "x", CostCategory.COMPUTE, "d", 1, "u", 1.0)
-        b.add(0.0, "y", CostCategory.COMPUTE, "d", 1, "u", 2.0)
-        merged = combine([a, b])
-        assert merged.total() == pytest.approx(3.0)
-        only_y = merged.filtered(lambda e: e.service == "y")
+    def test_filter(self):
+        ledger = CostLedger()
+        ledger.add(0.0, "x", CostCategory.COMPUTE, "d", 1, "u", 1.0)
+        ledger.add(0.0, "y", CostCategory.COMPUTE, "d", 1, "u", 2.0)
+        assert ledger.total() == pytest.approx(3.0)
+        only_y = ledger.filtered(lambda e: e.service == "y")
         assert only_y.total() == pytest.approx(2.0)
 
 
@@ -147,12 +146,3 @@ class TestExecutionPlan:
     def test_requires_intervals(self):
         with pytest.raises(ValueError):
             self.make_plan([])
-
-    def test_merge_plans_keeps_prefix(self):
-        old = self.make_plan(
-            [_interval(1, 0.0, 2), _interval(2, 1.0, 2), _interval(3, 2.0, 2)]
-        )
-        new = self.make_plan([_interval(1, 1.0, 8), _interval(2, 2.0, 8)])
-        merged = merge_plans(old, new)
-        series = merged.node_allocation_series()
-        assert series == [(0.0, 2), (1.0, 8), (2.0, 8)]

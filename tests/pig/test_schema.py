@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pig import Field, PigType, Schema, check_tuple, rows_of
+from repro.pig import Field, PigType, Schema
 from repro.pig.schema import numeric_join
 
 
@@ -126,45 +126,3 @@ class TestSchema:
         schema = Schema.of("a:int", "b:int")
         assert len(schema) == 2
         assert [f.name for f in schema] == ["a", "b"]
-
-
-class TestCheckTuple:
-    def test_accepts_valid_row(self):
-        schema = Schema.of("x:int", "s:chararray")
-        check_tuple((1, "hi"), schema)
-
-    def test_nulls_always_allowed(self):
-        schema = Schema.of("x:int")
-        check_tuple((None,), schema)
-
-    def test_arity_mismatch(self):
-        schema = Schema.of("x:int")
-        with pytest.raises(ValueError, match="arity"):
-            check_tuple((1, 2), schema)
-
-    def test_type_mismatch(self):
-        schema = Schema.of("x:int")
-        with pytest.raises(TypeError, match="not a int"):
-            check_tuple(("hi",), schema)
-
-    def test_float_field_accepts_int(self):
-        schema = Schema.of("x:double")
-        check_tuple((3,), schema)
-
-    def test_nested_bag_checked(self):
-        inner = Schema.of("v:int")
-        schema = Schema((Field("b", PigType.BAG, inner),))
-        check_tuple(([(1,), (2,)],), schema)
-        with pytest.raises(TypeError):
-            check_tuple(([("oops",)],), schema)
-
-    def test_bag_must_be_list(self):
-        inner = Schema.of("v:int")
-        schema = Schema((Field("b", PigType.BAG, inner),))
-        with pytest.raises(TypeError, match="lists"):
-            check_tuple(((1,),), schema)
-
-    def test_rows_of_coerces_sequences(self):
-        schema = Schema.of("x:int", "y:int")
-        rows = rows_of(schema, [[1, 2], (3, 4)])
-        assert rows == [(1, 2), (3, 4)]

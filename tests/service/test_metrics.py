@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.service import LatencySeries, ServiceMetrics, percentile
+from repro.obs.registry import LatencySeries, percentile
+from repro.service import ServiceMetrics
 
 
 class TestPercentile:

@@ -1,4 +1,4 @@
-"""Integration tests for the storage client, filesystem and replication."""
+"""Integration tests for the storage client and filesystem."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.storage import (
     LocationRecord,
     Namenode,
     ObjectStoreBackend,
-    ReplicationManager,
     StorageClient,
     StorageError,
 )
@@ -153,54 +152,3 @@ class TestFileSystem:
                   on_complete=lambda: done.append(True))
         sim.run_until_idle()
         assert done == [True]
-
-
-class TestReplicationManager:
-    def test_repair_restores_factor(self, world):
-        sim, namenode, disk, _s3, client, fs = world
-        manager = ReplicationManager(namenode, client, replication_factor=3)
-        fs.create("/data", 64.0)
-        fs.upload("/data", "client", lambda i: LocationRecord("local-disk", "n1"))
-        sim.run_until_idle()
-        started = manager.repair("local-disk")
-        sim.run_until_idle()
-        assert started == 2
-        block = fs.inode("/data").chunks[0]
-        assert namenode.replication_of(block) == 3
-
-    def test_node_loss_then_repair(self, world):
-        sim, namenode, disk, _s3, client, fs = world
-        manager = ReplicationManager(namenode, client, replication_factor=2)
-        fs.create("/data", 64.0)
-        fs.upload("/data", "client", lambda i: LocationRecord("local-disk", "n1"))
-        sim.run_until_idle()
-        manager.repair("local-disk")
-        sim.run_until_idle()
-        # Kill a replica holder and repair again.
-        namenode.drop_node("local-disk", "n1")
-        disk.remove_node("n1")
-        assert namenode.under_replicated(2)
-        manager.repair("local-disk")
-        sim.run_until_idle()
-        assert not namenode.under_replicated(2)
-
-    def test_migration_moves_and_drops_source(self, world):
-        sim, namenode, disk, s3, client, fs = world
-        manager = ReplicationManager(namenode, client)
-        fs.create("/data", 64.0)
-        fs.upload("/data", "client", lambda i: LocationRecord("local-disk", "n1"))
-        sim.run_until_idle()
-        block = fs.inode("/data").chunks[0]
-        manager.migrate(block, LocationRecord("s3"))
-        sim.run_until_idle()
-        assert s3.contains("", block)
-        assert not disk.contains("n1", block)
-        assert namenode.locations(block) == [LocationRecord("s3")]
-
-    def test_migrate_unavailable_block_rejected(self, world):
-        _sim, namenode, *_rest = world
-        _sim2, _nn, _disk, _s3, client, fs = world
-        manager = ReplicationManager(namenode, client)
-        inode = fs.create("/data", 64.0)
-        with pytest.raises(ValueError):
-            manager.migrate(inode.chunks[0], LocationRecord("s3"))

@@ -82,25 +82,12 @@ class TestNodeLoss:
 
 
 class TestReplicationBookkeeping:
-    def test_under_replicated(self, namenode):
-        bid = BlockId("/f", 0)
-        namenode.add_location(bid, REC_A)
-        assert namenode.under_replicated(factor=2) == [bid]
-        namenode.add_location(bid, REC_B)
-        assert namenode.under_replicated(factor=2) == []
-
-    def test_zero_replica_blocks_not_under_replicated(self, namenode):
-        # Lost blocks are *unavailable*, not repairable by re-replication.
-        assert namenode.under_replicated(factor=3) == []
+    def test_zero_replica_blocks_are_unavailable(self, namenode):
         assert len(namenode.unavailable()) == 4
+        namenode.add_location(BlockId("/f", 0), REC_A)
+        assert len(namenode.unavailable()) == 3
 
 
 class TestPriorities:
-    def test_priority_ordering(self, namenode):
-        ids = [BlockId("/f", i) for i in range(3)]
-        namenode.set_priority(ids[2], 10)
-        namenode.set_priority(ids[0], 5)
-        assert namenode.by_priority(ids) == [ids[2], ids[0], ids[1]]
-
     def test_default_priority_zero(self, namenode):
         assert namenode.priority_of(BlockId("/f", 0)) == 0

@@ -1,5 +1,6 @@
 """No orphaned imports or locals in the package (tools/check_unused.py,
-the stand-in for CI's ``ruff check --extend-select F401,F841``)."""
+the stand-in for CI's ``ruff check --extend-select F401,F841``), and the
+checker's stderr report of definitions only tests reach."""
 
 import subprocess
 import sys
@@ -56,4 +57,50 @@ def test_checker_flags_orphans_and_spares_uses():
     )
     assert checker.check_source(source) == [
         (2, "os"), (11, "re"), (14, "dropped"), (18, "exc"),
+    ]
+
+
+def test_report_names_definitions_only_tests_reach(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from .mod import helper, only_tested, used_by_bench\n"
+        "__all__ = ['helper', 'only_tested', 'used_by_bench']\n"
+    )
+    (package / "mod.py").write_text(
+        "def used_by_bench():\n"
+        "    return _private()\n"
+        "def _private():\n"
+        "    return 1\n"
+        "def only_tested():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 2\n"
+    )
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "bench_mod.py").write_text(
+        "from pkg import used_by_bench\nused_by_bench()\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import only_tested\n"
+        "def test_it():\n"
+        "    assert only_tested() == 2\n"
+    )
+    checker = load_checker()
+    unreached = checker.unreached_definitions(
+        package, checker.program_roots(package)
+    )
+    assert [name for _, _, name in unreached] == ["only_tested", "helper"]
+
+    proc = subprocess.run(
+        [sys.executable, str(CHECKER), str(package)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[1:] == [
+        f"{package / 'mod.py'}:5: only_tested",
+        f"{package / 'mod.py'}:7: helper",
     ]

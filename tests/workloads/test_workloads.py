@@ -1,120 +1,8 @@
-"""Tests for the workload generators and instance micro-benchmark."""
+"""Tests for the instance micro-benchmark."""
 
-import numpy as np
 import pytest
 
-from repro.workloads import (
-    CALIBRATION_GB_PER_HOUR,
-    CALIBRATION_REFERENCES,
-    FAST_REFERENCES,
-    KMeansDataset,
-    SortWorkload,
-    WordCountWorkload,
-    assign_points,
-    generate_points,
-    generate_references,
-    recompute_centroids,
-    run_instance_benchmark,
-)
-
-
-class TestKMeansDataset:
-    def test_paper_dataset_geometry(self):
-        dataset = KMeansDataset.paper_dataset()
-        assert dataset.num_points == 40_000_000
-        assert dataset.size_gb == pytest.approx(32.0, rel=0.01)
-        assert dataset.num_references == 10_000
-
-    def test_for_size_round_trips(self):
-        dataset = KMeansDataset.for_size_gb(64.0)
-        assert dataset.size_gb == pytest.approx(64.0, rel=0.01)
-
-    def test_calibrated_throughput(self):
-        dataset = KMeansDataset.paper_dataset()
-        assert dataset.throughput_gb_per_hour() == pytest.approx(0.44)
-
-    def test_small_reference_set_is_faster(self):
-        # The paper's Section 6.2 variant: fewer references -> 6.2 GB/h.
-        fast = KMeansDataset.for_size_gb(32.0, num_references=FAST_REFERENCES)
-        assert fast.throughput_gb_per_hour() == pytest.approx(6.2, rel=0.01)
-
-    def test_planner_job_derivation(self):
-        job = KMeansDataset.paper_dataset().planner_job()
-        assert job.input_gb == pytest.approx(32.0, rel=0.01)
-        assert 0 < job.map_output_ratio <= 0.01
-
-    def test_engine_job_derivation(self):
-        job = KMeansDataset.paper_dataset().engine_job(split_mb=64.0)
-        assert job.num_map_tasks == pytest.approx(512, abs=2)
-
-    def test_invalid_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            KMeansDataset(num_points=0)
-
-
-class TestKMeansMath:
-    def test_assignment_finds_nearest(self):
-        refs = np.array([[0.0, 0.0], [10.0, 10.0]])
-        points = np.array([[0.1, 0.2], [9.5, 10.2], [0.4, 0.1]])
-        assert list(assign_points(points, refs)) == [0, 1, 0]
-
-    def test_centroid_recomputation(self):
-        points = np.array([[0.0, 0.0], [2.0, 2.0], [10.0, 10.0]])
-        assignments = np.array([0, 0, 1])
-        centroids = recompute_centroids(points, assignments, k=2)
-        assert centroids[0] == pytest.approx([1.0, 1.0])
-        assert centroids[1] == pytest.approx([10.0, 10.0])
-
-    def test_generated_points_deterministic(self):
-        dataset = KMeansDataset.for_size_gb(1.0)
-        a = generate_points(dataset, count=100, seed=3)
-        b = generate_points(dataset, count=100, seed=3)
-        assert np.array_equal(a, b)
-        refs = generate_references(dataset, seed=3)
-        assert refs.shape == (dataset.num_references, dataset.dimensions)
-
-    def test_one_kmeans_iteration_reduces_inertia(self):
-        dataset = KMeansDataset(num_points=1000, num_references=8)
-        points = generate_points(dataset, count=1000, seed=1)
-        refs = generate_references(dataset, seed=1)[:8]
-        assignments = assign_points(points, refs)
-        updated = recompute_centroids(points, assignments, k=8)
-
-        def inertia(centroids):
-            a = assign_points(points, centroids)
-            return float(np.sum((points - centroids[a]) ** 2))
-
-        assert inertia(updated) <= inertia(refs) + 1e-9
-
-
-class TestTextWorkloads:
-    def test_wordcount_jobs(self):
-        wc = WordCountWorkload(input_gb=32.0)
-        job = wc.planner_job()
-        assert job.throughput_scale > 1.0  # faster per byte than k-means
-        assert 0 < job.map_output_ratio < 0.1
-        engine_job = wc.engine_job()
-        assert engine_job.num_map_tasks == 512
-
-    def test_wordcount_zipf_text(self):
-        words = WordCountWorkload().sample_text(words=1000, seed=2)
-        assert len(words) == 1000
-        # Zipf: the most common token dominates.
-        from collections import Counter
-
-        top = Counter(words).most_common(1)[0][1]
-        assert top > 100
-
-    def test_sort_conserves_volume(self):
-        sort = SortWorkload(input_gb=32.0)
-        job = sort.planner_job()
-        assert job.map_output_ratio == 1.0
-        assert job.reduce_output_ratio == 1.0
-        assert job.result_gb == pytest.approx(32.0)
-
-    def test_sort_records_sortable(self):
-        records = SortWorkload().sample_records(count=1000, seed=1)
-        assert len(np.unique(records)) > 900
+from repro.workloads import run_instance_benchmark
 
 
 class TestInstanceBenchmark:

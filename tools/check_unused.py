@@ -6,7 +6,7 @@ F401,F841 src/repro`` where ruff is not installed::
 
     python tools/check_unused.py src/repro [more paths ...]
 
-Two kinds of finding, mirroring those two rules:
+Findings of the first kind, mirroring those two rules:
 
 1. an import whose bound name is never loaded in the scope that owns it
    (the module for a top-level import, the function for a local one) —
@@ -19,7 +19,17 @@ Two kinds of finding, mirroring those two rules:
    that call ``locals()`` are exempt, as in ruff's defaults.
 
 Exit status 0 when nothing is found, 1 otherwise, with one
-``file:line: name`` line per finding.
+``file:line: name`` line per finding on stdout.
+
+The second kind is a report, never a gate: for a checked package that
+sits in a ``src/`` directory, every public top-level ``def`` or
+``class`` the program never reaches is listed on stderr, and the exit
+status ignores it.  Reachability is by name, from the program's roots:
+the package's ``cli.py``, every module's top-level statements, and the
+``benchmarks/``, ``examples/`` and ``tools/`` directories beside
+``src/``.  A reached definition reaches every name its body loads or
+reads as an attribute; ``tests/`` reaches nothing, and neither does an
+``import`` or an ``__all__`` entry on its own.
 """
 
 from __future__ import annotations
@@ -142,6 +152,63 @@ def check_source(source: str, filename: str = "<string>") -> list[tuple[int, str
     return sorted(set(findings))
 
 
+def _references(node: ast.AST) -> set[str]:
+    """Names ``node`` loads, reads as attributes or imports under an alias."""
+    names = _loaded(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(a.name for a in sub.names if a.asname in names)
+    return names
+
+
+def unreached_definitions(
+    package: Path, roots: list[Path]
+) -> list[tuple[Path, int, str]]:
+    """``(file, line, name)`` for every public top-level def or class in
+    ``package`` that no name reachable from ``roots`` refers to.
+
+    ``roots`` are whole files (entry points, benchmarks, examples,
+    tools); the top-level statements of every module in ``package`` are
+    roots as well.
+    """
+    definitions: dict[str, list[tuple[Path, ast.AST]]] = {}
+    frontier: set[str] = set()
+    for path in python_files([str(package)]):
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append((path, node))
+            else:
+                frontier |= _references(node)
+    for path in roots:
+        frontier |= _references(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    reached: set[str] = set()
+    while frontier:
+        name = frontier.pop()
+        if name in reached or name not in definitions:
+            continue
+        reached.add(name)
+        for _, node in definitions[name]:
+            frontier |= _references(node)
+    return sorted(
+        (path, node.lineno, name)
+        for name, found in definitions.items()
+        if name not in reached and not name.startswith("_")
+        for path, node in found
+    )
+
+
+def program_roots(package: Path) -> list[Path] | None:
+    """The entry point and the program directories beside ``src/``, or
+    ``None`` when ``package`` does not sit in a ``src/`` directory."""
+    if package.parent.name != "src":
+        return None
+    top = package.parent.parent
+    candidates = (package / "cli.py", top / "benchmarks", top / "examples", top / "tools")
+    return python_files([str(p) for p in candidates if p.exists()])
+
+
 def python_files(paths: list[str]) -> list[Path]:
     files: list[Path] = []
     for raw in paths:
@@ -161,6 +228,16 @@ def main(argv: list[str]) -> int:
     ]
     for problem in problems:
         print(problem)
+    for raw in argv:
+        roots = program_roots(Path(raw).resolve())
+        if roots is None:
+            continue
+        unreached = unreached_definitions(Path(raw), roots)
+        if unreached:
+            print(f"{raw}: public definitions the program never reaches "
+                  "(report only):", file=sys.stderr)
+            for path, line, name in unreached:
+                print(f"{path}:{line}: {name}", file=sys.stderr)
     return 1 if problems else 0
 
 

@@ -6,15 +6,34 @@ grows — savings reach about a third of the cost at 256 GB, with the
 optimum near 50% on EC2.
 """
 
+from dataclasses import dataclass
+
 import pytest
 from conftest import once, print_table
 
 from bench_fig08_storage_mix_32gb import FRACTIONS, sweep
+from repro.core import Planner, build_model
 
 SIZES_GB = (64.0, 128.0, 256.0)
 
 
-def full_sweep():
+@dataclass
+class TallyingPlanner(Planner):
+    """A :class:`Planner` that sums its solves' time and branch & bound
+    nodes."""
+
+    solve_seconds: float = 0.0
+    nodes: int = 0
+
+    def plan(self, problem):
+        built = build_model(problem)
+        solution = built.solve(self.time_limit, self.mip_gap)
+        self.solve_seconds += solution.solve_seconds
+        self.nodes += solution.mip_node_count
+        return built.extract_plan(solution)
+
+
+def full_sweep(planner):
     # The 8 Mbit/s uplink moves 3.52 GB/h: the horizon must scale with
     # the input (the paper's Fig. 9 is an analytic projection, so it has
     # no deadline pressure either).  The LP interval coarsens with the
@@ -26,9 +45,6 @@ def full_sweep():
     # blurs the swept variable while blowing up the MILP.  The MIP gap
     # is relaxed to 3% (vs the default 1%) — well below the cost
     # differences Fig. 9 plots.
-    from repro.core import Planner
-
-    planner = Planner(mip_gap=0.03, time_limit=60.0)
     results = {}
     for size in SIZES_GB:
         deadline = float(int(size / 3.5 * 1.25) + 2)
@@ -44,8 +60,9 @@ def full_sweep():
     return results
 
 
-def test_fig09_scaled_storage_mix(benchmark):
-    results = once(benchmark, full_sweep)
+def test_fig09_scaled_storage_mix(benchmark, bench_metrics):
+    planner = TallyingPlanner(mip_gap=0.03, time_limit=60.0)
+    results = once(benchmark, lambda: full_sweep(planner))
 
     rows = []
     for size, costs in results.items():
@@ -56,6 +73,10 @@ def test_fig09_scaled_storage_mix(benchmark):
         rows,
         ("input", "fraction on EC2", "cost"),
     )
+    print(f"\nover the sweep: {planner.solve_seconds:.1f} s solving, "
+          f"{planner.nodes} branch & bound nodes")
+    bench_metrics("solve_s", planner.solve_seconds)
+    bench_metrics("cold_nodes", planner.nodes)
 
     for size, costs in results.items():
         interior = {f: c for f, c in costs.items() if 0.0 < f < 1.0}

@@ -167,10 +167,14 @@ class ServiceDescription:
         with equal canonical forms are interchangeable to the planner.
         Fields are sorted by name so the encoding survives reordering.
         """
-        return tuple(
-            (f.name, getattr(self, f.name))
-            for f in sorted(dataclasses.fields(self), key=lambda f: f.name)
-        )
+        return tuple((name, getattr(self, name)) for name in _CANONICAL_FIELDS)
+
+
+#: :meth:`ServiceDescription.canonical`'s field order, sorted once: it
+#: runs for every service of every fingerprinted problem.
+_CANONICAL_FIELDS = tuple(
+    sorted(field.name for field in dataclasses.fields(ServiceDescription))
+)
 
 
 def validate_catalog(services: list[ServiceDescription]) -> None:

@@ -21,18 +21,29 @@ The formulation follows the paper:
   ``E[b(i,t)]`` (eq. 6).
 - The objective is total monetary cost (eq. 5) for min-cost goals, or a
   lexicographic completion-then-cost objective for min-time goals.
-- A model with exactly one compute service ``c`` carries one implied
-  row, ``node_hours``: ``Σ_t nodes[c,t] >= ⌈map_left / (map_rate·Δ) +
-  reduce_left / (reduce_rate·Δ) − 1e-6⌉`` — the capacity rows summed
-  over ``t`` with the completion rows substituted, rounded up because
-  node counts are integers.  It cuts off no integer point, so the
-  optimum stays; it lifts the LP bound branch & bound starts from by up
-  to one node-hour (docs/solver.md, "The node-hours row").
+- A compute service that another one dominates gets no columns
+  (:func:`kept_problem`): ``d`` is dominated by ``c`` when ``k`` nodes
+  of ``c`` cost no more than one of ``d`` and do at least its work and
+  hold at least its data, at no dearer storage, request or transfer
+  price, and the problem names ``d`` nowhere.  Any plan using ``d``
+  maps onto ``c`` at equal or lower cost, so the optimum stays
+  (docs/solver.md, "Dominated compute services").
+- A model with exactly one compute service without a node cap ``c`` (or
+  with one compute service) carries one implied row, ``node_hours``:
+  ``Σ_t nodes[c,t] >= ⌈map_left / (map_rate·Δ) + reduce_left /
+  (reduce_rate·Δ) − Σ_j max_nodes_j · T · map_rate_j / map_rate −
+  1e-6⌉`` over the other, capped services ``j`` — the capacity rows
+  scaled to ``c``'s rate and summed over ``t`` and services with the
+  completion rows substituted, each capped service at its cap, rounded
+  up because node counts are integers.  It cuts off no integer point,
+  so the optimum stays; it lifts the LP bound branch & bound starts
+  from by up to one node-hour (docs/solver.md, "The node-hours row").
 
-The model is built in two steps, **layout** and **fill**.  Everything the
-formulation *branches* on — horizon, which services exist and what kind
-they are, whether a reduce phase exists, the goal kind, the model flags —
-is one hashable :class:`ModelStructure` (:func:`structure_key`).  A
+The model is built in two steps, **layout** and **fill**, both for the
+problem :func:`kept_problem` leaves.  Everything the formulation
+*branches* on — horizon, which services are kept and what kind they
+are, whether a reduce phase exists, the goal kind, the model flags — is
+one hashable :class:`ModelStructure` (:func:`structure_key`).  A
 :class:`_Layout` is what follows from that key alone: the columns and
 rows with their names, the CSR sparsity pattern with every constant
 coefficient in place, and index arrays saying where each family of
@@ -50,18 +61,20 @@ front-end; the two are tested to produce equal matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from ..cloud.services import UNLIMITED, validate_catalog
+from ..cloud.services import UNLIMITED, ServiceDescription, validate_catalog
 from ..lp.model import CompiledModel, MatrixModel, Solution
 from .plan import ExecutionPlan, PlanInterval
 from .problem import GoalKind, PlanningProblem
 
 _EPS = 1e-6
+#: How far under 1.0 upload fractions may sum and still pin every byte.
+_FRACTION_TOL = 1e-12
 #: Objective weight that makes one saved interval dominate any cost change
 #: in min-time mode (lexicographic completion-then-cost).
 _TIME_WEIGHT_MARGIN = 10.0
@@ -132,9 +145,115 @@ class ModelStructure(NamedTuple):
     fractions: tuple[str, ...]
 
 
+def _multiple(c: ServiceDescription, d: ServiceDescription) -> int:
+    """How many ``c`` nodes one ``d`` node's price buys: the largest
+    ``k`` with ``k · price_c <= price_d`` (``⌊price_d / price_c⌋``, with
+    the division's rounding undone)."""
+    k = math.floor(d.price_per_node_hour / c.price_per_node_hour)
+    while k > 0 and k * c.price_per_node_hour > d.price_per_node_hour:
+        k -= 1
+    while (k + 1) * c.price_per_node_hour <= d.price_per_node_hour:
+        k += 1
+    return k
+
+
+def _dominates(
+    c: ServiceDescription, d: ServiceDescription, problem: PlanningProblem
+) -> bool:
+    """Whether compute service ``c`` dominates compute service ``d``.
+
+    Replace each ``d`` node with ``k`` nodes of ``c`` and move ``d``'s
+    flows and stocks onto ``c``: the cost stays or drops, and every row
+    still holds (docs/solver.md, "Dominated compute services").
+    """
+    if c.is_spot or d.is_spot or c.max_nodes != UNLIMITED:
+        return False
+    if c.price_per_node_hour <= 0 or c.provider != d.provider:
+        return False
+    if c.billing_hours != d.billing_hours:
+        return False
+    # Flows between a compute service and another provider's storage pay
+    # the compute side's transfer prices too.
+    if (c.transfer_in_cost_gb > d.transfer_in_cost_gb
+            or c.transfer_out_cost_gb > d.transfer_out_cost_gb):
+        return False
+    k = _multiple(c, d)
+    if k < 1 or d.throughput_gb_per_hour > k * c.throughput_gb_per_hour:
+        return False
+    if d.can_store:
+        if not c.can_store or k * c.storage_gb_per_node < d.storage_gb_per_node:
+            return False
+        # d's own capacity would add to c's, unless it is none or c's
+        # has no limit.
+        if d.storage_capacity_gb != 0 and c.storage_capacity_gb != UNLIMITED:
+            return False
+        if (c.cost_tstore_gb_hour > d.cost_tstore_gb_hour
+                or c.put_cost_per_gb() > d.put_cost_per_gb()
+                or c.get_cost_per_gb() > d.get_cost_per_gb()):
+            return False
+        # Data migrating between d and c is billed as stored by neither
+        # while in flight; on c alone it would be.
+        if problem.allow_migration and c.cost_tstore_gb_hour > 0:
+            return False
+        # d's uploads would land on c, past a pinned fraction of c's —
+        # unless the fractions pin every byte, so that d gets none.
+        fractions = problem.upload_fractions
+        if c.name in fractions and sum(fractions.values()) < 1.0 - _FRACTION_TOL:
+            return False
+    return True
+
+
+def _named(service: ServiceDescription, problem: PlanningProblem) -> bool:
+    """Whether ``problem`` refers to ``service`` beyond its catalog."""
+    name = service.name
+    state = problem.effective_state
+    return (
+        name in problem.upload_fractions
+        or name in problem.spot_price_estimates
+        or any(
+            stock.get(name)
+            for stock in (state.stored_input, state.stored_output, state.stored_result)
+        )
+    )
+
+
+def kept_problem(problem: PlanningProblem) -> PlanningProblem:
+    """``problem`` without the compute services another one dominates.
+
+    Both the layout and the fill are built from it, so a dominated
+    service has no columns and no plan names it.  The problem itself
+    comes back when nothing is dominated.  Of two services that dominate
+    each other, the one first in catalog order is kept.
+    """
+    compute = problem.compute_services()
+    if len(compute) < 2:
+        return problem
+    dropped = set()
+    for i, d in enumerate(compute):
+        if _named(d, problem):
+            continue
+        for j, c in enumerate(compute):
+            if j != i and _dominates(c, d, problem) and not (
+                j > i and _dominates(d, c, problem)
+            ):
+                dropped.add(d.name)
+                break
+    if not dropped:
+        return problem
+    return replace(
+        problem, services=[s for s in problem.services if s.name not in dropped]
+    )
+
+
 def structure_key(problem: PlanningProblem) -> ModelStructure:
     """The problem's :class:`ModelStructure` (the layout cache key, and
-    what :func:`repro.service.fingerprint.structural_fingerprint` hashes)."""
+    what :func:`repro.service.fingerprint.structural_fingerprint` hashes):
+    the structure of the model :func:`build_model` builds, that of
+    :func:`kept_problem`."""
+    return _structure(kept_problem(problem))
+
+
+def _structure(problem: PlanningProblem) -> ModelStructure:
     local = problem.local_provider
     return ModelStructure(
         horizon=problem.horizon_intervals,
@@ -160,6 +279,18 @@ def structure_key(problem: PlanningProblem) -> ModelStructure:
         strict_phase_gap=bool(problem.strict_phase_gap),
         fractions=tuple(problem.upload_fractions),
     )
+
+
+def _node_hours_service(
+    compute: tuple[tuple[str, bool, bool, bool], ...],
+) -> int | None:
+    """Index of the compute service the ``node_hours`` row counts: the
+    only one, or else the only one without a node cap; ``None`` if
+    neither exists."""
+    if len(compute) == 1:
+        return 0
+    uncapped = [j for j, (*_, capped) in enumerate(compute) if not capped]
+    return uncapped[0] if len(uncapped) == 1 else None
 
 
 # --------------------------------------------------------------------- layout
@@ -552,10 +683,11 @@ def _layout(key: ModelStructure) -> _Layout:
     if reduce:
         rows.add("reduce_all", "==", [(red_read.ravel(), 1.0)], rhs="completion")
         rows.add("download_all", "==", [(down.ravel(), 1.0)], rhs="completion")
-    if n_c == 1:
+    counted = _node_hours_service(key.compute)
+    if counted is not None:
         # Implied by the capacity and completion rows (module docstring):
         # tightens the root bound, keeps the optimum.
-        rows.add("node_hours", ">=", [(nodes[0], 1.0)], rhs="node_hours")
+        rows.add("node_hours", ">=", [(nodes[counted], 1.0)], rhs="node_hours")
 
     # Fraction sweeps.
     for name in key.fractions:
@@ -680,6 +812,7 @@ def _layout(key: ModelStructure) -> _Layout:
 class BuiltModel:
     """One problem's model: its layout, filled with its numbers."""
 
+    #: The problem as built: :func:`kept_problem` of the one asked.
     problem: PlanningProblem
     model: MatrixModel
     layout: _Layout
@@ -788,11 +921,11 @@ class BuiltModel:
 def build_model(problem: PlanningProblem) -> BuiltModel:
     """Generate the time-expanded MILP for ``problem``: look its layout
     up, fill fresh arrays with its numbers."""
-    services = list(problem.services)
-    validate_catalog(services)
+    validate_catalog(list(problem.services))
     state = problem.effective_state
     state.validate_against(problem.job)
-    key = structure_key(problem)
+    problem = kept_problem(problem)
+    key = _structure(problem)
     layout = _layout(key)
     job = problem.job
     delta = problem.interval_hours
@@ -854,10 +987,17 @@ def build_model(problem: PlanningProblem) -> BuiltModel:
         remaining += [reduce_remaining_gb, result_remaining_gb]
     equal("completion", remaining)
     if "node_hours" in rhs:
-        (c,) = compute
+        counted = _node_hours_service(key.compute)
+        c = compute[counted]
         work = map_remaining_gb / (job.map_rate(c) * delta)
         if reduce:
             work += reduce_remaining_gb / (job.reduce_rate(c) * delta)
+        # The capped services do at most their caps' worth, in c's
+        # node-hours (reduce is reduce_speed_factor times faster on each).
+        for j, other in enumerate(compute):
+            if j != counted:
+                work -= (other.max_nodes * key.horizon
+                         * job.map_rate(other) / job.map_rate(c))
         # Rounded up because node counts are integers; the epsilon keeps a
         # point that meets the capacity rows within tolerance feasible.
         row_lb[rhs["node_hours"]] = math.ceil(work - _EPS)

@@ -86,13 +86,32 @@ def _muted_stdout():
 _INTEGER, _CONTINUOUS = _hs.HighsVarType.kInteger, _hs.HighsVarType.kContinuous
 
 
-def _load(compiled: CompiledModel, integral: bool):
+#: HiGHS's absolute tolerances with their defaults, whatever gap was
+#: asked for: branch & bound stops and prunes within the first two, an
+#: LP calls a point feasible and optimal within the next two, and
+#: numbers up to the last count as zero.
+_TOLERANCES = {
+    "mip_abs_gap": 1e-6,
+    "mip_feasibility_tolerance": 1e-6,
+    "primal_feasibility_tolerance": 1e-7,
+    "dual_feasibility_tolerance": 1e-7,
+    "small_matrix_value": 1e-9,
+}
+#: The smallest feasibility tolerance HiGHS accepts.
+_TOLERANCE_FLOOR = 1e-10
+
+
+def _load(compiled: CompiledModel, integral: bool, resolve: float = 1.0):
     """A fresh HiGHS instance holding ``compiled`` with its output off;
     its LP relaxation unless ``integral``.
 
     A MIP is loaded without the objective offset: HiGHS measures
     ``mip_rel_gap`` on the objective it holds, so a constant (min-time
-    goals carry one) would move where branch & bound stops.
+    goals carry one) would move where branch & bound stops.  Every
+    tolerance of :data:`_TOLERANCES` above a tenth of ``resolve`` (the
+    gap the caller must tell apart) is tightened to that, so a 1e-9 gap
+    is not lost in 1e-6 and 1e-9 ones; the paper's 1 % leaves every
+    default alone.
     """
     lp = _hs.HighsLp()
     lp.num_col_ = compiled.num_vars
@@ -115,6 +134,10 @@ def _load(compiled: CompiledModel, integral: bool):
         ]
     h = _hs._Highs()
     h.setOptionValue("output_flag", False)
+    tolerance = max(resolve / 10, _TOLERANCE_FLOOR)
+    for option, default in _TOLERANCES.items():
+        if tolerance < default:
+            h.setOptionValue(option, tolerance)
     h.passModel(lp)
     return h
 
@@ -165,12 +188,12 @@ def solve(
     with _muted_stdout():
         if mip:
             start = time.perf_counter()
-            root = _integral_root(compiled, time_limit)
+            root = _integral_root(compiled, time_limit, mip_gap)
             if root is not None:
                 return root
             if time_limit is not None:
                 time_limit = max(0.0, time_limit - (time.perf_counter() - start))
-        h = _load(compiled, integral=True)
+        h = _load(compiled, integral=True, resolve=mip_gap)
         h.setOptionValue("mip_rel_gap", mip_gap)
         if time_limit is not None:
             h.setOptionValue("time_limit", float(time_limit))
@@ -200,7 +223,7 @@ _ROOT_TOL = 1e-6
 
 
 def _integral_root(
-    compiled: CompiledModel, time_limit: float | None
+    compiled: CompiledModel, time_limit: float | None, mip_gap: float
 ) -> Solution | None:
     """The LP relaxation's optimum, if it already is a MIP optimum.
 
@@ -209,7 +232,7 @@ def _integral_root(
     the column and row bounds, no integer point is cheaper: branch &
     bound would only re-prove it, at zero gap.  ``None`` otherwise.
     """
-    h = _load(compiled, integral=False)
+    h = _load(compiled, integral=False, resolve=mip_gap)
     if time_limit is not None:
         h.setOptionValue("time_limit", float(time_limit))
     h.run()
@@ -269,10 +292,11 @@ class HotLP:
     each :class:`~repro.lp.incremental.CompiledDelta` and re-run from a
     basis an earlier run returned.  Not thread-safe: the owner serializes
     patch + run.  Never writes to fd 1 (``output_flag`` off, no MIP code).
+    ``resolve`` is the gap its runs must tell apart (:func:`_load`).
     """
 
-    def __init__(self, compiled: CompiledModel) -> None:
-        self._h = h = _load(compiled, integral=False)
+    def __init__(self, compiled: CompiledModel, resolve: float = 1.0) -> None:
+        self._h = h = _load(compiled, integral=False, resolve=resolve)
         h.setOptionValue("presolve", "off")
         # Scaling is recomputed after every bound change, which turns the
         # retained basis into a ~100-iteration restart; unscaled, an

@@ -9,13 +9,15 @@ Anything that changes the LP — prices, rates, goal, deadline, spot
 estimates, upload fractions, model flags — changes the digest.
 
 The **structural** fingerprint hashes only what determines the *shape*
-of the generated model — horizon length, the service set and its
+of the generated model — horizon length, the kept service set and its
 capability/limit pattern, goal kind, model flags: the model builder's
-own layout key — and deliberately ignores all numeric data (prices,
-rates, state, spot estimates).  Two problems sharing a structural
-fingerprint are built from one layout, into matrices of the same
-sparsity, which is what lets the incremental solver patch the retained
-matrix of one and re-solve it warm for the other.  The mapping is a
+own layout key — and otherwise ignores numeric data (prices, rates,
+state, spot estimates).  Numbers enter it in one place: they decide
+which compute services dominate others and are left out of the model
+(:func:`repro.core.model_builder.kept_problem`).  Two problems sharing
+a structural fingerprint are built from one layout, into matrices of
+the same sparsity, which is what lets the incremental solver patch the
+retained matrix of one and re-solve it warm for the other.  The mapping is a
 cheap upper bound, not a guarantee (a coefficient that is exactly zero
 is dropped from the one build it occurs in): the solver re-checks at
 the matrix level (:func:`repro.lp.incremental.diff_compiled`) and falls
@@ -56,12 +58,13 @@ def structural_payload(problem: PlanningProblem) -> ModelStructure:
 
     This *is* the model builder's own account of what it branches on
     (:func:`repro.core.model_builder.structure_key`, the key of its
-    layout cache) — the interval count, each service's capabilities and
-    limit finiteness, the goal kind and budget presence, whether a
+    layout cache) — the interval count, each kept service's capabilities
+    and limit finiteness, the goal kind and budget presence, whether a
     reduce phase exists, and the model flags — so the fingerprint cannot
     drift from the builder.  It excludes everything that only lands in
     bounds, right-hand sides, or coefficients: prices, rates, network
-    capacities, spot estimates, and the system state.
+    capacities, spot estimates, and the system state, except where they
+    decide that a dominated compute service is left out.
     """
     return structure_key(problem)
 

@@ -32,9 +32,11 @@ in place and the LP re-runs from the basis it last stopped at:
   infeasible candidate, certification failure — falls back to a cold
   branch & bound, which replaces the entry (and with it the LP).
 
-``strict=True`` disables the memoized widening so a warm answer is only
-accepted when *proven* optimal against the root bound; the property
-tests run in this mode to pin exact warm/cold equality.
+``strict=True`` disables the memoized widening and the absolute floor,
+and runs the LP at tolerances a tenth of its 1e-9 window, so a warm
+answer is only accepted when *proven* optimal against the root bound to
+1e-9 relative; the property tests run in this mode to pin exact
+warm/cold equality.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ from .fingerprint import structural_fingerprint
 __all__ = ["IncrementalSolver", "IncrementalStats"]
 
 _EPS = 1e-9
+#: How far over the root bound (relative, at least absolute) a strict
+#: warm answer may be.
+_STRICT_WINDOW = 1e-9
 
 
 @dataclass
@@ -251,7 +256,10 @@ class IncrementalSolver:
             return None
         lp = entry.lp
         if lp is None:
-            lp = entry.lp = scipy_backend.HotLP(entry.compiled)
+            # Strict answers are certified to 1e-9: so are the LP runs.
+            lp = entry.lp = scipy_backend.HotLP(
+                entry.compiled, _STRICT_WINDOW if self.strict else 1.0
+            )
             if len(cols) and not self.strict:
                 # The root gap of the cold optimum, measured on the
                 # matrix it was found on; seeds the relaxation basis too.
@@ -286,14 +294,14 @@ class IncrementalSolver:
 
         # Accept when the gap to the fresh root bound is within the
         # solver's own optimality tolerance.
-        window = 1e-9 * max(1.0, abs(cand.objective))
+        window = _STRICT_WINDOW * max(1.0, abs(cand.objective))
         if not self.strict:
             window = max(
                 self.mip_gap * abs(cand.objective),
                 GAP_MARGIN * entry.gap_slack,
                 window,
-            )
-        if cand.objective - bound.objective > window + _EPS:
+            ) + _EPS
+        if cand.objective - bound.objective > window:
             return None
         # Snap the pinned columns back to exact integers (the LP solver
         # returns them within feasibility tolerance of the pin).

@@ -6,6 +6,9 @@ Section 4 model written constraint by constraint over
 :class:`repro.lp.Model`.  ``tests/core/test_model_equivalence.py`` holds
 the production builder to it — same columns, rows, sparsity, bounds and
 coefficients — the standing ``lp/simplex*.py`` has for the HiGHS backend.
+It lays out every compute service it is given; the tests give it
+:func:`repro.core.model_builder.kept_problem` of a problem, which is
+what the production builder builds.
 """
 
 from __future__ import annotations
@@ -520,13 +523,20 @@ def build_model(problem: PlanningProblem) -> BuiltModel:
             download[s.name, t] for s in storage for t in range(1, horizon + 1)
         )
         model.add_constr(total_down == result_remaining_gb, "download_all")
-    if len(compute) == 1:
-        # Node-hours: the capacity rows summed over t, completion rows
-        # substituted, rounded up (node counts are integers).
-        (c,) = compute
+    uncapped = [c for c in compute if c.max_nodes == UNLIMITED]
+    if len(compute) == 1 or len(uncapped) == 1:
+        # Node-hours: the capacity rows scaled to c's rate and summed over
+        # t and services, completion rows substituted, every other
+        # (capped) service at its cap, rounded up (node counts are
+        # integers).
+        (c,) = compute if len(compute) == 1 else uncapped
         work = map_remaining_gb / (job.map_rate(c) * delta)
         if has_reduce:
             work += reduce_remaining_gb / (job.reduce_rate(c) * delta)
+        for other in compute:
+            if other is not c:
+                work -= (other.max_nodes * horizon
+                         * job.map_rate(other) / job.map_rate(c))
         model.add_constr(
             lin_sum(nodes[c.name, t] for t in range(1, horizon + 1))
             >= math.ceil(work - _EPS),

@@ -1,6 +1,7 @@
 """Tests for the LP model builder: plan invariants across scenarios."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,18 @@ from hypothesis import strategies as st
 import reference_model
 from repro.api import GoalSpec, JobSpec
 from repro.api.compiler import compile_spec
-from repro.cloud import hybrid_cloud, public_cloud, s3, ec2_m1_large
+from repro.cloud import (
+    KMEANS_FAST_THROUGHPUT_GB_H,
+    ec2_c1_xlarge,
+    ec2_m1_large,
+    ec2_m1_xlarge,
+    hybrid_cloud,
+    instance_types,
+    local_cluster,
+    public_cloud,
+    s3,
+)
+from repro.cloud.catalog_full import full_instance_catalog
 from repro.core import (
     Goal,
     NetworkConditions,
@@ -21,6 +33,7 @@ from repro.core import (
     SystemState,
     build_model,
 )
+from repro.core.model_builder import kept_problem, structure_key
 from repro.core.spot_sim import spot_services
 from repro.lp import scipy_backend
 
@@ -37,8 +50,9 @@ def plan_for(problem):
 def violated(problem, solution):
     """The constraints of the (expression-form) model that the solution
     vector breaks; ``test_model_equivalence`` shows the two builders lay
-    out the same columns, so the vector indexes both."""
-    model = reference_model.build_model(problem).model
+    out the same columns for the problem the builder keeps, so the vector
+    indexes both."""
+    model = reference_model.build_model(kept_problem(problem)).model
     values = {var: float(solution.x[var.index]) for var in model.variables}
     return model.check_feasible(values)
 
@@ -384,17 +398,56 @@ def one_compute_service_problems(draw):
     )
 
 
-class TestNodeHoursRow:
-    """One compute service: Σ_t nodes[c,t] >= ⌈node-hours of the work left⌉.
+@st.composite
+def capped_mix_problems(draw):
+    """EC2 m1.large + S3 beside one or two capped local clusters of drawn
+    size and rate, fresh or mid-run, min-cost or budgeted min-time."""
+    clusters = [
+        local_cluster(nodes=draw(st.integers(1, 4)),
+                      throughput=draw(st.integers(2, 12)) / 20)
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    if len(clusters) == 2:
+        clusters[1] = clusters[1].replace(name="local.cluster2")
+    horizon = draw(st.integers(2, 5))
+    job = PlannerJob(name="p", input_gb=draw(st.integers(1, 14 * horizon)) / 2)
+    state = None
+    if draw(st.booleans()):
+        uploaded = job.input_gb * draw(st.integers(0, 4)) / 4
+        mapped = uploaded * draw(st.integers(0, 4)) / 4
+        state = SystemState(
+            hour=1.0,
+            source_remaining_gb=job.input_gb - uploaded,
+            stored_input={"s3": uploaded - mapped},
+            map_done_gb=mapped,
+            stored_output={"s3": mapped * job.map_output_ratio},
+        )
+    if draw(st.booleans()):
+        goal = Goal.min_cost(deadline_hours=float(horizon))
+    else:
+        goal = Goal.min_time(budget_usd=draw(st.floats(0.5, 20.0)),
+                             horizon_hours=horizon)
+    return PlanningProblem(
+        job=job, services=[ec2_m1_large(), s3(), *clusters], network=NET,
+        goal=goal, state=state, constant_nodes=draw(st.booleans()),
+    )
 
-    The row is the capacity rows summed over t with the completion rows
-    substituted, rounded up: every integer-feasible point satisfies it,
-    so it may tighten the root bound but never move the optimum.
+
+class TestNodeHoursRow:
+    """One compute service without a node cap (or one compute service):
+    Σ_t nodes[c,t] >= ⌈node-hours of the work left, less what the capped
+    services can do at most⌉.
+
+    The row is the capacity rows scaled to c's rate and summed over t
+    and services, with the completion rows substituted and each capped
+    service at its cap, rounded up: every integer-feasible point
+    satisfies it, so it may tighten the root bound but never move the
+    optimum.
     """
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(problem=one_compute_service_problems())
+    @given(problem=st.one_of(one_compute_service_problems(), capped_mix_problems()))
     def test_the_row_keeps_the_proven_optimum(self, problem):
         built = build_model(problem)
         row = built.model.row_names.index("node_hours")
@@ -406,7 +459,8 @@ class TestNodeHoursRow:
             return
         # The untightened optimum already satisfies the row, so it is
         # feasible for the tightened model: the row cut nothing off.
-        node_hours = without[1][built.layout.nodes[0]].sum()
+        counted = tight.indices[tight.indptr[row]:tight.indptr[row + 1]]
+        node_hours = without[1][counted].sum()
         assert node_hours >= tight.row_lb[row] - 1e-6
         # Even at zero gaps HiGHS prunes a node whose bound is within
         # ~1e-6 of the incumbent, so two proven optima agree to 1e-9
@@ -422,10 +476,262 @@ class TestNodeHoursRow:
         assert solution.mip_node_count <= 10
 
     def test_two_compute_services_get_no_row(self):
-        built = build_model(default_problem())
+        # c1.xlarge costs two m1.large nodes and maps faster than both:
+        # neither dominates the other.
+        built = build_model(default_problem(
+            services=[ec2_m1_large(), ec2_c1_xlarge(), s3()]))
         assert len(built.layout.key.compute) == 2
         assert "node_hours" not in built.model.row_names
         assert "node_hours" not in built.layout.rhs
+
+
+    def test_the_capped_services_lower_the_right_hand_side(self):
+        problem = default_problem(services=hybrid_cloud(local_nodes=5),
+                                  goal=Goal.min_cost(deadline_hours=8.0))
+        built = build_model(problem)
+        compiled = built.model.compile()
+        row = built.model.row_names.index("node_hours")
+        counted = compiled.indices[compiled.indptr[row]:compiled.indptr[row + 1]]
+        assert counted.tolist() == built.layout.nodes[0].tolist()  # m1.large
+        job = problem.job
+        # 32 GB at 0.44 GB/h plus the reduce, less 5 local nodes x 8 h at
+        # the same rate.
+        work = 32.0 / 0.44 + job.map_output_gb / (0.44 * 4.0) - 5 * 8
+        assert compiled.row_lb[row] == math.ceil(work - 1e-6)
+
+
+def tiebreak_free(compiled, tiebreak):
+    """``compiled`` with its objective's tie-breakers taken out."""
+    return dataclasses.replace(compiled, objective=compiled.objective - tiebreak)
+
+
+@st.composite
+def dominated_pair_problems(draw):
+    """``(problem, dominated)``: compute services ``c`` and ``d`` in
+    either order, with or without S3; fresh or mid-run, min-cost or
+    budgeted min-time, with or without migration.
+    When ``dominated``, ``d`` costs ``k`` times ``c`` or a little more,
+    maps at most ``k`` times as fast, holds at most ``k`` times the disk
+    and pays equal or dearer storage, request and transfer prices.
+    Otherwise one of those draws misses, by a little."""
+    dominated = draw(st.integers(0, 3)) > 0
+    k = draw(st.integers(1, 3))
+    price = draw(st.integers(2, 8)) / 20
+    rate = draw(st.integers(6, 12)) / 20
+    disk = draw(st.sampled_from([0.0, 100.0, 850.0]))
+    tstore = draw(st.sampled_from([0.0, 0.02]))
+    c = ec2_m1_large().replace(
+        name="ec2.c", price_per_node_hour=price, throughput_gb_per_hour=rate,
+        storage_gb_per_node=disk, can_store=disk > 0, cost_tstore_gb_hour=tstore)
+    dearer = draw(st.booleans())
+    d = c.replace(
+        name="ec2.d",
+        price_per_node_hour=k * price + draw(st.integers(0, 3)) / 20 * price,
+        throughput_gb_per_hour=min(k * rate, k * rate * draw(st.integers(10, 20)) / 20),
+        storage_gb_per_node=disk * k * draw(st.integers(0, 4)) / 4,
+        cost_tstore_gb_hour=tstore * draw(st.integers(1, 2)),
+        cost_put=1e-6 if dearer else 0.0,
+        transfer_out_cost_gb=c.transfer_out_cost_gb + (0.01 if dearer else 0.0),
+    )
+    if not dominated:
+        miss = draw(st.sampled_from(["price", "rate", "disk", "storage price"]))
+        if miss == "price":
+            d = d.replace(price_per_node_hour=k * price * 0.95)
+        elif miss == "rate":
+            d = d.replace(throughput_gb_per_hour=k * rate * 1.2)
+        elif miss == "disk":
+            d = d.replace(storage_gb_per_node=(disk or 100.0) * k * 1.2,
+                          can_store=True)
+        else:
+            c = c.replace(cost_get=1e-5)
+    compute = [c, d] if draw(st.booleans()) else [d, c]
+    horizon = draw(st.integers(2, 5))
+    # 16 Mbit/s moves 7.2 GB an hour, 2 Mbit/s 0.9: over the slow link
+    # small inputs wait to fill a node-hour.
+    network = NetworkConditions.from_mbit_s(draw(st.sampled_from([2.0, 16.0])))
+    hourly = int(network.uplink_gb_per_hour * 2)
+    job = PlannerJob(name="p", input_gb=draw(st.integers(1, hourly * horizon)) / 2)
+    state = None
+    if draw(st.booleans()):
+        holder = "ec2.c" if disk else "s3"
+        uploaded = job.input_gb * draw(st.integers(0, 4)) / 4
+        mapped = uploaded * draw(st.integers(0, 4)) / 4
+        state = SystemState(
+            hour=1.0,
+            source_remaining_gb=job.input_gb - uploaded,
+            stored_input={holder: uploaded - mapped},
+            map_done_gb=mapped,
+            stored_output={holder: mapped * job.map_output_ratio},
+        )
+    if draw(st.booleans()):
+        goal = Goal.min_cost(deadline_hours=float(horizon))
+    else:
+        goal = Goal.min_time(budget_usd=draw(st.floats(0.5, 20.0)),
+                             horizon_hours=horizon)
+    migrate = draw(st.booleans())
+    # Storage billed by the hour on c keeps d while data may migrate (in
+    # flight it is billed on neither).
+    dominated = dominated and not (migrate and tstore and disk)
+    # Without S3, stocks wait on c and d themselves.
+    storage = [s3()] if draw(st.booleans()) or not disk else []
+    problem = PlanningProblem(
+        job=job, services=[*compute, *storage], network=network, goal=goal,
+        state=state, constant_nodes=draw(st.booleans()), allow_migration=migrate,
+    )
+    return problem, dominated
+
+
+class TestDominatedServices:
+    """A compute service another one dominates gets no columns: every
+    plan using it maps onto the dominating service at no higher cost, so
+    the optimum over the kept services is the optimum over all."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=dominated_pair_problems())
+    # Storage billed by the hour on both, migration on: leaving d out
+    # would cost 1.70045 against 1.70040, the in-flight saving.
+    @example(drawn=(PlanningProblem(
+        job=PlannerJob(name="p", input_gb=2.0),
+        services=[ec2_m1_large().replace(name="ec2.c", cost_tstore_gb_hour=0.02),
+                  ec2_m1_large().replace(name="ec2.d", cost_tstore_gb_hour=0.02,
+                                         price_per_node_hour=0.68,
+                                         throughput_gb_per_hour=0.88)],
+        network=NetworkConditions.from_mbit_s(2.0),
+        goal=Goal.min_cost(deadline_hours=6.0)), False))
+    def test_the_kept_services_keep_the_proven_optimum(self, drawn):
+        problem, dominated = drawn
+        built = build_model(problem)
+        if dominated:
+            # One is left: c, or of equal twins the first in the catalog.
+            assert len(built.layout.key.compute) == 1
+        kept = proven_optimum(tiebreak_free(built.model.compile(),
+                                            built.layout.tiebreak))
+        # The full catalog, from the reference formulation (which lays
+        # out every compute service it is given), also without
+        # tie-breakers: both sides are the cost (and, for min-time goals,
+        # the completion weights) alone.
+        with mock.patch.multiple(reference_model, _NODE_TIEBREAK=0.0,
+                                 _EARLY_WORK_TIEBREAK=0.0, _FLOW_TIEBREAK=0.0):
+            full = reference_model.build_model(problem).model.compile()
+        assert "nodes[ec2.d,1]" in full.col_names
+        everything = proven_optimum(full)
+        assert (kept is None) == (everything is None)
+        if kept is None:
+            return
+        # As for the node-hours row: zero-gap optima agree to 1e-9
+        # relative or HiGHS's ~1e-6 pruning tolerance.
+        assert kept[0] == pytest.approx(everything[0], rel=1e-9, abs=1e-6)
+
+
+def kept_compute(services, **overrides):
+    problem = default_problem(services=services, **overrides)
+    return [c.name for c in kept_problem(problem).compute_services()]
+
+
+class TestDominanceRule:
+    def test_public_and_hybrid_leave_out_m1_xlarge(self):
+        assert kept_compute(public_cloud()) == ["ec2.m1.large"]
+        assert kept_compute(public_cloud(KMEANS_FAST_THROUGHPUT_GB_H)) == [
+            "ec2.m1.large"]
+        assert kept_compute(hybrid_cloud(local_nodes=5)) == [
+            "ec2.m1.large", "local.cluster"]
+
+    def test_spot_leaves_out_nothing(self):
+        services = spot_services()
+        assert kept_compute(services) == [c.name for c in services if c.can_compute]
+
+    def test_the_full_ec2_catalog_leaves_out_six_of_eleven(self):
+        assert kept_compute(full_instance_catalog() + [s3()]) == [
+            "ec2.t1.micro", "ec2.m1.small", "ec2.m1.large", "ec2.c1.medium",
+            "ec2.c1.xlarge"]
+
+    def test_fig1_instance_types_keep_c1_xlarge(self):
+        assert kept_compute(instance_types() + [s3()]) == [
+            "ec2.m1.large", "ec2.c1.xlarge"]
+
+    def test_nothing_dominated_returns_the_problem_itself(self):
+        problem = default_problem(services=spot_services())
+        assert kept_problem(problem) is problem
+        kept = kept_problem(default_problem())
+        assert kept_problem(kept) is kept
+
+    def test_a_spot_service_neither_dominates_nor_is_dominated(self):
+        spot = ec2_m1_large().replace(name="ec2.m1.large.spot", is_spot=True)
+        assert kept_compute([spot, ec2_m1_xlarge(), s3()]) == [
+            "ec2.m1.large.spot", "ec2.m1.xlarge"]
+        assert kept_compute([ec2_m1_large(), spot.replace(
+            price_per_node_hour=0.68, throughput_gb_per_hour=0.85), s3()]) == [
+            "ec2.m1.large", "ec2.m1.large.spot"]
+
+    def test_a_capped_service_dominates_nothing(self):
+        capped = ec2_m1_large().replace(max_nodes=20)
+        assert kept_compute([capped, ec2_m1_xlarge(), s3()]) == [
+            "ec2.m1.large", "ec2.m1.xlarge"]
+
+    def test_a_stock_on_the_dominated_service_keeps_it(self):
+        state = SystemState(hour=1.0, source_remaining_gb=30.0,
+                            stored_input={"ec2.m1.xlarge": 2.0})
+        assert kept_compute(public_cloud(), state=state) == [
+            "ec2.m1.large", "ec2.m1.xlarge"]
+
+    def test_an_upload_fraction_on_the_dominated_service_keeps_it(self):
+        assert kept_compute(public_cloud(), upload_fractions={
+            "ec2.m1.xlarge": 0.5}) == ["ec2.m1.large", "ec2.m1.xlarge"]
+
+    def test_a_partial_fraction_on_the_dominating_service_keeps_it(self):
+        # xlarge could take the unpinned half of the uploads, which
+        # m1.large's pinned fraction could not absorb.
+        assert kept_compute(public_cloud(), upload_fractions={
+            "ec2.m1.large": 0.5}) == ["ec2.m1.large", "ec2.m1.xlarge"]
+        # Fractions that pin every byte leave xlarge none (Figs. 8, 9).
+        assert kept_compute(public_cloud(), upload_fractions={
+            "ec2.m1.large": 0.65, "s3": 0.35}) == ["ec2.m1.large"]
+
+    def test_dearer_storage_on_the_dominating_service_keeps_it(self):
+        for change in (dict(cost_tstore_gb_hour=1e-5), dict(cost_put=1e-6),
+                       dict(cost_get=1e-6), dict(transfer_out_cost_gb=0.2),
+                       dict(transfer_in_cost_gb=0.01)):
+            dearer = ec2_m1_large().replace(**change)
+            assert kept_compute([dearer, ec2_m1_xlarge(), s3()]) == [
+                "ec2.m1.large", "ec2.m1.xlarge"], change
+
+    def test_storage_billed_by_the_hour_keeps_it_while_data_may_migrate(self):
+        # Data migrating between the two is billed on neither in flight.
+        billed = [ec2_m1_large().replace(cost_tstore_gb_hour=1e-4),
+                  ec2_m1_xlarge().replace(cost_tstore_gb_hour=1e-4), s3()]
+        assert kept_compute(billed) == ["ec2.m1.large", "ec2.m1.xlarge"]
+        assert kept_compute(billed, allow_migration=False) == ["ec2.m1.large"]
+
+    def test_a_finite_capacity_of_its_own_keeps_it(self):
+        # Both capacities would add up on m1.large.
+        owned = [ec2_m1_large().replace(storage_capacity_gb=100.0),
+                 ec2_m1_xlarge().replace(storage_capacity_gb=100.0), s3()]
+        assert kept_compute(owned) == ["ec2.m1.large", "ec2.m1.xlarge"]
+
+    def test_less_work_or_disk_per_price_keeps_it(self):
+        assert kept_compute([ec2_m1_large(), ec2_m1_xlarge().replace(
+            throughput_gb_per_hour=0.9), s3()]) == ["ec2.m1.large", "ec2.m1.xlarge"]
+        assert kept_compute([ec2_m1_large(), ec2_m1_xlarge().replace(
+            storage_gb_per_node=1800.0), s3()]) == ["ec2.m1.large", "ec2.m1.xlarge"]
+
+    def test_another_provider_keeps_it(self):
+        assert kept_compute([ec2_m1_large(), ec2_m1_xlarge().replace(
+            provider="other"), s3()]) == ["ec2.m1.large", "ec2.m1.xlarge"]
+
+    def test_of_equal_twins_the_first_is_kept(self):
+        twin = ec2_m1_large().replace(name="ec2.m1.large.twin")
+        assert kept_compute([ec2_m1_large(), twin, s3()]) == ["ec2.m1.large"]
+        assert kept_compute([twin, ec2_m1_large(), s3()]) == ["ec2.m1.large.twin"]
+
+    def test_the_structural_fingerprint_follows_the_kept_services(self):
+        full = default_problem()
+        assert structure_key(full) == structure_key(
+            default_problem(services=[ec2_m1_large(), s3()]))
+        built = build_model(full)
+        assert built.problem.compute_services() == [ec2_m1_large()]
+        plan = built.extract_plan(built.solve())
+        assert all("ec2.m1.xlarge" not in i.nodes for i in plan.intervals)
 
 
 def row_activity(compiled, x):

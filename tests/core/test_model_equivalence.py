@@ -31,6 +31,7 @@ from repro.core import (
     SystemState,
     build_model,
 )
+from repro.core.model_builder import kept_problem
 from repro.core.spot_sim import spot_services
 from repro.lp import Solution
 
@@ -131,8 +132,13 @@ GRID = {
 }
 
 
+def reference(p: PlanningProblem):
+    """The reference model of the problem the builder builds for."""
+    return reference_model.build_model(kept_problem(p))
+
+
 def assert_same_model(p: PlanningProblem) -> None:
-    built, ref = build_model(p), reference_model.build_model(p)
+    built, ref = build_model(p), reference(p)
     got, want = built.model.compile(), ref.model.compile()
 
     assert got.col_names == want.col_names
@@ -163,7 +169,7 @@ def test_objective_is_the_reference_objective_to_the_bit(name):
     what keeps HiGHS on the very same pivots as before the rewrite."""
     p = GRID[name]
     got = build_model(p).model.compile().objective
-    want = reference_model.build_model(p).model.compile().objective
+    want = reference(p).model.compile().objective
     assert np.array_equal(got, want)
 
 
@@ -175,7 +181,7 @@ def test_drawn_data_builds_the_reference_matrix(data):
 
 
 def plans_of_one_vector(p: PlanningProblem):
-    built, ref = build_model(p), reference_model.build_model(p)
+    built, ref = build_model(p), reference(p)
     solution = built.solve(time_limit=60.0)
     assert solution.status.has_solution, solution.message
     mirrored = Solution(

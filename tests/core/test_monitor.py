@@ -143,7 +143,8 @@ class TestIntervalTrigger:
         fast = ActualConditions(
             throughput_gb_per_hour={"ec2.m1.large": 0.88, "ec2.m1.xlarge": 1.7}
         )
-        small = dict(input_gb=8.0, deadline=6.0, mbit_s=16.0)
+        # 16 GB runs past the mark at hour 2 even on the fast nodes.
+        small = dict(input_gb=16.0, deadline=6.0, mbit_s=16.0)
         assert "deviation" in {k for _, k in replan_hours(None, fast, **small)}
         assert replan_hours(2.0, fast, **small) == [(2.0, "interval")]
 
@@ -166,9 +167,9 @@ class TestControllerRunStepping:
         )
 
     def test_stepping_matches_run(self):
-        actual = ActualConditions(
-            throughput_gb_per_hour={"ec2.m1.large": 0.44, "ec2.m1.xlarge": 0.3}
-        )
+        # Slower nodes than believed: the plan's own service (m1.xlarge
+        # is dominated by m1.large and never planned).
+        actual = ActualConditions(throughput_gb_per_hour={"ec2.m1.large": 0.3})
         whole = self.controller().run(actual)
         run = self.controller().start(actual)
         outcomes = []
@@ -181,9 +182,9 @@ class TestControllerRunStepping:
         assert [o.index for o in outcomes] == [o.index for o in whole.outcomes]
 
     def test_replan_records_name_their_trigger(self):
-        actual = ActualConditions(
-            throughput_gb_per_hour={"ec2.m1.large": 0.44, "ec2.m1.xlarge": 0.3}
-        )
+        # Slower nodes than believed: the plan's own service (m1.xlarge
+        # is dominated by m1.large and never planned).
+        actual = ActualConditions(throughput_gb_per_hour={"ec2.m1.large": 0.3})
         result = self.controller().run(actual)
         assert result.replans >= 1
         assert len(result.replan_records) == result.replans

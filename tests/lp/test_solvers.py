@@ -96,9 +96,9 @@ def spy_loads(monkeypatch):
     loads = []
     real = scipy_backend._load
 
-    def load(compiled, integral):
+    def load(compiled, integral, **options):
         loads.append(integral)
-        return real(compiled, integral)
+        return real(compiled, integral, **options)
 
     monkeypatch.setattr(scipy_backend, "_load", load)
     return loads

@@ -153,8 +153,9 @@ class TestSave:
 
 class TestGolden:
     """A planner model's export, byte for byte as the files committed
-    beside this test (written when the writers still walked an
-    expression graph)."""
+    beside this test (first written when the writers still walked an
+    expression graph; rewritten when the dominated m1.xlarge left the
+    model and the one kept compute service gained its node-hours row)."""
 
     @pytest.mark.parametrize("suffix", [".lp", ".mps"])
     def test_export_matches_the_committed_file(self, suffix, tmp_path):

@@ -1,8 +1,13 @@
 """Fingerprint tests: equal problems collide, perturbed problems don't."""
 
+import hashlib
+
 import pytest
 
-from repro.cloud import public_cloud
+from repro.api import GoalSpec, JobSpec
+from repro.api.compiler import compile_spec
+from repro.cloud import instance_types, public_cloud, s3
+from repro.cloud.catalog_full import RESERVED_M1_LARGE, full_instance_catalog
 from repro.core import (
     Goal,
     NetworkConditions,
@@ -11,6 +16,7 @@ from repro.core import (
     SystemState,
 )
 from repro.service import problem_fingerprint
+from repro.service.fingerprint import canonical_payload
 
 
 def make_problem(**overrides) -> PlanningProblem:
@@ -137,3 +143,36 @@ class TestEncoding:
             spot_price_estimates={services[0].name: numpy.full(6, 0.2)},
         )
         assert problem_fingerprint(listy) == problem_fingerprint(arraylike)
+
+
+#: SHA-256 of ``canonical_payload`` for a 16 GB / 6 h problem over each
+#: shipped catalog, as the encoding has stood since fingerprints were
+#: introduced: a plan cached under one of them must stay reachable.
+PAYLOAD_DIGESTS = {
+    "public": "806eae81fb56e6226adab4b40087a4b11bf7c61b4824084f73173668cf4dc756",
+    "hybrid": "07dcdb73d235a8c953fc9281e89a0062a46f70a4734139b6d1d269dcb9d6b7dd",
+    "spot": "eccff3f63da8aa55d35e5c23b4416f2b90b4e83f52f7f1ed32f8b9bbb7ea3b2a",
+    "full": "e3086dca9ab77180f59566ade48390606ddde95590c48f8cdb58864157ccbbd2",
+    "fig1": "2914f9c458433a558c7d3420bfc65bd2534c4cf0a895e7c278ea2feeb73b791d",
+    "reserved": "fec28735e131682c9467c1026f77d2b3f3939a7fd82e391157d3b502f4c40349",
+}
+
+
+def shipped_catalog_problem(catalog: str) -> PlanningProblem:
+    if catalog in ("public", "hybrid", "spot"):
+        return compile_spec(JobSpec(
+            input_gb=16.0, catalog=catalog,
+            local_nodes=5 if catalog == "hybrid" else 0,
+            goal=GoalSpec(deadline_hours=6.0)))
+    services = {
+        "full": full_instance_catalog() + [s3()],
+        "fig1": instance_types() + [s3()],
+        "reserved": [RESERVED_M1_LARGE.to_service(0.5), s3()],
+    }[catalog]
+    return make_problem(services=services)
+
+
+@pytest.mark.parametrize("catalog", PAYLOAD_DIGESTS)
+def test_canonical_payload_is_unchanged_for_every_shipped_catalog(catalog):
+    payload = canonical_payload(shipped_catalog_problem(catalog))
+    assert hashlib.sha256(payload).hexdigest() == PAYLOAD_DIGESTS[catalog]

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro.core import Goal, NetworkConditions, PlannerJob, PlanningProblem
 from repro.core.model_builder import PlanningError, build_model, structure_key
 from repro.core.planner import Planner
-from repro.cloud import public_cloud
+from repro.cloud import hybrid_cloud, public_cloud
 from repro.obs.registry import MetricsRegistry
 from repro.service import (
     IncrementalSolver,
@@ -240,6 +241,12 @@ def entry_of(solver, problem):
     return solver._entries.get(structural_fingerprint(problem))
 
 
+def hybrid_problem(**kw) -> PlanningProblem:
+    """:func:`make_problem` beside a 5-node local cluster: unlike the
+    public model's, these MILPs keep a gap at the root."""
+    return replace(make_problem(**kw), services=hybrid_cloud(local_nodes=5))
+
+
 #: Same structure throughout.  The 8 GB step outgrows the pinned node
 #: counts (infeasible candidate); the steps after it re-certify against
 #: whatever assignment the last cold fallback retained, and the way back
@@ -257,6 +264,29 @@ class TestDriftSequence:
     def test_each_step_takes_its_decision_and_a_cold_equal_plan(self, strict):
         solver = IncrementalSolver(strict=strict)
         cold = Planner()
+        solver.solve(hybrid_problem())
+        kinds = []
+        for kw in SEQUENCE:
+            kind, plan = kind_of(solver, hybrid_problem(**kw))
+            kinds.append(kind)
+            assert plan.objective_value == pytest.approx(
+                cold.plan(hybrid_problem(**kw)).objective_value, rel=0.01
+            )
+        if strict:
+            # These MILPs have a root gap: strict mode never accepts.
+            assert "warm" not in kinds
+        else:
+            assert isinstance(entry_of(solver, hybrid_problem()).lp, scipy_backend.HotLP)
+            assert kinds.count("warm") == 5
+            assert kinds.count("rejected_fallbacks") == 4
+
+    def test_strict_mode_certifies_the_public_drift_warm(self):
+        # The public model keeps m1.large alone (m1.xlarge is dominated),
+        # and its node-hours row closes these MILPs at the root, so
+        # strict mode now goes warm: on the three drift steps before the
+        # 8 GB one and on the last.
+        solver = IncrementalSolver(strict=True)
+        cold = Planner()
         solver.solve(make_problem())
         kinds = []
         for kw in SEQUENCE:
@@ -265,13 +295,8 @@ class TestDriftSequence:
             assert plan.objective_value == pytest.approx(
                 cold.plan(make_problem(**kw)).objective_value, rel=0.01
             )
-        if strict:
-            # These MILPs have a root gap: strict mode never accepts.
-            assert "warm" not in kinds
-        else:
-            assert isinstance(entry_of(solver, make_problem()).lp, scipy_backend.HotLP)
-            assert kinds.count("warm") == 5
-            assert kinds.count("rejected_fallbacks") == 4
+        assert kinds[:3] == ["warm"] * 3
+        assert kinds.count("warm") == 4
 
 
 class TestHotInstanceLifecycle:

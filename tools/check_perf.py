@@ -16,7 +16,8 @@ Where a bench reported them, the model-build layer is printed beside
 the speedups — ``build_ms`` (first builds of each shape, summed over
 the Fig. 16 grid) and ``rebuild_ms`` (second builds of the same shapes)
 — and so are the cold side of a speedup, ``cold_nodes`` (branch & bound
-nodes over the Fig. 16 grid's cold solves), the share of re-plans
+nodes over the Fig. 16 grid's or the Fig. 9 sweep's cold solves) with,
+where reported, ``solve_s`` (those solves' seconds), the share of re-plans
 answered warm, ``warm_rate``, and the three warm-cache request paths of
 ``bench_api_overhead`` (``direct_us`` / ``facade_us`` / ``wire_us``,
 under ``ordered_admission``), as information: no floor applies to them.
@@ -65,7 +66,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: build_ms {metrics['build_ms']:.1f}, "
                   f"rebuild_ms {metrics['rebuild_ms']:.2f}")
         if "cold_nodes" in metrics:
-            print(f"{name}: cold_nodes {metrics['cold_nodes']:.0f}")
+            solve_s = metrics.get("solve_s")
+            aside = "" if solve_s is None else f", solve_s {solve_s:.1f}"
+            print(f"{name}: cold_nodes {metrics['cold_nodes']:.0f}{aside}")
         if all(key in metrics for key in ("direct_us", "facade_us", "wire_us")):
             print(f"{name}: direct_us {metrics['direct_us']:.1f}, "
                   f"facade_us {metrics['facade_us']:.1f}, "

@@ -340,11 +340,22 @@ def without_row(compiled, row: int):
     )
 
 
+#: How far apart two proven optima of the same problem may lie.
+#: HiGHS prunes a node whose bound is within ``mip_feasibility_tolerance``
+#: (1e-6 by default) of the incumbent, even at zero gaps, so two default
+#: runs can already differ by a little more than this.
+PROVEN_ABS = 1e-6
+
+
 def proven_optimum(compiled):
     """``(objective, x)`` of a HiGHS run with no relative and no absolute
     gap (``scipy_backend.solve`` keeps HiGHS's default absolute one), or
-    ``None`` without an optimum."""
-    h = scipy_backend._load(compiled, integral=True)
+    ``None`` without an optimum.
+
+    HiGHS's absolute tolerances are tightened to a tenth of
+    :data:`PROVEN_ABS`, so what branch & bound prunes as no better stays
+    well inside it."""
+    h = scipy_backend._load(compiled, integral=True, resolve=PROVEN_ABS)
     h.setOptionValue("mip_rel_gap", 0.0)
     h.setOptionValue("mip_abs_gap", 0.0)
     h.setOptionValue("time_limit", 60.0)
@@ -448,6 +459,15 @@ class TestNodeHoursRow:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(problem=st.one_of(one_compute_service_problems(), capped_mix_problems()))
+    # At HiGHS's default tolerances the run with the row stops 1.01e-6
+    # above the one without it.
+    @example(problem=PlanningProblem(
+        job=PlannerJob(name="p", input_gb=11.0),
+        services=[ec2_m1_large(), s3(), local_cluster(nodes=3, throughput=0.1)],
+        network=NET, goal=Goal.min_time(budget_usd=5.8984375, horizon_hours=3),
+        state=SystemState(hour=1.0, source_remaining_gb=8.25,
+                          stored_input={"s3": 0.0}, map_done_gb=2.75,
+                          stored_output={"s3": 0.0055})))
     def test_the_row_keeps_the_proven_optimum(self, problem):
         built = build_model(problem)
         row = built.model.row_names.index("node_hours")
@@ -462,10 +482,9 @@ class TestNodeHoursRow:
         counted = tight.indices[tight.indptr[row]:tight.indptr[row + 1]]
         node_hours = without[1][counted].sum()
         assert node_hours >= tight.row_lb[row] - 1e-6
-        # Even at zero gaps HiGHS prunes a node whose bound is within
-        # ~1e-6 of the incumbent, so two proven optima agree to 1e-9
-        # relative or to that, whichever is looser.
-        assert with_row[0] == pytest.approx(without[0], rel=1e-9, abs=1e-6)
+        # Two proven optima agree to 1e-9 relative or to PROVEN_ABS,
+        # whichever is looser.
+        assert with_row[0] == pytest.approx(without[0], rel=1e-9, abs=PROVEN_ABS)
 
     def test_spot_8gb_12h_closes_near_the_root(self):
         # 1,122 branch & bound nodes without the row.
@@ -619,9 +638,9 @@ class TestDominatedServices:
         assert (kept is None) == (everything is None)
         if kept is None:
             return
-        # As for the node-hours row: zero-gap optima agree to 1e-9
-        # relative or HiGHS's ~1e-6 pruning tolerance.
-        assert kept[0] == pytest.approx(everything[0], rel=1e-9, abs=1e-6)
+        # As for the node-hours row: proven optima agree to 1e-9
+        # relative or to PROVEN_ABS.
+        assert kept[0] == pytest.approx(everything[0], rel=1e-9, abs=PROVEN_ABS)
 
 
 def kept_compute(services, **overrides):

@@ -17,7 +17,7 @@ Subpackages
     markets and trace generators.
 ``repro.storage``
     Conductor's storage abstraction layer (namenode, backends, client,
-    chunked filesystem driver, failure injection, Fig. 15 throughput).
+    chunked filesystem driver, Fig. 15 throughput).
 ``repro.mapreduce``
     Hadoop-like MapReduce engine with stock and location-aware schedulers.
 ``repro.pig``

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 
 class CostCategory(enum.Enum):
@@ -74,28 +73,6 @@ class CostLedger:
     def total(self) -> float:
         return sum(e.amount for e in self._entries)
 
-    def by_category(self) -> dict[CostCategory, float]:
-        return self._group(lambda e: e.category)
-
-    def by_service(self) -> dict[str, float]:
-        return self._group(lambda e: e.service)
-
-    def by_service_category(self) -> dict[tuple[str, CostCategory], float]:
-        return self._group(lambda e: (e.service, e.category))
-
-    def filtered(self, predicate: Callable[[LedgerEntry], bool]) -> "CostLedger":
-        ledger = CostLedger()
-        for entry in self._entries:
-            if predicate(entry):
-                ledger._entries.append(entry)
-        return ledger
-
-    def _group(self, key: Callable[[LedgerEntry], object]) -> dict:
-        groups: dict = {}
-        for entry in self._entries:
-            groups[key(entry)] = groups.get(key(entry), 0.0) + entry.amount
-        return groups
-
     # -- paper-figure views ----------------------------------------------------
 
     def figure5_breakdown(self) -> dict[str, float]:
@@ -118,11 +95,4 @@ class CostLedger:
             else:
                 breakdown["storage/EC2"] += entry.amount
         return breakdown
-
-    def rows(self) -> list[tuple]:
-        """Ledger as printable tuples (time, service, category, detail, $)."""
-        return [
-            (round(e.hour, 3), e.service, e.category.value, e.detail, round(e.amount, 6))
-            for e in self._entries
-        ]
 

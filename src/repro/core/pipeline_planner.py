@@ -263,10 +263,6 @@ class PipelineRunResult:
     losses: int
     stage_attempts: list[int]
 
-    @property
-    def recovered(self) -> bool:
-        return self.losses > 0
-
 
 _MAX_TOTAL_ATTEMPTS = 100_000
 

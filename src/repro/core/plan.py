@@ -151,10 +151,6 @@ class ExecutionPlan:
 
     # -- queries ---------------------------------------------------------------
 
-    @property
-    def horizon_hours(self) -> float:
-        return self.intervals[-1].end_hour
-
     def interval_at(self, hour: float) -> PlanInterval:
         """The interval covering absolute hour ``hour``."""
         for interval in self.intervals:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..cloud.services import ServiceDescription
-from .model_builder import BuiltModel, build_model
+from .model_builder import build_model
 from .plan import ExecutionPlan
 from .problem import Goal, NetworkConditions, PlannerJob, PlanningProblem, SystemState
 
@@ -34,10 +34,6 @@ class Planner:
         deployment exists within the horizon."""
         built = build_model(problem)
         return built.extract_plan(built.solve(self.time_limit, self.mip_gap))
-
-    def build(self, problem: PlanningProblem) -> BuiltModel:
-        """Expose the raw model (solving-time benchmarks, tests)."""
-        return build_model(problem)
 
 
 def plan_job(

@@ -21,9 +21,6 @@ equivalent substrate built from scratch:
   ``CompiledModel`` arrays.
 - :mod:`~repro.lp.writers` — ``.lp``/``.mps`` export of a
   :class:`MatrixModel`, straight from its arrays.
-- :mod:`~repro.lp.simplex_backend` — a pure-Python two-phase simplex with
-  branch & bound, kept as the reference oracle the tests cross-check
-  HiGHS against; ``Model.solve`` never calls it.
 
 Quick example::
 

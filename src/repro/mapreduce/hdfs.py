@@ -43,9 +43,6 @@ class HdfsDeployment:
     fs: ConductorFileSystem
     replication: int
 
-    def datanodes(self) -> list[str]:
-        return self.backend.nodes
-
     def write_file(
         self,
         path: str,

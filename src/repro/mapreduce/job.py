@@ -40,12 +40,6 @@ class Task:
     started_at: float | None = None
     completed_at: float | None = None
 
-    @property
-    def duration(self) -> float | None:
-        if self.started_at is None or self.completed_at is None:
-            return None
-        return self.completed_at - self.started_at
-
 
 @dataclass
 class MapReduceJob:

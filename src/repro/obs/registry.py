@@ -122,9 +122,6 @@ class LatencySeries:
                 return 0.0
             return sum(self._samples) / len(self._samples)
 
-    def p(self, q: float) -> float:
-        return percentile(self.samples, q)
-
     def summary(self) -> dict[str, float]:
         with self._lock:
             data = sorted(self._samples)

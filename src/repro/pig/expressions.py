@@ -38,10 +38,6 @@ class Expression(abc.ABC):
     def infer(self, schema: Schema) -> Field:
         """Output field (name + type) given the input schema."""
 
-    @abc.abstractmethod
-    def references(self) -> set[str]:
-        """Column references appearing in the expression (for validation)."""
-
     def default_name(self) -> str:
         """Name used when a GENERATE item has no ``AS`` clause."""
         return self.infer_name_hint()
@@ -72,9 +68,6 @@ class Const(Expression):
             pig_type = PigType.BYTEARRAY
         return Field("const", pig_type)
 
-    def references(self) -> set[str]:
-        return set()
-
     def infer_name_hint(self) -> str:
         return "const"
 
@@ -93,9 +86,6 @@ class Column(Expression):
             return schema.field(self.ref)
         except KeyError as exc:
             raise ExpressionError(str(exc)) from None
-
-    def references(self) -> set[str]:
-        return {self.ref}
 
     def infer_name_hint(self) -> str:
         return self.ref.split("::")[-1].lstrip("$") or "col"
@@ -128,9 +118,6 @@ class BagProject(Expression):
             raise ExpressionError(f"{self.bag!r} is not a bag")
         inner = bag_field.element.field(self.column)
         return Field(self.column, PigType.BAG, Schema((inner,)))
-
-    def references(self) -> set[str]:
-        return {self.bag}
 
     def infer_name_hint(self) -> str:
         return self.column
@@ -184,9 +171,6 @@ class BinaryOp(Expression):
             joined = PigType.DOUBLE
         return Field("expr", joined)
 
-    def references(self) -> set[str]:
-        return self.left.references() | self.right.references()
-
     def infer_name_hint(self) -> str:
         return self.left.infer_name_hint()
 
@@ -206,9 +190,6 @@ class Negate(Expression):
         if not inner.type.is_numeric and inner.type is not PigType.BYTEARRAY:
             raise ExpressionError(f"cannot negate a {inner.type.value}")
         return Field("expr", inner.type)
-
-    def references(self) -> set[str]:
-        return self.operand.references()
 
 
 @dataclass(frozen=True)
@@ -235,9 +216,6 @@ class Comparison(Expression):
         self.left.infer(schema)
         self.right.infer(schema)
         return Field("cond", PigType.BOOLEAN)
-
-    def references(self) -> set[str]:
-        return self.left.references() | self.right.references()
 
 
 @dataclass(frozen=True)
@@ -272,9 +250,6 @@ class BoolOp(Expression):
         self.right.infer(schema)
         return Field("cond", PigType.BOOLEAN)
 
-    def references(self) -> set[str]:
-        return self.left.references() | self.right.references()
-
 
 @dataclass(frozen=True)
 class Not(Expression):
@@ -287,9 +262,6 @@ class Not(Expression):
     def infer(self, schema: Schema) -> Field:
         self.operand.infer(schema)
         return Field("cond", PigType.BOOLEAN)
-
-    def references(self) -> set[str]:
-        return self.operand.references()
 
 
 def _agg_values(argument: Any) -> list:
@@ -443,12 +415,6 @@ class FunctionCall(Expression):
                 )
         return Field(self.name.lower(), self.spec.result(arg_fields))
 
-    def references(self) -> set[str]:
-        refs: set[str] = set()
-        for arg in self.args:
-            refs |= arg.references()
-        return refs
-
     def infer_name_hint(self) -> str:
         return self.name.lower()
 
@@ -477,9 +443,6 @@ class Flatten(Expression):
         inner = self.infer(schema)
         assert inner.element is not None
         return inner.element.fields
-
-    def references(self) -> set[str]:
-        return self.operand.references()
 
     def infer_name_hint(self) -> str:
         return self.operand.infer_name_hint()

@@ -64,11 +64,6 @@ class Operator(abc.ABC):
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         """Schema of the output relation given the input schemas."""
 
-    @property
-    def blocking(self) -> bool:
-        """Whether compiling this operator requires a shuffle."""
-        return False
-
     def row_ratio(self, input_schemas: Sequence[Schema]) -> float:
         """Estimated output rows per input row (size propagation)."""
         return 1.0
@@ -189,10 +184,6 @@ class Group(Operator):
     def inputs(self) -> tuple[str, ...]:
         return (self.source,)
 
-    @property
-    def blocking(self) -> bool:
-        return True
-
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas
         try:
@@ -229,10 +220,6 @@ class Join(Operator):
     def inputs(self) -> tuple[str, ...]:
         return (self.left, self.right)
 
-    @property
-    def blocking(self) -> bool:
-        return True
-
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         left_schema, right_schema = input_schemas
         try:
@@ -264,10 +251,6 @@ class Order(Operator):
     def inputs(self) -> tuple[str, ...]:
         return (self.source,)
 
-    @property
-    def blocking(self) -> bool:
-        return True
-
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas
         try:
@@ -288,10 +271,6 @@ class Distinct(Operator):
     @property
     def inputs(self) -> tuple[str, ...]:
         return (self.source,)
-
-    @property
-    def blocking(self) -> bool:
-        return True
 
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas

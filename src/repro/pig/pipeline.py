@@ -163,14 +163,6 @@ class CompiledPipeline:
             depths[stage.index] = 1 + (max(upstream) if upstream else 0)
         return max(depths.values(), default=0)
 
-    @property
-    def final_stages(self) -> list[StageSpec]:
-        """Stages whose output no other stage consumes."""
-        consumed = {
-            index for stage in self.stages for index in stage.upstream_stages
-        }
-        return [s for s in self.stages if s.index not in consumed]
-
     def estimate_stage_sizes(
         self, input_gb: Mapping[str, float]
     ) -> list[StageSizes]:

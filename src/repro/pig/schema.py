@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 class PigType(enum.Enum):
@@ -180,9 +180,6 @@ class Schema:
 
     def field(self, ref: str) -> Field:
         return self.fields[self.index_of(ref)]
-
-    def project(self, refs: Sequence[str]) -> "Schema":
-        return Schema(tuple(self.field(ref) for ref in refs))
 
     def prefixed(self, alias: str) -> "Schema":
         """Prefix every column with ``alias::`` (join output convention)."""

@@ -28,14 +28,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class LRUCache(Generic[V]):
     """Bounded mapping with least-recently-used eviction.
@@ -86,10 +78,6 @@ class LRUCache(Generic[V]):
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        return self.stats.hit_rate
 
 
 class SharedPlanCache(LRUCache):

@@ -70,10 +70,6 @@ class ServiceMetrics:
             return self._counters[name].value
 
     @property
-    def submitted(self) -> int:
-        return self._count("submitted")
-
-    @property
     def rejected(self) -> int:
         return self._count("rejected")
 

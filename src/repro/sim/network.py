@@ -97,14 +97,13 @@ class Flow:
     remaining_mb: float = field(init=False)
     rate_mb_s: float = 0.0
     completed_at: float | None = None
-    cancelled: bool = False
 
     def __post_init__(self) -> None:
         self.remaining_mb = self.size_mb
 
     @property
     def active(self) -> bool:
-        return self.completed_at is None and not self.cancelled
+        return self.completed_at is None
 
 
 def max_min_fair_rates(
@@ -160,7 +159,7 @@ def max_min_fair_rates(
 class FluidNetwork:
     """Max-min fair fluid network bound to a :class:`Simulation`.
 
-    Rates are piecewise constant: every flow arrival/completion/cancel
+    Rates are piecewise constant: every flow arrival or completion
     triggers a progress update (advancing ``remaining_mb`` at the old
     rates) followed by a global re-allocation and re-scheduling of the
     next completion event.
@@ -207,15 +206,6 @@ class FluidNetwork:
         self._flows.append(flow)
         self._reallocate()
         return flow
-
-    def cancel_flow(self, flow: Flow) -> None:
-        """Abort a flow; delivered bytes stay delivered, callback never fires."""
-        if not flow.active:
-            return
-        self._advance_progress()
-        flow.cancelled = True
-        self._flows.remove(flow)
-        self._reallocate()
 
     def utilization_mb(self) -> dict[str, float]:
         """MB moved per link so far (includes in-flight progress)."""

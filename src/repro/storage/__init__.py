@@ -3,8 +3,8 @@
 A distributed key-value store with a namenode directory, pluggable
 backends (node-local disk daemons, an S3-like object store), a client
 with closest-replica reads and local-write-then-replicate semantics, a
-chunked filesystem driver for Hadoop-style access, failure injection,
-and the Fig. 15 throughput model.  The deployment layer
+chunked filesystem driver for Hadoop-style access, and the Fig. 15
+throughput model.  The deployment layer
 (:mod:`repro.core.deployments`) enacts an execution plan's uploads and
 migrations itself.
 """
@@ -12,7 +12,6 @@ migrations itself.
 from .backends import LocalDiskBackend, ObjectStoreBackend, StorageBackend, StorageError
 from .blocks import Block, BlockId, LocationRecord
 from .client import StorageClient, TransferStats
-from .failures import FailureEvent, FailureInjector, unavailable_files
 from .filesystem import DEFAULT_CHUNK_MB, ConductorFileSystem, FileSystemError, Inode
 from .namenode import Namenode
 
@@ -21,8 +20,6 @@ __all__ = [
     "BlockId",
     "ConductorFileSystem",
     "DEFAULT_CHUNK_MB",
-    "FailureEvent",
-    "FailureInjector",
     "FileSystemError",
     "Inode",
     "LocalDiskBackend",
@@ -33,5 +30,4 @@ __all__ = [
     "StorageClient",
     "StorageError",
     "TransferStats",
-    "unavailable_files",
 ]

@@ -75,16 +75,6 @@ class LocalDiskBackend(StorageBackend):
     def add_node(self, node: str) -> None:
         self._tables.setdefault(node, {})
 
-    def remove_node(self, node: str) -> list[BlockId]:
-        """Take a node (and its replicas) away; returns what was lost.
-
-        Models instance termination — the failure path that makes cheap,
-        less-reliable storage risky for intermediate data (Section 2.1).
-        """
-        self._notify()
-        table = self._tables.pop(node, {})
-        return list(table.keys())
-
     @property
     def nodes(self) -> list[str]:
         return list(self._tables)

@@ -78,9 +78,6 @@ class ConductorFileSystem:
     def exists(self, path: str) -> bool:
         return path in self._inodes
 
-    def files(self) -> list[str]:
-        return list(self._inodes)
-
     def delete(self, path: str) -> None:
         inode = self.inode(path)
         for block_id in inode.chunks:
@@ -133,8 +130,3 @@ class ConductorFileSystem:
             block_id: self.namenode.locations(block_id)
             for block_id in self.inode(path).chunks
         }
-
-    def prioritize(self, path: str, priority: int) -> None:
-        """Hint the namenode to move this file's chunks first."""
-        for block_id in self.inode(path).chunks:
-            self.namenode.set_priority(block_id, priority)

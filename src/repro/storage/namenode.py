@@ -19,10 +19,6 @@ class Namenode:
     def __init__(self) -> None:
         self._blocks: dict[BlockId, Block] = {}
         self._locations: dict[BlockId, list[LocationRecord]] = {}
-        #: Plan-driven priority hints from the filesystem driver ("which
-        #: data block should be uploaded or replicated with higher
-        #: priority", Section 5.3).  Higher = sooner.
-        self._priorities: dict[BlockId, int] = {}
 
     # -- directory ------------------------------------------------------------
 
@@ -38,9 +34,6 @@ class Namenode:
             return self._blocks[block_id]
         except KeyError:
             raise StorageError(f"unknown block {block_id}") from None
-
-    def blocks(self) -> list[BlockId]:
-        return list(self._blocks)
 
     def exists(self, block_id: BlockId) -> bool:
         return block_id in self._blocks
@@ -71,34 +64,10 @@ class Namenode:
                     break
         return found
 
-    def drop_node(self, backend: str, node: str) -> list[BlockId]:
-        """Remove every location on a failed/terminated node; returns the
-        blocks that lost a replica (possibly now unavailable)."""
-        affected = []
-        for block_id, records in self._locations.items():
-            keep = [r for r in records if not (r.backend == backend and r.node == node)]
-            if len(keep) != len(records):
-                self._locations[block_id] = keep
-                affected.append(block_id)
-        return affected
-
     # -- replication bookkeeping -----------------------------------------------
 
     def replication_of(self, block_id: BlockId) -> int:
         return len(self._locations_of(block_id))
-
-    def unavailable(self) -> list[BlockId]:
-        """Registered blocks with zero replicas — data loss (Section 2.1:
-        lost intermediate results must be recomputed)."""
-        return [b for b, records in self._locations.items() if not records]
-
-    # -- priorities ------------------------------------------------------------
-
-    def set_priority(self, block_id: BlockId, priority: int) -> None:
-        self._priorities[block_id] = priority
-
-    def priority_of(self, block_id: BlockId) -> int:
-        return self._priorities.get(block_id, 0)
 
     # -- internals ------------------------------------------------------------
 

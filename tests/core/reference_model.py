@@ -5,7 +5,8 @@ became array-native (layout + fill), moved here verbatim: the paper's
 Section 4 model written constraint by constraint over
 :class:`repro.lp.Model`.  ``tests/core/test_model_equivalence.py`` holds
 the production builder to it — same columns, rows, sparsity, bounds and
-coefficients — the standing ``lp/simplex*.py`` has for the HiGHS backend.
+coefficients — as ``tests/lp/milp_oracle.py`` (``scipy.optimize.milp``)
+stands for the HiGHS backend.
 It lays out every compute service it is given; the tests give it
 :func:`repro.core.model_builder.kept_problem` of a problem, which is
 what the production builder builds.

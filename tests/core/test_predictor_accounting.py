@@ -81,15 +81,6 @@ class TestCostLedger:
         with pytest.raises(ValueError):
             ledger.add(0.0, "x", CostCategory.COMPUTE, "d", 1, "u", -1.0)
 
-    def test_groupings(self):
-        ledger = CostLedger()
-        ledger.add(0.0, "ec2", CostCategory.COMPUTE, "a", 1, "h", 1.0)
-        ledger.add(0.0, "ec2", CostCategory.STORAGE, "b", 1, "h", 2.0)
-        ledger.add(0.0, "s3", CostCategory.STORAGE, "c", 1, "h", 4.0)
-        assert ledger.by_service() == {"ec2": 3.0, "s3": 4.0}
-        assert ledger.by_category()[CostCategory.STORAGE] == pytest.approx(6.0)
-        assert ledger.by_service_category()[("ec2", CostCategory.COMPUTE)] == 1.0
-
     def test_figure5_breakdown_mapping(self):
         ledger = CostLedger()
         ledger.add(0.0, "ec2.m1.large", CostCategory.COMPUTE, "lease", 10, "h", 0.34)
@@ -101,14 +92,6 @@ class TestCostLedger:
         assert breakdown["storage/S3"] == pytest.approx(0.02 + 32 * 1.6e-4)
         assert breakdown["network transfer"] == pytest.approx(0.1)
         assert sum(breakdown.values()) == pytest.approx(ledger.total())
-
-    def test_filter(self):
-        ledger = CostLedger()
-        ledger.add(0.0, "x", CostCategory.COMPUTE, "d", 1, "u", 1.0)
-        ledger.add(0.0, "y", CostCategory.COMPUTE, "d", 1, "u", 2.0)
-        assert ledger.total() == pytest.approx(3.0)
-        only_y = ledger.filtered(lambda e: e.service == "y")
-        assert only_y.total() == pytest.approx(2.0)
 
 
 def _interval(index, start, nodes=0, upload=0.0):

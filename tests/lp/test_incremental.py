@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import milp_oracle
 from repro.lp import Model, SolveStatus, VarType
 from repro.lp.incremental import CompiledDelta, diff_compiled
-from repro.lp import scipy_backend, simplex_backend
+from repro.lp import scipy_backend
 
 
 def small_lp(cost=(1.0, 2.0), rhs=10.0, ub=8.0):
@@ -176,21 +177,21 @@ class TestWarmColdAgreementProperties:
         delta.apply(old)
 
         # Both solvers, cold, on the patched matrix and on the fresh one.
-        patched_simplex = simplex_backend.solve(old)
+        patched_milp = milp_oracle.solve(old)
         patched_scipy = scipy_backend.solve(old, 30.0)
-        fresh_simplex = simplex_backend.solve(target)
+        fresh_milp = milp_oracle.solve(target)
         fresh_scipy = scipy_backend.solve(target, 30.0)
 
         assert (
-            patched_simplex.status
+            patched_milp.status
             is patched_scipy.status
-            is fresh_simplex.status
+            is fresh_milp.status
             is fresh_scipy.status
         )
-        if patched_simplex.status is SolveStatus.OPTIMAL:
-            scale = max(1.0, abs(fresh_simplex.objective))
-            assert abs(patched_simplex.objective - fresh_simplex.objective) <= 1e-9 * scale
+        if patched_milp.status is SolveStatus.OPTIMAL:
+            scale = max(1.0, abs(fresh_milp.objective))
+            assert abs(patched_milp.objective - fresh_milp.objective) <= 1e-9 * scale
             assert abs(patched_scipy.objective - fresh_scipy.objective) <= 1e-9 * scale
-            assert abs(patched_simplex.objective - fresh_scipy.objective) <= 1e-7 * scale
-            for patched in (patched_simplex, patched_scipy):
+            assert abs(patched_milp.objective - fresh_scipy.objective) <= 1e-7 * scale
+            for patched in (patched_milp, patched_scipy):
                 assert feasible(old, patched.x)

@@ -1,23 +1,20 @@
 """Cross-validation of HiGHS (``Model.solve``) against the reference
-oracle — the pure-Python simplex + branch & bound, called directly — plus
-property-based agreement tests."""
+oracle — ``scipy.optimize.milp`` on the same compiled arrays
+(``milp_oracle``) — plus property-based agreement tests."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lp import Model, SolveStatus, VarType, scipy_backend, simplex_backend
-from repro.lp.simplex import LpStatus, solve_standard_form
+import milp_oracle
+from repro.lp import Model, SolveStatus, VarType, scipy_backend
 
 
 def oracle(model):
     """The reference solve, finished the way ``Model.solve`` finishes
     HiGHS's: a value for every model variable, the objective evaluated
     from the model's own expression."""
-    solution = simplex_backend.solve(model.compile())
+    solution = milp_oracle.solve(model.compile())
     if solution.status.has_solution:
         solution.values = {
             var: float(solution.x[var.index]) for var in model.variables
@@ -180,44 +177,6 @@ class TestIntegralRoot:
         assert solution.objective == pytest.approx(20.0)
         assert limits[0] == 10.0
         assert 0.0 < limits[1] <= 9.8
-
-
-class TestSimplexStandardForm:
-    def test_simple_equality(self):
-        # min -x - y st x + y = 1, x,y >= 0 -> objective -1
-        result = solve_standard_form(
-            np.array([-1.0, -1.0]), np.array([[1.0, 1.0]]), np.array([1.0])
-        )
-        assert result.status is LpStatus.OPTIMAL
-        assert result.objective == pytest.approx(-1.0)
-
-    def test_infeasible_standard_form(self):
-        # x1 = -1 with x >= 0 is infeasible (negative rhs flips, then
-        # phase 1 cannot reach zero because -x1 = 1 has no solution).
-        result = solve_standard_form(
-            np.array([1.0]), np.array([[-1.0]]), np.array([1.0])
-        )
-        assert result.status is LpStatus.INFEASIBLE
-
-    def test_unbounded(self):
-        # min -x st x - s = 0 (s slack-ish unconstrained growth)
-        result = solve_standard_form(
-            np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0])
-        )
-        assert result.status is LpStatus.UNBOUNDED
-
-    def test_redundant_rows_handled(self):
-        result = solve_standard_form(
-            np.array([1.0, 1.0]),
-            np.array([[1.0, 1.0], [2.0, 2.0]]),
-            np.array([1.0, 2.0]),
-        )
-        assert result.status is LpStatus.OPTIMAL
-        assert result.objective == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_standard_form(np.zeros(2), np.zeros((1, 3)), np.zeros(1))
 
 
 @st.composite

@@ -190,15 +190,6 @@ class TestStageShapes:
 
 
 class TestPipelineMetrics:
-    def test_final_stages(self):
-        pipeline = compile_script(
-            "a = LOAD 'a' AS (x:int);\n"
-            "g = GROUP a BY x;\n"
-            "c = FOREACH g GENERATE group, COUNT(a) AS n;\n"
-            "STORE c INTO 'out';"
-        )
-        assert [s.index for s in pipeline.final_stages] == [0]
-
     def test_stage_sizes_decrease_through_aggregation(self):
         pipeline = compile_script(
             "a = LOAD 'in' AS (x:int, s:chararray);\n"

@@ -181,10 +181,6 @@ class TestInference:
         assert Const("s").infer(SCHEMA).type is PigType.CHARARRAY
         assert Const(True).infer(SCHEMA).type is PigType.BOOLEAN
 
-    def test_references_collects_columns(self):
-        expression = parse_expression("x > 1 and UPPER(s) == 'A'")
-        assert expression.references() == {"x", "s"}
-
 
 class TestConditionSemantics:
     def test_only_true_passes(self):

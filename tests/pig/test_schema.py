@@ -114,7 +114,6 @@ class TestSchema:
 
     def test_project_and_prefix(self):
         schema = Schema.of("a:int", "b:chararray")
-        assert schema.project(["b"]).names == ("b",)
         assert schema.prefixed("rel").names == ("rel::a", "rel::b")
 
     def test_concat(self):

@@ -37,7 +37,6 @@ class TestLRUCache:
         cache.get("b")
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
-        assert cache.hit_rate == 2 / 3
 
     def test_zero_capacity_disables_cache(self):
         cache = LRUCache(capacity=0)

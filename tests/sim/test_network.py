@@ -180,17 +180,6 @@ class TestFluidNetwork:
         sim.run_until_idle()
         assert done == [0.0]
 
-    def test_cancel_preserves_progress_and_skips_callback(self, star):
-        sim = Simulation()
-        net = FluidNetwork(sim, star)
-        fired = []
-        flow = net.start_flow("client", "a", 100.0, lambda f: fired.append(1))
-        sim.run(until=10.0)
-        net.cancel_flow(flow)
-        sim.run_until_idle()
-        assert not fired
-        assert flow.remaining_mb == pytest.approx(80.0)  # 10s at 2 MB/s
-
     def test_utilization_tracks_bytes(self, star):
         sim = Simulation()
         net = FluidNetwork(sim, star)

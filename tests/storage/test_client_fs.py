@@ -138,12 +138,6 @@ class TestFileSystem:
         assert disk.stored_mb() == 0.0
         assert not fs.exists("/data")
 
-    def test_priorities_propagate(self, world):
-        _sim, namenode, *_rest, fs = world
-        inode = fs.create("/data", 128.0)
-        fs.prioritize("/data", 7)
-        assert all(namenode.priority_of(b) == 7 for b in inode.chunks)
-
     def test_zero_size_file(self, world):
         sim, *_rest, fs = world
         inode = fs.create("/empty", 0.0)

@@ -64,30 +64,3 @@ class TestLocations:
         assert set(namenode.blocks_at("local-disk")) == {BlockId("/f", 0), BlockId("/f", 1)}
         assert namenode.blocks_at("local-disk", "n2") == [BlockId("/f", 1)]
         assert namenode.blocks_at("s3") == [BlockId("/f", 2)]
-
-
-class TestNodeLoss:
-    def test_drop_node_removes_locations(self, namenode):
-        for i in range(3):
-            namenode.add_location(BlockId("/f", i), REC_A)
-        namenode.add_location(BlockId("/f", 0), REC_B)
-        affected = namenode.drop_node("local-disk", "n1")
-        assert len(affected) == 3
-        # Block 0 survives on n2, blocks 1-2 are gone.
-        assert namenode.replication_of(BlockId("/f", 0)) == 1
-        # Blocks 1-2 lost their only replica; block 3 never had one.
-        assert namenode.unavailable() == [
-            BlockId("/f", 1), BlockId("/f", 2), BlockId("/f", 3),
-        ]
-
-
-class TestReplicationBookkeeping:
-    def test_zero_replica_blocks_are_unavailable(self, namenode):
-        assert len(namenode.unavailable()) == 4
-        namenode.add_location(BlockId("/f", 0), REC_A)
-        assert len(namenode.unavailable()) == 3
-
-
-class TestPriorities:
-    def test_default_priority_zero(self, namenode):
-        assert namenode.priority_of(BlockId("/f", 0)) == 0

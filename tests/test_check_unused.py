@@ -60,13 +60,19 @@ def test_checker_flags_orphans_and_spares_uses():
     ]
 
 
-def test_report_names_definitions_only_tests_reach(tmp_path):
+def make_package(tmp_path):
+    """``src/pkg`` with a benchmark root and a test beside it.  ``a`` and
+    ``b`` both define ``shared`` and the root imports ``a``'s; the
+    package ``__init__`` re-exports ``mod``'s names; ``Widget`` has one
+    method the root reads and one only the test calls."""
     package = tmp_path / "src" / "pkg"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text(
-        "from .mod import helper, only_tested, used_by_bench\n"
-        "__all__ = ['helper', 'only_tested', 'used_by_bench']\n"
+        "from .mod import Widget, helper, only_tested, used_by_bench\n"
+        "__all__ = ['Widget', 'helper', 'only_tested', 'used_by_bench']\n"
     )
+    (package / "a.py").write_text("def shared():\n    return 1\n")
+    (package / "b.py").write_text("def shared():\n    return 2\n")
     (package / "mod.py").write_text(
         "def used_by_bench():\n"
         "    return _private()\n"
@@ -76,22 +82,49 @@ def test_report_names_definitions_only_tests_reach(tmp_path):
         "    return helper()\n"
         "def helper():\n"
         "    return 2\n"
+        "class Widget:\n"
+        "    def __init__(self):\n"
+        "        self.size = 1\n"
+        "    def measured(self):\n"
+        "        return self.size\n"
+        "    def only_tested_method(self):\n"
+        "        return 0\n"
     )
     (tmp_path / "benchmarks").mkdir()
     (tmp_path / "benchmarks" / "bench_mod.py").write_text(
-        "from pkg import used_by_bench\nused_by_bench()\n"
+        "from pkg import Widget, used_by_bench\n"
+        "from pkg.a import shared\n"
+        "used_by_bench()\n"
+        "shared()\n"
+        "Widget().measured()\n"
     )
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_mod.py").write_text(
-        "from pkg.mod import only_tested\n"
+        "from pkg.b import shared\n"
+        "from pkg.mod import Widget, only_tested\n"
         "def test_it():\n"
         "    assert only_tested() == 2\n"
+        "    assert Widget().only_tested_method() == shared() - 2\n"
     )
+    return package
+
+
+def test_report_names_definitions_only_tests_reach(tmp_path):
+    package = make_package(tmp_path)
     checker = load_checker()
-    unreached = checker.unreached_definitions(
+    unreached, _ = checker.unreached_definitions(
         package, checker.program_roots(package)
     )
-    assert [name for _, _, name in unreached] == ["only_tested", "helper"]
+    # ``pkg.b.shared`` is not hidden by ``pkg.a.shared``; ``used_by_bench``
+    # and ``Widget`` resolve through the package ``__init__`` to ``mod``;
+    # ``Widget.measured`` is read by the root, ``Widget.__init__`` comes
+    # with its class.
+    assert [name for _, _, name in unreached] == [
+        "pkg.b.shared",
+        "pkg.mod.only_tested",
+        "pkg.mod.helper",
+        "pkg.mod.Widget.only_tested_method",
+    ]
 
     proc = subprocess.run(
         [sys.executable, str(CHECKER), str(package)],
@@ -101,6 +134,32 @@ def test_report_names_definitions_only_tests_reach(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[1:] == [
-        f"{package / 'mod.py'}:5: only_tested",
-        f"{package / 'mod.py'}:7: helper",
+        f"{package / 'b.py'}:1: pkg.b.shared",
+        f"{package / 'mod.py'}:5: pkg.mod.only_tested",
+        f"{package / 'mod.py'}:7: pkg.mod.helper",
+        f"{package / 'mod.py'}:14: pkg.mod.Widget.only_tested_method",
     ]
+
+
+def test_keep_entries_print_with_their_reasons(tmp_path, monkeypatch, capsys):
+    package = make_package(tmp_path)
+    checker = load_checker()
+    monkeypatch.setattr(checker, "KEEP", {
+        "pkg.mod.only_tested": "the tests' entry point",
+        "pkg.mod.used_by_bench": "a benchmark reaches it now",
+        "other.kept": "another package's entry",
+    })
+    assert checker.main([str(package)]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    # A kept definition is no longer unreached, and neither is what only
+    # it reaches (``helper``); an entry the program reaches is stale.
+    assert err.splitlines() == [
+        f"{package}: definitions the program never reaches (report only):",
+        f"{package / 'b.py'}:1: pkg.b.shared",
+        f"{package / 'mod.py'}:14: pkg.mod.Widget.only_tested_method",
+        f"{package}: kept on purpose (KEEP in tools/check_unused.py):",
+        f"{package / 'mod.py'}:5: pkg.mod.only_tested -- the tests' entry point",
+        "stale: pkg.mod.used_by_bench -- a benchmark reaches it now",
+    ]
+

@@ -46,7 +46,7 @@ def test_checker_resolves_backticked_python_paths(tmp_path):
     checker = load_checker()
     doc = tmp_path / "paths.md"
     doc.write_text(
-        "`lp/scipy_backend.py`, `check_perf.py`, `lp/simplex*.py`,\n"
+        "`lp/scipy_backend.py`, `check_perf.py`, `lp/scipy*.py`,\n"
         "`tests/test_docs.py` and `quickstart.py` all resolve;\n"
         "`fleet/prefetch.py` and `tools/gone*.py` do not.\n",
         encoding="utf-8",

@@ -11,7 +11,7 @@ of references are verified:
 2. Any mention of ``benchmarks/bench_*.py`` anywhere in the text (tables
    and prose included) — the script must exist in the repository;
 3. Any backticked ``*.py`` path (``lp/scipy_backend.py``,
-   ``tools/check_perf.py``, ``lp/simplex*.py``) — it must match a file
+   ``tools/check_perf.py``, ``lp/scipy*.py``) — it must match a file
    under one of :data:`PY_ROOTS`, so a deleted module cannot stay
    referenced.
 

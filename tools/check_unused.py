@@ -22,14 +22,20 @@ Exit status 0 when nothing is found, 1 otherwise, with one
 ``file:line: name`` line per finding on stdout.
 
 The second kind is a report, never a gate: for a checked package that
-sits in a ``src/`` directory, every public top-level ``def`` or
-``class`` the program never reaches is listed on stderr, and the exit
-status ignores it.  Reachability is by name, from the program's roots:
-the package's ``cli.py``, every module's top-level statements, and the
-``benchmarks/``, ``examples/`` and ``tools/`` directories beside
-``src/``.  A reached definition reaches every name its body loads or
-reads as an attribute; ``tests/`` reaches nothing, and neither does an
-``import`` or an ``__all__`` entry on its own.
+sits in a ``src/`` directory, every definition the program never
+reaches is listed on stderr, and the exit status ignores it.  A
+definition is a top-level ``def`` or ``class`` or a method, named by its
+module (``repro.lp.model.Model``, ``repro.accounting.CostLedger.total``):
+``from .x import Name``, ``import pkg.x as y`` and package re-exports
+(lazy ``__getattr__`` tables included) resolve to the module that
+defines the name.  The roots are the package's ``cli.py``, every
+module's top-level statements, and the ``benchmarks/``, ``examples/``
+and ``tools/`` directories beside ``src/``.  A reached definition
+reaches what its body refers to; a method ``C.m`` is reached when ``C``
+is and reached code reads an attribute ``m``; dunders come with their
+class.  ``tests/`` reaches nothing, and neither does an ``import`` or
+an ``__all__`` entry on its own.  The report ends with :data:`KEEP`,
+the definitions left unreached on purpose, each with its reason.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+from typing import Iterable
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -152,61 +159,271 @@ def check_source(source: str, filename: str = "<string>") -> list[tuple[int, str
     return sorted(set(findings))
 
 
-def _references(node: ast.AST) -> set[str]:
-    """Names ``node`` loads, reads as attributes or imports under an alias."""
-    names = _loaded(node)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            names.update(a.name for a in sub.names if a.asname in names)
-    return names
+#: Definitions the program does not reach, kept on purpose.  The report
+#: prints them with these reasons instead of listing them as unreached;
+#: a kept class keeps its methods and what they reach.
+_MODEL = "the LP modelling layer the tests write models in"
+_ENTRY = "a few lines; the entry point its tests parse or build fixtures with"
+_LIVE = "tests assert live behaviour through it"
+KEEP = {
+    "repro.lp.model.Model": _MODEL,
+    "repro.lp.model.ObjectiveSense": _MODEL,
+    "repro.lp.expr.lin_sum": _MODEL,
+    "repro.lp.expr.LinExpr.coefficient": _MODEL,
+    "repro.cloud.traces.constant_trace": _ENTRY,
+    "repro.obs.records.decode_payload": _ENTRY,
+    "repro.pig.parser.parse_expression": _ENTRY,
+    "repro.pig.schema.Schema.of": _ENTRY,
+    "repro.api.schemas.GoalSpec.from_goal": _LIVE + " (GoalSpec.to_goal round trip)",
+    "repro.cloud.services.ServiceDescription.storage_limit_gb":
+        _LIVE + " (the catalogs' storage capacities)",
+    "repro.core.pipeline_planner.PipelinePlan.total_planned_hours":
+        _LIVE + " (the pipeline plan meets its deadline)",
+    "repro.core.plan.ExecutionPlan.total_map_gb": _LIVE + " (the plan maps all input)",
+    "repro.core.plan.ExecutionPlan.total_reduce_gb": _LIVE + " (and reduces all of it)",
+    "repro.core.plan.ExecutionPlan.total_downloaded_gb": _LIVE + " (and downloads it)",
+    "repro.core.reliability.ExpectedOutcome.storage_cost": _LIVE + " (Sec. 2.1 trade-off)",
+    "repro.core.reliability.ExpectedOutcome.execution_cost": _LIVE + " (Sec. 2.1 trade-off)",
+    "repro.obs.registry.LatencySeries.samples": _LIVE + " (service queue waits)",
+    "repro.pig.logical.LogicalPlan.stores": _LIVE + " (what the parser built)",
+    "repro.service.metrics.ServiceMetrics.cache_misses": _LIVE + " (cache and coalescing)",
+    "repro.service.metrics.ServiceMetrics.coalesced": _LIVE + " (cache and coalescing)",
+    "repro.sim.network.FluidNetwork.utilization_mb": _LIVE + " (flow volume conservation)",
+    "repro.storage.filesystem.ConductorFileSystem.chunk_locations":
+        _LIVE + " (upload places every chunk)",
+    "repro.storage.namenode.Namenode.replication_of": _LIVE + " (HDFS write replication)",
+}
+
+
+class _Index:
+    """Every module of a package with what its names are bound to, and
+    every top-level definition and method under its qualified name."""
+
+    def __init__(self, package: Path) -> None:
+        #: module -> bound name -> ("def", qualname) / ("module", module)
+        #: / ("from", module, name) entries.
+        self.bindings: dict[str, dict[str, list[tuple[str, ...]]]] = {}
+        #: qualname -> (file, node, module)
+        self.definitions: dict[str, tuple[Path, ast.AST, str]] = {}
+        #: class qualname -> its methods' qualnames
+        self.methods: dict[str, list[str]] = {}
+        self.statements: list[tuple[str, ast.AST]] = []
+        self.reached: set[str] = set()
+        #: Every attribute name reached code reads.
+        self.attributes: set[str] = set()
+        for path in python_files([str(package)]):
+            parts = path.relative_to(package.parent).with_suffix("").parts
+            is_package = parts[-1] == "__init__"
+            module = ".".join(parts[:-1] if is_package else parts)
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            self.add(module, tree, is_package)
+            for node in tree.body:
+                if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                    self.statements.append((module, node))
+                    continue
+                qual = f"{module}.{node.name}"
+                self.definitions[qual] = (path, node, module)
+                if isinstance(node, ast.ClassDef):
+                    self.methods[qual] = []
+                    for item in node.body:
+                        if isinstance(item, FUNCTIONS):
+                            self.definitions[f"{qual}.{item.name}"] = (path, item, module)
+                            self.methods[qual].append(f"{qual}.{item.name}")
+
+    def add(self, module: str, tree: ast.Module, is_package: bool) -> None:
+        """Record what ``module``'s names are bound to: its top-level
+        definitions, its imports wherever they sit, and for a package
+        with a lazy ``__getattr__`` the ``{"name": "submodule"}`` tables
+        beside it."""
+        names = self.bindings.setdefault(module, {})
+
+        def bind(name: str, *target: str) -> None:
+            names.setdefault(name, []).append(target)
+
+        here = module if is_package else module.rpartition(".")[0]
+        lazy = is_package and any(
+            isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+            for node in tree.body
+        )
+        for node in tree.body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                bind(node.name, "def", f"{module}.{node.name}")
+            elif lazy and isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+                for key, value in zip(node.value.keys, node.value.values):
+                    if isinstance(key, ast.Constant) and isinstance(value, ast.Constant):
+                        bind(str(key.value), "from", f"{here}.{value.value}", str(key.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        bind(alias.asname, "module", alias.name)
+                    else:
+                        top = alias.name.split(".")[0]
+                        bind(top, "module", top)
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if node.level:
+                    base = here.split(".")[: len(here.split(".")) - node.level + 1]
+                    source = ".".join(base + ([source] if source else []))
+                for alias in node.names:
+                    bind(alias.asname or alias.name, "from", source, alias.name)
+
+    def resolve(self, module: str, name: str, seen: frozenset = frozenset()) -> set[str]:
+        """The definitions and modules ``name`` means in ``module``,
+        following imports and re-exports to where they are defined."""
+        if (module, name) in seen:
+            return set()
+        seen |= {(module, name)}
+        found = {f"{module}.{name}"} & self.bindings.keys()
+        for entry in self.bindings.get(module, {}).get(name, ()):
+            if entry[0] == "from":
+                found |= self.resolve(entry[1], entry[2], seen)
+            else:
+                found.add(entry[1])
+        return found
+
+    def target(self, module: str, node: ast.AST) -> set[str]:
+        """What a ``Name`` or a dotted ``Attribute`` chain refers to."""
+        if isinstance(node, ast.Name):
+            return self.resolve(module, node.id)
+        if isinstance(node, ast.Attribute):
+            return {
+                found
+                for base in self.target(module, node.value)
+                if base in self.bindings
+                for found in self.resolve(base, node.attr)
+            }
+        return set()
+
+    def references(self, module: str, node: ast.AST) -> tuple[set[str], set[str]]:
+        """The definitions ``node`` refers to, and every attribute it reads."""
+        found: set[str] = set()
+        for name in _loaded(node):
+            found |= self.resolve(module, name)
+        attributes: set[str] = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute):
+                attributes.add(sub.attr)
+                found |= self.target(module, sub)
+        return found & self.definitions.keys(), attributes
+
+    def reach(self, units: list[tuple[str, ast.AST]], seeds: set[str]) -> None:
+        """Add to :attr:`reached` every definition reachable from
+        ``units`` (module, node) and from the definitions in ``seeds``."""
+        frontier = set(seeds)
+        while units or frontier:
+            for qual in frontier - self.reached:
+                _, node, module = self.definitions[qual]
+                self.reached.add(qual)
+                units += [(module, part) for part in _parts(node)]
+            frontier = set()
+            for module, node in units:
+                found, read = self.references(module, node)
+                frontier |= found - self.reached
+                self.attributes |= read
+            units = []
+            frontier |= {
+                method
+                for owner in self.methods.keys() & self.reached
+                for method in self.methods[owner]
+                if method not in self.reached
+                and (_dunder(method) or method.rpartition(".")[2] in self.attributes)
+            }
+
+    def unreached(self) -> list[tuple[Path, int, str]]:
+        """``(file, line, qualname)`` of every top-level definition not
+        reached, and every unreached method of a reached class."""
+        return sorted(
+            (path, node.lineno, qual)
+            for qual, (path, node, _) in self.definitions.items()
+            if qual not in self.reached
+            and (
+                qual.rpartition(".")[0] in self.reached
+                or qual.rpartition(".")[0] not in self.methods
+            )
+        )
+
+
+def _parts(node: ast.AST) -> list[ast.AST]:
+    """What reaching ``node`` runs: a function whole; for a class what
+    its ``class`` statement runs (bases, keywords, decorators, the body
+    apart from method bodies)."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    parts = [*node.bases, *node.keywords, *node.decorator_list]
+    for item in node.body:
+        if isinstance(item, FUNCTIONS):
+            parts += [*item.decorator_list, *item.args.defaults, *item.args.kw_defaults]
+        else:
+            parts.append(item)
+    return [part for part in parts if part is not None]
+
+
+def _dunder(qualname: str) -> bool:
+    name = qualname.rpartition(".")[2]
+    return name.startswith("__") and name.endswith("__")
 
 
 def unreached_definitions(
-    package: Path, roots: list[Path]
-) -> list[tuple[Path, int, str]]:
-    """``(file, line, name)`` for every public top-level def or class in
-    ``package`` that no name reachable from ``roots`` refers to.
+    package: Path, roots: list[Path], keep: Iterable[str] = ()
+) -> tuple[list[tuple[Path, int, str]], list[tuple[Path, int, str]]]:
+    """``(file, line, qualname)`` for every top-level def or class in
+    ``package`` that nothing reachable from ``roots`` refers to, and
+    every method of a reached class that reached code never reads.
 
     ``roots`` are whole files (entry points, benchmarks, examples,
     tools); the top-level statements of every module in ``package`` are
-    roots as well.
+    roots as well.  The definitions named in ``keep`` (a kept class with
+    all its methods) are reached after them: the second list holds what
+    is still unreached then.
     """
-    definitions: dict[str, list[tuple[Path, ast.AST]]] = {}
-    frontier: set[str] = set()
-    for path in python_files([str(package)]):
-        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.setdefault(node.name, []).append((path, node))
-            else:
-                frontier |= _references(node)
+    index = _Index(package)
+    units = list(index.statements)
     for path in roots:
-        frontier |= _references(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    reached: set[str] = set()
-    while frontier:
-        name = frontier.pop()
-        if name in reached or name not in definitions:
-            continue
-        reached.add(name)
-        for _, node in definitions[name]:
-            frontier |= _references(node)
-    return sorted(
-        (path, node.lineno, name)
-        for name, found in definitions.items()
-        if name not in reached and not name.startswith("_")
-        for path, node in found
-    )
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        index.add(str(path), tree, is_package=False)
+        units.append((str(path), tree))
+    # A module's own dunders (a lazy ``__getattr__``) run without a caller.
+    index.reach(units, {
+        qual for qual in index.definitions
+        if _dunder(qual) and qual.rpartition(".")[0] not in index.methods
+    })
+    unreached = index.unreached()
+    kept = {qual for qual in keep if qual in index.definitions}
+    index.reach([], kept | {m for qual in kept for m in index.methods.get(qual, ())})
+    return unreached, index.unreached()
+
+
+def report(package: Path, roots: list[Path]) -> list[str]:
+    """The stderr report for ``package``: what the program never reaches,
+    then the :data:`KEEP` entries of this package with their reasons
+    (``stale`` when the program reaches one, or it is gone)."""
+    kept = {qual: why for qual, why in KEEP.items() if qual.startswith(f"{package.name}.")}
+    unreached, left = unreached_definitions(package, roots, kept)
+    lines = [f"{path}:{line}: {qual}" for path, line, qual in left]
+    if lines:
+        lines.insert(0, f"{package}: definitions the program never reaches (report only):")
+    if kept:
+        lines.append(f"{package}: kept on purpose (KEEP in tools/check_unused.py):")
+        where = {qual: f"{path}:{line}" for path, line, qual in unreached}
+        for qual, why in kept.items():
+            lines.append(f"{where.get(qual, 'stale')}: {qual} -- {why}")
+    return lines
 
 
 def program_roots(package: Path) -> list[Path] | None:
     """The entry point and the program directories beside ``src/``, or
-    ``None`` when ``package`` does not sit in a ``src/`` directory."""
+    ``None`` when ``package`` does not sit in a ``src/`` directory.  This
+    checker is not among them: the attributes it reads are its own."""
     if package.parent.name != "src":
         return None
     top = package.parent.parent
     candidates = (package / "cli.py", top / "benchmarks", top / "examples", top / "tools")
-    return python_files([str(p) for p in candidates if p.exists()])
+    return [
+        path
+        for path in python_files([str(p) for p in candidates if p.exists()])
+        if path.resolve() != Path(__file__).resolve()
+    ]
 
 
 def python_files(paths: list[str]) -> list[Path]:
@@ -230,14 +447,9 @@ def main(argv: list[str]) -> int:
         print(problem)
     for raw in argv:
         roots = program_roots(Path(raw).resolve())
-        if roots is None:
-            continue
-        unreached = unreached_definitions(Path(raw), roots)
-        if unreached:
-            print(f"{raw}: public definitions the program never reaches "
-                  "(report only):", file=sys.stderr)
-            for path, line, name in unreached:
-                print(f"{path}:{line}: {name}", file=sys.stderr)
+        if roots is not None:
+            for line in report(Path(raw), roots):
+                print(line, file=sys.stderr)
     return 1 if problems else 0
 
 

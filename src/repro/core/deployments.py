@@ -13,21 +13,24 @@ taken from Hadoop/AWS documentation:
   deployed through the location-aware scheduler.
 
 Each strategy runs on the same discrete-event substrate (cluster, storage
-layer, fluid network) and produces a ledger + runtime breakdown that the
-Fig. 5/6/7/10/11 benches print.
+layer, fluid network) and produces a ledger + runtime breakdown.  The
+Fig. 5, 6 and 10 benches compare Conductor with the baselines; Figs. 7
+and 11 run Hadoop direct alone.  Conductor's deployment is the monitored
+one (Section 5.4): the job controller steps the substrate one plan
+interval at a time and re-plans through ``ControllerRun.monitor``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 
 from ..cloud.catalog import ec2_m1_large, s3
 from ..cloud.services import ServiceDescription
 from ..mapreduce.cluster import CLIENT_SITE, Cluster, SimNode, build_topology, wire_node
 from ..mapreduce.engine import MapReduceEngine
 from ..mapreduce.hdfs import CONDUCTOR_CHUNK_OVERHEAD_S, build_hdfs
-from ..mapreduce.job import MapReduceJob
+from ..mapreduce.job import MapReduceJob, TaskState
 from ..mapreduce.scheduler import HadoopScheduler, LocationAwareScheduler
 from ..sim import FluidNetwork, Simulation
 from ..storage.backends import LocalDiskBackend, ObjectStoreBackend
@@ -35,11 +38,13 @@ from ..storage.blocks import LocationRecord
 from ..storage.client import StorageClient
 from ..storage.filesystem import ConductorFileSystem
 from ..storage.namenode import Namenode
-from ..units import MB_PER_GB, mbit_s_to_mb_s, seconds_to_hours
+from ..units import MB_PER_GB, mb_s_to_gb_h, mbit_s_to_mb_s, seconds_to_hours
 from ..accounting import CostCategory, CostLedger
+from .controller import JobController
+from .executor import IntervalOutcome
 from .plan import ExecutionPlan
 from .planner import Planner
-from .problem import Goal, NetworkConditions, PlannerJob
+from .problem import Goal, NetworkConditions, PlannerJob, SystemState
 
 _INPUT_PATH = "/input/data"
 
@@ -72,12 +77,6 @@ class DeploymentScenario:
     #: reserving headroom for boot delays, task waves and stragglers the
     #: fluid model cannot see.
     planning_margin: float = 0.95
-    #: Optional deployment-safety overrides: plan against a shaved
-    #: deadline and/or finer intervals so the realized task tail still
-    #: lands inside the real deadline.  ``None`` = use the deadline as-is
-    #: at 1-hour granularity.
-    planning_deadline_hours: float | None = None
-    planning_interval_hours: float = 1.0
     #: Plan with one fixed node count per service (the paper's hybrid
     #: style); more robust to deploy, slightly more expensive.
     constant_node_plan: bool = False
@@ -152,14 +151,14 @@ class DeploymentResult:
 class _Substrate:
     """Common simulation scaffolding for all strategies."""
 
-    def __init__(self, scenario: DeploymentScenario) -> None:
-        from ..sim import FluidNetwork
-
+    def __init__(
+        self, scenario: DeploymentScenario, ledger: CostLedger | None = None
+    ) -> None:
         self.scenario = scenario
         self.sim = Simulation()
         self.topology = build_topology(uplink_mb_s=scenario.uplink_mb_s)
         self.network = FluidNetwork(self.sim, self.topology)
-        self.ledger = CostLedger()
+        self.ledger = ledger if ledger is not None else CostLedger()
         self.cluster = Cluster(self.sim, self.ledger, boot_seconds=scenario.boot_seconds)
         self.disk = LocalDiskBackend(
             "local-disk", per_chunk_overhead_s=CONDUCTOR_CHUNK_OVERHEAD_S
@@ -424,98 +423,111 @@ def run_hadoop_direct(scenario: DeploymentScenario, nodes: int = 16) -> Deployme
 # --------------------------------------------------------------------------- #
 
 
-def run_conductor(
-    scenario: DeploymentScenario,
-    plan: ExecutionPlan | None = None,
-    planner: Planner | None = None,
-) -> DeploymentResult:
+def run_conductor(scenario: DeploymentScenario) -> DeploymentResult:
     """Plan with the LP, deploy through the location-aware scheduler.
 
-    Interval boundaries drive the deployment: node allocations track the
-    plan's ``nodes``, uploads follow the plan's per-service amounts, and
-    the scheduler only releases tasks whose input sits where the plan
-    said (Section 5.3).
+    The deployment is the paper's monitored one (Section 5.4): a
+    :class:`~repro.core.controller.ControllerRun` steps the discrete
+    substrate one plan interval at a time and re-plans from the measured
+    state whenever its monitor sees the run leave the plan, or the plan
+    runs out with work left.
     """
-    services: list[ServiceDescription] = [scenario.ec2, scenario.s3]
-    if scenario.local is not None:
-        services.append(scenario.local)
-    if plan is None:
-        plan = (planner or Planner()).plan(_conductor_problem(scenario, services))
-
-    sub = _Substrate(scenario)
-    sim = sub.sim
-    job = scenario.make_job("conductor")
-    inode = sub.fs.create(_INPUT_PATH, scenario.input_mb)
-    sub.start_s3_storage_meter()
-
-    scheduler = LocationAwareScheduler(sub.namenode)
-    engine = MapReduceEngine(
-        sim, sub.cluster, sub.client, scheduler, job, output_backend="local-disk",
-        straggler_spread=scenario.straggler_spread,
-    )
-    engine.start(inode.chunks)
-
-    deployer = _PlanDeployer(sub, scenario, plan, scheduler, inode.chunks, engine=engine)
-    deployer.schedule_intervals()
-    sim.run_until_idle()
-    sub.download_results(engine)
-    sub.stop_s3_storage_meter()
-    sub.cluster.release_all()
+    controller = _SubstrateController(scenario)
+    result = controller.run()
+    executor = controller.executor
     return DeploymentResult(
         name="Conductor",
-        ledger=sub.ledger,
-        runtime_s=sim.now,
+        ledger=result.ledger,
+        runtime_s=executor.finish(),
         upload_s=None,
         process_s=None,
         streamed=True,
         deadline_hours=scenario.deadline_hours,
-        task_series=engine.task_series,
-        plan=plan,
+        task_series=executor.engine.task_series,
+        plan=result.plans[0],
     )
 
 
-def _conductor_problem(scenario, services):
-    from .problem import PlanningProblem
+class _SubstrateController(JobController):
+    """A job controller whose executor is the discrete substrate.
 
-    margined = [
-        s.replace(
-            throughput_gb_per_hour=s.throughput_gb_per_hour * scenario.planning_margin
-        )
-        if s.can_compute
-        else s
-        for s in services
-    ]
-    deadline = scenario.planning_deadline_hours or scenario.deadline_hours
-    return PlanningProblem(
-        job=scenario.planner_job("conductor"),
-        services=margined,
-        network=scenario.network_conditions(),
-        goal=Goal.min_cost(deadline_hours=deadline),
-        interval_hours=scenario.planning_interval_hours,
-        constant_nodes=scenario.constant_node_plan,
-    )
-
-
-class _PlanDeployer:
-    """Enacts one plan interval at a time on the discrete substrate.
-
-    The deployer is lightly closed-loop, as the controller is (Section
-    5.4): at every interval boundary it compares completed map work
-    against the plan's cumulative expectation and tops up the next
-    interval's node counts to absorb the shortfall — the deployment-level
-    equivalent of re-planning when progress monitoring detects deviation.
+    It plans with the scenario's margined compute rates: the headroom for
+    boot delays, task waves and stragglers the fluid model cannot see.
     """
 
-    def __init__(self, sub: _Substrate, scenario, plan, scheduler, chunks,
-                 engine=None) -> None:
+    def __init__(self, scenario: DeploymentScenario) -> None:
+        services = [scenario.ec2, scenario.s3]
+        if scenario.local is not None:
+            services.append(scenario.local)
+        margined = [
+            s.replace(
+                throughput_gb_per_hour=s.throughput_gb_per_hour * scenario.planning_margin
+            )
+            if s.can_compute
+            else s
+            for s in services
+        ]
+        super().__init__(
+            scenario.planner_job("conductor"),
+            margined,
+            Goal.min_cost(deadline_hours=scenario.deadline_hours),
+            network=scenario.network_conditions(),
+            planner=_ActionPlanner(),
+            problem_kwargs={"constant_nodes": scenario.constant_node_plan},
+        )
+        self.scenario = scenario
+
+    def _executor(self, problem, actual, ledger) -> "_SubstrateExecutor":
+        self.executor = _SubstrateExecutor(self.scenario, ledger)
+        return self.executor
+
+
+class _ActionPlanner(Planner):
+    """Plans that end with their last action.
+
+    A min-cost plan that finishes early pads the horizon with idle
+    intervals.  Work the substrate has not finished when the actions end
+    would wait out that padding with no node rented; ending the plan there
+    makes it the controller's "plan exhausted" re-plan instead.
+    """
+
+    def plan(self, problem) -> ExecutionPlan:
+        plan = super().plan(problem)
+        intervals = list(plan.intervals)
+        while len(intervals) > 1 and intervals[-1].is_idle():
+            intervals.pop()
+        return replace(plan, intervals=intervals)
+
+
+class _SubstrateExecutor:
+    """The discrete substrate as an executor :class:`ControllerRun` steps.
+
+    Each interval enacts the plan's actions — node counts, paced uploads,
+    migrations and the (storage, compute) pairs the location-aware
+    scheduler may run (Section 5.3) — then runs the simulation to the
+    interval's end and reports what was measured.  It rents no node the
+    plan does not name: catching up is the controller's re-plan.
+    """
+
+    def __init__(self, scenario: DeploymentScenario, ledger: CostLedger) -> None:
+        sub = _Substrate(scenario, ledger)
         self.sub = sub
         self.scenario = scenario
-        self.plan = plan
-        self.scheduler = scheduler
-        self.pending_chunks = list(chunks)
+        self.services = {
+            s.name: s for s in (scenario.ec2, scenario.s3, scenario.local) if s
+        }
+        inode = sub.fs.create(_INPUT_PATH, scenario.input_mb)
+        sub.start_s3_storage_meter()
+        self.scheduler = LocationAwareScheduler(sub.namenode)
+        self.engine = MapReduceEngine(
+            sub.sim, sub.cluster, sub.client, self.scheduler,
+            scenario.make_job("conductor"), output_backend="local-disk",
+            on_complete=self._collect_results,
+            straggler_spread=scenario.straggler_spread,
+        )
+        self.engine.start(inode.chunks)
+        self.pending_chunks = list(inode.chunks)
         self.active: dict[str, list[SimNode]] = {}
-        self.engine = engine
-        self._planned_cum_map_gb = 0.0
         #: Paced upload queues, one lane per path class so fast LAN
         #: transfers are never serialized behind slow WAN ones.
         self._upload_queues: dict[str, list[tuple[object, LocationRecord]]] = {
@@ -526,113 +538,148 @@ class _PlanDeployer:
         self._upload_carry: dict[str, float] = {}
         #: Concurrent chunk transfers per lane (typical client window).
         self.upload_window = 4
+        #: Spot bids the controller refreshes; the substrate rents no spot.
+        self.bids: dict[str, float] = {}
+        self._uploaded_mb = 0.0
+        self._results_left = 0
+        self._downloaded_mb = 0.0
+        self._finished_s: float | None = None
 
-    def schedule_intervals(self) -> None:
-        # Trailing idle intervals carry no actions; enacting them would
-        # release every node while the last tasks still queue.  The plan
-        # effectively ends at its last active interval, where the drain
-        # loop takes over.
-        active = [i for i in self.plan.intervals if not i.is_idle()]
-        last = active[-1] if active else self.plan.intervals[-1]
-        for interval in self.plan.intervals:
-            if interval.start_hour > last.start_hour:
-                break
-            self.sub.sim.schedule_at(
-                interval.start_hour * 3600.0, self._enact, interval
-            )
-        # Rounding chunk counts to the plan's fractional GB can strand a
-        # few chunks; flush whatever remains at the end of the plan.
-        self.sub.sim.schedule_at(
-            last.start_hour * 3600.0 + 1.0, self._flush_pending
+    # -- the executor protocol ---------------------------------------------------
+
+    def execute_interval(self, interval, state: SystemState) -> IntervalOutcome:
+        """Enact ``interval``, simulate to its end, sync ``state``."""
+        start_s = self.sub.sim.now
+        cost, uploaded_mb = self.sub.ledger.total(), self._uploaded_mb
+        done = (state.map_done_gb, state.reduce_done_gb, state.downloaded_gb)
+        self._enact(interval)
+        nodes = {name: len(have) for name, have in self.active.items() if have}
+        self.sub.sim.run(until=(state.hour + interval.duration_hours) * 3600.0)
+        self._sync(state)
+        state.hour += interval.duration_hours
+        return IntervalOutcome(
+            index=interval.index,
+            start_hour=start_s / 3600.0,
+            duration_hours=interval.duration_hours,
+            nodes=nodes,
+            uploaded_gb=(self._uploaded_mb - uploaded_mb) / MB_PER_GB,
+            map_gb=state.map_done_gb - done[0],
+            reduce_gb=state.reduce_done_gb - done[1],
+            downloaded_gb=state.downloaded_gb - done[2],
+            planned_map_gb=interval.map_gb,
+            planned_upload_gb=interval.total_upload_gb,
+            cost=self.sub.ledger.total() - cost,
+            observed_rates=self._observed_rates(start_s),
         )
-        # Past the plan's horizon: keep working off any backlog at the
-        # capacity needed to finish by the deadline.
-        self.sub.sim.schedule_at(
-            last.end_hour * 3600.0, self._post_plan_check
-        )
 
-    def _post_plan_check(self) -> None:
-        if self.engine is not None and self.engine.is_complete:
-            return
-        remaining_gb = self.scenario.input_gb - self._actual_map_gb()
-        if remaining_gb <= 1e-6:
-            return
-        # Past the horizon the plan no longer constrains placement: open
-        # every source so stranded data anywhere can be drained.
-        for backend in ("local-disk", "s3"):
-            self.scheduler.allow(self.scenario.ec2.name, backend)
-            if self.scenario.local is not None:
-                self.scheduler.allow(self.scenario.local.name, backend)
-        service = self.scenario.ec2
-        rate = service.throughput_gb_per_hour
-        # Size the drain to finish by the deadline (with 20% headroom),
-        # never slower than one extra hour.
-        now_h = self.sub.sim.now / 3600.0
-        remaining_time = max(0.25, self.scenario.deadline_hours - now_h)
-        remaining_time = min(remaining_time, 1.0)
-        want = math.ceil(remaining_gb / max(rate * remaining_time * 0.8, 1e-9))
-        have = self.active.setdefault(service.name, [])
-        have[:] = [n for n in have if n.released_at is None]
-        if len(have) < want:
-            have.extend(self.sub.allocate_nodes(service, want - len(have)))
-        elif len(have) > want:
-            # Scale down: excess instances release now rather than ride
-            # into (and get billed for) another hour.  Idle ones first.
-            excess = len(have) - want
-            have.sort(key=lambda n: n.busy_slots)
-            for node in have[:excess]:
-                self.sub.cluster.release(node)
-            del have[:excess]
-        if self.engine is not None:
-            self.engine.dispatch()
-        # Check back frequently: the residual tail is small, so reaction
-        # time, not capacity, dominates how far past the plan we finish.
-        self.sub.sim.schedule(900.0, self._post_plan_check)
+    def is_complete(self, state: SystemState) -> bool:
+        return self._finished_s is not None
 
-    def _actual_map_gb(self) -> float:
-        if self.engine is None:
-            return 0.0
-        done_mb = sum(
-            t.input_mb
-            for t in self.engine.map_tasks
-            if t.completed_at is not None
-        )
-        return done_mb / MB_PER_GB
+    def rebind(self, problem) -> None:
+        """A re-plan changes nothing here: the next interval carries it."""
 
-    def _arrived_backlog_gb(self) -> float:
-        """Input that has landed in cloud storage but is not yet processed
-        or being processed — the only work extra nodes can accelerate."""
-        if self.engine is None:
-            return 0.0
-        from ..mapreduce.job import TaskState
+    def close(self) -> None:
+        """The substrate holds no resources outside the simulation."""
 
-        backlog_mb = 0.0
+    def finish(self) -> float:
+        """Stop the meter and release every node, once; the runtime in s."""
+        if self._finished_s is None:
+            self._finished_s = self.sub.sim.now
+            self.sub.stop_s3_storage_meter()
+            self.sub.cluster.release_all()
+        return self._finished_s
+
+    # -- measurement ----------------------------------------------------------------
+
+    def _sync(self, state: SystemState) -> None:
+        """Read the job's stocks and progress off the namenode and engine."""
+        job = self.engine.job
+        source_mb = map_mb = reduce_mb = 0.0
+        input_mb, output_mb, result_mb = (defaultdict(float) for _ in range(3))
         for task in self.engine.map_tasks:
-            if task.state not in (TaskState.PENDING, TaskState.RUNNABLE):
+            done_mb = task.input_mb * self._progress(task)
+            map_mb += done_mb
+            if done_mb > 0:
+                output_mb[self._ran_on(task)] += done_mb * job.map_output_ratio
+            if task.state is TaskState.COMPLETED:
                 continue
-            if task.block is not None and self.sub.namenode.locations(task.block):
-                backlog_mb += task.input_mb
-        return backlog_mb / MB_PER_GB
+            records = self.sub.namenode.locations(task.block)
+            if records:
+                input_mb[self._held_by(records[0])] += task.input_mb - done_mb
+            else:
+                source_mb += task.input_mb  # at the client, or on the wire
+        for task in self.engine.reduce_tasks:
+            if task.state is TaskState.COMPLETED:
+                reduce_mb += task.input_mb
+                result_mb[self._ran_on(task)] += task.input_mb * job.reduce_output_ratio
+        # Reducers drain map output, and downloads the result, evenly
+        # from wherever it sits.
+        output_left = _share_left(output_mb, reduce_mb)
+        result_left = _share_left(result_mb, self._downloaded_mb)
+        state.source_remaining_gb = source_mb / MB_PER_GB
+        state.stored_input = {k: v / MB_PER_GB for k, v in input_mb.items()}
+        state.stored_output = {
+            k: v * output_left / MB_PER_GB for k, v in output_mb.items()
+        }
+        state.stored_result = {
+            k: v * result_left / MB_PER_GB for k, v in result_mb.items()
+        }
+        state.map_done_gb = map_mb / MB_PER_GB
+        state.reduce_done_gb = reduce_mb / MB_PER_GB
+        state.downloaded_gb = self._downloaded_mb / MB_PER_GB
 
-    def _flush_pending(self) -> None:
-        while self.pending_chunks:
-            block_id = self.pending_chunks.pop(0)
-            block = self.sub.namenode.block(block_id)
-            target = None
-            for name in list(self.active) + ["s3"]:
-                target = self._target_for(name)
-                if target is not None:
-                    break
-            if target is None:
-                target = LocationRecord("s3")
-            if target.backend == "s3":
-                self.sub.charge_s3_requests(put_gb=block.size_mb / MB_PER_GB)
-            self.sub.client.write(block, CLIENT_SITE, target, self._chunk_arrived)
+    def _progress(self, task) -> float:
+        """Share of a map task's input processed, as Hadoop's progress
+        counter estimates it: a running task at its node's nominal rate."""
+        if task.state is TaskState.COMPLETED:
+            return 1.0
+        if task.state is not TaskState.RUNNING:
+            return 0.0
+        node = self.sub.cluster.nodes[task.assigned_node]
+        elapsed = self.sub.sim.now - task.started_at
+        return min(1.0, elapsed * node.slot_rate_mb_s() / task.input_mb)
 
-    def _chunk_arrived(self, _block) -> None:
-        """Streamed processing: a chunk landing may unblock tasks."""
-        if self.engine is not None:
-            self.engine.dispatch()
+    def _observed_rates(self, since_s: float) -> dict[str, float]:
+        """Per-node map rate (GB/h) of each service over the map tasks it
+        completed since ``since_s``, stragglers and remote reads included."""
+        mb, slot_s = defaultdict(float), defaultdict(float)
+        for task in self.engine.map_tasks:
+            if task.completed_at is not None and task.completed_at > since_s:
+                name = self._ran_on(task)
+                mb[name] += task.input_mb
+                slot_s[name] += task.completed_at - task.started_at
+        slots = self.scenario.slots_per_node
+        return {name: mb_s_to_gb_h(slots * mb[name] / slot_s[name]) for name in mb}
+
+    def _ran_on(self, task) -> str:
+        return self.sub.cluster.nodes[task.assigned_node].service.name
+
+    def _held_by(self, record: LocationRecord) -> str:
+        if record.backend == "s3":
+            return self.scenario.s3.name
+        return self.sub.cluster.nodes[record.node].service.name
+
+    # -- the result ------------------------------------------------------------------
+
+    def _collect_results(self) -> None:
+        """Download the result once every reducer's output has landed."""
+        sub = self.sub
+        chunks = self.engine.result_chunks
+        if not all(sub.namenode.locations(block_id) for block_id in chunks):
+            sub.sim.schedule(1.0, self._collect_results)
+            return
+        self._results_left = len(chunks)
+        for block_id in chunks:
+            sub.client.read(block_id, CLIENT_SITE, self._result_landed)
+        sub.charge_download(self.engine.job.result_mb / MB_PER_GB, self.scenario.ec2)
+
+    def _result_landed(self, block) -> None:
+        self._downloaded_mb += block.size_mb
+        self._results_left -= 1
+        if self._results_left == 0:
+            self.finish()
+
+    # -- enactment -------------------------------------------------------------------
 
     def _pump_uploads(self) -> None:
         """Keep up to ``upload_window`` transfers in flight per lane."""
@@ -646,44 +693,26 @@ class _PlanDeployer:
 
                 def landed(written, _lane=lane) -> None:
                     self._uploads_in_flight[_lane] -= 1
-                    self._chunk_arrived(written)
+                    self._uploaded_mb += written.size_mb
+                    self.engine.dispatch()  # streamed: it may unblock tasks
                     self._pump_uploads()
 
                 sub.client.write(block, CLIENT_SITE, target, landed)
 
     def _enact(self, interval) -> None:
         sub = self.sub
-        # 0. Progress check: if execution lags the plan's cumulative map
-        # work AND the lag is compute-bound (the data has arrived but sits
-        # unprocessed), add nodes to work off the backlog.  An upload-bound
-        # lag gets no extra nodes — they would only idle.
-        wanted = dict(interval.nodes)
-        shortfall_gb = self._planned_cum_map_gb - self._actual_map_gb()
-        self._planned_cum_map_gb += interval.map_gb
-        backlog_gb = min(shortfall_gb, self._arrived_backlog_gb())
-        service = self.scenario.ec2
-        rate = service.throughput_gb_per_hour * interval.duration_hours
-        # Tolerate the normal streaming pipeline (data legitimately in
-        # flight at a boundary scales with the number of active slots)
-        # before declaring a deviation.
-        pipeline_depth_gb = 0.15 * max(sum(wanted.values()), 1)
-        trigger = max(1.0, pipeline_depth_gb)
-        if backlog_gb > trigger:
-            extra = math.ceil(backlog_gb / max(rate, 1e-9))
-            wanted[service.name] = wanted.get(service.name, 0) + extra
         # 1. Adjust node counts per service.
-        for name, want in wanted.items():
-            service = self._service(name)
+        for name, want in interval.nodes.items():
             have = self.active.setdefault(name, [])
             have[:] = [n for n in have if n.released_at is None]
             if len(have) < want:
-                have.extend(sub.allocate_nodes(service, want - len(have)))
+                have.extend(sub.allocate_nodes(self.services[name], want - len(have)))
             elif len(have) > want:
                 for node in have[want:]:
                     sub.cluster.release(node)
                 del have[want:]
         for name, have in self.active.items():
-            if name not in wanted:
+            if name not in interval.nodes:
                 for node in have:
                     sub.cluster.release(node)
                 have.clear()
@@ -694,11 +723,11 @@ class _PlanDeployer:
         chunk_gb = self.scenario.split_mb / MB_PER_GB
         local_name = self.scenario.local.name if self.scenario.local else None
         for name, gb in interval.upload_gb.items():
-            # Fractional-GB plans accumulate per service; chunks are sent
-            # whenever a whole chunk's worth has been planned (carry-based,
-            # so rounding never strands chunks across intervals).
+            # Fractional-GB plans accumulate per service; a chunk is sent
+            # once half of it has been planned, so the chunks sent never
+            # stray from the GB planned by more than half a chunk.
             self._upload_carry[name] = self._upload_carry.get(name, 0.0) + gb
-            chunk_count = int(self._upload_carry[name] / chunk_gb + 1e-9)
+            chunk_count = int(self._upload_carry[name] / chunk_gb + 0.5)
             lane = "lan" if name == local_name else "wan"
             sent = 0
             for _ in range(min(chunk_count, len(self.pending_chunks))):
@@ -739,7 +768,7 @@ class _PlanDeployer:
                 def moved(written, _src=source, _bid=block_id):
                     sub.client.backends[_src.backend].delete(_src.node, _bid)
                     sub.namenode.remove_location(_bid, _src)
-                    self._chunk_arrived(written)
+                    self.engine.dispatch()
 
                 sub.client.write(block, source.site, target, moved)
         # 3. Open the plan's (storage -> compute) pairs for the scheduler.
@@ -750,20 +779,20 @@ class _PlanDeployer:
                 gb = interval.map_read_gb[(storage_name, compute_name)]
                 sub.charge_s3_requests(get_gb=gb)
 
-    def _service(self, name: str):
-        for candidate in (self.scenario.ec2, self.scenario.s3, self.scenario.local):
-            if candidate is not None and candidate.name == name:
-                return candidate
-        raise KeyError(name)
-
     def _target_for(self, service_name: str) -> LocationRecord | None:
         if service_name == "s3":
             return LocationRecord("s3")
-        nodes = [
-            n
-            for n in self.sub.cluster.up_nodes(service_name)
-        ] or [n for n in self.active.get(service_name, [])]
+        nodes = (
+            self.sub.cluster.up_nodes(service_name)
+            or self.active.get(service_name, [])
+        )
         if not nodes:
             return None
         node = min(nodes, key=lambda n: self.sub.disk.stored_mb(n.site))
         return LocationRecord("local-disk", node.site)
+
+
+def _share_left(held_mb: dict[str, float], consumed_mb: float) -> float:
+    """Fraction of ``held_mb``'s total that ``consumed_mb`` leaves."""
+    total = sum(held_mb.values())
+    return 1.0 - consumed_mb / total if total > 0 else 0.0

@@ -15,7 +15,7 @@ from .cluster import (
     build_topology,
     wire_node,
 )
-from .engine import EngineResult, MapReduceEngine
+from .engine import MapReduceEngine
 from .hdfs import (
     CONDUCTOR_CHUNK_OVERHEAD_S,
     HDFS_CHUNK_OVERHEAD_S,
@@ -30,7 +30,6 @@ __all__ = [
     "CONDUCTOR_CHUNK_OVERHEAD_S",
     "Cluster",
     "DEFAULT_BOOT_SECONDS",
-    "EngineResult",
     "HDFS_CHUNK_OVERHEAD_S",
     "HadoopScheduler",
     "HdfsDeployment",

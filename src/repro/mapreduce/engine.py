@@ -11,7 +11,6 @@ result.  Completion series feed the paper's Fig. 12b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from ..sim import Simulation
@@ -20,22 +19,6 @@ from ..storage.client import StorageClient
 from .cluster import Cluster, SimNode
 from .job import MapReduceJob, Task, TaskKind, TaskState
 from .scheduler import Scheduler
-
-
-@dataclass
-class EngineResult:
-    """Execution record for one job run."""
-
-    completed: bool
-    completion_s: float
-    map_done_s: float | None
-    #: (seconds, completed task count) series.
-    task_series: list[tuple[float, int]]
-    tasks: list[Task]
-
-    @property
-    def total_tasks(self) -> int:
-        return len(self.tasks)
 
 
 class MapReduceEngine:
@@ -75,7 +58,6 @@ class MapReduceEngine:
         self.reduce_tasks: list[Task] = []
         self.completed_tasks = 0
         self.task_series: list[tuple[float, int]] = [(0.0, 0)]
-        self.map_done_s: float | None = None
         self.completion_s: float | None = None
         self._started = False
         self._ready = False  # becomes True once job setup completes
@@ -103,15 +85,6 @@ class MapReduceEngine:
     @property
     def is_complete(self) -> bool:
         return self.completion_s is not None
-
-    def result(self) -> EngineResult:
-        return EngineResult(
-            completed=self.is_complete,
-            completion_s=self.completion_s if self.completion_s is not None else self.sim.now,
-            map_done_s=self.map_done_s,
-            task_series=list(self.task_series),
-            tasks=self.map_tasks + self.reduce_tasks,
-        )
 
     @property
     def result_chunks(self) -> list[BlockId]:
@@ -172,7 +145,6 @@ class MapReduceEngine:
             self._map_output_sites.append(node.site)
         self._complete(task, node)
         if all(t.state is TaskState.COMPLETED for t in self.map_tasks):
-            self.map_done_s = self.sim.now
             self._start_reduce_phase()
         self.dispatch()
 

@@ -93,7 +93,17 @@ class LocationAwareScheduler(Scheduler):
 
     def allow(self, compute_service: str, storage_backend: str) -> None:
         """Open a (compute, storage) pair per the current plan interval."""
-        self.allowed_sources[compute_service].add(storage_backend)
+        allowed = self.allowed_sources[compute_service]
+        if storage_backend not in allowed:
+            allowed.add(storage_backend)
+            # Tasks already runnable from that backend join this queue too.
+            self._queues[compute_service].extend(
+                task for task in self.runnable()
+                if task.block is not None and any(
+                    record.backend == storage_backend
+                    for record in self.namenode.locations(task.block)
+                )
+            )
         self.refresh()
 
     def refresh(self) -> None:
@@ -111,7 +121,6 @@ class LocationAwareScheduler(Scheduler):
                 if backends & allowed:
                     task.state = TaskState.RUNNABLE
                     self._queues[service].append(task)
-                    break
 
     def next_task(self, node: SimNode) -> Task | None:
         queue = self._queues.get(node.service.name, [])

@@ -46,20 +46,6 @@ class Simulation:
             raise SimulationError(f"cannot schedule {delay} s in the past")
         return self._queue.push(self._now + delay, callback, args, priority)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self._now - 1e-9:
-            raise SimulationError(
-                f"cannot schedule at {time} s; clock is already at {self._now} s"
-            )
-        return self._queue.push(max(time, self._now), callback, args, priority)
-
     # -- execution ----------------------------------------------------------
 
     def step(self) -> bool:

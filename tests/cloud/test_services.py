@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.cloud import UNLIMITED, ResourceKind, ServiceDescription, validate_catalog
+from repro.cloud import ResourceKind, ServiceDescription, validate_catalog
 from repro.cloud.catalog import ec2_m1_large, local_cluster, s3
 
 

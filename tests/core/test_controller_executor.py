@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.cloud import ec2_m1_large, public_cloud, s3
+from repro.cloud import public_cloud
 from repro.cloud.traces import constant_trace
 from repro.core import (
     CurrentPricePredictor,
     Goal,
     NetworkConditions,
     PlannerJob,
-    SystemState,
 )
 from repro.core.conditions import ActualConditions
 from repro.core.controller import ControllerConfig, JobController

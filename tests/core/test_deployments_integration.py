@@ -1,8 +1,9 @@
 """Integration tests: full discrete-event deployment strategies.
 
-These exercise the complete stack (planner -> plan deployer -> MapReduce
-engine -> storage layer -> fluid network -> ledger) on a scaled-down job
-so they stay fast; the full-size runs live in `benchmarks/`.
+These exercise the complete stack (planner -> job controller -> substrate
+executor -> MapReduce engine -> storage layer -> fluid network -> ledger)
+on a scaled-down job so they stay fast; the full-size runs live in
+`benchmarks/`.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core import (
     run_hadoop_s3,
     run_hadoop_upload_first,
 )
+from repro.core.deployments import _SubstrateController
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +94,31 @@ class TestConductorDeployment:
         assert result.total_cost == pytest.approx(
             sum(result.cost_breakdown().values())
         )
+
+
+
+class TestMonitoredDeployment:
+    """Conductor's deployment re-plans through the job controller's loop."""
+
+    def test_a_world_slower_than_the_plan_replans_and_completes(self):
+        # Planned at 1.3x the substrate's node rate: the first hour that
+        # processes input falls short, and the monitor re-plans from the
+        # state read off the namenode and engine.
+        scenario = DeploymentScenario(
+            input_gb=8.0, deadline_hours=3.0, planning_margin=1.3
+        )
+        controller = _SubstrateController(scenario)
+        result = controller.run()
+        assert result.completed
+        assert "deviation" in [r.kind for r in result.replan_records]
+        assert len(result.plans) == result.replans + 1 >= 2
+        state = result.final_state
+        assert state.map_done_gb == pytest.approx(8.0)
+        assert state.source_remaining_gb == pytest.approx(0.0)
+        assert state.downloaded_gb == pytest.approx(8.0 * 0.002)
+        # The re-plan learned the rate the nodes were measured at, with
+        # stragglers running each task at 1-1.1x its nominal time.
+        rate = scenario.throughput_gb_per_hour
+        learned = controller._believed[scenario.ec2.name]
+        assert rate / scenario.straggler_spread <= learned <= rate
+        assert run_conductor(scenario).task_series[-1][1] == 128 + 4

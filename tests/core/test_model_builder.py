@@ -28,7 +28,6 @@ from repro.core import (
     Goal,
     NetworkConditions,
     PlannerJob,
-    PlanningError,
     PlanningProblem,
     SystemState,
     build_model,

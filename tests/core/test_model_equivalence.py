@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import reference_model
 from repro.api import GoalSpec, JobSpec

@@ -7,7 +7,6 @@ from repro.cloud import public_cloud
 from repro.core import (
     Goal,
     NetworkConditions,
-    PipelinePlanningError,
     PlannerJob,
     RetentionPolicy,
     StorageTier,

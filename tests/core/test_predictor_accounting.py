@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.accounting import CostCategory, CostLedger
-from repro.cloud import SpotTrace, aws_like_trace, electricity_like_trace
+from repro.cloud import SpotTrace, electricity_like_trace
 from repro.core import (
     CurrentPricePredictor,
     OptimalPredictor,

@@ -1,7 +1,5 @@
 """Tests for the planning problem vocabulary (jobs, goals, network, state)."""
 
-import math
-
 import pytest
 
 from repro.cloud import public_cloud

@@ -1,7 +1,5 @@
 """Unit tests for the LP expression algebra."""
 
-import math
-
 import pytest
 
 from repro.lp import LinExpr, Model, Sense, Variable, VarType, lin_sum

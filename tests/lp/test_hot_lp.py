@@ -103,21 +103,24 @@ class TestPatch:
 class TestTimeLimit:
     def test_limit_is_rebased_on_the_instances_cumulative_clock(self):
         # HiGHS's run clock never resets, so a fixed ``time_limit`` option
-        # would expire a long-lived instance; re-solve one well past a
-        # per-run budget that its lifetime total exceeds many times over.
+        # would expire a long-lived instance: each run's limit must be the
+        # clock at its start plus its own budget.  No run comes near the
+        # budget, so a scheduling stall cannot trip it.
         base, other = knapsack(), knapsack(cap=9.0, cost=(1.0, 6.0, 2.0))
         there, back = diff_compiled(base, other), diff_compiled(other, base)
         lp = HotLP(base)
         basis = lp.run(30.0).basis
-        budget = 5e-3
-        for step in range(20000):
+        budget = 30.0
+        for step in range(200):
             lp.patch(back if step % 2 else there)
+            before = lp._h.getRunTime()
             run = lp.run(budget, basis)
+            after = lp._h.getRunTime()
             assert run.status is SolveStatus.OPTIMAL, step
             basis = run.basis
-            if lp._h.getRunTime() > 4 * budget:
-                break
-        assert lp._h.getRunTime() > 4 * budget
+            _, limit = lp._h.getOptionValue("time_limit")
+            # A limit of ``budget`` alone would sit below ``before + budget``.
+            assert 0.0 < before and before + budget <= limit <= after + budget
 
     def test_a_tripped_limit_does_not_poison_the_instance(self):
         base, other = knapsack(), knapsack(cap=9.0, cost=(1.0, 6.0, 2.0))

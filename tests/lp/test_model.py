@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.lp import Model, ObjectiveSense, Sense, SolveStatus, VarType
-from repro.lp.expr import LinExpr
+from repro.lp import Model, SolveStatus, VarType
 
 
 class TestConstruction:
@@ -73,7 +72,7 @@ class TestCompilation:
 
     def test_semicontinuous_lowering_adds_binary_column(self):
         m = Model()
-        z = m.add_var("z", ub=10, vtype=VarType.SEMI_CONTINUOUS, sc_lb=2)
+        m.add_var("z", ub=10, vtype=VarType.SEMI_CONTINUOUS, sc_lb=2)
         compiled = m.compile()
         assert compiled.num_vars == 2
         assert bool(compiled.integrality[1]) is True

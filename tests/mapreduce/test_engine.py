@@ -59,7 +59,6 @@ class TestJobGeometry:
     def test_task_counts(self):
         job = small_job(input_mb=200.0)
         assert job.num_map_tasks == 4
-        chunks = [None] * 4  # placeholder ids
         from repro.storage.blocks import BlockId
 
         tasks = job.make_map_tasks([BlockId("/in", i) for i in range(4)])
@@ -99,9 +98,8 @@ class TestEngineExecution:
     def test_completes_all_tasks(self):
         engine, _sim = self.run_job()
         assert engine.is_complete
-        result = engine.result()
-        assert result.completed
-        assert all(t.state is TaskState.COMPLETED for t in result.tasks)
+        tasks = engine.map_tasks + engine.reduce_tasks
+        assert all(t.state is TaskState.COMPLETED for t in tasks)
 
     def test_local_compute_time_matches_slot_rate(self):
         # 8 tasks on 4 nodes x 2 slots: one wave of 64 MB at 0.22 GB/h
@@ -168,6 +166,40 @@ class TestSchedulers:
         assert scheduler.next_task(nodes[0]) is None
         scheduler.allow(nodes[0].service.name, "s3")
         assert scheduler.next_task(nodes[0]) is not None
+
+    def location_aware_pair(self):
+        """A chunk on a cloud node's disk, a cloud node and an own node."""
+        sim, cluster, namenode, disk, s3, client, fs, add_nodes = make_world()
+        inode = fs.create("/in", 64.0)
+        cloud = add_nodes(1)[0]
+        own = add_nodes(1, service=local_cluster(1))[0]
+        sim.run_until_idle()
+        scheduler = LocationAwareScheduler(namenode)
+        scheduler.add_tasks(small_job(input_mb=64.0).make_map_tasks(inode.chunks))
+        block = namenode.block(inode.chunks[0])
+
+        def land():
+            disk.put(cloud.site, block)
+            namenode.add_location(block.block_id, LocationRecord("local-disk", cloud.site))
+            scheduler.refresh()
+
+        return scheduler, cloud, own, land
+
+    def test_location_aware_queues_a_task_for_every_allowed_service(self):
+        scheduler, cloud, own, land = self.location_aware_pair()
+        scheduler.allow(cloud.service.name, "local-disk")
+        scheduler.allow(own.service.name, "local-disk")
+        land()
+        assert scheduler.next_task(own) is not None
+        assert scheduler.next_task(cloud) is not None
+
+    def test_location_aware_queues_runnable_tasks_for_a_newly_allowed_service(self):
+        scheduler, cloud, own, land = self.location_aware_pair()
+        scheduler.allow(cloud.service.name, "local-disk")
+        land()
+        assert scheduler.next_task(own) is None
+        scheduler.allow(own.service.name, "local-disk")
+        assert scheduler.next_task(own) is not None
 
 
 class TestCluster:

@@ -11,8 +11,6 @@ from repro.pig import (
     Const,
     ExpressionError,
     FunctionCall,
-    Negate,
-    Not,
     PigType,
     Schema,
     parse_expression,

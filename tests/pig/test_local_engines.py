@@ -5,7 +5,6 @@ compiled stages as map/shuffle/reduce passes yields the same bag of
 rows per STORE as interpreting the logical plan directly.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -19,7 +19,7 @@ from repro.pig import (
     parse_expression,
     tokenize,
 )
-from repro.pig.expressions import BinaryOp, BoolOp, Column, Comparison, Const, Flatten
+from repro.pig.expressions import BinaryOp, BoolOp, Column, Comparison, Flatten
 
 
 class TestTokenizer:

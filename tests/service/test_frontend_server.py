@@ -4,7 +4,7 @@ dialect, structured errors for bad lines, and disconnect cancellation."""
 import asyncio
 import time
 
-from test_frontend_cache import make_problem, wait_until  # noqa: F401
+from test_frontend_cache import wait_until
 
 from repro.api import (
     ErrorV1,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.service import (
-    DEFAULT_MIX,
     SCENARIOS,
     generate_workload,
     problem_for_scenario,

@@ -1,7 +1,5 @@
 """Unit tests for the event queue and simulation clock."""
 
-import math
-
 import pytest
 
 from repro.sim import EventQueue, Simulation, SimulationError
@@ -71,18 +69,6 @@ class TestSimulation:
         sim = Simulation()
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
-
-    def test_schedule_at_absolute(self):
-        sim = Simulation(start_time=10.0)
-        fired = []
-        sim.schedule_at(15.0, lambda: fired.append(sim.now))
-        sim.run_until_idle()
-        assert fired == [15.0]
-
-    def test_schedule_at_past_rejected(self):
-        sim = Simulation(start_time=10.0)
-        with pytest.raises(SimulationError):
-            sim.schedule_at(5.0, lambda: None)
 
     def test_run_until_horizon_stops_early(self):
         sim = Simulation()

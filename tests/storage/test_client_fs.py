@@ -123,7 +123,7 @@ class TestFileSystem:
 
     def test_upload_and_locations(self, world):
         sim, namenode, _disk, _s3, _client, fs = world
-        inode = fs.create("/data", 128.0)
+        fs.create("/data", 128.0)
         fs.upload("/data", "client", lambda i: LocationRecord("local-disk", f"n{i % 3 + 1}"))
         sim.run_until_idle()
         locations = fs.chunk_locations("/data")
@@ -140,7 +140,7 @@ class TestFileSystem:
 
     def test_zero_size_file(self, world):
         sim, *_rest, fs = world
-        inode = fs.create("/empty", 0.0)
+        fs.create("/empty", 0.0)
         done = []
         fs.upload("/empty", "client", lambda i: LocationRecord("s3"),
                   on_complete=lambda: done.append(True))

@@ -35,8 +35,6 @@ class TestIndividualMeasurements:
 
     def test_replication_registered(self):
         # The conductor measurement acks at the primary but replicas land.
-        from repro.sim import FluidNetwork, Simulation
-
         result = measure_conductor(total_gb=1.0)
         assert result.elapsed_s > 0
 

@@ -1,12 +1,12 @@
 """Trace-logging overhead: the durable log must be nearly free.
 
 The event-sourced tracer sits on the deploy hot loop — every interval,
-re-plan, snapshot and lifecycle record is encoded and flushed to disk
-as it happens.  This bench runs the Fig. 12 adaptation mechanic (a
+re-plan and lifecycle record is encoded and flushed to disk as it
+happens.  This bench runs the Fig. 12 adaptation mechanic (a
 mispredicted processing rate forcing mid-flight re-plans, so the log
-carries the full record mix: intervals, replans, snapshots) through the
-orchestrator twice — untraced, and traced to a real on-disk log — and
-pins the wall-clock overhead.
+carries the full deploy record mix: lifecycle, intervals, replans,
+run_end) through the orchestrator twice — untraced, and traced to a
+real on-disk log — and pins the wall-clock overhead.
 
 Required: tracing adds < 5% wall-clock to the adaptation run.  The LP
 solves dominate by orders of magnitude; a regression here means the

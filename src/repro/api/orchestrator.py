@@ -355,14 +355,14 @@ class Orchestrator:
         :data:`repro.exec.BACKENDS`): the deterministic fluid simulator
         (``"sim"``, the default), the local process-pool MapReduce
         runner (``"pool"``), or the stub container backend (``"stub"``).
-        ``backend_options`` tunes the real backends (task sizing,
-        timeouts, worker count — :data:`repro.exec.DEFAULT_OPTIONS`).
+        ``backend_options`` tunes the real backends (task size, payload
+        bytes, the chaos hook — :data:`repro.exec.DEFAULT_OPTIONS`).
 
         ``tracer`` (a :class:`~repro.obs.trace.RunTracer`) captures the
         run as a durable event-sourced trace: ``lifecycle`` records
-        around the run, every interval/replan event, a ``snapshot``
-        after each interval (what crash-resume rehydrates from) and
-        ``run_end``.  If ``begin`` has not been called yet, the
+        around the run, every interval/replan event and ``run_end``.  The
+        log holds no run state: replay (and crash-resume) re-executes the
+        scenario it opens with.  If ``begin`` has not been called yet, the
         orchestrator opens it here with the canonical deploy scenario
         (``tenant``, ``spec.to_dict()``, plus the serializable
         conditions, trace offset and backend), so identical deployments
@@ -436,17 +436,10 @@ class Orchestrator:
                         # sim logs stay byte-identical.
                         backend=backend if backend != "sim" else "",
                     )
-                step = 0
                 while (outcome := run.step()) is not None:
-                    step += 1
                     emit(DeployEventV1.from_outcome(
                         outcome, tenant=tenant, session_id=session_id,
                     ))
-                    if tracer is not None:
-                        tracer.snapshot(
-                            tenant, step, run.snapshot(),
-                            hour=run.state.hour, session_id=session_id,
-                        )
                 result = run.result()
             finally:
                 run.close()

@@ -337,9 +337,9 @@ def cmd_replay(args) -> int:
 
     Verify mode re-executes the log's recorded scenario and diffs the
     deterministic record streams — exit 1 on divergence.  Resume mode
-    finishes a crashed run (a log without ``run_end``): ``deploy`` logs
-    rehydrate from their last ``snapshot`` record, ``fleet`` logs
-    recover by prefix-checked re-execution.  Inspect mode prints the
+    finishes a crashed run (a log without ``run_end``) by re-executing
+    its scenario and checking the log is a prefix of the fresh stream;
+    both exit 2 on a log from a non-``sim`` backend.  Inspect mode prints the
     hour-stamped timeline; ``--mermaid PATH`` also writes a gantt chart.
     """
     from .obs import TraceError, read_trace

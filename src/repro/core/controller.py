@@ -19,7 +19,7 @@ Two ways to drive it:
 - :meth:`JobController.run` owns the whole loop (submission to
   completion) and returns only the result — the benches' and the
   spot-market simulator's path;
-- :meth:`JobController.start` returns a resumable
+- :meth:`JobController.start` returns a steppable
   :class:`ControllerRun` that executes **one interval per** ``step()``
   call.  Its caller owns the loop: :meth:`repro.api.Orchestrator.deploy`
   steps one deployment on the calling thread and streams each interval
@@ -37,11 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..cloud.spot import SpotTrace
 from ..units import MB_PER_GB
-from ..accounting import CostCategory, CostLedger
+from ..accounting import CostLedger
 from .conditions import ActualConditions
 from .executor import FluidExecutor, IntervalOutcome
 from .model_builder import PlanningError
@@ -215,7 +213,7 @@ class JobController:
         actual: ActualConditions | None = None,
         on_replan=None,
     ) -> "ControllerRun":
-        """Plan the job and return a resumable, steppable deployment.
+        """Plan the job and return a steppable deployment.
 
         Solves the initial plan synchronously (raising
         :class:`PlanningError` exactly as :meth:`run` would) but
@@ -394,9 +392,6 @@ class ControllerRun:
         self.replan_records: list[ReplanRecord] = []
         self._pending: tuple[str, str, bool] | None = None
         self._halted = False
-        #: Plans dropped by a crash-resume restore: ``plan_index`` values
-        #: stay continuous with the original run's plan history.
-        self._plan_base = 0
         plan, problem = controller._plan(self.state)
         self.plans: list[ExecutionPlan] = [plan]
         self._estimates = dict(problem.spot_price_estimates)
@@ -559,7 +554,7 @@ class ControllerRun:
         """The :class:`ControllerResult` for the run so far.
 
         The list series (outcomes, plans, replan records, node/task
-        series) are copied, so a mid-run snapshot keeps ``plans[1:]``
+        series) are copied, so a mid-run result keeps ``plans[1:]``
         lined up with ``replan_records`` even if the run is stepped
         further afterwards; ``ledger`` and ``final_state`` remain the
         run's live objects.
@@ -582,192 +577,6 @@ class ControllerRun:
             replan_records=list(self.replan_records),
         )
 
-    # -- crash-resume ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serialize the run's full mutable state (JSON-safe).
-
-        Everything :meth:`restore` needs to continue the deployment:
-        the system state, believed per-node rates, the *active* plan
-        (older plans are summarized by ``plan_count`` so ``plan_index``
-        provenance stays continuous), the cost ledger, the Fig. 12
-        series, trigger bookkeeping, and the last executed outcome —
-        a pending ``learn`` re-plan folds its observed rates into the
-        model on the next step.  Earlier outcomes are not carried: their
-        costs already live in the ledger, and a resumed run's
-        :meth:`result` reports the resumed tail.
-        """
-        state = self.state
-        last = self.outcomes[-1] if self.outcomes else None
-        return {
-            "hour": state.hour,
-            "state": {
-                "hour": state.hour,
-                "source_remaining_gb": state.source_remaining_gb,
-                "stored_input": dict(state.stored_input),
-                "stored_output": dict(state.stored_output),
-                "stored_result": dict(state.stored_result),
-                "map_done_gb": state.map_done_gb,
-                "reduce_done_gb": state.reduce_done_gb,
-                "downloaded_gb": state.downloaded_gb,
-            },
-            "believed": {
-                k: float(v)
-                for k, v in sorted(self.controller._believed.items())
-            },
-            "deadline": self.deadline,
-            "max_hours": self.max_hours,
-            "replans": self.replans,
-            "replan_records": [
-                {"hour": r.hour, "kind": r.kind, "reason": r.reason,
-                 "plan_index": r.plan_index}
-                for r in self.replan_records
-            ],
-            "plan": self.plans[-1].to_dict(),
-            "plan_count": self._plan_base + len(self.plans),
-            "estimates": {
-                k: [float(x) for x in v]
-                for k, v in sorted(self._estimates.items())
-            },
-            "pending": (
-                None if self._pending is None else list(self._pending)
-            ),
-            "halted": self._halted,
-            "ledger": [
-                {"hour": e.hour, "service": e.service,
-                 "category": e.category.value, "detail": e.detail,
-                 "quantity": e.quantity, "unit": e.unit,
-                 "unit_price": e.unit_price}
-                for e in self.ledger
-            ],
-            "node_series": [[h, n] for h, n in self.node_series],
-            "task_series": [[h, n] for h, n in self.task_series],
-            "outcome_count": len(self.outcomes),
-            "last_outcome": None if last is None else {
-                "index": last.index,
-                "start_hour": last.start_hour,
-                "duration_hours": last.duration_hours,
-                "nodes": dict(last.nodes),
-                "uploaded_gb": last.uploaded_gb,
-                "map_gb": last.map_gb,
-                "reduce_gb": last.reduce_gb,
-                "downloaded_gb": last.downloaded_gb,
-                "planned_map_gb": last.planned_map_gb,
-                "planned_upload_gb": last.planned_upload_gb,
-                "cost": last.cost,
-                "outbid_services": list(last.outbid_services),
-                "observed_rates": dict(last.observed_rates),
-                "spot_data_lost_gb": last.spot_data_lost_gb,
-                # Additive: omitted when empty so sim-backend snapshots
-                # stay byte-identical to pre-backend ones.
-                **(
-                    {"failed_services": list(last.failed_services)}
-                    if last.failed_services else {}
-                ),
-            },
-        }
-
-    @classmethod
-    def restore(
-        cls,
-        controller: JobController,
-        snapshot: dict,
-        actual: ActualConditions | None = None,
-        on_replan=None,
-    ) -> "ControllerRun":
-        """Rehydrate a run from a :meth:`snapshot` and continue it.
-
-        Bypasses ``__init__`` (which would solve a fresh initial plan):
-        the restored run resumes the *logged* plan from the logged
-        state, with believed rates, trigger bookkeeping and the ledger
-        exactly as they were — the crash-recovery path `repro replay
-        --resume` drives.  ``controller`` must be configured identically
-        to the run that produced the snapshot (same job, services, goal
-        and policies); its believed rates are overwritten from the
-        snapshot.
-        """
-        run = object.__new__(cls)
-        run.controller = controller
-        run.actual = actual or ActualConditions.as_predicted()
-        run.on_replan = on_replan
-        run.deadline = float(snapshot["deadline"])
-        run.max_hours = float(snapshot["max_hours"])
-        s = snapshot["state"]
-        run.state = SystemState(
-            hour=float(s["hour"]),
-            source_remaining_gb=float(s["source_remaining_gb"]),
-            stored_input={str(k): float(v)
-                          for k, v in s["stored_input"].items()},
-            stored_output={str(k): float(v)
-                           for k, v in s["stored_output"].items()},
-            stored_result={str(k): float(v)
-                           for k, v in s["stored_result"].items()},
-            map_done_gb=float(s["map_done_gb"]),
-            reduce_done_gb=float(s["reduce_done_gb"]),
-            downloaded_gb=float(s["downloaded_gb"]),
-        )
-        controller._believed = {
-            str(k): float(v) for k, v in snapshot["believed"].items()
-        }
-        run.ledger = CostLedger()
-        for e in snapshot["ledger"]:
-            run.ledger.add(
-                float(e["hour"]), str(e["service"]),
-                CostCategory(e["category"]), str(e["detail"]),
-                float(e["quantity"]), str(e["unit"]),
-                float(e["unit_price"]),
-            )
-        run.outcomes = []
-        last = snapshot.get("last_outcome")
-        if last is not None:
-            run.outcomes.append(IntervalOutcome(
-                index=int(last["index"]),
-                start_hour=float(last["start_hour"]),
-                duration_hours=float(last["duration_hours"]),
-                nodes={str(k): int(v) for k, v in last["nodes"].items()},
-                uploaded_gb=float(last["uploaded_gb"]),
-                map_gb=float(last["map_gb"]),
-                reduce_gb=float(last["reduce_gb"]),
-                downloaded_gb=float(last["downloaded_gb"]),
-                planned_map_gb=float(last["planned_map_gb"]),
-                planned_upload_gb=float(last["planned_upload_gb"]),
-                cost=float(last["cost"]),
-                outbid_services=[str(n) for n in last["outbid_services"]],
-                observed_rates={str(k): float(v)
-                                for k, v in last["observed_rates"].items()},
-                spot_data_lost_gb=float(last["spot_data_lost_gb"]),
-                failed_services=[
-                    str(n) for n in last.get("failed_services", [])
-                ],
-            ))
-        run.node_series = [(float(h), int(n))
-                           for h, n in snapshot["node_series"]]
-        run.task_series = [(float(h), int(n))
-                           for h, n in snapshot["task_series"]]
-        run.replans = int(snapshot["replans"])
-        run.replan_records = [
-            ReplanRecord(hour=float(r["hour"]), kind=str(r["kind"]),
-                         reason=str(r["reason"]),
-                         plan_index=int(r["plan_index"]))
-            for r in snapshot["replan_records"]
-        ]
-        pending = snapshot.get("pending")
-        run._pending = (
-            None if pending is None
-            else (str(pending[0]), str(pending[1]), bool(pending[2]))
-        )
-        run._halted = bool(snapshot["halted"])
-        run._plan_base = int(snapshot["plan_count"]) - 1
-        run.plans = [ExecutionPlan.from_dict(snapshot["plan"])]
-        run._estimates = {
-            str(k): np.asarray(v, dtype=float)
-            for k, v in snapshot["estimates"].items()
-        }
-        run._executor = controller._executor(
-            controller._problem(run.state), run.actual, run.ledger
-        )
-        return run
-
     # -- internals ---------------------------------------------------------
 
     def _replan(self, kind: str, reason: str) -> None:
@@ -783,7 +592,7 @@ class ControllerRun:
             hour=self.state.hour,
             kind=kind,
             reason=reason,
-            plan_index=self._plan_base + len(self.plans) - 1,
+            plan_index=len(self.plans) - 1,
         )
         self.replan_records.append(record)
         if self.on_replan is not None:

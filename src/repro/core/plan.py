@@ -26,10 +26,6 @@ def _pairs_to_rows(flows: Mapping[tuple[str, str], float]) -> list[list]:
     return [[a, b, float(v)] for (a, b), v in sorted(flows.items())]
 
 
-def _rows_to_pairs(rows) -> dict[tuple[str, str], float]:
-    return {(str(a), str(b)): float(v) for a, b, v in rows}
-
-
 @dataclass
 class PlanInterval:
     """Planned actions during one LP time interval."""
@@ -109,26 +105,6 @@ class PlanInterval:
             "download_gb": {k: float(v) for k, v in sorted(self.download_gb.items())},
             "stored_gb": {k: float(v) for k, v in sorted(self.stored_gb.items())},
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PlanInterval":
-        return cls(
-            index=int(data["index"]),
-            start_hour=float(data["start_hour"]),
-            duration_hours=float(data["duration_hours"]),
-            nodes={str(k): int(v) for k, v in data.get("nodes", {}).items()},
-            upload_gb={str(k): float(v)
-                       for k, v in data.get("upload_gb", {}).items()},
-            map_read_gb=_rows_to_pairs(data.get("map_read_gb", [])),
-            map_write_gb=_rows_to_pairs(data.get("map_write_gb", [])),
-            reduce_read_gb=_rows_to_pairs(data.get("reduce_read_gb", [])),
-            reduce_write_gb=_rows_to_pairs(data.get("reduce_write_gb", [])),
-            migrate_gb=_rows_to_pairs(data.get("migrate_gb", [])),
-            download_gb={str(k): float(v)
-                         for k, v in data.get("download_gb", {}).items()},
-            stored_gb={str(k): float(v)
-                       for k, v in data.get("stored_gb", {}).items()},
-        )
 
 
 @dataclass
@@ -237,46 +213,4 @@ class ExecutionPlan:
                 f"{interval.reduce_gb:>7.3f}G {interval.total_download_gb:>8.3f}G"
             )
         return "\n".join(lines)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-safe form, complete enough to resume execution from.
-
-        ``solve_seconds`` rides along for reporting but is wall-clock —
-        consumers comparing plans for replay determinism must ignore it.
-        """
-        return {
-            "intervals": [i.to_dict() for i in self.intervals],
-            "predicted_cost": self.predicted_cost,
-            "predicted_cost_breakdown": {
-                k: float(v)
-                for k, v in sorted(self.predicted_cost_breakdown.items())
-            },
-            "predicted_completion_hours": self.predicted_completion_hours,
-            "objective_value": self.objective_value,
-            "solver_status": self.solver_status,
-            "solve_seconds": self.solve_seconds,
-            "model_stats": {k: int(v)
-                            for k, v in sorted(self.model_stats.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ExecutionPlan":
-        return cls(
-            intervals=[PlanInterval.from_dict(i) for i in data["intervals"]],
-            predicted_cost=float(data["predicted_cost"]),
-            predicted_cost_breakdown={
-                str(k): float(v)
-                for k, v in data.get("predicted_cost_breakdown", {}).items()
-            },
-            predicted_completion_hours=float(
-                data["predicted_completion_hours"]
-            ),
-            objective_value=float(data["objective_value"]),
-            solver_status=str(data["solver_status"]),
-            solve_seconds=float(data.get("solve_seconds", 0.0)),
-            model_stats={str(k): int(v)
-                         for k, v in data.get("model_stats", {}).items()},
-        )
 

@@ -57,7 +57,7 @@ def make_executor(
     if backend == "pool":
         from .pool import ProcessPoolRunner
 
-        runner = ProcessPoolRunner(max_workers=options["max_workers"])
+        runner = ProcessPoolRunner()
     elif backend == "stub":
         from .stub import SubprocessRunner
 

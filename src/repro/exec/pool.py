@@ -13,22 +13,22 @@ from __future__ import annotations
 import concurrent.futures as futures
 from concurrent.futures.process import BrokenProcessPool
 
-from .tasks import TaskResult, TaskSpec, execute_task_wire
+from .tasks import DEFAULT_TIMEOUT_S, TaskResult, TaskSpec, execute_task_wire
 from .work import TaskRunner
+
+#: Worker processes in the pool.
+MAX_WORKERS = 2
 
 
 class ProcessPoolRunner(TaskRunner):
     """Task batches on a lazily (re)built process pool."""
 
-    def __init__(self, max_workers: int = 2) -> None:
-        self._max_workers = max(1, int(max_workers))
+    def __init__(self) -> None:
         self._pool: futures.ProcessPoolExecutor | None = None
 
     def _ensure_pool(self) -> futures.ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = futures.ProcessPoolExecutor(
-                max_workers=self._max_workers
-            )
+            self._pool = futures.ProcessPoolExecutor(max_workers=MAX_WORKERS)
         return self._pool
 
     def run_batch(self, specs: list[TaskSpec]) -> list[TaskResult]:
@@ -50,14 +50,14 @@ class ProcessPoolRunner(TaskRunner):
                 continue
             try:
                 results.append(
-                    TaskResult.from_dict(future.result(timeout=spec.timeout_s))
+                    TaskResult.from_dict(future.result(timeout=DEFAULT_TIMEOUT_S))
                 )
             except futures.TimeoutError:
                 future.cancel()
                 results.append(TaskResult(
                     task_id=spec.task_id,
                     status="timeout",
-                    error=f"exceeded per-node timeout of {spec.timeout_s:g}s",
+                    error=f"exceeded per-node timeout of {DEFAULT_TIMEOUT_S:g}s",
                 ))
             except BrokenProcessPool as exc:
                 broken = exc

@@ -15,7 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from .tasks import TaskResult, TaskSpec, decode_results, encode_batch
+from .tasks import (
+    DEFAULT_TIMEOUT_S,
+    TaskResult,
+    TaskSpec,
+    decode_results,
+    encode_batch,
+)
 from .work import TaskRunner
 
 #: Extra wall-clock (seconds) allowed for interpreter startup + imports.
@@ -42,7 +48,7 @@ class SubprocessRunner(TaskRunner):
     """One subprocess per batch, speaking the stdin/stdout JSON contract."""
 
     def run_batch(self, specs: list[TaskSpec]) -> list[TaskResult]:
-        budget = sum(spec.timeout_s for spec in specs) + _STARTUP_SLACK_S
+        budget = len(specs) * DEFAULT_TIMEOUT_S + _STARTUP_SLACK_S
         try:
             proc = subprocess.run(
                 _handler_command(),

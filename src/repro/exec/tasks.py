@@ -10,10 +10,10 @@ the result batch leaves on **stdout**, and a non-zero exit status means
 the whole batch failed (see :mod:`repro.exec.handler`).
 
 Tasks are pure functions of their spec: input bytes are synthesized
-deterministically from the task's seed, and the map/reduce callables
-are named registry entries from :mod:`repro.mapreduce.functions` — a
-spec never carries code, so it serializes to JSON and survives a
-process boundary.
+deterministically from the task's seed, and every task runs the
+wordcount pair of :mod:`repro.mapreduce.functions` — a spec never
+carries code, so it serializes to JSON and survives a process
+boundary.
 
 :func:`execute_task` is the single worker-side entry point all backends
 share; :func:`execute_task_wire` is its dict-in/dict-out form (the
@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..mapreduce.functions import (
-    resolve_map,
-    resolve_reduce,
     seed_for,
+    sum_reduce,
     synthesize_text,
+    wordcount_map,
 )
 
 #: Task kinds — the two MapReduce phases.
@@ -44,7 +44,7 @@ TASK_KINDS = ("map", "reduce")
 #: broken pool); ``timeout`` a task that exceeded its per-node budget.
 TASK_STATUSES = ("ok", "error", "timeout", "killed")
 
-#: Default per-node task timeout (seconds) when the spec sets none.
+#: Per-node task timeout, seconds.
 DEFAULT_TIMEOUT_S = 30.0
 
 
@@ -57,14 +57,10 @@ class TaskSpec:
     kind: str
     #: Compute service whose node runs this task (plan vocabulary).
     service: str
-    #: Registry name of the map/reduce callable to run.
-    function: str
     #: Plan-GB this task accounts for (fluid bookkeeping, not payload size).
     gb: float
     #: Bytes of input to synthesize for a map task.
     payload_bytes: int = 0
-    #: Per-node timeout for this task, seconds.
-    timeout_s: float = DEFAULT_TIMEOUT_S
     #: Reduce only: the partial counts this task merges.
     partials: tuple = ()
     #: Chaos hook: ``"kill"`` makes the worker SIGKILL itself (tests).
@@ -76,7 +72,6 @@ class TaskSpec:
                 f"unknown task kind {self.kind!r}; expected one of {TASK_KINDS}"
             )
         object.__setattr__(self, "gb", float(self.gb))
-        object.__setattr__(self, "timeout_s", float(self.timeout_s))
         object.__setattr__(
             self, "partials", tuple(dict(p) for p in self.partials)
         )
@@ -91,10 +86,8 @@ class TaskSpec:
             "task_id": self.task_id,
             "kind": self.kind,
             "service": self.service,
-            "function": self.function,
             "gb": self.gb,
             "payload_bytes": self.payload_bytes,
-            "timeout_s": self.timeout_s,
         }
         if self.partials:
             data["partials"] = [dict(p) for p in self.partials]
@@ -108,10 +101,8 @@ class TaskSpec:
             task_id=str(data["task_id"]),
             kind=str(data["kind"]),
             service=str(data["service"]),
-            function=str(data["function"]),
             gb=float(data["gb"]),
             payload_bytes=int(data.get("payload_bytes", 0)),
-            timeout_s=float(data.get("timeout_s", DEFAULT_TIMEOUT_S)),
             partials=tuple(dict(p) for p in data.get("partials", ())),
             chaos=str(data.get("chaos", "")),
         )
@@ -181,9 +172,9 @@ def execute_task(spec: TaskSpec) -> TaskResult:
     try:
         if spec.kind == "map":
             data = synthesize_text(spec.seed, spec.payload_bytes)
-            counts = resolve_map(spec.function)(data)
+            counts = wordcount_map(data)
         else:
-            counts = resolve_reduce(spec.function)(spec.partials)
+            counts = sum_reduce(spec.partials)
         return TaskResult(
             task_id=spec.task_id,
             status="ok",

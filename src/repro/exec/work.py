@@ -34,8 +34,8 @@ from ..core.conditions import ActualConditions
 from ..core.executor import FluidExecutor, IntervalOutcome
 from ..core.plan import PlanInterval
 from ..core.problem import PlanningProblem, SystemState
-from ..mapreduce.functions import resolve_reduce
-from .tasks import DEFAULT_TIMEOUT_S, TaskResult, TaskSpec
+from ..mapreduce.functions import sum_reduce
+from .tasks import TaskResult, TaskSpec
 
 _EPS = 1e-9
 
@@ -45,12 +45,6 @@ DEFAULT_OPTIONS = {
     "task_gb": 1.0,
     #: Bytes of real input synthesized per map task.
     "payload_bytes": 16384,
-    #: Per-node task timeout, seconds.
-    "timeout_s": DEFAULT_TIMEOUT_S,
-    #: Registry name of the map/reduce pair to run.
-    "function": "wordcount",
-    #: Worker processes (pool backend).
-    "max_workers": 2,
     #: Chaos hook: global sequence number of the task whose worker
     #: SIGKILLs itself (``None`` = no chaos).  The sequence survives
     #: re-planning, so the kill happens exactly once per run.
@@ -162,12 +156,10 @@ class WorkExecutor(FluidExecutor):
             task_id=f"{self.job.name}-{kind}-{seq:06d}",
             kind=kind,
             service=service,
-            function=self.options["function"],
             gb=gb,
             payload_bytes=(
                 int(self.options["payload_bytes"]) if kind == "map" else 0
             ),
-            timeout_s=float(self.options["timeout_s"]),
             chaos=chaos,
             **extra,
         )
@@ -260,9 +252,9 @@ class WorkExecutor(FluidExecutor):
                 if spec.kind == "map":
                     self._pending_partials.append(dict(result.counts))
                 else:
-                    self._collected = resolve_reduce(
-                        self.options["function"]
-                    )([self._collected, result.counts])
+                    self._collected = sum_reduce(
+                        [self._collected, result.counts]
+                    )
             else:
                 self.tasks_failed += 1
                 if spec.kind == "reduce" and spec.partials:
@@ -276,9 +268,7 @@ class WorkExecutor(FluidExecutor):
 
     def collected_counts(self) -> dict:
         """The reduce output merged so far (plus still-pending partials)."""
-        return resolve_reduce(self.options["function"])(
-            [self._collected, *self._pending_partials]
-        )
+        return sum_reduce([self._collected, *self._pending_partials])
 
 
 __all__ = ["DEFAULT_OPTIONS", "TaskReport", "TaskRunner", "WorkExecutor"]

@@ -148,10 +148,6 @@ class Substrate:
 
     # -- queries -----------------------------------------------------------
 
-    def price(self, service: str, hour: float) -> float:
-        """Market price of ``service`` at ``hour`` (requires a trace)."""
-        return self.traces[service].price_at(hour)
-
     def capacity_of(self, service: str) -> int | None:
         """Currently available nodes for ``service``; ``None`` = unlimited."""
         return self.capacity.get(service)

@@ -178,7 +178,9 @@ def wire_node(topo: Topology, site: str, local: bool = False) -> None:
     """Attach a node's NIC/disk links and routes to an experiment topology.
 
     ``local`` nodes sit behind the client's LAN (no WAN hop to the
-    client); cloud nodes reach the client via the WAN links.
+    client); cloud nodes reach the client via the WAN links, and so do
+    routes between a local and a cloud node: ``wan-up`` towards the
+    cloud, ``wan-down`` towards the customer's site.
     """
     nic = f"nic-{site}"
     disk = f"disk-{site}"
@@ -194,13 +196,18 @@ def wire_node(topo: Topology, site: str, local: bool = False) -> None:
     topo.add_route(site, S3_SITE, [nic, "s3-gw"], symmetric=False)
     topo.add_route(S3_SITE, site, ["s3-gw", nic, disk], symmetric=False)
     # Node-to-node routes to every already-wired node.
-    for other in [s for s in _wired_sites(topo) if s != site]:
-        topo.add_route(site, other, [nic, f"nic-{other}", f"disk-{other}"], symmetric=False)
-        topo.add_route(other, site, [f"nic-{other}", nic, disk], symmetric=False)
-    _wired_sites(topo).append(site)
+    wired = _wired_sites(topo)
+    for other, other_local in wired.items():
+        out, back = [], []
+        if local != other_local:
+            out, back = (["wan-up"], ["wan-down"]) if local else (["wan-down"], ["wan-up"])
+        topo.add_route(site, other, [nic, *out, f"nic-{other}", f"disk-{other}"], symmetric=False)
+        topo.add_route(other, site, [f"nic-{other}", *back, nic, disk], symmetric=False)
+    wired[site] = local
 
 
-def _wired_sites(topo: Topology) -> list[str]:
+def _wired_sites(topo: Topology) -> dict[str, bool]:
+    """Site -> ``local`` of every node wired into ``topo`` so far."""
     if not hasattr(topo, "_wired_sites"):
-        topo._wired_sites = []  # type: ignore[attr-defined]
+        topo._wired_sites = {}  # type: ignore[attr-defined]
     return topo._wired_sites  # type: ignore[attr-defined]

@@ -1,10 +1,10 @@
-"""Named map/reduce callables — the real work behind execution backends.
+"""The wordcount map/reduce pair — the real work behind execution backends.
 
 The process-pool and stub-container backends of :mod:`repro.exec` run
 *actual* map and reduce functions over actual bytes, in contrast to the
-fluid simulator's GB-flow accounting.  Task specs travel as JSON (and
-process-pool arguments must pickle), so tasks reference their function
-by **name**; this module is the registry those names resolve against.
+fluid simulator's GB-flow accounting.  Every task runs wordcount: a map
+task counts the words of its synthesized input, a reduce task merges
+partial counts.
 
 Everything here is standard-library only: the stub backend imports it in
 a fresh subprocess per task batch, where a heavyweight import would
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-import zlib
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 #: Vocabulary size of the synthesized text (small enough that a map
 #: task's full count dict travels cheaply in a JSON result).
@@ -55,7 +54,7 @@ def synthesize_text(seed: int, size_bytes: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# map functions: bytes -> dict[str, int]
+# map: bytes -> dict[str, int]
 
 
 def wordcount_map(data: bytes) -> dict[str, int]:
@@ -66,18 +65,8 @@ def wordcount_map(data: bytes) -> dict[str, int]:
     return counts
 
 
-def linecount_map(data: bytes) -> dict[str, int]:
-    """Count lines and bytes — a trivially cheap map for overhead tests."""
-    return {"lines": data.count(b"\n") + 1, "bytes": len(data)}
-
-
-def checksum_map(data: bytes) -> dict[str, int]:
-    """CRC32 the chunk — CPU-only, no parsing."""
-    return {"crc32": zlib.crc32(data), "bytes": len(data)}
-
-
 # ---------------------------------------------------------------------------
-# reduce functions: iterable of partial counts -> merged counts
+# reduce: iterable of partial counts -> merged counts
 
 
 def sum_reduce(partials: Iterable[Mapping[str, int]]) -> dict[str, int]:
@@ -89,61 +78,9 @@ def sum_reduce(partials: Iterable[Mapping[str, int]]) -> dict[str, int]:
     return merged
 
 
-def xor_reduce(partials: Iterable[Mapping[str, int]]) -> dict[str, int]:
-    """Fold checksums with XOR (order-independent combine)."""
-    folded = 0
-    total = 0
-    for partial in partials:
-        folded ^= int(partial.get("crc32", 0))
-        total += int(partial.get("bytes", 0))
-    return {"crc32": folded, "bytes": total}
-
-
-#: name -> map callable (bytes -> counts).
-MAP_FUNCTIONS: dict[str, Callable[[bytes], dict[str, int]]] = {
-    "wordcount": wordcount_map,
-    "linecount": linecount_map,
-    "checksum": checksum_map,
-}
-
-#: name -> reduce callable (partial counts -> merged counts).
-REDUCE_FUNCTIONS: dict[str, Callable[..., dict[str, int]]] = {
-    "wordcount": sum_reduce,
-    "linecount": sum_reduce,
-    "checksum": xor_reduce,
-}
-
-
-def resolve_map(name: str) -> Callable[[bytes], dict[str, int]]:
-    try:
-        return MAP_FUNCTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown map function {name!r}; "
-            f"expected one of {sorted(MAP_FUNCTIONS)}"
-        ) from None
-
-
-def resolve_reduce(name: str) -> Callable[..., dict[str, int]]:
-    try:
-        return REDUCE_FUNCTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown reduce function {name!r}; "
-            f"expected one of {sorted(REDUCE_FUNCTIONS)}"
-        ) from None
-
-
 __all__ = [
-    "MAP_FUNCTIONS",
-    "REDUCE_FUNCTIONS",
-    "checksum_map",
-    "linecount_map",
-    "resolve_map",
-    "resolve_reduce",
     "seed_for",
     "sum_reduce",
     "synthesize_text",
     "wordcount_map",
-    "xor_reduce",
 ]

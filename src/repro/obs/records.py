@@ -19,15 +19,16 @@ Record kinds:
 ``replan``         one adopted re-plan (``DeployEventV1``)
 ``substrate_event``a typed substrate event (price/eviction/failure/capacity)
 ``span``           wall-clock timing of a hot path (solve/replan/run)
-``snapshot``       a ``ControllerRun`` state snapshot (crash-resume point)
+``snapshot``       a controller state dump older builds wrote; read, never written
 ``run_end``        the run's deterministic summary
 =================  ========================================================
 
 :data:`DETERMINISTIC_KINDS` names the kinds whose payloads are pure
 functions of the scenario: replaying the same scenario re-emits them
-identically, so verify mode diffs exactly these.  ``trace_hello``
-(build version), ``span`` (wall-clock seconds) and ``snapshot``
-(contains solver wall-clock) are excluded by construction.
+identically, so verify mode diffs exactly these, and resume checks a
+crashed log against its re-execution over them.  ``trace_hello`` (build
+version), ``span`` (wall-clock seconds) and ``snapshot`` (solver
+wall-clock inside) are excluded by construction.
 
 Schema evolution follows the wire format's rules, through the same
 field table (:mod:`repro.api.schemas`): every envelope carries
@@ -257,11 +258,12 @@ class SpanV1(_Schema):
 
 @_schema
 class SnapshotV1(_Schema):
-    """A :meth:`ControllerRun.snapshot` — the crash-resume anchor.
+    """A controller state dump, one per executed interval.
 
-    The ``state`` dict is the controller's own serialization (it carries
-    solver wall-clock inside the plan summary, hence nondeterministic);
-    ``step`` counts executed intervals at snapshot time.
+    Older builds wrote it as a crash-resume point; this one resumes by
+    re-execution and only reads it, so their logs still parse.  ``state``
+    carried solver wall-clock inside its plan summary, hence
+    nondeterministic; ``step`` counted executed intervals.
     """
 
     KIND: ClassVar[str] = "snapshot"

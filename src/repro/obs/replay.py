@@ -9,13 +9,15 @@ what happened — it is a *program* that can be run again:
   under a new tracer, producing a second stream of records;
 - :func:`verify` diffs the re-executed stream against the log over the
   :data:`~repro.obs.records.DETERMINISTIC_KINDS` (wall-clock payloads —
-  span seconds, solver timings inside snapshots — are excluded by
-  construction) and reports any :class:`Divergence`;
-- :func:`resume` finishes a crashed run: a ``deploy`` log is rehydrated
-  from its last ``snapshot`` record via
-  :meth:`~repro.core.controller.ControllerRun.restore` and stepped to
-  completion; a ``fleet`` log is recovered by deterministic re-execution
-  with a prefix check against the truncated log.
+  span seconds, build versions — are excluded by construction) and
+  reports any :class:`Divergence`;
+- :func:`resume` finishes a crashed run the same way: it re-executes the
+  scenario and checks that the truncated log is a prefix of the fresh
+  stream.  The log holds no run state to rehydrate; the scenario in its
+  ``run_start`` record is the whole input.
+
+Both accept only ``sim``-backend logs: the real backends run workers
+whose timings and failures are not a function of the scenario.
 
 Everything above the obs layer (api, fleet, cloud catalogs) is imported
 lazily inside the functions — the obs package must stay importable from
@@ -215,8 +217,9 @@ def deterministic_lines(records: list[TraceRecordV1]) -> list[str]:
 
     Filters to :data:`~repro.obs.records.DETERMINISTIC_KINDS` and
     renumbers ``seq`` by position in the filtered stream, so two runs of
-    the same scenario — whatever wall-clock records (spans, snapshots)
-    each interleaved — yield byte-identical line lists.
+    the same scenario — whatever wall-clock records (spans, or the
+    snapshots older builds wrote) each interleaved — yield byte-identical
+    line lists.
     """
     lines: list[str] = []
     for record in records:
@@ -280,21 +283,30 @@ class ReplayReport:
 _MAX_DIVERGENCES = 10
 
 
-def verify(records: list[TraceRecordV1]) -> ReplayReport:
-    """Re-execute a log's scenario and diff the deterministic streams.
+def _sim_run_kind(records: list[TraceRecordV1], action: str) -> str:
+    """The log's run kind; :class:`TraceError` unless it ran on ``sim``.
 
     Only the ``sim`` backend is deterministic — real execution backends
     (``pool``/``stub``) run actual workers whose timings and failures
-    are not a function of the scenario, so their logs cannot be
-    byte-verified and this raises :class:`TraceError` for them.
+    are not a function of the scenario, so their logs can be neither
+    byte-verified nor resumed by re-execution.
     """
     run_kind, scenario = scenario_of(records)
     backend = str(scenario.get("backend", "sim"))
     if backend != "sim":
         raise TraceError(
-            f"cannot verify a {backend!r}-backend trace: only the sim "
+            f"cannot {action} a {backend!r}-backend trace: only the sim "
             "backend re-executes deterministically"
         )
+    return run_kind
+
+
+def verify(records: list[TraceRecordV1]) -> ReplayReport:
+    """Re-execute a log's scenario and diff the deterministic streams.
+
+    Raises :class:`TraceError` for a log from a non-``sim`` backend.
+    """
+    run_kind = _sim_run_kind(records, "verify")
     expected = deterministic_lines(records)
     replayed, _result = reexecute(records)
     observed = deterministic_lines(replayed)
@@ -321,61 +333,26 @@ def verify(records: list[TraceRecordV1]) -> ReplayReport:
 def resume(records: list[TraceRecordV1]):
     """Finish a crashed run from its log; returns the final result.
 
-    ``deploy`` logs resume by true rehydration: the last ``snapshot``
-    record holds :meth:`~repro.core.controller.ControllerRun.snapshot`,
-    the controller is rebuilt from the scenario's spec, and
-    :meth:`~repro.core.controller.ControllerRun.restore` continues the
-    run without re-solving history.  ``fleet`` logs resume by replay
-    recovery: the scenario re-executes deterministically and the
-    truncated log is checked to be a prefix of the fresh stream (raising
-    :class:`TraceError` if the log disagrees with the re-execution —
-    i.e. it was not produced by this scenario).
-
-    A log that already has its ``run_end`` record did not crash; resume
-    raises :class:`TraceError` rather than silently re-running it.
+    Resume is re-execution: the scenario runs again, and the truncated
+    log's deterministic stream must be a prefix of the fresh one —
+    otherwise the log was not produced by this scenario on this build,
+    and :class:`TraceError` says so.  A log from a non-``sim`` backend,
+    or one that already has its ``run_end`` record (it did not crash),
+    raises :class:`TraceError` too.
     """
     if records and records[-1].kind == "run_end":
         raise TraceError(
             "log is complete (run_end present) — nothing to resume"
         )
-    run_kind, scenario = scenario_of(records)
-    if run_kind == "fleet":
-        prefix = deterministic_lines(records)
-        replayed, result = reexecute(records)
-        full = deterministic_lines(replayed)
-        if full[: len(prefix)] != prefix:
-            raise TraceError(
-                "truncated log is not a prefix of its re-execution — "
-                "the log does not match its recorded scenario"
-            )
-        return result
-    if run_kind != "deploy":
-        raise TraceError(f"cannot resume run kind {run_kind!r}")
-
-    from ..api import JobSpec, Orchestrator
-    from ..core.controller import ControllerRun
-
-    snapshots = [r for r in records if r.kind == "snapshot"]
-    if not snapshots:
-        # Crashed before the first interval completed: nothing to
-        # rehydrate, so re-execution *is* the resume.
-        _replayed, result = reexecute(records)
-        return result
-    knobs = _deploy_kwargs(scenario)
-    actual = knobs.pop("actual", None)
-    # Built exactly as Orchestrator.deploy builds it, from the same knobs.
-    controller = Orchestrator()._controller(
-        JobSpec.from_dict(scenario["spec"]), **knobs
-    )
-    run = ControllerRun.restore(
-        controller, snapshots[-1].payload["state"], actual=actual
-    )
-    try:
-        while run.step() is not None:
-            pass
-        return run.result()
-    finally:
-        run.close()
+    _sim_run_kind(records, "resume")
+    prefix = deterministic_lines(records)
+    replayed, result = reexecute(records)
+    if deterministic_lines(replayed)[: len(prefix)] != prefix:
+        raise TraceError(
+            "truncated log is not a prefix of its re-execution — "
+            "the log does not match its recorded scenario"
+        )
+    return result
 
 
 __all__ = [

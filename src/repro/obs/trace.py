@@ -34,7 +34,6 @@ from .records import (
     LifecycleV1,
     RunEndV1,
     RunStartV1,
-    SnapshotV1,
     SpanV1,
     SubstrateEventV1,
     TraceHelloV1,
@@ -194,22 +193,6 @@ class RunTracer:
             yield
         finally:
             self.record_span(name, time.perf_counter() - start, hour=hour)
-
-    def snapshot(
-        self,
-        tenant: str,
-        step: int,
-        state: dict,
-        *,
-        hour: float,
-        session_id: int = 0,
-    ) -> None:
-        self._emit(
-            "snapshot",
-            SnapshotV1(tenant=tenant, step=step, state=state,
-                       session_id=session_id),
-            hour,
-        )
 
     def end(self, summary: dict, *, hour: float) -> None:
         self._emit("run_end", RunEndV1(summary=summary), hour)

@@ -27,7 +27,7 @@ from repro.cloud import public_cloud
 from repro.core import Goal, NetworkConditions, PlannerJob
 from repro.core.conditions import ActualConditions
 from repro.core.controller import ControllerConfig, JobController
-from repro.obs.replay import verify
+from repro.obs.replay import resume, verify
 from repro.obs.trace import RunTracer, TraceError, TraceWriter, read_trace
 
 pytestmark = pytest.mark.chaos
@@ -138,9 +138,12 @@ class TestPoolWorkerKill:
             if r.kind == "lifecycle" and r.payload.get("phase") == "started"
         ]
         assert started[0].payload.get("backend") == "pool"
-        # ...and replay refuses to byte-verify a nondeterministic one.
+        # ...and replay refuses to byte-verify a nondeterministic one, or
+        # to resume a crashed one by re-executing it.
         with pytest.raises(TraceError, match="pool"):
             verify(records)
+        with pytest.raises(TraceError, match="pool"):
+            resume(records[:-1])
 
 
 class TestStubWorkerKill:

@@ -240,6 +240,29 @@ class TestCluster:
         cluster.release(node)
         assert len(cluster.ledger) == 1
 
+    def test_routes_between_local_and_cloud_nodes_cross_the_wan(self):
+        """A cloud node reading a local node's disk shares ``wan-up`` with
+        the uploads, and a local node reading a cloud disk takes
+        ``wan-down``; nodes on one side of the WAN never touch it."""
+        topo = build_topology()
+        for site, local in (("own-0", True), ("ec2-0", False),
+                            ("own-1", True), ("ec2-1", False)):
+            wire_node(topo, site, local=local)
+
+        def links(src, dst):
+            return [link.name for link in topo.route(src, dst)]
+
+        for own in ("own-0", "own-1"):
+            for cloud in ("ec2-0", "ec2-1"):
+                assert links(own, cloud) == [
+                    f"nic-{own}", "wan-up", f"nic-{cloud}", f"disk-{cloud}"
+                ]
+                assert links(cloud, own) == [
+                    f"nic-{cloud}", "wan-down", f"nic-{own}", f"disk-{own}"
+                ]
+        assert links("own-0", "own-1") == ["nic-own-0", "nic-own-1", "disk-own-1"]
+        assert links("ec2-1", "ec2-0") == ["nic-ec2-1", "nic-ec2-0", "disk-ec2-0"]
+
 
 class TestHdfs:
     def test_pipeline_write_replicates(self):

@@ -5,7 +5,7 @@ kinds — a spot eviction, an injected node failure and a price spike —
 because the replay guarantee has to hold through the messy paths, not
 just the happy one.  The deploy scenario is the chaos case: actual
 throughput far below the believed catalog rates, forcing re-plans, then
-the run is "killed" at snapshot boundaries and resumed.
+the run is "killed" after each interval and resumed by re-execution.
 """
 
 import dataclasses
@@ -156,28 +156,42 @@ class TestDeployReplay:
         records, _ = deploy_log
         assert verify(records).ok
 
-    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
-    def test_crash_resume_from_any_snapshot(self, deploy_log, fraction):
-        """Kill the run right after a snapshot; the rehydrated
-        ControllerRun must converge to the original result."""
+    def test_crash_resume_after_any_interval(self, deploy_log):
+        """Kill the run right after each interval record, and before the
+        first; every re-executed resume converges to the original result."""
         records, result = deploy_log
-        snapshots = [
-            i for i, r in enumerate(records) if r.kind == "snapshot"
+        intervals = [
+            i for i, r in enumerate(records) if r.kind == "interval"
         ]
-        cut = snapshots[int(fraction * (len(snapshots) - 1))]
-        resumed = resume(records[: cut + 1])
-        assert resumed.total_cost == result.total_cost
-        assert resumed.completion_hours == result.completion_hours
-        assert resumed.replans == result.replans
-        assert resumed.completed == result.completed
+        assert len(intervals) >= 3
+        for cut in [intervals[0], *(i + 1 for i in intervals)]:
+            resumed = resume(records[:cut])
+            assert resumed.total_cost == result.total_cost
+            assert resumed.completion_hours == result.completion_hours
+            assert resumed.replans == result.replans
+            assert resumed.completed == result.completed
 
-    def test_crash_before_first_snapshot_reexecutes(self, deploy_log):
-        records, result = deploy_log
-        first_snapshot = next(
-            i for i, r in enumerate(records) if r.kind == "snapshot"
+    def test_resume_rejects_a_log_from_another_run(self, deploy_log):
+        """A logged interval this scenario does not produce, or a
+        run_start naming another job, is refused, not finished."""
+        records, _ = deploy_log
+        index = next(
+            i for i, r in enumerate(records) if r.kind == "interval"
         )
-        resumed = resume(records[:first_snapshot])
-        assert resumed.total_cost == result.total_cost
+        for position, change in (
+            (index, lambda p: {**p, "cost": p["cost"] + 1.0}),
+            (1, lambda p: {**p, "scenario": {
+                **p["scenario"],
+                "spec": {**p["scenario"]["spec"], "input_gb": 16.0},
+            }}),
+        ):
+            truncated = list(records[: index + 1])
+            truncated[position] = dataclasses.replace(
+                truncated[position],
+                payload=change(truncated[position].payload),
+            )
+            with pytest.raises(TraceError, match="not a prefix"):
+                resume(truncated)
 
     def test_spot_trace_deploy_cannot_auto_begin(self):
         from repro.obs.replay import trace_for

@@ -163,3 +163,58 @@ def test_keep_entries_print_with_their_reasons(tmp_path, monkeypatch, capsys):
         "stale: pkg.mod.used_by_bench -- a benchmark reaches it now",
     ]
 
+
+
+def test_self_reads_reach_only_the_class_its_bases_and_subclasses(tmp_path):
+    """``self.m``/``cls.m`` in a method of ``C`` reaches ``m`` of ``C``, its
+    bases and its subclasses, not the ``m`` of an unrelated class."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "shapes.py").write_text(
+        "class Base:\n"
+        "    def run(self):\n"
+        "        return self.hook() + self.size()\n"
+        "    def hook(self):\n"
+        "        return 0\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "class Child(Base):\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls.blank()\n"
+        "    @classmethod\n"
+        "    def blank(cls):\n"
+        "        return cls()\n"
+        "    def hook(self):\n"
+        "        return 1\n"
+        "    def extra(self):\n"
+        "        return 2\n"
+        "class Other:\n"
+        "    def go(self):\n"
+        "        return self.extra()\n"
+        "    def extra(self):\n"
+        "        return 3\n"
+        "    def size(self):\n"
+        "        return 4\n"
+        "    def blank(self):\n"
+        "        return 5\n"
+    )
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "bench_shapes.py").write_text(
+        "from pkg.shapes import Child, Other\n"
+        "Child.make().run()\n"
+        "Other().go()\n"
+    )
+    checker = load_checker()
+    unreached, _ = checker.unreached_definitions(
+        package, checker.program_roots(package)
+    )
+    # ``Base.run`` reads ``self.hook``: the subclass's override is reached.
+    # ``Other.go`` reads ``self.extra``, ``Base.run`` ``self.size`` and
+    # ``Child.make`` ``cls.blank``: none of those reaches another class.
+    assert [name for _, _, name in unreached] == [
+        "pkg.shapes.Child.extra",
+        "pkg.shapes.Other.size",
+        "pkg.shapes.Other.blank",
+    ]

@@ -612,7 +612,7 @@ class TestTraceLogging:
         kinds = [
             json.loads(line)["kind"] for line in log.read_text().splitlines()
         ]
-        assert "snapshot" in kinds and kinds[-1] == "run_end"
+        assert "snapshot" not in kinds and kinds[-1] == "run_end"
         assert main(["replay", str(log), "--verify"]) == 0
         assert "verified" in capsys.readouterr().out
 

@@ -32,9 +32,11 @@ defines the name.  The roots are the package's ``cli.py``, every
 module's top-level statements, and the ``benchmarks/``, ``examples/``
 and ``tools/`` directories beside ``src/``.  A reached definition
 reaches what its body refers to; a method ``C.m`` is reached when ``C``
-is and reached code reads an attribute ``m``; dunders come with their
-class.  ``tests/`` reaches nothing, and neither does an ``import`` or
-an ``__all__`` entry on its own.  The report ends with :data:`KEEP`,
+is and reached code reads an attribute ``m`` — a ``self.m`` or ``cls.m``
+read in a method of class ``D`` counts only when ``D`` is ``C``, one of
+its bases or one of its subclasses; dunders come with their class.
+``tests/`` reaches nothing, and neither does an ``import`` or an
+``__all__`` entry on its own.  The report ends with :data:`KEEP`,
 the definitions left unreached on purpose, each with its reason.
 """
 
@@ -170,6 +172,7 @@ KEEP = {
     "repro.lp.model.ObjectiveSense": _MODEL,
     "repro.lp.expr.lin_sum": _MODEL,
     "repro.lp.expr.LinExpr.coefficient": _MODEL,
+    "repro.lp.expr.LinExpr.variables": _MODEL,
     "repro.cloud.traces.constant_trace": _ENTRY,
     "repro.obs.records.decode_payload": _ENTRY,
     "repro.pig.parser.parse_expression": _ENTRY,
@@ -209,8 +212,13 @@ class _Index:
         self.methods: dict[str, list[str]] = {}
         self.statements: list[tuple[str, ast.AST]] = []
         self.reached: set[str] = set()
-        #: Every attribute name reached code reads.
+        #: Every attribute name reached code reads on any receiver but
+        #: ``self``/``cls`` in a method.
         self.attributes: set[str] = set()
+        #: (class, name) for every ``self.name``/``cls.name`` reached
+        #: code in that class's methods reads.
+        self.own_reads: set[tuple[str, str]] = set()
+        classes: list[tuple[str, str, ast.ClassDef]] = []
         for path in python_files([str(package)]):
             parts = path.relative_to(package.parent).with_suffix("").parts
             is_package = parts[-1] == "__init__"
@@ -224,11 +232,28 @@ class _Index:
                 qual = f"{module}.{node.name}"
                 self.definitions[qual] = (path, node, module)
                 if isinstance(node, ast.ClassDef):
+                    classes.append((qual, module, node))
                     self.methods[qual] = []
                     for item in node.body:
                         if isinstance(item, FUNCTIONS):
                             self.definitions[f"{qual}.{item.name}"] = (path, item, module)
                             self.methods[qual].append(f"{qual}.{item.name}")
+        parents = {
+            qual: {
+                parent
+                for base in node.bases
+                for parent in self.target(module, base) & self.methods.keys()
+            }
+            for qual, module, node in classes
+        }
+        ancestors = {qual: _closure(qual, parents) for qual in parents}
+        #: class -> itself, its bases and its subclasses in the package.
+        self.family = {
+            qual: {other for other in parents
+                   if other in ancestors[qual] or qual in ancestors[other]}
+            | {qual}
+            for qual in parents
+        }
 
     def add(self, module: str, tree: ast.Module, is_package: bool) -> None:
         """Record what ``module``'s names are bound to: its top-level
@@ -295,40 +320,62 @@ class _Index:
             }
         return set()
 
-    def references(self, module: str, node: ast.AST) -> tuple[set[str], set[str]]:
-        """The definitions ``node`` refers to, and every attribute it reads."""
+    def references(
+        self, module: str, node: ast.AST, owner: str | None
+    ) -> tuple[set[str], set[str], set[str]]:
+        """The definitions ``node`` refers to, the attributes it reads on
+        any receiver, and — ``node`` being part of class ``owner`` — the
+        attributes it reads on ``self``/``cls``."""
         found: set[str] = set()
         for name in _loaded(node):
             found |= self.resolve(module, name)
         attributes: set[str] = set()
+        own: set[str] = set()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Attribute):
-                attributes.add(sub.attr)
+                receiver = sub.value
+                if owner and isinstance(receiver, ast.Name) and receiver.id in ("self", "cls"):
+                    own.add(sub.attr)
+                else:
+                    attributes.add(sub.attr)
                 found |= self.target(module, sub)
-        return found & self.definitions.keys(), attributes
+        return found & self.definitions.keys(), attributes, own
 
-    def reach(self, units: list[tuple[str, ast.AST]], seeds: set[str]) -> None:
+    def reach(self, units: list[tuple[str, ast.AST, str | None]], seeds: set[str]) -> None:
         """Add to :attr:`reached` every definition reachable from
-        ``units`` (module, node) and from the definitions in ``seeds``."""
+        ``units`` (module, node, owning class or ``None``) and from the
+        definitions in ``seeds``."""
         frontier = set(seeds)
         while units or frontier:
             for qual in frontier - self.reached:
                 _, node, module = self.definitions[qual]
                 self.reached.add(qual)
-                units += [(module, part) for part in _parts(node)]
+                # A class, or a method of one, reads ``self`` as that class.
+                owner = qual if qual in self.methods else qual.rpartition(".")[0]
+                owner = owner if owner in self.methods else None
+                units += [(module, part, owner) for part in _parts(node)]
             frontier = set()
-            for module, node in units:
-                found, read = self.references(module, node)
+            for module, node, owner in units:
+                found, read, own = self.references(module, node, owner)
                 frontier |= found - self.reached
                 self.attributes |= read
+                self.own_reads |= {(owner, name) for name in own}
             units = []
             frontier |= {
                 method
                 for owner in self.methods.keys() & self.reached
                 for method in self.methods[owner]
-                if method not in self.reached
-                and (_dunder(method) or method.rpartition(".")[2] in self.attributes)
+                if method not in self.reached and self._read(owner, method)
             }
+
+    def _read(self, owner: str, method: str) -> bool:
+        """Whether reached code reads ``method`` of class ``owner``."""
+        name = method.rpartition(".")[2]
+        return (
+            _dunder(method)
+            or name in self.attributes
+            or any((kin, name) in self.own_reads for kin in self.family[owner])
+        )
 
     def unreached(self) -> list[tuple[Path, int, str]]:
         """``(file, line, qualname)`` of every top-level definition not
@@ -359,6 +406,18 @@ def _parts(node: ast.AST) -> list[ast.AST]:
     return [part for part in parts if part is not None]
 
 
+def _closure(qual: str, parents: dict[str, set[str]]) -> set[str]:
+    """Every ancestor of class ``qual`` under the ``parents`` relation."""
+    found: set[str] = set()
+    stack = list(parents.get(qual, ()))
+    while stack:
+        parent = stack.pop()
+        if parent not in found:
+            found.add(parent)
+            stack.extend(parents.get(parent, ()))
+    return found
+
+
 def _dunder(qualname: str) -> bool:
     name = qualname.rpartition(".")[2]
     return name.startswith("__") and name.endswith("__")
@@ -378,11 +437,11 @@ def unreached_definitions(
     is still unreached then.
     """
     index = _Index(package)
-    units = list(index.statements)
+    units = [(module, node, None) for module, node in index.statements]
     for path in roots:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         index.add(str(path), tree, is_package=False)
-        units.append((str(path), tree))
+        units.append((str(path), tree, None))
     # A module's own dunders (a lazy ``__getattr__``) run without a caller.
     index.reach(units, {
         qual for qual in index.definitions

@@ -171,6 +171,32 @@ class TestDeployReplay:
             assert resumed.replans == result.replans
             assert resumed.completed == result.completed
 
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
+    def test_crash_resume_from_any_snapshot(self, deploy_log, fraction):
+        """Kill the run right after the interval record a fraction of
+        the way through (the points at which snapshot records used to be
+        written); re-execution must converge to the original result."""
+        records, result = deploy_log
+        intervals = [
+            i for i, r in enumerate(records) if r.kind == "interval"
+        ]
+        cut = intervals[int(fraction * (len(intervals) - 1))]
+        resumed = resume(records[: cut + 1])
+        assert resumed.total_cost == result.total_cost
+        assert resumed.completion_hours == result.completion_hours
+        assert resumed.replans == result.replans
+        assert resumed.completed == result.completed
+
+    def test_crash_before_first_snapshot_reexecutes(self, deploy_log):
+        """Kill the run before its first interval record: nothing past
+        the header is logged, and resume re-executes from the start."""
+        records, result = deploy_log
+        first_interval = next(
+            i for i, r in enumerate(records) if r.kind == "interval"
+        )
+        resumed = resume(records[:first_interval])
+        assert resumed.total_cost == result.total_cost
+
     def test_resume_rejects_a_log_from_another_run(self, deploy_log):
         """A logged interval this scenario does not produce, or a
         run_start naming another job, is refused, not finished."""

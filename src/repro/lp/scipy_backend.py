@@ -14,26 +14,67 @@ place and re-runs from a retained basis.
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import math
 import os
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    import scipy.optimize._highspy._core as _hs
-except ImportError as exc:  # the scipy pin provides it
-    raise ImportError(
-        "repro.lp needs the HiGHS binding scipy vendors "
-        "(scipy.optimize._highspy._core); install scipy>=1.15"
-    ) from exc
-
 from .incremental import CompiledDelta
 from .model import CompiledModel, Solution, SolveStatus
+
+#: The binding's full module name: pybind11 registers its types once per
+#: process, so every importer must share the one module object.
+_BINDING = "scipy.optimize._highspy._core"
+
+
+def _load_binding():
+    """The HiGHS binding, loaded from its file in ``scipy/optimize/_highspy/``.
+
+    Importing it by name would first run ``scipy.optimize``'s
+    ``__init__`` (linprog, shgo, ``scipy.linalg``, ``scipy.special``...),
+    which is most of a process's start-up time and memory and none of its
+    solves.  A module already in ``sys.modules`` under the full name (a
+    caller imported ``scipy.optimize`` first) is reused; a ``None`` entry
+    or a missing file is the missing binding.
+    """
+    binding = sys.modules.get(_BINDING)
+    if binding is not None:
+        return binding
+    missing = ImportError(
+        "repro.lp needs the HiGHS binding scipy vendors "
+        f"({_BINDING}); install scipy>=1.15"
+    )
+    if _BINDING in sys.modules:
+        raise missing
+    try:
+        import scipy
+    except ImportError as exc:
+        raise missing from exc
+    directory = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_core" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise missing
+    spec = importlib.util.spec_from_file_location(_BINDING, path)
+    try:
+        binding = importlib.util.module_from_spec(spec)
+        sys.modules[_BINDING] = binding
+        spec.loader.exec_module(binding)
+    except ImportError as exc:
+        sys.modules.pop(_BINDING, None)
+        raise missing from exc
+    return binding
+
+
+_hs = _load_binding()
 
 
 #: Overlapping ``_muted_stdout`` entries (solver threads run cold solves
@@ -68,8 +109,9 @@ def _muted_stdout():
         if _mute_depth == 0:
             sys.stdout.flush()
             _mute_saved = (stdout_fd, os.dup(stdout_fd))
-            with tempfile.TemporaryFile() as sink:
-                os.dup2(sink.fileno(), stdout_fd)
+            sink = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(sink, stdout_fd)
+            os.close(sink)
         _mute_depth += 1
     try:
         yield

@@ -179,8 +179,8 @@ def wire_node(topo: Topology, site: str, local: bool = False) -> None:
 
     ``local`` nodes sit behind the client's LAN (no WAN hop to the
     client); cloud nodes reach the client via the WAN links, and so do
-    routes between a local and a cloud node: ``wan-up`` towards the
-    cloud, ``wan-down`` towards the customer's site.
+    routes between a local node and the cloud (a cloud node or S3):
+    ``wan-up`` towards the cloud, ``wan-down`` towards the customer's site.
     """
     nic = f"nic-{site}"
     disk = f"disk-{site}"
@@ -190,11 +190,13 @@ def wire_node(topo: Topology, site: str, local: bool = False) -> None:
     if local:
         topo.add_route(CLIENT_SITE, site, [nic, disk], symmetric=False)
         topo.add_route(site, CLIENT_SITE, [nic], symmetric=False)
+        up, down = ["wan-up"], ["wan-down"]
     else:
         topo.add_route(CLIENT_SITE, site, ["wan-up", nic, disk], symmetric=False)
         topo.add_route(site, CLIENT_SITE, [nic, "wan-down"], symmetric=False)
-    topo.add_route(site, S3_SITE, [nic, "s3-gw"], symmetric=False)
-    topo.add_route(S3_SITE, site, ["s3-gw", nic, disk], symmetric=False)
+        up, down = [], []
+    topo.add_route(site, S3_SITE, [nic, *up, "s3-gw"], symmetric=False)
+    topo.add_route(S3_SITE, site, ["s3-gw", *down, nic, disk], symmetric=False)
     # Node-to-node routes to every already-wired node.
     wired = _wired_sites(topo)
     for other, other_local in wired.items():

@@ -109,6 +109,11 @@ class FrontendServer:
             "frontend.cancelled_on_disconnect"
         )
         self._server: asyncio.base_events.Server | None = None
+        from ...cli import package_version
+
+        #: The first line of every connection; looking the version up
+        #: scans the installed distributions, so it happens once here.
+        self._hello_line = encode(HelloV1(version=package_version()))
 
     # -- lifecycle --------------------------------------------------------
 
@@ -183,7 +188,7 @@ class FrontendServer:
         # can arrive without the loop ever yielding to the sender, and a
         # full queue then says nothing about whether the client reads.
         reply = send_queue.put
-        await reply(encode(self._hello()))
+        await reply(self._hello_line)
         try:
             ticket_key = 0
             # A dead sender has emptied the queue and nobody will again.
@@ -309,11 +314,6 @@ class FrontendServer:
             # what wakes a read loop waiting for space.
             while not queue.empty():
                 queue.get_nowait()
-
-    def _hello(self) -> HelloV1:
-        from ...cli import package_version
-
-        return HelloV1(version=package_version())
 
 
 def run_server(

@@ -16,7 +16,8 @@ from repro.core import (
     run_hadoop_s3,
     run_hadoop_upload_first,
 )
-from repro.core.deployments import _SubstrateController
+from repro.core.deployments import _SubstrateController, _SubstrateExecutor
+from repro.mapreduce.cluster import CLIENT_SITE, S3_SITE, _wired_sites
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +123,52 @@ class TestMonitoredDeployment:
         learned = controller._believed[scenario.ec2.name]
         assert rate / scenario.straggler_spread <= learned <= rate
         assert run_conductor(scenario).task_series[-1][1] == 128 + 4
+
+
+class TestCustomerSiteUplink:
+    """What leaves the customer's site for the cloud pays the uplink.
+
+    A hybrid run places input on the customer's own nodes and rents EC2
+    nodes that read it: every byte from the client or an own node to a
+    cloud site (an EC2 node or S3) must cross ``wan-up``, and ``wan-up``
+    can carry no more than its capacity over the time elapsed.
+    """
+
+    @pytest.fixture(scope="class")
+    def hybrid(self):
+        scenario = DeploymentScenario(
+            input_gb=4.0, deadline_hours=2.0,
+            local=local_cluster(3), local_nodes=3,
+        )
+        controller = _SubstrateController(scenario)
+        samples = []
+        run_interval = _SubstrateExecutor.execute_interval
+
+        def sampled(executor, interval, state):
+            outcome = run_interval(executor, interval, state)
+            sub = executor.sub
+            samples.append((sub.sim.now, sub.network.utilization_mb()["wan-up"]))
+            return outcome
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_SubstrateExecutor, "execute_interval", sampled)
+            assert controller.run().completed
+        return controller.executor.sub, samples
+
+    def test_every_route_from_the_site_to_the_cloud_crosses_wan_up(self, hybrid):
+        sub, _ = hybrid
+        wired = _wired_sites(sub.topology)
+        site = [CLIENT_SITE] + [s for s, local in wired.items() if local]
+        cloud = [S3_SITE] + [s for s, local in wired.items() if not local]
+        assert len(site) > 1 and len(cloud) > 1  # own and EC2 nodes both ran
+        for src in site:
+            for dst in cloud:
+                links = [link.name for link in sub.topology.route(src, dst)]
+                assert "wan-up" in links, (src, dst, links)
+
+    def test_wan_up_never_carries_more_than_its_capacity(self, hybrid):
+        sub, samples = hybrid
+        capacity = sub.topology.links["wan-up"].capacity_mb_s
+        assert samples and samples[0][1] > 0
+        for now, moved_mb in samples:
+            assert moved_mb <= capacity * now * (1 + 1e-9)

@@ -19,8 +19,8 @@ def identity(fd):
 
 def test_overlapping_mutes_restore_the_real_stdout(monkeypatch):
     # A enters, B enters, A leaves, B leaves.  Unshared, B saved A's sink
-    # as "the real stdout" and restored *that*, leaving fd 1 on a deleted
-    # temp file for the rest of the process.
+    # as "the real stdout" and restored *that*, leaving fd 1 on the sink
+    # for the rest of the process.
     with open(1, "w", closefd=False) as stdout:
         monkeypatch.setattr("sys.stdout", stdout)
         real = identity(1)

@@ -68,15 +68,11 @@ _STRATEGIES = {
 
 
 def package_version() -> str:
-    """The installed distribution version (falls back to the source tree)."""
-    try:
-        from importlib.metadata import PackageNotFoundError, version
+    """The package version: ``repro.__version__``, which
+    ``pyproject.toml``'s ``[project] version`` matches."""
+    from . import __version__
 
-        return version("conductor-repro")
-    except PackageNotFoundError:
-        from . import __version__
-
-        return __version__
+    return __version__
 
 
 def _add_job_arguments(parser: argparse.ArgumentParser) -> None:

@@ -26,6 +26,18 @@ from .problem import PlanningProblem, SystemState
 _EPS = 1e-9
 
 
+def _by_compute(
+    flows: dict[tuple[str, str], float], storage: str | None = None
+) -> dict[str, float]:
+    """Planned ``(storage, compute)`` GB summed per compute, over one
+    storage service or all of them."""
+    summed: dict[str, float] = {}
+    for (src, compute), gb in flows.items():
+        if storage in (None, src):
+            summed[compute] = summed.get(compute, 0.0) + gb
+    return summed
+
+
 @dataclass
 class IntervalOutcome:
     """What actually happened during one executed interval."""
@@ -442,19 +454,46 @@ class FluidExecutor:
             share = state.stored_output[name] / available
             take = moved * share
             state.stored_output[name] -= take
-            service = self._services[name]
-            self._charge_requests(service, hour, get_gb=take)
+            self._charge_reduce_read(interval, name, take, nodes, hour)
         result = moved * job.reduce_output_ratio
-        targets = (
-            {dst: gb for (c, dst), gb in interval.reduce_write_gb.items()}
-            or {next(iter(nodes), self._first_storage().name): 1.0}
-        )
+        targets = dict(interval.reduce_write_gb)
+        if not targets:
+            first = next(iter(nodes), self._first_storage().name)
+            targets = {(first, first): 1.0}
         weight = sum(targets.values())
-        for dst, share in targets.items():
+        for (c, dst), share in targets.items():
             if dst not in self._services or not self._services[dst].can_store:
                 continue
-            state.stored_result[dst] = state.stored_result.get(dst, 0.0) + result * share / weight
+            gb = result * share / weight
+            state.stored_result[dst] = state.stored_result.get(dst, 0.0) + gb
+            if c != dst:
+                self._charge_transfer(self._services[c], self._services[dst], gb, hour)
         return moved
+
+    def _charge_reduce_read(
+        self,
+        interval: PlanInterval,
+        storage: str,
+        gb: float,
+        nodes: dict[str, int],
+        hour: float,
+    ) -> None:
+        """Bill ``gb`` of map output read from ``storage``: GET requests
+        and any provider crossing, per compute reading it, unless that
+        compute reads its own disks.  The reads split as the plan reduces
+        this storage's output, else all output, else by rented nodes."""
+        readers = (
+            _by_compute(interval.reduce_read_gb, storage)
+            or _by_compute(interval.reduce_read_gb)
+            or dict(nodes)
+        )
+        store = self._services[storage]
+        weight = sum(readers.values())
+        for c, part in readers.items():
+            if c != storage:
+                read = gb * part / weight
+                self._charge_requests(store, hour, get_gb=read)
+                self._charge_transfer(store, self._services[c], read, hour)
 
     def _execute_downloads(
         self,

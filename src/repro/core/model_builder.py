@@ -53,9 +53,9 @@ arrays with the problem's numbers (prices, rates, bandwidths, state) in
 a few dozen vectorized stores.  A re-plan, whose shape has not changed,
 therefore never re-derives the model — and every build, first or
 thousandth, goes through the same fill, so there is no separate refresh
-path to keep in step.  ``tests/core/reference_model.py`` holds the same
-formulation written constraint by constraint over the expression
-front-end; the two are tested to produce equal matrices.
+path to keep in step.  ``tests/core/test_plan_execution.py`` checks the
+model against execution: the fluid executor runs the plans it yields
+and must be charged and take what they predict.
 """
 
 from __future__ import annotations

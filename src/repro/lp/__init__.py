@@ -1,17 +1,14 @@
-"""LP/MILP modeling and solving substrate.
+"""LP/MILP solving substrate.
 
 The paper models MapReduce deployments as a dynamic linear program and
 solves it with CPLEX (Sections 4 and 4.8).  This package provides the
 equivalent substrate built from scratch:
 
-- :class:`Variable`, :class:`LinExpr`, :class:`Constraint` — the algebra.
-- :class:`Model` — the modelling front-end the tests write models in:
-  container, semi-continuous lowering, ``compile()`` to the matrix form,
-  ``solve()``.
 - :class:`~repro.lp.model.CompiledModel` — the one matrix form: dense
   cost/bound vectors and a CSR constraint matrix.  :class:`MatrixModel`
-  is a model built in it directly — the planner's hot path
-  (:mod:`repro.core.model_builder`) never builds an expression.
+  is a model built in it, with row names and a size summary; the
+  planner's builder (:mod:`repro.core.model_builder`) fills its arrays
+  directly.
 - :mod:`~repro.lp.incremental` — vectorized ``diff_compiled`` between
   two matrices of one structure, and the ``CompiledDelta`` that patches
   a retained one in place.
@@ -24,40 +21,26 @@ equivalent substrate built from scratch:
 
 Quick example::
 
-    from repro.lp import Model
+    from repro.cloud import public_cloud
+    from repro.core import (Goal, NetworkConditions, PlannerJob,
+                            PlanningProblem, build_model)
 
-    m = Model()
-    x = m.add_var("x", ub=10)
-    y = m.add_var("y", ub=10)
-    m.add_constr(x + y <= 12)
-    m.maximize(2 * x + 3 * y)
-    solution = m.solve()
+    problem = PlanningProblem(job=PlannerJob(name="job", input_gb=8.0),
+                              services=public_cloud(),
+                              network=NetworkConditions.from_mbit_s(16.0),
+                              goal=Goal.min_cost(deadline_hours=3.0))
+    model = build_model(problem).model   # a MatrixModel
+    solution = model.solve()             # solution.x: one value per column
 """
 
-from .expr import Constraint, LinExpr, Sense, Variable, VarType, lin_sum
-from .model import (
-    MatrixModel,
-    Model,
-    ObjectiveSense,
-    Solution,
-    SolveStatus,
-    SolverError,
-)
+from .model import MatrixModel, Solution, SolveStatus, SolverError
 from .writers import save, write_lp, write_mps
 
 __all__ = [
-    "Constraint",
-    "LinExpr",
     "MatrixModel",
-    "Model",
-    "ObjectiveSense",
-    "Sense",
     "Solution",
     "SolveStatus",
     "SolverError",
-    "Variable",
-    "VarType",
-    "lin_sum",
     "save",
     "write_lp",
     "write_mps",

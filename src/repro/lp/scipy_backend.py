@@ -222,9 +222,7 @@ def solve(
     ``mip_node_count`` 0.  Otherwise branch & bound runs on what is left
     of ``time_limit``.
 
-    The returned solution carries ``x``, one cleaned value per compiled
-    column (lowering columns included); mapping it back onto variables
-    is the model's business.
+    The returned solution carries ``x``, one cleaned value per column.
     """
     mip = bool(compiled.integrality.any())
     with _muted_stdout():

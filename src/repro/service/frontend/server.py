@@ -111,8 +111,7 @@ class FrontendServer:
         self._server: asyncio.base_events.Server | None = None
         from ...cli import package_version
 
-        #: The first line of every connection; looking the version up
-        #: scans the installed distributions, so it happens once here.
+        #: The first line of every connection, encoded once here.
         self._hello_line = encode(HelloV1(version=package_version()))
 
     # -- lifecycle --------------------------------------------------------

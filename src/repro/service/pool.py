@@ -50,7 +50,7 @@ class SolverPool:
     time_limit:
         Ceiling on any request's solver cut-off, seconds.
     mip_gap:
-        Passed through to :meth:`Model.solve`.
+        Passed through to :meth:`~repro.lp.MatrixModel.solve`.
     incremental:
         Optional :class:`~repro.service.incremental.IncrementalSolver`.
         Thread/inline workers route their solves through it, so

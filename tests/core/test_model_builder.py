@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import reference_model
 from repro.api import GoalSpec, JobSpec
 from repro.api.compiler import compile_spec
 from repro.cloud import (
@@ -32,6 +31,7 @@ from repro.core import (
     SystemState,
     build_model,
 )
+from repro.core import model_builder
 from repro.core.model_builder import kept_problem, structure_key
 from repro.core.spot_sim import spot_services
 from repro.lp import scipy_backend
@@ -46,14 +46,21 @@ def plan_for(problem):
     return built.extract_plan(solution), built
 
 
-def violated(problem, solution):
-    """The constraints of the (expression-form) model that the solution
-    vector breaks; ``test_model_equivalence`` shows the two builders lay
-    out the same columns for the problem the builder keeps, so the vector
-    indexes both."""
-    model = reference_model.build_model(kept_problem(problem)).model
-    values = {var: float(solution.x[var.index]) for var in model.variables}
-    return model.check_feasible(values)
+def violated(problem, solution, tol=1e-5):
+    """What the solution vector breaks in the problem's model, by name:
+    rows outside ``row_lb <= A x <= row_ub``, columns outside their
+    bounds or off an integer."""
+    model = build_model(problem).model
+    compiled = model.compile()
+    x = solution.x
+    rows = np.repeat(np.arange(compiled.num_rows), np.diff(compiled.indptr))
+    ax = np.bincount(rows, compiled.data * x[compiled.indices],
+                     minlength=compiled.num_rows)
+    broken = (ax < compiled.row_lb - tol) | (ax > compiled.row_ub + tol)
+    off = ((x < compiled.var_lb - tol) | (x > compiled.var_ub + tol)
+           | (compiled.integrality & (np.abs(x - np.rint(x)) > tol)))
+    return ([model.row_names[r] for r in np.flatnonzero(broken)]
+            + [compiled.col_names[c] for c in np.flatnonzero(off)])
 
 
 def default_problem(**kwargs):
@@ -625,13 +632,12 @@ class TestDominatedServices:
             assert len(built.layout.key.compute) == 1
         kept = proven_optimum(tiebreak_free(built.model.compile(),
                                             built.layout.tiebreak))
-        # The full catalog, from the reference formulation (which lays
-        # out every compute service it is given), also without
-        # tie-breakers: both sides are the cost (and, for min-time goals,
-        # the completion weights) alone.
-        with mock.patch.multiple(reference_model, _NODE_TIEBREAK=0.0,
-                                 _EARLY_WORK_TIEBREAK=0.0, _FLOW_TIEBREAK=0.0):
-            full = reference_model.build_model(problem).model.compile()
+        # The full catalog, laid out with no service left out, also
+        # without tie-breakers: both sides are the cost (and, for
+        # min-time goals, the completion weights) alone.
+        with mock.patch.object(model_builder, "kept_problem", lambda p: p):
+            every = build_model(problem)
+        full = tiebreak_free(every.model.compile(), every.layout.tiebreak)
         assert "nodes[ec2.d,1]" in full.col_names
         everything = proven_optimum(full)
         assert (kept is None) == (everything is None)
@@ -832,4 +838,79 @@ def test_property_conservation_across_random_jobs(input_gb, deadline):
     plan = built.extract_plan(solution)
     assert plan.total_uploaded_gb() == pytest.approx(input_gb, rel=1e-4)
     assert plan.total_map_gb() == pytest.approx(input_gb, rel=1e-4)
+    assert violated(problem, solution) == []
+
+
+def test_a_zero_coefficient_is_no_entry():
+    # map_output_ratio == 0 zeroes the read side of every map_io row: the
+    # build drops those entries, so its sparsity is its own, not the
+    # layout's.
+    problem = default_problem(
+        job=PlannerJob(name="p", input_gb=16.0, map_output_ratio=0.0))
+    built = build_model(problem)
+    compiled = built.model.compile()
+    assert len(compiled.data) < len(built.layout.data)
+    assert compiled.indices is not built.layout.indices
+    assert np.all(compiled.data != 0.0)
+    # The size summary still counts the terms the formulation wrote.
+    assert built.model.stats()["nonzeros"] == len(built.layout.data)
+    same_shape = dataclasses.replace(problem, job=dataclasses.replace(
+        problem.job, input_gb=1e-6, map_output_ratio=0.002))
+    assert build_model(same_shape).layout is built.layout
+
+
+MID_RUN = SystemState(
+    hour=2.0, source_remaining_gb=16.0, stored_input={"ec2.m1.large": 4.0},
+    map_done_gb=12.0, stored_output={"ec2.m1.large": 0.02, "s3": 0.002},
+    reduce_done_gb=0.002, stored_result={"s3": 0.001}, downloaded_gb=0.001,
+)
+SPOT = spot_services()
+
+#: One problem per branch the layout takes: every flag, goal, catalog
+#: kind and state shape.
+STRUCTURES = {
+    "spot_estimates": default_problem(
+        services=SPOT, goal=Goal.min_cost(deadline_hours=9.0),
+        spot_price_estimates={SPOT[0].name: [0.3, 0.1, 0.25]}),
+    "spot_without_estimates": default_problem(services=SPOT),
+    "min_time_hybrid": default_problem(
+        services=hybrid_cloud(local_nodes=5),
+        goal=Goal.min_time(budget_usd=30.0, horizon_hours=7)),
+    "constant_nodes": default_problem(constant_nodes=True),
+    "no_migration": default_problem(allow_migration=False),
+    "strict_phase_gap": default_problem(strict_phase_gap=True),
+    "upload_read_lag": default_problem(upload_read_lag=1),
+    "upload_fractions": default_problem(
+        upload_fractions={"s3": 0.25, "ec2.m1.large": 0.75},
+        goal=Goal.min_cost(deadline_hours=8.0)),
+    "mid_run_state": default_problem(
+        goal=Goal.min_cost(deadline_hours=4.0), state=MID_RUN),
+    "mid_run_min_time": default_problem(
+        goal=Goal.min_time(budget_usd=40.0, horizon_hours=5), state=MID_RUN),
+    "no_reduce_by_size": default_problem(job=PlannerJob(name="p", input_gb=1e-6)),
+    "no_reduce_min_time": default_problem(
+        job=PlannerJob(name="p", input_gb=16.0, map_output_ratio=0.0),
+        goal=Goal.min_time(budget_usd=40.0, horizon_hours=6)),
+    "no_result": default_problem(
+        job=PlannerJob(name="p", input_gb=16.0, reduce_output_ratio=0.0),
+        goal=Goal.min_time(budget_usd=40.0, horizon_hours=6)),
+    "half_hour_intervals": default_problem(interval_hours=0.5),
+    "everything": default_problem(
+        services=hybrid_cloud(local_nodes=3),
+        goal=Goal.min_time(budget_usd=50.0, horizon_hours=6),
+        constant_nodes=True, strict_phase_gap=True, upload_read_lag=1,
+        upload_fractions={"local.cluster": 0.5}, state=MID_RUN),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_every_structure_fills_its_layout_and_solves(name):
+    problem = STRUCTURES[name]
+    built = build_model(problem)
+    compiled = built.model.compile()
+    # No template slot was left unfilled.
+    for array in ("objective", "data", "row_lb", "row_ub", "var_lb", "var_ub"):
+        assert not np.isnan(getattr(compiled, array)).any(), array
+    solution = built.solve(time_limit=60.0)
+    assert solution.status.has_solution, solution.message
     assert violated(problem, solution) == []

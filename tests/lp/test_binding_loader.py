@@ -18,16 +18,14 @@ SRC = HERE.parents[1] / "src"
 #: A small MILP whose relaxation is fractional, so the cold solve runs
 #: branch & bound and not only the LP.
 KNAPSACK = """
-from repro.lp import Model, SolveStatus, VarType
+from arrays import INF, matrix_model
+from repro.lp import SolveStatus
 from repro.lp import scipy_backend
 
 def knapsack():
-    m = Model()
-    xs = m.add_vars("x", 3, ub=3.0, vtype=VarType.INTEGER)
-    m.add_constr(2.0 * xs[0] + 3 * xs[1] + xs[2] <= 7.5)
-    m.add_constr(xs[0] + xs[1] >= 1)
-    m.maximize(3.0 * xs[0] + 4.0 * xs[1] + 1.5 * xs[2])
-    return m.compile()
+    rows = [([2.0, 3, 1], -INF, 7.5), ([1, 1, 0], 1.0, INF)]
+    return matrix_model([3.0, 4.0, 1.5], rows, ub=3.0, integer=True,
+                        maximize=True).compile()
 """
 
 #: Both orders end here: one MILP optimal through the repo's binding and

@@ -8,19 +8,20 @@ import sys
 import numpy as np
 import pytest
 
-from repro.lp import Model, SolveStatus, VarType, scipy_backend
+from arrays import INF, matrix_model
+from repro.lp import SolveStatus, scipy_backend
 from repro.lp.incremental import diff_compiled
 from repro.lp.scipy_backend import HotLP
 
 
 def knapsack(cost=(3.0, 4.0, 1.0), cap=7.0, ub=3.0, weight=2.0, offset=0.0):
-    m = Model()
-    xs = m.add_vars("x", 3, ub=ub, vtype=VarType.INTEGER)
-    y = m.add_var("y", ub=10.0)
-    m.add_constr(weight * xs[0] + 3 * xs[1] + xs[2] + y <= cap)
-    m.add_constr(xs[0] + xs[1] >= 1)
-    m.maximize(cost[0] * xs[0] + cost[1] * xs[1] + cost[2] * xs[2] + 0.5 * y + offset)
-    return m.compile()
+    """Three integer items in ``[0, ub]`` and a continuous filler ``y``."""
+    return matrix_model(
+        [*cost, 0.5],
+        [([weight, 3, 1, 1], -INF, cap), ([1, 1, 0, 0], 1.0, INF)],
+        ub=[ub, ub, ub, 10.0], integer=[True, True, True, False],
+        maximize=True, offset=offset,
+    ).compile()
 
 
 def relaxed(compiled):

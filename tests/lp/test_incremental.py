@@ -9,19 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import milp_oracle
-from repro.lp import Model, SolveStatus, VarType
+from arrays import INF, matrix_model
+from repro.lp import SolveStatus
 from repro.lp.incremental import CompiledDelta, diff_compiled
 from repro.lp import scipy_backend
 
 
-def small_lp(cost=(1.0, 2.0), rhs=10.0, ub=8.0):
-    m = Model()
-    x = m.add_var("x", ub=ub)
-    y = m.add_var("y", ub=ub)
-    m.add_constr(x + y >= rhs * 0.5)
-    m.add_constr(2 * x + y <= rhs)
-    m.minimize(cost[0] * x + cost[1] * y)
-    return m
+def small_lp(cost=(1.0, 2.0), rhs=10.0, ub=8.0, extra_rows=()):
+    """min cost @ (x, y) s.t. x + y >= rhs / 2, 2x + y <= rhs."""
+    rows = [([1, 1], rhs * 0.5, INF), ([2, 1], -INF, rhs), *extra_rows]
+    return matrix_model(list(cost), rows, ub=ub, names=("x", "y"))
 
 
 class TestDiffClassification:
@@ -54,12 +51,8 @@ class TestDiffClassification:
 
     def test_coefficient_change_on_same_sparsity_is_a_patch(self):
         def build(coef):
-            m = Model()
-            x = m.add_var("x", ub=4)
-            y = m.add_var("y", ub=4)
-            m.add_constr(coef * x + y <= 6)
-            m.minimize(-x - y)
-            return m.compile()
+            return matrix_model([-1.0, -1.0], [([coef, 1], -INF, 6.0)],
+                                ub=4.0).compile()
 
         delta = diff_compiled(build(2.0), build(2.5))
         assert delta is not None
@@ -69,52 +62,33 @@ class TestDiffClassification:
 
     def test_new_constraint_is_structural(self):
         a = small_lp()
-        b = small_lp()
-        xs = b.variables
-        b.add_constr(xs[0] - xs[1] <= 1)
+        b = small_lp(extra_rows=[([1, -1], -INF, 1.0)])
         assert diff_compiled(a.compile(), b.compile()) is None
 
     def test_sparsity_change_is_structural(self):
         def build(with_y):
-            m = Model()
-            x = m.add_var("x", ub=4)
-            y = m.add_var("y", ub=4)
-            expr = x + y if with_y else x
-            m.add_constr(expr <= 3)
-            m.minimize(-x - 0.1 * y)
-            return m.compile()
+            row = [1, 1 if with_y else 0]
+            return matrix_model([-1.0, -0.1], [(row, -INF, 3.0)], ub=4.0).compile()
 
         assert diff_compiled(build(True), build(False)) is None
 
     def test_integrality_change_is_structural(self):
-        def build(vtype):
-            m = Model()
-            x = m.add_var("x", ub=4, vtype=vtype)
-            m.add_constr(x <= 3)
-            m.minimize(-x)
-            return m.compile()
+        def build(integer):
+            return matrix_model([-1.0], [([1], -INF, 3.0)], ub=4.0,
+                                integer=integer).compile()
 
-        assert diff_compiled(
-            build(VarType.CONTINUOUS), build(VarType.INTEGER)
-        ) is None
+        assert diff_compiled(build(False), build(True)) is None
 
     def test_renamed_column_is_structural(self):
         def build(name):
-            m = Model()
-            x = m.add_var(name, ub=4)
-            m.add_constr(x <= 3)
-            m.minimize(-x)
-            return m.compile()
+            return matrix_model([-1.0], [([1], -INF, 3.0)], ub=4.0,
+                                names=(name,)).compile()
 
         assert diff_compiled(build("x"), build("z")) is None
 
     def test_bound_finiteness_flip_is_structural(self):
         def build(ub):
-            m = Model()
-            x = m.add_var("x", ub=ub)
-            m.add_constr(x <= 3)
-            m.minimize(-x)
-            return m.compile()
+            return matrix_model([-1.0], [([1], -INF, 3.0)], ub=ub).compile()
 
         assert diff_compiled(build(4.0), build(float("inf"))) is None
 

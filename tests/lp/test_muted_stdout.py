@@ -9,7 +9,8 @@ import os
 import sys
 import threading
 
-from repro.lp import Model, scipy_backend
+from arrays import matrix_model
+from repro.lp import scipy_backend
 
 
 def identity(fd):
@@ -81,10 +82,7 @@ def test_a_solve_leaves_stdout_where_it_was(monkeypatch):
     with open(1, "w", closefd=False) as stdout:
         monkeypatch.setattr("sys.stdout", stdout)
         real = identity(1)
-        m = Model()
-        x = m.add_var("x", ub=4)
-        m.maximize(x)
-        assert m.solve().objective == 4.0
+        assert matrix_model([1.0], ub=4.0, maximize=True).solve().objective == 4.0
         assert identity(1) == real
 
 

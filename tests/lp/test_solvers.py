@@ -1,89 +1,60 @@
-"""Cross-validation of HiGHS (``Model.solve``) against the reference
-oracle — ``scipy.optimize.milp`` on the same compiled arrays
+"""Cross-validation of HiGHS (``MatrixModel.solve``) against the
+reference oracle — ``scipy.optimize.milp`` on the same compiled arrays
 (``milp_oracle``) — plus property-based agreement tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import milp_oracle
-from repro.lp import Model, SolveStatus, VarType, scipy_backend
-
-
-def oracle(model):
-    """The reference solve, finished the way ``Model.solve`` finishes
-    HiGHS's: a value for every model variable, the objective evaluated
-    from the model's own expression."""
-    solution = milp_oracle.solve(model.compile())
-    if solution.status.has_solution:
-        solution.values = {
-            var: float(solution.x[var.index]) for var in model.variables
-        }
-        solution.objective = model.objective.evaluate(solution.values)
-    return solution
+from arrays import INF, matrix_model
+from repro.lp import SolveStatus, scipy_backend
 
 
 def both_backends(model):
-    return model.solve(), oracle(model)
+    return model.solve(), milp_oracle.solve(model.compile())
 
 
 class TestAgreementHandPicked:
     def test_degenerate_lp(self):
-        m = Model()
-        x = m.add_var("x", ub=1)
-        y = m.add_var("y", ub=1)
-        m.add_constr(x + y <= 1)
-        m.add_constr(x + y >= 1)
-        m.maximize(x)
+        m = matrix_model([1.0, 0.0], [([1, 1], -INF, 1.0), ([1, 1], 1.0, INF)],
+                         ub=1.0, maximize=True)
         a, b = both_backends(m)
         assert a.objective == pytest.approx(b.objective)
 
     def test_equality_constraints(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        m.add_constr(x + y == 10)
-        m.add_constr(x - y == 2)
-        m.minimize(x + 2 * y)
+        m = matrix_model([1.0, 2.0], [([1, 1], 10.0, 10.0), ([1, -1], 2.0, 2.0)])
         a, b = both_backends(m)
-        assert a.value(x) == pytest.approx(6.0)
-        assert b.value(x) == pytest.approx(6.0)
+        assert a.x[0] == pytest.approx(6.0)
+        assert b.x[0] == pytest.approx(6.0)
 
     def test_negative_lower_bounds(self):
-        m = Model()
-        x = m.add_var("x", lb=-5, ub=5)
-        m.add_constr(x >= -3)
-        m.minimize(x)
+        m = matrix_model([1.0], [([1], -3.0, INF)], lb=-5.0, ub=5.0)
         a, b = both_backends(m)
-        assert a.value(x) == pytest.approx(-3.0)
-        assert b.value(x) == pytest.approx(-3.0)
+        assert a.x[0] == pytest.approx(-3.0)
+        assert b.x[0] == pytest.approx(-3.0)
 
     def test_knapsack_milp(self):
         weights = [2, 3, 4, 5, 9]
         values = [3, 4, 5, 8, 10]
-        m = Model()
-        xs = m.add_vars("x", len(weights), ub=1, vtype=VarType.INTEGER)
-        m.add_constr(sum(w * x for w, x in zip(weights, xs)) <= 10)
-        m.maximize(sum(v * x for v, x in zip(values, xs)))
+        m = matrix_model(values, [(weights, -INF, 10.0)], ub=1.0, integer=True,
+                         maximize=True)
         a, b = both_backends(m)
         # Optimum: items with weights 2+3+5 (values 3+4+8 = 15).
         assert a.objective == pytest.approx(15.0)
         assert b.objective == pytest.approx(15.0)
 
     def test_integer_infeasible(self):
-        m = Model()
-        x = m.add_var("x", vtype=VarType.INTEGER)
-        m.add_constr(2 * x == 3)  # no integer solution
+        m = matrix_model([0.0], [([2], 3.0, 3.0)], integer=True)  # no integer solution
         a, b = both_backends(m)
         assert a.status is SolveStatus.INFEASIBLE
         assert b.status is SolveStatus.INFEASIBLE
 
     def test_mixed_integer_continuous(self):
-        m = Model()
-        n = m.add_var("n", ub=10, vtype=VarType.INTEGER)
-        f = m.add_var("f", ub=3.5)
-        m.add_constr(n + f >= 4.2)
-        m.minimize(2 * n + f)
+        # min 2n + f s.t. n + f >= 4.2, n integer in [0, 10], f in [0, 3.5].
+        m = matrix_model([2.0, 1.0], [([1, 1], 4.2, INF)], ub=[10.0, 3.5],
+                         integer=[True, False])
         a, b = both_backends(m)
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
 
@@ -104,13 +75,8 @@ def spy_loads(monkeypatch):
 def fractional_root():
     """max 5x + 4y s.t. 6x + 4y <= 24, x + 2y <= 6: the relaxation stops
     at (3, 1.5) worth 21, the integer optimum is (4, 0) worth 20."""
-    m = Model()
-    x = m.add_var("x", vtype=VarType.INTEGER)
-    y = m.add_var("y", vtype=VarType.INTEGER)
-    m.add_constr(6 * x + 4 * y <= 24)
-    m.add_constr(x + 2 * y <= 6)
-    m.maximize(5 * x + 4 * y)
-    return m, x, y
+    return matrix_model([5.0, 4.0], [([6, 4], -INF, 24.0), ([1, 2], -INF, 6.0)],
+                        integer=True, maximize=True)
 
 
 class TestIntegralRoot:
@@ -119,39 +85,33 @@ class TestIntegralRoot:
 
     def test_fractional_relaxation_reaches_branch_and_bound(self, monkeypatch):
         loads = spy_loads(monkeypatch)
-        m, x, y = fractional_root()
-        solution = m.solve()
+        solution = fractional_root().solve()
         assert loads == [False, True]
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(20.0)
-        assert (solution.value(x), solution.value(y)) == (4.0, 0.0)
+        assert solution.x.tolist() == [4.0, 0.0]
 
     def test_integral_relaxation_is_the_answer(self, monkeypatch):
         loads = spy_loads(monkeypatch)
-        m = Model()
-        x = m.add_var("x", ub=3, vtype=VarType.INTEGER)
-        y = m.add_var("y", vtype=VarType.INTEGER)
-        m.add_constr(x + y <= 4)
-        m.maximize(2 * x + y)
+        m = matrix_model([2.0, 1.0], [([1, 1], -INF, 4.0)], ub=[3.0, INF],
+                         integer=True, maximize=True)
         solution = m.solve()
         assert loads == [False]
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.mip_node_count == 0
         assert solution.message == "Optimal"
-        assert (solution.value(x), solution.value(y)) == (3.0, 1.0)
+        assert solution.x.tolist() == [3.0, 1.0]
         assert solution.objective == pytest.approx(7.0)
 
     def test_a_point_that_snapping_pushes_off_a_row_is_not_certified(
         self, monkeypatch
     ):
         loads = spy_loads(monkeypatch)
-        m = Model()
-        x = m.add_var("x", ub=10, vtype=VarType.INTEGER)
-        m.add_constr(1000 * x >= 2000.0005)  # the relaxation: x = 2.0000005
-        m.minimize(x)
+        # The relaxation: x = 2.0000005.
+        m = matrix_model([1.0], [([1000], 2000.0005, INF)], ub=10.0, integer=True)
         solution = m.solve()
         assert loads == [False, True]
-        assert solution.value(x) == 3.0
+        assert solution.x[0] == 3.0
 
     def test_branch_and_bound_gets_the_time_the_relaxation_left(
         self, monkeypatch
@@ -172,8 +132,7 @@ class TestIntegralRoot:
                 return super().run()
 
         monkeypatch.setattr(scipy_backend._hs, "_Highs", Slow)
-        m, _, _ = fractional_root()
-        solution = m.solve(time_limit=10.0)
+        solution = fractional_root().solve(time_limit=10.0)
         assert solution.objective == pytest.approx(20.0)
         assert limits[0] == 10.0
         assert 0.0 < limits[1] <= 9.8
@@ -200,17 +159,29 @@ def random_lp(draw):
     return coefs, rhs, objective, ubs
 
 
+def random_model(problem, integer=False):
+    coefs, rhs, objective, ubs = problem
+    rows = [(row, -INF, b) for row, b in zip(coefs, rhs)]
+    return matrix_model(objective, rows, ub=ubs, integer=integer, maximize=True)
+
+
+def violations(compiled, x, tol=1e-6):
+    """Rows, bounds and integrality ``x`` breaks (their count)."""
+    rows = np.repeat(np.arange(compiled.num_rows), np.diff(compiled.indptr))
+    ax = np.bincount(rows, compiled.data * x[compiled.indices],
+                     minlength=compiled.num_rows)
+    return int(
+        np.sum(ax < compiled.row_lb - tol) + np.sum(ax > compiled.row_ub + tol)
+        + np.sum(x < compiled.var_lb - tol) + np.sum(x > compiled.var_ub + tol)
+        + np.sum(compiled.integrality & (np.abs(x - np.rint(x)) > tol))
+    )
+
+
 class TestAgreementProperty:
     @given(random_lp())
     @settings(max_examples=60, deadline=None)
     def test_backends_agree_on_random_lps(self, problem):
-        coefs, rhs, objective, ubs = problem
-        m = Model()
-        xs = [m.add_var(f"x{i}", ub=ub) for i, ub in enumerate(ubs)]
-        for row, b in zip(coefs, rhs):
-            m.add_constr(sum(c * x for c, x in zip(row, xs)) <= b)
-        m.maximize(sum(c * x for c, x in zip(objective, xs)))
-        a, b = both_backends(m)
+        a, b = both_backends(random_model(problem))
         assert a.status is SolveStatus.OPTIMAL
         assert b.status is SolveStatus.OPTIMAL
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
@@ -218,32 +189,14 @@ class TestAgreementProperty:
     @given(random_lp())
     @settings(max_examples=40, deadline=None)
     def test_solutions_satisfy_their_model(self, problem):
-        coefs, rhs, objective, ubs = problem
-        m = Model()
-        xs = [m.add_var(f"x{i}", ub=ub, vtype=VarType.INTEGER) for i, ub in enumerate(ubs)]
-        for row, b in zip(coefs, rhs):
-            m.add_constr(sum(c * x for c, x in zip(row, xs)) <= b)
-        m.maximize(sum(c * x for c, x in zip(objective, xs)))
+        m = random_model(problem, integer=True)
         solution = m.solve()
         assert solution.status is SolveStatus.OPTIMAL
-        assert m.check_feasible(solution.values) == []
+        assert violations(m.compile(), solution.x) == 0
 
     @given(random_lp())
     @settings(max_examples=30, deadline=None)
     def test_integer_optimum_never_beats_relaxation(self, problem):
-        coefs, rhs, objective, ubs = problem
-        relaxed = Model()
-        integral = Model()
-        xs_r = [relaxed.add_var(f"x{i}", ub=ub) for i, ub in enumerate(ubs)]
-        xs_i = [
-            integral.add_var(f"x{i}", ub=ub, vtype=VarType.INTEGER)
-            for i, ub in enumerate(ubs)
-        ]
-        for row, b in zip(coefs, rhs):
-            relaxed.add_constr(sum(c * x for c, x in zip(row, xs_r)) <= b)
-            integral.add_constr(sum(c * x for c, x in zip(row, xs_i)) <= b)
-        relaxed.maximize(sum(c * x for c, x in zip(objective, xs_r)))
-        integral.maximize(sum(c * x for c, x in zip(objective, xs_i)))
-        upper = relaxed.solve().objective
-        achieved = integral.solve().objective
+        upper = random_model(problem).solve().objective
+        achieved = random_model(problem, integer=True).solve().objective
         assert achieved <= upper + 1e-6

@@ -4,36 +4,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.lp import MatrixModel, Model, VarType
+from arrays import INF, matrix_model
 from repro.lp.writers import save, write_lp, write_mps
 
 GOLDEN = Path(__file__).parent / "golden_public_1gb_1h"
 
 
-def matrix(model: Model) -> MatrixModel:
-    """The expression-built ``model`` in the form the writers read."""
-    names = tuple(constraint.name for constraint in model.constraints)
-    return MatrixModel(model.name, model.compile(), names, model.stats())
-
-
 def toy_model():
-    model = Model("toy")
-    x = model.add_var("x", ub=4.0)
-    y = model.add_var("y", ub=4.0, vtype=VarType.INTEGER)
-    b = model.add_var("b", vtype=VarType.BINARY)
-    model.add_constr(x + 2 * y <= 6.0, "cap")
-    model.add_constr(x - y >= -1.0, "gap")
-    model.add_constr(x + b == 2.0, "link")
-    model.maximize(3 * x + 2 * y + b)
-    return matrix(model)
+    """max 3x + 2y + b: x in [0, 4], y integer in [0, 4], b binary."""
+    return matrix_model(
+        [3.0, 2.0, 1.0],
+        [([1, 2, 0], -INF, 6.0), ([1, -1, 0], -1.0, INF), ([1, 0, 1], 2.0, 2.0)],
+        ub=[4.0, 4.0, 1.0], integer=[False, True, True], maximize=True,
+        names=("x", "y", "b"), row_names=("cap", "gap", "link"), name="toy",
+    )
 
 
-def single(name="x", **bounds):
+def single(name="x", lb=0.0, ub=INF):
     """One column, a zero objective, minimized."""
-    model = Model("m")
-    model.add_var(name, **bounds)
-    model.minimize(0)
-    return matrix(model)
+    return matrix_model([0.0], lb=lb, ub=ub, names=(name,))
 
 
 class TestLpFormat:
@@ -53,11 +42,9 @@ class TestLpFormat:
         assert "Minimize" in write_lp(single(ub=1.0))
 
     def test_default_bounds_omitted(self):
-        model = Model("m")
-        model.add_var("free_up", lb=0.0)  # the LP default
-        model.add_var("capped", ub=9.0)
-        model.minimize(0)
-        text = write_lp(matrix(model))
+        # free_up has the LP default bounds.
+        text = write_lp(matrix_model([0.0, 0.0], ub=[INF, 9.0],
+                                     names=("free_up", "capped")))
         assert "free_up" not in text.split("Bounds")[1]
         assert "capped <= 9" in text.split("Bounds")[1]
 
@@ -70,10 +57,7 @@ class TestLpFormat:
         assert write_lp(toy_model()) == write_lp(toy_model())
 
     def test_objective_constant_encoded(self):
-        model = Model("m")
-        x = model.add_var("x", ub=1.0)
-        model.minimize(x + 5.0)
-        text = write_lp(matrix(model))
+        text = write_lp(matrix_model([1.0], ub=1.0, offset=5.0))
         assert "__const" in text
         assert "__fix_const: __const = 1" in text
 

@@ -336,15 +336,23 @@ class TestServeKeepsItsStdout:
         import sys
         import threading
 
+        import numpy as np
+
         from repro import cli
-        from repro.lp import Model, VarType, scipy_backend
+        from repro.lp import scipy_backend
+        from repro.lp.model import CompiledModel
 
         # pytest's own sys.stdout does not sit on fd 1; a real one does.
         monkeypatch.setattr(sys, "stdout", open(1, "w", closefd=False))
-        m = Model()
-        x = m.add_var("x", ub=4, vtype=VarType.INTEGER)
-        m.maximize(x)
-        compiled = m.compile()
+        # max x, x integer in [0, 4].
+        compiled = CompiledModel(
+            num_vars=1, objective=np.array([-1.0]), objective_offset=0.0,
+            indptr=np.zeros(1, dtype=np.int32),
+            indices=np.zeros(0, dtype=np.int32), data=np.zeros(0),
+            row_lb=np.zeros(0), row_ub=np.zeros(0),
+            var_lb=np.zeros(1), var_ub=np.array([4.0]),
+            integrality=np.array([True]), col_names=("x",), negated=True,
+        )
 
         inside, release = threading.Event(), threading.Event()
 
@@ -397,6 +405,36 @@ class TestVersion:
         out = capsys.readouterr().out
         assert "repro" in out
         assert "schema v1" in out
+
+    def test_the_package_version_is_pyproject_version(self):
+        import tomllib
+        from pathlib import Path
+
+        import repro
+        from repro.cli import package_version
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            declared = tomllib.load(fh)["project"]["version"]
+        assert repro.__version__ == declared
+        assert package_version() == declared
+
+    def test_building_the_parser_reads_no_distribution_metadata(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli\n"
+             "repro.cli.build_parser()\n"
+             "assert 'importlib.metadata' not in sys.modules\n"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestDeployStream:

@@ -25,7 +25,7 @@ The second kind is a report, never a gate: for a checked package that
 sits in a ``src/`` directory, every definition the program never
 reaches is listed on stderr, and the exit status ignores it.  A
 definition is a top-level ``def`` or ``class`` or a method, named by its
-module (``repro.lp.model.Model``, ``repro.accounting.CostLedger.total``):
+module (``repro.lp.model.MatrixModel``, ``repro.accounting.CostLedger.total``):
 ``from .x import Name``, ``import pkg.x as y`` and package re-exports
 (lazy ``__getattr__`` tables included) resolve to the module that
 defines the name.  The roots are the package's ``cli.py``, every
@@ -164,15 +164,9 @@ def check_source(source: str, filename: str = "<string>") -> list[tuple[int, str
 #: Definitions the program does not reach, kept on purpose.  The report
 #: prints them with these reasons instead of listing them as unreached;
 #: a kept class keeps its methods and what they reach.
-_MODEL = "the LP modelling layer the tests write models in"
 _ENTRY = "a few lines; the entry point its tests parse or build fixtures with"
 _LIVE = "tests assert live behaviour through it"
 KEEP = {
-    "repro.lp.model.Model": _MODEL,
-    "repro.lp.model.ObjectiveSense": _MODEL,
-    "repro.lp.expr.lin_sum": _MODEL,
-    "repro.lp.expr.LinExpr.coefficient": _MODEL,
-    "repro.lp.expr.LinExpr.variables": _MODEL,
     "repro.cloud.traces.constant_trace": _ENTRY,
     "repro.obs.records.decode_payload": _ENTRY,
     "repro.pig.parser.parse_expression": _ENTRY,

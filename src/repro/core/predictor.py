@@ -44,7 +44,14 @@ from ..cloud.spot import SpotTrace
 
 
 class SpotPredictor(abc.ABC):
-    """Interface: estimate future hourly prices and derive a bid."""
+    """Interface: estimate future hourly prices and derive a bid.
+
+    ``estimate`` and ``bid`` are pure functions of ``(trace, now_hour,
+    horizon_hours)``: no hidden state, no randomness, and the caller may
+    keep the returned array.  The fleet relies on it: it asks each
+    question once per hour and hands the one (read-only) answer to every
+    deployment that asks it (:class:`repro.fleet.replanner.SharedPredictor`).
+    """
 
     #: Label used in result tables (matches the paper's scenario names).
     name: str = "predictor"

@@ -20,9 +20,11 @@ per-job one:
   under per-deployment re-plan budgets
   (:class:`~repro.fleet.scheduler.FleetConfig`).
 - :class:`~repro.fleet.replanner.CachingPlanner` — one plan cache (the
-  planning service's fingerprint + LRU machinery) in front of the cold
-  ``Planner.plan``, so N identical re-plans provoked by one shared event
-  coalesce into a single solve.
+  planning service's LRU, keyed on the problem's canonical tuple) in
+  front of the cold ``Planner.plan``, so N identical re-plans provoked
+  by one shared event coalesce into a single solve;
+  :class:`~repro.fleet.replanner.SharedPredictor` likewise asks the spot
+  predictor each ``(trace, hour, horizon)`` question once per fleet.
 
 Quickstart::
 

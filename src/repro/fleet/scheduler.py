@@ -20,8 +20,11 @@ re-plan — immediately, not at the next polling interval:
 Re-plans triggered by one shared event coalesce: every controller in
 the fleet plans through one :class:`~repro.fleet.replanner.CachingPlanner`,
 so deployments in identical states solve once and the rest hit the plan
-cache (the same fingerprint + LRU machinery the planning service uses
-for tenant requests).  A miss is ``Planner.plan``, the cold solve.
+cache (the LRU the planning service uses for tenant requests, keyed on
+the problem's canonical tuple).  A miss is ``Planner.plan``, the cold
+solve.  Their spot estimates and bids come from one
+:class:`~repro.fleet.replanner.SharedPredictor` per caller predictor,
+which asks the caller's predictor each question once per hour.
 
 A replan budget of zero disables the event-driven path entirely, so a
 zero-budget ``"event"`` fleet behaves exactly like an ``"interval"``
@@ -38,7 +41,7 @@ from ..core.planner import Planner
 from ..core.problem import Goal, NetworkConditions, PlannerJob
 from ..core.predictor import SpotPredictor
 from .events import CapacityChange, NodeFailure, SubstrateEvent
-from .replanner import CachingPlanner
+from .replanner import CachingPlanner, SharedPredictor
 from .substrate import Substrate
 
 _EPS = 1e-9
@@ -238,6 +241,8 @@ class FleetScheduler:
         self.config = config or FleetConfig()
         self.replanner = CachingPlanner(planner)
         self.deployments: list[FleetDeployment] = []
+        #: id(caller's predictor) -> the SharedPredictor wrapping it.
+        self._predictors: dict[int, SharedPredictor] = {}
 
     # -- building ----------------------------------------------------------
 
@@ -256,7 +261,8 @@ class FleetScheduler:
         """Register one deployment with the fleet.
 
         The controller is wired for fleet control: it plans through the
-        shared :class:`CachingPlanner`, re-plans on the fleet's fixed
+        shared :class:`CachingPlanner`, asks ``predictor`` through the
+        fleet's one :class:`SharedPredictor` for it, re-plans on the fleet's fixed
         cadence internally (event reactions are the *scheduler's* job,
         via :meth:`ControllerRun.monitor`), executes against the
         substrate's spot traces, and starts at the substrate's
@@ -281,6 +287,13 @@ class FleetScheduler:
                     f"spot service {spot_name!r} has no trace in the substrate"
                 )
             trace = trace or self.substrate.traces[spot_name]
+        if predictor is not None:
+            shared = self._predictors.get(id(predictor))
+            if shared is None:
+                shared = self._predictors[id(predictor)] = SharedPredictor(
+                    predictor
+                )
+            predictor = shared
         controller = JobController(
             job,
             services,

@@ -5,8 +5,19 @@ import pytest
 
 from repro.api import DeployEventV1, decode, encode
 from repro.cloud import SpotTrace
-from repro.cloud.traces import constant_trace
-from repro.core import CurrentPricePredictor, Goal, NetworkConditions, PlannerJob
+from repro.cloud.traces import (
+    aws_like_trace,
+    constant_trace,
+    electricity_like_trace,
+)
+from repro.core import (
+    CurrentPricePredictor,
+    Goal,
+    MarginBidder,
+    NetworkConditions,
+    PlannerJob,
+    WindowMaxPredictor,
+)
 from repro.core.spot_sim import spot_services
 from repro.fleet import (
     FailureInjector,
@@ -14,6 +25,7 @@ from repro.fleet import (
     FleetConfig,
     FleetScheduler,
     Substrate,
+    fleet_summary,
 )
 
 SPOT = spot_services()[0].name
@@ -276,3 +288,99 @@ class TestCapacity:
         assert executed[6:] and max(executed[6:]) <= 1
         assert "capacity" not in [r.kind for r in summary.result.replan_records]
         assert summary.budget_remaining == 16
+
+
+class CountingWindowMax(WindowMaxPredictor):
+    """``p5`` that records every question the fleet asks it."""
+
+    def __init__(self):
+        super().__init__(5)
+        self.estimates = []
+        self.bids = []
+
+    def estimate(self, trace, now_hour, horizon_hours):
+        self.estimates.append((trace.label, now_hour, horizon_hours))
+        return super().estimate(trace, now_hour, horizon_hours)
+
+    def bid(self, trace, now_hour):
+        self.bids.append((trace.label, now_hour))
+        # Not through self.estimate: only the fleet's questions count.
+        return float(WindowMaxPredictor.estimate(self, trace, now_hour, 1)[0])
+
+
+def electricity(seed=37, label="electricity"):
+    return SpotTrace(electricity_like_trace(days=5, seed=seed).prices, label=label)
+
+
+def spot_fleet(predictors, traces=None):
+    """One 4 GB, 12 h deployment per predictor, from hour 37; with
+    ``traces`` (spot service name -> trace), deployment k runs on the
+    k-th spot service, round robin."""
+    traces = traces or {SPOT: electricity()}
+    substrate = Substrate(
+        traces, eviction_bids={name: CEILING for name in traces}
+    )
+    fleet = FleetScheduler(substrate, FleetConfig(mode="event", start_hour=37.0))
+    names = list(traces)
+    for i, predictor in enumerate(predictors):
+        spot = names[i % len(names)]
+        fleet.add(
+            f"tenant-{i + 1}",
+            PlannerJob(name="kmeans", input_gb=4.0),
+            [s.replace(name=spot) if s.is_spot else s for s in spot_services()],
+            Goal.min_cost(deadline_hours=12.0),
+            network=NetworkConditions.from_mbit_s(16.0),
+            predictor=predictor,
+        )
+    return fleet
+
+
+class TestSharedEstimates:
+    def test_each_question_reaches_the_predictor_once(self):
+        predictor = CountingWindowMax()
+        result = spot_fleet([predictor] * 8).run()
+        assert result.completed == 8 and result.total_replans > 8
+        asked = predictor.estimates
+        assert len(asked) == len(set(asked))
+        # Re-plans ask at later hours: sharing held past the initial plans.
+        assert len({hour for _, hour, _ in asked}) > 1
+        bids = predictor.bids
+        assert sorted(hour for _, hour in bids) == [
+            37.0 + h for h in range(len(bids))
+        ]
+
+    def test_a_shared_predictor_changes_no_outcome(self):
+        shared = spot_fleet([WindowMaxPredictor(5)] * 8).run()
+        # A predictor per deployment shares nothing.
+        alone = spot_fleet([WindowMaxPredictor(5) for _ in range(8)]).run()
+        assert fleet_summary(shared) == fleet_summary(alone)
+
+    def test_margin_bidder_keeps_its_margin(self):
+        trace = aws_like_trace(days=5, seed=37)
+        fleet = spot_fleet(
+            [MarginBidder(WindowMaxPredictor(5), margin=0.2)] * 3,
+            traces={SPOT: trace},
+        )
+        fleet.run(max_hours=1.0)
+        expected = WindowMaxPredictor(5).bid(trace, 37.0) * 1.2
+        assert expected < CEILING
+        for deployment in fleet.deployments:
+            assert deployment.run._executor.bids[SPOT] == expected
+
+    def test_deployments_on_two_traces_never_share_an_entry(self):
+        other = f"{SPOT}-b"
+        traces = {SPOT: electricity(37, "a"), other: electricity(38, "b")}
+        predictor = CountingWindowMax()
+        fleet = spot_fleet([predictor] * 4, traces=traces)
+        # Alternate the two traces' questions through the one table.
+        for deployment in fleet.deployments:
+            controller = deployment.controller
+            own = WindowMaxPredictor(5).estimate(controller.trace, 37.0, 12)
+            assert np.array_equal(
+                controller.predictor.estimate(controller.trace, 37.0, 12), own
+            )
+        assert predictor.estimates == [("a", 37.0, 12), ("b", 37.0, 12)]
+        fleet.run()
+        asked = predictor.estimates
+        assert len(asked) == len(set(asked))
+        assert {("a", 37.0), ("b", 37.0)} <= set(predictor.bids)
